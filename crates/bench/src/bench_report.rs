@@ -52,11 +52,10 @@
 //! baseline, and the cost model's total state estimate — so the planner's
 //! predictions can be eyeballed against measured reality.
 //!
-//! Since PR 10 the report carries a `sharded_throughput` figure: the same
+//! The report also carries a `modular_mix` figure: a count-only
 //! triangle-class query mix against a modular clique-community target through
-//! the plain single-registry service and through the scatter-gather
-//! coordinator at 1, 2 and 4 shards, plus the dense_target workload through
-//! each backend as a no-regression guard on the identity partition.
+//! the single-registry service, reporting the mix's median wall seconds,
+//! queries per second, total matches and bitmap-kernel invocations.
 //!
 //! Future PRs append comparable records as `BENCH_pr<N>.json` with the same
 //! schema string so the trajectory stays diffable.
@@ -71,7 +70,6 @@ use sge_datasets::CollectionKind;
 use sge_graph::{generators, io::write_graph, Graph};
 use sge_ri::Algorithm;
 use sge_service::json::Json;
-use sge_service::Coordinator;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -85,7 +83,7 @@ pub const EXPECTED_FIGURES: [&str; 7] = [
     "strategy_comparison",
     "adaptive_dispatch",
     "kernel_comparison",
-    "sharded_throughput",
+    "modular_mix",
 ];
 
 /// Knobs of one report run.
@@ -767,240 +765,74 @@ fn strategy_cases(config: &ReportConfig) -> Vec<StrategyCase> {
         .collect()
 }
 
-/// One measured backend of the `sharded_throughput` figure: the same
-/// count-only triangle-class query mix against the modular clique-community
-/// target, through the plain single-registry service or through the
-/// scatter-gather coordinator at a given shard count.
-struct ShardedCase {
-    name: &'static str,
-    shards: usize,
+/// The `modular_mix` figure: the count-only triangle-class query mix
+/// against the modular clique-community target through the single registry.
+struct ModularMix {
     mix_seconds: f64,
     queries_per_second: f64,
-    dense_seconds: f64,
     matches_total: u64,
     bitmap_ops: u64,
-    speedup_vs_single_registry: f64,
-    sharded_not_slower: bool,
-    /// `Some` only on the `shards_1` case: the identity partition must not
-    /// regress the dense_target workload.
-    dense_not_regressed: Option<bool>,
 }
 
-/// Relative tolerance for the `sharded_not_slower` verdict.  Scatter-gather
-/// adds per-query shard-thread spawns and a merge pass, so a coordinator case
-/// may land within 25% of the single-registry median without signalling a
-/// regression — the failure this verdict guards against is the multi-x
-/// slowdown of a partitioner that splits communities or a merger that
-/// re-enumerates.
-const SHARDED_NOISE_TOLERANCE: f64 = 1.25;
-
-/// Absolute slack for the sharded verdicts: smoke-sized mixes finish in
-/// milliseconds, where thread-spawn jitter dwarfs any relative margin.
-const SHARDED_NOISE_FLOOR_SECONDS: f64 = 0.005;
-
-impl ShardedCase {
+impl ModularMix {
     fn to_json(&self) -> Json {
-        let mut pairs = vec![
-            ("name", Json::str(self.name)),
-            ("shards", Json::U64(self.shards as u64)),
+        Json::obj(vec![
             ("mix_seconds", Json::F64(self.mix_seconds)),
             ("queries_per_second", Json::F64(self.queries_per_second)),
-            ("dense_seconds", Json::F64(self.dense_seconds)),
             ("matches_total", Json::U64(self.matches_total)),
             ("bitmap_ops", Json::U64(self.bitmap_ops)),
-            (
-                "speedup_vs_single_registry",
-                Json::F64(self.speedup_vs_single_registry),
-            ),
-            ("sharded_not_slower", Json::Bool(self.sharded_not_slower)),
-        ];
-        if let Some(verdict) = self.dense_not_regressed {
-            pairs.push(("dense_not_regressed", Json::Bool(verdict)));
-        }
-        Json::obj(pairs)
+        ])
     }
 }
 
-/// The two serving backends the `sharded_throughput` figure compares, under
-/// one run interface.
-enum ShardedBackend {
-    Single(Service),
-    Sharded(Coordinator),
-}
-
-impl ShardedBackend {
-    fn insert(&self, name: &str, graph: Graph) {
-        match self {
-            ShardedBackend::Single(service) => {
-                service.registry().insert(name, graph);
-            }
-            ShardedBackend::Sharded(coordinator) => {
-                coordinator.insert_target(name, graph);
-            }
-        }
-    }
-
-    /// Runs one count-only query and returns `(matches, bitmap kernel ops)`.
-    fn run(&self, target: &str, spec: &QuerySpec) -> (u64, u64) {
-        match self {
-            ShardedBackend::Single(service) => {
-                let outcome = service
-                    .run_query(target, spec)
-                    .expect("sharded-figure query must succeed");
-                (outcome.outcome.matches, outcome.outcome.kernels.bitmap)
-            }
-            ShardedBackend::Sharded(coordinator) => {
-                let (merged, _) = coordinator
-                    .run_query(target, spec)
-                    .expect("sharded-figure query must succeed");
-                (merged.outcome.matches, merged.outcome.kernels.bitmap)
-            }
-        }
-    }
-}
-
-/// The modular clique-community target of the `sharded_throughput` figure.
-///
-/// The shape is chosen so the *partition itself* changes the plan: the full
-/// graph's mean degree sits just below the planner's dense-routing bar
-/// (`degree_mean >= nodes / 4`), so the single registry enumerates on the
-/// sparse merge/gallop kernels — while a compacted shard ball, a handful of
-/// communities wide, clears the bar and routes to the bitmap kernels.  The
-/// figure therefore measures the real end-to-end win of sharding on this
-/// host: plan-level kernel routing restored by locality, not thread-level
-/// parallelism (which a single-core runner cannot deliver).
-fn sharded_target(config: &ReportConfig) -> Graph {
+/// Figure `modular_mix`: a directed 3-cycle, a directed 3-path and a
+/// 3-clique, sequential and cache-hot, against eight clique communities on a
+/// bridge ring (`clique(64)` each, `clique(24)` in smoke runs).  The target's
+/// mean degree clears the planner's density bar, so every constrained
+/// position runs the bitmap kernel; `bitmap_ops` counts those invocations
+/// over one pass of the mix.
+fn modular_mix(config: &ReportConfig) -> ModularMix {
     use sge_datasets::{generate_modular, ModularSpec};
-    let spec = if config.smoke {
-        // 8 communities of clique(24): 192 nodes at mean directed degree
-        // ~23 — below the monolithic bar of 48, above a shard ball's.
-        ModularSpec {
-            communities: 8,
-            community_size: 24,
-            intra_bonds: 24 * 23 / 2,
-            labels: 1,
-        }
-    } else {
-        // 8 communities of clique(64): 512 nodes at mean directed degree
-        // ~63 — just below the monolithic bar of 128.
-        ModularSpec {
-            communities: 8,
-            community_size: 64,
-            intra_bonds: 64 * 63 / 2,
-            labels: 1,
-        }
-    };
-    generate_modular(&spec, 0x0DA7_A5E7, "modular-cliques")
-}
-
-/// The triangle-class query mix of the `sharded_throughput` figure: every
-/// pattern has root eccentricity within the coordinator's replication
-/// horizon, and each finishes in milliseconds-to-tens-of-milliseconds on the
-/// full-size target so a mix pass clears timer resolution without starving
-/// the repeat budget.
-fn sharded_mix() -> Vec<Graph> {
-    vec![
+    let size = if config.smoke { 24 } else { 64 };
+    let service = Service::new(ServiceConfig::default());
+    service.registry().insert(
+        "modular",
+        generate_modular(&ModularSpec::cliques(size), 0x0DA7_A5E7, "modular-cliques"),
+    );
+    let specs: Vec<QuerySpec> = [
         generators::directed_cycle(3, 0),
         generators::directed_path(3, 0),
         generators::clique(3, 0),
     ]
-}
-
-/// Figure `sharded_throughput`: the same query mix through the plain service
-/// and through the scatter-gather coordinator at 1, 2 and 4 shards, plus the
-/// dense_target workload through each backend as the no-regression guard.
-fn sharded_cases(config: &ReportConfig) -> Vec<ShardedCase> {
-    let backends: [(&'static str, usize, ShardedBackend); 4] = [
-        (
-            "single_registry",
-            0,
-            ShardedBackend::Single(Service::new(ServiceConfig::default())),
-        ),
-        (
-            "shards_1",
-            1,
-            ShardedBackend::Sharded(Coordinator::new(1, ServiceConfig::default())),
-        ),
-        (
-            "shards_2",
-            2,
-            ShardedBackend::Sharded(Coordinator::new(2, ServiceConfig::default())),
-        ),
-        (
-            "shards_4",
-            4,
-            ShardedBackend::Sharded(Coordinator::new(4, ServiceConfig::default())),
-        ),
-    ];
-    let dense_pattern = generators::directed_cycle(4, 0);
-    let dense_target = generators::clique(if config.smoke { 12 } else { 32 }, 0);
-    let mix: Vec<String> = sharded_mix().iter().map(write_graph).collect();
-
-    let mut measured: Vec<(&'static str, usize, f64, f64, u64, u64)> = Vec::new();
-    for (name, shards, backend) in backends {
-        backend.insert("modular", sharded_target(config));
-        backend.insert("dense", dense_target.clone());
-        let specs: Vec<QuerySpec> = mix
-            .iter()
-            .map(|text| QuerySpec::new(text).with_run(RunConfig::new(Scheduler::Sequential)))
-            .collect();
-        let dense_spec = QuerySpec::new(write_graph(&dense_pattern))
-            .with_run(RunConfig::new(Scheduler::Sequential));
-        // Warm the prepared caches so every timed pass runs cache-hit.
-        let mut matches_total = 0u64;
-        let mut bitmap_ops = 0u64;
-        for spec in &specs {
-            let (matches, bitmap) = backend.run("modular", spec);
-            matches_total += matches;
-            bitmap_ops += bitmap;
-        }
-        backend.run("dense", &dense_spec);
-        let mix_seconds = median_seconds(config.repeats, || {
-            for spec in &specs {
-                std::hint::black_box(backend.run("modular", spec).0);
-            }
-        });
-        let dense_seconds = median_seconds(config.repeats, || {
-            std::hint::black_box(backend.run("dense", &dense_spec).0);
-        });
-        measured.push((
-            name,
-            shards,
-            mix_seconds,
-            dense_seconds,
-            matches_total,
-            bitmap_ops,
-        ));
+    .iter()
+    .map(|pattern| {
+        QuerySpec::new(write_graph(pattern)).with_run(RunConfig::new(Scheduler::Sequential))
+    })
+    .collect();
+    let run = |spec: &QuerySpec| {
+        service
+            .run_query("modular", spec)
+            .expect("modular-mix query must succeed")
+            .outcome
+    };
+    // Warm the prepared cache so every timed pass runs cache-hit.
+    let (mut matches_total, mut bitmap_ops) = (0u64, 0u64);
+    for spec in &specs {
+        let outcome = run(spec);
+        matches_total += outcome.matches;
+        bitmap_ops += outcome.kernels.bitmap;
     }
-
-    let (_, _, single_mix, single_dense, single_matches, _) = measured[0];
-    measured
-        .into_iter()
-        .map(
-            |(name, shards, mix_seconds, dense_seconds, matches_total, bitmap_ops)| {
-                assert_eq!(
-                    matches_total, single_matches,
-                    "{name}: sharded merge must preserve match counts"
-                );
-                ShardedCase {
-                    name,
-                    shards,
-                    mix_seconds,
-                    queries_per_second: mix.len() as f64 / mix_seconds.max(1e-12),
-                    dense_seconds,
-                    matches_total,
-                    bitmap_ops,
-                    speedup_vs_single_registry: single_mix / mix_seconds.max(1e-12),
-                    sharded_not_slower: mix_seconds
-                        <= single_mix * SHARDED_NOISE_TOLERANCE + SHARDED_NOISE_FLOOR_SECONDS,
-                    dense_not_regressed: (name == "shards_1").then_some(
-                        dense_seconds
-                            <= single_dense * SHARDED_NOISE_TOLERANCE + SHARDED_NOISE_FLOOR_SECONDS,
-                    ),
-                }
-            },
-        )
-        .collect()
+    let mix_seconds = median_seconds(config.repeats, || {
+        for spec in &specs {
+            std::hint::black_box(run(spec).matches);
+        }
+    });
+    ModularMix {
+        mix_seconds,
+        queries_per_second: specs.len() as f64 / mix_seconds.max(1e-12),
+        matches_total,
+        bitmap_ops,
+    }
 }
 
 fn figure_json(cases: &[Case], extra: Vec<(&'static str, Json)>) -> Json {
@@ -1027,7 +859,7 @@ pub fn run_report(config: &ReportConfig) -> String {
     let strategies = strategy_cases(config);
     let (dispatch, correction_final) = adaptive_dispatch_cases(config);
     let kernels = kernel_cases(config);
-    let sharded = sharded_cases(config);
+    let mix = modular_mix(config);
 
     let mut table = Table::new(
         "bench-report (median wall seconds)",
@@ -1126,35 +958,17 @@ pub fn run_report(config: &ReportConfig) -> String {
     }
     println!("{}", kernel_table.render());
 
-    let mut sharded_table = Table::new(
-        "sharded throughput (triangle-class mix through each backend)",
-        &[
-            "backend",
-            "mix-seconds",
-            "queries/s",
-            "vs-single",
-            "bitmap-ops",
-            "dense-seconds",
-        ],
+    println!(
+        "modular mix (single registry): {:.6} s per mix, {:.0} queries/s, {} matches, {} bitmap ops",
+        mix.mix_seconds, mix.queries_per_second, mix.matches_total, mix.bitmap_ops
     );
-    for case in &sharded {
-        sharded_table.row(vec![
-            case.name.to_string(),
-            format!("{:.6}", case.mix_seconds),
-            format!("{:.0}", case.queries_per_second),
-            format!("{:.2}", case.speedup_vs_single_registry),
-            case.bitmap_ops.to_string(),
-            format!("{:.6}", case.dense_seconds),
-        ]);
-    }
-    println!("{}", sharded_table.render());
 
     let host_parallelism = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
     Json::obj(vec![
         ("schema", Json::str("sge-bench-report/v1")),
-        ("pr", Json::str("pr10")),
+        ("pr", Json::str("pr13")),
         ("repeats", Json::U64(config.repeats as u64)),
         ("host_parallelism", Json::U64(host_parallelism as u64)),
         (
@@ -1190,37 +1004,7 @@ pub fn run_report(config: &ReportConfig) -> String {
                         Json::Arr(kernels.iter().map(KernelCase::to_json).collect()),
                     )]),
                 ),
-                (
-                    "sharded_throughput",
-                    Json::obj(vec![
-                        (
-                            "cases",
-                            Json::Arr(sharded.iter().map(ShardedCase::to_json).collect()),
-                        ),
-                        (
-                            "shards_4_speedup",
-                            Json::F64(
-                                sharded
-                                    .iter()
-                                    .find(|c| c.name == "shards_4")
-                                    .map(|c| c.speedup_vs_single_registry)
-                                    .unwrap_or(f64::NAN),
-                            ),
-                        ),
-                        (
-                            // The PR-10 acceptance bar.  Advisory in smoke runs
-                            // (tiny workloads under CI jitter); the committed
-                            // full-size record is required to carry `true`.
-                            "shards_4_meets_target",
-                            Json::Bool(
-                                sharded
-                                    .iter()
-                                    .find(|c| c.name == "shards_4")
-                                    .is_some_and(|c| c.speedup_vs_single_registry >= 1.5),
-                            ),
-                        ),
-                    ]),
-                ),
+                ("modular_mix", mix.to_json()),
             ]),
         ),
     ])
@@ -1242,16 +1026,19 @@ pub fn validate_report(text: &str) -> Result<(), String> {
     if !text.contains("\"schema\":\"sge-bench-report/v1\"") {
         return Err("missing or unexpected schema marker".to_string());
     }
-    // Records since PR 7 carry the observed-counter columns; since PR 8 the
-    // adaptive_dispatch figure; since PR 9 the kernel_comparison figure;
-    // since PR 10 the sharded_throughput figure.  Committed older records
+    // Records since pr7 carry the observed-counter columns; since pr8 the
+    // adaptive_dispatch figure; since pr9 the kernel_comparison figure;
+    // records after pr10 the modular_mix figure.  Committed older records
     // stay valid as-is.
     let pre_counter = ["\"pr\":\"pr3\"", "\"pr\":\"pr4\""]
         .iter()
         .any(|marker| text.contains(marker));
     let pre_dispatch = pre_counter || text.contains("\"pr\":\"pr7\"") || !text.contains("\"pr\":");
     let pre_kernel = pre_dispatch || text.contains("\"pr\":\"pr8\"");
-    let pre_sharded = pre_kernel || text.contains("\"pr\":\"pr9\"");
+    let pre_mix = pre_kernel
+        || ["\"pr\":\"pr9\"", "\"pr\":\"pr10\""]
+            .iter()
+            .any(|marker| text.contains(marker));
     for figure in EXPECTED_FIGURES {
         if figure == "adaptive_dispatch" && pre_dispatch {
             continue;
@@ -1259,7 +1046,7 @@ pub fn validate_report(text: &str) -> Result<(), String> {
         if figure == "kernel_comparison" && pre_kernel {
             continue;
         }
-        if figure == "sharded_throughput" && pre_sharded {
+        if figure == "modular_mix" && pre_mix {
             continue;
         }
         if !text.contains(&format!("\"{figure}\"")) {
@@ -1282,27 +1069,6 @@ pub fn validate_report(text: &str) -> Result<(), String> {
     }
     if !pre_kernel && !text.contains("\"prefilter_reject_rate\"") {
         return Err("missing 'prefilter_reject_rate' column in kernel_comparison".to_string());
-    }
-    if !pre_sharded {
-        if !text.contains("\"speedup_vs_single_registry\"") {
-            return Err(
-                "missing 'speedup_vs_single_registry' column in sharded_throughput".to_string(),
-            );
-        }
-        if text.contains("\"sharded_not_slower\":false") {
-            return Err(
-                "sharded_throughput regression: a coordinator backend ran slower than the \
-                 single registry beyond tolerance"
-                    .to_string(),
-            );
-        }
-        if text.contains("\"dense_not_regressed\":false") {
-            return Err(
-                "sharded_throughput regression: the identity partition regressed the \
-                 dense_target workload"
-                    .to_string(),
-            );
-        }
     }
     Ok(())
 }
@@ -1454,10 +1220,15 @@ mod tests {
         assert!(report.contains("\"steals_total\""));
         assert!(report.contains("\"speedup_bitmap_vs_scalar\""));
         assert!(report.contains("\"prefilter_reject_rate\""));
-        assert!(report.contains("\"speedup_vs_single_registry\""));
-        for backend in ["single_registry", "shards_1", "shards_2", "shards_4"] {
-            assert!(report.contains(&format!("\"{backend}\"")), "{backend}");
-        }
+        // The smoke modular target clears the density bar, so the mix runs
+        // the bitmap kernel.
+        let bitmap_ops: u64 = report
+            .split("\"bitmap_ops\":")
+            .nth(1)
+            .and_then(|rest| rest.split(|c: char| !c.is_ascii_digit()).next())
+            .and_then(|digits| digits.parse().ok())
+            .expect("modular_mix carries bitmap_ops");
+        assert!(bitmap_ops > 0);
         for strategy in Strategy::ALL {
             assert!(
                 report.contains(&format!("\"{}\"", strategy.name())),
@@ -1523,7 +1294,7 @@ mod tests {
         // the figure and its prefilter column.
         let figures: Vec<String> = EXPECTED_FIGURES
             .iter()
-            .filter(|f| **f != "kernel_comparison" && **f != "sharded_throughput")
+            .filter(|f| **f != "kernel_comparison" && **f != "modular_mix")
             .map(|f| format!("\"{f}\":{{\"cases\":[{{\"observed_states_total\":0,\"routed_not_slower\":true}}]}}"))
             .collect();
         let pr8 = format!(
@@ -1546,13 +1317,13 @@ mod tests {
     }
 
     #[test]
-    fn validator_grandfathers_pre_sharded_records() {
-        // The committed BENCH_pr9.json predates the sharded_throughput figure
-        // and must keep validating without it; a pr10 record must carry the
-        // figure, its speedup column and only passing verdicts.
+    fn validator_grandfathers_pre_modular_mix_records() {
+        // The committed BENCH_pr9.json and BENCH_pr10.json predate the
+        // modular_mix figure and must keep validating without it; a current
+        // record must carry the figure.
         let figures: Vec<String> = EXPECTED_FIGURES
             .iter()
-            .filter(|f| **f != "sharded_throughput")
+            .filter(|f| **f != "modular_mix")
             .map(|f| {
                 format!(
                     "\"{f}\":{{\"cases\":[{{\"observed_states_total\":0,\
@@ -1560,45 +1331,38 @@ mod tests {
                 )
             })
             .collect();
-        let pr9 = format!(
-            "{{\"schema\":\"sge-bench-report/v1\",\"pr\":\"pr9\",\"figures\":{{{}}}}}",
+        let pr10 = format!(
+            "{{\"schema\":\"sge-bench-report/v1\",\"pr\":\"pr10\",\"figures\":{{{}}}}}",
             figures.join(",")
         );
+        validate_report(&pr10).expect("pr10-era record stays valid");
+        let pr9 = pr10.replace("\"pr\":\"pr10\"", "\"pr\":\"pr9\"");
         validate_report(&pr9).expect("pr9-era record stays valid");
-        let pr10 = pr9.replace("\"pr\":\"pr9\"", "\"pr\":\"pr10\"");
+        let current = pr10.replace("\"pr\":\"pr10\"", "\"pr\":\"pr13\"");
         assert!(
-            validate_report(&pr10)
+            validate_report(&current)
                 .unwrap_err()
-                .contains("sharded_throughput"),
-            "pr10 records must carry the sharded_throughput figure"
+                .contains("modular_mix"),
+            "current records must carry the modular_mix figure"
         );
-        let with_figure = pr10.replace(
+        let with_figure = current.replace(
             ",\"figures\":{",
-            ",\"figures\":{\"sharded_throughput\":{\"cases\":[{\
-             \"speedup_vs_single_registry\":1.0,\"sharded_not_slower\":true,\
-             \"dense_not_regressed\":true}]},",
+            ",\"figures\":{\"modular_mix\":{\"bitmap_ops\":1},",
         );
-        validate_report(&with_figure).expect("complete pr10 record validates");
-        let regressed = with_figure.replace(
-            "\"sharded_not_slower\":true",
-            "\"sharded_not_slower\":false",
-        );
-        assert!(
-            validate_report(&regressed)
-                .unwrap_err()
-                .contains("slower than the single registry"),
-            "failing sharded verdicts must be rejected"
-        );
-        let dense_regressed = with_figure.replace(
-            "\"dense_not_regressed\":true",
-            "\"dense_not_regressed\":false",
-        );
-        assert!(
-            validate_report(&dense_regressed)
-                .unwrap_err()
-                .contains("dense_target"),
-            "a dense regression at shards_1 must be rejected"
-        );
+        validate_report(&with_figure).expect("complete current record validates");
+    }
+
+    #[test]
+    fn committed_records_still_validate() {
+        for (name, text) in [
+            ("BENCH_pr4.json", include_str!("../../../BENCH_pr4.json")),
+            ("BENCH_pr7.json", include_str!("../../../BENCH_pr7.json")),
+            ("BENCH_pr8.json", include_str!("../../../BENCH_pr8.json")),
+            ("BENCH_pr9.json", include_str!("../../../BENCH_pr9.json")),
+            ("BENCH_pr10.json", include_str!("../../../BENCH_pr10.json")),
+        ] {
+            validate_report(text).unwrap_or_else(|err| panic!("{name}: {err}"));
+        }
     }
 
     #[test]

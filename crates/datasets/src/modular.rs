@@ -1,17 +1,11 @@
-//! Modular (community-structured) target generation for the sharded tier.
+//! Modular (community-structured) target generation.
 //!
-//! The sharded serving tier's economics depend on a target shape the other
-//! generators in this crate deliberately avoid: many dense communities joined
-//! by a sparse bridge ring.  Degree-aware BFS region growing
-//! (`sge_graph::partition`) absorbs whole communities before it crosses a
-//! bridge, so each shard's replicated ball stays a small fraction of the full
-//! graph — and the adjacency-bitmap sidecar, whose row width is
-//! `ceil(nodes/64)` words, shrinks **quadratically** with the ball: fewer
-//! rows *and* narrower rows.  A modular target whose full-graph sidecar blows
-//! the byte cap therefore fits comfortably per shard.  [`ModularSpec::million_edge`]
-//! pins the documented million-edge instance the LOAD-path tests are built
-//! on; the `sharded_throughput` bench figure uses a smaller clique-community
-//! spec sized so partition locality flips the planner's kernel routing.
+//! Many dense communities joined by a sparse bridge ring: a target shape the
+//! other generators in this crate deliberately avoid.  With one label and
+//! clique-dense communities ([`ModularSpec::cliques`]) every neighborhood is
+//! same-label dense, so the whole target clears the planner's bitmap-kernel
+//! density bar — the `modular_mix` bench figure measures that kernel route
+//! on a mix of triangle-class queries.
 //!
 //! Generation is deterministic in the seed: intra-community bonds are sampled
 //! *without replacement* (exactly `intra_bonds` distinct undirected pairs per
@@ -54,15 +48,15 @@ impl ModularSpec {
         }
     }
 
-    /// The documented million-edge instance: 64 communities of 250 nodes,
-    /// 7850 bonds each → exactly `64 * 7850 * 2 + 64 * 2 = 1_004_928`
-    /// directed edges over 16 000 nodes (mean undirected degree ≈ 63, far
-    /// above the bitmap degree threshold, so every node earns sidecar rows).
-    pub fn million_edge() -> Self {
+    /// Eight communities of `clique(size)` each (every intra-community pair
+    /// bonded) with one label: `8 * size` nodes at mean total degree about
+    /// `2 * (size - 1)`.  Size 64 is the `modular_mix` bench target, size 24
+    /// its smoke variant.
+    pub fn cliques(size: usize) -> Self {
         ModularSpec {
-            communities: 64,
-            community_size: 250,
-            intra_bonds: 7850,
+            communities: 8,
+            community_size: size,
+            intra_bonds: size * size.saturating_sub(1) / 2,
             labels: 1,
         }
     }
@@ -166,18 +160,16 @@ mod tests {
 
     #[test]
     fn edge_count_is_exactly_the_closed_form() {
-        let spec = ModularSpec::small();
-        let g = generate_modular(&spec, 1, "m");
-        assert_eq!(g.num_nodes(), spec.nodes());
-        assert_eq!(g.num_edges(), spec.directed_edges());
-        assert_eq!(spec.directed_edges(), 4 * 128 * 2 + 4 * 2);
-    }
-
-    #[test]
-    fn million_edge_preset_clears_a_million_directed_edges() {
-        let spec = ModularSpec::million_edge();
-        assert_eq!(spec.directed_edges(), 1_004_928);
-        assert_eq!(spec.nodes(), 16_000);
+        // `cliques(24)` bonds all 276 pairs of every community.
+        for (spec, edges) in [
+            (ModularSpec::small(), 4 * 128 * 2 + 4 * 2),
+            (ModularSpec::cliques(24), 8 * 276 * 2 + 8 * 2),
+        ] {
+            let g = generate_modular(&spec, 1, "m");
+            assert_eq!(g.num_nodes(), spec.nodes());
+            assert_eq!(g.num_edges(), spec.directed_edges());
+            assert_eq!(spec.directed_edges(), edges);
+        }
     }
 
     #[test]

@@ -847,32 +847,6 @@ impl PreparedEngine {
         }
     }
 
-    /// Wraps an externally produced [`QueryPlan`] (e.g. a rooted plan from
-    /// [`sge_plan::Planner::plan_rooted`], carrying a shard's root filter)
-    /// with an explicit bitmap-sidecar decision, timing the wrap as this
-    /// instance's preprocessing cost.  The graphs must be the ones the plan
-    /// was built from.
-    pub fn from_plan(
-        pattern: Arc<Graph>,
-        target: Arc<Graph>,
-        bitmaps: Option<Arc<AdjacencyBitmaps>>,
-        plan: QueryPlan,
-        mode: CandidateMode,
-    ) -> Self {
-        let mut timer = PhaseTimer::new();
-        let parts = timer.time("preprocess", || {
-            let mut ctx = SearchContext::from_plan(&pattern, &target, plan, mode);
-            ctx.set_bitmaps(bitmaps);
-            PreparedParts::extract(&ctx)
-        });
-        PreparedEngine {
-            pattern,
-            target,
-            parts,
-            preprocess_seconds: timer.seconds("preprocess"),
-        }
-    }
-
     /// Materializes a borrowing [`Engine`] view (cheap: the domains are
     /// shared, only the ordering vectors are copied).  The view reports this
     /// instance's preprocessing cost in its outcomes.

@@ -32,11 +32,9 @@ pub mod builder;
 pub mod generators;
 pub mod graph;
 pub mod io;
-pub mod partition;
 pub mod stats;
 
 pub use bitmap::{label_sig_bit, AdjacencyBitmaps, BitmapConfig};
 pub use builder::GraphBuilder;
 pub use graph::{EdgeRef, Graph, Label, NodeId, DEFAULT_EDGE_LABEL};
-pub use partition::{Partition, PartitionSpec, ShardGraph, ShardMap};
 pub use stats::GraphStats;

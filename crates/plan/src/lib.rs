@@ -43,6 +43,6 @@ pub use ordering::{
     finish_order, greatest_constraint_first, CandidatePlan, EdgeConstraint, KernelChoice,
     MatchOrder, ParentLink, PlanStep, PrefilterSpec,
 };
-pub use planner::{min_eccentricity_root, undirected_eccentricity, Planner, QueryPlan};
+pub use planner::{Planner, QueryPlan};
 pub use route::{CostModel, RoutingConfig, RoutingDecision, SchedulerChoice};
 pub use strategy::{OrderingStrategy, Strategy};

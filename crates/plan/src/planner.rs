@@ -5,8 +5,7 @@ use crate::cost::{self, PlanCost};
 use crate::domains::Domains;
 use crate::ordering::{finish_order, KernelChoice, MatchOrder};
 use crate::strategy::{PlanningInput, Strategy};
-use sge_graph::{Graph, GraphStats, NodeId};
-use sge_util::Bitset;
+use sge_graph::{Graph, GraphStats};
 use std::sync::Arc;
 
 /// The self-contained outcome of planning one enumeration instance.
@@ -36,11 +35,6 @@ pub struct QueryPlan {
     pub check_degrees: bool,
     /// Per-position cost estimates for this order.
     pub cost: PlanCost,
-    /// Target nodes the *root* position (position 0) may map to, or `None`
-    /// for the whole target.  The sharded serving tier sets this to a
-    /// shard's owned-node set so the union of per-shard enumerations is an
-    /// exact, overlap-free partition of the match set.
-    pub root_filter: Option<Arc<Bitset>>,
 }
 
 impl QueryPlan {
@@ -125,143 +119,8 @@ impl Planner {
             impossible,
             check_degrees: !algorithm.uses_domains(),
             cost,
-            root_filter: None,
         }
     }
-
-    /// Plans with a *forced root*: `root` is pinned to position 0 and the
-    /// rest of the order grows greedily from it (most connections into the
-    /// prefix first, smaller id on ties), so a [`QueryPlan::root_filter`]
-    /// restricting position 0 restricts exactly the chosen root vertex.
-    ///
-    /// The configured [`Strategy`] is bypassed — rooted orders are their own
-    /// strategy — but domains, kernel selection and cost estimation run the
-    /// same pipeline as [`Planner::plan_with_stats`].
-    pub fn plan_rooted(
-        &self,
-        pattern: &Graph,
-        target: &Graph,
-        target_stats: &GraphStats,
-        algorithm: Algorithm,
-        root: NodeId,
-        root_filter: Option<Arc<Bitset>>,
-    ) -> QueryPlan {
-        let mut impossible = false;
-        let domains = if algorithm.uses_domains() {
-            let mut domains = Domains::compute(pattern, target);
-            if domains.any_empty()
-                || (algorithm.uses_forward_checking() && !domains.forward_check())
-            {
-                impossible = true;
-            }
-            Some(Arc::new(domains))
-        } else {
-            None
-        };
-        let positions = rooted_positions(pattern, root);
-        let mut order = finish_order(pattern, positions);
-        select_kernels(&mut order, target_stats);
-        let cost = cost::estimate(pattern, &order, domains.as_deref(), target_stats);
-        QueryPlan {
-            algorithm,
-            strategy: self.strategy,
-            order,
-            domains,
-            impossible,
-            check_degrees: !algorithm.uses_domains(),
-            cost,
-            root_filter,
-        }
-    }
-}
-
-/// The undirected eccentricity of `v` in `graph`: the longest shortest-path
-/// distance from `v`, ignoring edge direction.  `None` when some node is
-/// unreachable from `v` (the graph is disconnected).
-pub fn undirected_eccentricity(graph: &Graph, v: NodeId) -> Option<usize> {
-    let n = graph.num_nodes();
-    if n == 0 {
-        return None;
-    }
-    let mut depth = vec![usize::MAX; n];
-    depth[v as usize] = 0;
-    let mut frontier = vec![v];
-    let mut level = 0usize;
-    let mut visited = 1usize;
-    let mut neighbors = Vec::new();
-    while !frontier.is_empty() {
-        let mut next = Vec::new();
-        for &u in &frontier {
-            graph.undirected_neighbors_into(u, &mut neighbors);
-            for &w in &neighbors {
-                if depth[w as usize] == usize::MAX {
-                    depth[w as usize] = level + 1;
-                    visited += 1;
-                    next.push(w);
-                }
-            }
-        }
-        if !next.is_empty() {
-            level += 1;
-        }
-        frontier = next;
-    }
-    (visited == n).then_some(level)
-}
-
-/// The pattern node with minimum undirected eccentricity (smallest id on
-/// ties) and that eccentricity — the natural root for sharded planning,
-/// since it minimizes the replication radius a shard must provide.  `None`
-/// for empty or disconnected patterns, which the sharded tier rejects.
-pub fn min_eccentricity_root(pattern: &Graph) -> Option<(NodeId, usize)> {
-    let mut best: Option<(NodeId, usize)> = None;
-    for v in pattern.nodes() {
-        let ecc = undirected_eccentricity(pattern, v)?;
-        if best.is_none_or(|(_, b)| ecc < b) {
-            best = Some((v, ecc));
-        }
-    }
-    best
-}
-
-/// A position sequence growing greedily outward from a forced root: each
-/// next node maximizes its number of undirected neighbors already placed
-/// (smaller id on ties).  On a connected pattern every non-root position
-/// has at least one placed neighbor, so every step after the root carries
-/// back-edge constraints.
-fn rooted_positions(pattern: &Graph, root: NodeId) -> Vec<NodeId> {
-    let n = pattern.num_nodes();
-    let mut neighbors: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-    for (v, list) in neighbors.iter_mut().enumerate() {
-        pattern.undirected_neighbors_into(v as NodeId, list);
-    }
-    let mut in_order = vec![false; n];
-    let mut positions = Vec::with_capacity(n);
-    in_order[root as usize] = true;
-    positions.push(root);
-    while positions.len() < n {
-        let mut best: Option<(usize, NodeId)> = None;
-        for v in 0..n as NodeId {
-            if in_order[v as usize] {
-                continue;
-            }
-            let placed = neighbors[v as usize]
-                .iter()
-                .filter(|&&w| in_order[w as usize])
-                .count();
-            let better = match best {
-                None => true,
-                Some((bp, bv)) => placed > bp || (placed == bp && v < bv),
-            };
-            if better {
-                best = Some((placed, v));
-            }
-        }
-        let (_, chosen) = best.expect("unordered node remains");
-        in_order[chosen as usize] = true;
-        positions.push(chosen);
-    }
-    positions
 }
 
 /// Mean total degree at or above which a target counts as kernel-dense.
@@ -271,16 +130,18 @@ const BITMAP_DEGREE_MEAN_MIN: f64 = 16.0;
 /// degree distribution says dense neighborhoods dominate.
 ///
 /// The rule is deliberately coarse: mean total degree at least
-/// [`BITMAP_DEGREE_MEAN_MIN`] *and* at least a quarter of the node count —
-/// i.e. adjacency bitmap rows are reasonably full, so a word-wise AND beats
-/// galloping over the CSR lists.  Sparse targets (grids, cycles, the PPI
-/// collections) keep the default gallop kernel.  Positions without back-edge
-/// constraints scan domains or the whole node set and never intersect, so
-/// their kernel hint stays `Gallop`.
+/// [`BITMAP_DEGREE_MEAN_MIN`] *and* at least an eighth of the node count.
+/// At that bar one bitmap row (`ceil(nodes / 64)` words) is at most a
+/// quarter the length of the mean per-direction adjacency list
+/// (`degree_mean / 2` entries), so a word-wise AND beats galloping over the
+/// CSR lists.  Sparse targets (grids, cycles, the PPI collections) keep the
+/// default gallop kernel.  Positions without back-edge constraints scan
+/// domains or the whole node set and never intersect, so their kernel hint
+/// stays `Gallop`.
 fn select_kernels(order: &mut MatchOrder, stats: &GraphStats) {
     let dense = stats.nodes > 0
         && stats.degree_mean >= BITMAP_DEGREE_MEAN_MIN
-        && stats.degree_mean >= stats.nodes as f64 / 4.0;
+        && stats.degree_mean >= stats.nodes as f64 / 8.0;
     if !dense {
         return;
     }
@@ -294,6 +155,7 @@ fn select_kernels(order: &mut MatchOrder, stats: &GraphStats) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sge_datasets::{generate_modular, generate_target, ppis32_like, ModularSpec};
     use sge_graph::{generators, GraphBuilder};
 
     #[test]
@@ -330,35 +192,55 @@ mod tests {
     #[test]
     fn dense_targets_route_constrained_positions_to_bitmap() {
         let pattern = generators::directed_cycle(4, 0);
-        let dense = generators::clique(32, 0); // mean degree 62 ≥ 16 and ≥ 32/4
-        let plan = Planner::default().plan(&pattern, &dense, Algorithm::RiDs);
-        for (i, step) in plan.order.plan.steps.iter().enumerate() {
-            let expect = if step.constraints.is_empty() {
-                KernelChoice::Gallop
-            } else {
-                KernelChoice::Bitmap
-            };
-            assert_eq!(step.kernel, expect, "position {i}");
-        }
-        assert!(plan
-            .order
-            .plan
-            .steps
-            .iter()
-            .any(|s| s.kernel == KernelChoice::Bitmap));
-    }
-
-    #[test]
-    fn sparse_targets_keep_the_gallop_kernel() {
-        let pattern = generators::directed_cycle(4, 0);
-        for target in [generators::grid(8, 8), generators::clique(5, 0)] {
-            let plan = Planner::default().plan(&pattern, &target, Algorithm::RiDs);
+        let targets = [
+            // Mean degree 62 ≥ 16 and ≥ 32/8.
+            generators::clique(32, 0),
+            // The modular bench targets: 512 nodes at mean degree ~126 and
+            // 192 nodes at mean degree ~46, both above an eighth of the nodes.
+            generate_modular(&ModularSpec::cliques(64), 0x0DA7_A5E7, "modular"),
+            generate_modular(&ModularSpec::cliques(24), 0x0DA7_A5E7, "modular-smoke"),
+        ];
+        for target in &targets {
+            let plan = Planner::default().plan(&pattern, target, Algorithm::RiDs);
+            for (i, step) in plan.order.plan.steps.iter().enumerate() {
+                let expect = if step.constraints.is_empty() {
+                    KernelChoice::Gallop
+                } else {
+                    KernelChoice::Bitmap
+                };
+                assert_eq!(step.kernel, expect, "{} position {i}", target.name());
+            }
             assert!(plan
                 .order
                 .plan
                 .steps
                 .iter()
-                .all(|s| s.kernel == KernelChoice::Gallop));
+                .any(|s| s.kernel == KernelChoice::Bitmap));
+        }
+    }
+
+    #[test]
+    fn sparse_targets_keep_the_gallop_kernel() {
+        let pattern = generators::directed_cycle(4, 0);
+        // The PPIS32-like base target of the repository benchmark: 5.6k
+        // nodes at mean degree ~20, far below an eighth of the nodes.
+        let ppi_seed = 20170525;
+        let ppi = generate_target(
+            &ppis32_like(8.0, ppi_seed).targets[2],
+            ppi_seed.wrapping_add(2 * 7919),
+            "ppis32-t2",
+        );
+        for target in [generators::grid(8, 8), generators::clique(5, 0), ppi] {
+            let plan = Planner::default().plan(&pattern, &target, Algorithm::RiDs);
+            assert!(
+                plan.order
+                    .plan
+                    .steps
+                    .iter()
+                    .all(|s| s.kernel == KernelChoice::Gallop),
+                "{}",
+                target.name()
+            );
         }
     }
 

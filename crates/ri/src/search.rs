@@ -293,7 +293,6 @@ impl<'a> SearchContext<'a> {
             impossible,
             check_degrees,
             cost: PlanCost::default(),
-            root_filter: None,
         };
         Self::from_plan(pattern, target, plan, CandidateMode::default())
     }
@@ -395,14 +394,6 @@ impl<'a> SearchContext<'a> {
                 out.retain(|&v| prefilter_pass(maps, spec, self.target, v));
                 local.prefilter_rejected += (before - out.len()) as u64;
                 self.kernels.flush(local);
-            }
-            // Shard-ownership restriction: only the plan root (position 0)
-            // is filtered, so deeper parentless positions — which rooted
-            // plans never produce on connected patterns — stay unrestricted.
-            if depth == 0 {
-                if let Some(filter) = &self.plan.root_filter {
-                    out.retain(|&v| filter.contains(v as usize));
-                }
             }
             return;
         }

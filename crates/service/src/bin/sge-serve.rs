@@ -4,7 +4,7 @@
 //! sge-serve [--addr HOST:PORT] [--cache N] [--workers N]
 //!           [--max-in-flight N] [--drain-ms N] [--load NAME=PATH]...
 //!           [--log PATH] [--threaded] [--route-threshold STATES]
-//!           [--route-states-per-worker STATES] [--shards N]
+//!           [--route-states-per-worker STATES]
 //! ```
 //!
 //! Prints `listening on <addr>` once the socket is bound (scripts wait for
@@ -21,14 +21,9 @@
 //! scheduler routing (estimated states below the threshold stay on the
 //! sequential fast path; above it, worker count is sized from the
 //! corrected estimate).
-//!
-//! `--shards N` (N ≥ 2) serves through the scatter-gather
-//! [`sge_service::Coordinator`]: every `LOAD` is vertex-cut partitioned
-//! over N in-process shard services, queries fan out to all shards, and
-//! responses carry a per-shard `"shards"` breakdown.
 
 use sge_obs::EventLog;
-use sge_service::{Backend, Coordinator, Server, Service, ServiceConfig};
+use sge_service::{Server, Service, ServiceConfig};
 use std::io::Write;
 use std::sync::Arc;
 
@@ -37,8 +32,7 @@ const EVENT_LOG_CAPACITY: usize = 1024;
 
 const USAGE: &str = "usage: sge-serve [--addr HOST:PORT] [--cache N] [--workers N] \
      [--max-in-flight N] [--drain-ms N] [--load NAME=PATH]... [--log PATH] \
-     [--threaded] [--route-threshold STATES] [--route-states-per-worker STATES] \
-     [--shards N]";
+     [--threaded] [--route-threshold STATES] [--route-states-per-worker STATES]";
 
 fn fail(message: &str) -> ! {
     eprintln!("error: {message}");
@@ -54,7 +48,6 @@ fn main() {
     let mut drain_ms: u64 = 5000;
     let mut log_path: Option<String> = None;
     let mut threaded = false;
-    let mut shards: usize = 1;
 
     let mut i = 0;
     while i < args.len() {
@@ -105,12 +98,6 @@ fn main() {
                 }
             }
             "--threaded" => threaded = true,
-            "--shards" => {
-                shards = match value().parse() {
-                    Ok(n) if n >= 1 => n,
-                    _ => fail("invalid --shards"),
-                }
-            }
             "--load" => {
                 let spec = value();
                 match spec.split_once('=') {
@@ -128,49 +115,21 @@ fn main() {
         i += 1;
     }
 
-    if shards > 1 {
-        let coordinator = Arc::new(Coordinator::new(shards, config));
-        eprintln!("sharded serving: {shards} shards");
-        for (name, path) in &preloads {
-            match coordinator.load_target(name, path, None) {
-                Ok((info, shard_infos)) => {
-                    eprintln!(
-                        "loaded {} ({} nodes, {} edges, {} bitmap rows over {} shards)",
-                        info.name,
-                        info.nodes,
-                        info.edges,
-                        info.bitmap_rows,
-                        shard_infos.len()
-                    );
-                }
-                Err(err) => fail(&format!("cannot load {name} from {path}: {err}")),
-            }
+    let service = Arc::new(Service::new(config));
+    for (name, path) in &preloads {
+        match service.load_target(name, path, None) {
+            Ok(info) => eprintln!(
+                "loaded {} ({} nodes, {} edges, {} bitmap rows)",
+                info.name, info.nodes, info.edges, info.bitmap_rows
+            ),
+            Err(err) => fail(&format!("cannot load {name} from {path}: {err}")),
         }
-        serve(&addr, coordinator, drain_ms, log_path.as_deref(), threaded);
-    } else {
-        let service = Arc::new(Service::new(config));
-        for (name, path) in &preloads {
-            match service.load_target(name, path, None) {
-                Ok(info) => eprintln!(
-                    "loaded {} ({} nodes, {} edges, {} bitmap rows)",
-                    info.name, info.nodes, info.edges, info.bitmap_rows
-                ),
-                Err(err) => fail(&format!("cannot load {name} from {path}: {err}")),
-            }
-        }
-        serve(&addr, service, drain_ms, log_path.as_deref(), threaded);
     }
+    serve(&addr, service, drain_ms, log_path.as_deref(), threaded);
 }
 
-/// Binds the selected front end over any [`Backend`] (the single service or
-/// the sharded coordinator) and serves until `SHUTDOWN`.
-fn serve<B: Backend + 'static>(
-    addr: &str,
-    backend: Arc<B>,
-    drain_ms: u64,
-    log_path: Option<&str>,
-    threaded: bool,
-) {
+/// Binds the selected front end over `service` and serves until `SHUTDOWN`.
+fn serve(addr: &str, service: Arc<Service>, drain_ms: u64, log_path: Option<&str>, threaded: bool) {
     let event_log = log_path.map(|path| match EventLog::with_file(EVENT_LOG_CAPACITY, path) {
         Ok(log) => Arc::new(log),
         Err(err) => fail(&format!("cannot open event log {path}: {err}")),
@@ -179,7 +138,7 @@ fn serve<B: Backend + 'static>(
 
     #[cfg(unix)]
     if !threaded {
-        let mut server = match sge_service::EventServer::bind(addr, backend) {
+        let mut server = match sge_service::EventServer::bind(addr, service) {
             Ok(server) => server.with_drain_timeout(drain),
             Err(err) => fail(&format!("cannot bind {addr}: {err}")),
         };
@@ -201,7 +160,7 @@ fn serve<B: Backend + 'static>(
     #[cfg(not(unix))]
     let _ = threaded; // only the blocking front end exists off-Unix
 
-    let mut server = match Server::bind(addr, backend) {
+    let mut server = match Server::bind(addr, service) {
         Ok(server) => server.with_drain_timeout(drain),
         Err(err) => fail(&format!("cannot bind {addr}: {err}")),
     };

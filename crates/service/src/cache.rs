@@ -189,40 +189,6 @@ impl PreparedCache {
         (self.insert(key, engine), false)
     }
 
-    /// [`PreparedCache::get_or_prepare_planned`] with caller-supplied
-    /// preparation: on a miss, `prepare` builds the engine (the sharded
-    /// service uses this to prepare *rooted* plans restricted to the shard's
-    /// owned vertices).  The key is the same `(pattern, target, algorithm,
-    /// mode, strategy)` tuple — shard identity rides on the target name, so
-    /// rooted and unrooted preparations never alias as long as shard entries
-    /// are registered under distinct names.
-    #[allow(clippy::too_many_arguments)]
-    pub fn get_or_prepare_with(
-        &self,
-        pattern: &Graph,
-        target_name: &str,
-        target: &Arc<Graph>,
-        algorithm: Algorithm,
-        mode: CandidateMode,
-        strategy: Strategy,
-        prepare: impl FnOnce() -> PreparedEngine,
-    ) -> (Arc<PreparedEngine>, bool) {
-        let key = CacheKey {
-            pattern: Self::canonical_pattern(pattern),
-            target: target_name.to_string(),
-            algorithm,
-            mode,
-            strategy,
-        };
-        if let Some(engine) = self.lookup(&key, target) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return (engine, true);
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let engine = Arc::new(prepare());
-        (self.insert(key, engine), false)
-    }
-
     fn lookup(&self, key: &CacheKey, target: &Arc<Graph>) -> Option<Arc<PreparedEngine>> {
         let mut inner = self
             .inner

@@ -21,136 +21,9 @@ use crate::protocol::{
     stats_response, stream_footer_response, stream_header_response, stream_rows_frame, Command,
     MAX_BATCH_QUERIES, MAX_REQUEST_LINE_BYTES,
 };
-use crate::{EmitMode, QuerySet, Service, ServiceError, StatsSnapshot, StreamHeader, StreamSink};
+use crate::{EmitMode, QuerySet, Service, ServiceError, StreamHeader, StreamSink};
 use sge_graph::NodeId;
-use sge_obs::{EventLog, Gauge};
-use sge_util::Clock;
 use std::io::{BufRead, Read, Write};
-use std::sync::Arc;
-
-/// The execution plane a [`Connection`] dispatches protocol requests to.
-///
-/// Two implementations exist: [`Service`] (one registry, one process — the
-/// classic single-node server) and the scatter-gather
-/// [`crate::coordinator::Coordinator`] (fans requests out over in-process
-/// shard services and merges their responses).  The front ends
-/// ([`crate::server::Server`], the event server, the simulator) are generic
-/// over this trait, so every transport serves both shapes through the same
-/// protocol loop.
-///
-/// Each `*_json` method returns the final single-line response with errors
-/// already folded to `{"ok":false,...}`; only
-/// [`Backend::query_stream_json`] distinguishes errors, because a streamed
-/// query that already wrote its header cannot fall back to a one-line
-/// error.
-pub trait Backend: Send + Sync {
-    /// Serves `LOAD`: registers the file under `name` and reports the
-    /// loaded shape (or an error response).
-    fn load_json(&self, name: &str, path: &str, bitmap_cap: Option<usize>) -> Json;
-    /// Serves a buffered `QUERY`.
-    fn query_json(&self, target: &str, spec: &crate::QuerySpec) -> Json;
-    /// Serves a streaming `QUERY`: the header and row frames go through
-    /// `sink`; on success the *footer* response is returned for the caller
-    /// to write.  `Err(ServiceError::Io)` means the sink failed before the
-    /// header went out (the connection is dead); any other error is a
-    /// pre-run failure the caller folds to a single error line.
-    fn query_stream_json(
-        &self,
-        target: &str,
-        spec: &crate::QuerySpec,
-        sink: &mut dyn StreamSink,
-    ) -> Result<Json, ServiceError>;
-    /// Serves `EXPLAIN`.
-    fn explain_json(&self, target: &str, spec: &crate::QuerySpec) -> Json;
-    /// Serves `EXPLAIN ANALYZE`.
-    fn explain_analyze_json(&self, target: &str, spec: &crate::QuerySpec) -> Json;
-    /// Serves a parsed `BATCH`.
-    fn batch_json(&self, set: &QuerySet) -> Json;
-    /// Serves `STATS`.
-    fn stats_json(&self) -> Json;
-    /// Serves `METRICS`.
-    fn metrics_json(&self) -> Json;
-    /// The clock the backend measures latencies on; front ends reuse it for
-    /// drain deadlines so everything stays on one (possibly virtual) time
-    /// source.
-    fn clock(&self) -> Arc<dyn Clock>;
-    /// Attaches the front end's shared event log.
-    fn set_event_log(&self, log: Arc<EventLog>);
-    /// The connections-open gauge the front ends maintain.
-    fn connections_gauge(&self) -> Gauge;
-    /// Point-in-time service-level counters (the simulator's invariant
-    /// checks read these; for a coordinator they are the coordinator-level
-    /// counters, not a shard sum).
-    fn stats_snapshot(&self) -> StatsSnapshot;
-}
-
-impl Backend for Service {
-    fn load_json(&self, name: &str, path: &str, bitmap_cap: Option<usize>) -> Json {
-        match self.load_target(name, path, bitmap_cap) {
-            Ok(info) => load_response(&info),
-            Err(err) => error_response(&err),
-        }
-    }
-
-    fn query_json(&self, target: &str, spec: &crate::QuerySpec) -> Json {
-        match self.run_query(target, spec) {
-            Ok(outcome) => query_response(&outcome),
-            Err(err) => error_response(&err),
-        }
-    }
-
-    fn query_stream_json(
-        &self,
-        target: &str,
-        spec: &crate::QuerySpec,
-        sink: &mut dyn StreamSink,
-    ) -> Result<Json, ServiceError> {
-        self.run_query_streaming(target, spec, sink)
-            .map(|streamed| stream_footer_response(&streamed))
-    }
-
-    fn explain_json(&self, target: &str, spec: &crate::QuerySpec) -> Json {
-        match self.explain(target, spec) {
-            Ok(outcome) => explain_response(&outcome),
-            Err(err) => error_response(&err),
-        }
-    }
-
-    fn explain_analyze_json(&self, target: &str, spec: &crate::QuerySpec) -> Json {
-        match self.explain_analyze(target, spec) {
-            Ok(outcome) => explain_analyze_response(&outcome),
-            Err(err) => error_response(&err),
-        }
-    }
-
-    fn batch_json(&self, set: &QuerySet) -> Json {
-        batch_response(&self.run_batch(set))
-    }
-
-    fn stats_json(&self) -> Json {
-        stats_response(self)
-    }
-
-    fn metrics_json(&self) -> Json {
-        metrics_response(self)
-    }
-
-    fn clock(&self) -> Arc<dyn Clock> {
-        Arc::clone(Service::clock(self))
-    }
-
-    fn set_event_log(&self, log: Arc<EventLog>) {
-        Service::set_event_log(self, log);
-    }
-
-    fn connections_gauge(&self) -> Gauge {
-        Service::connections_gauge(self)
-    }
-
-    fn stats_snapshot(&self) -> StatsSnapshot {
-        self.stats()
-    }
-}
 
 /// What one [`Connection::step`] call did to the connection.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -185,7 +58,7 @@ impl<R: BufRead, W: Write> Connection<R, W> {
     /// Serves one request from the reader, writing the response(s) to the
     /// writer.  I/O errors terminate the connection (the caller should treat
     /// `Err` as [`StepOutcome::Closed`] with a transport failure).
-    pub fn step<B: Backend + ?Sized>(&mut self, service: &B) -> std::io::Result<StepOutcome> {
+    pub fn step(&mut self, service: &Service) -> std::io::Result<StepOutcome> {
         match read_bounded_line(&mut self.reader, &mut self.line)? {
             LineRead::Eof => return Ok(StepOutcome::Closed), // client closed
             LineRead::Overflow => {
@@ -208,15 +81,16 @@ impl<R: BufRead, W: Write> Connection<R, W> {
                 name,
                 path,
                 bitmap_cap,
-            }) => service.load_json(&name, &path, bitmap_cap),
+            }) => respond(service.load_target(&name, &path, bitmap_cap), load_response),
             Ok(Command::Query { target, spec }) if spec.emit == EmitMode::Stream => {
                 let mut sink = WriterSink {
                     writer: &mut self.writer,
                 };
-                match service.query_stream_json(&target, &spec, &mut sink) {
-                    Ok(footer) => {
+                match service.run_query_streaming(&target, &spec, &mut sink) {
+                    Ok(streamed) => {
                         // A dead client makes this write fail, which ends the
                         // connection — exactly what a footer to nobody needs.
+                        let footer = stream_footer_response(&streamed);
                         writeln!(self.writer, "{}", footer.render())?;
                         self.writer.flush()?;
                         return Ok(StepOutcome::Continue);
@@ -229,14 +103,19 @@ impl<R: BufRead, W: Write> Connection<R, W> {
                     Err(err) => error_response(&err),
                 }
             }
-            Ok(Command::Query { target, spec }) => service.query_json(&target, &spec),
-            Ok(Command::Explain { target, spec }) => service.explain_json(&target, &spec),
-            Ok(Command::ExplainAnalyze { target, spec }) => {
-                service.explain_analyze_json(&target, &spec)
+            Ok(Command::Query { target, spec }) => {
+                respond(service.run_query(&target, &spec), query_response)
             }
+            Ok(Command::Explain { target, spec }) => {
+                respond(service.explain(&target, &spec), explain_response)
+            }
+            Ok(Command::ExplainAnalyze { target, spec }) => respond(
+                service.explain_analyze(&target, &spec),
+                explain_analyze_response,
+            ),
             Ok(Command::Batch { target, count }) => {
                 match read_batch(&mut self.reader, target, count)? {
-                    BatchRead::Set(set) => service.batch_json(&set),
+                    BatchRead::Set(set) => batch_response(&service.run_batch(&set)),
                     BatchRead::Failed(err) => error_response(&err),
                     BatchRead::Overflow => {
                         refuse(&mut self.writer, &line_too_long_error())?;
@@ -244,8 +123,8 @@ impl<R: BufRead, W: Write> Connection<R, W> {
                     }
                 }
             }
-            Ok(Command::Stats) => service.stats_json(),
-            Ok(Command::Metrics) => service.metrics_json(),
+            Ok(Command::Stats) => stats_response(service),
+            Ok(Command::Metrics) => metrics_response(service),
             Ok(Command::Shutdown) => {
                 writeln!(self.writer, "{}", shutdown_response().render())?;
                 self.writer.flush()?;
@@ -285,6 +164,15 @@ impl<R: BufRead, W: Write> Connection<R, W> {
         writeln!(self.writer, "{}", response.render())?;
         self.writer.flush()?;
         Ok(StepOutcome::Continue)
+    }
+}
+
+/// Folds a service result into its single-line response: `render` on
+/// success, the structured error object otherwise.
+fn respond<T>(result: Result<T, ServiceError>, render: impl FnOnce(&T) -> Json) -> Json {
+    match result {
+        Ok(value) => render(&value),
+        Err(err) => error_response(&err),
     }
 }
 

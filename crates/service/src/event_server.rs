@@ -25,10 +25,11 @@
 //! connections hold no half-written response and are abandoned), then
 //! returns — the same drain semantics as the blocking [`crate::Server`].
 
-use crate::connection::{Backend, Connection, StepOutcome};
+use crate::connection::{Connection, StepOutcome};
 use crate::json::Json;
 use crate::protocol::{MAX_BATCH_QUERIES, MAX_REQUEST_LINE_BYTES};
 use crate::server::log_event;
+use crate::Service;
 use sge_obs::{EventLog, Gauge};
 use sge_util::poll::{poll_entries, PollEntry, POLLIN, POLLOUT};
 use std::collections::HashMap;
@@ -58,7 +59,7 @@ const READ_CHUNK: usize = 16 * 1024;
 /// A bound, not-yet-running event-driven server.
 pub struct EventServer {
     listener: TcpListener,
-    service: Arc<dyn Backend>,
+    service: Arc<Service>,
     drain_timeout: Duration,
     event_log: Option<Arc<EventLog>>,
     workers: usize,
@@ -66,10 +67,7 @@ pub struct EventServer {
 
 impl EventServer {
     /// Binds to `addr` (use port 0 for an ephemeral port).
-    pub fn bind<B: Backend + 'static>(
-        addr: impl ToSocketAddrs,
-        service: Arc<B>,
-    ) -> std::io::Result<EventServer> {
+    pub fn bind(addr: impl ToSocketAddrs, service: Arc<Service>) -> std::io::Result<EventServer> {
         Ok(EventServer {
             listener: TcpListener::bind(addr)?,
             service,
@@ -418,7 +416,7 @@ struct Completion {
 fn worker_loop(
     jobs: Arc<Mutex<Receiver<Job>>>,
     completions: Arc<Mutex<Vec<Completion>>>,
-    service: Arc<dyn Backend>,
+    service: Arc<Service>,
     mut wake: UnixStream,
 ) {
     loop {
@@ -434,7 +432,7 @@ fn worker_loop(
             let mut conn = Connection::new(BufReader::new(Cursor::new(job.bytes)), &mut output);
             // Cursor and Vec cannot fail; an Err here is unreachable, but
             // mapping it to Closed keeps the loop total.
-            conn.step(service.as_ref()).unwrap_or(StepOutcome::Closed)
+            conn.step(&service).unwrap_or(StepOutcome::Closed)
         };
         completions
             .lock()
@@ -531,7 +529,7 @@ fn flush_write(conn: &mut Conn) -> std::io::Result<()> {
 }
 
 /// Accounts for one closed connection: gauge decrement plus lifecycle log.
-fn close_conn(gauge: &Gauge, log: Option<&EventLog>, service: &dyn Backend, id: u64) {
+fn close_conn(gauge: &Gauge, log: Option<&EventLog>, service: &Service, id: u64) {
     gauge.dec();
     log_event(log, service, "conn_close", vec![("conn", Json::U64(id))]);
 }

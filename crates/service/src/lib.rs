@@ -37,7 +37,6 @@ pub mod batch;
 pub mod cache;
 pub mod client;
 pub mod connection;
-pub mod coordinator;
 #[cfg(unix)]
 pub mod event_server;
 pub mod json;
@@ -50,8 +49,7 @@ mod semaphore;
 
 pub use batch::{BatchExecutor, BatchOutcome, QuerySet};
 pub use cache::{CacheStats, PreparedCache};
-pub use connection::{Backend, Connection, StepOutcome};
-pub use coordinator::Coordinator;
+pub use connection::{Connection, StepOutcome};
 #[cfg(unix)]
 pub use event_server::EventServer;
 pub use registry::{GraphInfo, GraphRegistry};
@@ -227,21 +225,9 @@ impl Service {
     /// fully deterministic (what the simulator's same-seed/same-trace
     /// guarantee relies on).
     pub fn with_clock(config: ServiceConfig, clock: Arc<dyn Clock>) -> Self {
-        Service::with_clock_and_registry(config, clock, GraphRegistry::new())
-    }
-
-    /// [`Service::with_clock`] over a caller-built registry — the sharded
-    /// coordinator constructs every shard's registry over **one** shared
-    /// label interner, so a pattern parsed on any shard agrees with every
-    /// shard's target labels.
-    pub fn with_clock_and_registry(
-        config: ServiceConfig,
-        clock: Arc<dyn Clock>,
-        registry: GraphRegistry,
-    ) -> Self {
         let metrics = MetricsRegistry::new();
         Service {
-            registry,
+            registry: GraphRegistry::new(),
             cache: PreparedCache::new(config.cache_capacity),
             stats: ServiceStats::with_registry(&metrics),
             engine_counters: EngineCounters::with_registry(&metrics),
@@ -399,64 +385,16 @@ impl Service {
             .get_full(target)
             .ok_or_else(|| ServiceError::UnknownTarget(target.to_string()))?;
         let pattern = self.registry.parse_pattern(&spec.pattern_text)?;
-        let (engine, cache_hit) = match self.registry.shard_meta(target) {
-            Some((owned, replication_hops)) => {
-                // Shard executor path: plans are *rooted* at the pattern node
-                // of minimum undirected eccentricity and position 0 is
-                // restricted to shard-owned vertices.  Correctness needs the
-                // whole pattern to fit inside the replicated R-hop ball
-                // around any owned root, so patterns that are empty,
-                // disconnected, or wider than the replication radius are
-                // rejected rather than silently undercounted.
-                let (root, eccentricity) =
-                    sge_plan::min_eccentricity_root(&pattern).ok_or_else(|| {
-                        ServiceError::Protocol(format!(
-                            "sharded target '{target}' requires a non-empty connected pattern"
-                        ))
-                    })?;
-                if eccentricity > replication_hops {
-                    return Err(ServiceError::Protocol(format!(
-                        "pattern radius {eccentricity} exceeds the shard replication \
-                         radius {replication_hops} of target '{target}'"
-                    )));
-                }
-                self.cache.get_or_prepare_with(
-                    &pattern,
-                    target,
-                    &target_graph,
-                    spec.algorithm,
-                    spec.mode,
-                    spec.run.strategy,
-                    || {
-                        let plan = Planner::new(spec.run.strategy).plan_rooted(
-                            &pattern,
-                            &target_graph,
-                            &target_stats,
-                            spec.algorithm,
-                            root,
-                            Some(Arc::clone(&owned)),
-                        );
-                        PreparedEngine::from_plan(
-                            Arc::new(pattern.clone()),
-                            Arc::clone(&target_graph),
-                            Some(Arc::clone(&target_bitmaps)),
-                            plan,
-                            spec.mode,
-                        )
-                    },
-                )
-            }
-            None => self.cache.get_or_prepare_planned(
-                &pattern,
-                target,
-                &target_graph,
-                Some(&target_stats),
-                Some(&target_bitmaps),
-                spec.algorithm,
-                spec.mode,
-                spec.run.strategy,
-            ),
-        };
+        let (engine, cache_hit) = self.cache.get_or_prepare_planned(
+            &pattern,
+            target,
+            &target_graph,
+            Some(&target_stats),
+            Some(&target_bitmaps),
+            spec.algorithm,
+            spec.mode,
+            spec.run.strategy,
+        );
         Ok((engine, cache_hit, PreparedCache::pattern_hash(&pattern)))
     }
 

@@ -47,11 +47,9 @@ pub fn batch_response(batch: &BatchOutcome) -> Json {
     ])
 }
 
-/// The top-level fields of a `STATS` response for one executing service:
-/// its counters, dispatch/cache/latency sub-objects and target list.
-/// Shared between [`stats_response`] and the coordinator's per-shard
-/// breakdown so both render identical shapes.
-pub fn stats_fields(service: &Service) -> Vec<(&'static str, Json)> {
+/// Response to `STATS`: the service counters, dispatch/cache/latency
+/// sub-objects and the target list.
+pub fn stats_response(service: &Service) -> Json {
     let snapshot = service.stats();
     let cache = service.cache().stats();
     let (dispatch_sequential, dispatch_work_stealing) = service.dispatch_counts();
@@ -68,7 +66,8 @@ pub fn stats_fields(service: &Service) -> Vec<(&'static str, Json)> {
             ])
         })
         .collect();
-    vec![
+    Json::obj(vec![
+        ("ok", Json::Bool(true)),
         ("queries_served", Json::U64(snapshot.queries_served)),
         ("batches_served", Json::U64(snapshot.batches_served)),
         ("total_matches", Json::U64(snapshot.total_matches)),
@@ -117,12 +116,5 @@ pub fn stats_fields(service: &Service) -> Vec<(&'static str, Json)> {
                 ("p99_seconds", Json::F64(snapshot.latency_p99_seconds)),
             ]),
         ),
-    ]
-}
-
-/// Response to `STATS`.
-pub fn stats_response(service: &Service) -> Json {
-    let mut pairs = vec![("ok", Json::Bool(true))];
-    pairs.extend(stats_fields(service));
-    Json::obj(pairs)
+    ])
 }

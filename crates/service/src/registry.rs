@@ -3,7 +3,6 @@
 use crate::ServiceError;
 use sge_graph::io::parse_graph_with_interner;
 use sge_graph::{AdjacencyBitmaps, BitmapConfig, Graph, GraphStats};
-use sge_util::Bitset;
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::{Arc, Mutex, RwLock};
@@ -12,11 +11,6 @@ use std::sync::{Arc, Mutex, RwLock};
 // are built from it); the registry re-exports it so existing
 // `registry::GraphInfo` paths keep working.
 pub use sge_wire::GraphInfo;
-
-/// The label interner shared by every graph and pattern parsed through one
-/// registry — and, under sharding, by every *shard's* registry, so a label
-/// means the same dense id on every shard.
-pub type SharedInterner = Arc<Mutex<HashMap<String, u32>>>;
 
 /// Loads and owns named target graphs for the lifetime of the process.
 ///
@@ -39,23 +33,14 @@ struct TargetEntry {
     /// label signatures (the candidate prefilter keeps working) but no rows,
     /// so every intersection falls back to the CSR gallop kernels.
     bitmaps: Arc<AdjacencyBitmaps>,
-    /// Present when this entry is one shard of a partitioned graph: the
-    /// shard-local owned-vertex set plus the replication radius the partition
-    /// was built with.  The service's prepare path uses it to pin query plans
-    /// to an owned root, which is what makes per-shard match sets disjoint.
-    shard: Option<ShardMeta>,
-}
-
-#[derive(Clone)]
-struct ShardMeta {
-    owned: Arc<Bitset>,
-    replication_hops: usize,
 }
 
 /// See module docs; holds one [`TargetEntry`] per registered name.
 pub struct GraphRegistry {
     graphs: RwLock<HashMap<String, TargetEntry>>,
-    interner: SharedInterner,
+    /// The label interner shared by every graph and pattern parsed through
+    /// this registry.
+    interner: Mutex<HashMap<String, u32>>,
 }
 
 impl Default for GraphRegistry {
@@ -67,24 +52,10 @@ impl Default for GraphRegistry {
 impl GraphRegistry {
     /// Creates an empty registry with its own label interner.
     pub fn new() -> Self {
-        GraphRegistry::with_interner(Arc::new(Mutex::new(HashMap::new())))
-    }
-
-    /// Creates an empty registry sharing `interner` with other registries.
-    ///
-    /// The coordinator hands every shard service a clone of one interner so
-    /// a pattern parsed on any shard agrees with every shard's target labels.
-    pub fn with_interner(interner: SharedInterner) -> Self {
         GraphRegistry {
             graphs: RwLock::new(HashMap::new()),
-            interner,
+            interner: Mutex::new(HashMap::new()),
         }
-    }
-
-    /// The label interner this registry parses through (clone it into
-    /// [`GraphRegistry::with_interner`] to share label numbering).
-    pub fn interner(&self) -> SharedInterner {
-        Arc::clone(&self.interner)
     }
 
     /// Loads a `.gfu`/`.gfd` file and registers it under `name` with the
@@ -125,61 +96,18 @@ impl GraphRegistry {
         // Stats and the bitmap sidecar are computed outside the write lock
         // so concurrent lookups never wait on the frequency-table or
         // row-building passes.
-        self.insert_entry(name, graph, config, None)
-    }
-
-    /// Registers one shard of a partitioned graph: a compacted shard-local
-    /// graph plus the set of shard-local node ids the shard *owns* and the
-    /// replication radius the partition was built with.  Queries against a
-    /// shard entry are planned rooted and restricted to owned vertices (see
-    /// the service's prepare path), so the union of match sets over all
-    /// shards of one partition is exactly the unsharded match set.
-    pub fn insert_shard(
-        &self,
-        name: &str,
-        graph: Graph,
-        config: &BitmapConfig,
-        owned: Arc<Bitset>,
-        replication_hops: usize,
-    ) -> GraphInfo {
-        let meta = ShardMeta {
-            owned,
-            replication_hops,
-        };
-        self.insert_entry(name, graph, config, Some(meta))
-    }
-
-    fn insert_entry(
-        &self,
-        name: &str,
-        graph: Graph,
-        config: &BitmapConfig,
-        shard: Option<ShardMeta>,
-    ) -> GraphInfo {
         let bitmaps = Arc::new(AdjacencyBitmaps::build(&graph, config));
         let info = graph_info(name, &graph, &bitmaps);
         let entry = TargetEntry {
             stats: Arc::new(GraphStats::of(&graph)),
             graph: Arc::new(graph),
             bitmaps,
-            shard,
         };
         self.graphs
             .write()
             .unwrap_or_else(|poisoned| poisoned.into_inner())
             .insert(name.to_string(), entry);
         info
-    }
-
-    /// The shard metadata of `name`, when it was registered through
-    /// [`GraphRegistry::insert_shard`]: `(owned set, replication_hops)`.
-    pub fn shard_meta(&self, name: &str) -> Option<(Arc<Bitset>, usize)> {
-        self.graphs
-            .read()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .get(name)
-            .and_then(|entry| entry.shard.as_ref())
-            .map(|meta| (Arc::clone(&meta.owned), meta.replication_hops))
     }
 
     /// Looks a target up by name.

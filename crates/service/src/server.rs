@@ -14,8 +14,9 @@
 //! so draining parks instead of burning a sleep-spin — up to a drain
 //! deadline measured on the server's injectable [`Clock`].
 
-use crate::connection::{Backend, Connection, StepOutcome};
+use crate::connection::{Connection, StepOutcome};
 use crate::json::Json;
+use crate::Service;
 use sge_obs::EventLog;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -33,21 +34,15 @@ const DEFAULT_DRAIN_TIMEOUT: Duration = Duration::from_secs(5);
 /// A bound, not-yet-running server.
 pub struct Server {
     listener: TcpListener,
-    service: Arc<dyn Backend>,
+    service: Arc<Service>,
     shutdown: Arc<AtomicBool>,
     drain_timeout: Duration,
     event_log: Option<Arc<EventLog>>,
 }
 
 impl Server {
-    /// Binds to `addr` (use port 0 for an ephemeral port).  The backend is
-    /// either a plain [`crate::Service`] or a sharded
-    /// [`crate::coordinator::Coordinator`] — the accept loop and protocol
-    /// handling are identical.
-    pub fn bind<B: Backend + 'static>(
-        addr: impl ToSocketAddrs,
-        service: Arc<B>,
-    ) -> std::io::Result<Server> {
+    /// Binds to `addr` (use port 0 for an ephemeral port).
+    pub fn bind(addr: impl ToSocketAddrs, service: Arc<Service>) -> std::io::Result<Server> {
         Ok(Server {
             listener: TcpListener::bind(addr)?,
             service,
@@ -160,13 +155,13 @@ impl Server {
 /// from a simulated service carry virtual time.
 pub(crate) fn log_event(
     log: Option<&EventLog>,
-    backend: &dyn Backend,
+    service: &Service,
     event: &str,
     fields: Vec<(&str, Json)>,
 ) {
     let Some(log) = log else { return };
     let mut pairs = vec![
-        ("ts_seconds", Json::F64(backend.clock().now().as_secs_f64())),
+        ("ts_seconds", Json::F64(service.clock().now().as_secs_f64())),
         ("event", Json::str(event)),
     ];
     pairs.extend(fields);
@@ -245,7 +240,7 @@ impl Drop for LiveGuard {
 
 fn handle_connection(
     stream: TcpStream,
-    service: &Arc<dyn Backend>,
+    service: &Service,
     shutdown: &AtomicBool,
     local_addr: SocketAddr,
     log: Option<&EventLog>,
@@ -257,17 +252,12 @@ fn handle_connection(
         if shutdown.load(Ordering::SeqCst) {
             return Ok(()); // server is draining; stop taking requests
         }
-        match connection.step(service.as_ref())? {
+        match connection.step(service)? {
             StepOutcome::Continue => {}
             StepOutcome::Closed => return Ok(()),
             StepOutcome::ShutdownRequested => {
                 shutdown.store(true, Ordering::SeqCst);
-                log_event(
-                    log,
-                    service.as_ref(),
-                    "shutdown",
-                    vec![("conn", Json::U64(conn))],
-                );
+                log_event(log, service, "shutdown", vec![("conn", Json::U64(conn))]);
                 // Wake the blocking accept loop so Server::run observes the
                 // flag even with no further client traffic.
                 let _ = TcpStream::connect(wake_addr(local_addr));

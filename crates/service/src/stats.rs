@@ -43,27 +43,17 @@ impl ServiceStats {
     /// `service.*` metric names, so `STATS` and `METRICS` report the same
     /// underlying counts.
     pub fn with_registry(registry: &MetricsRegistry) -> Self {
-        Self::with_registry_prefixed(registry, "service")
-    }
-
-    /// [`ServiceStats::with_registry`] under an arbitrary metric-name prefix.
-    ///
-    /// The sharded coordinator records its client-facing counters under
-    /// `coordinator.*` so its admission waits and latencies never alias —
-    /// and never double-count against — the per-shard `service.*` family.
-    pub fn with_registry_prefixed(registry: &MetricsRegistry, prefix: &str) -> Self {
-        let name = |suffix: &str| format!("{prefix}.{suffix}");
         ServiceStats {
-            queries: registry.counter(&name("queries_served")),
-            batches: registry.counter(&name("batches_served")),
-            matches: registry.counter(&name("total_matches")),
-            errors: registry.counter(&name("errors")),
-            streams: registry.counter(&name("streams_served")),
-            rows_streamed: registry.counter(&name("rows_streamed")),
-            streams_cancelled: registry.counter(&name("streams_cancelled")),
-            admissions: registry.counter(&name("admissions")),
-            admission_wait_nanos: registry.counter(&name("admission_wait_nanos")),
-            latency: registry.histogram(&name("latency_seconds")),
+            queries: registry.counter("service.queries_served"),
+            batches: registry.counter("service.batches_served"),
+            matches: registry.counter("service.total_matches"),
+            errors: registry.counter("service.errors"),
+            streams: registry.counter("service.streams_served"),
+            rows_streamed: registry.counter("service.rows_streamed"),
+            streams_cancelled: registry.counter("service.streams_cancelled"),
+            admissions: registry.counter("service.admissions"),
+            admission_wait_nanos: registry.counter("service.admission_wait_nanos"),
+            latency: registry.histogram("service.latency_seconds"),
         }
     }
 

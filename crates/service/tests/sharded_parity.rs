@@ -1,18 +1,22 @@
-//! Sharded scatter-gather parity: for every shard count, the union of
-//! per-shard rooted match sets must be **byte-identical** to the unsharded
-//! engine's sorted mappings, and the merged counts must agree with the
-//! independent VF2 oracle.
+//! Serving-path parity: the single registry's sorted mappings must be
+//! **byte-identical** to the plain engine's and to the independent VF2
+//! oracle's, buffered and streamed.
 //!
-//! The target is deliberately boundary-heavy: bridge edges between
-//! communities, triangles that straddle the cut, and self-loops on the
-//! bridge endpoints — the structures a naive edge-cut union would
-//! double-count or drop.
+//! The file and its first two test names date from the in-process shard
+//! tier, whose per-shard union this suite diffed against the same two
+//! references; the tier is gone, and the checks that still apply stay here
+//! under their old names.
+//!
+//! The bridged target is deliberately boundary-heavy: bridge edges between
+//! communities, triangles that straddle them, and self-loops on the bridge
+//! endpoints.  The modular target clears the planner's density bar, so its
+//! leg checks the bitmap-kernel route.
 
-use sge_engine::{RunConfig, Scheduler};
-use sge_graph::{generators, io::write_graph, GraphBuilder, NodeId};
-use sge_service::{
-    Coordinator, QuerySpec, Service, ServiceConfig, ServiceError, StreamHeader, StreamSink,
-};
+use sge_datasets::{generate_modular, ModularSpec};
+use sge_engine::{Engine, RunConfig, Scheduler};
+use sge_graph::{generators, io::write_graph, Graph, GraphBuilder, NodeId};
+use sge_ri::Algorithm;
+use sge_service::{QuerySpec, Service, ServiceConfig, StreamHeader, StreamSink};
 
 fn temp_path(stem: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("{stem}-{}", std::process::id()))
@@ -21,7 +25,7 @@ fn temp_path(stem: &str) -> std::path::PathBuf {
 /// Communities of directed cliques joined into a ring by double bridge
 /// edges, with a triangle closed across each cut and a self-loop on each
 /// community's bridge anchor.
-fn bridged_communities(communities: usize, size: usize) -> sge_graph::Graph {
+fn bridged_communities(communities: usize, size: usize) -> Graph {
     let mut b = GraphBuilder::new();
     for _ in 0..communities * size {
         b.add_node(0);
@@ -51,7 +55,7 @@ fn bridged_communities(communities: usize, size: usize) -> sge_graph::Graph {
 }
 
 /// An undirected triangle with a self-loop on one corner.
-fn looped_triangle() -> sge_graph::Graph {
+fn looped_triangle() -> Graph {
     let mut b = GraphBuilder::new();
     for _ in 0..3 {
         b.add_node(0);
@@ -65,11 +69,22 @@ fn looped_triangle() -> sge_graph::Graph {
 }
 
 /// A single self-looped node.
-fn self_loop_node() -> sge_graph::Graph {
+fn self_loop_node() -> Graph {
     let mut b = GraphBuilder::new();
     b.add_node(0);
     b.add_edge(0, 0, 0);
     b.build()
+}
+
+/// The boundary-heavy pattern set run against the bridged target.
+fn bridged_patterns() -> Vec<(&'static str, Graph)> {
+    vec![
+        ("triangle", generators::clique(3, 0)),
+        ("looped_triangle", looped_triangle()),
+        ("path3", generators::undirected_path(3, 0)),
+        ("clique4", generators::clique(4, 0)),
+        ("self_loop", self_loop_node()),
+    ]
 }
 
 struct CollectSink {
@@ -89,194 +104,130 @@ impl StreamSink for CollectSink {
     }
 }
 
-#[test]
-fn sharded_union_matches_unsharded_engine_and_vf2() {
-    let target = bridged_communities(4, 6);
-    let target_path = temp_path("sge-parity-bridged.gfd");
-    std::fs::write(&target_path, write_graph(&target)).unwrap();
-
-    let unsharded = Service::new(ServiceConfig::default());
-    unsharded
-        .registry()
-        .load_file("bridged", &target_path)
-        .unwrap();
-
-    let patterns: Vec<(&str, sge_graph::Graph)> = vec![
-        ("triangle", generators::clique(3, 0)),
-        ("looped_triangle", looped_triangle()),
-        ("path3", generators::undirected_path(3, 0)),
-        ("clique4", generators::clique(4, 0)),
-        ("self_loop", self_loop_node()),
-    ];
-
-    for shard_count in [1usize, 2, 4] {
-        let coordinator = Coordinator::new(shard_count, ServiceConfig::default());
-        let (total, per_shard) = coordinator
-            .load_target("bridged", &target_path, None)
-            .unwrap();
-        assert_eq!(total.nodes, target.num_nodes());
-        assert_eq!(total.edges, target.num_edges());
-        assert_eq!(per_shard.len(), shard_count);
-
-        for (name, pattern) in &patterns {
-            let oracle = sge_vf2::count_matches(pattern, &target);
-            let text = write_graph(pattern);
-            let specs = [
-                QuerySpec::new(&text).with_run(
-                    RunConfig::new(Scheduler::Sequential).with_collected_mappings(1_000_000),
-                ),
-                QuerySpec::new(&text)
-                    .with_run(RunConfig::default().with_collected_mappings(1_000_000))
-                    .routed(),
-            ];
-            for (variant, spec) in specs.iter().enumerate() {
-                let reference = unsharded.run_query("bridged", spec).unwrap();
-                assert_eq!(
-                    reference.outcome.matches, oracle,
-                    "{name} variant {variant}: unsharded vs VF2"
-                );
-
-                let (merged, shard_outcomes) = coordinator.run_query("bridged", spec).unwrap();
-                assert_eq!(
-                    merged.outcome.matches, oracle,
-                    "{name} variant {variant} shards {shard_count}: merged count vs VF2"
-                );
-                assert_eq!(
-                    merged.outcome.mappings, reference.outcome.mappings,
-                    "{name} variant {variant} shards {shard_count}: sorted mappings"
-                );
-                assert_eq!(shard_outcomes.len(), shard_count);
-                let shard_sum: u64 = shard_outcomes.iter().map(|o| o.outcome.matches).sum();
-                assert_eq!(
-                    shard_sum, oracle,
-                    "{name} variant {variant} shards {shard_count}: ownership partitions matches"
-                );
-            }
-        }
-    }
-    std::fs::remove_file(&target_path).ok();
-}
-
-#[test]
-fn streamed_rows_equal_buffered_mappings() {
-    let target_path = temp_path("sge-parity-stream.gfd");
-    std::fs::write(&target_path, write_graph(&bridged_communities(3, 5))).unwrap();
-
-    let coordinator = Coordinator::new(2, ServiceConfig::default());
-    coordinator
-        .load_target("bridged", &target_path, None)
-        .unwrap();
-    std::fs::remove_file(&target_path).ok();
-
-    let text = write_graph(&generators::clique(3, 0));
-    let buffered_spec = QuerySpec::new(&text)
-        .with_run(RunConfig::new(Scheduler::Sequential).with_collected_mappings(1_000_000));
-    let (buffered, _) = coordinator.run_query("bridged", &buffered_spec).unwrap();
-
-    let stream_spec = QuerySpec::new(&text)
+/// Streams `pattern_text` against `name` pinned sequential at chunk 7 and
+/// returns the sorted rows, checking the footer agrees with what arrived.
+fn streamed_rows(service: &Service, name: &str, pattern_text: &str) -> Vec<Vec<NodeId>> {
+    let spec = QuerySpec::new(pattern_text)
         .with_run(RunConfig::new(Scheduler::Sequential))
         .with_streaming(7);
     let mut sink = CollectSink {
         header: None,
         rows: Vec::new(),
     };
-    let (merged, per_shard) = coordinator
-        .run_query_streaming("bridged", &stream_spec, &mut sink)
-        .unwrap();
-
+    let streamed = service.run_query_streaming(name, &spec, &mut sink).unwrap();
     assert!(sink.header.is_some());
-    assert!(!merged.cancelled);
-    assert_eq!(merged.rows_sent, sink.rows.len() as u64);
-    assert_eq!(per_shard.len(), 2);
-    let mut streamed = sink.rows;
-    streamed.sort_unstable();
-    assert_eq!(
-        streamed, buffered.outcome.mappings,
-        "streamed union equals buffered sorted mappings"
-    );
+    assert!(!streamed.cancelled);
+    assert_eq!(streamed.rows_sent, sink.rows.len() as u64);
+    sink.rows.sort_unstable();
+    sink.rows
+}
+
+/// Queries `pattern` against `name` pinned sequential and routed, checks
+/// both against VF2's sorted mappings, and returns those mappings.
+fn assert_buffered_matches_vf2(
+    service: &Service,
+    name: &str,
+    target: &Graph,
+    label: &str,
+    pattern: &Graph,
+) -> Vec<Vec<NodeId>> {
+    let oracle = sge_vf2::collect_mappings(pattern, target);
+    let text = write_graph(pattern);
+    let collect = |run: RunConfig| run.with_collected_mappings(oracle.len() + 1);
+    let specs = [
+        QuerySpec::new(&text).with_run(collect(RunConfig::new(Scheduler::Sequential))),
+        QuerySpec::new(&text)
+            .with_run(collect(RunConfig::default()))
+            .routed(),
+    ];
+    for (variant, spec) in specs.iter().enumerate() {
+        let outcome = service.run_query(name, spec).unwrap().outcome;
+        assert_eq!(
+            outcome.matches,
+            oracle.len() as u64,
+            "{label} variant {variant}: count vs VF2"
+        );
+        assert_eq!(
+            outcome.mappings, oracle,
+            "{label} variant {variant}: sorted mappings vs VF2"
+        );
+    }
+    oracle
 }
 
 #[test]
-fn radius_and_connectivity_violations_are_rejected() {
-    let target_path = temp_path("sge-parity-reject.gfd");
-    std::fs::write(&target_path, write_graph(&bridged_communities(3, 4))).unwrap();
-    let coordinator = Coordinator::new(2, ServiceConfig::default());
-    coordinator
-        .load_target("bridged", &target_path, None)
+fn sharded_union_matches_unsharded_engine_and_vf2() {
+    let target = bridged_communities(4, 6);
+    let target_path = temp_path("sge-parity-bridged.gfd");
+    std::fs::write(&target_path, write_graph(&target)).unwrap();
+
+    let service = Service::new(ServiceConfig::default());
+    let info = service
+        .registry()
+        .load_file("bridged", &target_path)
         .unwrap();
     std::fs::remove_file(&target_path).ok();
+    assert_eq!(info.nodes, target.num_nodes());
+    assert_eq!(info.edges, target.num_edges());
 
-    // Eccentricity 3 from the best root > replication radius 2.
-    let long_path = write_graph(&generators::undirected_path(7, 0));
-    let err = coordinator
-        .run_query("bridged", &QuerySpec::new(&long_path))
-        .unwrap_err();
-    match err {
-        ServiceError::Protocol(message) => assert!(message.contains("radius"), "{message}"),
-        other => panic!("expected protocol error, got {other}"),
-    }
-
-    // Disconnected patterns have no root whose ball covers them.
-    let mut b = GraphBuilder::new();
-    b.add_node(0);
-    b.add_node(0);
-    let disconnected = write_graph(&b.build());
-    let err = coordinator
-        .run_query("bridged", &QuerySpec::new(&disconnected))
-        .unwrap_err();
-    match err {
-        ServiceError::Protocol(message) => assert!(message.contains("connected"), "{message}"),
-        other => panic!("expected protocol error, got {other}"),
+    for (label, pattern) in &bridged_patterns() {
+        let oracle = assert_buffered_matches_vf2(&service, "bridged", &target, label, pattern);
+        let engine = Engine::prepare(pattern, &target, Algorithm::RiDsSiFc)
+            .run(&RunConfig::new(Scheduler::Sequential).with_collected_mappings(oracle.len() + 1));
+        assert_eq!(engine.mappings, oracle, "{label}: plain engine vs VF2");
     }
 }
 
 #[test]
-fn coordinator_and_shard_admission_families_stay_separate() {
-    // Regression for the STATS/METRICS double-count: a coordinator-level
-    // admission wait must surface under `coordinator.*` only, and shard
-    // executions under each shard's `service.*` only — summing the two
-    // families over-reports unless they stay disjoint.
-    let target_path = temp_path("sge-parity-admission.gfd");
-    std::fs::write(&target_path, write_graph(&bridged_communities(2, 5))).unwrap();
-    let coordinator = Coordinator::new(2, ServiceConfig::default());
-    coordinator
-        .load_target("bridged", &target_path, None)
+fn streamed_rows_equal_buffered_mappings() {
+    let target_path = temp_path("sge-parity-stream.gfd");
+    std::fs::write(&target_path, write_graph(&bridged_communities(3, 5))).unwrap();
+    let service = Service::new(ServiceConfig::default());
+    service
+        .registry()
+        .load_file("bridged", &target_path)
         .unwrap();
     std::fs::remove_file(&target_path).ok();
 
-    let text = write_graph(&generators::clique(3, 0));
-    let spec = QuerySpec::new(&text).with_run(RunConfig::new(Scheduler::Sequential));
-    let queries = 3u64;
-    for _ in 0..queries {
-        coordinator.run_query("bridged", &spec).unwrap();
+    for (label, pattern) in &bridged_patterns() {
+        let text = write_graph(pattern);
+        let buffered_spec = QuerySpec::new(&text)
+            .with_run(RunConfig::new(Scheduler::Sequential).with_collected_mappings(1_000_000));
+        let buffered = service.run_query("bridged", &buffered_spec).unwrap();
+        assert_eq!(
+            streamed_rows(&service, "bridged", &text),
+            buffered.outcome.mappings,
+            "{label}: streamed rows equal buffered sorted mappings"
+        );
     }
+}
 
-    // Coordinator-level: one admission per merged query.
-    let coord = coordinator.stats();
-    assert_eq!(coord.admissions, queries);
-    assert_eq!(coord.queries_served, queries);
+#[test]
+fn single_registry_matches_vf2_on_modular_target() {
+    let target = generate_modular(&ModularSpec::cliques(24), 0x0DA7_A5E7, "modular");
+    let service = Service::new(ServiceConfig::default());
+    service.registry().insert("modular", target.clone());
 
-    // Shard-level: one admission per shard execution — per shard, not per
-    // merged query, and never added into the coordinator's own counters.
-    let shard_admissions: u64 = coordinator
-        .shards()
-        .iter()
-        .map(|shard| shard.stats().admissions)
-        .sum();
-    assert_eq!(shard_admissions, queries * 2);
-
-    // The coordinator's own registry must not contain any `service.*`
-    // cells, and its METRICS aggregation namespaces shard families under
-    // `shard.` — the two sums stay independently legible.
-    let own: Vec<String> = coordinator
-        .metrics()
-        .snapshot()
-        .into_iter()
-        .map(|(name, _)| name)
-        .collect();
-    assert!(own.iter().any(|n| n == "coordinator.admissions"));
-    assert!(
-        own.iter().all(|n| !n.starts_with("service.")),
-        "coordinator registry leaked service.* cells: {own:?}"
-    );
+    let mut bitmap_ops = 0;
+    for (label, pattern) in [
+        ("cycle3", generators::directed_cycle(3, 0)),
+        ("path3", generators::directed_path(3, 0)),
+        ("triangle", generators::clique(3, 0)),
+    ] {
+        let oracle = assert_buffered_matches_vf2(&service, "modular", &target, label, &pattern);
+        let text = write_graph(&pattern);
+        assert_eq!(
+            streamed_rows(&service, "modular", &text),
+            oracle,
+            "{label}: streamed rows vs VF2"
+        );
+        let spec = QuerySpec::new(&text).with_run(RunConfig::new(Scheduler::Sequential));
+        bitmap_ops += service
+            .run_query("modular", &spec)
+            .unwrap()
+            .outcome
+            .kernels
+            .bitmap;
+    }
+    assert!(bitmap_ops > 0, "the modular mix must run the bitmap kernel");
 }

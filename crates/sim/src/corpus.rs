@@ -52,8 +52,6 @@ pub fn corpus() -> Vec<Scenario> {
         disconnect_while_writable(),
         routing_keys(),
         dense_target_bitmap_kernels(),
-        sharded_scatter_gather(),
-        shard_disconnect_mid_stream(),
     ]
 }
 
@@ -359,47 +357,6 @@ pub fn dense_target_bitmap_kernels() -> Scenario {
             "METRICS".to_string(),
             "STATS".to_string(),
         ]))
-}
-
-/// PR 10's coordination plane under simulated time: a 2-shard coordinator
-/// serving buffered and streamed queries over a vertex-cut clique(5).  The
-/// trace pins the merged responses' per-shard `"shards"` breakdowns, the
-/// in-shard-order row frames of the scatter-gather stream, and the STATS
-/// separation between `coordinator.*` counters and the per-shard blocks —
-/// byte-identical replay proves the whole fan-out/merge path (thread-per-
-/// shard bridges included) is virtual-clock deterministic.
-pub fn sharded_scatter_gather() -> Scenario {
-    Scenario::new("sharded_scatter_gather", 0x5EED_0013)
-        .with_shards(2)
-        .with_target("k5", TargetKind::Clique(5))
-        .with_client(ClientScript::new(vec![
-            format!("QUERY target=k5 sched=seq pattern={}", tri()),
-            stream_query(8, "sched=seq"),
-            format!("EXPLAIN target=k5 pattern={}", tri()),
-            "STATS".to_string(),
-            "METRICS".to_string(),
-        ]))
-}
-
-/// A client vanishing mid-stream *under sharding*: the coordinator's merged
-/// stream loses its client between row frames, so it severs the per-shard
-/// bridges (remaining shards cancel cooperatively) and counts the stream
-/// under `coordinator.streams_cancelled` — which the healthy second client's
-/// STATS pins in the trace.  Counts are normalized: how far each shard's
-/// producer gets before observing the severed bridge is OS scheduling.
-pub fn shard_disconnect_mid_stream() -> Scenario {
-    Scenario::new("shard_disconnect_mid_stream", 0x5EED_0014)
-        .with_shards(2)
-        .with_target("k5", TargetKind::Clique(5))
-        .with_client(
-            ClientScript::new(vec![stream_query(8, "sched=seq")])
-                .with_write_fault(WriteFault::disconnect_after_lines(3)),
-        )
-        .with_client(ClientScript::new(vec![
-            query(&edge_inline()),
-            "STATS".to_string(),
-        ]))
-        .with_normalized_counts()
 }
 
 #[cfg(test)]

@@ -132,11 +132,6 @@ pub struct Scenario {
     /// OS-scheduling fact no seed controls.  Scenarios that cap the run (or
     /// never cancel) keep exact counts in the trace.
     pub normalize_counts: bool,
-    /// Number of shards to serve through.  `1` (the default) runs the plain
-    /// [`sge_service::Service`]; `> 1` runs the scatter-gather
-    /// [`sge_service::Coordinator`] over that many in-process shard
-    /// services, with every target vertex-cut partitioned at registration.
-    pub shards: usize,
 }
 
 impl Scenario {
@@ -150,7 +145,6 @@ impl Scenario {
             clients: Vec::new(),
             step_jitter_us: 500,
             normalize_counts: false,
-            shards: 1,
         }
     }
 
@@ -178,12 +172,6 @@ impl Scenario {
     /// Enables count scrubbing (see [`Scenario::normalize_counts`]).
     pub fn with_normalized_counts(mut self) -> Self {
         self.normalize_counts = true;
-        self
-    }
-
-    /// Serves through the sharded coordinator (see [`Scenario::shards`]).
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
         self
     }
 }

@@ -13,8 +13,8 @@
 use crate::scenario::Scenario;
 use crate::trace::{normalize_line, TraceRecorder};
 use crate::transport::{FaultWriter, ReaderProbe, ScriptReader, WriterProbe};
-use sge_graph::PartitionSpec;
-use sge_service::{Backend, Connection, Coordinator, Service, StatsSnapshot, StepOutcome};
+use sge_service::protocol::stats_response;
+use sge_service::{Connection, Service, StatsSnapshot, StepOutcome};
 use sge_util::{rng::SplitMix64, Clock, VirtualClock};
 use std::sync::Arc;
 use std::time::Duration;
@@ -63,10 +63,6 @@ pub fn run_scenario(scenario: &Scenario) -> SimReport {
 }
 
 /// Runs `scenario` under an explicit seed (the swarm's entry point).
-///
-/// `shards == 1` drives the plain [`Service`]; `shards > 1` drives the
-/// scatter-gather [`Coordinator`] through the *same* connection loop — the
-/// two backends share the [`Backend`] seam `sge-serve` binds servers over.
 pub fn run_scenario_with_seed(scenario: &Scenario, seed: u64) -> SimReport {
     let clock = Arc::new(VirtualClock::new());
     let mut trace = TraceRecorder::new(scenario.normalize_counts);
@@ -78,52 +74,27 @@ pub fn run_scenario_with_seed(scenario: &Scenario, seed: u64) -> SimReport {
         scenario.config.batch_workers,
         scenario.config.max_in_flight
     ));
-    if scenario.shards > 1 {
-        let coordinator = Coordinator::with_clock(
-            scenario.config,
-            Arc::<VirtualClock>::clone(&clock) as Arc<dyn Clock>,
-            PartitionSpec::new(scenario.shards),
-        );
-        trace.note(format!("# shards {}", scenario.shards));
-        for target in &scenario.targets {
-            let (info, shard_infos) = coordinator.insert_target(&target.name, target.kind.build());
-            let owned: Vec<String> = shard_infos
-                .iter()
-                .map(|shard| shard.nodes.to_string())
-                .collect();
-            trace.note(format!(
-                "# target {} = {} ({} nodes, {} edges; shard ball sizes [{}])",
-                target.name,
-                target.kind.describe(),
-                info.nodes,
-                info.edges,
-                owned.join(",")
-            ));
-        }
-        drive(scenario, &coordinator, &clock, trace, seed)
-    } else {
-        let service = Service::with_clock(
-            scenario.config,
-            Arc::<VirtualClock>::clone(&clock) as Arc<dyn Clock>,
-        );
-        for target in &scenario.targets {
-            let info = service.registry().insert(&target.name, target.kind.build());
-            trace.note(format!(
-                "# target {} = {} ({} nodes, {} edges)",
-                target.name,
-                target.kind.describe(),
-                info.nodes,
-                info.edges
-            ));
-        }
-        drive(scenario, &service, &clock, trace, seed)
+    let service = Service::with_clock(
+        scenario.config,
+        Arc::<VirtualClock>::clone(&clock) as Arc<dyn Clock>,
+    );
+    for target in &scenario.targets {
+        let info = service.registry().insert(&target.name, target.kind.build());
+        trace.note(format!(
+            "# target {} = {} ({} nodes, {} edges)",
+            target.name,
+            target.kind.describe(),
+            info.nodes,
+            info.edges
+        ));
     }
+    drive(scenario, &service, &clock, trace, seed)
 }
 
-/// The seeded scheduler loop over any [`Backend`].
-fn drive<B: Backend>(
+/// The seeded scheduler loop over `service`.
+fn drive(
     scenario: &Scenario,
-    backend: &B,
+    service: &Service,
     clock: &Arc<VirtualClock>,
     mut trace: TraceRecorder,
     seed: u64,
@@ -180,7 +151,7 @@ fn drive<B: Backend>(
         let client = &mut clients[pick];
         let label = format!("client[{}]", client.id);
 
-        let result = client.connection.step(backend);
+        let result = client.connection.step(service);
 
         // What the step consumed and produced, via the probes.
         let consumed = client
@@ -224,8 +195,8 @@ fn drive<B: Backend>(
         }
     }
 
-    let stats = backend.stats_snapshot();
-    trace.event(clock.now(), "stats", &backend.stats_json().render());
+    let stats = service.stats();
+    trace.event(clock.now(), "stats", &stats_response(service).render());
     check_invariants(&stats, &mut violations);
     if !violations.is_empty() {
         for violation in &violations {

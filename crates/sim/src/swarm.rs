@@ -119,10 +119,6 @@ pub fn random_scenario(seed: u64) -> Scenario {
     let mut scenario =
         Scenario::new(format!("swarm-{seed}"), seed).with_target("k5", TargetKind::Clique(5));
     scenario.step_jitter_us = [0, 100, 1000][rng.next_below(3)];
-    // The sharding dimension: half the swarm runs the plain service, the
-    // rest the scatter-gather coordinator at 2 or 4 shards — every fault
-    // class below then also exercises the fan-out/merge path.
-    scenario = scenario.with_shards([1, 1, 2, 4][rng.next_below(4)]);
 
     let clients = 1 + rng.next_below(4); // 1..=4
     let mut any_disconnect = false;
@@ -181,12 +177,7 @@ pub fn random_scenario(seed: u64) -> Scenario {
                 client = client.with_write_fault(WriteFault::disconnect_after_lines(lines_budget));
                 any_disconnect = true;
             }
-            // Slow readers advance the virtual clock *during* a step.  Under
-            // sharding, per-shard streams run on real threads concurrently
-            // with those mid-step advances, so the shard-side latency
-            // measurements would become OS-scheduling facts no seed replays
-            // — keep the stall fault off sharded runs.
-            3 if scenario.shards == 1 => {
+            3 => {
                 let stall = Duration::from_micros(100 << rng.next_below(6));
                 client = client.with_write_fault(WriteFault::slow_reader(stall));
             }

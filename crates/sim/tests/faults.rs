@@ -120,44 +120,3 @@ fn cache_eviction_churn_hits_only_within_capacity() {
         report.trace
     );
 }
-
-#[test]
-fn sharded_scatter_gather_merges_and_breaks_down_per_shard() {
-    // The 2-shard coordinator serves a buffered and a streamed triangle
-    // query over a vertex-cut clique(5): the merged counts equal the
-    // unsharded answer (60 directed triangles), and every response carries
-    // the per-shard "shards" breakdown.
-    let report = run_scenario(&corpus::find("sharded_scatter_gather").unwrap());
-    assert!(report.passed(), "violations: {:?}", report.violations);
-    assert_eq!(report.stats.queries_served, 2);
-    assert_eq!(report.stats.total_matches, 120);
-    assert_eq!(report.stats.streams_served, 1);
-    assert_eq!(report.stats.rows_streamed, 60);
-    assert_eq!(report.stats.streams_cancelled, 0);
-    assert_eq!(report.stats.errors, 0);
-    assert!(report.trace.contains("# shards 2"));
-    assert!(report.trace.contains("\"shards\":[{\"shard\":0"));
-    assert!(report.trace.contains("\"matches\":60"));
-    // The coordinator's own metric family fronts the METRICS snapshot.
-    assert!(report.trace.contains("\"coordinator.admissions\":"));
-}
-
-#[test]
-fn sharded_disconnect_severs_bridges_and_counts_the_cancel() {
-    // The client vanishes after the stream header and two row frames: the
-    // coordinator severs the per-shard bridges (remaining shards cancel
-    // cooperatively), counts the stream under coordinator
-    // streams_cancelled, and keeps serving the healthy client.
-    let report = run_scenario(&corpus::find("shard_disconnect_mid_stream").unwrap());
-    assert!(report.passed(), "violations: {:?}", report.violations);
-    assert_eq!(report.stats.streams_served, 1);
-    assert_eq!(report.stats.streams_cancelled, 1);
-    // Header + two chunk=8 frames fit the 3-line write budget.
-    assert_eq!(report.stats.rows_streamed, 16);
-    // The healthy client's buffered query still completed.
-    assert_eq!(report.stats.queries_served, 2);
-    // A client-side disconnect is not a service error.
-    assert_eq!(report.stats.errors, 0);
-    assert!(report.trace.contains("io-error BrokenPipe"));
-    assert!(!report.trace.contains("\"done\":true"));
-}

@@ -37,6 +37,8 @@ struct Vf2<'a> {
     depth: usize,
     result: Vf2Result,
     limit: Option<u64>,
+    /// Every complete mapping found, when the caller collects them.
+    mappings: Option<Vec<Vec<NodeId>>>,
 }
 
 impl<'a> Vf2<'a> {
@@ -49,6 +51,7 @@ impl<'a> Vf2<'a> {
             depth: 0,
             result: Vf2Result::default(),
             limit,
+            mappings: None,
         }
     }
 
@@ -156,6 +159,9 @@ impl<'a> Vf2<'a> {
         }
         if self.depth == self.pattern.num_nodes() {
             self.result.matches += 1;
+            if let Some(mappings) = &mut self.mappings {
+                mappings.push(self.core_p.clone());
+            }
             return;
         }
         let Some(vp) = self.select_next() else {
@@ -209,10 +215,42 @@ pub fn count_matches(pattern: &Graph, target: &Graph) -> u64 {
     enumerate(pattern, target).matches
 }
 
+/// Every embedding as a mapping (`mapping[p]` = target node of pattern node
+/// `p`), sorted — the oracle for an engine's collected mappings.
+pub fn collect_mappings(pattern: &Graph, target: &Graph) -> Vec<Vec<NodeId>> {
+    let mut vf2 = Vf2::new(pattern, target, None);
+    vf2.mappings = Some(Vec::new());
+    if pattern.num_nodes() <= target.num_nodes() {
+        vf2.search();
+    }
+    let mut mappings = vf2.mappings.unwrap_or_default();
+    mappings.sort_unstable();
+    mappings
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use sge_graph::{generators, GraphBuilder};
+
+    #[test]
+    fn collected_mappings_are_sorted_and_complete() {
+        let pattern = generators::directed_path(2, 0);
+        let target = generators::clique(3, 0);
+        let mappings = collect_mappings(&pattern, &target);
+        assert_eq!(
+            mappings,
+            vec![
+                vec![0, 1],
+                vec![0, 2],
+                vec![1, 0],
+                vec![1, 2],
+                vec![2, 0],
+                vec![2, 1]
+            ]
+        );
+        assert_eq!(mappings.len() as u64, count_matches(&pattern, &target));
+    }
 
     #[test]
     fn directed_edge_in_clique() {

@@ -5,13 +5,11 @@
 //! its parser ([`protocol`]), the hand-rolled single-line JSON encoder
 //! ([`json`]), the response/frame builders, and the shared vocabulary types —
 //! [`QuerySpec`], [`QueryOutcome`], [`StreamHeader`], [`StreamSink`],
-//! [`ServiceError`] — that the server, the client, the scatter-gather
-//! coordinator and the deterministic simulator all speak.
+//! [`ServiceError`] — that the server, the client, the benchmark harness
+//! and the deterministic simulator all speak.
 //!
-//! Splitting this out of `sge-service` means shard-internal RPC and the
-//! public client protocol share one tested codec: the coordinator re-parses
-//! nothing and re-encodes through exactly the functions the single-process
-//! server uses.
+//! Keeping the codec in one crate means every side parses and encodes
+//! through exactly the functions the server uses.
 //!
 //! Everything is `std`-only: no async runtime, no serialization crates.
 
@@ -293,8 +291,7 @@ pub struct ExplainAnalyzeOutcome {
 /// on the calling thread.
 ///
 /// The TCP server implements this over the connection socket (one JSON line
-/// per call); the coordinator implements it over per-shard bounded channels;
-/// tests implement it over plain vectors.  Returning an error from
+/// per call); tests implement it over plain vectors.  Returning an error from
 /// [`StreamSink::rows`] cancels the enumeration cooperatively.
 pub trait StreamSink {
     /// Called once, before enumeration starts, with the stream metadata.

@@ -24,7 +24,7 @@
 //! | [`parallel`] | parallel RI / RI-DS-SI-FC plus ablation schedulers |
 //! | [`engine`] | the unified [`Engine`]/[`Scheduler`] API and [`PreparedEngine`] |
 //! | [`wire`] | the serving wire plane: line-protocol codec, JSON encoder, stream framing |
-//! | [`service`] | query serving: graph registry, prepared cache, batch executor, TCP server, shard coordinator |
+//! | [`service`] | query serving: graph registry, prepared cache, batch executor, TCP servers |
 //! | [`obs`] | observability: metrics registry, query traces, enumeration trace sinks, event log |
 //! | [`datasets`] | synthetic PPIS32 / GRAEMLIN32 / PDBSv1 analogues |
 //! | [`util`] | bitsets, statistics, timing |
