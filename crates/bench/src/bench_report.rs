@@ -16,9 +16,7 @@
 //!         {
 //!           "name": "<case>",
 //!           "intersection_seconds": 0.0123,
-//!           "single_parent_seconds": 0.0187,
 //!           "speedup_vs_sequential": 1.7,
-//!           "speedup_over_single_parent": 1.5,
 //!           "observed_states_total": 123456,
 //!           "steals_total": 42
 //!         }
@@ -28,14 +26,12 @@
 //! }
 //! ```
 //!
-//! * `intersection_seconds` — median wall time of the case on the shipping
-//!   intersection-based candidate path,
-//! * `single_parent_seconds` — the same case on the legacy single-parent
-//!   comparator ([`sge::ri::CandidateMode::SingleParent`]),
-//! * `speedup_vs_sequential` — the figure's sequential intersection median
-//!   divided by this case's intersection median,
-//! * `speedup_over_single_parent` — `single_parent_seconds /
-//!   intersection_seconds` for the same case,
+//! * `intersection_seconds` — median wall time of the case on the
+//!   intersection-based candidate path (the committed records up to
+//!   `BENCH_pr10.json` also carry two columns timing a since-removed
+//!   candidate generator; the validator ignores them),
+//! * `speedup_vs_sequential` — the figure's sequential median divided by
+//!   this case's median,
 //! * `observed_states_total` / `steals_total` — since PR 7: the consistency
 //!   checks and successful steals a [`sge::obs::TraceSink`] records over one
 //!   extra *untimed* instrumented pass of the case's intersection workload
@@ -65,7 +61,6 @@ use crate::report::Table;
 use crate::ExperimentConfig;
 use sge::obs::TraceSink;
 use sge::prelude::*;
-use sge::ri::CandidateMode;
 use sge_datasets::CollectionKind;
 use sge_graph::{generators, io::write_graph, Graph};
 use sge_ri::Algorithm;
@@ -108,7 +103,6 @@ impl Default for ReportConfig {
 struct Case {
     name: &'static str,
     intersection_seconds: f64,
-    single_parent_seconds: f64,
     speedup_vs_sequential: f64,
     observed_states_total: u64,
     steals_total: u64,
@@ -120,16 +114,8 @@ impl Case {
             ("name", Json::str(self.name)),
             ("intersection_seconds", Json::F64(self.intersection_seconds)),
             (
-                "single_parent_seconds",
-                Json::F64(self.single_parent_seconds),
-            ),
-            (
                 "speedup_vs_sequential",
                 Json::F64(self.speedup_vs_sequential),
-            ),
-            (
-                "speedup_over_single_parent",
-                Json::F64(self.single_parent_seconds / self.intersection_seconds.max(1e-12)),
             ),
             (
                 "observed_states_total",
@@ -169,49 +155,38 @@ fn schedulers() -> Vec<(&'static str, Scheduler)> {
     ]
 }
 
-/// Runs the scheduler sweep over a workload of prepared engines, once per
-/// candidate mode, timing each sweep as one count-only pass over the set.
+/// Runs the scheduler sweep over a workload of prepared engines, timing
+/// each sweep as one count-only pass over the set.
 ///
 /// All timed passes run first, while every engine is still sink-free — the
 /// instrumented counter pass attaches [`TraceSink`]s, and the zero-overhead
 /// contract only holds for engines without one.
-fn sweep_engine_sets(
-    intersection: &mut [Engine<'_>],
-    single: &[Engine<'_>],
-    repeats: usize,
-) -> Vec<Case> {
-    let time_set = |engines: &[Engine<'_>], scheduler: Scheduler| {
-        median_seconds(repeats, || {
-            for engine in engines {
-                std::hint::black_box(engine.run(&RunConfig::new(scheduler)).matches);
-            }
-        })
-    };
+fn sweep_engine_set(engines: &mut [Engine<'_>], repeats: usize) -> Vec<Case> {
     let mut timed = Vec::new();
     let mut sequential_median = f64::NAN;
     for (name, scheduler) in schedulers() {
-        let inter = time_set(intersection, scheduler);
-        let legacy = time_set(single, scheduler);
+        let seconds = median_seconds(repeats, || {
+            for engine in engines.iter() {
+                std::hint::black_box(engine.run(&RunConfig::new(scheduler)).matches);
+            }
+        });
         if scheduler == Scheduler::Sequential {
-            sequential_median = inter;
+            sequential_median = seconds;
         }
         timed.push((
             name,
             scheduler,
-            inter,
-            legacy,
-            sequential_median / inter.max(1e-12),
+            seconds,
+            sequential_median / seconds.max(1e-12),
         ));
     }
     timed
         .into_iter()
-        .map(|(name, scheduler, inter, legacy, speedup)| {
-            let (observed_states_total, steals_total) =
-                instrumented_totals(intersection, scheduler);
+        .map(|(name, scheduler, seconds, speedup)| {
+            let (observed_states_total, steals_total) = instrumented_totals(engines, scheduler);
             Case {
                 name,
-                intersection_seconds: inter,
-                single_parent_seconds: legacy,
+                intersection_seconds: seconds,
                 speedup_vs_sequential: speedup,
                 observed_states_total,
                 steals_total,
@@ -220,7 +195,7 @@ fn sweep_engine_sets(
         .collect()
 }
 
-/// One untimed instrumented pass over the intersection workload: attaches a
+/// One untimed instrumented pass over the workload: attaches a
 /// fresh [`TraceSink`] to every engine, runs the count-only sweep once under
 /// `scheduler`, and sums the observed consistency checks and successful
 /// steals across the set.
@@ -237,16 +212,14 @@ fn instrumented_totals(engines: &mut [Engine<'_>], scheduler: Scheduler) -> (u64
     (states, steals)
 }
 
-/// Runs the scheduler sweep over one instance in both candidate modes.
+/// Runs the scheduler sweep over one instance.
 fn sweep_instance(
     pattern: &Graph,
     target: &Graph,
     algorithm: Algorithm,
     repeats: usize,
 ) -> Vec<Case> {
-    let mut intersection = [Engine::prepare(pattern, target, algorithm)];
-    let single = Engine::prepare_with_mode(pattern, target, algorithm, CandidateMode::SingleParent);
-    sweep_engine_sets(&mut intersection, &[single], repeats)
+    sweep_engine_set(&mut [Engine::prepare(pattern, target, algorithm)], repeats)
 }
 
 /// Figure `fig3_work_stealing`: the PPIS32-like collection under the
@@ -258,8 +231,7 @@ fn fig3_cases(config: &ReportConfig) -> Vec<Case> {
         ExperimentConfig::smoke()
     } else {
         // Large enough that search time dominates the per-run thread-spawn
-        // cost of the parallel schedulers, so the mode comparison measures
-        // the hot path rather than scheduling overhead.
+        // cost of the parallel schedulers.
         ExperimentConfig {
             scale: 1.5,
             max_instances: Some(8),
@@ -267,17 +239,12 @@ fn fig3_cases(config: &ReportConfig) -> Vec<Case> {
         }
     };
     let coll = collection(CollectionKind::Ppis32, &experiment);
-    fn prepare_all<'g>(coll: &'g sge_datasets::Collection, mode: CandidateMode) -> Vec<Engine<'g>> {
-        coll.instances
-            .iter()
-            .map(|i| {
-                Engine::prepare_with_mode(&i.pattern, coll.target_of(i), Algorithm::RiDs, mode)
-            })
-            .collect()
-    }
-    let mut intersection = prepare_all(&coll, CandidateMode::Intersection);
-    let single = prepare_all(&coll, CandidateMode::SingleParent);
-    sweep_engine_sets(&mut intersection, &single, config.repeats)
+    let mut engines: Vec<Engine<'_>> = coll
+        .instances
+        .iter()
+        .map(|i| Engine::prepare(&i.pattern, coll.target_of(i), Algorithm::RiDs))
+        .collect();
+    sweep_engine_set(&mut engines, config.repeats)
 }
 
 /// The grid target the `batch_throughput` figure (engine-level cases *and*
@@ -305,21 +272,13 @@ fn zoo_patterns() -> Vec<Graph> {
 /// Figure `batch_throughput`: the full 100-pattern query mix against the
 /// grid target, engines prepared once (prepared-cache semantics), runs timed.
 fn batch_cases(config: &ReportConfig) -> Vec<Case> {
-    fn prepare_set<'g>(
-        patterns: &'g [Graph],
-        target: &'g Graph,
-        mode: CandidateMode,
-    ) -> Vec<Engine<'g>> {
-        patterns
-            .iter()
-            .map(|p| Engine::prepare_with_mode(p, target, Algorithm::RiDsSiFc, mode))
-            .collect()
-    }
     let target = batch_target(config);
     let patterns = zoo_patterns();
-    let mut intersection = prepare_set(&patterns, &target, CandidateMode::Intersection);
-    let single = prepare_set(&patterns, &target, CandidateMode::SingleParent);
-    sweep_engine_sets(&mut intersection, &single, config.repeats)
+    let mut engines: Vec<Engine<'_>> = patterns
+        .iter()
+        .map(|p| Engine::prepare(p, &target, Algorithm::RiDsSiFc))
+        .collect();
+    sweep_engine_set(&mut engines, config.repeats)
 }
 
 /// The 100-pattern batch through the *real* service stack (registry, parse,
@@ -350,8 +309,7 @@ fn service_queries_per_second(config: &ReportConfig) -> f64 {
 }
 
 /// Figure `dense_target`: small cyclic patterns in cliques — the workload
-/// where the multi-parent intersection prunes hardest relative to the
-/// single-parent edge probing.
+/// where the multi-parent intersection prunes hardest.
 fn dense_cases(config: &ReportConfig) -> Vec<Case> {
     let clique_nodes = if config.smoke { 12 } else { 32 };
     let pattern = generators::directed_cycle(4, 0);
@@ -560,18 +518,6 @@ struct DispatchCase {
     correction: f64,
 }
 
-/// Measurement-noise tolerance for the `routed_not_slower` verdict: routed
-/// dispatch resolves to the sequential fast path on small trees, so its
-/// median must land within 5% of the pinned-sequential median (the routing
-/// decision itself costs one cost-model lookup).
-const DISPATCH_NOISE_TOLERANCE: f64 = 1.05;
-
-/// Absolute slack for the same verdict.  Smoke-sized cases finish in well
-/// under a millisecond, where scheduler jitter dwarfs any relative margin;
-/// the ws4 regression this verdict guards against is a multi-millisecond,
-/// multi-x slowdown, so a 1 ms floor cannot mask it.
-const DISPATCH_NOISE_FLOOR_SECONDS: f64 = 0.001;
-
 impl DispatchCase {
     fn routed_vs_sequential(&self) -> f64 {
         self.sequential_seconds / self.routed_seconds.max(1e-12)
@@ -579,11 +525,6 @@ impl DispatchCase {
 
     fn routed_vs_ws4(&self) -> f64 {
         self.ws4_seconds / self.routed_seconds.max(1e-12)
-    }
-
-    fn routed_not_slower(&self) -> bool {
-        self.routed_seconds
-            <= self.sequential_seconds * DISPATCH_NOISE_TOLERANCE + DISPATCH_NOISE_FLOOR_SECONDS
     }
 
     fn to_json(&self) -> Json {
@@ -598,14 +539,13 @@ impl DispatchCase {
                 Json::F64(self.routed_vs_sequential()),
             ),
             ("routed_vs_ws4", Json::F64(self.routed_vs_ws4())),
-            ("routed_not_slower", Json::Bool(self.routed_not_slower())),
             ("correction", Json::F64(self.correction)),
         ])
     }
 }
 
 /// Figure `adaptive_dispatch`: planner-routed scheduling through the real
-/// service stack against the pinned baselines it must dominate.  The ws4
+/// service stack next to the pinned baselines it chooses between.  The ws4
 /// regression BENCH_pr3/pr4 documented (work-stealing at a fraction of
 /// sequential on small instances) is exactly what routing removes: the
 /// corrected estimate stays below the sequential threshold, so the routed
@@ -723,18 +663,12 @@ fn strategy_cases(config: &ReportConfig) -> Vec<StrategyCase> {
                         &i.pattern,
                         coll.target_of(i),
                         Algorithm::RiDs,
-                        CandidateMode::Intersection,
                         strategy,
                     )
                 })
                 .collect();
-            let dense = Engine::prepare_planned(
-                &dense_pattern,
-                &dense_target,
-                Algorithm::RiDs,
-                CandidateMode::Intersection,
-                strategy,
-            );
+            let dense =
+                Engine::prepare_planned(&dense_pattern, &dense_target, Algorithm::RiDs, strategy);
             let est_states_total = engines
                 .iter()
                 .chain(std::iter::once(&dense))
@@ -849,8 +783,7 @@ fn figure_json(cases: &[Case], extra: Vec<(&'static str, Json)>) -> Json {
 /// The record carries `host_parallelism` so trajectory readers can interpret
 /// the ws4 cases: on a single-core host the parallel schedulers can never
 /// beat sequential (`speedup_vs_sequential` < 1 measures scheduling
-/// overhead), while `speedup_over_single_parent` stays meaningful — both
-/// modes pay identical scheduling cost, so the ratio isolates the hot path.
+/// overhead).
 pub fn run_report(config: &ReportConfig) -> String {
     let fig3 = fig3_cases(config);
     let batch = batch_cases(config);
@@ -863,15 +796,7 @@ pub fn run_report(config: &ReportConfig) -> String {
 
     let mut table = Table::new(
         "bench-report (median wall seconds)",
-        &[
-            "figure",
-            "case",
-            "intersection",
-            "single-parent",
-            "vs-seq",
-            "states",
-            "steals",
-        ],
+        &["figure", "case", "seconds", "vs-seq", "states", "steals"],
     );
     for (figure, cases) in [
         ("fig3_work_stealing", &fig3),
@@ -883,7 +808,6 @@ pub fn run_report(config: &ReportConfig) -> String {
                 figure.to_string(),
                 case.name.to_string(),
                 format!("{:.6}", case.intersection_seconds),
-                format!("{:.6}", case.single_parent_seconds),
                 format!("{:.2}", case.speedup_vs_sequential),
                 case.observed_states_total.to_string(),
                 case.steals_total.to_string(),
@@ -1011,8 +935,10 @@ pub fn run_report(config: &ReportConfig) -> String {
     .render()
 }
 
-/// Validates an emitted report: the document must be syntactically valid JSON
-/// and its `figures` object must contain every key in [`EXPECTED_FIGURES`].
+/// Validates an emitted report's shape: the document must be syntactically
+/// valid JSON and its `figures` object must contain every key in
+/// [`EXPECTED_FIGURES`].  Timings are data, not verdicts: perf regressions
+/// are the benchmark harness's call, never this validator's.
 pub fn validate_report(text: &str) -> Result<(), String> {
     let mut parser = MiniJson {
         bytes: text.trim().as_bytes(),
@@ -1055,17 +981,6 @@ pub fn validate_report(text: &str) -> Result<(), String> {
     }
     if !pre_counter && !text.contains("\"observed_states_total\"") {
         return Err("missing 'observed_states_total' counter column".to_string());
-    }
-    if !pre_dispatch {
-        if !text.contains("\"routed_not_slower\"") {
-            return Err("missing 'routed_not_slower' verdicts in adaptive_dispatch".to_string());
-        }
-        if text.contains("\"routed_not_slower\":false") {
-            return Err(
-                "adaptive_dispatch regression: a routed case ran slower than sequential"
-                    .to_string(),
-            );
-        }
     }
     if !pre_kernel && !text.contains("\"prefilter_reject_rate\"") {
         return Err("missing 'prefilter_reject_rate' column in kernel_comparison".to_string());
@@ -1214,7 +1129,8 @@ mod tests {
         for figure in EXPECTED_FIGURES {
             assert!(report.contains(&format!("\"{figure}\"")), "{figure}");
         }
-        assert!(report.contains("\"speedup_over_single_parent\""));
+        assert!(report.contains("\"speedup_vs_sequential\""));
+        assert!(report.contains("\"routed_vs_sequential\""));
         assert!(report.contains("\"speedup_vs_ri_greedy\""));
         assert!(report.contains("\"observed_states_total\""));
         assert!(report.contains("\"steals_total\""));
@@ -1295,7 +1211,7 @@ mod tests {
         let figures: Vec<String> = EXPECTED_FIGURES
             .iter()
             .filter(|f| **f != "kernel_comparison" && **f != "modular_mix")
-            .map(|f| format!("\"{f}\":{{\"cases\":[{{\"observed_states_total\":0,\"routed_not_slower\":true}}]}}"))
+            .map(|f| format!("\"{f}\":{{\"cases\":[{{\"observed_states_total\":0}}]}}"))
             .collect();
         let pr8 = format!(
             "{{\"schema\":\"sge-bench-report/v1\",\"pr\":\"pr8\",\"figures\":{{{}}}}}",
@@ -1327,7 +1243,7 @@ mod tests {
             .map(|f| {
                 format!(
                     "\"{f}\":{{\"cases\":[{{\"observed_states_total\":0,\
-                     \"routed_not_slower\":true,\"prefilter_reject_rate\":0.0}}]}}"
+                     \"prefilter_reject_rate\":0.0}}]}}"
                 )
             })
             .collect();

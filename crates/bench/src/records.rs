@@ -9,7 +9,6 @@ use crate::config::ExperimentConfig;
 use sge::{Engine, EnumerationOutcome, RunConfig, Scheduler};
 use sge_datasets::Collection;
 use sge_ri::Algorithm;
-use sge_ri::CandidateMode;
 use std::collections::HashMap;
 
 /// One measurement: an (instance, algorithm, scheduler) combination.
@@ -112,13 +111,8 @@ pub fn run_instances(
     instances(collection, config)
         .map(|instance| {
             let target = collection.target_of(instance);
-            let engine = Engine::prepare_planned(
-                &instance.pattern,
-                target,
-                algorithm,
-                CandidateMode::default(),
-                config.strategy,
-            );
+            let engine =
+                Engine::prepare_planned(&instance.pattern, target, algorithm, config.strategy);
             let outcome = engine.run(&RunConfig::new(scheduler).with_time_limit(config.time_limit));
             InstanceRecord::from_outcome(&instance.id, collection.kind.name(), &outcome)
         })
@@ -138,13 +132,7 @@ pub fn run_instances_matrix(
         schedulers.iter().map(|_| Vec::new()).collect();
     for instance in instances(collection, config) {
         let target = collection.target_of(instance);
-        let engine = Engine::prepare_planned(
-            &instance.pattern,
-            target,
-            algorithm,
-            CandidateMode::default(),
-            config.strategy,
-        );
+        let engine = Engine::prepare_planned(&instance.pattern, target, algorithm, config.strategy);
         for (records, &scheduler) in per_scheduler.iter_mut().zip(schedulers) {
             let outcome = engine.run(&RunConfig::new(scheduler).with_time_limit(config.time_limit));
             records.push(InstanceRecord::from_outcome(

@@ -266,12 +266,7 @@ mod tests {
         for instance in collection.instances.iter().take(6) {
             assert!(instance.target_index < collection.targets.len());
             let target = collection.target_of(instance);
-            let matches = sge_ri::enumerate(
-                &instance.pattern,
-                target,
-                &sge_ri::MatchConfig::new(sge_ri::Algorithm::RiDsSiFc).with_max_matches(1),
-            )
-            .matches;
+            let matches = sge_vf2::enumerate_limited(&instance.pattern, target, Some(1)).matches;
             assert!(matches >= 1, "instance {} does not embed", instance.id);
         }
     }

@@ -134,12 +134,7 @@ mod tests {
     fn extracted_pattern_embeds_in_its_target() {
         let target = generate_target(&TargetSpec::small(), 43, "t");
         let pattern = extract_pattern(&target, 8, 3).expect("pattern");
-        let matches = sge_ri::enumerate(
-            &pattern,
-            &target,
-            &sge_ri::MatchConfig::new(sge_ri::Algorithm::RiDsSiFc).with_max_matches(1),
-        )
-        .matches;
+        let matches = sge_vf2::enumerate_limited(&pattern, &target, Some(1)).matches;
         assert!(
             matches >= 1,
             "an extracted pattern must embed at least once"

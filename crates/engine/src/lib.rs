@@ -44,12 +44,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod problem;
+mod rayon_pool;
+mod runner;
+
 use sge_graph::{AdjacencyBitmaps, Graph, GraphStats, NodeId};
 use sge_obs::TraceSink;
-use sge_parallel::{enumerate_prepared, enumerate_rayon_prepared, ParallelConfig};
 use sge_ri::{
-    search_prepared, Algorithm, CandidateMode, ChannelVisitor, CollectingVisitor, KernelChoice,
-    KernelUsage, MatchVisitor, PreparedParts, QueryPlan, SearchContext, SearchLimits, Strategy,
+    Algorithm, ChannelVisitor, KernelChoice, KernelUsage, MatchVisitor, PreparedParts, QueryPlan,
+    SearchContext, Strategy,
 };
 use sge_stealing::WorkerStats;
 use sge_util::{CancelToken, PhaseTimer};
@@ -205,10 +208,10 @@ impl std::str::FromStr for Scheduler {
 pub struct RunConfig {
     /// Execution strategy.
     pub scheduler: Scheduler,
-    /// Ordering strategy for the match order.  A *preparation* knob: it is
-    /// consumed by [`Engine::prepare_for`] (and by the serving layer, which
-    /// prepares per query); [`Engine::run`] executes whatever plan the
-    /// engine was prepared with and ignores this field.
+    /// Ordering strategy for the match order.  A *preparation* knob: the
+    /// serving layer prepares each query under it (pass it to
+    /// [`Engine::prepare_planned`] in-process); [`Engine::run`] executes
+    /// whatever plan the engine was prepared with and ignores this field.
     pub strategy: Strategy,
     /// Stop cooperatively after this many matches (`None` = enumerate all).
     /// Every scheduler reports exactly `min(max_matches, total)`.
@@ -374,73 +377,23 @@ impl<'g> Engine<'g> {
     /// Runs the preprocessing phase of `algorithm` (domain computation,
     /// forward checking, node ordering) once and returns a reusable engine.
     pub fn prepare(pattern: &'g Graph, target: &'g Graph, algorithm: Algorithm) -> Self {
-        Self::prepare_with_mode(pattern, target, algorithm, CandidateMode::default())
+        Self::prepare_planned(pattern, target, algorithm, Strategy::default())
     }
 
-    /// [`Engine::prepare`] with an explicit candidate generation scheme — the
-    /// A/B entry point for comparing the intersection-based hot path against
-    /// the legacy single-parent path under any scheduler.
-    pub fn prepare_with_mode(
-        pattern: &'g Graph,
-        target: &'g Graph,
-        algorithm: Algorithm,
-        mode: CandidateMode,
-    ) -> Self {
-        Self::prepare_planned(pattern, target, algorithm, mode, Strategy::default())
-    }
-
-    /// The full preparation entry point: plans the match order with
-    /// `strategy` and executes candidates under `mode`.
+    /// [`Engine::prepare`] with the match order planned by `strategy`.
     pub fn prepare_planned(
         pattern: &'g Graph,
         target: &'g Graph,
         algorithm: Algorithm,
-        mode: CandidateMode,
         strategy: Strategy,
     ) -> Self {
         let mut timer = PhaseTimer::new();
         let ctx = timer.time("preprocess", || {
-            SearchContext::prepare_planned(pattern, target, algorithm, mode, strategy)
+            SearchContext::prepare_planned(pattern, target, algorithm, strategy)
         });
         Engine {
             ctx,
             preprocess_seconds: timer.seconds("preprocess"),
-        }
-    }
-
-    /// Prepares honoring the preparation knobs of `config` (currently the
-    /// ordering [`Strategy`]) — the library-level path for selecting a
-    /// strategy through a [`RunConfig`].
-    pub fn prepare_for(
-        pattern: &'g Graph,
-        target: &'g Graph,
-        algorithm: Algorithm,
-        config: &RunConfig,
-    ) -> Self {
-        Self::prepare_planned(
-            pattern,
-            target,
-            algorithm,
-            CandidateMode::default(),
-            config.strategy,
-        )
-    }
-
-    /// Wraps an externally prepared context (preprocessing cost reported as
-    /// 0).
-    pub fn from_context(ctx: SearchContext<'g>) -> Self {
-        Engine {
-            ctx,
-            preprocess_seconds: 0.0,
-        }
-    }
-
-    /// Wraps an externally prepared context, reporting `preprocess_seconds`
-    /// as the (already paid) preprocessing cost.
-    pub fn from_context_with_cost(ctx: SearchContext<'g>, preprocess_seconds: f64) -> Self {
-        Engine {
-            ctx,
-            preprocess_seconds,
         }
     }
 
@@ -568,153 +521,6 @@ impl<'g> Engine<'g> {
     pub fn count(&self) -> u64 {
         self.run(&RunConfig::default()).matches
     }
-
-    fn execute(
-        &self,
-        config: &RunConfig,
-        visitor: Option<&dyn MatchVisitor>,
-        cancel: Option<&Arc<CancelToken>>,
-    ) -> EnumerationOutcome {
-        // Kernel counters accumulate in cells shared across this context's
-        // runs; bracketing with snapshots attributes exactly this run's work.
-        let kernels_before = self.ctx.kernel_totals();
-        let mut outcome = match config.scheduler {
-            Scheduler::Sequential => self.run_sequential(config, visitor, cancel),
-            Scheduler::WorkStealing {
-                workers,
-                task_group_size,
-                stealing,
-            } => {
-                let parallel = ParallelConfig {
-                    algorithm: self.ctx.algorithm(),
-                    workers: workers.max(1),
-                    task_group_size: task_group_size.max(1),
-                    steal_enabled: stealing,
-                    max_matches: config.max_matches,
-                    time_limit: config.time_limit,
-                    collect_limit: config.collect_mappings,
-                    cancel: cancel.map(Arc::clone),
-                    seed: config.seed,
-                };
-                let result = enumerate_prepared(&self.ctx, &parallel, visitor);
-                self.parallel_outcome(config, result)
-            }
-            Scheduler::Rayon { workers } => {
-                let parallel = ParallelConfig {
-                    algorithm: self.ctx.algorithm(),
-                    workers: workers.max(1),
-                    task_group_size: 1,
-                    steal_enabled: false,
-                    max_matches: config.max_matches,
-                    time_limit: config.time_limit,
-                    collect_limit: config.collect_mappings,
-                    cancel: cancel.map(Arc::clone),
-                    seed: config.seed,
-                };
-                let result = enumerate_rayon_prepared(&self.ctx, &parallel, visitor);
-                self.parallel_outcome(config, result)
-            }
-        };
-        outcome.preprocess_seconds = self.preprocess_seconds;
-        outcome.kernels = self.ctx.kernel_totals().since(&kernels_before);
-        outcome
-    }
-
-    fn run_sequential(
-        &self,
-        config: &RunConfig,
-        visitor: Option<&dyn MatchVisitor>,
-        cancel: Option<&Arc<CancelToken>>,
-    ) -> EnumerationOutcome {
-        let limits = SearchLimits {
-            max_matches: config.max_matches,
-            time_limit: config.time_limit,
-            cancel: cancel.map(Arc::clone),
-            // The promise behind the last-depth counting fast path: with no
-            // visitor and no mapping collection, nothing observes individual
-            // matches.
-            count_only: visitor.is_none() && config.collect_mappings == 0,
-        };
-        let (run, mut mappings) = if limits.count_only {
-            // Count-only fast path: nothing observes individual matches, so
-            // skip the per-match observer machinery entirely — no mapping
-            // materialization, no collector consultation, just the counter.
-            (search_prepared(&self.ctx, &limits, |_, _| {}), Vec::new())
-        } else {
-            let collector = CollectingVisitor::new(config.collect_mappings);
-            let run = search_prepared(&self.ctx, &limits, |ctx, state| {
-                // Build the mapping only for observers that still want it:
-                // once the collector is full, a visitor-less run stops
-                // allocating.
-                let collecting = !collector.is_full();
-                if visitor.is_none() && !collecting {
-                    return;
-                }
-                let mapping = ctx.mapping_by_pattern_node(state);
-                if let Some(v) = visitor {
-                    v.on_match(0, &mapping);
-                }
-                if collecting {
-                    collector.on_match(0, &mapping);
-                }
-            });
-            (run, collector.take())
-        };
-        // The sequential collector sees matches in DFS order; sorting gives
-        // the same order contract as the parallel schedulers.
-        mappings.sort_unstable();
-        EnumerationOutcome {
-            algorithm: self.ctx.algorithm(),
-            strategy: self.ctx.strategy(),
-            scheduler: config.scheduler,
-            workers: 1,
-            matches: run.matches,
-            states: run.states,
-            preprocess_seconds: 0.0,
-            match_seconds: run.match_seconds,
-            timed_out: run.timed_out,
-            limit_hit: run.limit_hit,
-            cancelled: run.cancelled,
-            steals: 0,
-            steal_requests: 0,
-            worker_states_stddev: 0.0,
-            worker_stats: vec![WorkerStats {
-                worker_id: 0,
-                states: run.states,
-                solutions: run.matches,
-                busy_seconds: run.match_seconds,
-                ..WorkerStats::default()
-            }],
-            mappings,
-            kernels: KernelUsage::default(),
-        }
-    }
-
-    fn parallel_outcome(
-        &self,
-        config: &RunConfig,
-        result: sge_parallel::ParallelResult,
-    ) -> EnumerationOutcome {
-        EnumerationOutcome {
-            algorithm: result.algorithm,
-            strategy: self.ctx.strategy(),
-            scheduler: config.scheduler,
-            workers: result.workers,
-            matches: result.matches,
-            states: result.states,
-            preprocess_seconds: 0.0,
-            match_seconds: result.match_seconds,
-            timed_out: result.timed_out,
-            limit_hit: result.limit_hit,
-            cancelled: result.cancelled,
-            steals: result.steals,
-            steal_requests: result.steal_requests,
-            worker_states_stddev: result.worker_states_stddev,
-            worker_stats: result.worker_stats,
-            mappings: result.mappings,
-            kernels: KernelUsage::default(),
-        }
-    }
 }
 
 /// An **owned** prepared enumeration instance.
@@ -750,95 +556,47 @@ impl PreparedEngine {
     /// Runs preprocessing once and returns a self-contained prepared
     /// instance sharing ownership of both graphs.
     pub fn prepare(pattern: Arc<Graph>, target: Arc<Graph>, algorithm: Algorithm) -> Self {
-        Self::prepare_planned(
-            pattern,
-            target,
-            algorithm,
-            CandidateMode::default(),
-            Strategy::default(),
-        )
+        Self::timed(pattern, target, |pattern, target| {
+            PreparedParts::extract(&SearchContext::prepare(pattern, target, algorithm))
+        })
     }
 
-    /// [`PreparedEngine::prepare`] with explicit candidate mode and ordering
-    /// strategy.
-    pub fn prepare_planned(
-        pattern: Arc<Graph>,
-        target: Arc<Graph>,
-        algorithm: Algorithm,
-        mode: CandidateMode,
-        strategy: Strategy,
-    ) -> Self {
-        let mut timer = PhaseTimer::new();
-        let parts = timer.time("preprocess", || {
-            PreparedParts::extract(&SearchContext::prepare_planned(
-                &pattern, &target, algorithm, mode, strategy,
-            ))
-        });
-        PreparedEngine {
-            pattern,
-            target,
-            parts,
-            preprocess_seconds: timer.seconds("preprocess"),
-        }
-    }
-
-    /// [`PreparedEngine::prepare_planned`] with precomputed target
-    /// statistics — the entry point the serving cache prepares through, so
-    /// a long-lived registry target pays its frequency-table pass once at
-    /// registration instead of on every cache miss.
-    pub fn prepare_planned_with_stats(
-        pattern: Arc<Graph>,
-        target: Arc<Graph>,
-        target_stats: &GraphStats,
-        algorithm: Algorithm,
-        mode: CandidateMode,
-        strategy: Strategy,
-    ) -> Self {
-        let mut timer = PhaseTimer::new();
-        let parts = timer.time("preprocess", || {
-            PreparedParts::extract(&SearchContext::prepare_planned_with_stats(
-                &pattern,
-                &target,
-                target_stats,
-                algorithm,
-                mode,
-                strategy,
-            ))
-        });
-        PreparedEngine {
-            pattern,
-            target,
-            parts,
-            preprocess_seconds: timer.seconds("preprocess"),
-        }
-    }
-
-    /// [`PreparedEngine::prepare_planned_with_stats`] with an explicitly
-    /// supplied target bitmap sidecar (shared, like the stats, by the
-    /// registry that owns the target).  `None` means the caller decided
-    /// against a sidecar — e.g. it hit its memory cap — and the plan's
-    /// bitmap-kernel hints will fall back to galloping at run time.
+    /// [`PreparedEngine::prepare`] planned by `strategy` with precomputed
+    /// target statistics and the target's bitmap sidecar — the entry point
+    /// the serving cache prepares through, so a long-lived registry target
+    /// pays its frequency-table pass and sidecar build once at registration
+    /// instead of on every cache miss.  A row-less (memory-capped) sidecar
+    /// makes the plan's bitmap-kernel hints fall back to galloping at run
+    /// time.
     pub fn prepare_planned_full(
         pattern: Arc<Graph>,
         target: Arc<Graph>,
         target_stats: &GraphStats,
-        bitmaps: Option<Arc<AdjacencyBitmaps>>,
+        bitmaps: Arc<AdjacencyBitmaps>,
         algorithm: Algorithm,
-        mode: CandidateMode,
         strategy: Strategy,
     ) -> Self {
-        let mut timer = PhaseTimer::new();
-        let parts = timer.time("preprocess", || {
+        Self::timed(pattern, target, |pattern, target| {
             PreparedParts::extract(&SearchContext::prepare_planned_full(
-                &pattern,
-                &target,
+                pattern,
+                target,
                 target_stats,
                 bitmaps,
                 algorithm,
-                mode,
                 strategy,
             ))
-        });
+        })
+    }
+
+    /// Runs `prepare` against the owned graphs, timing it as the instance's
+    /// preprocessing cost.
+    fn timed(
+        pattern: Arc<Graph>,
+        target: Arc<Graph>,
+        prepare: impl FnOnce(&Graph, &Graph) -> PreparedParts,
+    ) -> Self {
+        let mut timer = PhaseTimer::new();
+        let parts = timer.time("preprocess", || prepare(&pattern, &target));
         PreparedEngine {
             pattern,
             target,
@@ -851,10 +609,10 @@ impl PreparedEngine {
     /// shared, only the ordering vectors are copied).  The view reports this
     /// instance's preprocessing cost in its outcomes.
     pub fn engine(&self) -> Engine<'_> {
-        Engine::from_context_with_cost(
-            self.parts.context(&self.pattern, &self.target),
-            self.preprocess_seconds,
-        )
+        Engine {
+            ctx: self.parts.context(&self.pattern, &self.target),
+            preprocess_seconds: self.preprocess_seconds,
+        }
     }
 
     /// Executes one run under `config.scheduler`.
@@ -907,11 +665,6 @@ impl PreparedEngine {
     /// The ordering strategy of the prepared plan.
     pub fn strategy(&self) -> Strategy {
         self.parts.strategy()
-    }
-
-    /// The candidate generation scheme this instance executes under.
-    pub fn candidate_mode(&self) -> CandidateMode {
-        self.parts.candidate_mode()
     }
 
     /// The prepared query plan (match order, domains, cost estimates) —
@@ -1008,6 +761,26 @@ mod tests {
                 );
                 assert_eq!(outcome.states, reference.states, "{algorithm} {scheduler}");
                 assert_eq!(outcome.workers, scheduler.workers());
+                let worker_states: u64 = outcome.worker_stats.iter().map(|w| w.states).sum();
+                assert_eq!(worker_states, outcome.states, "{algorithm} {scheduler}");
+                if !matches!(scheduler, Scheduler::WorkStealing { stealing: true, .. }) {
+                    assert_eq!(outcome.steals, 0, "{algorithm} {scheduler}");
+                }
+            }
+        }
+        // A 1 ms budget is honored: a run either completes or reports the
+        // timeout with a lower-bound count.
+        let pattern = generators::undirected_cycle(6, 0);
+        let target = generators::grid(5, 5);
+        let engine = Engine::prepare(&pattern, &target, Algorithm::Ri);
+        let full = engine.count();
+        for scheduler in schedulers() {
+            let limit = Duration::from_millis(1);
+            let outcome = engine.run(&RunConfig::new(scheduler).with_time_limit(limit));
+            if outcome.timed_out {
+                assert!(outcome.matches <= full, "{scheduler}");
+            } else {
+                assert_eq!(outcome.matches, full, "{scheduler}");
             }
         }
     }
@@ -1045,7 +818,7 @@ mod tests {
         assert_eq!(outcome.kernels.bitmap, 0);
         assert!(
             outcome.kernels.intersections() > 0,
-            "intersection mode on a cycle pattern must run sorted-list kernels"
+            "a cycle pattern on a sparse target must run sorted-list kernels"
         );
     }
 
@@ -1055,9 +828,21 @@ mod tests {
         let target = generators::clique(10, 0); // 90 embeddings
         let engine = Engine::prepare(&pattern, &target, Algorithm::Ri);
         for scheduler in schedulers() {
-            let outcome = engine.run(&RunConfig::new(scheduler).with_max_matches(13));
+            let config = RunConfig::new(scheduler)
+                .with_max_matches(13)
+                .with_collected_mappings(5);
+            let outcome = engine.run(&config);
             assert_eq!(outcome.matches, 13, "{scheduler}");
             assert!(outcome.limit_hit, "{scheduler}");
+            // A truncated collection is still sorted and edge-preserving.
+            assert_eq!(outcome.mappings.len(), 5, "{scheduler}");
+            assert!(outcome.mappings.is_sorted(), "{scheduler}");
+            for mapping in &outcome.mappings {
+                for (u, v, l) in pattern.edges() {
+                    let edge = target.edge_label(mapping[u as usize], mapping[v as usize]);
+                    assert_eq!(edge, Some(l), "{scheduler}");
+                }
+            }
         }
     }
 
@@ -1349,12 +1134,7 @@ mod tests {
                 .run(&RunConfig::default().with_collected_mappings(10_000));
             assert_eq!(reference.strategy, Strategy::RiGreedy);
             for strategy in Strategy::ALL {
-                let engine = Engine::prepare_for(
-                    &pattern,
-                    &target,
-                    algorithm,
-                    &RunConfig::default().with_strategy(strategy),
-                );
+                let engine = Engine::prepare_planned(&pattern, &target, algorithm, strategy);
                 assert_eq!(engine.strategy(), strategy);
                 assert_eq!(engine.plan().strategy, strategy);
                 assert_eq!(engine.plan().cost.positions.len(), 4);
@@ -1377,15 +1157,17 @@ mod tests {
     fn prepared_engine_exposes_its_plan() {
         let pattern = Arc::new(generators::directed_cycle(3, 0));
         let target = Arc::new(generators::clique(5, 0));
-        let prepared = PreparedEngine::prepare_planned(
+        let bitmaps = AdjacencyBitmaps::build(&target, &sge_graph::BitmapConfig::default());
+        let prepared = PreparedEngine::prepare_planned_full(
             Arc::clone(&pattern),
             Arc::clone(&target),
+            &GraphStats::of(&target),
+            Arc::new(bitmaps),
             Algorithm::RiDsSiFc,
-            CandidateMode::Intersection,
             Strategy::LeastFrequentLabelFirst,
         );
         assert_eq!(prepared.strategy(), Strategy::LeastFrequentLabelFirst);
-        assert_eq!(prepared.candidate_mode(), CandidateMode::Intersection);
+        assert!(prepared.bitmaps().is_some());
         assert_eq!(prepared.plan().num_positions(), 3);
         assert!(prepared.plan().cost.est_total_states > 0.0);
         assert_eq!(prepared.run(&RunConfig::default()).matches, 60);

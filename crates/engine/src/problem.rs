@@ -1,7 +1,8 @@
 //! Adapter exposing the RI search as a [`BacktrackProblem`].
 
+use crate::runner::Observers;
 use sge_graph::NodeId;
-use sge_ri::{CollectingVisitor, MatchVisitor, SearchContext, WorkerState};
+use sge_ri::{SearchContext, WorkerState};
 use sge_stealing::BacktrackProblem;
 
 /// The RI / RI-DS state-space search wrapped for the work-stealing engine.
@@ -11,42 +12,15 @@ use sge_stealing::BacktrackProblem;
 /// mapping + injectivity flags), which the engine reconstructs on a thief from
 /// the transferred prefix of choices — exactly the paper's "copy the partial
 /// mapping only for stolen tasks".
-pub struct SubgraphProblem<'a> {
+pub(crate) struct SubgraphProblem<'a> {
     ctx: &'a SearchContext<'a>,
-    collector: Option<CollectingVisitor>,
-    visitor: Option<&'a dyn MatchVisitor>,
+    observers: &'a Observers<'a>,
 }
 
 impl<'a> SubgraphProblem<'a> {
-    /// Wraps a prepared search context.
-    pub fn new(ctx: &'a SearchContext<'a>) -> Self {
-        SubgraphProblem {
-            ctx,
-            collector: None,
-            visitor: None,
-        }
-    }
-
-    /// Additionally collect up to `limit` full mappings (pattern node → target
-    /// node).  Collection uses a mutex and is meant for modest limits.
-    pub fn with_collection(mut self, limit: usize) -> Self {
-        self.collector = Some(CollectingVisitor::new(limit));
-        self
-    }
-
-    /// Streams every match to `visitor` (called concurrently from worker
-    /// threads).
-    pub fn with_visitor(mut self, visitor: &'a dyn MatchVisitor) -> Self {
-        self.visitor = Some(visitor);
-        self
-    }
-
-    /// The collected mappings (empty unless [`Self::with_collection`] was used).
-    pub fn take_collected(&self) -> Vec<Vec<NodeId>> {
-        self.collector
-            .as_ref()
-            .map(|c| c.take())
-            .unwrap_or_default()
+    /// Wraps a prepared search context; every match goes to `observers`.
+    pub(crate) fn new(ctx: &'a SearchContext<'a>, observers: &'a Observers<'a>) -> Self {
+        SubgraphProblem { ctx, observers }
     }
 }
 
@@ -79,19 +53,7 @@ impl BacktrackProblem for SubgraphProblem<'_> {
     }
 
     fn on_solution(&self, worker_id: usize, state: &WorkerState) {
-        // Build the mapping only for observers that still want it: once the
-        // collector is full, a visitor-less run stops allocating per match.
-        let collector = self.collector.as_ref().filter(|c| !c.is_full());
-        if self.visitor.is_none() && collector.is_none() {
-            return;
-        }
-        let mapping = self.ctx.mapping_by_pattern_node(state);
-        if let Some(visitor) = self.visitor {
-            visitor.on_match(worker_id, &mapping);
-        }
-        if let Some(collector) = collector {
-            collector.on_match(worker_id, &mapping);
-        }
+        self.observers.on_match(self.ctx, worker_id, state);
     }
 }
 
@@ -99,18 +61,20 @@ impl BacktrackProblem for SubgraphProblem<'_> {
 mod tests {
     use super::*;
     use sge_graph::generators;
-    use sge_ri::Algorithm;
+    use sge_ri::{search_prepared, Algorithm, SearchLimits};
     use sge_stealing::{run, EngineConfig};
 
     #[test]
     fn problem_counts_match_sequential() {
         let pattern = generators::directed_cycle(3, 0);
         let target = generators::clique(5, 0);
-        let sequential =
-            sge_ri::enumerate(&pattern, &target, &sge_ri::MatchConfig::new(Algorithm::Ri));
         let ctx = SearchContext::prepare(&pattern, &target, Algorithm::Ri);
-        let problem = SubgraphProblem::new(&ctx);
-        let result = run(&problem, &EngineConfig::with_workers(2));
+        let sequential = search_prepared(&ctx, &SearchLimits::default(), |_, _| {});
+        let observers = Observers::new(None, 0);
+        let result = run(
+            &SubgraphProblem::new(&ctx, &observers),
+            &EngineConfig::with_workers(2),
+        );
         assert_eq!(result.solutions, sequential.matches);
         assert_eq!(result.states, sequential.states);
     }
@@ -120,10 +84,13 @@ mod tests {
         let pattern = generators::directed_cycle(3, 0);
         let target = generators::clique(4, 0);
         let ctx = SearchContext::prepare(&pattern, &target, Algorithm::RiDs);
-        let problem = SubgraphProblem::new(&ctx).with_collection(5);
-        let result = run(&problem, &EngineConfig::with_workers(3));
+        let observers = Observers::new(None, 5);
+        let result = run(
+            &SubgraphProblem::new(&ctx, &observers),
+            &EngineConfig::with_workers(3),
+        );
         assert_eq!(result.solutions, 24);
-        let collected = problem.take_collected();
+        let collected = observers.into_sorted_mappings();
         assert_eq!(collected.len(), 5);
         for mapping in collected {
             for (u, v, l) in pattern.edges() {

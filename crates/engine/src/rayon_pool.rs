@@ -14,16 +14,14 @@
 //! (The build environment is offline, so the real `rayon` crate is not a
 //! dependency; the scheduler below reproduces its observable behaviour on
 //! this first-level workload with `std::thread` and an atomic cursor.)
-//!
-//! The experiment harness uses this as an ablation baseline; it is not part
-//! of the reproduction of any specific figure.
 
-use crate::runner::{ParallelConfig, ParallelResult};
-use sge_graph::{Graph, NodeId};
-use sge_ri::{Algorithm, CollectingVisitor, MatchVisitor, SearchContext, WorkerState};
-use sge_stealing::WorkerStats;
-use sge_util::{MatchBudget, PhaseTimer};
+use crate::runner::Observers;
+use sge_graph::NodeId;
+use sge_ri::{SearchContext, SearchLimits, WorkerState};
+use sge_stealing::{RunResult, WorkerStats};
+use sge_util::{CancelToken, MatchBudget};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// How often (in visited states) a worker consults the wall clock.
@@ -36,18 +34,18 @@ struct Stop {
     timed_out: AtomicBool,
     budget: MatchBudget,
     deadline: Option<Instant>,
-    cancel: Option<std::sync::Arc<sge_util::CancelToken>>,
+    cancel: Option<Arc<CancelToken>>,
     cancelled: AtomicBool,
 }
 
 impl Stop {
-    fn new(config: &ParallelConfig, start: Instant) -> Self {
+    fn new(limits: &SearchLimits, start: Instant) -> Self {
         Stop {
             flag: AtomicBool::new(false),
             timed_out: AtomicBool::new(false),
-            budget: MatchBudget::new(config.max_matches),
-            deadline: config.time_limit.map(|limit| start + limit),
-            cancel: config.cancel.clone(),
+            budget: MatchBudget::new(limits.max_matches),
+            deadline: limits.time_limit.map(|limit| start + limit),
+            cancel: limits.cancel.clone(),
             cancelled: AtomicBool::new(false),
         }
     }
@@ -98,8 +96,7 @@ impl Stop {
 struct Explorer<'a, 'g> {
     ctx: &'a SearchContext<'g>,
     stop: &'a Stop,
-    visitor: Option<&'a dyn MatchVisitor>,
-    collector: Option<&'a CollectingVisitor>,
+    observers: &'a Observers<'a>,
     worker_id: usize,
     buffers: Vec<Vec<NodeId>>,
     matches: u64,
@@ -139,50 +136,27 @@ impl Explorer<'_, '_> {
             return;
         }
         self.matches += 1;
-        // Build the mapping only for observers that still want it: once the
-        // collector is full, a visitor-less run stops allocating per match.
-        let collector = self.collector.filter(|c| !c.is_full());
-        if self.visitor.is_none() && collector.is_none() {
-            return;
-        }
-        let mapping = self.ctx.mapping_by_pattern_node(state);
-        if let Some(visitor) = self.visitor {
-            visitor.on_match(self.worker_id, &mapping);
-        }
-        if let Some(collector) = collector {
-            collector.on_match(self.worker_id, &mapping);
-        }
+        self.observers.on_match(self.ctx, self.worker_id, state);
     }
 }
 
-/// Runs the first-level dynamic scheduler over an already-prepared
-/// [`SearchContext`] (preprocessing is not re-paid; `preprocess_seconds` is
-/// 0).  Honors `workers`, `max_matches`, `time_limit` and `collect_limit`
-/// from `config`; `task_group_size`, `steal_enabled` and `seed` do not apply
-/// to this scheduler.  Steal counters in the result are always 0.
-pub fn enumerate_rayon_prepared(
+/// Runs the first-level dynamic pool with `workers` threads over a prepared
+/// context that has at least one position and was not proved impossible
+/// (the engine settles those degenerate instances sequentially).  Honors
+/// every limit of `limits` except `count_only`; steal counters in the result
+/// are always 0.
+pub(crate) fn run(
     ctx: &SearchContext<'_>,
-    config: &ParallelConfig,
-    visitor: Option<&dyn MatchVisitor>,
-) -> ParallelResult {
-    let workers = config.workers.max(1);
-    let mut result = ParallelResult::empty(ctx.algorithm(), workers);
-
-    if ctx.num_positions() == 0 {
-        crate::runner::empty_pattern_outcome(config, visitor, &mut result);
-        return result;
-    }
-    if ctx.impossible() {
-        return result;
-    }
-
+    workers: usize,
+    limits: &SearchLimits,
+    observers: &Observers<'_>,
+) -> RunResult {
     let start = Instant::now();
     let np = ctx.num_positions();
     let mut roots: Vec<NodeId> = Vec::new();
     ctx.candidates(0, &ctx.new_state(), &mut roots);
 
-    let collector = CollectingVisitor::new(config.collect_limit);
-    let stop = Stop::new(config, start);
+    let stop = Stop::new(limits, start);
     // An already-expired deadline (or pre-fired cancellation token) stops the
     // run before any worker claims a root, mirroring the sequential matcher
     // and the stealing engine.
@@ -195,13 +169,11 @@ pub fn enumerate_rayon_prepared(
                 let roots = &roots;
                 let stop = &stop;
                 let cursor = &cursor;
-                let collector = &collector;
                 scope.spawn(move || {
                     let mut explorer = Explorer {
                         ctx,
                         stop,
-                        visitor,
-                        collector: (config.collect_limit > 0).then_some(collector),
+                        observers,
                         worker_id,
                         buffers: vec![Vec::new(); np],
                         matches: 0,
@@ -245,60 +217,38 @@ pub fn enumerate_rayon_prepared(
             .collect()
     });
 
-    let run = sge_stealing::RunResult::from_workers(
+    let mut run = RunResult::from_workers(
         worker_stats,
         start.elapsed().as_secs_f64(),
         stop.timed_out.load(Ordering::SeqCst),
     );
-    result.matches = run.solutions;
-    result.states = run.states;
-    result.match_seconds = run.elapsed_seconds;
-    result.timed_out = run.timed_out;
-    result.limit_hit = stop.budget.is_exhausted();
-    result.cancelled = stop.cancelled.load(Ordering::SeqCst);
-    result.worker_states_stddev = run.worker_states_stddev();
-    result.worker_stats = run.workers;
-    result.mappings = collector.take();
-    result.mappings.sort_unstable();
-    result
-}
-
-/// Enumerates embeddings with the first-level dynamic pool: root candidates
-/// are claimed by `workers` threads, each subtree is searched sequentially.
-///
-/// Thin shim over [`SearchContext::prepare`] + [`enumerate_rayon_prepared`].
-pub fn enumerate_rayon(
-    pattern: &Graph,
-    target: &Graph,
-    algorithm: Algorithm,
-    workers: usize,
-) -> ParallelResult {
-    let mut timer = PhaseTimer::new();
-    let ctx = timer.time("preprocess", || {
-        SearchContext::prepare(pattern, target, algorithm)
-    });
-    let config = ParallelConfig::new(algorithm).with_workers(workers);
-    let mut result = enumerate_rayon_prepared(&ctx, &config, None);
-    result.preprocess_seconds = timer.seconds("preprocess");
-    result
+    run.limit_hit = stop.budget.is_exhausted();
+    run.cancelled = stop.cancelled.load(Ordering::SeqCst);
+    run
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{Engine, RunConfig, Scheduler};
     use sge_graph::generators;
-    use sge_ri::MatchConfig;
+    use sge_ri::Algorithm;
     use std::time::Duration;
+
+    fn rayon(workers: usize) -> RunConfig {
+        RunConfig::new(Scheduler::Rayon { workers })
+    }
 
     #[test]
     fn rayon_counts_match_sequential() {
         let pattern = generators::directed_cycle(3, 0);
         let target = generators::clique(6, 0);
         for algorithm in [Algorithm::Ri, Algorithm::RiDsSiFc] {
-            let sequential = sge_ri::enumerate(&pattern, &target, &MatchConfig::new(algorithm));
-            let result = enumerate_rayon(&pattern, &target, algorithm, 2);
+            let engine = Engine::prepare(&pattern, &target, algorithm);
+            let sequential = engine.run(&RunConfig::default());
+            let result = engine.run(&rayon(2));
             assert_eq!(result.matches, sequential.matches, "{algorithm}");
             assert_eq!(result.states, sequential.states, "{algorithm}");
+            assert_eq!(result.steals, 0, "{algorithm}");
         }
     }
 
@@ -306,30 +256,23 @@ mod tests {
     fn rayon_handles_empty_and_impossible_patterns() {
         let empty = sge_graph::GraphBuilder::new().build();
         let target = generators::clique(4, 0);
-        assert_eq!(
-            enumerate_rayon(&empty, &target, Algorithm::Ri, 2).matches,
-            1
-        );
+        let engine = Engine::prepare(&empty, &target, Algorithm::Ri);
+        assert_eq!(engine.run(&rayon(2)).matches, 1);
 
         let mut pb = sge_graph::GraphBuilder::new();
         pb.add_node(99);
         let impossible = pb.build();
-        assert_eq!(
-            enumerate_rayon(&impossible, &target, Algorithm::RiDs, 2).matches,
-            0
-        );
+        let engine = Engine::prepare(&impossible, &target, Algorithm::RiDs);
+        assert_eq!(engine.run(&rayon(2)).matches, 0);
     }
 
     #[test]
     fn rayon_respects_max_matches() {
         let pattern = generators::directed_path(2, 0);
         let target = generators::clique(10, 0); // 90 embeddings
-        let ctx = SearchContext::prepare(&pattern, &target, Algorithm::Ri);
+        let engine = Engine::prepare(&pattern, &target, Algorithm::Ri);
         for workers in [1usize, 3] {
-            let config = ParallelConfig::new(Algorithm::Ri)
-                .with_workers(workers)
-                .with_max_matches(11);
-            let result = enumerate_rayon_prepared(&ctx, &config, None);
+            let result = engine.run(&rayon(workers).with_max_matches(11));
             assert_eq!(result.matches, 11, "workers={workers}");
             assert!(result.limit_hit);
         }
@@ -339,15 +282,10 @@ mod tests {
     fn rayon_collects_sorted_mappings() {
         let pattern = generators::directed_cycle(3, 0);
         let target = generators::clique(4, 0); // 24 embeddings
-        let ctx = SearchContext::prepare(&pattern, &target, Algorithm::RiDs);
-        let config = ParallelConfig::new(Algorithm::RiDs)
-            .with_workers(3)
-            .with_collected_mappings(100);
-        let result = enumerate_rayon_prepared(&ctx, &config, None);
+        let engine = Engine::prepare(&pattern, &target, Algorithm::RiDs);
+        let result = engine.run(&rayon(3).with_collected_mappings(100));
         assert_eq!(result.mappings.len(), 24);
-        let mut sorted = result.mappings.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, result.mappings);
+        assert!(result.mappings.is_sorted());
         for mapping in &result.mappings {
             for (u, v, l) in pattern.edges() {
                 assert_eq!(
@@ -362,16 +300,9 @@ mod tests {
     fn rayon_time_limit_is_reported() {
         let pattern = generators::undirected_cycle(6, 0);
         let target = generators::grid(5, 5);
-        let ctx = SearchContext::prepare(&pattern, &target, Algorithm::Ri);
-        let config = ParallelConfig::new(Algorithm::Ri)
-            .with_workers(2)
-            .with_time_limit(Duration::from_millis(1));
-        let limited = enumerate_rayon_prepared(&ctx, &config, None);
-        let full = enumerate_rayon_prepared(
-            &ctx,
-            &ParallelConfig::new(Algorithm::Ri).with_workers(2),
-            None,
-        );
+        let engine = Engine::prepare(&pattern, &target, Algorithm::Ri);
+        let limited = engine.run(&rayon(2).with_time_limit(Duration::from_millis(1)));
+        let full = engine.run(&rayon(2));
         if limited.timed_out {
             assert!(limited.matches <= full.matches);
         } else {

@@ -41,7 +41,7 @@ pub use cost::{PlanCost, PositionCost};
 pub use domains::Domains;
 pub use ordering::{
     finish_order, greatest_constraint_first, CandidatePlan, EdgeConstraint, KernelChoice,
-    MatchOrder, ParentLink, PlanStep, PrefilterSpec,
+    MatchOrder, PlanStep, PrefilterSpec,
 };
 pub use planner::{Planner, QueryPlan};
 pub use route::{CostModel, RoutingConfig, RoutingDecision, SchedulerChoice};

@@ -18,23 +18,12 @@
 //!    with the *smaller* domain — the constraint-first principle applied to the
 //!    domain information that RI-DS already computed.
 //!
-//! Each position also records a *parent*: the earliest ordered neighbor, whose
-//! image during the search supplies the candidate target nodes (its out- or
-//! in-neighborhood depending on the pattern edge direction).
+//! Each position also records its *constraints*: every pattern edge back to an
+//! earlier position.  During the search, candidates are the intersection of
+//! the adjacency lists those edges select on the already-mapped images.
 
 use crate::domains::Domains;
 use sge_graph::{label_sig_bit, Graph, Label, NodeId};
-
-/// How candidates for a position are generated from its parent's image.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ParentLink {
-    /// Position (index into [`MatchOrder::positions`]) of the parent.
-    pub parent_pos: usize,
-    /// `true` if the pattern contains the edge `parent -> child`, so candidates
-    /// are the out-neighbors of the parent's image; `false` if only
-    /// `child -> parent` exists, so candidates are the in-neighbors.
-    pub out_from_parent: bool,
-}
 
 /// One pattern edge between a position's node and an *earlier* position,
 /// expressed as a constraint the candidate images must satisfy.
@@ -142,19 +131,18 @@ pub struct PlanStep {
 
 /// Per-position constraint sets driving multi-parent candidate intersection.
 ///
-/// Where the legacy single-parent scheme generates candidates from *one*
-/// ordered neighbor and re-verifies every remaining back-edge per candidate,
-/// the plan lists *all* back-edges so candidates can be produced by
-/// intersecting the (sorted CSR) adjacency lists of every already-mapped
-/// neighbor — after which those edges are guaranteed by construction.
+/// The plan lists *all* back-edges of every position, so candidates are
+/// produced by intersecting the (sorted CSR) adjacency lists of every
+/// already-mapped neighbor — after which those edges are guaranteed by
+/// construction and need no per-candidate re-check.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CandidatePlan {
     /// One step per position of the ordering.
     pub steps: Vec<PlanStep>,
 }
 
-/// A static matching order over the pattern nodes plus the parent links used
-/// for candidate generation.
+/// A static matching order over the pattern nodes plus the back-edge
+/// constraints used for candidate generation.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MatchOrder {
     /// `positions[i]` is the pattern node matched at depth `i`.
@@ -162,11 +150,9 @@ pub struct MatchOrder {
     /// Inverse permutation: `position_of[v]` is the depth at which pattern node
     /// `v` is matched.
     pub position_of: Vec<usize>,
-    /// Parent link per position (`None` for roots of the ordering, e.g. the
-    /// first node or the first node of a new connected component).
-    pub parents: Vec<Option<ParentLink>>,
-    /// Full back-edge constraints per position (the multi-parent counterpart
-    /// of `parents`, used by the intersection-based candidate generator).
+    /// Back-edge constraints per position.  A position without constraints
+    /// is a root of the ordering: the first node, or the first node of a new
+    /// connected component.
     pub plan: CandidatePlan,
 }
 
@@ -283,18 +269,16 @@ pub fn greedy_positions(
     positions
 }
 
-/// Builds the inverse permutation and parent links for a given position
-/// sequence. Exposed for tests that want to force a specific ordering.
+/// Builds the inverse permutation and the back-edge constraints for a given
+/// position sequence. Exposed for tests that want to force a specific
+/// ordering.
 pub fn finish_order(pattern: &Graph, positions: Vec<NodeId>) -> MatchOrder {
-    let n = positions.len();
     let mut position_of = vec![usize::MAX; pattern.num_nodes()];
     for (i, &v) in positions.iter().enumerate() {
         position_of[v as usize] = i;
     }
-    let mut parents: Vec<Option<ParentLink>> = Vec::with_capacity(n);
-    let mut steps: Vec<PlanStep> = Vec::with_capacity(n);
+    let mut steps: Vec<PlanStep> = Vec::with_capacity(positions.len());
     for (i, &v) in positions.iter().enumerate() {
-        let mut parent: Option<ParentLink> = None;
         let mut step = PlanStep {
             constraints: Vec::new(),
             self_loop: pattern.edge_label(v, v),
@@ -303,13 +287,6 @@ pub fn finish_order(pattern: &Graph, positions: Vec<NodeId>) -> MatchOrder {
         };
         for (j, &u) in positions.iter().enumerate().take(i) {
             if let Some(label) = pattern.edge_label(u, v) {
-                if parent.is_none() {
-                    // Earliest ordered neighbor becomes the single parent.
-                    parent = Some(ParentLink {
-                        parent_pos: j,
-                        out_from_parent: true,
-                    });
-                }
                 step.constraints.push(EdgeConstraint {
                     parent_pos: j,
                     out_from_parent: true,
@@ -317,12 +294,6 @@ pub fn finish_order(pattern: &Graph, positions: Vec<NodeId>) -> MatchOrder {
                 });
             }
             if let Some(label) = pattern.edge_label(v, u) {
-                if parent.is_none() {
-                    parent = Some(ParentLink {
-                        parent_pos: j,
-                        out_from_parent: false,
-                    });
-                }
                 step.constraints.push(EdgeConstraint {
                     parent_pos: j,
                     out_from_parent: false,
@@ -330,13 +301,11 @@ pub fn finish_order(pattern: &Graph, positions: Vec<NodeId>) -> MatchOrder {
                 });
             }
         }
-        parents.push(parent);
         steps.push(step);
     }
     MatchOrder {
         positions,
         position_of,
-        parents,
         plan: CandidatePlan { steps },
     }
 }
@@ -386,9 +355,12 @@ mod tests {
     fn connected_pattern_has_parents_after_root() {
         let pattern = generators::grid(3, 3);
         let order = greatest_constraint_first(&pattern, None, false);
-        assert!(order.parents[0].is_none());
+        assert!(order.plan.steps[0].constraints.is_empty());
         for i in 1..order.len() {
-            let parent = order.parents[i].expect("connected pattern: every non-root has a parent");
+            let parent = order.plan.steps[i]
+                .constraints
+                .first()
+                .expect("connected pattern: every non-root has a parent");
             assert!(parent.parent_pos < i);
             let child = order.positions[i];
             let parent_node = order.positions[parent.parent_pos];
@@ -408,7 +380,12 @@ mod tests {
         b.add_undirected_edge(2, 3, 0);
         let pattern = b.build();
         let order = greatest_constraint_first(&pattern, None, false);
-        let roots = order.parents.iter().filter(|p| p.is_none()).count();
+        let roots = order
+            .plan
+            .steps
+            .iter()
+            .filter(|step| step.constraints.is_empty())
+            .count();
         assert_eq!(roots, 2);
     }
 
@@ -528,18 +505,6 @@ mod tests {
                 } else {
                     assert_eq!(pattern.edge_label(child, parent), Some(c.label));
                 }
-            }
-        }
-        // The single-parent link agrees with the earliest constraint.
-        for (i, parent) in order.parents.iter().enumerate() {
-            let first = order.plan.steps[i].constraints.first();
-            match (parent, first) {
-                (Some(link), Some(c)) => {
-                    assert_eq!(link.parent_pos, c.parent_pos);
-                    assert_eq!(link.out_from_parent, c.out_from_parent);
-                }
-                (None, None) => {}
-                other => panic!("parent/plan mismatch at {i}: {other:?}"),
             }
         }
     }

@@ -22,7 +22,7 @@ pub struct QueryPlan {
     pub algorithm: Algorithm,
     /// The ordering strategy that produced the match order.
     pub strategy: Strategy,
-    /// The match order, parent links and back-edge constraint sets.
+    /// The match order and its back-edge constraint sets.
     pub order: MatchOrder,
     /// RI-DS domains (label + degree filter + arc consistency), when the
     /// algorithm computes them.

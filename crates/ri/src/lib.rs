@@ -25,21 +25,22 @@
 //! plan produced by [`search::SearchContext::prepare`].
 //!
 //! The [`search::SearchContext`] type exposes the candidate generation and
-//! consistency checking machinery in a form that the parallel runtime
-//! (`sge-parallel`) reuses unchanged, so the sequential and parallel matchers
+//! consistency checking machinery in a form that the parallel schedulers of
+//! `sge-engine` reuse unchanged, so the sequential and parallel matchers
 //! explore exactly the same search space.
 //!
 //! # Quick example
 //!
 //! ```
 //! use sge_graph::generators;
-//! use sge_ri::{enumerate, Algorithm, MatchConfig};
+//! use sge_ri::{search_prepared, Algorithm, SearchContext, SearchLimits};
 //!
 //! // Find all directed 3-cycles in a 4-clique.
 //! let pattern = generators::directed_cycle(3, 0);
 //! let target = generators::clique(4, 0);
-//! let result = enumerate(&pattern, &target, &MatchConfig::new(Algorithm::Ri));
-//! assert_eq!(result.matches, 24);
+//! let ctx = SearchContext::prepare(&pattern, &target, Algorithm::Ri);
+//! let run = search_prepared(&ctx, &SearchLimits::default(), |_, _| {});
+//! assert_eq!(run.matches, 24);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -58,13 +59,10 @@ pub use kernels::{
     assert_kernel_parity, check_kernel_parity, intersect_gallop, intersect_reference, KernelCells,
     KernelDivergence, KernelUsage,
 };
-pub use matcher::{
-    enumerate, enumerate_with, search_prepared, Algorithm, MatchConfig, MatchResult, SearchLimits,
-    SearchRun,
-};
-pub use search::{CandidateMode, PreparedParts, SearchContext, WorkerState};
+pub use matcher::{search_prepared, Algorithm, SearchLimits, SearchRun};
+pub use search::{PreparedParts, SearchContext, WorkerState};
 pub use sge_plan::{
     greatest_constraint_first, CandidatePlan, Domains, EdgeConstraint, KernelChoice, MatchOrder,
-    ParentLink, PlanStep, Planner, QueryPlan, Strategy,
+    PlanStep, Planner, QueryPlan, Strategy,
 };
 pub use visitor::{ChannelVisitor, CollectingVisitor, MatchVisitor, NoopVisitor};

@@ -1,14 +1,14 @@
 //! The sequential enumeration driver.
 //!
-//! [`enumerate`] runs the full pipeline — preprocessing (domains + ordering)
-//! followed by the depth-first search — and reports the quantities the paper's
-//! evaluation is built on: match count, *search space size* (number of states
-//! visited, i.e. consistency checks performed), preprocessing / matching /
-//! total time, and whether a time limit was hit.
+//! [`search_prepared`] runs the depth-first search over a prepared
+//! [`SearchContext`] and reports the quantities the paper's evaluation is
+//! built on: match count, *search space size* (number of states visited,
+//! i.e. consistency checks performed), matching time, and whether a limit
+//! stopped the search.
 
 use crate::search::{SearchContext, WorkerState};
-use sge_graph::{Graph, NodeId};
-use sge_util::{CancelToken, PhaseTimer};
+use sge_graph::NodeId;
+use sge_util::CancelToken;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -16,99 +16,6 @@ use std::time::{Duration, Instant};
 // preprocessing machinery; re-exported here so `sge_ri::Algorithm` and
 // `sge_ri::matcher::Algorithm` keep working.
 pub use sge_plan::Algorithm;
-
-/// Configuration of one enumeration run.
-#[derive(Clone, Debug)]
-pub struct MatchConfig {
-    /// Algorithm variant.
-    pub algorithm: Algorithm,
-    /// Stop after this many matches (`None` = enumerate all).
-    pub max_matches: Option<u64>,
-    /// Wall-clock budget for the *matching* phase; exceeding it sets
-    /// [`MatchResult::timed_out`] (the paper uses a 180 s limit).
-    pub time_limit: Option<Duration>,
-    /// Record the first `collect_limit` full mappings in the result.
-    pub collect_limit: usize,
-}
-
-impl MatchConfig {
-    /// Default configuration for an algorithm: enumerate everything, no time
-    /// limit, do not collect mappings.
-    pub fn new(algorithm: Algorithm) -> Self {
-        MatchConfig {
-            algorithm,
-            max_matches: None,
-            time_limit: None,
-            collect_limit: 0,
-        }
-    }
-
-    /// Sets a match-count limit.
-    pub fn with_max_matches(mut self, limit: u64) -> Self {
-        self.max_matches = Some(limit);
-        self
-    }
-
-    /// Sets the matching-phase time limit.
-    pub fn with_time_limit(mut self, limit: Duration) -> Self {
-        self.time_limit = Some(limit);
-        self
-    }
-
-    /// Collects up to `limit` full mappings in the result.
-    pub fn with_collected_mappings(mut self, limit: usize) -> Self {
-        self.collect_limit = limit;
-        self
-    }
-
-    /// The search-phase knobs of this configuration, for prepared runs.
-    pub fn limits(&self) -> SearchLimits {
-        SearchLimits {
-            max_matches: self.max_matches,
-            time_limit: self.time_limit,
-            cancel: None,
-            count_only: false,
-        }
-    }
-}
-
-/// Outcome of one enumeration run.
-#[derive(Clone, Debug)]
-pub struct MatchResult {
-    /// Algorithm that produced this result.
-    pub algorithm: Algorithm,
-    /// Number of isomorphic (non-induced) subgraphs found.
-    pub matches: u64,
-    /// Search space size: number of states visited, i.e. `(position,
-    /// candidate)` pairs for which a consistency check ran.
-    pub states: u64,
-    /// Preprocessing time in seconds (domain assignment + ordering).
-    pub preprocess_seconds: f64,
-    /// Matching (search) time in seconds.
-    pub match_seconds: f64,
-    /// Whether the time limit interrupted the search (counts are then lower
-    /// bounds).
-    pub timed_out: bool,
-    /// Collected mappings (`pattern node -> target node`), at most
-    /// `collect_limit` of them.
-    pub mappings: Vec<Vec<NodeId>>,
-}
-
-impl MatchResult {
-    /// Total time (preprocessing + matching) in seconds.
-    pub fn total_seconds(&self) -> f64 {
-        self.preprocess_seconds + self.match_seconds
-    }
-
-    /// States visited per second of matching time.
-    pub fn states_per_second(&self) -> f64 {
-        if self.match_seconds > 0.0 {
-            self.states as f64 / self.match_seconds
-        } else {
-            0.0
-        }
-    }
-}
 
 /// Search-phase knobs of one prepared run — everything *except* the
 /// preprocessing choices, which are fixed once a [`SearchContext`] exists.
@@ -255,10 +162,10 @@ impl<'a, F: FnMut(&SearchContext<'a>, &WorkerState)> SearchDriver<'a, F> {
 /// worker state (use [`SearchContext::mapping_by_pattern_node`] to extract
 /// the mapping).
 ///
-/// This is the prepared-artifact entry point the unified `sge::Engine` and
-/// the parallel runtime build on: preprocessing (domains, forward checking,
-/// GCF ordering) happened once when the context was built and is amortized
-/// across repeated calls.  An empty pattern has exactly one (empty)
+/// This is the prepared-artifact entry point the unified `sge::Engine`
+/// builds on: preprocessing (domains, forward checking, GCF ordering)
+/// happened once when the context was built and is amortized across
+/// repeated calls.  An empty pattern has exactly one (empty)
 /// embedding; a context whose preprocessing proved infeasibility returns
 /// immediately with zero matches.
 pub fn search_prepared<F>(
@@ -327,58 +234,23 @@ where
     run
 }
 
-/// Enumerates all subgraphs of `target` isomorphic to `pattern` and invokes
-/// `visitor` for every match.
-///
-/// Thin shim over [`SearchContext::prepare`] + [`search_prepared`]; callers
-/// that run the same instance repeatedly should prepare once and call
-/// [`search_prepared`] (or use `sge::Engine`) to amortize preprocessing.
-pub fn enumerate_with<F>(
-    pattern: &Graph,
-    target: &Graph,
-    config: &MatchConfig,
-    visitor: F,
-) -> MatchResult
-where
-    F: FnMut(&SearchContext<'_>, &WorkerState),
-{
-    let mut timer = PhaseTimer::new();
-    let ctx = timer.time("preprocess", || {
-        SearchContext::prepare(pattern, target, config.algorithm)
-    });
-    let run = search_prepared(&ctx, &config.limits(), visitor);
-    MatchResult {
-        algorithm: config.algorithm,
-        matches: run.matches,
-        states: run.states,
-        preprocess_seconds: timer.seconds("preprocess"),
-        match_seconds: run.match_seconds,
-        timed_out: run.timed_out,
-        mappings: Vec::new(),
-    }
-}
-
-/// Enumerates all subgraphs of `target` isomorphic to `pattern`, optionally
-/// collecting mappings (see [`MatchConfig::with_collected_mappings`]).
-pub fn enumerate(pattern: &Graph, target: &Graph, config: &MatchConfig) -> MatchResult {
-    let mut collected: Vec<Vec<NodeId>> = Vec::new();
-    let limit = config.collect_limit;
-    let mut result = enumerate_with(pattern, target, config, |ctx, state| {
-        if collected.len() < limit {
-            collected.push(ctx.mapping_by_pattern_node(state));
-        }
-    });
-    result.mappings = collected;
-    result
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sge_graph::{generators, GraphBuilder};
+    use sge_graph::{generators, Graph, GraphBuilder};
+
+    fn run(
+        pattern: &Graph,
+        target: &Graph,
+        algorithm: Algorithm,
+        limits: &SearchLimits,
+    ) -> SearchRun {
+        let ctx = SearchContext::prepare(pattern, target, algorithm);
+        search_prepared(&ctx, limits, |_, _| {})
+    }
 
     fn count(pattern: &Graph, target: &Graph, algorithm: Algorithm) -> u64 {
-        enumerate(pattern, target, &MatchConfig::new(algorithm)).matches
+        run(pattern, target, algorithm, &SearchLimits::default()).matches
     }
 
     #[test]
@@ -506,19 +378,26 @@ mod tests {
     fn max_matches_truncates_enumeration() {
         let pattern = generators::directed_path(2, 0);
         let target = generators::clique(6, 0);
-        let config = MatchConfig::new(Algorithm::Ri).with_max_matches(5);
-        let result = enumerate(&pattern, &target, &config);
+        let limits = SearchLimits {
+            max_matches: Some(5),
+            ..SearchLimits::default()
+        };
+        let result = run(&pattern, &target, Algorithm::Ri, &limits);
         assert_eq!(result.matches, 5);
+        assert!(result.limit_hit);
     }
 
     #[test]
     fn collected_mappings_are_valid_embeddings() {
         let pattern = generators::directed_cycle(3, 0);
         let target = generators::clique(4, 0);
-        let config = MatchConfig::new(Algorithm::RiDsSiFc).with_collected_mappings(10);
-        let result = enumerate(&pattern, &target, &config);
-        assert_eq!(result.mappings.len(), 10);
-        for mapping in &result.mappings {
+        let ctx = SearchContext::prepare(&pattern, &target, Algorithm::RiDsSiFc);
+        let mut mappings = Vec::new();
+        search_prepared(&ctx, &SearchLimits::default(), |ctx, state| {
+            mappings.push(ctx.mapping_by_pattern_node(state));
+        });
+        assert_eq!(mappings.len(), 24);
+        for mapping in &mappings {
             assert_eq!(mapping.len(), pattern.num_nodes());
             // Injective.
             let mut sorted = mapping.clone();
@@ -539,10 +418,9 @@ mod tests {
     fn search_space_is_reported_and_nonzero() {
         let pattern = generators::directed_cycle(3, 0);
         let target = generators::clique(5, 0);
-        let result = enumerate(&pattern, &target, &MatchConfig::new(Algorithm::Ri));
+        let result = run(&pattern, &target, Algorithm::Ri, &SearchLimits::default());
         assert!(result.states > 0);
-        assert!(result.total_seconds() >= 0.0);
-        assert!(result.states_per_second() >= 0.0);
+        assert!(result.match_seconds >= 0.0);
         assert!(!result.timed_out);
     }
 
@@ -552,9 +430,10 @@ mod tests {
         // space must not exceed RI-DS's.
         let pattern = generators::undirected_cycle(4, 0);
         let target = generators::grid(4, 4);
-        let ds = enumerate(&pattern, &target, &MatchConfig::new(Algorithm::RiDs));
-        let si = enumerate(&pattern, &target, &MatchConfig::new(Algorithm::RiDsSi));
-        let fc = enumerate(&pattern, &target, &MatchConfig::new(Algorithm::RiDsSiFc));
+        let limits = SearchLimits::default();
+        let ds = run(&pattern, &target, Algorithm::RiDs, &limits);
+        let si = run(&pattern, &target, Algorithm::RiDsSi, &limits);
+        let fc = run(&pattern, &target, Algorithm::RiDsSiFc, &limits);
         assert_eq!(ds.matches, si.matches);
         assert_eq!(ds.matches, fc.matches);
         assert!(
@@ -568,8 +447,11 @@ mod tests {
         // A 6-cycle in a 6x6 grid is enough work that a zero time limit fires.
         let pattern = generators::undirected_cycle(6, 0);
         let target = generators::grid(6, 6);
-        let config = MatchConfig::new(Algorithm::Ri).with_time_limit(Duration::from_nanos(1));
-        let result = enumerate(&pattern, &target, &config);
+        let limits = SearchLimits {
+            time_limit: Some(Duration::from_nanos(1)),
+            ..SearchLimits::default()
+        };
+        let result = run(&pattern, &target, Algorithm::Ri, &limits);
         assert!(result.timed_out || result.match_seconds < 0.05);
     }
 

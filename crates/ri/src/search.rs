@@ -1,8 +1,8 @@
 //! Shared search machinery: candidate generation and consistency checking.
 //!
-//! Both the sequential matcher ([`crate::matcher`]) and the parallel runtime
-//! (`sge-parallel`) drive the same [`SearchContext`], so they explore exactly
-//! the same state-space tree.  A *state* in the paper's terminology is a
+//! The sequential matcher ([`crate::matcher`]) and the parallel schedulers of
+//! `sge-engine` drive the same [`SearchContext`], so they explore exactly the
+//! same state-space tree.  A *state* in the paper's terminology is a
 //! `(position, candidate target node)` pair for which a consistency check is
 //! performed; the caller counts those.
 //!
@@ -24,7 +24,7 @@ use crate::matcher::Algorithm;
 use sge_graph::{AdjacencyBitmaps, BitmapConfig, EdgeRef, Graph, GraphStats, NodeId};
 use sge_obs::TraceSink;
 use sge_plan::ordering::{KernelChoice, MatchOrder, PlanStep, PrefilterSpec};
-use sge_plan::{Domains, PlanCost, Planner, QueryPlan, Strategy};
+use sge_plan::{Domains, Planner, QueryPlan, Strategy};
 use std::cell::RefCell;
 use std::sync::Arc;
 
@@ -36,53 +36,6 @@ thread_local! {
     static BITMAP_SCRATCH: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
 }
 
-/// How raw candidates are generated for positions with ordered neighbors.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum CandidateMode {
-    /// Multi-parent intersection (the default): candidates are the galloping
-    /// intersection of the adjacency lists of *every* already-mapped pattern
-    /// neighbor (smallest adjacency first), filtered through the RI-DS domain
-    /// bitset.  Edges back into the prefix are then guaranteed by
-    /// construction, so [`SearchContext::is_consistent`] skips its per-edge
-    /// probe loop.
-    #[default]
-    Intersection,
-    /// The legacy scheme: candidates come from a *single* parent's adjacency
-    /// list and every remaining back-edge is re-verified per candidate with a
-    /// binary-searched `edge_label` probe.  Kept as a comparator for property
-    /// tests and the bench harness.
-    SingleParent,
-}
-
-impl std::fmt::Display for CandidateMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            CandidateMode::Intersection => "intersection",
-            CandidateMode::SingleParent => "single-parent",
-        })
-    }
-}
-
-impl std::str::FromStr for CandidateMode {
-    type Err = String;
-
-    /// Parses `intersection` / `single-parent` (case-insensitive, `_` and
-    /// `-` interchangeable).
-    fn from_str(text: &str) -> Result<Self, Self::Err> {
-        match text.to_ascii_lowercase().replace('_', "-").as_str() {
-            "intersection" => Ok(CandidateMode::Intersection),
-            "single-parent" => Ok(CandidateMode::SingleParent),
-            other => Err(format!(
-                "unknown candidate mode '{other}' (expected intersection or single-parent)"
-            )),
-        }
-    }
-}
-
-/// Read-only description of one enumeration instance: pattern, target and
-/// the [`QueryPlan`] being executed (ordering, domains, cost estimates).
-///
-/// Domains are held behind an [`Arc`] inside the plan so that prepared
 /// What the last-depth counting fast path would contribute: every set bit
 /// of the final AND is a visited state, and the non-used ones are matches.
 #[derive(Clone, Copy, Debug)]
@@ -93,14 +46,16 @@ pub(crate) struct FinalCount {
     pub matches: u64,
 }
 
+/// Read-only description of one enumeration instance: pattern, target and
+/// the [`QueryPlan`] being executed (ordering, domains, cost estimates).
+///
+/// Domains are held behind an [`Arc`] inside the plan so that prepared
 /// instances can be rebuilt against long-lived owned graphs (see
 /// [`PreparedParts`]) without re-running or copying the domain computation.
 pub struct SearchContext<'a> {
     pattern: &'a Graph,
     target: &'a Graph,
     plan: QueryPlan,
-    /// Candidate generation scheme (intersection by default).
-    mode: CandidateMode,
     /// Optional per-run observation sink.  When attached, candidate
     /// generation and consistency checks record per-position counters; when
     /// absent the cost is one predictable branch per call.
@@ -117,77 +72,43 @@ pub struct SearchContext<'a> {
 impl<'a> SearchContext<'a> {
     /// Runs the preprocessing phase of `algorithm` (domain computation, forward
     /// checking, node ordering) and returns a ready-to-search context using
-    /// the default intersection-based candidate generator and RI-greedy
-    /// ordering strategy.
+    /// the default RI-greedy ordering strategy.
     pub fn prepare(pattern: &'a Graph, target: &'a Graph, algorithm: Algorithm) -> Self {
-        Self::prepare_with_mode(pattern, target, algorithm, CandidateMode::default())
+        Self::prepare_planned(pattern, target, algorithm, Strategy::default())
     }
 
-    /// [`Self::prepare`] with an explicit [`CandidateMode`] — the entry point
-    /// for A/B comparisons between the intersection and single-parent paths.
-    pub fn prepare_with_mode(
-        pattern: &'a Graph,
-        target: &'a Graph,
-        algorithm: Algorithm,
-        mode: CandidateMode,
-    ) -> Self {
-        Self::prepare_planned(pattern, target, algorithm, mode, Strategy::default())
-    }
-
-    /// Full preparation entry point: plans with `strategy` and executes
-    /// under `mode`.
+    /// [`Self::prepare`] planned with an explicit ordering `strategy`.
     pub fn prepare_planned(
         pattern: &'a Graph,
         target: &'a Graph,
         algorithm: Algorithm,
-        mode: CandidateMode,
         strategy: Strategy,
     ) -> Self {
         let plan = Planner::new(strategy).plan(pattern, target, algorithm);
-        let mut ctx = Self::from_plan(pattern, target, plan, mode);
+        let mut ctx = Self::from_plan(pattern, target, plan);
         ctx.ensure_bitmaps();
         ctx
     }
 
-    /// [`Self::prepare_planned`] with precomputed target statistics —
-    /// callers that prepare many patterns against one long-lived target
-    /// (the serving registry) compute [`GraphStats`] once instead of paying
-    /// the full-target frequency pass per preparation.
-    pub fn prepare_planned_with_stats(
-        pattern: &'a Graph,
-        target: &'a Graph,
-        target_stats: &GraphStats,
-        algorithm: Algorithm,
-        mode: CandidateMode,
-        strategy: Strategy,
-    ) -> Self {
-        let plan = Planner::new(strategy).plan_with_stats(pattern, target, target_stats, algorithm);
-        let mut ctx = Self::from_plan(pattern, target, plan, mode);
-        ctx.ensure_bitmaps();
-        ctx
-    }
-
-    /// [`Self::prepare_planned_with_stats`] with an explicitly supplied
-    /// bitmap sidecar — the serving path, where the registry owns one
-    /// sidecar per long-lived target.
+    /// [`Self::prepare_planned`] with precomputed target statistics and an
+    /// explicitly supplied bitmap sidecar — the serving path, where the
+    /// registry computes [`GraphStats`] and the sidecar once per long-lived
+    /// target instead of paying for them on every preparation.
     ///
-    /// The caller's decision is final: `None` means "no sidecar" (e.g. the
-    /// registry hit its memory cap and fell back to CSR-only) and the
-    /// context will *not* build one itself, unlike
-    /// [`Self::prepare_planned`]/[`Self::prepare_planned_with_stats`] which
-    /// auto-build when the plan routes a position to the bitmap kernel.
+    /// The context attaches `bitmaps` as given, even when it is row-less
+    /// (the registry hit its memory cap): steps routed to the bitmap kernel
+    /// then fall back to galloping at run time.
     pub fn prepare_planned_full(
         pattern: &'a Graph,
         target: &'a Graph,
         target_stats: &GraphStats,
-        bitmaps: Option<Arc<AdjacencyBitmaps>>,
+        bitmaps: Arc<AdjacencyBitmaps>,
         algorithm: Algorithm,
-        mode: CandidateMode,
         strategy: Strategy,
     ) -> Self {
         let plan = Planner::new(strategy).plan_with_stats(pattern, target, target_stats, algorithm);
-        let mut ctx = Self::from_plan(pattern, target, plan, mode);
-        ctx.bitmaps = bitmaps;
+        let mut ctx = Self::from_plan(pattern, target, plan);
+        ctx.bitmaps = Some(bitmaps);
         ctx
     }
 
@@ -196,17 +117,11 @@ impl<'a> SearchContext<'a> {
     /// The graphs must be the ones the plan was built from (or structurally
     /// identical copies); the ordering and domains reference their node ids
     /// directly.
-    pub fn from_plan(
-        pattern: &'a Graph,
-        target: &'a Graph,
-        plan: QueryPlan,
-        mode: CandidateMode,
-    ) -> Self {
+    pub fn from_plan(pattern: &'a Graph, target: &'a Graph, plan: QueryPlan) -> Self {
         SearchContext {
             pattern,
             target,
             plan,
-            mode,
             sink: None,
             bitmaps: None,
             kernels: Arc::new(KernelCells::default()),
@@ -269,39 +184,6 @@ impl<'a> SearchContext<'a> {
         self.sink.as_ref()
     }
 
-    /// Builds a context from explicitly prepared parts (used by tests and by
-    /// callers that want to reuse a domain computation).
-    ///
-    /// The caller supplies the order, so the resulting plan carries **no
-    /// meaningful strategy label** (it reports the default) and an empty
-    /// cost estimate; use [`Self::prepare_planned`] when the strategy field
-    /// matters (outcome reporting, EXPLAIN, cache keys).
-    pub fn from_parts(
-        pattern: &'a Graph,
-        target: &'a Graph,
-        algorithm: Algorithm,
-        order: MatchOrder,
-        domains: Option<Domains>,
-        check_degrees: bool,
-    ) -> Self {
-        let impossible = domains.as_ref().is_some_and(|d| d.any_empty());
-        let plan = QueryPlan {
-            algorithm,
-            strategy: Strategy::default(),
-            order,
-            domains: domains.map(Arc::new),
-            impossible,
-            check_degrees,
-            cost: PlanCost::default(),
-        };
-        Self::from_plan(pattern, target, plan, CandidateMode::default())
-    }
-
-    /// The candidate generation scheme this context uses.
-    pub fn candidate_mode(&self) -> CandidateMode {
-        self.mode
-    }
-
     /// The pattern graph.
     pub fn pattern(&self) -> &Graph {
         self.pattern
@@ -359,13 +241,10 @@ impl<'a> SearchContext<'a> {
     /// Raw candidate target nodes for position `depth`, given the current
     /// partial state (all referenced parents' images must already be assigned).
     ///
-    /// * positions with ordered neighbors: under the default
-    ///   [`CandidateMode::Intersection`], the sorted intersection of the
+    /// * positions with ordered neighbors: the sorted intersection of the
     ///   adjacency lists of *every* already-mapped pattern neighbor (starting
     ///   from the smallest list, galloping through the others), filtered
-    ///   through the RI-DS domain bitset; under
-    ///   [`CandidateMode::SingleParent`], the out-/in-neighbors of the single
-    ///   parent's image,
+    ///   through the RI-DS domain bitset,
     /// * parentless positions with domains (RI-DS): the domain members,
     /// * parentless positions without domains (RI): every target node.
     ///
@@ -397,25 +276,9 @@ impl<'a> SearchContext<'a> {
             }
             return;
         }
-        match self.mode {
-            CandidateMode::SingleParent => {
-                let link =
-                    self.plan.order.parents[depth].expect("constrained position has a parent");
-                let parent_image = state.mapping[link.parent_pos];
-                debug_assert_ne!(parent_image, NodeId::MAX, "parent must be assigned");
-                let edges = if link.out_from_parent {
-                    self.target.out_edges(parent_image)
-                } else {
-                    self.target.in_edges(parent_image)
-                };
-                out.extend(edges.iter().map(|e| e.node));
-            }
-            CandidateMode::Intersection => {
-                let vp = self.plan.order.positions[depth];
-                self.intersect_candidates(vp, step, state, out, &mut local);
-                self.kernels.flush(local);
-            }
-        }
+        let vp = self.plan.order.positions[depth];
+        self.intersect_candidates(vp, step, state, out, &mut local);
+        self.kernels.flush(local);
     }
 
     /// The prefilter to apply at a position: present only when a sidecar is
@@ -645,17 +508,17 @@ impl<'a> SearchContext<'a> {
     /// rejected by the injectivity check).  The kernel counters advance by
     /// one bitmap AND per constraint row, as in [`Self::candidates`].
     ///
-    /// Returns `None` whenever any guarantee is missing — legacy candidate
-    /// mode, no domains, no sidecar row for some constraint, a self-loop, a
-    /// non-bitmap kernel, or an attached trace sink (which must observe
-    /// every candidate fill and consistency check individually).
+    /// Returns `None` whenever any guarantee is missing — no domains, no
+    /// sidecar row for some constraint, a self-loop, a non-bitmap kernel, or
+    /// an attached trace sink (which must observe every candidate fill and
+    /// consistency check individually).
     pub(crate) fn count_final_candidates(
         &self,
         depth: usize,
         state: &WorkerState,
     ) -> Option<FinalCount> {
         debug_assert_eq!(depth + 1, self.num_positions());
-        if self.mode != CandidateMode::Intersection || self.sink.is_some() {
+        if self.sink.is_some() {
             return None;
         }
         let step = &self.plan.order.plan.steps[depth];
@@ -712,16 +575,15 @@ impl<'a> SearchContext<'a> {
     /// The gallop-side companion of [`Self::count_final_candidates`]: counts
     /// the final position's contribution from an already-generated candidate
     /// list.  The same soundness argument applies regardless of which kernel
-    /// produced the list — a constrained intersection-mode candidate at the
-    /// last depth satisfies every pattern edge of its node (labels and
-    /// directions included), so only the injectivity check can still reject
-    /// it.  Candidates are sorted ascending (both kernels emit them that
+    /// produced the list — a constrained candidate at the last depth
+    /// satisfies every pattern edge of its node (labels and directions
+    /// included), so only the injectivity check can still reject it.  Candidates are sorted ascending (both kernels emit them that
     /// way), so the used-prefix overlap is a handful of binary searches.
     ///
-    /// `None` when a guarantee is missing: legacy candidate mode, a
-    /// self-loop, an attached trace sink (which must observe each
-    /// consistency check), or an unconstrained position whose candidates
-    /// still need the label / domain test in [`Self::is_consistent`].
+    /// `None` when a guarantee is missing: a self-loop, an attached trace
+    /// sink (which must observe each consistency check), or an unconstrained
+    /// position whose candidates still need the label / domain test in
+    /// [`Self::is_consistent`].
     pub(crate) fn final_count_from_candidates(
         &self,
         depth: usize,
@@ -729,7 +591,7 @@ impl<'a> SearchContext<'a> {
         candidates: &[NodeId],
     ) -> Option<FinalCount> {
         debug_assert_eq!(depth + 1, self.num_positions());
-        if self.mode != CandidateMode::Intersection || self.sink.is_some() {
+        if self.sink.is_some() {
             return None;
         }
         let step = &self.plan.order.plan.steps[depth];
@@ -751,12 +613,10 @@ impl<'a> SearchContext<'a> {
     /// `vt`, given the already-assigned prefix in `state`.
     ///
     /// Checks are ordered cheap → expensive, as in RI: injectivity, label (or
-    /// domain membership), degrees (plain RI only), the self-loop when the
-    /// pattern node carries one, and — under
-    /// [`CandidateMode::SingleParent`] only — every pattern edge between this
-    /// node and already-mapped pattern nodes.  Under the default intersection
-    /// mode those back-edges are already guaranteed by
-    /// [`Self::candidates`], so the per-edge probe loop is skipped.
+    /// domain membership), degrees (plain RI only) and the self-loop when the
+    /// pattern node carries one.  Edges back into the mapped prefix need no
+    /// check: [`Self::candidates`] intersects their adjacency lists, so every
+    /// constrained candidate satisfies them by construction.
     pub fn is_consistent(&self, depth: usize, vt: NodeId, state: &WorkerState) -> bool {
         if let Some(sink) = &self.sink {
             sink.record_state(depth);
@@ -766,10 +626,10 @@ impl<'a> SearchContext<'a> {
             return false;
         }
         let step = &self.plan.order.plan.steps[depth];
-        // Under intersection mode, constrained candidates were already pushed
-        // through the domain / node-label filter by `candidates`; re-testing
-        // is only needed for parentless positions and the legacy path.
-        if self.mode == CandidateMode::SingleParent || step.constraints.is_empty() {
+        // Constrained candidates were already pushed through the domain /
+        // node-label filter by `candidates`; only parentless positions need
+        // the test.
+        if step.constraints.is_empty() {
             match &self.plan.domains {
                 Some(domains) => {
                     if !domains.contains(vp, vt) {
@@ -789,31 +649,10 @@ impl<'a> SearchContext<'a> {
         {
             return false;
         }
-        if let Some(label) = step.self_loop {
-            match self.target.edge_label(vt, vt) {
-                Some(l) if l == label => {}
-                _ => return false,
-            }
+        match step.self_loop {
+            Some(label) => self.target.edge_label(vt, vt) == Some(label),
+            None => true,
         }
-        if self.mode == CandidateMode::Intersection {
-            // Back-edges (and their labels) are guaranteed by the candidate
-            // intersection; nothing left to probe.
-            return true;
-        }
-        // Legacy path: probe every edge from vp to already-mapped nodes.
-        for c in &step.constraints {
-            let wt = state.mapping[c.parent_pos];
-            let found = if c.out_from_parent {
-                self.target.edge_label(wt, vt)
-            } else {
-                self.target.edge_label(vt, wt)
-            };
-            match found {
-                Some(l) if l == c.label => {}
-                _ => return false,
-            }
-        }
-        true
     }
 
     /// Extracts the current mapping as `pattern node -> target node`.
@@ -850,7 +689,7 @@ fn prefilter_pass(
 /// [`SearchContext`] borrows its pattern and target, which is the right shape
 /// for one-shot enumeration but not for a serving system that keeps prepared
 /// instances alive across queries.  `PreparedParts` captures the executed
-/// [`QueryPlan`] (domains shared, not copied) and the candidate mode, so a
+/// [`QueryPlan`] (domains shared, not copied) and the bitmap sidecar, so a
 /// caller that *owns* the graphs can rebuild an equivalent context at any
 /// time without re-running preprocessing:
 ///
@@ -870,19 +709,16 @@ fn prefilter_pass(
 #[derive(Clone)]
 pub struct PreparedParts {
     plan: QueryPlan,
-    mode: CandidateMode,
     bitmaps: Option<Arc<AdjacencyBitmaps>>,
 }
 
 impl PreparedParts {
     /// Captures the prepared artifacts of `ctx` (domains and the bitmap
-    /// sidecar are shared via [`Arc`], the ordering — including its
-    /// [`sge_plan::CandidatePlan`] — is cloned, and the candidate mode
-    /// travels along).
+    /// sidecar are shared via [`Arc`]; the ordering — including its
+    /// [`sge_plan::CandidatePlan`] — is cloned).
     pub fn extract(ctx: &SearchContext<'_>) -> Self {
         PreparedParts {
             plan: ctx.plan.clone(),
-            mode: ctx.mode,
             bitmaps: ctx.bitmaps.clone(),
         }
     }
@@ -893,7 +729,7 @@ impl PreparedParts {
     /// structurally identical copies); the ordering and domains reference
     /// their node ids directly.
     pub fn context<'a>(&self, pattern: &'a Graph, target: &'a Graph) -> SearchContext<'a> {
-        let mut ctx = SearchContext::from_plan(pattern, target, self.plan.clone(), self.mode);
+        let mut ctx = SearchContext::from_plan(pattern, target, self.plan.clone());
         ctx.bitmaps = self.bitmaps.clone();
         ctx
     }
@@ -911,11 +747,6 @@ impl PreparedParts {
     /// The ordering strategy that planned these parts.
     pub fn strategy(&self) -> Strategy {
         self.plan.strategy
-    }
-
-    /// The candidate generation scheme these parts execute under.
-    pub fn candidate_mode(&self) -> CandidateMode {
-        self.mode
     }
 
     /// The captured query plan (order, domains, cost estimates).
@@ -1018,8 +849,7 @@ mod tests {
         state.assign(0, 0);
         let mut children = Vec::new();
         ctx.candidates(1, &state, &mut children);
-        let link = ctx.order().parents[1].unwrap();
-        assert_eq!(link.parent_pos, 0);
+        assert_eq!(ctx.order().plan.steps[1].constraints[0].parent_pos, 0);
         if pattern.has_edge(first, ctx.order().positions[1]) {
             assert_eq!(children, vec![1, 2, 3]);
         } else {
@@ -1195,21 +1025,6 @@ mod tests {
     }
 
     #[test]
-    fn candidate_mode_parses_and_displays() {
-        assert_eq!(
-            "intersection".parse::<CandidateMode>().unwrap(),
-            CandidateMode::Intersection
-        );
-        assert_eq!(
-            "Single_Parent".parse::<CandidateMode>().unwrap(),
-            CandidateMode::SingleParent
-        );
-        assert!("legacy".parse::<CandidateMode>().is_err());
-        assert_eq!(CandidateMode::Intersection.to_string(), "intersection");
-        assert_eq!(CandidateMode::SingleParent.to_string(), "single-parent");
-    }
-
-    #[test]
     fn prepared_parts_carry_strategy_and_plan() {
         let pattern = generators::directed_cycle(3, 0);
         let target = generators::clique(4, 0);
@@ -1217,17 +1032,15 @@ mod tests {
             &pattern,
             &target,
             Algorithm::RiDs,
-            CandidateMode::SingleParent,
             Strategy::DegreeDescending,
         );
         assert_eq!(ctx.strategy(), Strategy::DegreeDescending);
         assert_eq!(ctx.plan().cost.positions.len(), 3);
         let parts = PreparedParts::extract(&ctx);
         assert_eq!(parts.strategy(), Strategy::DegreeDescending);
-        assert_eq!(parts.candidate_mode(), CandidateMode::SingleParent);
         assert_eq!(parts.plan().num_positions(), 3);
         let rebuilt = parts.context(&pattern, &target);
         assert_eq!(rebuilt.order().positions, ctx.order().positions);
-        assert_eq!(rebuilt.candidate_mode(), CandidateMode::SingleParent);
+        assert_eq!(rebuilt.strategy(), Strategy::DegreeDescending);
     }
 }

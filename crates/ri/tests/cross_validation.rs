@@ -8,8 +8,8 @@
 use std::sync::Arc;
 
 use sge_graph::{AdjacencyBitmaps, BitmapConfig, Graph, GraphBuilder, GraphStats};
-use sge_ri::search::{CandidateMode, SearchContext, WorkerState};
-use sge_ri::{check_kernel_parity, enumerate, search_prepared, Algorithm, MatchConfig, Strategy};
+use sge_ri::search::{SearchContext, WorkerState};
+use sge_ri::{check_kernel_parity, search_prepared, Algorithm, SearchLimits, SearchRun, Strategy};
 use sge_util::SplitMix64;
 
 /// Random labeled directed graph with `n` nodes, edge probability `p`, and
@@ -65,10 +65,16 @@ fn extract_pattern(seed: u64, target: &Graph, k: usize) -> Graph {
     b.build()
 }
 
+/// One unlimited count-only run: prepare, then search.
+fn enumerate(pattern: &Graph, target: &Graph, algorithm: Algorithm) -> SearchRun {
+    let ctx = SearchContext::prepare(pattern, target, algorithm);
+    search_prepared(&ctx, &SearchLimits::default(), |_, _| {})
+}
+
 fn all_algorithms_agree(pattern: &Graph, target: &Graph) {
     let oracle = sge_vf2::count_matches(pattern, target);
     for algo in Algorithm::ALL {
-        let result = enumerate(pattern, target, &MatchConfig::new(algo));
+        let result = enumerate(pattern, target, algo);
         assert_eq!(
             result.matches,
             oracle,
@@ -125,7 +131,7 @@ fn randomized_ri_family_matches_vf2() {
         let pattern = extract_pattern(rng.next_u64(), &target, k);
         let oracle = sge_vf2::count_matches(&pattern, &target);
         for algo in Algorithm::ALL {
-            let result = enumerate(&pattern, &target, &MatchConfig::new(algo));
+            let result = enumerate(&pattern, &target, algo);
             assert_eq!(result.matches, oracle, "case={case} {algo}");
         }
     }
@@ -248,19 +254,9 @@ fn kernel_paths_produce_byte_identical_candidate_sets() {
             }
             // Both contexts carry the same sidecar so the candidate prefilter
             // applies identically; only the intersection kernel differs.
-            let mut gallop = SearchContext::from_plan(
-                &pattern,
-                &target,
-                gallop_plan,
-                CandidateMode::Intersection,
-            );
+            let mut gallop = SearchContext::from_plan(&pattern, &target, gallop_plan);
             gallop.set_bitmaps(Some(Arc::clone(&sidecar)));
-            let mut bitmap = SearchContext::from_plan(
-                &pattern,
-                &target,
-                bitmap_plan,
-                CandidateMode::Intersection,
-            );
+            let mut bitmap = SearchContext::from_plan(&pattern, &target, bitmap_plan);
             bitmap.set_bitmaps(Some(Arc::clone(&sidecar)));
             if gallop.num_positions() == 0 {
                 continue;
@@ -269,7 +265,7 @@ fn kernel_paths_produce_byte_identical_candidate_sets() {
             walk_and_compare(case, 0, &gallop, &bitmap, &mut state);
 
             let oracle = sge_vf2::count_matches(&pattern, &target);
-            let limits = sge_ri::SearchLimits::default();
+            let limits = SearchLimits::default();
             let g = search_prepared(&gallop, &limits, |_, _| {});
             let b = search_prepared(&bitmap, &limits, |_, _| {});
             assert_eq!(g.matches, oracle, "case={case} {algo}: gallop vs VF2");
@@ -288,8 +284,8 @@ fn randomized_search_space_of_ds_family_not_larger_than_ri() {
         let k = 3 + rng.next_below(3);
         let target = random_graph(rng.next_u64(), n, 0.12, 4);
         let pattern = extract_pattern(rng.next_u64(), &target, k);
-        let ri = enumerate(&pattern, &target, &MatchConfig::new(Algorithm::Ri));
-        let ds = enumerate(&pattern, &target, &MatchConfig::new(Algorithm::RiDs));
+        let ri = enumerate(&pattern, &target, Algorithm::Ri);
+        let ds = enumerate(&pattern, &target, Algorithm::RiDs);
         assert_eq!(ri.matches, ds.matches, "case={case}");
         assert!(
             ds.states <= ri.states,

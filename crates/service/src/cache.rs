@@ -2,7 +2,7 @@
 
 use sge_engine::PreparedEngine;
 use sge_graph::{AdjacencyBitmaps, Graph, GraphStats};
-use sge_ri::{Algorithm, CandidateMode, Strategy};
+use sge_ri::{Algorithm, Strategy};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -15,15 +15,14 @@ use std::sync::{Arc, Mutex};
 /// labels + edge list, name stripped), so two syntactically different query
 /// texts describing the same graph share one entry; equality is on the full
 /// canonical form — the reported hash is informational, never trusted for
-/// identity.  The *preparation variant* — candidate mode and ordering
-/// strategy — is part of the key: engines prepared under different variants
-/// produce different plans and must never alias each other.
+/// identity.  The ordering strategy is part of the key: engines prepared
+/// under different strategies produce different plans and must never alias
+/// each other.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 struct CacheKey {
     pattern: String,
     target: String,
     algorithm: Algorithm,
-    mode: CandidateMode,
     strategy: Strategy,
 }
 
@@ -56,7 +55,7 @@ pub struct CacheStats {
 }
 
 /// A bounded LRU of prepared engines keyed by *(pattern, target name,
-/// algorithm, candidate mode, ordering strategy)*.
+/// algorithm, ordering strategy)*.
 ///
 /// Preparation runs **outside** the cache lock, so a slow domain computation
 /// never blocks concurrent lookups of other keys; when two threads race to
@@ -103,54 +102,29 @@ impl PreparedCache {
         hasher.finish()
     }
 
-    /// Fetches the prepared engine for `(pattern, target_name, algorithm)`
-    /// under the default candidate mode and ordering strategy, preparing and
-    /// inserting it on a miss.  Returns the engine and whether the lookup
-    /// was a hit.
+    /// Fetches the prepared engine for `(pattern, target_name, algorithm,
+    /// strategy)`, preparing and inserting it on a miss.  Returns the engine
+    /// and whether the lookup was a hit.
+    ///
+    /// The same pattern prepared under two strategies yields two independent
+    /// entries.  A miss prepares with the target statistics and the bitmap
+    /// sidecar the registry computed at registration, instead of re-deriving
+    /// the frequency tables or building a private sidecar.
+    #[allow(clippy::too_many_arguments)]
     pub fn get_or_prepare(
         &self,
         pattern: &Graph,
         target_name: &str,
         target: &Arc<Graph>,
+        target_stats: &GraphStats,
+        bitmaps: &Arc<AdjacencyBitmaps>,
         algorithm: Algorithm,
-    ) -> (Arc<PreparedEngine>, bool) {
-        self.get_or_prepare_planned(
-            pattern,
-            target_name,
-            target,
-            None,
-            None,
-            algorithm,
-            CandidateMode::default(),
-            Strategy::default(),
-        )
-    }
-
-    /// [`PreparedCache::get_or_prepare`] with the full preparation variant:
-    /// candidate mode and ordering strategy both participate in the cache
-    /// key, so the same pattern prepared under two strategies yields two
-    /// independent entries.  When the caller holds precomputed target
-    /// statistics (the registry computes them at registration), a miss
-    /// prepares with them instead of re-deriving the frequency tables; when
-    /// it additionally holds the registry's bitmap sidecar (requires stats),
-    /// the prepared engine attaches it instead of building a private one.
-    #[allow(clippy::too_many_arguments)]
-    pub fn get_or_prepare_planned(
-        &self,
-        pattern: &Graph,
-        target_name: &str,
-        target: &Arc<Graph>,
-        target_stats: Option<&GraphStats>,
-        bitmaps: Option<&Arc<AdjacencyBitmaps>>,
-        algorithm: Algorithm,
-        mode: CandidateMode,
         strategy: Strategy,
     ) -> (Arc<PreparedEngine>, bool) {
         let key = CacheKey {
             pattern: Self::canonical_pattern(pattern),
             target: target_name.to_string(),
             algorithm,
-            mode,
             strategy,
         };
 
@@ -160,32 +134,14 @@ impl PreparedCache {
         }
 
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let engine = Arc::new(match (target_stats, bitmaps) {
-            (Some(stats), Some(bitmaps)) => PreparedEngine::prepare_planned_full(
-                Arc::new(pattern.clone()),
-                Arc::clone(target),
-                stats,
-                Some(Arc::clone(bitmaps)),
-                algorithm,
-                mode,
-                strategy,
-            ),
-            (Some(stats), None) => PreparedEngine::prepare_planned_with_stats(
-                Arc::new(pattern.clone()),
-                Arc::clone(target),
-                stats,
-                algorithm,
-                mode,
-                strategy,
-            ),
-            (None, _) => PreparedEngine::prepare_planned(
-                Arc::new(pattern.clone()),
-                Arc::clone(target),
-                algorithm,
-                mode,
-                strategy,
-            ),
-        });
+        let engine = Arc::new(PreparedEngine::prepare_planned_full(
+            Arc::new(pattern.clone()),
+            Arc::clone(target),
+            target_stats,
+            Arc::clone(bitmaps),
+            algorithm,
+            strategy,
+        ));
         (self.insert(key, engine), false)
     }
 
@@ -295,10 +251,35 @@ impl PreparedCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sge_graph::generators;
+    use sge_graph::{generators, BitmapConfig};
 
     fn k5() -> Arc<Graph> {
         Arc::new(generators::clique(5, 0))
+    }
+
+    /// A registry-style lookup under `strategy`: stats and sidecar derived
+    /// from `target`, as the registry does at registration.
+    fn lookup_planned(
+        cache: &PreparedCache,
+        pattern: &Graph,
+        name: &str,
+        target: &Arc<Graph>,
+        algorithm: Algorithm,
+        strategy: Strategy,
+    ) -> (Arc<PreparedEngine>, bool) {
+        let stats = GraphStats::of(target);
+        let bitmaps = Arc::new(AdjacencyBitmaps::build(target, &BitmapConfig::default()));
+        cache.get_or_prepare(pattern, name, target, &stats, &bitmaps, algorithm, strategy)
+    }
+
+    fn lookup(
+        cache: &PreparedCache,
+        pattern: &Graph,
+        name: &str,
+        target: &Arc<Graph>,
+        algorithm: Algorithm,
+    ) -> (Arc<PreparedEngine>, bool) {
+        lookup_planned(cache, pattern, name, target, algorithm, Strategy::default())
     }
 
     #[test]
@@ -306,8 +287,8 @@ mod tests {
         let cache = PreparedCache::new(4);
         let target = k5();
         let pattern = generators::directed_cycle(3, 0);
-        let (first, hit1) = cache.get_or_prepare(&pattern, "k5", &target, Algorithm::RiDsSiFc);
-        let (second, hit2) = cache.get_or_prepare(&pattern, "k5", &target, Algorithm::RiDsSiFc);
+        let (first, hit1) = lookup(&cache, &pattern, "k5", &target, Algorithm::RiDsSiFc);
+        let (second, hit2) = lookup(&cache, &pattern, "k5", &target, Algorithm::RiDsSiFc);
         assert!(!hit1);
         assert!(hit2);
         assert!(Arc::ptr_eq(&first, &second));
@@ -321,9 +302,9 @@ mod tests {
         let cache = PreparedCache::new(8);
         let pattern = generators::directed_cycle(3, 0);
         let target = k5();
-        cache.get_or_prepare(&pattern, "a", &target, Algorithm::Ri);
-        let (_, hit_other_target) = cache.get_or_prepare(&pattern, "b", &target, Algorithm::Ri);
-        let (_, hit_other_algo) = cache.get_or_prepare(&pattern, "a", &target, Algorithm::RiDs);
+        lookup(&cache, &pattern, "a", &target, Algorithm::Ri);
+        let (_, hit_other_target) = lookup(&cache, &pattern, "b", &target, Algorithm::Ri);
+        let (_, hit_other_algo) = lookup(&cache, &pattern, "a", &target, Algorithm::RiDs);
         assert!(!hit_other_target);
         assert!(!hit_other_algo);
         assert_eq!(cache.stats().entries, 3);
@@ -331,54 +312,34 @@ mod tests {
 
     #[test]
     fn preparation_variant_is_part_of_the_key() {
-        // Two strategies (and two candidate modes) for the same pattern /
-        // target / algorithm must coexist as independent entries — aliasing
-        // them would serve a plan prepared under a different variant.
+        // Two strategies for the same pattern / target / algorithm must
+        // coexist as independent entries — aliasing them would serve a plan
+        // prepared under a different strategy.
         let cache = PreparedCache::new(8);
         let target = k5();
         let pattern = generators::directed_cycle(3, 0);
-        let stats = GraphStats::of(&target);
-        let prepare = |strategy: Strategy, mode: CandidateMode| {
-            cache.get_or_prepare_planned(
-                &pattern,
-                "k5",
-                &target,
-                Some(&stats),
-                None,
-                Algorithm::RiDs,
-                mode,
-                strategy,
-            )
+        let prepare = |strategy: Strategy| {
+            lookup_planned(&cache, &pattern, "k5", &target, Algorithm::RiDs, strategy)
         };
-        let (greedy, hit1) = prepare(Strategy::RiGreedy, CandidateMode::Intersection);
-        let (lfl, hit2) = prepare(
-            Strategy::LeastFrequentLabelFirst,
-            CandidateMode::Intersection,
-        );
-        let (single, hit3) = prepare(Strategy::RiGreedy, CandidateMode::SingleParent);
-        assert!(!hit1 && !hit2 && !hit3, "distinct variants must all miss");
+        let (greedy, hit1) = prepare(Strategy::RiGreedy);
+        let (lfl, hit2) = prepare(Strategy::LeastFrequentLabelFirst);
+        assert!(!hit1 && !hit2, "distinct variants must all miss");
         assert!(!Arc::ptr_eq(&greedy, &lfl));
-        assert!(!Arc::ptr_eq(&greedy, &single));
-        assert_eq!(cache.stats().entries, 3);
+        assert_eq!(cache.stats().entries, 2);
 
         // Each variant is resident and hits independently…
-        let (greedy2, hit) = prepare(Strategy::RiGreedy, CandidateMode::Intersection);
+        let (greedy2, hit) = prepare(Strategy::RiGreedy);
         assert!(hit);
         assert!(Arc::ptr_eq(&greedy, &greedy2));
-        let (lfl2, hit) = prepare(
-            Strategy::LeastFrequentLabelFirst,
-            CandidateMode::Intersection,
-        );
+        let (lfl2, hit) = prepare(Strategy::LeastFrequentLabelFirst);
         assert!(hit);
         assert!(Arc::ptr_eq(&lfl, &lfl2));
         // …carries its own variant…
         assert_eq!(greedy.strategy(), Strategy::RiGreedy);
         assert_eq!(lfl.strategy(), Strategy::LeastFrequentLabelFirst);
-        assert_eq!(single.candidate_mode(), CandidateMode::SingleParent);
-        // …and they all agree on results.
+        // …and they agree on results.
         assert_eq!(greedy.run(&Default::default()).matches, 60);
         assert_eq!(lfl.run(&Default::default()).matches, 60);
-        assert_eq!(single.run(&Default::default()).matches, 60);
     }
 
     #[test]
@@ -395,8 +356,8 @@ mod tests {
             PreparedCache::pattern_hash(&named),
             PreparedCache::pattern_hash(&anonymous)
         );
-        cache.get_or_prepare(&named, "k5", &target, Algorithm::Ri);
-        let (_, hit) = cache.get_or_prepare(&anonymous, "k5", &target, Algorithm::Ri);
+        lookup(&cache, &named, "k5", &target, Algorithm::Ri);
+        let (_, hit) = lookup(&cache, &anonymous, "k5", &target, Algorithm::Ri);
         assert!(hit);
     }
 
@@ -407,13 +368,13 @@ mod tests {
         let p1 = generators::directed_cycle(3, 0);
         let p2 = generators::directed_path(2, 0);
         let p3 = generators::directed_path(3, 0);
-        cache.get_or_prepare(&p1, "k5", &target, Algorithm::Ri);
-        cache.get_or_prepare(&p2, "k5", &target, Algorithm::Ri);
+        lookup(&cache, &p1, "k5", &target, Algorithm::Ri);
+        lookup(&cache, &p2, "k5", &target, Algorithm::Ri);
         // Touch p1 so p2 is the LRU victim.
-        cache.get_or_prepare(&p1, "k5", &target, Algorithm::Ri);
-        cache.get_or_prepare(&p3, "k5", &target, Algorithm::Ri);
-        let (_, p1_hit) = cache.get_or_prepare(&p1, "k5", &target, Algorithm::Ri);
-        let (_, p2_hit) = cache.get_or_prepare(&p2, "k5", &target, Algorithm::Ri);
+        lookup(&cache, &p1, "k5", &target, Algorithm::Ri);
+        lookup(&cache, &p3, "k5", &target, Algorithm::Ri);
+        let (_, p1_hit) = lookup(&cache, &p1, "k5", &target, Algorithm::Ri);
+        let (_, p2_hit) = lookup(&cache, &p2, "k5", &target, Algorithm::Ri);
         assert!(p1_hit, "recently used entry survived");
         assert!(!p2_hit, "cold entry was evicted");
         assert!(cache.stats().evictions >= 1);
@@ -425,19 +386,19 @@ mod tests {
         let cache = PreparedCache::new(4);
         let pattern = generators::directed_cycle(3, 0);
         let old_target = k5();
-        let (stale, _) = cache.get_or_prepare(&pattern, "k", &old_target, Algorithm::RiDsSiFc);
+        let (stale, _) = lookup(&cache, &pattern, "k", &old_target, Algorithm::RiDsSiFc);
         assert_eq!(stale.run(&Default::default()).matches, 60);
 
         // Same registry name, different graph: the cached engine was built
         // against the old graph and must not be served.
         let new_target = Arc::new(generators::clique(4, 0));
-        let (fresh, hit) = cache.get_or_prepare(&pattern, "k", &new_target, Algorithm::RiDsSiFc);
+        let (fresh, hit) = lookup(&cache, &pattern, "k", &new_target, Algorithm::RiDsSiFc);
         assert!(!hit, "stale entry must not be a hit");
         assert!(!Arc::ptr_eq(&stale, &fresh));
         assert_eq!(fresh.run(&Default::default()).matches, 24);
 
         // The replacement is resident now.
-        let (again, hit) = cache.get_or_prepare(&pattern, "k", &new_target, Algorithm::RiDsSiFc);
+        let (again, hit) = lookup(&cache, &pattern, "k", &new_target, Algorithm::RiDsSiFc);
         assert!(hit);
         assert!(Arc::ptr_eq(&fresh, &again));
     }
@@ -447,8 +408,8 @@ mod tests {
         let cache = PreparedCache::new(0);
         let target = k5();
         let pattern = generators::directed_cycle(3, 0);
-        let (_, hit1) = cache.get_or_prepare(&pattern, "k5", &target, Algorithm::Ri);
-        let (_, hit2) = cache.get_or_prepare(&pattern, "k5", &target, Algorithm::Ri);
+        let (_, hit1) = lookup(&cache, &pattern, "k5", &target, Algorithm::Ri);
+        let (_, hit2) = lookup(&cache, &pattern, "k5", &target, Algorithm::Ri);
         assert!(!hit1);
         assert!(!hit2);
         assert_eq!(cache.stats().entries, 0);
@@ -460,8 +421,8 @@ mod tests {
         let cache = PreparedCache::new(4);
         let target = k5();
         let pattern = generators::directed_cycle(3, 0);
-        cache.get_or_prepare(&pattern, "k5", &target, Algorithm::Ri);
-        cache.get_or_prepare(&pattern, "k5", &target, Algorithm::Ri);
+        lookup(&cache, &pattern, "k5", &target, Algorithm::Ri);
+        lookup(&cache, &pattern, "k5", &target, Algorithm::Ri);
         cache.clear();
         let stats = cache.stats();
         assert_eq!(stats.entries, 0);

@@ -9,8 +9,9 @@
 //!   interning node labels through one shared table so every pattern/target
 //!   pair agrees on the numbering;
 //! * [`PreparedCache`] is a bounded LRU over prepared engines keyed by
-//!   *(pattern, target name, algorithm)* — a repeated pattern skips the
-//!   domain computation / forward checking / ordering phase entirely;
+//!   *(pattern, target name, algorithm, ordering strategy)* — a repeated
+//!   pattern skips the domain computation / forward checking / ordering
+//!   phase entirely;
 //! * [`BatchExecutor`] fans a [`QuerySet`] (many patterns, one target) out
 //!   over a std-thread worker pool, with every run gated by the service's
 //!   global in-flight admission limit;
@@ -24,8 +25,12 @@
 //!   `emit=stream` answers with a header line, newline-delimited row frames
 //!   of `chunk` mappings each and a footer line instead — backed by
 //!   [`Service::run_query_streaming`], whose bounded-channel bridge keeps
-//!   server memory independent of the result cardinality and cancels
-//!   enumeration when the client disconnects mid-stream.
+//!   memory independent of the result cardinality and cancels enumeration
+//!   when its sink fails.  Only the blocking [`Server`] (`--threaded`)
+//!   writes frames to the socket as they are produced; the default
+//!   [`EventServer`] runs each request into an in-memory buffer, so its
+//!   streamed responses are buffered in full before the header leaves and a
+//!   client disconnect cannot cancel the run.
 //!
 //! Everything is `std`-only: no async runtime, no serialization crates —
 //! the JSON responses come from the hand-rolled encoder in [`json`].
@@ -385,14 +390,13 @@ impl Service {
             .get_full(target)
             .ok_or_else(|| ServiceError::UnknownTarget(target.to_string()))?;
         let pattern = self.registry.parse_pattern(&spec.pattern_text)?;
-        let (engine, cache_hit) = self.cache.get_or_prepare_planned(
+        let (engine, cache_hit) = self.cache.get_or_prepare(
             &pattern,
             target,
             &target_graph,
-            Some(&target_stats),
-            Some(&target_bitmaps),
+            &target_stats,
+            &target_bitmaps,
             spec.algorithm,
-            spec.mode,
             spec.run.strategy,
         );
         Ok((engine, cache_hit, PreparedCache::pattern_hash(&pattern)))

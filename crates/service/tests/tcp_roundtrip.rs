@@ -301,7 +301,7 @@ fn explain_round_trips_with_order_costs_and_strategy() {
     assert!(responses[1].contains("\"est_candidates\":["));
     assert!(responses[1].contains("\"est_states\":["));
     assert!(responses[1].contains("\"impossible\":false"));
-    assert!(responses[1].contains("\"mode\":\"intersection\""));
+    assert!(!responses[1].contains("\"mode\""), "{}", responses[1]);
     // Strategy selection reaches the plan.
     assert!(responses[2].contains("\"strategy\":\"least-frequent-label\""));
     assert!(responses[3].contains("\"strategy\":\"degree-descending\""));
@@ -406,20 +406,22 @@ fn strategy_is_selectable_on_query_and_batch() {
         "STATS".to_string(),
         "BATCH target=k5 n=2".to_string(),
         format!("strategy=degree-descending pattern={triangle}"),
-        format!("strategy=degree_descending mode=single-parent pattern={triangle}"),
+        format!("strategy=degree_descending pattern={triangle}"),
         format!("QUERY target=k5 strategy=bogus pattern={triangle}"),
+        // `mode=` is not a QUERY key: unknown keys are structured errors.
+        format!("QUERY target=k5 mode=intersection pattern={triangle}"),
         "SHUTDOWN".to_string(),
     ];
     let responses = run_script(addr, &script).expect("script round-trip");
     std::fs::remove_file(&target_path).ok();
-    assert_eq!(responses.len(), 7, "{responses:?}");
+    assert_eq!(responses.len(), 8, "{responses:?}");
     // All strategies agree on the match count and are echoed back.
     assert!(responses[1].contains("\"matches\":60"));
     assert!(responses[1].contains("\"strategy\":\"least-frequent-label\""));
     assert!(responses[2].contains("\"matches\":60"));
     assert!(responses[2].contains("\"strategy\":\"ri-greedy\""));
     assert!(responses[3].contains("\"misses\":2"), "{}", responses[3]);
-    // Batched queries carry their strategy (and candidate mode) too.
+    // Batched queries carry their strategy too.
     assert!(responses[4].contains("\"succeeded\":2"));
     assert!(responses[4].contains("\"total_matches\":120"));
     assert!(responses[4].contains("\"strategy\":\"degree-descending\""));
@@ -430,7 +432,11 @@ fn strategy_is_selectable_on_query_and_batch() {
         responses[5]
     );
     assert!(responses[5].contains("unknown strategy"));
-    assert!(responses[6].contains("\"shutdown\":true"));
+    assert_eq!(
+        responses[6],
+        "{\"ok\":false,\"error\":\"protocol error: unknown key 'mode'\"}"
+    );
+    assert!(responses[7].contains("\"shutdown\":true"));
     server.join().unwrap();
 }
 

@@ -21,7 +21,7 @@
 //! * termination is detected with the **Dijkstra ring token** algorithm
 //!   (white/black token passed by idle workers).
 //!
-//! The engine is generic over a [`BacktrackProblem`]; `sge-parallel` plugs the
+//! The engine is generic over a [`BacktrackProblem`]; `sge-engine` plugs the
 //! RI / RI-DS search into it, and the test-suite exercises it with independent
 //! toy problems (N-Queens, bounded trees) so scheduler bugs are not masked by
 //! matcher bugs.

@@ -189,7 +189,7 @@ impl<'a> Vf2<'a> {
 /// Enumerates all non-induced embeddings of `pattern` in `target`.
 ///
 /// An empty pattern has exactly one (empty) embedding, mirroring
-/// `sge_ri::enumerate`.
+/// `sge_ri::search_prepared`.
 pub fn enumerate(pattern: &Graph, target: &Graph) -> Vf2Result {
     enumerate_limited(pattern, target, None)
 }

@@ -24,7 +24,7 @@ use sge_graph::io::ParseError;
 use sge_graph::NodeId;
 use sge_obs::SpanRecord;
 use sge_plan::RoutingDecision;
-use sge_ri::{Algorithm, CandidateMode};
+use sge_ri::Algorithm;
 use std::fmt;
 use std::sync::Arc;
 
@@ -100,8 +100,9 @@ pub enum EmitMode {
     #[default]
     Buffered,
     /// A header line, then newline-delimited row frames of up to `chunk`
-    /// mappings each, then a footer line with the outcome — server memory is
-    /// O(chunk), independent of the result cardinality.
+    /// mappings each, then a footer line with the outcome.  Server memory is
+    /// O(chunk) only on a front end that writes frames as they are produced
+    /// (see the [`protocol`] docs).
     Stream,
 }
 
@@ -137,9 +138,6 @@ pub struct QuerySpec {
     pub pattern_text: String,
     /// Algorithm variant to prepare (part of the cache key).
     pub algorithm: Algorithm,
-    /// Candidate generation scheme to prepare under (part of the cache
-    /// key; intersection by default).
-    pub mode: CandidateMode,
     /// Scheduler and limits for this run.  The embedded
     /// `RunConfig::strategy` selects the ordering strategy the engine is
     /// prepared with (also part of the cache key).
@@ -165,7 +163,6 @@ impl QuerySpec {
         QuerySpec {
             pattern_text: pattern_text.into(),
             algorithm: Algorithm::RiDsSiFc,
-            mode: CandidateMode::default(),
             run: RunConfig::default(),
             emit: EmitMode::default(),
             chunk: DEFAULT_STREAM_CHUNK,
@@ -176,12 +173,6 @@ impl QuerySpec {
     /// Sets the algorithm.
     pub fn with_algorithm(mut self, algorithm: Algorithm) -> Self {
         self.algorithm = algorithm;
-        self
-    }
-
-    /// Sets the candidate generation scheme.
-    pub fn with_mode(mut self, mode: CandidateMode) -> Self {
-        self.mode = mode;
         self
     }
 

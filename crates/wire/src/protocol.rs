@@ -5,11 +5,11 @@
 //!
 //! ```text
 //! LOAD <name> <path>
-//! QUERY target=<name> [algo=<a>] [sched=<s>] [strategy=<o>] [mode=<m>]
+//! QUERY target=<name> [algo=<a>] [sched=<s>] [strategy=<o>]
 //!       [max=<n>] [timeout_ms=<n>] [collect=<n>] [seed=<n>]
 //!       [emit=stream] [chunk=<k>]
 //!       pattern=<inline> | pattern_file=<path>
-//! EXPLAIN target=<name> [algo=<a>] [strategy=<o>] [mode=<m>]
+//! EXPLAIN target=<name> [algo=<a>] [strategy=<o>]
 //!         pattern=<inline> | pattern_file=<path>
 //! EXPLAIN ANALYZE target=<name> [...QUERY knobs...]
 //!         pattern=<inline> | pattern_file=<path>
@@ -29,8 +29,6 @@
 //!   reports the full decision under `routing`.
 //! * `strategy` — ordering strategy: `ri-greedy` (default),
 //!   `least-frequent-label` or `degree-descending`.
-//! * `mode` — candidate generation: `intersection` (default) or
-//!   `single-parent`.
 //! * `emit` — `buffered` (default, one JSON response) or `stream` (see
 //!   below); `chunk` — rows per streamed frame (default 64, clamped to at
 //!   most 65536).  Not valid on `BATCH` continuation lines.
@@ -69,9 +67,15 @@
 //! the first non-frame line is the footer carrying the usual outcome fields
 //! (`matches`, `latency_seconds`, `cache_hit`, `strategy`, …) plus
 //! `rows_sent` and `cancelled`.  Rows are emitted in discovery order; on an
-//! uncancelled stream `rows_sent == matches`.  Server memory is O(chunk)
-//! regardless of result cardinality, and a client that disconnects
-//! mid-stream cancels the enumeration cooperatively.
+//! uncancelled stream `rows_sent == matches`.
+//!
+//! Under the blocking front end (`sge-serve --threaded`) frames leave as they
+//! are produced: server memory is O(chunk) regardless of result cardinality,
+//! and a client that disconnects mid-stream cancels the enumeration
+//! cooperatively.  The default event-loop front end runs each request into
+//! an in-memory buffer on a worker thread, so a streamed response is
+//! buffered in full before its header is written: memory grows with the
+//! result, and a disconnect cannot cancel the run.
 //!
 //! # Robustness limits
 //!
@@ -176,7 +180,6 @@ fn parse_query_args(tokens: &[&str]) -> Result<QueryArgs, ServiceError> {
     let mut target = None;
     let mut pattern_text: Option<String> = None;
     let mut algorithm = sge_ri::Algorithm::RiDsSiFc;
-    let mut mode = sge_ri::CandidateMode::default();
     let mut run = RunConfig::default();
     let mut emit = EmitMode::default();
     let mut chunk = crate::DEFAULT_STREAM_CHUNK;
@@ -202,9 +205,6 @@ fn parse_query_args(tokens: &[&str]) -> Result<QueryArgs, ServiceError> {
             }
             "strategy" => {
                 run.strategy = value.parse().map_err(protocol_error)?;
-            }
-            "mode" => {
-                mode = value.parse().map_err(protocol_error)?;
             }
             "max" => {
                 let n: u64 = value
@@ -254,7 +254,6 @@ fn parse_query_args(tokens: &[&str]) -> Result<QueryArgs, ServiceError> {
     let spec = pattern_text.map(|pattern_text| QuerySpec {
         pattern_text,
         algorithm,
-        mode,
         run,
         emit,
         chunk,
@@ -553,10 +552,6 @@ pub fn explain_response(explain: &ExplainOutcome) -> Json {
         ("target", Json::str(explain.target.clone())),
         ("algorithm", Json::str(plan.algorithm.name())),
         ("strategy", Json::str(plan.strategy.name())),
-        (
-            "mode",
-            Json::str(explain.engine.candidate_mode().to_string()),
-        ),
         ("positions", Json::U64(plan.num_positions() as u64)),
         ("order", order),
         ("est_candidates", est_candidates),
@@ -639,10 +634,6 @@ pub fn explain_analyze_response(analyze: &ExplainAnalyzeOutcome) -> Json {
         ("target", Json::str(analyze.target.clone())),
         ("algorithm", Json::str(plan.algorithm.name())),
         ("strategy", Json::str(plan.strategy.name())),
-        (
-            "mode",
-            Json::str(analyze.engine.candidate_mode().to_string()),
-        ),
         ("scheduler", Json::str(outcome.scheduler.to_string())),
         ("workers", Json::U64(outcome.workers as u64)),
         ("positions", Json::U64(plan.num_positions() as u64)),
@@ -807,11 +798,10 @@ mod tests {
 
     #[test]
     fn parses_strategy_mode_and_explain() {
-        let line = "QUERY target=k5 strategy=lfl mode=single-parent pattern=1;0;0";
+        let line = "QUERY target=k5 strategy=lfl pattern=1;0;0";
         match parse_command(line).unwrap() {
             Command::Query { spec, .. } => {
                 assert_eq!(spec.run.strategy, sge_ri::Strategy::LeastFrequentLabelFirst);
-                assert_eq!(spec.mode, sge_ri::CandidateMode::SingleParent);
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -825,7 +815,9 @@ mod tests {
         assert!(parse_command("EXPLAIN target=k5").is_err());
         assert!(parse_command("EXPLAIN pattern=1;0;0").is_err());
         assert!(parse_command("QUERY target=k5 strategy=wat pattern=1;0;0").is_err());
-        assert!(parse_command("QUERY target=k5 mode=wat pattern=1;0;0").is_err());
+        let err = parse_command("QUERY target=k5 mode=intersection pattern=1;0;0")
+            .expect_err("mode= is not a QUERY key");
+        assert!(err.to_string().contains("unknown key 'mode'"), "{err}");
     }
 
     #[test]

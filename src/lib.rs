@@ -18,11 +18,10 @@
 //! |-------|----------|
 //! | [`graph`] | labeled directed CSR graphs, builders, text I/O, generators |
 //! | [`plan`] | query planning: ordering strategies, cost model, EXPLAIN-able plans |
-//! | [`ri`] | sequential RI, RI-DS, RI-DS-SI, RI-DS-SI-FC |
+//! | [`ri`] | the RI family's search: candidate generation, consistency checks, the sequential driver |
 //! | [`vf2`] | a VF2-style baseline used for cross-validation |
 //! | [`stealing`] | the generic private-deque work-stealing engine |
-//! | [`parallel`] | parallel RI / RI-DS-SI-FC plus ablation schedulers |
-//! | [`engine`] | the unified [`Engine`]/[`Scheduler`] API and [`PreparedEngine`] |
+//! | [`engine`] | the unified [`Engine`]/[`Scheduler`] API and [`PreparedEngine`]: sequential, work-stealing and rayon-style runs of one prepared search |
 //! | [`wire`] | the serving wire plane: line-protocol codec, JSON encoder, stream framing |
 //! | [`service`] | query serving: graph registry, prepared cache, batch executor, TCP servers |
 //! | [`obs`] | observability: metrics registry, query traces, enumeration trace sinks, event log |
@@ -66,7 +65,6 @@ pub mod engine;
 pub use sge_datasets as datasets;
 pub use sge_graph as graph;
 pub use sge_obs as obs;
-pub use sge_parallel as parallel;
 pub use sge_plan as plan;
 pub use sge_ri as ri;
 pub use sge_service as service;
@@ -85,11 +83,6 @@ pub mod prelude {
     pub use sge_plan::{Planner, QueryPlan, Strategy};
     pub use sge_ri::{Algorithm, MatchVisitor};
     pub use sge_service::{QuerySet, QuerySpec, Service, ServiceConfig};
-
-    // Legacy per-crate entry points, kept as thin shims over the engine
-    // machinery for existing callers.
-    pub use sge_parallel::{enumerate_parallel, ParallelConfig, ParallelResult};
-    pub use sge_ri::{enumerate, MatchConfig, MatchResult};
 }
 
 #[cfg(test)]
@@ -106,14 +99,10 @@ mod tests {
         assert_eq!(seq.matches, 6);
         assert_eq!(par.matches, 6);
 
-        // The legacy shims still agree with the engine.
-        let legacy_seq = enumerate(&pattern, &target, &MatchConfig::new(Algorithm::Ri));
-        let legacy_par = enumerate_parallel(
-            &pattern,
-            &target,
-            &ParallelConfig::new(Algorithm::Ri).with_workers(2),
-        );
-        assert_eq!(legacy_seq.matches, 6);
-        assert_eq!(legacy_par.matches, 6);
+        // The per-crate modules reach the same machinery.
+        let ctx = crate::ri::SearchContext::prepare(&pattern, &target, Algorithm::Ri);
+        let run = crate::ri::search_prepared(&ctx, &Default::default(), |_, _| {});
+        assert_eq!(run.matches, 6);
+        assert_eq!(crate::vf2::count_matches(&pattern, &target), 6);
     }
 }

@@ -9,7 +9,6 @@
 
 use sge::obs::TraceSink;
 use sge::prelude::*;
-use sge::ri::CandidateMode;
 use sge::util::SplitMix64;
 use sge::Strategy;
 use std::sync::Arc;
@@ -243,47 +242,35 @@ fn max_matches_stops_at_n_on_a_large_clique() {
 }
 
 #[test]
-fn intersection_candidates_match_single_parent_and_vf2() {
+fn intersection_candidates_match_vf2() {
     // Same deterministic seed discipline as the rest of this file: for
     // randomized instances with multiple edge labels and self-loops, the
-    // intersection-based candidate generator must produce byte-identical
-    // sorted mapping sets to the legacy single-parent path under every
-    // scheduler, and both must agree with the independent VF2 oracle.
+    // intersection-based candidate generator must produce exactly the sorted
+    // mapping set of the independent VF2 oracle under every scheduler.
     for case in 0..12u64 {
         let mut rng = SplitMix64::new(0x1317 ^ case);
         let n = 10 + rng.next_below(8);
         let k = 3 + rng.next_below(3);
         let target = random_multi_label_graph(rng.next_u64(), n, 0.2, 2, 3);
         let pattern = extracted_pattern(rng.next_u64(), &target, k);
-        let oracle = sge::vf2::count_matches(&pattern, &target);
+        let oracle = sge::vf2::collect_mappings(&pattern, &target);
         for algorithm in [Algorithm::Ri, Algorithm::RiDsSiFc] {
-            let intersection = Engine::prepare(&pattern, &target, algorithm);
-            let single = Engine::prepare_with_mode(
-                &pattern,
-                &target,
-                algorithm,
-                CandidateMode::SingleParent,
-            );
-            let total = intersection.run(&RunConfig::default()).matches;
-            assert_eq!(total, oracle, "case={case} {algorithm} vs VF2");
-            let config_for =
-                |s: Scheduler| RunConfig::new(s).with_collected_mappings(total as usize + 1);
-            let reference = single.run(&config_for(Scheduler::Sequential)).mappings;
-            assert_eq!(reference.len(), total as usize, "case={case} {algorithm}");
+            let engine = Engine::prepare(&pattern, &target, algorithm);
             for scheduler in [
                 Scheduler::Sequential,
                 Scheduler::work_stealing(2),
                 Scheduler::Rayon { workers: 2 },
             ] {
-                let mapped = intersection.run(&config_for(scheduler)).mappings;
+                let config = RunConfig::new(scheduler).with_collected_mappings(oracle.len() + 1);
+                let outcome = engine.run(&config);
                 assert_eq!(
-                    mapped, reference,
-                    "case={case} {algorithm} {scheduler}: intersection mappings diverged"
+                    outcome.matches,
+                    oracle.len() as u64,
+                    "case={case} {algorithm} {scheduler} vs VF2"
                 );
-                let legacy = single.run(&config_for(scheduler)).mappings;
                 assert_eq!(
-                    legacy, reference,
-                    "case={case} {algorithm} {scheduler}: single-parent mappings diverged"
+                    outcome.mappings, oracle,
+                    "case={case} {algorithm} {scheduler}: mappings diverged from VF2"
                 );
             }
         }
@@ -294,37 +281,37 @@ fn intersection_candidates_match_single_parent_and_vf2() {
 fn all_strategies_and_modes_agree_with_each_other_and_vf2() {
     // The planning satellite of the strategy extraction: for randomized
     // pattern/target pairs (multiple node and edge labels, self-loops), all
-    // three ordering strategies × both candidate modes must produce
-    // byte-identical sorted mapping sets, cross-checked against the
-    // independent VF2 oracle.  Strategies only reshape the search tree —
-    // never the result set.
+    // three ordering strategies × both delivery modes (buffered collection
+    // and the bounded-channel stream) must produce the VF2 oracle's sorted
+    // mapping set.  Strategies only reshape the search tree — never the
+    // result set.
     for case in 0..10u64 {
         let mut rng = SplitMix64::new(0x9A17 ^ case);
         let n = 10 + rng.next_below(8);
         let k = 3 + rng.next_below(3);
         let target = random_multi_label_graph(rng.next_u64(), n, 0.2, 3, 2);
         let pattern = extracted_pattern(rng.next_u64(), &target, k);
-        let oracle = sge::vf2::count_matches(&pattern, &target);
+        let oracle = sge::vf2::collect_mappings(&pattern, &target);
         for algorithm in [Algorithm::Ri, Algorithm::RiDsSiFc] {
-            let reference = Engine::prepare(&pattern, &target, algorithm);
-            let total = reference.run(&RunConfig::default()).matches;
-            assert_eq!(total, oracle, "case={case} {algorithm} vs VF2");
-            let collect_all = |e: &Engine<'_>| {
-                e.run(&RunConfig::default().with_collected_mappings(total as usize + 1))
-                    .mappings
-            };
-            let expected = collect_all(&reference);
-            assert_eq!(expected.len(), total as usize, "case={case} {algorithm}");
             for strategy in Strategy::ALL {
-                for mode in [CandidateMode::Intersection, CandidateMode::SingleParent] {
-                    let engine =
-                        Engine::prepare_planned(&pattern, &target, algorithm, mode, strategy);
-                    let mappings = collect_all(&engine);
-                    assert_eq!(
-                        mappings, expected,
-                        "case={case} {algorithm} {strategy} {mode:?}: mappings diverged"
-                    );
-                }
+                let engine = Engine::prepare_planned(&pattern, &target, algorithm, strategy);
+                let collected = engine
+                    .run(&RunConfig::default().with_collected_mappings(oracle.len() + 1))
+                    .mappings;
+                assert_eq!(
+                    collected, oracle,
+                    "case={case} {algorithm} {strategy}: collected mappings diverged"
+                );
+                let mut streamed = Vec::new();
+                engine.run_streaming(&RunConfig::default(), 4, |mapping| {
+                    streamed.push(mapping);
+                    true
+                });
+                streamed.sort_unstable();
+                assert_eq!(
+                    streamed, oracle,
+                    "case={case} {algorithm} {strategy}: streamed mappings diverged"
+                );
             }
         }
     }
@@ -356,24 +343,22 @@ fn intersection_handles_self_loops_and_edge_labels_deterministically() {
     tb.add_edge(5, 2, 8); // both labels right, but node 2's loop label is wrong
     let target = tb.build();
 
-    let oracle = sge::vf2::count_matches(&pattern, &target);
-    assert_eq!(oracle, 1, "exactly the (0 -> 0, b -> 1) embedding survives");
+    let oracle = sge::vf2::collect_mappings(&pattern, &target);
+    assert_eq!(
+        oracle,
+        vec![vec![0, 1]],
+        "exactly the (a -> 0, b -> 1) embedding survives"
+    );
     for algorithm in [Algorithm::Ri, Algorithm::RiDs, Algorithm::RiDsSiFc] {
-        for mode in [CandidateMode::Intersection, CandidateMode::SingleParent] {
-            let engine = Engine::prepare_with_mode(&pattern, &target, algorithm, mode);
-            for scheduler in [
-                Scheduler::Sequential,
-                Scheduler::work_stealing(2),
-                Scheduler::Rayon { workers: 2 },
-            ] {
-                let outcome = engine.run(&RunConfig::new(scheduler).with_collected_mappings(4));
-                assert_eq!(outcome.matches, 1, "{algorithm} {mode:?} {scheduler}");
-                assert_eq!(
-                    outcome.mappings,
-                    vec![vec![0, 1]],
-                    "{algorithm} {mode:?} {scheduler}"
-                );
-            }
+        let engine = Engine::prepare(&pattern, &target, algorithm);
+        for scheduler in [
+            Scheduler::Sequential,
+            Scheduler::work_stealing(2),
+            Scheduler::Rayon { workers: 2 },
+        ] {
+            let outcome = engine.run(&RunConfig::new(scheduler).with_collected_mappings(4));
+            assert_eq!(outcome.matches, 1, "{algorithm} {scheduler}");
+            assert_eq!(outcome.mappings, oracle, "{algorithm} {scheduler}");
         }
     }
 }
