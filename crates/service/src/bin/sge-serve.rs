@@ -3,7 +3,7 @@
 //! ```text
 //! sge-serve [--addr HOST:PORT] [--cache N] [--workers N]
 //!           [--max-in-flight N] [--drain-ms N] [--load NAME=PATH]...
-//!           [--log PATH] [--threaded] [--route-threshold STATES]
+//!           [--log PATH] [--route-threshold STATES]
 //!           [--route-states-per-worker STATES]
 //! ```
 //!
@@ -14,25 +14,19 @@
 //! per server lifecycle event (`listening`, `conn_open`, `conn_close`,
 //! `shutdown`, `drained`) to PATH.
 //!
-//! On Unix the default front end is the event-driven readiness loop
-//! ([`sge_service::EventServer`]); `--threaded` selects the classic
-//! thread-per-connection server instead (always used on non-Unix hosts).
-//! `--route-threshold` / `--route-states-per-worker` tune the planner's
-//! scheduler routing (estimated states below the threshold stay on the
-//! sequential fast path; above it, worker count is sized from the
-//! corrected estimate).
+//! The front end is the event-driven readiness loop
+//! ([`sge_service::EventServer`]), built on `poll(2)`: off Unix the binary
+//! says so and exits 2.  `--route-threshold` / `--route-states-per-worker`
+//! tune the planner's scheduler routing (estimated states below the
+//! threshold stay on the sequential fast path; above it, worker count is
+//! sized from the corrected estimate).
 
-use sge_obs::EventLog;
-use sge_service::{Server, Service, ServiceConfig};
-use std::io::Write;
+use sge_service::{Service, ServiceConfig};
 use std::sync::Arc;
-
-/// Ring capacity for the in-memory tail of the event log.
-const EVENT_LOG_CAPACITY: usize = 1024;
 
 const USAGE: &str = "usage: sge-serve [--addr HOST:PORT] [--cache N] [--workers N] \
      [--max-in-flight N] [--drain-ms N] [--load NAME=PATH]... [--log PATH] \
-     [--threaded] [--route-threshold STATES] [--route-states-per-worker STATES]";
+     [--route-threshold STATES] [--route-states-per-worker STATES]";
 
 fn fail(message: &str) -> ! {
     eprintln!("error: {message}");
@@ -47,7 +41,6 @@ fn main() {
     let mut preloads: Vec<(String, String)> = Vec::new();
     let mut drain_ms: u64 = 5000;
     let mut log_path: Option<String> = None;
-    let mut threaded = false;
 
     let mut i = 0;
     while i < args.len() {
@@ -97,7 +90,6 @@ fn main() {
                     Err(_) => fail("invalid --route-states-per-worker"),
                 }
             }
-            "--threaded" => threaded = true,
             "--load" => {
                 let spec = value();
                 match spec.split_once('=') {
@@ -125,43 +117,24 @@ fn main() {
             Err(err) => fail(&format!("cannot load {name} from {path}: {err}")),
         }
     }
-    serve(&addr, service, drain_ms, log_path.as_deref(), threaded);
+    serve(&addr, service, drain_ms, log_path.as_deref());
 }
 
-/// Binds the selected front end over `service` and serves until `SHUTDOWN`.
-fn serve(addr: &str, service: Arc<Service>, drain_ms: u64, log_path: Option<&str>, threaded: bool) {
+/// Binds the event loop over `service` and serves until `SHUTDOWN`.
+#[cfg(unix)]
+fn serve(addr: &str, service: Arc<Service>, drain_ms: u64, log_path: Option<&str>) {
+    use sge_obs::EventLog;
+    use std::io::Write;
+
+    /// Ring capacity for the in-memory tail of the event log.
+    const EVENT_LOG_CAPACITY: usize = 1024;
+
     let event_log = log_path.map(|path| match EventLog::with_file(EVENT_LOG_CAPACITY, path) {
         Ok(log) => Arc::new(log),
         Err(err) => fail(&format!("cannot open event log {path}: {err}")),
     });
-    let drain = std::time::Duration::from_millis(drain_ms);
-
-    #[cfg(unix)]
-    if !threaded {
-        let mut server = match sge_service::EventServer::bind(addr, service) {
-            Ok(server) => server.with_drain_timeout(drain),
-            Err(err) => fail(&format!("cannot bind {addr}: {err}")),
-        };
-        if let Some(log) = event_log {
-            server = server.with_event_log(log);
-        }
-        let bound = server
-            .local_addr()
-            .map(|a| a.to_string())
-            .unwrap_or_else(|_| addr.to_string());
-        println!("listening on {bound}");
-        std::io::stdout().flush().ok();
-        if let Err(err) = server.run() {
-            eprintln!("server error: {err}");
-            std::process::exit(1);
-        }
-        return;
-    }
-    #[cfg(not(unix))]
-    let _ = threaded; // only the blocking front end exists off-Unix
-
-    let mut server = match Server::bind(addr, service) {
-        Ok(server) => server.with_drain_timeout(drain),
+    let mut server = match sge_service::EventServer::bind(addr, service) {
+        Ok(server) => server.with_drain_timeout(std::time::Duration::from_millis(drain_ms)),
         Err(err) => fail(&format!("cannot bind {addr}: {err}")),
     };
     if let Some(log) = event_log {
@@ -173,9 +146,15 @@ fn serve(addr: &str, service: Arc<Service>, drain_ms: u64, log_path: Option<&str
         .unwrap_or_else(|_| addr.to_string());
     println!("listening on {bound}");
     std::io::stdout().flush().ok();
-
     if let Err(err) = server.run() {
         eprintln!("server error: {err}");
         std::process::exit(1);
     }
+}
+
+/// The front end is built on `poll(2)`; there is nothing to serve with.
+#[cfg(not(unix))]
+fn serve(_addr: &str, _service: Arc<Service>, _drain_ms: u64, _log_path: Option<&str>) {
+    eprintln!("error: sge-serve needs a Unix host (its event loop is built on poll(2))");
+    std::process::exit(2);
 }

@@ -1,11 +1,12 @@
 //! Transport-generic protocol handling: one connection, one step at a time.
 //!
-//! [`Connection`] owns the per-connection request/response loop that used to
-//! live inside the TCP server, generic over any [`BufRead`] reader and
-//! [`Write`] writer.  The TCP front end drives it over a socket
-//! ([`crate::server`]); the deterministic simulator drives the *same code*
-//! over in-memory fault-injecting transports — which is the point: the
-//! simulator exercises the real protocol surface, not a reimplementation.
+//! [`Connection`] owns the per-connection request/response loop, generic
+//! over any [`BufRead`] reader and [`Write`] writer.  The TCP front end's
+//! workers step it over one framed request unit, writing into an outbox the
+//! readiness loop drains to the socket (`crate::event_server`, Unix only);
+//! the deterministic simulator drives the *same code* over in-memory
+//! fault-injecting transports — which is the point: the simulator
+//! exercises the real protocol surface, not a reimplementation.
 //!
 //! [`Connection::step`] processes exactly one request (a `BATCH` header
 //! consumes its continuation lines in the same step; a streamed `QUERY`

@@ -18,19 +18,17 @@
 //! * [`Service`] ties the three together and keeps aggregate statistics
 //!   (queries served, total matches, and a latency distribution built on
 //!   [`sge_util::LatencyHistogram`]);
-//! * [`Server`] is a std-only TCP front end speaking the newline-delimited
-//!   text protocol documented in [`protocol`] (`LOAD`, `QUERY`, `EXPLAIN`,
-//!   `BATCH`, `STATS`, `SHUTDOWN`) with single-line JSON responses, driven
-//!   by the `sge-serve` / `sge-client` binaries.  A `QUERY` with
-//!   `emit=stream` answers with a header line, newline-delimited row frames
-//!   of `chunk` mappings each and a footer line instead — backed by
-//!   [`Service::run_query_streaming`], whose bounded-channel bridge keeps
-//!   memory independent of the result cardinality and cancels enumeration
-//!   when its sink fails.  Only the blocking [`Server`] (`--threaded`)
-//!   writes frames to the socket as they are produced; the default
-//!   [`EventServer`] runs each request into an in-memory buffer, so its
-//!   streamed responses are buffered in full before the header leaves and a
-//!   client disconnect cannot cancel the run.
+//! * [`EventServer`] (Unix) is the std-only TCP front end speaking the
+//!   newline-delimited text protocol documented in [`protocol`] (`LOAD`,
+//!   `QUERY`, `EXPLAIN`, `BATCH`, `STATS`, `SHUTDOWN`) with single-line
+//!   JSON responses, driven by the `sge-serve` / `sge-client` binaries.  A
+//!   `QUERY` with `emit=stream` answers with a header line,
+//!   newline-delimited row frames of `chunk` mappings each and a footer
+//!   line instead — backed by [`Service::run_query_streaming`], whose
+//!   bounded-channel bridge keeps memory independent of the result
+//!   cardinality and cancels enumeration when its sink fails.  The front
+//!   end writes frames to the socket as they are produced, and a client
+//!   that disconnects mid-stream cancels the run.
 //!
 //! Everything is `std`-only: no async runtime, no serialization crates —
 //! the JSON responses come from the hand-rolled encoder in [`json`].
@@ -47,7 +45,6 @@ pub mod event_server;
 pub mod json;
 pub mod protocol;
 pub mod registry;
-pub mod server;
 pub mod stats;
 
 mod semaphore;
@@ -58,7 +55,6 @@ pub use connection::{Connection, StepOutcome};
 #[cfg(unix)]
 pub use event_server::EventServer;
 pub use registry::{GraphInfo, GraphRegistry};
-pub use server::Server;
 pub use stats::{ServiceStats, StatsSnapshot};
 // The wire-plane vocabulary moved to `sge-wire`; re-exported so historical
 // `sge_service::{QuerySpec, ServiceError, …}` paths keep working.
@@ -112,7 +108,8 @@ impl Default for ServiceConfig {
 
 /// The serving core: registry + cache + stats + admission control.
 ///
-/// [`Server`] exposes it over TCP; it is equally usable in-process:
+/// [`EventServer`] exposes it over TCP on Unix; it is equally usable
+/// in-process:
 ///
 /// ```
 /// use sge_service::{QuerySpec, Service, ServiceConfig};
@@ -154,7 +151,7 @@ struct DispatchCells {
     /// The cost model's most recently updated correction factor, in
     /// milli-units (1000 = identity) — gauges are integral.
     correction: Gauge,
-    /// Currently open server connections (maintained by the TCP front ends).
+    /// Currently open server connections (maintained by the TCP front end).
     connections_open: Gauge,
 }
 
@@ -419,7 +416,7 @@ impl Service {
     }
 
     /// The `service.connections_open` gauge handle — incremented /
-    /// decremented by the TCP front ends as connections open and close.
+    /// decremented by the TCP front end as connections open and close.
     pub fn connections_gauge(&self) -> Gauge {
         self.dispatch.connections_open.clone()
     }
@@ -747,5 +744,5 @@ pub fn scheduler_for_choice(choice: SchedulerChoice) -> Scheduler {
     }
 }
 
-/// Convenience alias: a service shared across server connection threads.
+/// Convenience alias: a service shared across the front end's worker threads.
 pub type SharedService = Arc<Service>;

@@ -1,5 +1,5 @@
 //! End-to-end tests for the event-driven TCP front end (Unix only): framing
-//! across arbitrary packet boundaries, parity with the blocking server, a
+//! across arbitrary packet boundaries, readers that stall mid-stream, a
 //! 512-connection soak, and drain-on-`SHUTDOWN`.
 
 #![cfg(unix)]
@@ -8,11 +8,12 @@ use sge_graph::{generators, io::write_graph};
 use sge_obs::EventLog;
 use sge_service::client::run_script;
 use sge_service::protocol::encode_inline_pattern;
-use sge_service::{EventServer, Server, Service, ServiceConfig};
-use std::io::{BufRead, BufReader, Read, Write};
+use sge_service::{EventServer, Service, ServiceConfig};
+use sge_util::clock::VirtualClock;
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn start_event_server(
     service: Arc<Service>,
@@ -35,6 +36,33 @@ fn service_with_k5() -> Arc<Service> {
 
 fn triangle() -> String {
     encode_inline_pattern(&write_graph(&generators::directed_cycle(3, 0)))
+}
+
+/// Embeddings of a directed 4-path in K40: 40·39·38·37.
+const K40_PATH4_ROWS: u64 = 2_193_360;
+
+/// Opens a stream of every directed 4-path in `k40` (tens of MB of
+/// four-row frames, far more than any loopback socket buffer holds), reads
+/// its header and then nothing more, so the stream's worker ends up
+/// blocked on its outbox.  The returned reader keeps the connection open.
+fn open_stalled_stream(addr: std::net::SocketAddr) -> BufReader<TcpStream> {
+    let path4 = encode_inline_pattern(&write_graph(&generators::directed_path(4, 0)));
+    let stream = TcpStream::connect(addr).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    writeln!(
+        writer,
+        "QUERY target=k40 emit=stream chunk=4 pattern={path4}"
+    )
+    .unwrap();
+    writer.flush().unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut header = String::new();
+    reader.read_line(&mut header).unwrap();
+    assert!(
+        header.starts_with("{\"ok\":true,\"stream\":true"),
+        "{header}"
+    );
+    reader
 }
 
 #[test]
@@ -72,7 +100,7 @@ fn event_server_serves_query_batch_stats_shutdown() {
     assert!(responses[4].contains("\"shutdown\":true"));
     server.join().expect("event server exits after SHUTDOWN");
 
-    // Lifecycle events mirror the blocking server's, ending in a clean drain.
+    // The lifecycle is logged in full, ending in a clean drain.
     let lines = log.recent();
     let events: Vec<String> = lines
         .iter()
@@ -93,85 +121,16 @@ fn event_server_serves_query_batch_stats_shutdown() {
         lines.last().unwrap().contains("\"clean\":true"),
         "drain must complete cleanly: {lines:?}"
     );
-}
-
-/// Replaces the value after every volatile (timing-derived) key so two
-/// responses can be compared byte-for-byte.
-fn scrub_volatile(block: &str) -> String {
-    const VOLATILE: [&str; 2] = ["_seconds\":", "_per_second\":"];
-    let mut out = String::new();
-    let mut rest = block;
-    loop {
-        let hit = VOLATILE
+    assert!(
+        lines.iter().all(|line| line.contains("\"ts_seconds\":")),
+        "every event line carries a clock timestamp: {lines:?}"
+    );
+    assert!(
+        lines
             .iter()
-            .filter_map(|key| rest.find(key).map(|pos| pos + key.len()))
-            .min();
-        match hit {
-            Some(end) => {
-                out.push_str(&rest[..end]);
-                out.push('0');
-                let tail = &rest[end..];
-                let stop = tail.find([',', '}']).unwrap_or(tail.len());
-                rest = &tail[stop..];
-            }
-            None => {
-                out.push_str(rest);
-                return out;
-            }
-        }
-    }
-}
-
-#[test]
-fn responses_match_the_threaded_server_byte_for_byte() {
-    // One deterministic worker so batched cache_hit flags cannot race.
-    let config = || ServiceConfig {
-        batch_workers: 1,
-        ..ServiceConfig::default()
-    };
-    let triangle = triangle();
-    let edge = encode_inline_pattern(&write_graph(&generators::directed_path(2, 0)));
-    let script = vec![
-        format!("QUERY target=k5 pattern={triangle}"),
-        format!("QUERY target=k5 sched=ws:4 pattern={triangle}"),
-        format!("QUERY target=k5 sched=auto collect=100 pattern={edge}"),
-        format!("EXPLAIN target=k5 pattern={triangle}"),
-        format!("EXPLAIN ANALYZE target=k5 pattern={triangle}"),
-        "BATCH target=k5 n=2".to_string(),
-        format!("pattern={triangle}"),
-        format!("algo=ri-ds pattern={edge}"),
-        format!("QUERY target=k5 emit=stream chunk=7 pattern={triangle}"),
-        "FROB nonsense".to_string(),
-        "SHUTDOWN".to_string(),
-    ];
-
-    let threaded = {
-        let service = Arc::new(Service::new(config()));
-        service.registry().insert("k5", generators::clique(5, 0));
-        let server = Server::bind("127.0.0.1:0", service).expect("bind");
-        let addr = server.local_addr().unwrap();
-        let handle = std::thread::spawn(move || server.run().expect("run"));
-        let responses = run_script(addr, &script).expect("threaded script");
-        handle.join().unwrap();
-        responses
-    };
-    let event_driven = {
-        let service = Arc::new(Service::new(config()));
-        service.registry().insert("k5", generators::clique(5, 0));
-        let (addr, handle) = start_event_server(service, None);
-        let responses = run_script(addr, &script).expect("event script");
-        handle.join().unwrap();
-        responses
-    };
-
-    assert_eq!(threaded.len(), event_driven.len());
-    for (index, (a, b)) in threaded.iter().zip(&event_driven).enumerate() {
-        assert_eq!(
-            scrub_volatile(a),
-            scrub_volatile(b),
-            "response {index} differs between front ends"
-        );
-    }
+            .any(|line| line.contains("\"conn\":1") && line.contains("\"peer\":")),
+        "conn_open records the id and peer: {lines:?}"
+    );
 }
 
 #[test]
@@ -289,6 +248,145 @@ fn disconnect_with_response_pending_keeps_the_server_alive() {
     assert!(responses[0].contains("\"matches\":60"), "{}", responses[0]);
     assert!(responses[1].contains("\"shutdown\":true"));
     server.join().unwrap();
+}
+
+#[test]
+fn stalled_stream_reader_blocks_neither_other_clients_nor_shutdown() {
+    let service = service_with_k5();
+    service.registry().insert("k40", generators::clique(40, 0));
+    let server = EventServer::bind("127.0.0.1:0", Arc::clone(&service))
+        .expect("bind loopback")
+        .with_drain_timeout(Duration::from_millis(500));
+    let addr = server.local_addr().unwrap();
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let handle = std::thread::spawn(move || {
+        server.run().expect("event server run");
+        let _ = done_tx.send(());
+    });
+    let triangle = triangle();
+    let stalled = open_stalled_stream(addr);
+
+    // Other clients are served meanwhile, and the stream is still open.
+    let responses = run_script(
+        addr,
+        &[
+            format!("QUERY target=k5 pattern={triangle}"),
+            "STATS".to_string(),
+        ],
+    )
+    .expect("buffered query beside a stalled stream");
+    assert!(responses[0].contains("\"matches\":60"), "{}", responses[0]);
+    assert!(
+        responses[1].contains("\"streams_served\":0"),
+        "the stalled stream must not have finished: {}",
+        responses[1]
+    );
+
+    // The drain deadline passes with the reader still stalled; closing the
+    // outbox fails the worker's flush, so run() returns all the same.
+    let responses = run_script(addr, &["SHUTDOWN".to_string()]).unwrap();
+    assert!(responses[0].contains("\"shutdown\":true"));
+    done_rx
+        .recv_timeout(Duration::from_secs(5))
+        .expect("run returns within 5 s despite the stalled reader");
+    handle.join().unwrap();
+    let stats = service.stats();
+    assert_eq!(stats.streams_cancelled, 1, "{stats:?}");
+    assert!(stats.rows_streamed < K40_PATH4_ROWS, "{stats:?}");
+    drop(stalled);
+}
+
+#[test]
+fn stalled_readers_on_every_worker_are_dropped_after_the_write_stall_timeout() {
+    // The stall timeout runs on the service clock; a virtual one lets the
+    // test move past it without waiting.  The drain deadline is far enough
+    // out that run() can only return early by dropping the stalled readers.
+    let clock = Arc::new(VirtualClock::new());
+    let service = Arc::new(Service::with_clock(ServiceConfig::default(), clock.clone()));
+    service.registry().insert("k40", generators::clique(40, 0));
+    // One stalled stream per worker: the pool has one per core, at least two.
+    let workers = std::thread::available_parallelism()
+        .map_or(1, |n| n.get())
+        .max(2);
+    let log = Arc::new(EventLog::new(4 * workers + 16));
+    let server = EventServer::bind("127.0.0.1:0", Arc::clone(&service))
+        .expect("bind loopback")
+        .with_drain_timeout(Duration::from_secs(3600))
+        .with_event_log(Arc::clone(&log));
+    let addr = server.local_addr().unwrap();
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let handle = std::thread::spawn(move || {
+        server.run().expect("event server run");
+        let _ = done_tx.send(());
+    });
+    let stalled: Vec<_> = (0..workers).map(|_| open_stalled_stream(addr)).collect();
+
+    // Every worker is pinned, so a fresh connection's STATS waits.
+    let probe = TcpStream::connect(addr).unwrap();
+    probe
+        .set_read_timeout(Some(Duration::from_millis(100)))
+        .unwrap();
+    let mut probe_writer = probe.try_clone().unwrap();
+    let mut probe = BufReader::new(probe);
+    writeln!(probe_writer, "STATS").unwrap();
+    let mut line = String::new();
+    let pinned = Instant::now() + Duration::from_millis(300);
+    while Instant::now() < pinned {
+        match probe.read_line(&mut line) {
+            Err(err) if matches!(err.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+            other => panic!("STATS answered while every worker is pinned: {other:?} {line}"),
+        }
+    }
+
+    // Past the stall timeout the loop drops the stalled readers, their
+    // workers' flushes fail, and the queued STATS and then SHUTDOWN are
+    // answered.
+    let read_response = |probe: &mut BufReader<TcpStream>| {
+        let mut line = String::new();
+        let give_up = Instant::now() + Duration::from_secs(30);
+        while !line.ends_with('\n') {
+            assert!(Instant::now() < give_up, "no response: {line}");
+            clock.advance(Duration::from_secs(60));
+            match probe.read_line(&mut line) {
+                Ok(0) => panic!("probe closed: {line}"),
+                Ok(_) => {}
+                Err(err) if matches!(err.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+                Err(err) => panic!("probe read: {err}"),
+            }
+        }
+        line
+    };
+    let stats = read_response(&mut probe);
+    assert!(stats.starts_with("{\"ok\":true"), "{stats}");
+    writeln!(probe_writer, "SHUTDOWN").unwrap();
+    let shutdown = read_response(&mut probe);
+    assert!(shutdown.contains("\"shutdown\":true"), "{shutdown}");
+
+    let give_up = Instant::now() + Duration::from_secs(30);
+    while done_rx.recv_timeout(Duration::from_millis(100)).is_err() {
+        assert!(Instant::now() < give_up, "run() did not return");
+        clock.advance(Duration::from_secs(60));
+    }
+    handle.join().unwrap();
+    let stats = service.stats();
+    assert_eq!(stats.streams_cancelled, workers as u64, "{stats:?}");
+    assert!(
+        stats.rows_streamed < workers as u64 * K40_PATH4_ROWS,
+        "{stats:?}"
+    );
+    let events = log.recent();
+    let closes = events
+        .iter()
+        .filter(|e| e.contains("\"event\":\"conn_close\""))
+        .count();
+    assert_eq!(closes, workers + 1, "{events:#?}");
+    assert!(
+        events
+            .last()
+            .is_some_and(|e| e.contains("\"event\":\"drained\"") && e.contains("\"clean\":true")),
+        "the drain finished before its deadline: {events:#?}"
+    );
+    drop(stalled);
 }
 
 #[test]

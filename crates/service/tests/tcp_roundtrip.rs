@@ -1,14 +1,16 @@
 //! Full TCP round-trips: server thread + scripted client over loopback.
 
+#![cfg(unix)]
+
 use sge_graph::{generators, io::write_graph};
 use sge_service::client::run_script;
 use sge_service::protocol::encode_inline_pattern;
-use sge_service::{Server, Service, ServiceConfig};
+use sge_service::{EventServer, Service, ServiceConfig};
 use std::sync::Arc;
 
 fn start_server() -> (std::net::SocketAddr, std::thread::JoinHandle<()>) {
     let service = Arc::new(Service::new(ServiceConfig::default()));
-    let server = Server::bind("127.0.0.1:0", service).expect("bind loopback");
+    let server = EventServer::bind("127.0.0.1:0", service).expect("bind loopback");
     let addr = server.local_addr().expect("local addr");
     let handle = std::thread::spawn(move || server.run().expect("server run"));
     (addr, handle)
@@ -673,6 +675,37 @@ fn oversized_request_line_is_rejected_and_connection_dropped() {
 }
 
 #[test]
+fn absurd_worker_count_is_refused_and_the_connection_keeps_serving() {
+    let (addr, server) = start_server();
+    let target_path = write_target_file("sge-tcp-workercap");
+    let triangle = encode_inline_pattern(&write_graph(&generators::directed_cycle(3, 0)));
+    // Each pinned worker is an OS thread spawned per query: a count this
+    // large must be refused at the wire, not attempted.
+    let script = vec![
+        format!("LOAD k5 {}", target_path.display()),
+        format!("QUERY target=k5 sched=ws:100000 pattern={triangle}"),
+        format!("QUERY target=k5 pattern={triangle}"),
+        "SHUTDOWN".to_string(),
+    ];
+    let responses = run_script(addr, &script).expect("script round-trip");
+    std::fs::remove_file(&target_path).ok();
+    assert_eq!(responses.len(), 4, "{responses:?}");
+    assert!(
+        responses[1].starts_with("{\"ok\":false,"),
+        "{}",
+        responses[1]
+    );
+    assert!(
+        responses[1].contains("exceeds the cap of"),
+        "{}",
+        responses[1]
+    );
+    assert!(responses[2].contains("\"matches\":60"), "{}", responses[2]);
+    assert!(responses[3].contains("\"shutdown\":true"));
+    server.join().unwrap();
+}
+
+#[test]
 fn huge_announced_batch_drain_is_capped_and_connection_closed() {
     use std::io::{Read, Write};
     let (addr, server) = start_server();
@@ -715,7 +748,7 @@ fn shutdown_drains_in_flight_queries_and_ignores_idle_connections() {
     use std::io::{BufRead, BufReader, Write};
     let service = Arc::new(Service::new(ServiceConfig::default()));
     service.registry().insert("k5", generators::clique(5, 0));
-    let server = Server::bind("127.0.0.1:0", service)
+    let server = EventServer::bind("127.0.0.1:0", service)
         .expect("bind loopback")
         .with_drain_timeout(std::time::Duration::from_millis(500));
     let addr = server.local_addr().expect("local addr");

@@ -24,7 +24,8 @@
 //! * `algo` — `ri`, `ri-ds`, `ri-ds-si` or `ri-ds-si-fc` (default).
 //! * `sched` — `auto` (default: the planner routes the run to the cheapest
 //!   scheduler from its cost-model-corrected state estimate), or a pinned
-//!   `seq`, `ws:<workers>[:<group>[:nosteal]]` or `rayon:<workers>`.
+//!   `seq`, `ws:<workers>[:<group>[:nosteal]]` or `rayon:<workers>`, with
+//!   at most [`max_sched_workers`] workers.
 //!   Responses carry `routed` (whether the planner chose) and `EXPLAIN`
 //!   reports the full decision under `routing`.
 //! * `strategy` — ordering strategy: `ri-greedy` (default),
@@ -69,19 +70,17 @@
 //! `rows_sent` and `cancelled`.  Rows are emitted in discovery order; on an
 //! uncancelled stream `rows_sent == matches`.
 //!
-//! Under the blocking front end (`sge-serve --threaded`) frames leave as they
-//! are produced: server memory is O(chunk) regardless of result cardinality,
-//! and a client that disconnects mid-stream cancels the enumeration
-//! cooperatively.  The default event-loop front end runs each request into
-//! an in-memory buffer on a worker thread, so a streamed response is
-//! buffered in full before its header is written: memory grows with the
-//! result, and a disconnect cannot cancel the run.
+//! Frames leave as they are produced: server memory is O(chunk) regardless
+//! of result cardinality, and a client that disconnects mid-stream cancels
+//! the enumeration cooperatively.
 //!
 //! # Robustness limits
 //!
 //! Request lines longer than [`MAX_REQUEST_LINE_BYTES`] and `BATCH` headers
 //! announcing more than [`MAX_BATCH_QUERIES`] continuation lines are
-//! answered with a structured error and the connection is closed.
+//! answered with a structured error and the connection is closed.  A
+//! pinned scheduler asking for more than [`max_sched_workers`] workers is
+//! answered with a structured error and the connection keeps serving.
 
 use crate::json::Json;
 use crate::{
@@ -91,6 +90,7 @@ use crate::{
 use sge_engine::RunConfig;
 use sge_graph::NodeId;
 use sge_obs::{MetricValue, MetricsSnapshot};
+use std::sync::OnceLock;
 use std::time::Duration;
 
 /// Hard cap on one request line (newline included): longer lines are
@@ -104,6 +104,23 @@ pub const MAX_REQUEST_LINE_BYTES: usize = 1 << 20; // 1 MiB
 /// controlled — an unbounded drain would let `n=u64::MAX` pin the
 /// connection forever).
 pub const MAX_BATCH_QUERIES: usize = 4096;
+
+/// Workers a pinned `sched=ws:<n>` or `sched=rayon:<n>` may ask for per
+/// core the host makes available.  Both schedulers spawn one OS thread per
+/// worker on every query, and a host that cannot back those threads aborts
+/// the whole server process, so the cap grows with what the host can run
+/// rather than with what a client asks for.
+pub const SCHED_WORKERS_PER_CORE: usize = 16;
+
+/// The worker cap of a pinned scheduler on this host:
+/// [`SCHED_WORKERS_PER_CORE`] × `std::thread::available_parallelism()`,
+/// read once.
+pub fn max_sched_workers() -> usize {
+    static CAP: OnceLock<usize> = OnceLock::new();
+    *CAP.get_or_init(|| {
+        SCHED_WORKERS_PER_CORE * std::thread::available_parallelism().map_or(1, |n| n.get())
+    })
+}
 
 /// A parsed protocol request.
 #[derive(Clone, Debug)]
@@ -200,6 +217,13 @@ fn parse_query_args(tokens: &[&str]) -> Result<QueryArgs, ServiceError> {
                     pinned = false;
                 } else {
                     run.scheduler = value.parse().map_err(protocol_error)?;
+                    let cap = max_sched_workers();
+                    if run.scheduler.workers() > cap {
+                        return Err(protocol_error(format!(
+                            "scheduler '{value}' exceeds the cap of {cap} workers \
+                             ({SCHED_WORKERS_PER_CORE} per core)"
+                        )));
+                    }
                     pinned = true;
                 }
             }
@@ -793,6 +817,31 @@ mod tests {
                 assert_eq!(spec.pattern_text, "2\n0\n0\n1\n0 1");
             }
             other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn scheduler_worker_counts_are_capped() {
+        let cap = max_sched_workers();
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(cap, SCHED_WORKERS_PER_CORE * cores);
+        for sched in ["ws", "rayon"] {
+            let line = |n: usize| format!("QUERY target=k5 sched={sched}:{n} pattern=1;0;0");
+            match parse_command(&line(cap)).unwrap() {
+                Command::Query { spec, .. } => {
+                    assert_eq!(spec.run.scheduler.workers(), cap);
+                }
+                other => panic!("unexpected {other:?}"),
+            }
+            let err = parse_command(&line(cap + 1)).expect_err("over the cap");
+            let rendered = error_response(&err).render();
+            assert!(rendered.starts_with("{\"ok\":false,"), "{rendered}");
+            assert!(
+                rendered.contains(&format!("exceeds the cap of {cap} workers")),
+                "{rendered}"
+            );
+            let over = format!("sched={sched}:{} pattern=1;0;0", cap + 1);
+            assert!(parse_batch_query(&over).is_err());
         }
     }
 
