@@ -729,7 +729,6 @@ const _: () = {
 mod tests {
     use super::*;
     use sge_graph::generators;
-    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn schedulers() -> Vec<Scheduler> {
         vec![
@@ -744,45 +743,6 @@ mod tests {
             },
             Scheduler::Rayon { workers: 3 },
         ]
-    }
-
-    #[test]
-    fn every_scheduler_agrees_on_matches_and_states() {
-        let pattern = generators::undirected_cycle(4, 0);
-        let target = generators::grid(4, 4);
-        for algorithm in Algorithm::ALL {
-            let engine = Engine::prepare(&pattern, &target, algorithm);
-            let reference = engine.run(&RunConfig::default());
-            for scheduler in schedulers() {
-                let outcome = engine.run(&RunConfig::new(scheduler));
-                assert_eq!(
-                    outcome.matches, reference.matches,
-                    "{algorithm} {scheduler}"
-                );
-                assert_eq!(outcome.states, reference.states, "{algorithm} {scheduler}");
-                assert_eq!(outcome.workers, scheduler.workers());
-                let worker_states: u64 = outcome.worker_stats.iter().map(|w| w.states).sum();
-                assert_eq!(worker_states, outcome.states, "{algorithm} {scheduler}");
-                if !matches!(scheduler, Scheduler::WorkStealing { stealing: true, .. }) {
-                    assert_eq!(outcome.steals, 0, "{algorithm} {scheduler}");
-                }
-            }
-        }
-        // A 1 ms budget is honored: a run either completes or reports the
-        // timeout with a lower-bound count.
-        let pattern = generators::undirected_cycle(6, 0);
-        let target = generators::grid(5, 5);
-        let engine = Engine::prepare(&pattern, &target, Algorithm::Ri);
-        let full = engine.count();
-        for scheduler in schedulers() {
-            let limit = Duration::from_millis(1);
-            let outcome = engine.run(&RunConfig::new(scheduler).with_time_limit(limit));
-            if outcome.timed_out {
-                assert!(outcome.matches <= full, "{scheduler}");
-            } else {
-                assert_eq!(outcome.matches, full, "{scheduler}");
-            }
-        }
     }
 
     #[test]
@@ -823,136 +783,6 @@ mod tests {
     }
 
     #[test]
-    fn max_matches_is_exact_under_every_scheduler() {
-        let pattern = generators::directed_path(2, 0);
-        let target = generators::clique(10, 0); // 90 embeddings
-        let engine = Engine::prepare(&pattern, &target, Algorithm::Ri);
-        for scheduler in schedulers() {
-            let config = RunConfig::new(scheduler)
-                .with_max_matches(13)
-                .with_collected_mappings(5);
-            let outcome = engine.run(&config);
-            assert_eq!(outcome.matches, 13, "{scheduler}");
-            assert!(outcome.limit_hit, "{scheduler}");
-            // A truncated collection is still sorted and edge-preserving.
-            assert_eq!(outcome.mappings.len(), 5, "{scheduler}");
-            assert!(outcome.mappings.is_sorted(), "{scheduler}");
-            for mapping in &outcome.mappings {
-                for (u, v, l) in pattern.edges() {
-                    let edge = target.edge_label(mapping[u as usize], mapping[v as usize]);
-                    assert_eq!(edge, Some(l), "{scheduler}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn complete_collections_are_identical_across_schedulers() {
-        let pattern = generators::directed_cycle(3, 0);
-        let target = generators::clique(5, 0); // 60 embeddings
-        let engine = Engine::prepare(&pattern, &target, Algorithm::RiDs);
-        let reference = engine
-            .run(&RunConfig::default().with_collected_mappings(100))
-            .mappings;
-        assert_eq!(reference.len(), 60);
-        for scheduler in schedulers() {
-            let mappings = engine
-                .run(&RunConfig::new(scheduler).with_collected_mappings(100))
-                .mappings;
-            assert_eq!(mappings, reference, "{scheduler}");
-        }
-    }
-
-    #[test]
-    fn visitor_streams_every_match() {
-        struct Counter(AtomicU64);
-        impl MatchVisitor for Counter {
-            fn on_match(&self, _worker: usize, mapping: &[sge_graph::NodeId]) {
-                assert_eq!(mapping.len(), 3);
-                self.0.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        let pattern = generators::directed_cycle(3, 0);
-        let target = generators::clique(5, 0);
-        let engine = Engine::prepare(&pattern, &target, Algorithm::RiDsSiFc);
-        for scheduler in schedulers() {
-            let counter = Counter(AtomicU64::new(0));
-            let outcome = engine.run_with(&RunConfig::new(scheduler), &counter);
-            assert_eq!(
-                counter.0.load(Ordering::Relaxed),
-                outcome.matches,
-                "{scheduler}"
-            );
-            assert_eq!(outcome.matches, 60, "{scheduler}");
-        }
-    }
-
-    #[test]
-    fn count_only_fast_path_agrees_with_observed_runs() {
-        // A run with no visitor and no collection takes the count-only fast
-        // path (no per-match mapping materialization); it must agree with a
-        // fully-observed run on every reported figure.
-        let pattern = generators::undirected_cycle(4, 0);
-        let target = generators::grid(4, 4);
-        for algorithm in Algorithm::ALL {
-            let engine = Engine::prepare(&pattern, &target, algorithm);
-            let counted = engine.run(&RunConfig::default());
-            let observed = engine.run(&RunConfig::default().with_collected_mappings(10_000));
-            assert_eq!(counted.matches, observed.matches, "{algorithm}");
-            assert_eq!(counted.states, observed.states, "{algorithm}");
-            assert!(counted.mappings.is_empty(), "{algorithm}");
-            assert_eq!(observed.mappings.len(), observed.matches as usize);
-            // The fast path also honors the match budget exactly.
-            let limited = engine.run(&RunConfig::default().with_max_matches(3));
-            assert_eq!(limited.matches, counted.matches.min(3), "{algorithm}");
-        }
-    }
-
-    #[test]
-    fn streaming_delivers_every_match_with_bounded_memory() {
-        let pattern = generators::directed_cycle(3, 0);
-        let target = generators::clique(5, 0); // 60 embeddings
-        let engine = Engine::prepare(&pattern, &target, Algorithm::RiDsSiFc);
-        let reference = engine
-            .run(&RunConfig::default().with_collected_mappings(100))
-            .mappings;
-        for scheduler in schedulers() {
-            // A tiny channel forces backpressure; every match still arrives.
-            let mut rows: Vec<Vec<sge_graph::NodeId>> = Vec::new();
-            let outcome = engine.run_streaming(&RunConfig::new(scheduler), 2, |mapping| {
-                rows.push(mapping);
-                true
-            });
-            assert_eq!(outcome.matches, 60, "{scheduler}");
-            assert!(!outcome.cancelled, "{scheduler}");
-            assert_eq!(rows.len(), 60, "{scheduler}");
-            rows.sort_unstable();
-            assert_eq!(rows, reference, "{scheduler}");
-        }
-    }
-
-    #[test]
-    fn streaming_consumer_cancels_the_run_early() {
-        let pattern = generators::directed_path(2, 0);
-        let target = generators::clique(16, 0); // 240 embeddings
-        let engine = Engine::prepare(&pattern, &target, Algorithm::Ri);
-        for scheduler in schedulers() {
-            let mut seen = 0u64;
-            let outcome = engine.run_streaming(&RunConfig::new(scheduler), 4, |_| {
-                seen += 1;
-                seen < 5
-            });
-            assert!(outcome.cancelled, "{scheduler}");
-            assert!(
-                outcome.matches < 240,
-                "{scheduler}: enumeration must stop early, got {}",
-                outcome.matches
-            );
-            assert!(seen >= 5, "{scheduler}");
-        }
-    }
-
-    #[test]
     fn prepared_engine_streams_like_the_borrowing_engine() {
         let pattern = Arc::new(generators::directed_cycle(3, 0));
         let target = Arc::new(generators::clique(5, 0));
@@ -981,51 +811,6 @@ mod tests {
         assert_eq!(first.preprocess_seconds, engine.preprocess_seconds());
         assert_eq!(second.preprocess_seconds, engine.preprocess_seconds());
         assert_eq!(engine.count(), first.matches);
-    }
-
-    #[test]
-    fn degenerate_instances_are_uniform_across_schedulers() {
-        let empty = sge_graph::GraphBuilder::new().build();
-        let target = generators::clique(4, 0);
-        let engine = Engine::prepare(&empty, &target, Algorithm::Ri);
-        for scheduler in schedulers() {
-            // The empty embedding counts, is collected, and honors the budget
-            // identically under every scheduler.
-            let outcome = engine.run(&RunConfig::new(scheduler).with_collected_mappings(5));
-            assert_eq!(outcome.matches, 1, "{scheduler}");
-            assert_eq!(
-                outcome.mappings,
-                vec![Vec::<sge_graph::NodeId>::new()],
-                "{scheduler}"
-            );
-            let limited = engine.run(&RunConfig::new(scheduler).with_max_matches(0));
-            assert_eq!(limited.matches, 0, "{scheduler}");
-            assert!(limited.limit_hit, "{scheduler}");
-            struct Counter(AtomicU64);
-            impl MatchVisitor for Counter {
-                fn on_match(&self, _w: usize, mapping: &[sge_graph::NodeId]) {
-                    assert!(mapping.is_empty());
-                    self.0.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            let counter = Counter(AtomicU64::new(0));
-            let streamed = engine.run_with(&RunConfig::new(scheduler), &counter);
-            assert_eq!(streamed.matches, 1, "{scheduler}");
-            assert_eq!(counter.0.load(Ordering::Relaxed), 1, "{scheduler}");
-        }
-
-        let mut pb = sge_graph::GraphBuilder::new();
-        pb.add_node(42);
-        let impossible = pb.build();
-        let engine = Engine::prepare(&impossible, &target, Algorithm::RiDs);
-        assert!(engine.impossible());
-        for scheduler in schedulers() {
-            assert_eq!(
-                engine.run(&RunConfig::new(scheduler)).matches,
-                0,
-                "{scheduler}"
-            );
-        }
     }
 
     #[test]
@@ -1171,46 +956,6 @@ mod tests {
         assert_eq!(prepared.plan().num_positions(), 3);
         assert!(prepared.plan().cost.est_total_states > 0.0);
         assert_eq!(prepared.run(&RunConfig::default()).matches, 60);
-    }
-
-    #[test]
-    fn trace_sink_observes_schedule_invariant_counts() {
-        let pattern = generators::undirected_cycle(4, 0);
-        let target = generators::grid(4, 4);
-        let reference: Option<(Vec<u64>, Vec<u64>)> = schedulers()
-            .into_iter()
-            .map(|scheduler| {
-                let mut engine = Engine::prepare(&pattern, &target, Algorithm::RiDsSiFc);
-                let sink = Arc::new(TraceSink::new(engine.plan().num_positions()));
-                engine.set_trace_sink(Arc::clone(&sink));
-                let outcome = engine.run(&RunConfig::new(scheduler));
-                // Every consistency check lands in exactly one position
-                // bucket, so the sink total reproduces the outcome's count.
-                assert_eq!(sink.states_total(), outcome.states, "{scheduler}");
-                (sink.candidates_per_position(), sink.states_per_position())
-            })
-            .fold(None, |reference, observed| match reference {
-                None => Some(observed),
-                Some(reference) => {
-                    assert_eq!(observed, reference);
-                    Some(reference)
-                }
-            });
-        assert!(reference.is_some());
-    }
-
-    #[test]
-    fn trace_sink_collects_steal_counters_under_work_stealing() {
-        let pattern = generators::directed_path(2, 0);
-        let target = generators::clique(16, 0);
-        let mut engine = Engine::prepare(&pattern, &target, Algorithm::Ri);
-        let sink = Arc::new(TraceSink::new(engine.plan().num_positions()));
-        engine.set_trace_sink(Arc::clone(&sink));
-        let outcome = engine.run(&RunConfig::new(Scheduler::work_stealing(4)));
-        assert_eq!(sink.steals(), outcome.steals);
-        assert_eq!(sink.steal_requests(), outcome.steal_requests);
-        let executed: u64 = outcome.worker_stats.iter().map(|w| w.tasks_executed).sum();
-        assert_eq!(sink.tasks_executed(), executed);
     }
 
     #[test]

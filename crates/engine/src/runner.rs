@@ -173,177 +173,3 @@ fn run_sequential(
         }],
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use crate::{Engine, RunConfig, Scheduler};
-    use sge_graph::{generators, Graph};
-    use sge_ri::Algorithm;
-    use std::time::Duration;
-
-    fn sequential_matches(pattern: &Graph, target: &Graph, algorithm: Algorithm) -> (u64, u64) {
-        let outcome = Engine::prepare(pattern, target, algorithm).run(&RunConfig::default());
-        (outcome.matches, outcome.states)
-    }
-
-    fn ws(workers: usize) -> RunConfig {
-        RunConfig::new(Scheduler::work_stealing(workers))
-    }
-
-    #[test]
-    fn parallel_counts_equal_sequential_for_all_algorithms() {
-        let pattern = generators::undirected_cycle(4, 0);
-        let target = generators::grid(4, 4);
-        for algorithm in Algorithm::ALL {
-            let (matches, states) = sequential_matches(&pattern, &target, algorithm);
-            let engine = Engine::prepare(&pattern, &target, algorithm);
-            for workers in [1usize, 2, 4] {
-                let result = engine.run(&ws(workers));
-                assert_eq!(result.matches, matches, "{algorithm} workers={workers}");
-                assert_eq!(result.states, states, "{algorithm} workers={workers}");
-                assert!(!result.timed_out);
-            }
-        }
-    }
-
-    #[test]
-    fn prepared_context_is_reusable_across_runs() {
-        let pattern = generators::directed_cycle(3, 0);
-        let target = generators::clique(6, 0);
-        let engine = Engine::prepare(&pattern, &target, Algorithm::RiDsSiFc);
-        let (matches, states) = sequential_matches(&pattern, &target, Algorithm::RiDsSiFc);
-        for workers in [1usize, 2, 3] {
-            let result = engine.run(&ws(workers));
-            assert_eq!(result.matches, matches, "workers={workers}");
-            assert_eq!(result.states, states, "workers={workers}");
-            assert_eq!(result.preprocess_seconds, engine.preprocess_seconds());
-        }
-    }
-
-    #[test]
-    fn task_group_size_does_not_change_counts() {
-        let pattern = generators::directed_cycle(3, 0);
-        let target = generators::clique(6, 0);
-        let engine = Engine::prepare(&pattern, &target, Algorithm::RiDsSiFc);
-        let (matches, _) = sequential_matches(&pattern, &target, Algorithm::RiDsSiFc);
-        for task_group_size in [1usize, 2, 4, 8, 16] {
-            let result = engine.run(&RunConfig::new(Scheduler::WorkStealing {
-                workers: 3,
-                task_group_size,
-                stealing: true,
-            }));
-            assert_eq!(result.matches, matches, "group_size={task_group_size}");
-        }
-    }
-
-    #[test]
-    fn no_stealing_finds_the_same_matches() {
-        let pattern = generators::undirected_path(3, 0);
-        let target = generators::grid(3, 4);
-        let (matches, states) = sequential_matches(&pattern, &target, Algorithm::Ri);
-        let engine = Engine::prepare(&pattern, &target, Algorithm::Ri);
-        let result = engine.run(&RunConfig::new(Scheduler::WorkStealing {
-            workers: 4,
-            task_group_size: 4,
-            stealing: false,
-        }));
-        assert_eq!(result.matches, matches);
-        assert_eq!(result.states, states);
-        assert_eq!(result.steals, 0);
-    }
-
-    #[test]
-    fn impossible_instances_short_circuit() {
-        let mut pb = sge_graph::GraphBuilder::new();
-        pb.add_node(77);
-        let pattern = pb.build();
-        let target = generators::clique(5, 0);
-        let result = Engine::prepare(&pattern, &target, Algorithm::RiDsSiFc).run(&ws(2));
-        assert_eq!(result.matches, 0);
-        assert_eq!(result.states, 0);
-    }
-
-    #[test]
-    fn empty_pattern_has_one_match() {
-        let pattern = sge_graph::GraphBuilder::new().build();
-        let target = generators::clique(4, 0);
-        let result = Engine::prepare(&pattern, &target, Algorithm::Ri).run(&ws(2));
-        assert_eq!(result.matches, 1);
-    }
-
-    #[test]
-    fn max_matches_stops_workers_cooperatively() {
-        // A single directed edge in K12 has 132 embeddings; ask for 17.
-        let pattern = generators::directed_path(2, 0);
-        let target = generators::clique(12, 0);
-        let engine = Engine::prepare(&pattern, &target, Algorithm::Ri);
-        for workers in [1usize, 2, 4] {
-            let result = engine.run(&ws(workers).with_max_matches(17));
-            assert_eq!(result.matches, 17, "workers={workers}");
-            assert!(result.limit_hit);
-        }
-    }
-
-    #[test]
-    fn collected_mappings_are_embeddings_and_sorted() {
-        let pattern = generators::directed_cycle(3, 0);
-        let target = generators::clique(5, 0);
-        let engine = Engine::prepare(&pattern, &target, Algorithm::RiDs);
-        let result = engine.run(&ws(3).with_collected_mappings(7));
-        assert_eq!(result.mappings.len(), 7);
-        assert!(
-            result.mappings.is_sorted(),
-            "mappings must come back sorted"
-        );
-        for mapping in &result.mappings {
-            for (u, v, l) in pattern.edges() {
-                assert_eq!(
-                    target.edge_label(mapping[u as usize], mapping[v as usize]),
-                    Some(l)
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn complete_collections_are_identical_across_worker_counts() {
-        let pattern = generators::directed_cycle(3, 0);
-        let target = generators::clique(5, 0);
-        let engine = Engine::prepare(&pattern, &target, Algorithm::Ri);
-        // 60 matches; collect them all under several schedules.
-        let reference = engine.run(&ws(1).with_collected_mappings(100)).mappings;
-        assert_eq!(reference.len(), 60);
-        for workers in [2usize, 4] {
-            let result = engine.run(&ws(workers).with_collected_mappings(100));
-            assert_eq!(result.mappings, reference, "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn result_accessors_are_consistent() {
-        let pattern = generators::directed_cycle(3, 0);
-        let target = generators::clique(5, 0);
-        let result = Engine::prepare(&pattern, &target, Algorithm::Ri).run(&ws(2));
-        assert!(result.total_seconds() >= result.match_seconds);
-        assert!(result.states_per_second() >= 0.0);
-        assert_eq!(
-            result.worker_stats.iter().map(|w| w.states).sum::<u64>(),
-            result.states
-        );
-    }
-
-    #[test]
-    fn time_limit_is_respected() {
-        let pattern = generators::undirected_cycle(6, 0);
-        let target = generators::grid(5, 5);
-        let engine = Engine::prepare(&pattern, &target, Algorithm::Ri);
-        let result = engine.run(&ws(2).with_time_limit(Duration::from_millis(1)));
-        // Either it finished very quickly or it was cut off.
-        let full = sequential_matches(&pattern, &target, Algorithm::Ri).0;
-        if result.timed_out {
-            assert!(result.matches <= full);
-        } else {
-            assert_eq!(result.matches, full);
-        }
-    }
-}

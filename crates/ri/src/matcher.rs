@@ -191,6 +191,9 @@ where
         return run;
     }
     if ctx.impossible() {
+        // No match, reported as every searching path reports one: a zero
+        // budget is hit (`matches >= max`), whichever algorithm proved it.
+        run.limit_hit = limits.max_matches.is_some_and(|limit| run.matches >= limit);
         return run;
     }
 

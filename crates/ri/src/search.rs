@@ -322,7 +322,8 @@ impl<'a> SearchContext<'a> {
     /// node-label membership and the prefilter), then intersects with each
     /// remaining list through the width-bucketed
     /// [`kernels::intersect_gallop`].  Both paths produce byte-identical
-    /// candidate sets (see the kernel parity suites).
+    /// candidate sets (the oracle matrix walks both against a scalar
+    /// reference).
     fn intersect_candidates(
         &self,
         vp: NodeId,

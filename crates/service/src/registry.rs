@@ -141,12 +141,23 @@ impl GraphRegistry {
     }
 
     /// Parses a query pattern through the shared label interner.
+    ///
+    /// Labels no loaded graph carries get ids for this parse only: the
+    /// table drops them again afterwards, on success and on error, so
+    /// queries never grow it.  Within the pattern they keep distinct ids,
+    /// and they match no loaded node either way.
     pub fn parse_pattern(&self, text: &str) -> Result<Graph, ServiceError> {
         let mut interner = self
             .interner
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner());
-        Ok(parse_graph_with_interner(text, &mut interner)?)
+        let known = interner.len();
+        let parsed = parse_graph_with_interner(text, &mut interner);
+        if interner.len() > known {
+            // Ids are dense, so the parse added exactly the ids >= known.
+            interner.retain(|_, id| (*id as usize) < known);
+        }
+        Ok(parsed?)
     }
 
     /// Summaries of every registered graph, sorted by name.
@@ -229,6 +240,36 @@ mod tests {
         let target = registry.get("mol").unwrap();
         assert_eq!(pattern.label(0), target.label(1));
         assert_ne!(pattern.label(0), target.label(0));
+    }
+
+    #[test]
+    fn query_patterns_leave_the_interner_as_loads_left_it() {
+        let registry = GraphRegistry::new();
+        let path = std::env::temp_dir().join(format!("sge-interner-{}.gfu", std::process::id()));
+        std::fs::write(&path, "2\nC\nN\n1\n0 1\n").unwrap();
+        registry.load_file("mol", &path).unwrap();
+        std::fs::remove_file(&path).ok();
+        let size = || registry.interner.lock().unwrap().len();
+        assert_eq!(size(), 2, "LOAD interns");
+
+        for i in 0..1_000 {
+            let pattern = registry
+                .parse_pattern(&format!("1\nfresh{i}\n0\n"))
+                .unwrap();
+            assert_eq!(
+                pattern.label(0),
+                2,
+                "a fresh label sits past every loaded one"
+            );
+        }
+        assert_eq!(size(), 2);
+        let pair = registry.parse_pattern("3\nX\nY\nN\n0\n").unwrap();
+        assert_ne!(pair.label(0), pair.label(1), "fresh labels stay distinct");
+        assert_eq!(pair.label(2), 1, "loaded labels keep their ids");
+        // The edge names a node the pattern lacks, after both labels were
+        // interned.
+        assert!(registry.parse_pattern("2\nZ\nW\n1\n0 5\n").is_err());
+        assert_eq!(size(), 2);
     }
 
     #[test]

@@ -19,11 +19,11 @@
 //! | [`graph`] | labeled directed CSR graphs, builders, text I/O, generators |
 //! | [`plan`] | query planning: ordering strategies, cost model, EXPLAIN-able plans |
 //! | [`ri`] | the RI family's search: candidate generation, consistency checks, the sequential driver |
-//! | [`vf2`] | a VF2-style baseline used for cross-validation |
+//! | [`vf2`] | a VF2-style baseline, the oracle `tests/oracle_matrix.rs` diffs every configuration against |
 //! | [`stealing`] | the generic private-deque work-stealing engine |
 //! | [`engine`] | the unified [`Engine`]/[`Scheduler`] API and [`PreparedEngine`]: sequential, work-stealing and rayon-style runs of one prepared search |
 //! | [`wire`] | the serving wire plane: line-protocol codec, JSON encoder, stream framing |
-//! | [`service`] | query serving: graph registry, prepared cache, batch executor, TCP servers |
+//! | [`service`] | query serving: graph registry, prepared cache, batch executor, event-loop TCP front end |
 //! | [`obs`] | observability: metrics registry, query traces, enumeration trace sinks, event log |
 //! | [`datasets`] | synthetic PPIS32 / GRAEMLIN32 / PDBSv1 analogues |
 //! | [`util`] | bitsets, statistics, timing |

@@ -1,0 +1,315 @@
+//! The matrix's one seeded instance generator, its families, and the named
+//! instances: hand-made cases and pinned shrunk regressions.
+
+use sge::datasets::{generate_modular, graemlin32_like, pdbsv1_like, ppis32_like};
+use sge::datasets::{Collection, ModularSpec};
+use sge::graph::io::parse_graph_with_interner;
+use sge::graph::{generators, Graph, GraphBuilder, GraphStats, NodeId};
+use sge::util::SplitMix64;
+use std::collections::HashMap;
+
+/// One pattern/target pair.
+#[derive(Clone)]
+pub struct Instance {
+    pub name: String,
+    /// The seed that generated it (0 for named instances).
+    pub seed: u64,
+    pub pattern: Graph,
+    pub target: Graph,
+    /// Pinned `max_matches` values for the `MaxBelow` limit.
+    pub budgets: Vec<u64>,
+}
+
+impl Instance {
+    fn new(name: impl Into<String>, seed: u64, pattern: Graph, target: Graph) -> Self {
+        let name = name.into();
+        Instance {
+            name,
+            seed,
+            pattern,
+            target,
+            budgets: Vec::new(),
+        }
+    }
+}
+
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Family {
+    /// Sparse labelled digraphs (1-3 node labels, 1-3 edge labels,
+    /// self-loops) and a pattern walked out of them.
+    Sparse,
+    /// Targets above the planner's bitmap bar: mean total degree at least
+    /// 16 and at least an eighth of the nodes.
+    Dense,
+    /// Patterns drawn independently of the target; often zero matches.
+    RandomPattern,
+    /// The empty pattern, a label no target node has, a pattern larger than
+    /// its target.
+    Degenerate,
+    /// Small `ppis32_like`, `graemlin32_like` and `pdbsv1_like` instances.
+    Collection,
+    /// [`named`] instances.
+    Named,
+}
+
+impl Family {
+    /// Every family; all but the last generate from a seed.
+    pub const ALL: [Family; 6] = [
+        Family::Sparse,
+        Family::Dense,
+        Family::RandomPattern,
+        Family::Degenerate,
+        Family::Collection,
+        Family::Named,
+    ];
+
+    /// The instances tier-1 runs: six pinned seeds, or the named list.
+    pub fn pinned(self) -> Vec<Instance> {
+        match self {
+            Family::Named => named(),
+            _ => (0..6).map(|i| self.generate(0x0A11_CE00 + i)).collect(),
+        }
+    }
+
+    /// The instance `seed` generates in this family.
+    pub fn generate(self, seed: u64) -> Instance {
+        let mut rng = SplitMix64::new(seed ^ 0x6F72_6163_6C65);
+        let name = format!("{self:?}-{seed:#x}");
+        let (pattern, target) = match self {
+            Family::Sparse => {
+                let target = sparse_target(&mut rng);
+                let k = 2 + rng.next_below(4);
+                (extract_pattern(&mut rng, &target, k), target)
+            }
+            Family::Dense => {
+                let (n, p) = (20 + rng.next_below(8), 0.5 + 0.15 * rng.next_f64());
+                let target = random_graph(&mut rng, n, p, 3, 1, 0.1);
+                let degree = GraphStats::of(&target).degree_mean;
+                assert!(
+                    degree >= 16.0 && degree >= n as f64 / 8.0,
+                    "{name} is below the bar"
+                );
+                let k = 3 + rng.next_below(2);
+                (extract_pattern(&mut rng, &target, k), target)
+            }
+            Family::RandomPattern => {
+                let target = sparse_target(&mut rng);
+                let labels = 1 + *target.node_labels().iter().max().unwrap() as usize;
+                let k = 2 + rng.next_below(3);
+                (random_graph(&mut rng, k, 0.4, labels, 2, 0.1), target)
+            }
+            Family::Degenerate => {
+                let target = sparse_target(&mut rng);
+                let absent = 1 + target.node_labels().iter().max().unwrap();
+                let pattern = match seed % 3 {
+                    0 => GraphBuilder::new().build(),
+                    // A walked-out pattern with one node relabelled.
+                    1 => {
+                        let k = 1 + rng.next_below(3);
+                        let walked = extract_pattern(&mut rng, &target, k);
+                        let odd = rng.next_below(walked.num_nodes()) as NodeId;
+                        let label = |v| Some(if v == odd { absent } else { walked.label(v) });
+                        rebuild(&walked, label, |_| true)
+                    }
+                    _ => {
+                        let n = target.num_nodes() + 1 + rng.next_below(2);
+                        random_graph(&mut rng, n, 0.1, 2, 1, 0.0)
+                    }
+                };
+                (pattern, target)
+            }
+            Family::Collection => {
+                let spec =
+                    [ppis32_like, graemlin32_like, pdbsv1_like][seed as usize % 3](0.05, seed);
+                let collection = Collection::generate(&spec);
+                let small = collection
+                    .instances
+                    .iter()
+                    .filter(|i| i.pattern.num_edges() <= 8);
+                let small: Vec<_> = small.collect();
+                let pick = small[rng.next_below(small.len())];
+                let name = format!("{name}-{}", pick.id);
+                let target = collection.target_of(pick).clone();
+                return Instance::new(name, seed, pick.pattern.clone(), target);
+            }
+            Family::Named => unreachable!("named instances are pinned, not generated"),
+        };
+        Instance::new(name, seed, pattern, target)
+    }
+}
+
+fn sparse_target(rng: &mut SplitMix64) -> Graph {
+    let (n, p) = (8 + rng.next_below(9), 0.12 + 0.12 * rng.next_f64());
+    let (labels, edge_labels) = (1 + rng.next_below(3), 1 + rng.next_below(3));
+    random_graph(rng, n, p, labels, edge_labels, 0.2)
+}
+
+/// Random labelled digraph: `n` nodes with labels below `labels`, each
+/// ordered pair an edge with probability `p` (label below `edge_labels`),
+/// each node self-looped with probability `loops`.
+fn random_graph(
+    rng: &mut SplitMix64,
+    n: usize,
+    p: f64,
+    labels: usize,
+    edge_labels: usize,
+    loops: f64,
+) -> Graph {
+    let mut b = GraphBuilder::new();
+    for _ in 0..n {
+        b.add_node(rng.next_below(labels) as u32);
+    }
+    for u in 0..n as NodeId {
+        for v in 0..n as NodeId {
+            if rng.next_bool(if u == v { loops } else { p }) {
+                b.add_edge(u, v, rng.next_below(edge_labels) as u32);
+            }
+        }
+    }
+    b.build()
+}
+
+/// A connected pattern of up to `k` nodes walked out of `target`, keeping
+/// every edge (self-loops included) among the chosen nodes.
+fn extract_pattern(rng: &mut SplitMix64, target: &Graph, k: usize) -> Graph {
+    let mut chosen = vec![rng.next_below(target.num_nodes()) as NodeId];
+    for _ in 0..k * 8 {
+        if chosen.len() >= k {
+            break;
+        }
+        let from = chosen[rng.next_below(chosen.len())];
+        let neighbors = target.undirected_neighbors(from);
+        if !neighbors.is_empty() {
+            let next = neighbors[rng.next_below(neighbors.len())];
+            if !chosen.contains(&next) {
+                chosen.push(next);
+            }
+        }
+    }
+    let mut b = GraphBuilder::new();
+    for &v in &chosen {
+        b.add_node(target.label(v));
+    }
+    for (i, &u) in chosen.iter().enumerate() {
+        for (j, &v) in chosen.iter().enumerate() {
+            if let Some(l) = target.edge_label(u, v) {
+                b.add_edge(i as NodeId, j as NodeId, l);
+            }
+        }
+    }
+    b.build()
+}
+
+/// `g` with nodes relabelled or dropped (`label(v) == None`, later nodes
+/// renumbered down) and edges filtered by their index in `g.edges()`.
+pub fn rebuild(
+    g: &Graph,
+    label: impl Fn(NodeId) -> Option<u32>,
+    keep_edge: impl Fn(usize) -> bool,
+) -> Graph {
+    let mut b = GraphBuilder::new();
+    let ids: Vec<Option<NodeId>> = g.nodes().map(|v| label(v).map(|l| b.add_node(l))).collect();
+    for (i, (u, v, l)) in g.edges().enumerate() {
+        if let (Some(u), Some(v), true) = (ids[u as usize], ids[v as usize], keep_edge(i)) {
+            b.add_edge(u, v, l);
+        }
+    }
+    b.build()
+}
+
+/// Parses `.gfd` text with integer labels kept as their own ids.
+fn gfd(text: &str) -> Graph {
+    let mut interner: HashMap<String, u32> = (0..64).map(|l| (l.to_string(), l)).collect();
+    parse_graph_with_interner(text, &mut interner).expect("pinned .gfd text parses")
+}
+
+/// Pinned shrunk regressions, `(name, pattern, target)` as `.gfd` text,
+/// in the form the failure report prints.
+const REGRESSIONS: &[(&str, &str, &str)] = &[
+    // With `max_matches = 0`, an instance preprocessing proved impossible
+    // reported `limit_hit: false`; a searching run reports `true`.
+    (
+        "zero_budget_on_an_impossible_instance",
+        "1\n0\n0\n",
+        "0\n0\n",
+    ),
+];
+
+/// The named instances: the hand-made cases of the per-scheduler suites
+/// the matrix replaced, and [`REGRESSIONS`].
+pub fn named() -> Vec<Instance> {
+    use generators::{clique, directed_cycle as cycle, directed_path as path, grid};
+    use generators::{undirected_cycle, undirected_path};
+    let bridged = bridged_communities(4, 6);
+    // Two bridged 9-cliques: mean total degree 16.2, above the bitmap bar.
+    let spec = ModularSpec {
+        communities: 2,
+        community_size: 9,
+        intra_bonds: 36,
+        labels: 1,
+    };
+    let modular = generate_modular(&spec, 0x0DA7_A5E7, "modular");
+    // A self-looped node with two differently labelled edges to a second
+    // node; of the lookalikes in the target only (0, 1) embeds it.
+    let looped_pair = gfd("2\n0\n1\n3\n0 0 5\n0 1 7\n1 0 8\n");
+    let lookalikes =
+        gfd("6\n0\n1\n0\n1\n0\n1\n8\n0 0 5\n2 2 6\n0 1 7\n1 0 8\n0 3 7\n3 0 9\n2 5 7\n5 2 8\n");
+    let looped_triangle = gfd("3\n0\n0\n0\n7\n0 0 0\n0 1 0\n1 0 0\n1 2 0\n2 1 0\n0 2 0\n2 0 0\n");
+    let mut named: Vec<Instance> = [
+        ("self_loop_and_edge_labels", looped_pair, lookalikes),
+        // Bridge edges, triangles across the cuts, self-looped anchors.
+        ("bridged_triangle", clique(3, 0), bridged.clone()),
+        ("bridged_looped_triangle", looped_triangle, bridged.clone()),
+        ("bridged_path3", undirected_path(3, 0), bridged.clone()),
+        ("bridged_clique4", clique(4, 0), bridged.clone()),
+        ("bridged_self_loop", gfd("1\n0\n1\n0 0 0\n"), bridged),
+        ("modular_cycle3", cycle(3, 0), modular.clone()),
+        ("modular_path3", path(3, 0), modular.clone()),
+        ("modular_triangle", clique(3, 0), modular),
+        ("c4_in_grid4x4", undirected_cycle(4, 0), grid(4, 4)),
+        ("c6_in_grid5x5", undirected_cycle(6, 0), grid(5, 5)),
+        ("path3_in_grid3x4", undirected_path(3, 0), grid(3, 4)),
+        ("triangle_in_k4", cycle(3, 0), clique(4, 0)),
+        ("triangle_in_k5", cycle(3, 0), clique(5, 0)),
+        ("triangle_in_k6", cycle(3, 0), clique(6, 0)),
+        ("edge_in_k10", path(2, 0), clique(10, 0)),
+        ("edge_in_k12", path(2, 0), clique(12, 0)),
+        ("edge_in_k16", path(2, 0), clique(16, 0)),
+        ("triangle_in_k16", cycle(3, 0), clique(16, 0)),
+        ("k5_in_k3", clique(5, 0), clique(3, 0)),
+        ("empty_in_k4", gfd("0\n0\n"), clique(4, 0)),
+        ("absent_label_in_k4", gfd("1\n42\n0\n"), clique(4, 0)),
+    ]
+    .into_iter()
+    .chain(
+        REGRESSIONS
+            .iter()
+            .map(|&(name, p, t)| (name, gfd(p), gfd(t))),
+    )
+    .map(|(name, pattern, target)| Instance::new(name, 0, pattern, target))
+    .collect();
+    // The early-termination budgets of the triangle in K16 (3360 matches).
+    named[18].budgets = vec![25, 500];
+    named
+}
+
+/// Communities of directed cliques joined into a ring by double bridge
+/// edges, with a triangle closed across each cut and a self-loop on each
+/// community's bridge anchor.
+fn bridged_communities(communities: usize, size: usize) -> Graph {
+    let mut b = GraphBuilder::new();
+    b.add_nodes(communities * size, 0);
+    for c in 0..communities {
+        let base = (c * size) as NodeId;
+        for i in 0..size as NodeId {
+            for j in (0..size as NodeId).filter(|&j| j != i) {
+                b.add_edge(base + i, base + j, 0);
+            }
+        }
+        let next = (((c + 1) % communities) * size) as NodeId;
+        b.add_undirected_edge(base, next, 0);
+        b.add_undirected_edge(base, next + 1, 0);
+        b.add_edge(base, base, 0);
+    }
+    b.build()
+}
