@@ -783,6 +783,51 @@ mod tests {
     }
 
     #[test]
+    fn stealing_counts_the_last_level_only_when_nothing_observes_matches() {
+        // 3,360 directed triangles in K16 below 16 + 240 inner nodes: the
+        // leaf-count rule turns every match into a counted state, so a
+        // count-only run executes fewer tasks than it finds matches, while
+        // an observed run executes one task per match on top.
+        let pattern = generators::directed_cycle(3, 0);
+        let target = generators::clique(16, 0);
+        let engine = Engine::prepare(&pattern, &target, Algorithm::RiDsSiFc);
+        let sequential = engine.run(&RunConfig::default());
+        assert_eq!(sequential.matches, 3360);
+        let tasks = |o: &EnumerationOutcome| -> u64 {
+            o.worker_stats.iter().map(|w| w.tasks_executed).sum()
+        };
+        let config = RunConfig::new(Scheduler::work_stealing(2));
+        let counted = engine.run(&config);
+        let visited = std::sync::atomic::AtomicU64::new(0);
+        let visitor = |_: usize, _: &[NodeId]| {
+            visited.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        };
+        struct Counting<F>(F);
+        impl<F: Fn(usize, &[NodeId]) + Sync> MatchVisitor for Counting<F> {
+            fn on_match(&self, worker_id: usize, mapping: &[NodeId]) {
+                (self.0)(worker_id, mapping)
+            }
+        }
+        let observed = engine.run_with(&config, &Counting(visitor));
+        for outcome in [&counted, &observed] {
+            assert_eq!(outcome.matches, sequential.matches);
+            assert_eq!(outcome.states, sequential.states);
+            assert_eq!(outcome.kernels, sequential.kernels);
+            assert!(
+                outcome
+                    .worker_stats
+                    .iter()
+                    .map(|w| w.task_groups)
+                    .sum::<u64>()
+                    > 0
+            );
+        }
+        assert!(tasks(&counted) < counted.matches, "{}", tasks(&counted));
+        assert!(tasks(&observed) >= observed.matches, "{}", tasks(&observed));
+        assert_eq!(visited.into_inner(), observed.matches);
+    }
+
+    #[test]
     fn prepared_engine_streams_like_the_borrowing_engine() {
         let pattern = Arc::new(generators::directed_cycle(3, 0));
         let target = Arc::new(generators::clique(5, 0));

@@ -3,7 +3,7 @@
 use crate::runner::Observers;
 use sge_graph::NodeId;
 use sge_ri::{SearchContext, WorkerState};
-use sge_stealing::BacktrackProblem;
+use sge_stealing::{BacktrackProblem, LevelCount};
 
 /// The RI / RI-DS state-space search wrapped for the work-stealing engine.
 ///
@@ -15,12 +15,19 @@ use sge_stealing::BacktrackProblem;
 pub(crate) struct SubgraphProblem<'a> {
     ctx: &'a SearchContext<'a>,
     observers: &'a Observers<'a>,
+    /// Nothing observed individual matches when the run started, so the
+    /// last level may be counted by the leaf-count rule.
+    count_only: bool,
 }
 
 impl<'a> SubgraphProblem<'a> {
     /// Wraps a prepared search context; every match goes to `observers`.
     pub(crate) fn new(ctx: &'a SearchContext<'a>, observers: &'a Observers<'a>) -> Self {
-        SubgraphProblem { ctx, observers }
+        SubgraphProblem {
+            ctx,
+            observers,
+            count_only: observers.count_only(),
+        }
     }
 }
 
@@ -54,6 +61,25 @@ impl BacktrackProblem for SubgraphProblem<'_> {
 
     fn on_solution(&self, worker_id: usize, state: &WorkerState) {
         self.observers.on_match(self.ctx, worker_id, state);
+    }
+
+    fn count_last_level(
+        &self,
+        state: &WorkerState,
+        scratch: &mut Vec<NodeId>,
+    ) -> Option<LevelCount> {
+        if !self.count_only {
+            return None;
+        }
+        let count = self.ctx.count_leaves(state, scratch)?;
+        Some(LevelCount {
+            states: count.states,
+            solutions: count.matches,
+        })
+    }
+
+    fn retire_state(&self, state: &WorkerState) {
+        self.ctx.flush_kernels(state);
     }
 }
 

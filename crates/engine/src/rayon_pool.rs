@@ -154,7 +154,9 @@ pub(crate) fn run(
     let start = Instant::now();
     let np = ctx.num_positions();
     let mut roots: Vec<NodeId> = Vec::new();
-    ctx.candidates(0, &ctx.new_state(), &mut roots);
+    let root_state = ctx.new_state();
+    ctx.candidates(0, &root_state, &mut roots);
+    ctx.flush_kernels(&root_state);
 
     let stop = Stop::new(limits, start);
     // An already-expired deadline (or pre-fired cancellation token) stops the
@@ -202,6 +204,7 @@ pub(crate) fn run(
                         }
                         state.unassign(0);
                     }
+                    ctx.flush_kernels(&state);
                     WorkerStats {
                         worker_id,
                         states: explorer.states,

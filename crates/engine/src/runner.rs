@@ -33,7 +33,7 @@ impl<'a> Observers<'a> {
 
     /// `true` when nothing observes individual matches (a zero-limit
     /// collector starts out full).
-    fn count_only(&self) -> bool {
+    pub(crate) fn count_only(&self) -> bool {
         self.visitor.is_none() && self.collector.is_full()
     }
 
@@ -119,6 +119,9 @@ impl Engine<'_> {
             sink.add_steals(run.steals);
             sink.add_steal_requests(run.steal_requests);
             sink.add_tasks(run.workers.iter().map(|w| w.tasks_executed).sum());
+            sink.add_task_groups(run.task_groups);
+            sink.add_steal_wait_seconds(run.steal_wait_seconds);
+            sink.add_idle_seconds(run.idle_seconds);
         }
         EnumerationOutcome {
             algorithm: ctx.algorithm(),
@@ -155,21 +158,15 @@ fn run_sequential(
     } else {
         search_prepared(ctx, limits, |ctx, state| observers.on_match(ctx, 0, state))
     };
-    RunResult {
-        solutions: run.matches,
+    let worker = WorkerStats {
+        worker_id: 0,
         states: run.states,
-        steals: 0,
-        steal_requests: 0,
-        elapsed_seconds: run.match_seconds,
-        timed_out: run.timed_out,
-        limit_hit: run.limit_hit,
-        cancelled: run.cancelled,
-        workers: vec![WorkerStats {
-            worker_id: 0,
-            states: run.states,
-            solutions: run.matches,
-            busy_seconds: run.match_seconds,
-            ..WorkerStats::default()
-        }],
-    }
+        solutions: run.matches,
+        busy_seconds: run.match_seconds,
+        ..WorkerStats::default()
+    };
+    let mut result = RunResult::from_workers(vec![worker], run.match_seconds, run.timed_out);
+    result.limit_hit = run.limit_hit;
+    result.cancelled = run.cancelled;
+    result
 }

@@ -10,7 +10,7 @@
 //!   is what the `METRICS` wire verb serializes.
 //! * [`TraceSink`] — per-run enumeration counters: observed candidates and
 //!   consistency checks (*states*) per plan position, plus scheduler totals
-//!   (steals, steal requests, tasks).  The sequential, work-stealing and
+//!   (steals, steal requests, tasks, task groups, steal-wait and idle time).  The sequential, work-stealing and
 //!   rayon-style engines all drive the same `SearchContext`, which records
 //!   into an attached sink; because every candidate list is generated exactly
 //!   once per expansion and every consistency check happens exactly once
@@ -292,6 +292,9 @@ pub struct TraceSink {
     steals: AtomicU64,
     steal_requests: AtomicU64,
     tasks_executed: AtomicU64,
+    task_groups: AtomicU64,
+    steal_wait_nanos: AtomicU64,
+    idle_nanos: AtomicU64,
 }
 
 impl TraceSink {
@@ -303,6 +306,9 @@ impl TraceSink {
             steals: AtomicU64::new(0),
             steal_requests: AtomicU64::new(0),
             tasks_executed: AtomicU64::new(0),
+            task_groups: AtomicU64::new(0),
+            steal_wait_nanos: AtomicU64::new(0),
+            idle_nanos: AtomicU64::new(0),
         }
     }
 
@@ -340,6 +346,25 @@ impl TraceSink {
     /// Adds executed tasks.
     pub fn add_tasks(&self, n: u64) {
         self.tasks_executed.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Adds spawned task groups.
+    pub fn add_task_groups(&self, n: u64) {
+        self.task_groups.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Adds wall-clock seconds workers spent in steal attempts that ended
+    /// with work.
+    pub fn add_steal_wait_seconds(&self, seconds: f64) {
+        self.steal_wait_nanos
+            .fetch_add((seconds * 1e9) as u64, Ordering::Relaxed);
+    }
+
+    /// Adds wall-clock seconds workers spent in their final steal attempt,
+    /// the one that ended in termination.
+    pub fn add_idle_seconds(&self, seconds: f64) {
+        self.idle_nanos
+            .fetch_add((seconds * 1e9) as u64, Ordering::Relaxed);
     }
 
     /// Observed candidates per position.
@@ -382,6 +407,21 @@ impl TraceSink {
     /// Tasks executed, summed over workers.
     pub fn tasks_executed(&self) -> u64 {
         self.tasks_executed.load(Ordering::Relaxed)
+    }
+
+    /// Task groups spawned, summed over workers.
+    pub fn task_groups(&self) -> u64 {
+        self.task_groups.load(Ordering::Relaxed)
+    }
+
+    /// Steal-wait seconds, summed over workers.
+    pub fn steal_wait_seconds(&self) -> f64 {
+        self.steal_wait_nanos.load(Ordering::Relaxed) as f64 / 1e9
+    }
+
+    /// Idle (terminating steal attempt) seconds, summed over workers.
+    pub fn idle_seconds(&self) -> f64 {
+        self.idle_nanos.load(Ordering::Relaxed) as f64 / 1e9
     }
 }
 

@@ -98,13 +98,13 @@ impl KernelUsage {
     }
 }
 
-/// Shared atomic kernel counters, updated by every worker driving one
-/// [`crate::SearchContext`] and snapshotted by the engine into
-/// `engine.kernel.*` metrics.
+/// Shared atomic kernel counters of one [`crate::SearchContext`],
+/// snapshotted by the engine into `engine.kernel.*` metrics.
 ///
-/// Workers accumulate locally per candidate fill and flush once, so the cost
-/// is a handful of relaxed adds per fill — the same order as the optional
-/// trace sink.
+/// Candidate fills accumulate in the driving [`crate::WorkerState`]; every
+/// scheduler flushes each worker's totals here once, when the worker stops
+/// ([`crate::SearchContext::flush_kernels`]), so the search itself never
+/// touches these cells.
 #[derive(Debug, Default)]
 pub struct KernelCells {
     bitmap: AtomicU64,

@@ -60,7 +60,7 @@ pub use kernels::{
     KernelDivergence, KernelUsage,
 };
 pub use matcher::{search_prepared, Algorithm, SearchLimits, SearchRun};
-pub use search::{PreparedParts, SearchContext, WorkerState};
+pub use search::{LeafCount, PreparedParts, SearchContext, WorkerState};
 pub use sge_plan::{
     greatest_constraint_first, CandidatePlan, Domains, EdgeConstraint, KernelChoice, MatchOrder,
     PlanStep, Planner, QueryPlan, Strategy,

@@ -32,9 +32,9 @@ pub struct SearchLimits {
     /// once its consumer is gone.
     pub cancel: Option<Arc<CancelToken>>,
     /// Caller's promise that the visitor is a no-op (nothing observes
-    /// individual matches or mappings).  Lets unbounded, untimed runs take
-    /// the last-depth bitmap counting fast path, which adds the final
-    /// position's states and matches by popcount instead of enumerating
+    /// individual matches or mappings).  Lets runs without a match budget,
+    /// deadline or cancel token count the last position's states and
+    /// matches with [`SearchContext::count_leaves`] instead of enumerating
     /// them.  Counters stay byte-identical either way.
     pub count_only: bool,
 }
@@ -68,7 +68,8 @@ struct SearchDriver<'a, F> {
     max_matches: Option<u64>,
     cancel: Option<&'a CancelToken>,
     cancelled: bool,
-    count_only: bool,
+    /// Whether the last position is counted by the leaf-count rule.
+    count_leaves: bool,
     visitor: F,
 }
 
@@ -105,18 +106,11 @@ impl<'a, F: FnMut(&SearchContext<'a>, &WorkerState)> SearchDriver<'a, F> {
 
     fn search(&mut self, depth: usize) {
         let np = self.ctx.num_positions();
-        // Last-depth counting fast path: when nothing observes individual
-        // matches and no budget can interrupt mid-position, the final
-        // position's states and matches come straight off the bitmap
-        // popcount (byte-identical counts, see
-        // `SearchContext::count_final_candidates`).
-        let count_final = depth + 1 == np
-            && self.count_only
-            && self.max_matches.is_none()
-            && self.deadline.is_none()
-            && self.cancel.is_none();
-        if count_final {
-            if let Some(count) = self.ctx.count_final_candidates(depth, &self.state) {
+        // The one leaf-count rule every scheduler shares: the last position
+        // is counted, not enumerated, when nothing observes or interrupts it.
+        if self.count_leaves && depth + 1 == np {
+            let scratch = &mut self.candidate_buffers[depth];
+            if let Some(count) = self.ctx.count_leaves(&self.state, scratch) {
                 self.states += count.states;
                 self.matches += count.matches;
                 return;
@@ -124,17 +118,6 @@ impl<'a, F: FnMut(&SearchContext<'a>, &WorkerState)> SearchDriver<'a, F> {
         }
         let mut candidates = std::mem::take(&mut self.candidate_buffers[depth]);
         self.ctx.candidates(depth, &self.state, &mut candidates);
-        if count_final {
-            if let Some(count) =
-                self.ctx
-                    .final_count_from_candidates(depth, &self.state, &candidates)
-            {
-                self.states += count.states;
-                self.matches += count.matches;
-                self.candidate_buffers[depth] = candidates;
-                return;
-            }
-        }
         for &vt in &candidates {
             if self.stop() {
                 break;
@@ -221,10 +204,14 @@ where
         max_matches: limits.max_matches,
         cancel: limits.cancel.as_deref(),
         cancelled: false,
-        count_only: limits.count_only,
+        count_leaves: limits.count_only
+            && limits.max_matches.is_none()
+            && deadline.is_none()
+            && limits.cancel.is_none(),
         visitor: |ctx: &SearchContext<'_>, state: &WorkerState| visitor(ctx, state),
     };
     driver.search(0);
+    ctx.flush_kernels(&driver.state);
 
     run.matches = driver.matches;
     run.states = driver.states;

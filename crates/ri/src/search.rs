@@ -14,10 +14,10 @@
 //! [`sge_plan::Strategy`].
 //!
 //! [`WorkerState`] is the per-worker mutable part: the partial mapping `M`
-//! (target node per ordered position) and the injectivity flags.  In the
-//! parallel runtime it is private to a worker and *never copied for private
-//! tasks*; only when a task is stolen does the prefix of `M` travel to the
-//! thief (Section 3 of the paper).
+//! (target node per ordered position), the injectivity flags and the
+//! worker's kernel counters.  In the parallel runtime it is private to a
+//! worker and *never copied for private tasks*; only when a task is stolen
+//! does the prefix of `M` travel to the thief (Section 3 of the paper).
 
 use crate::kernels::{self, GallopRoute, KernelCells, KernelUsage};
 use crate::matcher::Algorithm;
@@ -25,7 +25,7 @@ use sge_graph::{AdjacencyBitmaps, BitmapConfig, EdgeRef, Graph, GraphStats, Node
 use sge_obs::TraceSink;
 use sge_plan::ordering::{KernelChoice, MatchOrder, PlanStep, PrefilterSpec};
 use sge_plan::{Domains, Planner, QueryPlan, Strategy};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 
 thread_local! {
@@ -36,11 +36,11 @@ thread_local! {
     static BITMAP_SCRATCH: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
 }
 
-/// What the last-depth counting fast path would contribute: every set bit
-/// of the final AND is a visited state, and the non-used ones are matches.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct FinalCount {
-    /// States the enumerating path would have visited at this depth.
+/// What the last position contributes below one mapped prefix, counted by
+/// [`SearchContext::count_leaves`] instead of enumerated.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct LeafCount {
+    /// States the enumerating path would have visited at the last position.
     pub states: u64,
     /// Matches among them (states minus injectivity rejections).
     pub matches: u64,
@@ -64,8 +64,10 @@ pub struct SearchContext<'a> {
     /// the bitmap kernel and the candidate prefilter; when absent every
     /// position gallops over CSR and no candidates are prefiltered.
     bitmaps: Option<Arc<AdjacencyBitmaps>>,
-    /// Shared kernel-invocation counters (always on; workers accumulate
-    /// locally per candidate fill and flush a handful of relaxed adds).
+    /// Shared kernel-invocation counters (always on).  Candidate fills
+    /// accumulate in the [`WorkerState`] that drives them; schedulers fold
+    /// each worker's totals in once, when the worker stops
+    /// ([`Self::flush_kernels`]).
     kernels: Arc<KernelCells>,
 }
 
@@ -166,9 +168,17 @@ impl<'a> SearchContext<'a> {
     }
 
     /// Snapshot of the kernel-invocation counters accumulated through this
-    /// context so far (across all workers).
+    /// context so far (across all workers whose states were flushed with
+    /// [`Self::flush_kernels`]).
     pub fn kernel_totals(&self) -> KernelUsage {
         self.kernels.snapshot()
+    }
+
+    /// Moves the kernel counters `state` accumulated since its last flush
+    /// into this context's shared cells.  Schedulers call it once per worker
+    /// when the worker stops, so candidate fills never touch shared memory.
+    pub fn flush_kernels(&self, state: &WorkerState) {
+        self.kernels.flush(state.kernels.take());
     }
 
     /// Attaches a [`TraceSink`]: from now on every candidate list generated
@@ -235,6 +245,7 @@ impl<'a> SearchContext<'a> {
         WorkerState {
             mapping: vec![NodeId::MAX; self.num_positions()],
             used: vec![false; self.target.num_nodes()],
+            kernels: Cell::default(),
         }
     }
 
@@ -259,9 +270,9 @@ impl<'a> SearchContext<'a> {
     fn fill_candidates(&self, depth: usize, state: &WorkerState, out: &mut Vec<NodeId>) {
         out.clear();
         let step = &self.plan.order.plan.steps[depth];
-        let mut local = KernelUsage::default();
+        let vp = self.plan.order.positions[depth];
+        let mut local = state.kernels.get();
         if step.constraints.is_empty() {
-            let vp = self.plan.order.positions[depth];
             match &self.plan.domains {
                 Some(domains) => {
                     out.extend(domains.set(vp).iter().map(|v| v as NodeId));
@@ -272,13 +283,11 @@ impl<'a> SearchContext<'a> {
                 let before = out.len();
                 out.retain(|&v| prefilter_pass(maps, spec, self.target, v));
                 local.prefilter_rejected += (before - out.len()) as u64;
-                self.kernels.flush(local);
             }
-            return;
+        } else {
+            self.intersect_candidates(vp, step, state, out, &mut local);
         }
-        let vp = self.plan.order.positions[depth];
-        self.intersect_candidates(vp, step, state, out, &mut local);
-        self.kernels.flush(local);
+        state.kernels.set(local);
     }
 
     /// The prefilter to apply at a position: present only when a sidecar is
@@ -486,47 +495,72 @@ impl<'a> SearchContext<'a> {
         true
     }
 
-    /// Last-depth counting fast path: the number of states and matches the
-    /// final position would contribute, computed straight off the bitmap
-    /// words without materializing candidates.
+    /// The one leaf-count rule: the states and matches the last position
+    /// contributes below the mapped prefix in `state`, counted without
+    /// visiting them.  Every scheduler calls it when it would expand into
+    /// the last position, and only when nothing observes individual matches
+    /// and nothing can interrupt the position part-way (no match budget,
+    /// deadline or cancel token); `scratch` receives the candidate list when
+    /// one has to be built.
     ///
     /// At the last depth every pattern edge of the position's node points
-    /// back into the mapped prefix, so a candidate surviving the
-    /// constraint-row AND (plus the domain bitset) provably passes every
-    /// remaining per-candidate check except injectivity:
+    /// back into the mapped prefix, so a constrained candidate provably
+    /// passes every remaining per-candidate check except injectivity:
     ///
-    /// * domain membership already covers the node label, and the
-    ///   prefilter's degree / signature minimums are implied by the
-    ///   satisfied back-edges (one distinct neighbor per pattern edge), so
-    ///   `prefilter_rejected` stays untouched — exactly like enumerating;
-    /// * `check_degrees` holds for the same reason;
-    /// * self-loops are excluded by construction (they return `None`).
+    /// * domain membership (or the node label) was applied when candidates
+    ///   were generated, and the prefilter's degree / signature minimums are
+    ///   implied by the satisfied back-edges (one distinct neighbor per
+    ///   pattern edge), so `prefilter_rejected` stays untouched — exactly
+    ///   like enumerating;
+    /// * `check_degrees` holds for the same reason.
     ///
-    /// The counts are therefore byte-identical to the enumerating path:
-    /// `states` is the popcount of the AND (every set bit would have been a
-    /// generated candidate), and `matches` subtracts the already-used
-    /// targets whose bits survived (each would have been visited and
-    /// rejected by the injectivity check).  The kernel counters advance by
-    /// one bitmap AND per constraint row, as in [`Self::candidates`].
+    /// So `states` is the candidate count and `matches` subtracts the
+    /// candidates already used by the prefix (each would have been visited
+    /// and rejected by the injectivity check): byte-identical to
+    /// enumerating.  With domains, a bitmap-routed step and a sidecar row
+    /// for every constraint, the count comes straight off the popcount of
+    /// the rows' AND; otherwise the candidates are filled into `scratch` and
+    /// the used ones counted in O(candidates).  Kernel counters advance
+    /// exactly as in [`Self::candidates`].
     ///
-    /// Returns `None` whenever any guarantee is missing — no domains, no
-    /// sidecar row for some constraint, a self-loop, a non-bitmap kernel, or
-    /// an attached trace sink (which must observe every candidate fill and
-    /// consistency check individually).
-    pub(crate) fn count_final_candidates(
+    /// `None` — with nothing computed — when a guarantee is missing: an
+    /// attached trace sink (which must observe every candidate fill and
+    /// consistency check), an unconstrained last position (its candidates
+    /// still need the label / domain test of [`Self::is_consistent`]) or a
+    /// self-loop.
+    pub fn count_leaves(
         &self,
-        depth: usize,
         state: &WorkerState,
-    ) -> Option<FinalCount> {
-        debug_assert_eq!(depth + 1, self.num_positions());
-        if self.sink.is_some() {
+        scratch: &mut Vec<NodeId>,
+    ) -> Option<LeafCount> {
+        let depth = self.num_positions().checked_sub(1)?;
+        let step = &self.plan.order.plan.steps[depth];
+        if self.sink.is_some() || step.constraints.is_empty() || step.self_loop.is_some() {
             return None;
         }
-        let step = &self.plan.order.plan.steps[depth];
-        if step.kernel != KernelChoice::Bitmap
-            || step.constraints.is_empty()
-            || step.self_loop.is_some()
-        {
+        if let Some(count) = self.count_bitmap_leaves(depth, step, state) {
+            return Some(count);
+        }
+        self.fill_candidates(depth, state, scratch);
+        let states = scratch.len() as u64;
+        let used = scratch.iter().filter(|&&v| state.used[v as usize]).count() as u64;
+        Some(LeafCount {
+            states,
+            matches: states - used,
+        })
+    }
+
+    /// The bitmap half of [`Self::count_leaves`]: the popcount of the AND
+    /// of every constraint row and the domain bitset, minus the prefix
+    /// targets whose bits survived.  `None` unless the step is routed to
+    /// the bitmap kernel, domains exist and the sidecar has every row.
+    fn count_bitmap_leaves(
+        &self,
+        depth: usize,
+        step: &PlanStep,
+        state: &WorkerState,
+    ) -> Option<LeafCount> {
+        if step.kernel != KernelChoice::Bitmap {
             return None;
         }
         let domains = self.plan.domains.as_ref()?;
@@ -561,53 +595,15 @@ impl<'a> SearchContext<'a> {
                 .iter()
                 .filter(|&&vt| scratch[vt as usize / 64] >> (vt % 64) & 1 == 1)
                 .count() as u64;
-            FinalCount {
+            LeafCount {
                 states,
                 matches: states - used,
             }
         });
-        self.kernels.flush(KernelUsage {
-            bitmap: step.constraints.len() as u64,
-            ..KernelUsage::default()
-        });
+        let mut local = state.kernels.get();
+        local.bitmap += step.constraints.len() as u64;
+        state.kernels.set(local);
         Some(count)
-    }
-
-    /// The gallop-side companion of [`Self::count_final_candidates`]: counts
-    /// the final position's contribution from an already-generated candidate
-    /// list.  The same soundness argument applies regardless of which kernel
-    /// produced the list — a constrained candidate at the last depth
-    /// satisfies every pattern edge of its node (labels and directions
-    /// included), so only the injectivity check can still reject it.  Candidates are sorted ascending (both kernels emit them that
-    /// way), so the used-prefix overlap is a handful of binary searches.
-    ///
-    /// `None` when a guarantee is missing: a self-loop, an attached trace
-    /// sink (which must observe each consistency check), or an unconstrained
-    /// position whose candidates still need the label / domain test in
-    /// [`Self::is_consistent`].
-    pub(crate) fn final_count_from_candidates(
-        &self,
-        depth: usize,
-        state: &WorkerState,
-        candidates: &[NodeId],
-    ) -> Option<FinalCount> {
-        debug_assert_eq!(depth + 1, self.num_positions());
-        if self.sink.is_some() {
-            return None;
-        }
-        let step = &self.plan.order.plan.steps[depth];
-        if step.constraints.is_empty() || step.self_loop.is_some() {
-            return None;
-        }
-        let states = candidates.len() as u64;
-        let used = state.mapping[..depth]
-            .iter()
-            .filter(|&&vt| candidates.binary_search(&vt).is_ok())
-            .count() as u64;
-        Some(FinalCount {
-            states,
-            matches: states - used,
-        })
     }
 
     /// Full consistency check for mapping the pattern node at `depth` onto
@@ -762,11 +758,14 @@ impl PreparedParts {
 }
 
 /// Mutable per-worker search state: the partial mapping (indexed by ordered
-/// position) and the injectivity flags over target nodes.
+/// position), the injectivity flags over target nodes and the kernel
+/// counters of the candidate fills it drove since its last
+/// [`SearchContext::flush_kernels`].
 #[derive(Clone, Debug)]
 pub struct WorkerState {
     mapping: Vec<NodeId>,
     used: Vec<bool>,
+    kernels: Cell<KernelUsage>,
 }
 
 impl WorkerState {

@@ -7,7 +7,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Cache identity of a prepared engine.
 ///
@@ -26,8 +26,15 @@ struct CacheKey {
     strategy: Strategy,
 }
 
+/// The one preparation of a key: filled by the first caller that reaches
+/// it, waited on by every concurrent caller of the same key.
+type Slot = Arc<OnceLock<Arc<PreparedEngine>>>;
+
 struct Entry {
-    engine: Arc<PreparedEngine>,
+    slot: Slot,
+    /// The graph the slot prepares against: reloading a target swaps the
+    /// registry's `Arc`, which makes this entry stale.
+    target: Arc<Graph>,
     last_used: u64,
 }
 
@@ -43,25 +50,24 @@ pub struct CacheStats {
     pub capacity: usize,
     /// Entries currently resident.
     pub entries: usize,
-    /// Lookups served from the cache.
+    /// Lookups served from the cache, including callers that waited on a
+    /// concurrent preparation of the same key.
     pub hits: u64,
-    /// Lookups that had to run preprocessing.
+    /// Lookups that ran preprocessing.
     pub misses: u64,
     /// Entries displaced by the LRU bound.
     pub evictions: u64,
-    /// Entries actually retained (misses that made it into the map; a
-    /// capacity-0 cache and race-adopted duplicates never insert).
+    /// Entries created in the map (a capacity-0 cache never inserts).
     pub inserts: u64,
 }
 
 /// A bounded LRU of prepared engines keyed by *(pattern, target name,
 /// algorithm, ordering strategy)*.
 ///
-/// Preparation runs **outside** the cache lock, so a slow domain computation
-/// never blocks concurrent lookups of other keys; when two threads race to
-/// prepare the same key, the first insertion wins and the loser adopts it
-/// (at the cost of one redundant preparation — acceptable, and it keeps the
-/// lock hold times tiny).
+/// Single-flight per key: a miss creates the key's slot under the cache lock
+/// and prepares **outside** it, so a slow domain computation never blocks
+/// lookups of other keys, while concurrent callers of the same key wait on
+/// that one preparation and count as hits.
 pub struct PreparedCache {
     capacity: usize,
     inner: Mutex<Inner>,
@@ -128,52 +134,30 @@ impl PreparedCache {
             strategy,
         };
 
-        if let Some(engine) = self.lookup(&key, target) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return (engine, true);
-        }
-
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let engine = Arc::new(PreparedEngine::prepare_planned_full(
-            Arc::new(pattern.clone()),
-            Arc::clone(target),
-            target_stats,
-            Arc::clone(bitmaps),
-            algorithm,
-            strategy,
-        ));
-        (self.insert(key, engine), false)
+        let slot = self.slot(key, target);
+        let mut prepared = false;
+        let engine = slot.get_or_init(|| {
+            prepared = true;
+            Arc::new(PreparedEngine::prepare_planned_full(
+                Arc::new(pattern.clone()),
+                Arc::clone(target),
+                target_stats,
+                Arc::clone(bitmaps),
+                algorithm,
+                strategy,
+            ))
+        });
+        let counter = if prepared { &self.misses } else { &self.hits };
+        counter.fetch_add(1, Ordering::Relaxed);
+        (Arc::clone(engine), !prepared)
     }
 
-    fn lookup(&self, key: &CacheKey, target: &Arc<Graph>) -> Option<Arc<PreparedEngine>> {
-        let mut inner = self
-            .inner
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        inner.tick += 1;
-        let tick = inner.tick;
-        match inner.map.get_mut(key) {
-            // The entry must have been prepared against the *same* graph the
-            // registry currently holds under this name — reloading a target
-            // swaps the Arc, and an engine built against the old graph would
-            // silently answer with stale results.
-            Some(entry) if Arc::ptr_eq(entry.engine.target(), target) => {
-                entry.last_used = tick;
-                Some(Arc::clone(&entry.engine))
-            }
-            Some(_) => {
-                inner.map.remove(key);
-                None
-            }
-            None => None,
-        }
-    }
-
-    /// Inserts unless a racing thread already did; returns the resident
-    /// engine either way.
-    fn insert(&self, key: CacheKey, engine: Arc<PreparedEngine>) -> Arc<PreparedEngine> {
+    /// The slot of `key` for `target`: the resident one, or a fresh one
+    /// inserted in its place (displacing a stale entry, or the
+    /// least-recently-used one at capacity).
+    fn slot(&self, key: CacheKey, target: &Arc<Graph>) -> Slot {
         if self.capacity == 0 {
-            return engine;
+            return Slot::default();
         }
         let mut inner = self
             .inner
@@ -181,20 +165,21 @@ impl PreparedCache {
             .unwrap_or_else(|poisoned| poisoned.into_inner());
         inner.tick += 1;
         let tick = inner.tick;
-        let stale = match inner.map.get_mut(&key) {
-            Some(existing) if Arc::ptr_eq(existing.engine.target(), engine.target()) => {
-                // A racing thread inserted the same preparation first; adopt
-                // theirs so all callers share one engine.
-                existing.last_used = tick;
-                return Arc::clone(&existing.engine);
+        match inner.map.get_mut(&key) {
+            // The entry must prepare against the *same* graph the registry
+            // currently holds under this name — an engine built against a
+            // reloaded target's old graph would silently answer with stale
+            // results.
+            Some(entry) if Arc::ptr_eq(&entry.target, target) => {
+                entry.last_used = tick;
+                return Arc::clone(&entry.slot);
             }
-            // The resident entry targets a stale graph: replace it (dropping
-            // it first so the capacity check below doesn't evict a bystander).
-            Some(_) => true,
-            None => false,
-        };
-        if stale {
-            inner.map.remove(&key);
+            // Drop the stale entry first so the capacity check below does
+            // not evict a bystander.
+            Some(_) => {
+                inner.map.remove(&key);
+            }
+            None => {}
         }
         if inner.map.len() >= self.capacity {
             // Displace the least-recently-used entry (O(n) scan; the cache
@@ -210,14 +195,16 @@ impl PreparedCache {
             }
         }
         self.inserts.fetch_add(1, Ordering::Relaxed);
+        let slot = Slot::default();
         inner.map.insert(
             key,
             Entry {
-                engine: Arc::clone(&engine),
+                slot: Arc::clone(&slot),
+                target: Arc::clone(target),
                 last_used: tick,
             },
         );
-        engine
+        slot
     }
 
     /// Drops every cached engine (counters are preserved).
@@ -414,6 +401,32 @@ mod tests {
         assert!(!hit2);
         assert_eq!(cache.stats().entries, 0);
         assert_eq!(cache.stats().inserts, 0, "capacity-0 never inserts");
+    }
+
+    #[test]
+    fn concurrent_misses_on_one_key_prepare_once() {
+        const THREADS: usize = 8;
+        let cache = PreparedCache::new(4);
+        let target = k5();
+        let pattern = generators::directed_cycle(3, 0);
+        let start = std::sync::Barrier::new(THREADS);
+        let engines: Vec<_> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        lookup(&cache, &pattern, "k5", &target, Algorithm::RiDsSiFc)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let misses = engines.iter().filter(|(_, hit)| !hit).count();
+        assert_eq!(misses, 1, "exactly one caller prepares");
+        assert!(engines.iter().all(|(e, _)| Arc::ptr_eq(e, &engines[0].0)));
+        let stats = cache.stats();
+        assert_eq!((stats.misses, stats.hits), (1, THREADS as u64 - 1));
+        assert_eq!((stats.inserts, stats.entries), (1, 1));
     }
 
     #[test]

@@ -175,6 +175,7 @@ struct EngineCounters {
     steals: Counter,
     steal_requests: Counter,
     tasks: Counter,
+    task_groups: Counter,
     kernel_bitmap: Counter,
     kernel_gallop: Counter,
     kernel_merge: Counter,
@@ -188,6 +189,7 @@ impl EngineCounters {
             steals: registry.counter("engine.steals"),
             steal_requests: registry.counter("engine.steal_requests"),
             tasks: registry.counter("engine.tasks"),
+            task_groups: registry.counter("engine.task_groups"),
             kernel_bitmap: registry.counter("engine.kernel.bitmap"),
             kernel_gallop: registry.counter("engine.kernel.gallop"),
             kernel_merge: registry.counter("engine.kernel.merge"),
@@ -204,6 +206,8 @@ impl EngineCounters {
         self.steal_requests.add(outcome.steal_requests);
         self.tasks
             .add(outcome.worker_stats.iter().map(|w| w.tasks_executed).sum());
+        self.task_groups
+            .add(outcome.worker_stats.iter().map(|w| w.task_groups).sum());
         self.kernel_bitmap.add(outcome.kernels.bitmap);
         self.kernel_gallop.add(outcome.kernels.gallop);
         self.kernel_merge.add(outcome.kernels.merge);

@@ -15,12 +15,21 @@
 //! Three shared arrays coordinate the workers (Section 3.2):
 //!
 //! * `work_available` — one boolean per worker: does it currently have
-//!   stealable tasks?
+//!   stealable tasks?  A worker writes its flag only when the value changes,
+//!   not once per task,
 //! * `requests` — one slot per worker; thieves CAS their own id into a
 //!   victim's slot (only one request per victim at a time, as in the paper's
 //!   use of `std::atomic_compare_exchange_weak`),
 //! * `transfers` — one cell per *thief*, through which the victim hands over a
 //!   stolen task group together with the prefix of choices it needs.
+//!
+//! Every slot of the three arrays sits on its own 128-byte line, so a
+//! thief's write to one worker's slot never invalidates the line another
+//! worker polls once per task.
+//!
+//! Apart from a steal, which moves a task group and copies its prefix, a
+//! worker's expansion allocates nothing: candidates are filtered in place in
+//! one reused buffer and task groups take the storage of exhausted ones.
 
 use crate::problem::BacktrackProblem;
 use crate::stats::{RunResult, WorkerStats};
@@ -121,6 +130,20 @@ impl EngineConfig {
     }
 }
 
+/// One per-worker slot of a shared array, aligned to 128 bytes so that no two
+/// workers' slots share a cache line or the adjacent line the prefetcher
+/// pairs with it.
+#[repr(align(128))]
+struct Padded<T>(T);
+
+impl<T> std::ops::Deref for Padded<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
+
 /// One thief's transfer mailbox.
 enum TransferCell<C> {
     /// No answer yet.
@@ -133,9 +156,9 @@ enum TransferCell<C> {
 
 /// State shared by all workers of one run.
 struct Shared<C> {
-    work_available: Vec<AtomicBool>,
-    requests: Vec<AtomicUsize>,
-    transfers: Vec<Mutex<TransferCell<C>>>,
+    work_available: Vec<Padded<AtomicBool>>,
+    requests: Vec<Padded<AtomicUsize>>,
+    transfers: Vec<Padded<Mutex<TransferCell<C>>>>,
     termination: Termination,
     deadline: Option<Instant>,
     timed_out: AtomicBool,
@@ -149,10 +172,14 @@ struct Shared<C> {
 impl<C> Shared<C> {
     fn new(workers: usize, deadline: Option<Instant>, config: &EngineConfig) -> Self {
         Shared {
-            work_available: (0..workers).map(|_| AtomicBool::new(false)).collect(),
-            requests: (0..workers).map(|_| AtomicUsize::new(NO_REQUEST)).collect(),
+            work_available: (0..workers)
+                .map(|_| Padded(AtomicBool::new(false)))
+                .collect(),
+            requests: (0..workers)
+                .map(|_| Padded(AtomicUsize::new(NO_REQUEST)))
+                .collect(),
             transfers: (0..workers)
-                .map(|_| Mutex::new(TransferCell::Empty))
+                .map(|_| Padded(Mutex::new(TransferCell::Empty)))
                 .collect(),
             termination: Termination::new(workers),
             deadline,
@@ -206,7 +233,14 @@ struct Worker<'a, P: BacktrackProblem> {
     total_depth: usize,
     stats: WorkerStats,
     rng: SplitMix64,
-    cand_buf: Vec<P::Choice>,
+    /// Candidate buffer, filtered in place to the consistent children.
+    scratch: Vec<P::Choice>,
+    /// The value this worker last published in `work_available`.
+    advertised: bool,
+    /// Whether the last level is counted through
+    /// [`BacktrackProblem::count_last_level`]: only when nothing can
+    /// interrupt it (no solution budget, time limit or cancel token).
+    count_last_level: bool,
     ticks: u64,
 }
 
@@ -231,7 +265,11 @@ impl<'a, P: BacktrackProblem> Worker<'a, P> {
                 ..WorkerStats::default()
             },
             rng: SplitMix64::new(config.seed ^ (id as u64).wrapping_mul(0x9E37_79B9)),
-            cand_buf: Vec::new(),
+            scratch: Vec::new(),
+            advertised: false,
+            count_last_level: config.max_solutions.is_none()
+                && config.time_limit.is_none()
+                && config.cancel.is_none(),
             ticks: 0,
         }
     }
@@ -245,9 +283,9 @@ impl<'a, P: BacktrackProblem> Worker<'a, P> {
         }
     }
 
-    /// Executes one task: apply the choice and either record a solution or
-    /// spawn the (pre-checked) children as new task groups at the front of the
-    /// private deque.
+    /// Executes one task: apply the choice and either record a solution,
+    /// count the last level below it, or spawn the (pre-checked) children as
+    /// new task groups at the front of the private deque.
     fn execute(&mut self, depth: usize, choice: P::Choice, checked: bool) {
         self.rewind_to(depth);
         self.stats.tasks_executed += 1;
@@ -262,39 +300,45 @@ impl<'a, P: BacktrackProblem> Worker<'a, P> {
         self.problem.apply(depth, choice, &mut self.state);
         self.path.push(choice);
 
-        if depth + 1 == self.total_depth {
+        let level = depth + 1;
+        if level == self.total_depth {
             if self.claim_solution() {
                 self.stats.solutions += 1;
                 self.problem.on_solution(self.id, &self.state);
             }
             return;
         }
-
-        let mut cands = std::mem::take(&mut self.cand_buf);
-        self.problem.candidates(depth + 1, &self.state, &mut cands);
-        let mut consistent: Vec<P::Choice> = Vec::with_capacity(cands.len());
-        for &c in cands.iter() {
-            // Consistency is verified *before* spawning (Section 3.1), so
-            // thieves do not steal dead ends; each check is a visited state.
-            self.stats.states += 1;
-            if self.problem.is_consistent(depth + 1, c, &self.state) {
-                consistent.push(c);
+        if self.count_last_level && level + 1 == self.total_depth {
+            if let Some(count) = self
+                .problem
+                .count_last_level(&self.state, &mut self.scratch)
+            {
+                self.stats.states += count.states;
+                self.stats.solutions += count.solutions;
+                return;
             }
         }
-        self.cand_buf = cands;
 
-        if consistent.is_empty() {
-            return;
-        }
-        let group_size = self.config.task_group_size.max(1);
-        // Push chunks in reverse so the first chunk ends up at the very front
-        // and the sequential (depth-first) exploration order is preserved.
-        let mut chunks: Vec<TaskGroup<P::Choice>> = consistent
-            .chunks(group_size)
-            .map(|chunk| TaskGroup::new(depth + 1, chunk.to_vec(), true))
-            .collect();
-        while let Some(group) = chunks.pop() {
-            self.deque.push_front(group);
+        let mut children = std::mem::take(&mut self.scratch);
+        self.problem.candidates(level, &self.state, &mut children);
+        // Consistency is verified *before* spawning (Section 3.1), so
+        // thieves do not steal dead ends; each check is a visited state.
+        self.stats.states += children.len() as u64;
+        let (problem, state) = (self.problem, &self.state);
+        children.retain(|&c| problem.is_consistent(level, c, state));
+        self.stats.task_groups += self
+            .deque
+            .spawn(level, &children, self.config.task_group_size);
+        self.scratch = children;
+    }
+
+    /// Publishes whether this worker has stealable work, writing the shared
+    /// flag only when the value changes.
+    fn advertise(&mut self) {
+        let available = !self.deque.is_empty();
+        if available != self.advertised {
+            self.advertised = available;
+            self.shared.work_available[self.id].store(available, Ordering::SeqCst);
         }
     }
 
@@ -343,7 +387,7 @@ impl<'a, P: BacktrackProblem> Worker<'a, P> {
         *self.shared.transfers[thief].lock().expect("mutex poisoned") = answer;
         // Accept new requests only after the answer is visible to the thief.
         self.shared.requests[self.id].store(NO_REQUEST, Ordering::SeqCst);
-        self.shared.work_available[self.id].store(!self.deque.is_empty(), Ordering::SeqCst);
+        self.advertise();
     }
 
     /// Installs a stolen transfer: replay the prefix, then adopt the group.
@@ -354,7 +398,7 @@ impl<'a, P: BacktrackProblem> Worker<'a, P> {
             self.path.push(choice);
         }
         self.deque.push_front(transfer.group);
-        self.shared.work_available[self.id].store(true, Ordering::SeqCst);
+        self.advertise();
     }
 
     fn tick(&mut self) {
@@ -366,9 +410,24 @@ impl<'a, P: BacktrackProblem> Worker<'a, P> {
 
     /// Receiver-initiated steal loop: repeatedly request work from a random
     /// victim until a task group arrives or termination is detected.  Returns
-    /// `true` when work was obtained.
+    /// `true` when work was obtained.  The clock is read only on entering
+    /// and leaving: the time counts as steal wait when work arrived and as
+    /// idle time when the loop ended in termination.
     fn acquire(&mut self) -> bool {
-        self.shared.work_available[self.id].store(false, Ordering::SeqCst);
+        let entered = Instant::now();
+        let acquired = self.steal();
+        let seconds = entered.elapsed().as_secs_f64();
+        if acquired {
+            self.stats.steal_wait_seconds += seconds;
+        } else {
+            self.stats.idle_seconds += seconds;
+        }
+        acquired
+    }
+
+    /// The body of [`Self::acquire`].
+    fn steal(&mut self) -> bool {
+        self.advertise();
         let workers = self.config.num_workers;
         let mut spins: u64 = 0;
         loop {
@@ -464,12 +523,13 @@ impl<'a, P: BacktrackProblem> Worker<'a, P> {
                 continue;
             }
             let (depth, choice, checked) = self.deque.pop_task().expect("deque reported non-empty");
-            self.shared.work_available[self.id].store(!self.deque.is_empty(), Ordering::SeqCst);
+            self.advertise();
             self.process_requests();
             self.execute(depth, choice, checked);
         }
         // Final courtesy: make sure no thief is left waiting on us.
         self.process_requests();
+        self.problem.retire_state(&self.state);
         self.stats.busy_seconds = start.elapsed().as_secs_f64();
     }
 }
@@ -507,6 +567,7 @@ pub fn run<P: BacktrackProblem>(problem: &P, config: &EngineConfig) -> RunResult
     let init_state = problem.new_state();
     let mut roots: Vec<P::Choice> = Vec::new();
     problem.candidates(0, &init_state, &mut roots);
+    problem.retire_state(&init_state);
     let mut per_worker: Vec<Vec<P::Choice>> = vec![Vec::new(); workers];
     for (i, choice) in roots.into_iter().enumerate() {
         per_worker[i % workers].push(choice);
@@ -533,8 +594,9 @@ pub fn run<P: BacktrackProblem>(problem: &P, config: &EngineConfig) -> RunResult
                         worker
                             .deque
                             .push_back(TaskGroup::new(0, chunk.to_vec(), false));
+                        worker.stats.task_groups += 1;
                     }
-                    shared.work_available[id].store(!worker.deque.is_empty(), Ordering::SeqCst);
+                    worker.advertise();
                     worker.run();
                     worker.stats
                 })
@@ -559,6 +621,7 @@ pub fn run<P: BacktrackProblem>(problem: &P, config: &EngineConfig) -> RunResult
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::problem::LevelCount;
 
     /// N-Queens as a [`BacktrackProblem`]: level = row, choice = column.
     struct NQueens {
@@ -611,6 +674,97 @@ mod tests {
     fn queens_solutions(n: usize) -> u64 {
         // Known values of the N-Queens sequence (OEIS A000170).
         [1, 1, 0, 0, 2, 10, 4, 40, 92, 352, 724][n]
+    }
+
+    /// N-Queens that counts its last row instead of enumerating it, and
+    /// records how often the engine asked.
+    struct CountingQueens {
+        inner: NQueens,
+        asked: std::sync::atomic::AtomicU64,
+    }
+
+    impl BacktrackProblem for CountingQueens {
+        type State = QueensState;
+        type Choice = u32;
+        fn depth(&self) -> usize {
+            self.inner.depth()
+        }
+        fn new_state(&self) -> QueensState {
+            self.inner.new_state()
+        }
+        fn candidates(&self, level: usize, state: &QueensState, out: &mut Vec<u32>) {
+            self.inner.candidates(level, state, out);
+        }
+        fn is_consistent(&self, level: usize, choice: u32, state: &QueensState) -> bool {
+            self.inner.is_consistent(level, choice, state)
+        }
+        fn apply(&self, level: usize, choice: u32, state: &mut QueensState) {
+            self.inner.apply(level, choice, state);
+        }
+        fn undo(&self, level: usize, state: &mut QueensState) {
+            self.inner.undo(level, state);
+        }
+        fn count_last_level(
+            &self,
+            state: &QueensState,
+            scratch: &mut Vec<u32>,
+        ) -> Option<LevelCount> {
+            self.asked.fetch_add(1, Ordering::Relaxed);
+            let level = self.inner.n - 1;
+            self.inner.candidates(level, state, scratch);
+            let solutions = scratch
+                .iter()
+                .filter(|&&c| self.inner.is_consistent(level, c, state))
+                .count() as u64;
+            Some(LevelCount {
+                states: scratch.len() as u64,
+                solutions,
+            })
+        }
+    }
+
+    fn counting_queens(n: usize) -> CountingQueens {
+        CountingQueens {
+            inner: NQueens { n },
+            asked: std::sync::atomic::AtomicU64::new(0),
+        }
+    }
+
+    #[test]
+    fn last_level_count_matches_enumeration() {
+        for n in [6usize, 8] {
+            let reference = run(&NQueens { n }, &EngineConfig::with_workers(1));
+            let reference_tasks: u64 = reference.workers.iter().map(|w| w.tasks_executed).sum();
+            for workers in [1usize, 2, 4] {
+                for group_size in [1usize, 3, 4, 16] {
+                    let problem = counting_queens(n);
+                    let config = EngineConfig::with_workers(workers).task_group_size(group_size);
+                    let result = run(&problem, &config);
+                    let case = format!("n={n} workers={workers} group={group_size}");
+                    assert_eq!(result.solutions, reference.solutions, "{case}");
+                    assert_eq!(result.states, reference.states, "{case}");
+                    assert!(problem.asked.load(Ordering::Relaxed) > 0, "{case}");
+                    let tasks: u64 = result.workers.iter().map(|w| w.tasks_executed).sum();
+                    assert!(tasks < reference_tasks, "{case}: leaves are not tasks");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn last_level_count_is_never_consulted_under_limits() {
+        let token = Arc::new(CancelToken::new());
+        let configs = [
+            EngineConfig::with_workers(2).max_solutions(1_000),
+            EngineConfig::with_workers(2).time_limit(Duration::from_secs(600)),
+            EngineConfig::with_workers(2).cancel_token(token),
+        ];
+        for config in configs {
+            let problem = counting_queens(8);
+            let result = run(&problem, &config);
+            assert_eq!(result.solutions, 92);
+            assert_eq!(problem.asked.load(Ordering::Relaxed), 0, "{config:?}");
+        }
     }
 
     #[test]
@@ -868,5 +1022,29 @@ mod tests {
         assert_eq!(total, result.states);
         assert!(result.workers.iter().all(|w| w.busy_seconds >= 0.0));
         assert!(result.elapsed_seconds > 0.0);
+    }
+
+    #[test]
+    fn task_groups_and_wait_times_are_reported() {
+        // Every worker ends in one terminating steal attempt; the group
+        // count depends on the worker count (root shares) and group size
+        // only, never on the schedule.
+        let problem = NQueens { n: 7 };
+        let config = EngineConfig::with_workers(3).task_group_size(2);
+        let first = run(&problem, &config);
+        let groups: u64 = first.workers.iter().map(|w| w.task_groups).sum();
+        assert_eq!(first.task_groups, groups);
+        assert!(first.task_groups > 0);
+        for _ in 0..5 {
+            assert_eq!(run(&problem, &config).task_groups, first.task_groups);
+        }
+        assert!(first.idle_seconds > 0.0);
+        assert!(first.steal_wait_seconds >= 0.0);
+        let waits: f64 = first.workers.iter().map(|w| w.idle_seconds).sum();
+        assert!((first.idle_seconds - waits).abs() < 1e-9);
+        // Without stealing nobody waits.
+        let frozen = run(&problem, &config.clone().steal(false));
+        assert_eq!(frozen.task_groups, first.task_groups);
+        assert_eq!((frozen.idle_seconds, frozen.steal_wait_seconds), (0.0, 0.0));
     }
 }

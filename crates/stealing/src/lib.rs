@@ -18,6 +18,9 @@
 //!   stealing,
 //! * spawned tasks are **consistency-checked before being enqueued**, so
 //!   thieves rarely steal dead ends,
+//! * a problem may **count its last level** instead of enumerating it
+//!   ([`BacktrackProblem::count_last_level`]) when nothing observes
+//!   individual solutions,
 //! * termination is detected with the **Dijkstra ring token** algorithm
 //!   (white/black token passed by idle workers).
 //!
@@ -36,6 +39,6 @@ pub mod task;
 pub mod termination;
 
 pub use engine::{run, EngineConfig};
-pub use problem::BacktrackProblem;
+pub use problem::{BacktrackProblem, LevelCount};
 pub use stats::{RunResult, WorkerStats};
 pub use task::{TaskGroup, Transfer};

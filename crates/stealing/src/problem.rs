@@ -1,5 +1,15 @@
 //! The abstraction the engine parallelizes.
 
+/// What the last level contributes below one applied prefix, counted by
+/// [`BacktrackProblem::count_last_level`] instead of enumerated.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct LevelCount {
+    /// Consistency checks enumerating the level would have performed.
+    pub states: u64,
+    /// Solutions among them.
+    pub solutions: u64,
+}
+
 /// A depth-first backtracking problem with a fixed number of levels.
 ///
 /// The engine explores the state-space tree whose nodes at depth `d` are the
@@ -47,4 +57,28 @@ pub trait BacktrackProblem: Sync {
     /// collect solutions can use interior mutability (e.g. a mutex-protected
     /// vector); the engine itself only counts.
     fn on_solution(&self, _worker_id: usize, _state: &Self::State) {}
+
+    /// Counts the states and solutions of the last level (`depth() - 1`)
+    /// below the applied prefix, without enumerating them; `scratch` is a
+    /// reusable buffer the problem may fill.  `None` (the default) means
+    /// "enumerate": the engine then spawns the level's tasks as usual.
+    ///
+    /// The engine asks only when nothing can interrupt the level part-way
+    /// (no solution budget, time limit or cancel token), and counted
+    /// solutions never reach [`Self::on_solution`], so a problem answers
+    /// only while nothing observes individual solutions.  The counts must
+    /// equal what enumerating would have produced.
+    fn count_last_level(
+        &self,
+        _state: &Self::State,
+        _scratch: &mut Vec<Self::Choice>,
+    ) -> Option<LevelCount> {
+        None
+    }
+
+    /// Called once with each worker's state when the worker stops, and once
+    /// with the state that generated the root choices.  Problems that
+    /// accumulate per-worker counters in their state flush them here, once
+    /// per worker, instead of touching shared cells per operation.
+    fn retire_state(&self, _state: &Self::State) {}
 }

@@ -23,8 +23,17 @@ pub struct WorkerStats {
     pub steal_requests: u64,
     /// Task groups this worker handed to thieves.
     pub tasks_sent: u64,
+    /// Task groups this worker spawned (its share of the root distribution
+    /// plus one group per `task_group_size` consistent children); stolen
+    /// groups move, so the total is schedule-invariant on complete runs.
+    pub task_groups: u64,
     /// Wall-clock seconds this worker spent before terminating.
     pub busy_seconds: f64,
+    /// Seconds spent in steal attempts that ended with work.
+    pub steal_wait_seconds: f64,
+    /// Seconds spent in the final steal attempt, the one that ended with
+    /// termination.
+    pub idle_seconds: f64,
 }
 
 /// Aggregated outcome of one parallel run.
@@ -38,6 +47,13 @@ pub struct RunResult {
     pub steals: u64,
     /// Total steal requests issued.
     pub steal_requests: u64,
+    /// Total task groups spawned.
+    pub task_groups: u64,
+    /// Total seconds workers spent in steal attempts that ended with work.
+    pub steal_wait_seconds: f64,
+    /// Total seconds workers spent in their final, terminating steal
+    /// attempt.
+    pub idle_seconds: f64,
     /// Wall-clock seconds for the whole parallel phase.
     pub elapsed_seconds: f64,
     /// `true` when the run was cut short by the configured time limit.
@@ -64,6 +80,9 @@ impl RunResult {
             states,
             steals,
             steal_requests,
+            task_groups: workers.iter().map(|w| w.task_groups).sum(),
+            steal_wait_seconds: workers.iter().map(|w| w.steal_wait_seconds).sum(),
+            idle_seconds: workers.iter().map(|w| w.idle_seconds).sum(),
             elapsed_seconds,
             timed_out,
             limit_hit: false,

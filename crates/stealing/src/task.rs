@@ -72,9 +72,14 @@ pub struct Transfer<C> {
 /// answers remove whole groups from the *back*, which by construction holds
 /// the shallowest groups — the ones with the largest subtrees below them, so
 /// stolen work tends to be long-running (Section 3.2).
+///
+/// The storage of exhausted groups is kept and reused by [`Self::spawn`], so
+/// in steady state the owner's expansions allocate nothing; only a steal
+/// moves a group's storage to another worker.
 #[derive(Debug)]
 pub struct PrivateDeque<C> {
     groups: std::collections::VecDeque<TaskGroup<C>>,
+    spare: Vec<Vec<C>>,
 }
 
 impl<C: Copy> Default for PrivateDeque<C> {
@@ -88,12 +93,15 @@ impl<C: Copy> PrivateDeque<C> {
     pub fn new() -> Self {
         PrivateDeque {
             groups: std::collections::VecDeque::new(),
+            spare: Vec::new(),
         }
     }
 
-    /// `true` when no unexecuted choice remains.
+    /// `true` when no unexecuted choice remains.  Exhausted groups never
+    /// stay queued (pushes skip them, [`Self::pop_task`] retires the front
+    /// one the moment it runs out), so this is one length check.
     pub fn is_empty(&self) -> bool {
-        self.groups.iter().all(|g| g.is_exhausted())
+        self.groups.is_empty()
     }
 
     /// Number of groups currently held (including a possibly partially
@@ -107,6 +115,22 @@ impl<C: Copy> PrivateDeque<C> {
         if !group.is_exhausted() {
             self.groups.push_front(group);
         }
+    }
+
+    /// Queues `choices`, the consistent children of the task just executed,
+    /// at the front as groups of at most `group_size`, the first group
+    /// frontmost so the owner keeps depth-first order.  The groups take the
+    /// storage of exhausted ones.  Returns the number of groups queued.
+    pub fn spawn(&mut self, depth: usize, choices: &[C], group_size: usize) -> u64 {
+        let mut groups = 0;
+        for chunk in choices.chunks(group_size.max(1)).rev() {
+            let mut storage = self.spare.pop().unwrap_or_default();
+            storage.clear();
+            storage.extend_from_slice(chunk);
+            self.groups.push_front(TaskGroup::new(depth, storage, true));
+            groups += 1;
+        }
+        groups
     }
 
     /// Pushes a group at the back (initial distribution).
@@ -126,11 +150,18 @@ impl<C: Copy> PrivateDeque<C> {
                 let depth = front.depth;
                 let checked = front.checked;
                 if front.is_exhausted() {
-                    self.groups.pop_front();
+                    self.retire_front();
                 }
                 return Some((depth, choice, checked));
             }
-            self.groups.pop_front();
+            self.retire_front();
+        }
+    }
+
+    /// Drops the (exhausted) front group, keeping its storage for reuse.
+    fn retire_front(&mut self) {
+        if let Some(group) = self.groups.pop_front() {
+            self.spare.push(group.choices);
         }
     }
 
@@ -141,6 +172,7 @@ impl<C: Copy> PrivateDeque<C> {
             if !back.is_exhausted() {
                 return Some(back);
             }
+            self.spare.push(back.choices);
         }
     }
 
@@ -207,6 +239,29 @@ mod tests {
         assert!(deque.is_empty());
         assert_eq!(deque.pop_task(), None);
         assert!(deque.steal_back().is_none());
+    }
+
+    #[test]
+    fn spawn_keeps_dfs_order_and_reuses_exhausted_storage() {
+        let mut deque = PrivateDeque::new();
+        assert_eq!(deque.spawn(1, &[1, 2, 3, 4, 5], 2), 3);
+        let popped: Vec<_> = std::iter::from_fn(|| deque.pop_task()).collect();
+        let expected: Vec<_> = (1..=5).map(|c| (1, c, true)).collect();
+        assert_eq!(popped, expected, "first group frontmost, in order");
+        let mut recycled: Vec<*const u32> = deque.spare.iter().map(|v| v.as_ptr()).collect();
+        assert_eq!(recycled.len(), 3);
+        // The next expansion takes the exhausted groups' storage.
+        assert_eq!(deque.spawn(2, &[6, 7, 8, 9], 2), 2);
+        assert_eq!(deque.spare.len(), 1);
+        let mut reused: Vec<_> = deque.groups.iter().map(|g| g.choices.as_ptr()).collect();
+        reused.extend(deque.spare.iter().map(|v| v.as_ptr()));
+        recycled.sort_unstable();
+        reused.sort_unstable();
+        assert_eq!(reused, recycled);
+        assert_eq!(deque.spawn(2, &[], 2), 0, "no children, no group");
+        // A steal moves the group, storage included.
+        let stolen = deque.steal_back().unwrap();
+        assert_eq!((stolen.depth, stolen.choices), (2, vec![8, 9]));
     }
 
     #[test]

@@ -315,8 +315,19 @@ impl<'a> Subject<'a> {
             let mut positions = None;
             if let Some(sink) = sink {
                 let tasks = outcome.worker_stats.iter().map(|w| w.tasks_executed);
-                let run = (outcome.steals, outcome.steal_requests, tasks.sum());
-                let counted = (sink.steals(), sink.steal_requests(), sink.tasks_executed());
+                let groups = outcome.worker_stats.iter().map(|w| w.task_groups);
+                let run = (
+                    outcome.steals,
+                    outcome.steal_requests,
+                    tasks.sum(),
+                    groups.sum(),
+                );
+                let counted = (
+                    sink.steals(),
+                    sink.steal_requests(),
+                    sink.tasks_executed(),
+                    sink.task_groups(),
+                );
                 same("sink counters", counted, run)?;
                 positions = Some((sink.candidates_per_position(), sink.states_per_position()));
             }
