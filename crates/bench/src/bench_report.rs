@@ -392,8 +392,10 @@ fn prefilter_verdict(target: &Graph) -> (u64, f64) {
     let outcome = engine.run(&RunConfig::new(Scheduler::Sequential));
     std::hint::black_box(outcome.matches);
     let rejected = outcome.kernels.prefilter_rejected;
-    // The sink counts candidates that *passed* the prefilter and were
-    // emitted, so rejected + passed is everything the prefilter saw.
+    // The kernel counter holds the rejections made while lists were built,
+    // the sink every candidate handed to the search, memo hits included:
+    // the rate is a lower bound on the share of a list's raw candidates
+    // the prefilter removes.
     let inspected = rejected + sink.candidates_total();
     (rejected, rejected as f64 / (inspected.max(1)) as f64)
 }

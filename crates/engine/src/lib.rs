@@ -741,17 +741,37 @@ mod tests {
                 task_group_size: 2,
                 stealing: false,
             },
+            Scheduler::WorkStealing {
+                workers: 1,
+                task_group_size: 3,
+                stealing: false,
+            },
+            Scheduler::Rayon { workers: 1 },
             Scheduler::Rayon { workers: 3 },
         ]
+    }
+
+    /// The kernel figures of a complete run against the sequential
+    /// reference: the lists handed to the search are schedule-invariant;
+    /// the work that built them repeats exactly only with one worker, where
+    /// the candidate memo sees the sequential depth-first order.
+    fn assert_kernels_match(outcome: &EnumerationOutcome, reference: &EnumerationOutcome) {
+        let scheduler = outcome.scheduler;
+        assert_eq!(
+            outcome.kernels.lists, reference.kernels.lists,
+            "{scheduler}"
+        );
+        if scheduler.workers() == 1 {
+            assert_eq!(outcome.kernels, reference.kernels, "{scheduler}");
+        }
     }
 
     #[test]
     fn dense_targets_report_bitmap_kernel_usage_under_every_scheduler() {
         // clique(16) has degree_mean 30 >= 16 and >= nodes/4, so the planner
         // routes every constrained position to the bitmap kernel; the outcome
-        // must report bitmap row ANDs and the counts must be
-        // schedule-invariant (candidate fills happen once per expansion, like
-        // states).
+        // must report bitmap row ANDs, and the lists handed to the search
+        // must be schedule-invariant (one per expansion, like states).
         let pattern = generators::directed_cycle(4, 0);
         let target = generators::clique(16, 0);
         let engine = Engine::prepare(&pattern, &target, Algorithm::RiDs);
@@ -765,7 +785,33 @@ mod tests {
         for scheduler in schedulers() {
             let outcome = engine.run(&RunConfig::new(scheduler));
             assert_eq!(outcome.matches, reference.matches, "{scheduler}");
-            assert_eq!(outcome.kernels, reference.kernels, "{scheduler}");
+            assert_kernels_match(&outcome, &reference);
+        }
+    }
+
+    #[test]
+    fn star_patterns_reuse_candidate_lists_under_every_scheduler() {
+        // Every leaf of the star hangs off its centre, so below one centre
+        // image each leaf position asks for the list it was handed before.
+        let pattern = generators::star(4, 0, 0);
+        let target = generators::clique(8, 0);
+        let engine = Engine::prepare(&pattern, &target, Algorithm::RiDsSiFc);
+        let reference = engine.run(&RunConfig::default());
+        assert_eq!(reference.matches, 8 * 7 * 6 * 5 * 4);
+        let usage = reference.kernels;
+        assert!(usage.reused > 0 && usage.reused < usage.lists, "{usage:?}");
+        let schedulers = [
+            Scheduler::work_stealing(1),
+            Scheduler::work_stealing(2),
+            Scheduler::work_stealing(4),
+            Scheduler::Rayon { workers: 1 },
+            Scheduler::Rayon { workers: 2 },
+        ];
+        for scheduler in schedulers {
+            let outcome = engine.run(&RunConfig::new(scheduler));
+            assert_eq!(outcome.matches, reference.matches, "{scheduler}");
+            assert_eq!(outcome.states, reference.states, "{scheduler}");
+            assert_kernels_match(&outcome, &reference);
         }
     }
 
@@ -796,35 +842,37 @@ mod tests {
         let tasks = |o: &EnumerationOutcome| -> u64 {
             o.worker_stats.iter().map(|w| w.tasks_executed).sum()
         };
-        let config = RunConfig::new(Scheduler::work_stealing(2));
-        let counted = engine.run(&config);
-        let visited = std::sync::atomic::AtomicU64::new(0);
-        let visitor = |_: usize, _: &[NodeId]| {
-            visited.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        };
         struct Counting<F>(F);
         impl<F: Fn(usize, &[NodeId]) + Sync> MatchVisitor for Counting<F> {
             fn on_match(&self, worker_id: usize, mapping: &[NodeId]) {
                 (self.0)(worker_id, mapping)
             }
         }
-        let observed = engine.run_with(&config, &Counting(visitor));
-        for outcome in [&counted, &observed] {
-            assert_eq!(outcome.matches, sequential.matches);
-            assert_eq!(outcome.states, sequential.states);
-            assert_eq!(outcome.kernels, sequential.kernels);
-            assert!(
-                outcome
-                    .worker_stats
-                    .iter()
-                    .map(|w| w.task_groups)
-                    .sum::<u64>()
-                    > 0
-            );
+        for workers in [1, 2] {
+            let config = RunConfig::new(Scheduler::work_stealing(workers));
+            let counted = engine.run(&config);
+            let visited = std::sync::atomic::AtomicU64::new(0);
+            let visitor = |_: usize, _: &[NodeId]| {
+                visited.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            };
+            let observed = engine.run_with(&config, &Counting(visitor));
+            for outcome in [&counted, &observed] {
+                assert_eq!(outcome.matches, sequential.matches);
+                assert_eq!(outcome.states, sequential.states);
+                assert_kernels_match(outcome, &sequential);
+                assert!(
+                    outcome
+                        .worker_stats
+                        .iter()
+                        .map(|w| w.task_groups)
+                        .sum::<u64>()
+                        > 0
+                );
+            }
+            assert!(tasks(&counted) < counted.matches, "{}", tasks(&counted));
+            assert!(tasks(&observed) >= observed.matches, "{}", tasks(&observed));
+            assert_eq!(visited.into_inner(), observed.matches);
         }
-        assert!(tasks(&counted) < counted.matches, "{}", tasks(&counted));
-        assert!(tasks(&observed) >= observed.matches, "{}", tasks(&observed));
-        assert_eq!(visited.into_inner(), observed.matches);
     }
 
     #[test]

@@ -43,8 +43,9 @@ impl BacktrackProblem for SubgraphProblem<'_> {
         self.ctx.new_state()
     }
 
-    fn candidates(&self, level: usize, state: &WorkerState, out: &mut Vec<NodeId>) {
-        self.ctx.candidates(level, state, out);
+    fn candidates(&self, level: usize, state: &mut WorkerState, out: &mut Vec<NodeId>) {
+        out.clear();
+        out.extend_from_slice(self.ctx.candidates(level, state));
     }
 
     fn is_consistent(&self, level: usize, choice: NodeId, state: &WorkerState) -> bool {
@@ -63,15 +64,11 @@ impl BacktrackProblem for SubgraphProblem<'_> {
         self.observers.on_match(self.ctx, worker_id, state);
     }
 
-    fn count_last_level(
-        &self,
-        state: &WorkerState,
-        scratch: &mut Vec<NodeId>,
-    ) -> Option<LevelCount> {
+    fn count_last_level(&self, state: &mut WorkerState) -> Option<LevelCount> {
         if !self.count_only {
             return None;
         }
-        let count = self.ctx.count_leaves(state, scratch)?;
+        let count = self.ctx.count_leaves(state)?;
         Some(LevelCount {
             states: count.states,
             solutions: count.matches,

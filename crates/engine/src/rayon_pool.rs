@@ -16,7 +16,6 @@
 //! this first-level workload with `std::thread` and an atomic cursor.)
 
 use crate::runner::Observers;
-use sge_graph::NodeId;
 use sge_ri::{SearchContext, SearchLimits, WorkerState};
 use sge_stealing::{RunResult, WorkerStats};
 use sge_util::{CancelToken, MatchBudget};
@@ -98,7 +97,8 @@ struct Explorer<'a, 'g> {
     stop: &'a Stop,
     observers: &'a Observers<'a>,
     worker_id: usize,
-    buffers: Vec<Vec<NodeId>>,
+    /// Whether the last position is counted by the leaf-count rule.
+    count_leaves: bool,
     matches: u64,
     states: u64,
 }
@@ -107,12 +107,19 @@ impl Explorer<'_, '_> {
     /// Recursively explores the subtree rooted at `depth`.
     fn explore(&mut self, state: &mut WorkerState, depth: usize) {
         let np = self.ctx.num_positions();
-        let mut candidates = std::mem::take(&mut self.buffers[depth]);
-        self.ctx.candidates(depth, state, &mut candidates);
-        for &vt in &candidates {
+        if self.count_leaves && depth + 1 == np {
+            if let Some(count) = self.ctx.count_leaves(state) {
+                self.states += count.states;
+                self.matches += count.matches;
+                return;
+            }
+        }
+        let candidates = self.ctx.candidates(depth, state).len();
+        for i in 0..candidates {
             if self.stop.stopped() {
                 break;
             }
+            let vt = state.last_candidates(depth)[i];
             self.states += 1;
             if self.states.is_multiple_of(DEADLINE_CHECK_INTERVAL) {
                 self.stop.check_interrupts();
@@ -128,7 +135,6 @@ impl Explorer<'_, '_> {
             }
             state.unassign(depth);
         }
-        self.buffers[depth] = candidates;
     }
 
     fn record_match(&mut self, state: &WorkerState) {
@@ -143,8 +149,10 @@ impl Explorer<'_, '_> {
 /// Runs the first-level dynamic pool with `workers` threads over a prepared
 /// context that has at least one position and was not proved impossible
 /// (the engine settles those degenerate instances sequentially).  Honors
-/// every limit of `limits` except `count_only`; steal counters in the result
-/// are always 0.
+/// every limit of `limits`, and counts the last position by the leaf-count
+/// rule under the same conditions as the other schedulers
+/// ([`SearchLimits::counts_leaves`]); steal counters in the result are
+/// always 0.
 pub(crate) fn run(
     ctx: &SearchContext<'_>,
     workers: usize,
@@ -153,9 +161,8 @@ pub(crate) fn run(
 ) -> RunResult {
     let start = Instant::now();
     let np = ctx.num_positions();
-    let mut roots: Vec<NodeId> = Vec::new();
-    let root_state = ctx.new_state();
-    ctx.candidates(0, &root_state, &mut roots);
+    let mut root_state = ctx.new_state();
+    let roots = ctx.candidates(0, &mut root_state).to_vec();
     ctx.flush_kernels(&root_state);
 
     let stop = Stop::new(limits, start);
@@ -177,7 +184,7 @@ pub(crate) fn run(
                         stop,
                         observers,
                         worker_id,
-                        buffers: vec![Vec::new(); np],
+                        count_leaves: limits.counts_leaves(),
                         matches: 0,
                         states: 0,
                     };

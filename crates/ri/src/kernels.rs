@@ -52,12 +52,16 @@ pub enum GallopRoute {
     GallopSwapped,
 }
 
-/// Totals of kernel invocations and prefilter rejections for one run.
+/// Totals of candidate lists and of the kernel work that built them, for
+/// one run.
 ///
-/// `bitmap` counts bitmap rows ANDed, `gallop`/`merge` count
-/// [`intersect_gallop`] invocations per bucket (the swapped bucket counts as
-/// `gallop`), and `prefilter_rejected` counts candidates dropped by the
-/// label-signature/min-degree prefilter before any kernel ran.
+/// `lists` counts the candidate lists handed to the search and `reused`
+/// those a worker's memo served without a rebuild.  The other fields count
+/// work that actually ran while building the rest: `bitmap` counts bitmap
+/// rows ANDed, `gallop`/`merge` count [`intersect_gallop`] invocations per
+/// bucket (the swapped bucket counts as `gallop`), and `prefilter_rejected`
+/// counts candidates dropped by the label-signature/min-degree prefilter
+/// before any kernel ran.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct KernelUsage {
     /// Bitmap rows intersected via word-wise AND.
@@ -68,6 +72,12 @@ pub struct KernelUsage {
     pub merge: u64,
     /// Candidates rejected by the prefilter before any kernel ran.
     pub prefilter_rejected: u64,
+    /// Candidate lists handed to the search: one per expansion of a
+    /// consistent prefix, the root list and counted leaf levels included.
+    /// Schedule-invariant on complete runs.
+    pub lists: u64,
+    /// Lists among `lists` that came from the requesting worker's memo.
+    pub reused: u64,
 }
 
 impl KernelUsage {
@@ -77,6 +87,8 @@ impl KernelUsage {
         self.gallop += other.gallop;
         self.merge += other.merge;
         self.prefilter_rejected += other.prefilter_rejected;
+        self.lists += other.lists;
+        self.reused += other.reused;
     }
 
     /// Field-wise saturating difference (`self - earlier`), for deriving the
@@ -89,6 +101,8 @@ impl KernelUsage {
             prefilter_rejected: self
                 .prefilter_rejected
                 .saturating_sub(earlier.prefilter_rejected),
+            lists: self.lists.saturating_sub(earlier.lists),
+            reused: self.reused.saturating_sub(earlier.reused),
         }
     }
 
@@ -111,23 +125,25 @@ pub struct KernelCells {
     gallop: AtomicU64,
     merge: AtomicU64,
     prefilter_rejected: AtomicU64,
+    lists: AtomicU64,
+    reused: AtomicU64,
 }
 
 impl KernelCells {
     /// Folds one local accumulation into the shared cells.
     pub fn flush(&self, local: KernelUsage) {
-        if local.bitmap != 0 {
-            self.bitmap.fetch_add(local.bitmap, Ordering::Relaxed);
-        }
-        if local.gallop != 0 {
-            self.gallop.fetch_add(local.gallop, Ordering::Relaxed);
-        }
-        if local.merge != 0 {
-            self.merge.fetch_add(local.merge, Ordering::Relaxed);
-        }
-        if local.prefilter_rejected != 0 {
-            self.prefilter_rejected
-                .fetch_add(local.prefilter_rejected, Ordering::Relaxed);
+        let cells = [
+            (&self.bitmap, local.bitmap),
+            (&self.gallop, local.gallop),
+            (&self.merge, local.merge),
+            (&self.prefilter_rejected, local.prefilter_rejected),
+            (&self.lists, local.lists),
+            (&self.reused, local.reused),
+        ];
+        for (cell, value) in cells {
+            if value != 0 {
+                cell.fetch_add(value, Ordering::Relaxed);
+            }
         }
     }
 
@@ -138,6 +154,8 @@ impl KernelCells {
             gallop: self.gallop.load(Ordering::Relaxed),
             merge: self.merge.load(Ordering::Relaxed),
             prefilter_rejected: self.prefilter_rejected.load(Ordering::Relaxed),
+            lists: self.lists.load(Ordering::Relaxed),
+            reused: self.reused.load(Ordering::Relaxed),
         }
     }
 }
@@ -552,6 +570,8 @@ mod tests {
             gallop: 3,
             merge: 5,
             prefilter_rejected: 7,
+            lists: 11,
+            reused: 13,
         });
         cells.flush(KernelUsage {
             bitmap: 1,
@@ -562,15 +582,19 @@ mod tests {
         assert_eq!(snap.gallop, 3);
         assert_eq!(snap.merge, 5);
         assert_eq!(snap.prefilter_rejected, 7);
+        assert_eq!((snap.lists, snap.reused), (11, 13));
         assert_eq!(snap.intersections(), 11);
         let earlier = KernelUsage {
             bitmap: 1,
             gallop: 1,
             merge: 1,
             prefilter_rejected: 1,
+            lists: 1,
+            reused: 1,
         };
         let delta = snap.since(&earlier);
         assert_eq!(delta.bitmap, 2);
+        assert_eq!((delta.lists, delta.reused), (10, 12));
         assert_eq!(delta.intersections(), 8);
     }
 

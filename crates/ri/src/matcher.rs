@@ -7,7 +7,6 @@
 //! stopped the search.
 
 use crate::search::{SearchContext, WorkerState};
-use sge_graph::NodeId;
 use sge_util::CancelToken;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -39,6 +38,18 @@ pub struct SearchLimits {
     pub count_only: bool,
 }
 
+impl SearchLimits {
+    /// Whether the last position is counted by
+    /// [`SearchContext::count_leaves`] instead of enumerated: the run is
+    /// count-only and has no match budget, deadline or cancel token.
+    pub fn counts_leaves(&self) -> bool {
+        self.count_only
+            && self.max_matches.is_none()
+            && self.time_limit.is_none()
+            && self.cancel.is_none()
+    }
+}
+
 /// Raw outcome of one prepared sequential search (no preprocessing figures —
 /// preprocessing happened when the [`SearchContext`] was built).
 #[derive(Clone, Copy, Debug, Default)]
@@ -60,7 +71,6 @@ pub struct SearchRun {
 struct SearchDriver<'a, F> {
     ctx: &'a SearchContext<'a>,
     state: WorkerState,
-    candidate_buffers: Vec<Vec<NodeId>>,
     states: u64,
     matches: u64,
     deadline: Option<Instant>,
@@ -109,19 +119,19 @@ impl<'a, F: FnMut(&SearchContext<'a>, &WorkerState)> SearchDriver<'a, F> {
         // The one leaf-count rule every scheduler shares: the last position
         // is counted, not enumerated, when nothing observes or interrupts it.
         if self.count_leaves && depth + 1 == np {
-            let scratch = &mut self.candidate_buffers[depth];
-            if let Some(count) = self.ctx.count_leaves(&self.state, scratch) {
+            if let Some(count) = self.ctx.count_leaves(&mut self.state) {
                 self.states += count.states;
                 self.matches += count.matches;
                 return;
             }
         }
-        let mut candidates = std::mem::take(&mut self.candidate_buffers[depth]);
-        self.ctx.candidates(depth, &self.state, &mut candidates);
-        for &vt in &candidates {
+        // The list stays in the memo while deeper positions are requested.
+        let candidates = self.ctx.candidates(depth, &mut self.state).len();
+        for i in 0..candidates {
             if self.stop() {
                 break;
             }
+            let vt = self.state.last_candidates(depth)[i];
             self.states += 1;
             self.check_deadline();
             if !self.ctx.is_consistent(depth, vt, &self.state) {
@@ -136,7 +146,6 @@ impl<'a, F: FnMut(&SearchContext<'a>, &WorkerState)> SearchDriver<'a, F> {
             }
             self.state.unassign(depth);
         }
-        self.candidate_buffers[depth] = candidates;
     }
 }
 
@@ -191,12 +200,9 @@ where
         run.match_seconds = match_start.elapsed().as_secs_f64();
         return run;
     }
-    let state = ctx.new_state();
-    let np = ctx.num_positions();
     let mut driver = SearchDriver {
         ctx,
-        state,
-        candidate_buffers: vec![Vec::new(); np],
+        state: ctx.new_state(),
         states: 0,
         matches: 0,
         deadline,
@@ -204,10 +210,7 @@ where
         max_matches: limits.max_matches,
         cancel: limits.cancel.as_deref(),
         cancelled: false,
-        count_leaves: limits.count_only
-            && limits.max_matches.is_none()
-            && deadline.is_none()
-            && limits.cancel.is_none(),
+        count_leaves: limits.counts_leaves(),
         visitor: |ctx: &SearchContext<'_>, state: &WorkerState| visitor(ctx, state),
     };
     driver.search(0);

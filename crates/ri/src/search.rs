@@ -14,10 +14,19 @@
 //! [`sge_plan::Strategy`].
 //!
 //! [`WorkerState`] is the per-worker mutable part: the partial mapping `M`
-//! (target node per ordered position), the injectivity flags and the
-//! worker's kernel counters.  In the parallel runtime it is private to a
-//! worker and *never copied for private tasks*; only when a task is stolen
-//! does the prefix of `M` travel to the thief (Section 3 of the paper).
+//! (target node per ordered position), the injectivity flags, the worker's
+//! kernel counters and its candidate memo.  In the parallel runtime it is
+//! private to a worker and *never copied for private tasks*; only when a
+//! task is stolen does the prefix of `M` travel to the thief (Section 3 of
+//! the paper).
+//!
+//! The memo keeps, per position, the last candidate list the worker
+//! requested and the images of the step's constraint parents it was built
+//! from.  A list depends on nothing else but the static plan, so
+//! [`SearchContext::candidates`] rebuilds it only when one of those images
+//! changed: on near-tree patterns a position's constraints usually read an
+//! image fixed many levels up, and most requests are answered from the
+//! memo.
 
 use crate::kernels::{self, GallopRoute, KernelCells, KernelUsage};
 use crate::matcher::Algorithm;
@@ -240,12 +249,33 @@ impl<'a> SearchContext<'a> {
         self.plan.impossible || self.pattern.num_nodes() > self.target.num_nodes()
     }
 
-    /// Creates a fresh per-worker state.
+    /// Creates a fresh per-worker state, with an empty candidate memo.  A
+    /// state belongs to the context that created it: its memo holds lists
+    /// built from this context's plan and sidecar.
     pub fn new_state(&self) -> WorkerState {
+        let mut keys = 0;
+        let memo = self
+            .plan
+            .order
+            .plan
+            .steps
+            .iter()
+            .map(|step| {
+                let key_at = keys;
+                keys += step.constraints.len();
+                MemoEntry {
+                    list: Vec::new(),
+                    key_at,
+                    built: false,
+                }
+            })
+            .collect();
         WorkerState {
             mapping: vec![NodeId::MAX; self.num_positions()],
             used: vec![false; self.target.num_nodes()],
             kernels: Cell::default(),
+            memo,
+            keys: vec![NodeId::MAX; keys],
         }
     }
 
@@ -260,18 +290,60 @@ impl<'a> SearchContext<'a> {
     /// * parentless positions without domains (RI): every target node.
     ///
     /// Candidates are *raw*: they still need [`Self::is_consistent`].
-    pub fn candidates(&self, depth: usize, state: &WorkerState, out: &mut Vec<NodeId>) {
-        self.fill_candidates(depth, state, out);
+    ///
+    /// The list lives in `state`'s memo and is rebuilt only when the image
+    /// of one of the step's constraint parents differs from the one it was
+    /// built from, so a parentless position is built once per state.  It
+    /// stays readable through [`WorkerState::last_candidates`] while the
+    /// caller assigns `depth` and requests deeper positions.  Every request
+    /// counts in [`KernelUsage::lists`] and, when attached, the trace sink.
+    pub fn candidates<'s>(&self, depth: usize, state: &'s mut WorkerState) -> &'s [NodeId] {
+        self.refresh(depth, state);
+        let list = &state.memo[depth].list;
         if let Some(sink) = &self.sink {
-            sink.record_candidates(depth, out.len() as u64);
+            sink.record_candidates(depth, list.len() as u64);
         }
+        list
     }
 
-    fn fill_candidates(&self, depth: usize, state: &WorkerState, out: &mut Vec<NodeId>) {
+    /// Brings `state`'s memo entry for `depth` up to date: keeps it when
+    /// every constraint parent's image equals the key it was built from,
+    /// rebuilds it otherwise.
+    fn refresh(&self, depth: usize, state: &mut WorkerState) {
+        let step = &self.plan.order.plan.steps[depth];
+        let WorkerState {
+            mapping,
+            kernels,
+            memo,
+            keys,
+            ..
+        } = state;
+        let entry = &mut memo[depth];
+        let key = &mut keys[entry.key_at..entry.key_at + step.constraints.len()];
+        let images = step.constraints.iter().map(|c| mapping[c.parent_pos]);
+        let usage = kernels.get_mut();
+        usage.lists += 1;
+        if entry.built && images.clone().eq(key.iter().copied()) {
+            usage.reused += 1;
+            return;
+        }
+        for (slot, image) in key.iter_mut().zip(images) {
+            *slot = image;
+        }
+        entry.built = true;
+        self.fill_candidates(depth, mapping, &mut entry.list, usage);
+    }
+
+    fn fill_candidates(
+        &self,
+        depth: usize,
+        mapping: &[NodeId],
+        out: &mut Vec<NodeId>,
+        local: &mut KernelUsage,
+    ) {
         out.clear();
         let step = &self.plan.order.plan.steps[depth];
         let vp = self.plan.order.positions[depth];
-        let mut local = state.kernels.get();
         if step.constraints.is_empty() {
             match &self.plan.domains {
                 Some(domains) => {
@@ -285,9 +357,8 @@ impl<'a> SearchContext<'a> {
                 local.prefilter_rejected += (before - out.len()) as u64;
             }
         } else {
-            self.intersect_candidates(vp, step, state, out, &mut local);
+            self.intersect_candidates(vp, step, mapping, out, local);
         }
-        state.kernels.set(local);
     }
 
     /// The prefilter to apply at a position: present only when a sidecar is
@@ -304,14 +375,10 @@ impl<'a> SearchContext<'a> {
         Some((maps, &step.prefilter))
     }
 
-    /// The adjacency list a constraint selects for the current state.
+    /// The adjacency list a constraint selects for the current mapping.
     #[inline]
-    fn constraint_adjacency(
-        &self,
-        c: &sge_plan::EdgeConstraint,
-        state: &WorkerState,
-    ) -> &[EdgeRef] {
-        let image = state.mapping[c.parent_pos];
+    fn constraint_adjacency(&self, c: &sge_plan::EdgeConstraint, mapping: &[NodeId]) -> &[EdgeRef] {
+        let image = mapping[c.parent_pos];
         debug_assert_ne!(image, NodeId::MAX, "constraint parent must be assigned");
         if c.out_from_parent {
             self.target.out_edges(image)
@@ -337,12 +404,12 @@ impl<'a> SearchContext<'a> {
         &self,
         vp: NodeId,
         step: &PlanStep,
-        state: &WorkerState,
+        mapping: &[NodeId],
         out: &mut Vec<NodeId>,
         local: &mut KernelUsage,
     ) {
         if step.kernel == KernelChoice::Bitmap
-            && self.bitmap_candidates(vp, step, state, out, local)
+            && self.bitmap_candidates(vp, step, mapping, out, local)
         {
             return;
         }
@@ -352,7 +419,7 @@ impl<'a> SearchContext<'a> {
         let mut seed = 0;
         let mut seed_len = usize::MAX;
         for (i, c) in step.constraints.iter().enumerate() {
-            let len = self.constraint_adjacency(c, state).len();
+            let len = self.constraint_adjacency(c, mapping).len();
             if len < seed_len {
                 seed_len = len;
                 seed = i;
@@ -362,7 +429,7 @@ impl<'a> SearchContext<'a> {
         // the prefilter, so later intersections gallop over the smallest
         // possible buffer and `is_consistent` need not re-test membership.
         let c0 = &step.constraints[seed];
-        let adj0 = self.constraint_adjacency(c0, state);
+        let adj0 = self.constraint_adjacency(c0, mapping);
         let prefilter = self.active_prefilter(step);
         let passes = |v: NodeId, local: &mut KernelUsage| match prefilter {
             Some((maps, spec)) => {
@@ -400,22 +467,23 @@ impl<'a> SearchContext<'a> {
             if out.is_empty() {
                 return;
             }
-            match kernels::intersect_gallop(out, self.constraint_adjacency(c, state), c.label) {
+            match kernels::intersect_gallop(out, self.constraint_adjacency(c, mapping), c.label) {
                 GallopRoute::Merge => local.merge += 1,
                 GallopRoute::Gallop | GallopRoute::GallopSwapped => local.gallop += 1,
             }
         }
     }
 
-    /// The bitmap row a constraint selects for the current state, if built.
+    /// The bitmap row a constraint selects for the current mapping, if
+    /// built.
     #[inline]
     fn constraint_row<'m>(
         &self,
         maps: &'m AdjacencyBitmaps,
         c: &sge_plan::EdgeConstraint,
-        state: &WorkerState,
+        mapping: &[NodeId],
     ) -> Option<&'m [u64]> {
-        let image = state.mapping[c.parent_pos];
+        let image = mapping[c.parent_pos];
         debug_assert_ne!(image, NodeId::MAX, "constraint parent must be assigned");
         if c.out_from_parent {
             maps.out_row(image, c.label)
@@ -433,7 +501,7 @@ impl<'a> SearchContext<'a> {
         &self,
         vp: NodeId,
         step: &PlanStep,
-        state: &WorkerState,
+        mapping: &[NodeId],
         out: &mut Vec<NodeId>,
         local: &mut KernelUsage,
     ) -> bool {
@@ -447,7 +515,7 @@ impl<'a> SearchContext<'a> {
         // Every constraint needs a row; lookups are cheap binary searches,
         // so verify all of them before touching the scratch buffer.
         for c in &step.constraints {
-            if self.constraint_row(maps, c, state).is_none() {
+            if self.constraint_row(maps, c, mapping).is_none() {
                 return false;
             }
         }
@@ -458,7 +526,7 @@ impl<'a> SearchContext<'a> {
             let mut first = true;
             for c in &step.constraints {
                 let row = self
-                    .constraint_row(maps, c, state)
+                    .constraint_row(maps, c, mapping)
                     .expect("row presence checked above");
                 if first {
                     scratch.copy_from_slice(row);
@@ -500,8 +568,7 @@ impl<'a> SearchContext<'a> {
     /// visiting them.  Every scheduler calls it when it would expand into
     /// the last position, and only when nothing observes individual matches
     /// and nothing can interrupt the position part-way (no match budget,
-    /// deadline or cancel token); `scratch` receives the candidate list when
-    /// one has to be built.
+    /// deadline or cancel token).
     ///
     /// At the last depth every pattern edge of the position's node points
     /// back into the mapped prefix, so a constrained candidate provably
@@ -510,100 +577,36 @@ impl<'a> SearchContext<'a> {
     /// * domain membership (or the node label) was applied when candidates
     ///   were generated, and the prefilter's degree / signature minimums are
     ///   implied by the satisfied back-edges (one distinct neighbor per
-    ///   pattern edge), so `prefilter_rejected` stays untouched — exactly
-    ///   like enumerating;
+    ///   pattern edge);
     /// * `check_degrees` holds for the same reason.
     ///
     /// So `states` is the candidate count and `matches` subtracts the
     /// candidates already used by the prefix (each would have been visited
     /// and rejected by the injectivity check): byte-identical to
-    /// enumerating.  With domains, a bitmap-routed step and a sidecar row
-    /// for every constraint, the count comes straight off the popcount of
-    /// the rows' AND; otherwise the candidates are filled into `scratch` and
-    /// the used ones counted in O(candidates).  Kernel counters advance
-    /// exactly as in [`Self::candidates`].
+    /// enumerating.  The count reads the memo list that
+    /// [`Self::candidates`] would return, in O(candidates), so counting and
+    /// enumerating build exactly the same lists and advance the kernel
+    /// counters alike.
     ///
     /// `None` — with nothing computed — when a guarantee is missing: an
     /// attached trace sink (which must observe every candidate fill and
     /// consistency check), an unconstrained last position (its candidates
     /// still need the label / domain test of [`Self::is_consistent`]) or a
     /// self-loop.
-    pub fn count_leaves(
-        &self,
-        state: &WorkerState,
-        scratch: &mut Vec<NodeId>,
-    ) -> Option<LeafCount> {
+    pub fn count_leaves(&self, state: &mut WorkerState) -> Option<LeafCount> {
         let depth = self.num_positions().checked_sub(1)?;
         let step = &self.plan.order.plan.steps[depth];
         if self.sink.is_some() || step.constraints.is_empty() || step.self_loop.is_some() {
             return None;
         }
-        if let Some(count) = self.count_bitmap_leaves(depth, step, state) {
-            return Some(count);
-        }
-        self.fill_candidates(depth, state, scratch);
-        let states = scratch.len() as u64;
-        let used = scratch.iter().filter(|&&v| state.used[v as usize]).count() as u64;
+        self.refresh(depth, state);
+        let list = &state.memo[depth].list;
+        let states = list.len() as u64;
+        let used = list.iter().filter(|&&v| state.used[v as usize]).count() as u64;
         Some(LeafCount {
             states,
             matches: states - used,
         })
-    }
-
-    /// The bitmap half of [`Self::count_leaves`]: the popcount of the AND
-    /// of every constraint row and the domain bitset, minus the prefix
-    /// targets whose bits survived.  `None` unless the step is routed to
-    /// the bitmap kernel, domains exist and the sidecar has every row.
-    fn count_bitmap_leaves(
-        &self,
-        depth: usize,
-        step: &PlanStep,
-        state: &WorkerState,
-    ) -> Option<LeafCount> {
-        if step.kernel != KernelChoice::Bitmap {
-            return None;
-        }
-        let domains = self.plan.domains.as_ref()?;
-        let maps = self.bitmaps.as_deref()?;
-        let words = maps.words_per_row();
-        if words == 0 {
-            return None;
-        }
-        for c in &step.constraints {
-            self.constraint_row(maps, c, state)?;
-        }
-        let vp = self.plan.order.positions[depth];
-        let count = BITMAP_SCRATCH.with(|cell| {
-            let mut scratch = cell.borrow_mut();
-            scratch.clear();
-            scratch.resize(words, 0u64);
-            let mut first = true;
-            for c in &step.constraints {
-                let row = self
-                    .constraint_row(maps, c, state)
-                    .expect("row presence checked above");
-                if first {
-                    scratch.copy_from_slice(row);
-                    first = false;
-                } else {
-                    kernels::and_rows(&mut scratch, row);
-                }
-            }
-            kernels::and_rows(&mut scratch, domains.set(vp).words());
-            let states: u64 = scratch.iter().map(|w| u64::from(w.count_ones())).sum();
-            let used = state.mapping[..depth]
-                .iter()
-                .filter(|&&vt| scratch[vt as usize / 64] >> (vt % 64) & 1 == 1)
-                .count() as u64;
-            LeafCount {
-                states,
-                matches: states - used,
-            }
-        });
-        let mut local = state.kernels.get();
-        local.bitmap += step.constraints.len() as u64;
-        state.kernels.set(local);
-        Some(count)
     }
 
     /// Full consistency check for mapping the pattern node at `depth` onto
@@ -758,14 +761,29 @@ impl PreparedParts {
 }
 
 /// Mutable per-worker search state: the partial mapping (indexed by ordered
-/// position), the injectivity flags over target nodes and the kernel
-/// counters of the candidate fills it drove since its last
-/// [`SearchContext::flush_kernels`].
+/// position), the injectivity flags over target nodes, the kernel counters
+/// of the candidate requests it drove since its last
+/// [`SearchContext::flush_kernels`], and its candidate memo.
 #[derive(Clone, Debug)]
 pub struct WorkerState {
     mapping: Vec<NodeId>,
     used: Vec<bool>,
     kernels: Cell<KernelUsage>,
+    /// One entry per position: the last candidate list built for it.
+    memo: Vec<MemoEntry>,
+    /// Every entry's key back to back: the images of its step's constraint
+    /// parents, one per constraint, that its list was built from.
+    keys: Vec<NodeId>,
+}
+
+/// One position's memoized candidate list.
+#[derive(Clone, Debug)]
+struct MemoEntry {
+    list: Vec<NodeId>,
+    /// Where this position's key starts in [`WorkerState::keys`].
+    key_at: usize,
+    /// Whether `list` was ever built; until then the key means nothing.
+    built: bool,
 }
 
 impl WorkerState {
@@ -819,6 +837,14 @@ impl WorkerState {
     pub fn mapping(&self) -> &[NodeId] {
         &self.mapping
     }
+
+    /// The list the last [`SearchContext::candidates`] request for `depth`
+    /// returned.  Assigning `depth` and requesting deeper positions leave
+    /// it untouched, so a depth-first loop can index it while it recurses.
+    #[inline]
+    pub fn last_candidates(&self, depth: usize) -> &[NodeId] {
+        &self.memo[depth].list
+    }
 }
 
 #[cfg(test)]
@@ -834,21 +860,15 @@ mod tests {
         let ctx = SearchContext::prepare(&pattern, &target, Algorithm::Ri);
         let mut state = ctx.new_state();
 
-        let mut roots = Vec::new();
-        ctx.candidates(0, &state, &mut roots);
-        assert_eq!(
-            roots.len(),
-            target.num_nodes(),
-            "RI roots = all target nodes"
-        );
+        let roots = ctx.candidates(0, &mut state).len();
+        assert_eq!(roots, target.num_nodes(), "RI roots = all target nodes");
 
         // Map the first pattern node onto the star center and check the child
         // candidates are exactly the center's out-neighbors.
         let first = ctx.order().positions[0];
         assert!(ctx.is_consistent(0, 0, &state));
         state.assign(0, 0);
-        let mut children = Vec::new();
-        ctx.candidates(1, &state, &mut children);
+        let children = ctx.candidates(1, &mut state).to_vec();
         assert_eq!(ctx.order().plan.steps[1].constraints[0].parent_pos, 0);
         if pattern.has_edge(first, ctx.order().positions[1]) {
             assert_eq!(children, vec![1, 2, 3]);
@@ -900,15 +920,13 @@ mod tests {
 
         // Whatever the ordering, mapping both nodes must fail somewhere.
         let mut total = 0u32;
-        let mut cands = Vec::new();
-        ctx.candidates(0, &state, &mut cands);
+        let cands = ctx.candidates(0, &mut state).to_vec();
         for &c0 in &cands {
             if !ctx.is_consistent(0, c0, &state) {
                 continue;
             }
             state.assign(0, c0);
-            let mut inner = Vec::new();
-            ctx.candidates(1, &state, &mut inner);
+            let inner = ctx.candidates(1, &mut state).to_vec();
             for &c1 in &inner {
                 if ctx.is_consistent(1, c1, &state) {
                     total += 1;
@@ -999,12 +1017,11 @@ mod tests {
         let target = tb.build();
 
         let ctx = SearchContext::prepare(&pattern, &target, Algorithm::RiDs);
-        let state = ctx.new_state();
-        let mut cands = Vec::new();
-        ctx.candidates(0, &state, &mut cands);
+        let mut state = ctx.new_state();
+        let cands = ctx.candidates(0, &mut state).len();
         let vp0 = ctx.order().positions[0];
         let expected = if pattern.label(vp0) == 1 { 1 } else { 2 };
-        assert_eq!(cands.len(), expected);
+        assert_eq!(cands, expected);
     }
 
     #[test]
@@ -1022,6 +1039,120 @@ mod tests {
         }
         let by_node = ctx.mapping_by_pattern_node(&state);
         assert_eq!(by_node, vec![0, 1, 2]);
+    }
+
+    /// The candidate set at `depth` re-derived node by node with
+    /// `edge_label` probes, for plans without domains or a sidecar.
+    fn scalar_candidates(
+        ctx: &SearchContext<'_>,
+        depth: usize,
+        state: &WorkerState,
+    ) -> Vec<NodeId> {
+        let (step, vp) = (&ctx.order().plan.steps[depth], ctx.order().positions[depth]);
+        let target = ctx.target();
+        let edge = |c: &sge_plan::EdgeConstraint, v| {
+            let parent = state.assigned(c.parent_pos);
+            let (from, to) = if c.out_from_parent {
+                (parent, v)
+            } else {
+                (v, parent)
+            };
+            target.edge_label(from, to) == Some(c.label)
+        };
+        (0..target.num_nodes() as NodeId)
+            .filter(|&v| target.label(v) == ctx.pattern().label(vp))
+            .filter(|&v| step.constraints.iter().all(|c| edge(c, v)))
+            .collect()
+    }
+
+    /// A transitive triangle in K5 under plain RI: the last position is
+    /// constrained by both earlier ones.
+    fn two_parent_instance() -> (Graph, Graph) {
+        let mut pb = GraphBuilder::new();
+        pb.add_nodes(3, 0);
+        pb.add_edge(0, 1, 0);
+        pb.add_edge(0, 2, 0);
+        pb.add_edge(1, 2, 0);
+        (pb.build(), generators::clique(5, 0))
+    }
+
+    fn usage(state: &WorkerState) -> (u64, u64) {
+        let usage = state.kernels.get();
+        (usage.lists, usage.reused)
+    }
+
+    #[test]
+    fn a_moved_shallower_parent_rebuilds_the_list() {
+        let (pattern, target) = two_parent_instance();
+        let ctx = SearchContext::prepare(&pattern, &target, Algorithm::Ri);
+        let parents: Vec<usize> = ctx.order().plan.steps[2]
+            .constraints
+            .iter()
+            .map(|c| c.parent_pos)
+            .collect();
+        assert!(parents.contains(&0) && parents.contains(&1), "{parents:?}");
+        let mut state = ctx.new_state();
+        state.install_prefix(&[0, 1]);
+        let first = ctx.candidates(2, &mut state).to_vec();
+        assert_eq!(first, scalar_candidates(&ctx, 2, &state));
+        // Only the shallower parent moves; the deeper one keeps its image.
+        state.rewind_to(0);
+        state.assign(0, 2);
+        state.assign(1, 1);
+        let moved = ctx.candidates(2, &mut state).to_vec();
+        assert_eq!(usage(&state), (2, 0), "the moved parent forces a rebuild");
+        assert_ne!(moved, first);
+        assert_eq!(moved, scalar_candidates(&ctx, 2, &state));
+        let mut fresh = ctx.new_state();
+        fresh.install_prefix(&[2, 1]);
+        assert_eq!(ctx.candidates(2, &mut fresh), moved.as_slice());
+        // Re-assigning the same images is a memo hit.
+        state.rewind_to(1);
+        state.assign(1, 1);
+        assert_eq!(ctx.candidates(2, &mut state), moved.as_slice());
+        assert_eq!(usage(&state), (3, 1));
+    }
+
+    #[test]
+    fn install_prefix_to_another_prefix_rebuilds_the_list() {
+        let (pattern, target) = two_parent_instance();
+        let ctx = SearchContext::prepare(&pattern, &target, Algorithm::Ri);
+        let mut state = ctx.new_state();
+        state.install_prefix(&[0, 1]);
+        let before = ctx.candidates(2, &mut state).to_vec();
+        state.install_prefix(&[3, 4]);
+        let after = ctx.candidates(2, &mut state).to_vec();
+        assert_eq!(usage(&state), (2, 0));
+        assert_ne!(after, before);
+        assert_eq!(after, scalar_candidates(&ctx, 2, &state));
+        // Installing the same prefix again keeps the list.
+        state.install_prefix(&[3, 4]);
+        assert_eq!(ctx.candidates(2, &mut state), after.as_slice());
+        assert_eq!(usage(&state), (3, 1));
+    }
+
+    #[test]
+    fn unconstrained_positions_build_once_per_state() {
+        let pattern = generators::directed_path(2, 0);
+        let target = generators::clique(4, 0);
+        let ctx = SearchContext::prepare(&pattern, &target, Algorithm::RiDs);
+        assert!(ctx.order().plan.steps[0].constraints.is_empty());
+        let mut state = ctx.new_state();
+        let roots = ctx.candidates(0, &mut state).to_vec();
+        for root in roots.clone() {
+            state.assign(0, root);
+            ctx.candidates(1, &mut state);
+            state.unassign(0);
+            assert_eq!(ctx.candidates(0, &mut state), roots.as_slice());
+        }
+        // One root build and one child build per root; every later root
+        // request is a memo hit.
+        let n = roots.len() as u64;
+        assert_eq!(usage(&state), (1 + 2 * n, n));
+        // Another state builds its own.
+        let mut other = ctx.new_state();
+        assert_eq!(ctx.candidates(0, &mut other), roots.as_slice());
+        assert_eq!(usage(&other), (1, 0));
     }
 
     #[test]

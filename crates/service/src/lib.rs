@@ -180,6 +180,8 @@ struct EngineCounters {
     kernel_gallop: Counter,
     kernel_merge: Counter,
     kernel_prefilter_rejected: Counter,
+    kernel_lists: Counter,
+    kernel_reused: Counter,
 }
 
 impl EngineCounters {
@@ -194,6 +196,8 @@ impl EngineCounters {
             kernel_gallop: registry.counter("engine.kernel.gallop"),
             kernel_merge: registry.counter("engine.kernel.merge"),
             kernel_prefilter_rejected: registry.counter("engine.kernel.prefilter_rejected"),
+            kernel_lists: registry.counter("engine.kernel.lists"),
+            kernel_reused: registry.counter("engine.kernel.reused"),
         }
     }
 
@@ -213,6 +217,8 @@ impl EngineCounters {
         self.kernel_merge.add(outcome.kernels.merge);
         self.kernel_prefilter_rejected
             .add(outcome.kernels.prefilter_rejected);
+        self.kernel_lists.add(outcome.kernels.lists);
+        self.kernel_reused.add(outcome.kernels.reused);
     }
 }
 

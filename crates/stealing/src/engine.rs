@@ -12,6 +12,11 @@
 //!     execute(task)
 //! ```
 //!
+//! The private deque `q` is the worker's DFS stack ([`TaskStack`]): one
+//! level per depth, holding the consistent children of the applied prefix.
+//! The owner pops depth-first from the deepest level; a steal takes a task
+//! group, a `task_group_size`-aligned range of the shallowest level.
+//!
 //! Three shared arrays coordinate the workers (Section 3.2):
 //!
 //! * `work_available` — one boolean per worker: does it currently have
@@ -27,13 +32,14 @@
 //! thief's write to one worker's slot never invalidates the line another
 //! worker polls once per task.
 //!
-//! Apart from a steal, which moves a task group and copies its prefix, a
-//! worker's expansion allocates nothing: candidates are filtered in place in
-//! one reused buffer and task groups take the storage of exhausted ones.
+//! Only a steal copies between workers: the stolen range and the prefix it
+//! needs.  An expansion fills its level in place from the problem's
+//! candidates and drops the inconsistent ones, so in steady state it
+//! allocates nothing.
 
 use crate::problem::BacktrackProblem;
 use crate::stats::{RunResult, WorkerStats};
-use crate::task::{PrivateDeque, TaskGroup, Transfer};
+use crate::task::{TaskStack, Transfer};
 use crate::termination::Termination;
 use sge_util::{CancelToken, MatchBudget, SplitMix64};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -226,15 +232,13 @@ struct Worker<'a, P: BacktrackProblem> {
     problem: &'a P,
     shared: &'a Shared<P::Choice>,
     config: &'a EngineConfig,
-    deque: PrivateDeque<P::Choice>,
+    stack: TaskStack<P::Choice>,
     state: P::State,
     /// Choices applied so far, by level; `path.len()` is the applied depth.
     path: Vec<P::Choice>,
     total_depth: usize,
     stats: WorkerStats,
     rng: SplitMix64,
-    /// Candidate buffer, filtered in place to the consistent children.
-    scratch: Vec<P::Choice>,
     /// The value this worker last published in `work_available`.
     advertised: bool,
     /// Whether the last level is counted through
@@ -256,7 +260,7 @@ impl<'a, P: BacktrackProblem> Worker<'a, P> {
             problem,
             shared,
             config,
-            deque: PrivateDeque::new(),
+            stack: TaskStack::new(config.task_group_size),
             state: problem.new_state(),
             path: Vec::new(),
             total_depth: problem.depth(),
@@ -265,7 +269,6 @@ impl<'a, P: BacktrackProblem> Worker<'a, P> {
                 ..WorkerStats::default()
             },
             rng: SplitMix64::new(config.seed ^ (id as u64).wrapping_mul(0x9E37_79B9)),
-            scratch: Vec::new(),
             advertised: false,
             count_last_level: config.max_solutions.is_none()
                 && config.time_limit.is_none()
@@ -284,8 +287,8 @@ impl<'a, P: BacktrackProblem> Worker<'a, P> {
     }
 
     /// Executes one task: apply the choice and either record a solution,
-    /// count the last level below it, or spawn the (pre-checked) children as
-    /// new task groups at the front of the private deque.
+    /// count the last level below it, or fill the next level of the stack
+    /// with its (pre-checked) children.
     fn execute(&mut self, depth: usize, choice: P::Choice, checked: bool) {
         self.rewind_to(depth);
         self.stats.tasks_executed += 1;
@@ -309,33 +312,29 @@ impl<'a, P: BacktrackProblem> Worker<'a, P> {
             return;
         }
         if self.count_last_level && level + 1 == self.total_depth {
-            if let Some(count) = self
-                .problem
-                .count_last_level(&self.state, &mut self.scratch)
-            {
+            if let Some(count) = self.problem.count_last_level(&mut self.state) {
                 self.stats.states += count.states;
                 self.stats.solutions += count.solutions;
                 return;
             }
         }
 
-        let mut children = std::mem::take(&mut self.scratch);
-        self.problem.candidates(level, &self.state, &mut children);
-        // Consistency is verified *before* spawning (Section 3.1), so
-        // thieves do not steal dead ends; each check is a visited state.
-        self.stats.states += children.len() as u64;
-        let (problem, state) = (self.problem, &self.state);
-        children.retain(|&c| problem.is_consistent(level, c, state));
-        self.stats.task_groups += self
-            .deque
-            .spawn(level, &children, self.config.task_group_size);
-        self.scratch = children;
+        // Consistency is verified *before* the children become stealable
+        // (Section 3.1), so thieves do not steal dead ends; each check is a
+        // visited state.
+        let (problem, state, states) = (self.problem, &mut self.state, &mut self.stats.states);
+        let groups = self.stack.spawn(level, true, |children| {
+            problem.candidates(level, state, children);
+            *states += children.len() as u64;
+            children.retain(|&c| problem.is_consistent(level, c, state));
+        });
+        self.stats.task_groups += groups;
     }
 
     /// Publishes whether this worker has stealable work, writing the shared
     /// flag only when the value changes.
     fn advertise(&mut self) {
-        let available = !self.deque.is_empty();
+        let available = !self.stack.is_empty();
         if available != self.advertised {
             self.advertised = available;
             self.shared.work_available[self.id].store(available, Ordering::SeqCst);
@@ -372,7 +371,7 @@ impl<'a, P: BacktrackProblem> Worker<'a, P> {
         let answer = if self.shared.termination.is_terminated() {
             TransferCell::Reject
         } else {
-            match self.deque.steal_back() {
+            match self.stack.steal_back() {
                 Some(group) => {
                     let prefix = self.path[..group.depth].to_vec();
                     self.stats.tasks_sent += 1;
@@ -390,14 +389,15 @@ impl<'a, P: BacktrackProblem> Worker<'a, P> {
         self.advertise();
     }
 
-    /// Installs a stolen transfer: replay the prefix, then adopt the group.
+    /// Installs a stolen transfer: replay the prefix, then adopt the group
+    /// as the level below it.
     fn install(&mut self, transfer: Transfer<P::Choice>) {
         self.rewind_to(0);
         for (level, &choice) in transfer.prefix.iter().enumerate() {
             self.problem.apply(level, choice, &mut self.state);
             self.path.push(choice);
         }
-        self.deque.push_front(transfer.group);
+        self.stack.install(transfer.group);
         self.advertise();
     }
 
@@ -512,7 +512,7 @@ impl<'a, P: BacktrackProblem> Worker<'a, P> {
                 break;
             }
             self.tick();
-            if self.deque.is_empty() {
+            if self.stack.is_empty() {
                 if !self.config.steal_enabled {
                     // Static initial partition only (Fig. 3 baseline).
                     break;
@@ -522,7 +522,7 @@ impl<'a, P: BacktrackProblem> Worker<'a, P> {
                 }
                 continue;
             }
-            let (depth, choice, checked) = self.deque.pop_task().expect("deque reported non-empty");
+            let (depth, choice, checked) = self.stack.pop_task().expect("stack reported non-empty");
             self.advertise();
             self.process_requests();
             self.execute(depth, choice, checked);
@@ -564,9 +564,9 @@ pub fn run<P: BacktrackProblem>(problem: &P, config: &EngineConfig) -> RunResult
 
     // Initial work distribution: one task per child of the root, dealt
     // round-robin, enqueued unchecked.
-    let init_state = problem.new_state();
+    let mut init_state = problem.new_state();
     let mut roots: Vec<P::Choice> = Vec::new();
-    problem.candidates(0, &init_state, &mut roots);
+    problem.candidates(0, &mut init_state, &mut roots);
     problem.retire_state(&init_state);
     let mut per_worker: Vec<Vec<P::Choice>> = vec![Vec::new(); workers];
     for (i, choice) in roots.into_iter().enumerate() {
@@ -580,7 +580,6 @@ pub fn run<P: BacktrackProblem>(problem: &P, config: &EngineConfig) -> RunResult
     // on the degenerate outcome (zero work) instead of racing the periodic
     // per-worker interrupt checks.
     shared.check_interrupts();
-    let group_size = config.task_group_size.max(1);
 
     let worker_stats: Vec<WorkerStats> = std::thread::scope(|scope| {
         let shared = &shared;
@@ -590,12 +589,9 @@ pub fn run<P: BacktrackProblem>(problem: &P, config: &EngineConfig) -> RunResult
             .map(|(id, share)| {
                 scope.spawn(move || {
                     let mut worker = Worker::new(id, problem, shared, config);
-                    for chunk in share.chunks(group_size) {
-                        worker
-                            .deque
-                            .push_back(TaskGroup::new(0, chunk.to_vec(), false));
-                        worker.stats.task_groups += 1;
-                    }
+                    worker.stats.task_groups += worker
+                        .stack
+                        .spawn(0, false, |roots| roots.extend_from_slice(&share));
                     worker.advertise();
                     worker.run();
                     worker.stats
@@ -646,7 +642,7 @@ mod tests {
             }
         }
 
-        fn candidates(&self, _level: usize, _state: &QueensState, out: &mut Vec<u32>) {
+        fn candidates(&self, _level: usize, _state: &mut QueensState, out: &mut Vec<u32>) {
             out.clear();
             out.extend(0..self.n as u32);
         }
@@ -692,7 +688,7 @@ mod tests {
         fn new_state(&self) -> QueensState {
             self.inner.new_state()
         }
-        fn candidates(&self, level: usize, state: &QueensState, out: &mut Vec<u32>) {
+        fn candidates(&self, level: usize, state: &mut QueensState, out: &mut Vec<u32>) {
             self.inner.candidates(level, state, out);
         }
         fn is_consistent(&self, level: usize, choice: u32, state: &QueensState) -> bool {
@@ -704,20 +700,15 @@ mod tests {
         fn undo(&self, level: usize, state: &mut QueensState) {
             self.inner.undo(level, state);
         }
-        fn count_last_level(
-            &self,
-            state: &QueensState,
-            scratch: &mut Vec<u32>,
-        ) -> Option<LevelCount> {
+        fn count_last_level(&self, state: &mut QueensState) -> Option<LevelCount> {
             self.asked.fetch_add(1, Ordering::Relaxed);
             let level = self.inner.n - 1;
-            self.inner.candidates(level, state, scratch);
-            let solutions = scratch
-                .iter()
-                .filter(|&&c| self.inner.is_consistent(level, c, state))
+            let columns = 0..self.inner.n as u32;
+            let solutions = columns
+                .filter(|&c| self.inner.is_consistent(level, c, state))
                 .count() as u64;
             Some(LevelCount {
-                states: scratch.len() as u64,
+                states: self.inner.n as u64,
                 solutions,
             })
         }
@@ -765,6 +756,49 @@ mod tests {
             assert_eq!(result.solutions, 92);
             assert_eq!(problem.asked.load(Ordering::Relaxed), 0, "{config:?}");
         }
+    }
+
+    #[test]
+    fn a_stolen_group_replays_to_the_victims_state() {
+        let problem = NQueens { n: 8 };
+        let config = EngineConfig::with_workers(2).task_group_size(2);
+        let shared: Shared<u32> = Shared::new(2, None, &config);
+        let drain = |worker: &mut Worker<NQueens>| {
+            while let Some((depth, choice, checked)) = worker.stack.pop_task() {
+                worker.execute(depth, choice, checked);
+            }
+        };
+        // The victim owns the subtree of a queen in column 0 and is three
+        // levels into it.
+        let mut victim = Worker::new(0, &problem, &shared, &config);
+        victim.stack.spawn(0, false, |roots| roots.push(0));
+        for _ in 0..3 {
+            let (depth, choice, checked) = victim.stack.pop_task().unwrap();
+            victim.execute(depth, choice, checked);
+        }
+        shared.requests[0].store(1, Ordering::SeqCst);
+        victim.process_requests();
+        let answer = std::mem::replace(
+            &mut *shared.transfers[1].lock().unwrap(),
+            TransferCell::Empty,
+        );
+        let TransferCell::Task(transfer) = answer else {
+            panic!("the victim had work to give");
+        };
+        // Level 0 ran out, so the group comes from level 1: the back
+        // 2-aligned group of the queens row 1 can take beside column 0.
+        let depth = transfer.group.depth;
+        assert_eq!(depth, 1);
+        assert_eq!(transfer.group.choices, vec![6, 7]);
+        assert_eq!(transfer.prefix, victim.path[..depth]);
+        let mut thief = Worker::new(1, &problem, &shared, &config);
+        thief.install(transfer);
+        assert_eq!(thief.state.columns, victim.state.columns[..depth]);
+        // Between them they find the four solutions below column 0.
+        drain(&mut victim);
+        drain(&mut thief);
+        assert_eq!(victim.stats.solutions + thief.stats.solutions, 4);
+        assert!(thief.stats.solutions > 0);
     }
 
     #[test]
@@ -908,7 +942,7 @@ mod tests {
             fn new_state(&self) -> QueensState {
                 self.inner.new_state()
             }
-            fn candidates(&self, level: usize, state: &QueensState, out: &mut Vec<u32>) {
+            fn candidates(&self, level: usize, state: &mut QueensState, out: &mut Vec<u32>) {
                 self.inner.candidates(level, state, out);
             }
             fn is_consistent(&self, level: usize, choice: u32, state: &QueensState) -> bool {
@@ -968,7 +1002,7 @@ mod tests {
             fn new_state(&self) -> QueensState {
                 self.inner.new_state()
             }
-            fn candidates(&self, level: usize, state: &QueensState, out: &mut Vec<u32>) {
+            fn candidates(&self, level: usize, state: &mut QueensState, out: &mut Vec<u32>) {
                 self.inner.candidates(level, state, out);
             }
             fn is_consistent(&self, level: usize, choice: u32, state: &QueensState) -> bool {

@@ -5,18 +5,21 @@
 //! Charguéraud, Rainey, PPoPP 2013) — as a reusable engine for depth-first
 //! backtracking problems:
 //!
-//! * every worker owns a **private deque** of task groups; the front is used
-//!   in LIFO (depth-first) order by the owner, the back is the steal end,
+//! * every worker owns a **private deque**, laid out as its depth-first
+//!   stack: one level per depth, holding the consistent children of the
+//!   applied prefix.  The owner takes the next choice from the deepest
+//!   level that still has one; steals take from the shallowest,
 //! * **receiver-initiated stealing**: an idle worker publishes a request in a
 //!   shared `requests` slot of a random victim; busy workers poll their slot
 //!   once per executed task and answer through a `transfers` cell,
 //! * a task is just a `(depth, choice)` pair — the partial assignment is *not*
 //!   copied per task; it travels (as a prefix of choices) only when a task
-//!   group is stolen,
-//! * **task coalescing**: sibling tasks are grouped into task groups of a
-//!   configurable size (the paper settles on 4) which are the unit of
-//!   stealing,
-//! * spawned tasks are **consistency-checked before being enqueued**, so
+//!   group is stolen.  A steal is the only copy between workers, and in
+//!   steady state an expansion allocates nothing,
+//! * **task coalescing**: a task group is a `task_group_size`-aligned range
+//!   of one level (the paper settles on 4); a steal hands over the back
+//!   group of the shallowest level, or the rest of a partly run one,
+//! * children are **consistency-checked before they can be stolen**, so
 //!   thieves rarely steal dead ends,
 //! * a problem may **count its last level** instead of enumerating it
 //!   ([`BacktrackProblem::count_last_level`]) when nothing observes

@@ -39,8 +39,9 @@ pub trait BacktrackProblem: Sync {
 
     /// Writes the raw (unchecked) candidate choices for `level` into `out`,
     /// given that levels `0..level` are applied in `state`.  `out` is cleared
-    /// by the callee.
-    fn candidates(&self, level: usize, state: &Self::State, out: &mut Vec<Self::Choice>);
+    /// by the callee.  The state is mutable so that a problem can keep a
+    /// per-worker memo of earlier candidate lists in it.
+    fn candidates(&self, level: usize, state: &mut Self::State, out: &mut Vec<Self::Choice>);
 
     /// Is `choice` consistent at `level`, given the applied prefix `0..level`?
     fn is_consistent(&self, level: usize, choice: Self::Choice, state: &Self::State) -> bool;
@@ -59,20 +60,16 @@ pub trait BacktrackProblem: Sync {
     fn on_solution(&self, _worker_id: usize, _state: &Self::State) {}
 
     /// Counts the states and solutions of the last level (`depth() - 1`)
-    /// below the applied prefix, without enumerating them; `scratch` is a
-    /// reusable buffer the problem may fill.  `None` (the default) means
-    /// "enumerate": the engine then spawns the level's tasks as usual.
+    /// below the applied prefix, without enumerating them.  `None` (the
+    /// default) means "enumerate": the engine then spawns the level's tasks
+    /// as usual.
     ///
     /// The engine asks only when nothing can interrupt the level part-way
     /// (no solution budget, time limit or cancel token), and counted
     /// solutions never reach [`Self::on_solution`], so a problem answers
     /// only while nothing observes individual solutions.  The counts must
     /// equal what enumerating would have produced.
-    fn count_last_level(
-        &self,
-        _state: &Self::State,
-        _scratch: &mut Vec<Self::Choice>,
-    ) -> Option<LevelCount> {
+    fn count_last_level(&self, _state: &mut Self::State) -> Option<LevelCount> {
         None
     }
 

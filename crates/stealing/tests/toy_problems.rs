@@ -30,7 +30,7 @@ impl BacktrackProblem for CompleteTree {
         Vec::new()
     }
 
-    fn candidates(&self, _level: usize, _state: &Vec<u32>, out: &mut Vec<u32>) {
+    fn candidates(&self, _level: usize, _state: &mut Vec<u32>, out: &mut Vec<u32>) {
         out.clear();
         out.extend(0..self.branching);
     }
@@ -68,7 +68,7 @@ impl BacktrackProblem for BoundedPrefix {
         (Vec::new(), 0)
     }
 
-    fn candidates(&self, _level: usize, _state: &(Vec<u32>, u32), out: &mut Vec<u32>) {
+    fn candidates(&self, _level: usize, _state: &mut (Vec<u32>, u32), out: &mut Vec<u32>) {
         out.clear();
         out.extend([0u32, 1]);
     }

@@ -699,6 +699,8 @@ pub fn explain_analyze_response(analyze: &ExplainAnalyzeOutcome) -> Json {
                     "prefilter_rejected",
                     Json::U64(outcome.kernels.prefilter_rejected),
                 ),
+                ("lists", Json::U64(outcome.kernels.lists)),
+                ("reused", Json::U64(outcome.kernels.reused)),
             ]),
         ),
         ("matches", Json::U64(outcome.matches)),

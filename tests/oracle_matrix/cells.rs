@@ -28,8 +28,7 @@ axis! {
         /// sidecar.
         Default,
         /// The same with a row for every non-empty neighbourhood
-        /// (`degree_threshold: 1`): the bitmap AND never falls back, and on
-        /// dense targets the last depth takes the popcount leaf count.
+        /// (`degree_threshold: 1`): the bitmap AND never falls back.
         RowsPresent,
         /// The same with a zero-byte cap: the plan may name the bitmap
         /// kernel, but gallop runs.
@@ -61,8 +60,8 @@ axis! {
 axis! {
     /// Where the matches go.
     Delivery {
-        /// `Engine::run` with no observer: under `Sequential` both
-        /// last-depth counting shortcuts run.
+        /// `Engine::run` with no observer: without a limit, every scheduler
+        /// counts the last depth by the leaf-count rule.
         Count,
         /// `Engine::run` collecting mappings, to capacity or short of it.
         Collect,
