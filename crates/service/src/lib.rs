@@ -15,20 +15,18 @@
 //! * [`BatchExecutor`] fans a [`QuerySet`] (many patterns, one target) out
 //!   over a std-thread worker pool, with every run gated by the service's
 //!   global in-flight admission limit;
-//! * [`Service`] ties the three together and keeps aggregate statistics
-//!   (queries served, total matches, and a latency distribution built on
-//!   [`sge_util::LatencyHistogram`]);
+//! * [`Service`] ties the three together behind one query pipeline and
+//!   keeps aggregate statistics.  Every query verb shares its head (lookup,
+//!   parse, cached prepare, routing); `EXPLAIN` stops there, and buffered,
+//!   streamed and analyzed queries share one execute path (dispatch →
+//!   admission → run → observe → record).  A panicking query is answered
+//!   with an internal error instead of unwinding into the caller;
 //! * [`EventServer`] (Unix) is the std-only TCP front end speaking the
-//!   newline-delimited text protocol documented in [`protocol`] (`LOAD`,
-//!   `QUERY`, `EXPLAIN`, `BATCH`, `STATS`, `SHUTDOWN`) with single-line
-//!   JSON responses, driven by the `sge-serve` / `sge-client` binaries.  A
-//!   `QUERY` with `emit=stream` answers with a header line,
-//!   newline-delimited row frames of `chunk` mappings each and a footer
-//!   line instead — backed by [`Service::run_query_streaming`], whose
-//!   bounded-channel bridge keeps memory independent of the result
-//!   cardinality and cancels enumeration when its sink fails.  The front
-//!   end writes frames to the socket as they are produced, and a client
-//!   that disconnects mid-stream cancels the run.
+//!   newline-delimited text protocol documented in [`protocol`] with
+//!   single-line JSON responses, driven by the `sge-serve` / `sge-client`
+//!   binaries.  It writes a streamed `QUERY`'s row frames to the socket as
+//!   they are produced, and a client that disconnects mid-stream cancels
+//!   the run.
 //!
 //! Everything is `std`-only: no async runtime, no serialization crates —
 //! the JSON responses come from the hand-rolled encoder in [`json`].
@@ -65,9 +63,13 @@ pub use sge_wire::{
 
 use sge_engine::{EnumerationOutcome, PreparedEngine, RunConfig, Scheduler};
 use sge_graph::{BitmapConfig, NodeId};
-use sge_obs::{Counter, EventLog, Gauge, MetricsRegistry, MetricsSnapshot, QueryTrace, TraceSink};
+use sge_obs::{
+    Counter, EventLog, Gauge, MetricsRegistry, MetricsSnapshot, QueryTrace, SpanRecord, TraceSink,
+};
 use sge_plan::{CostModel, Planner, RoutingConfig, RoutingDecision, SchedulerChoice};
 use sge_util::{Clock, SystemClock};
+use std::any::Any;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -138,7 +140,8 @@ pub struct Service {
     clock: Arc<dyn Clock>,
     /// Shared event log, attached by the front end (see
     /// [`Service::set_event_log`]); [`Service::load_target`] records
-    /// bitmap-cap fallback warnings here.
+    /// bitmap-cap fallback warnings here, and a contained panic its
+    /// `query_panic` line.
     event_log: std::sync::RwLock<Option<Arc<EventLog>>>,
 }
 
@@ -254,8 +257,8 @@ impl Service {
     }
 
     /// Attaches the shared event log (the front end's `--log` ring); LOAD
-    /// warnings — e.g. a bitmap sidecar hitting its memory cap — are
-    /// recorded there.
+    /// warnings — e.g. a bitmap sidecar hitting its memory cap — and
+    /// contained query panics are recorded there.
     pub fn set_event_log(&self, log: Arc<EventLog>) {
         *self
             .event_log
@@ -374,24 +377,140 @@ impl Service {
     /// the prepared engine is fetched from (or inserted into) the cache, and
     /// the run is gated by the global admission limit.
     pub fn run_query(&self, target: &str, spec: &QuerySpec) -> Result<QueryOutcome, ServiceError> {
-        let started = self.clock.now();
-        let result = self.run_query_inner(target, spec, started);
+        self.serve(target, spec, |plan| {
+            Ok(self.execute(target, &plan, Delivery::Buffered)?.0.query)
+        })
+    }
+
+    /// Executes one query against the named target, delivering mappings to
+    /// `sink` in frames of up to `spec.chunk` rows while enumeration runs —
+    /// the machinery behind the protocol's `emit=stream` QUERY mode.
+    ///
+    /// Enumeration and sink writes overlap (bounded-channel bridge inside
+    /// [`sge_engine::Engine::run_streaming`]), so service memory is O(chunk)
+    /// regardless of how many matches exist.  A failing sink write —
+    /// typically a disconnected client — cooperatively cancels enumeration:
+    /// the schedulers stop at their next budget check instead of running the
+    /// search to completion into a dead socket, and the returned outcome
+    /// reports `cancelled`.
+    ///
+    /// Rows arrive in discovery order (schedule-dependent under parallel
+    /// schedulers); `spec.run.collect_mappings` is ignored — rows go through
+    /// the sink, not into the outcome.
+    pub fn run_query_streaming(
+        &self,
+        target: &str,
+        spec: &QuerySpec,
+        sink: &mut dyn StreamSink,
+    ) -> Result<StreamedQueryOutcome, ServiceError> {
+        let chunk = spec.chunk.clamp(1, MAX_STREAM_CHUNK);
+        self.serve(target, spec, |plan| {
+            Ok(self
+                .execute(target, &plan, Delivery::Stream { sink, chunk })?
+                .0)
+        })
+    }
+
+    /// Plans (or fetches the cached plan for) one query without running it
+    /// and reports the plan — the machinery behind the protocol's `EXPLAIN`
+    /// verb.  Preparation goes through the same [`PreparedCache`] as
+    /// [`Service::run_query`], so an `EXPLAIN` warms the cache for the
+    /// query that follows it.
+    pub fn explain(&self, target: &str, spec: &QuerySpec) -> Result<ExplainOutcome, ServiceError> {
+        self.serve(target, spec, |plan| {
+            Ok(ExplainOutcome {
+                target: target.to_string(),
+                pattern_hash: plan.pattern_hash,
+                cache_hit: plan.cache_hit,
+                latency_seconds: plan.planned.saturating_sub(plan.started).as_secs_f64(),
+                routing: plan.routing,
+                routed: plan.routed,
+                effective_scheduler: plan.run.scheduler,
+                engine: plan.engine,
+            })
+        })
+    }
+
+    /// `EXPLAIN ANALYZE`: plans the query **and** executes it with a
+    /// per-query [`TraceSink`] attached, returning the planner's estimates
+    /// side-by-side with what the run actually observed, plus a span
+    /// breakdown of where the wall time went.
+    ///
+    /// Spans are measured on the service's injected clock (deterministic
+    /// under a virtual clock): `plan` covers parse + cache lookup /
+    /// preparation + routing, `admission_wait` the wait for an in-flight
+    /// permit, `enumeration` the run itself.  Mapping collection is
+    /// disabled — the deliverable is the instrumentation, not the rows.
+    /// The run counts into `STATS`/`METRICS` exactly like a served query.
+    pub fn explain_analyze(
+        &self,
+        target: &str,
+        spec: &QuerySpec,
+    ) -> Result<ExplainAnalyzeOutcome, ServiceError> {
+        self.serve(target, spec, |plan| {
+            let sink = Arc::new(TraceSink::new(plan.engine.plan().num_positions()));
+            let (served, spans) =
+                self.execute(target, &plan, Delivery::Analyze(Arc::clone(&sink)))?;
+            Ok(ExplainAnalyzeOutcome {
+                query: served.query,
+                observed_candidates: sink.candidates_per_position(),
+                observed_states: sink.states_per_position(),
+                spans,
+                routing: plan.routing,
+                engine: plan.engine,
+            })
+        })
+    }
+
+    /// The boundary every query verb passes: the [`Service::plan`] head,
+    /// then `verb`, under `catch_unwind`.  A panicking query answers
+    /// [`ServiceError::Internal`] instead of unwinding into the caller (an
+    /// event-server worker would die with its request unanswered), and a
+    /// failed request of either kind counts once in `errors`.  Unwinding
+    /// leaves the service usable: its counters are atomics, its locks
+    /// recover from poisoning, the admission permit drops, and the cache
+    /// retries a preparation that panicked.
+    fn serve<T>(
+        &self,
+        target: &str,
+        spec: &QuerySpec,
+        verb: impl FnOnce(Plan) -> Result<T, ServiceError>,
+    ) -> Result<T, ServiceError> {
+        let served = panic::catch_unwind(AssertUnwindSafe(|| verb(self.plan(target, spec)?)));
+        let result = served.unwrap_or_else(|payload| Err(self.contain_panic(target, &*payload)));
         if result.is_err() {
             self.stats.record_error();
         }
         result
     }
 
-    /// The shared lookup → parse → cached-prepare pipeline behind both
-    /// `QUERY` and `EXPLAIN`.  Returns the prepared engine, whether it was
-    /// a cache hit, and the pattern hash.  Keeping this in one place is
-    /// what guarantees an `EXPLAIN` describes exactly the plan the
-    /// identical `QUERY` will run.
-    fn prepare_for_spec(
-        &self,
-        target: &str,
-        spec: &QuerySpec,
-    ) -> Result<(Arc<PreparedEngine>, bool, u64), ServiceError> {
+    /// Counts a panicked query in `service.panics`, records a `query_panic`
+    /// event and turns the panic message into the error the client gets.
+    /// The admission permit was released while unwinding.
+    fn contain_panic(&self, target: &str, payload: &(dyn Any + Send)) -> ServiceError {
+        let message = payload
+            .downcast_ref::<&str>()
+            .map(|text| text.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "query panicked".to_string());
+        self.stats.record_panic();
+        self.log_event(
+            &json::Json::obj(vec![
+                ("event", json::Json::str("query_panic")),
+                ("target", json::Json::str(target)),
+                ("message", json::Json::str(message.clone())),
+            ])
+            .render(),
+        );
+        ServiceError::Internal(message)
+    }
+
+    /// The head every query verb shares: lookup → parse → cached prepare →
+    /// one routing decision → the effective run.  `EXPLAIN` stops here, so
+    /// it describes exactly the plan and scheduler the identical `QUERY`
+    /// runs.
+    fn plan(&self, target: &str, spec: &QuerySpec) -> Result<Plan, ServiceError> {
+        let started = self.clock.now();
         let (target_graph, target_stats, target_bitmaps) = self
             .registry
             .get_full(target)
@@ -406,18 +525,103 @@ impl Service {
             spec.algorithm,
             spec.run.strategy,
         );
-        Ok((engine, cache_hit, PreparedCache::pattern_hash(&pattern)))
+        let routing = self.routing_decision(target, &engine);
+        let mut run = spec.run;
+        if !spec.pinned {
+            run.scheduler = scheduler_for_choice(routing.choice);
+        }
+        Ok(Plan {
+            pattern_hash: PreparedCache::pattern_hash(&pattern),
+            engine,
+            cache_hit,
+            routing,
+            routed: !spec.pinned,
+            run,
+            started,
+            planned: self.clock.now(),
+        })
     }
 
-    /// Acquires an admission permit, recording how long the caller waited
-    /// (on this service's clock) so admission-control pressure is visible in
-    /// `STATS` — and deterministic under a virtual clock.
-    fn admit(&self) -> semaphore::Permit<'_> {
+    /// The one execute path behind every query that runs: dispatch →
+    /// admission → run → observe → record.  `delivery` decides only where
+    /// the rows go and whether a trace sink rides along; the clock is read
+    /// at the same points for every delivery, and only an analyzed run
+    /// turns the readings into spans.  Returns the served query
+    /// (`rows_sent` 0 and not `cancelled` unless streamed) and the spans.
+    fn execute(
+        &self,
+        target: &str,
+        plan: &Plan,
+        mut delivery: Delivery<'_>,
+    ) -> Result<(StreamedQueryOutcome, Vec<SpanRecord>), ServiceError> {
+        let streaming = matches!(delivery, Delivery::Stream { .. });
+        let analyzing = matches!(delivery, Delivery::Analyze(_));
+        let mut run = plan.run;
+        if streaming || analyzing {
+            // Streamed rows go to the sink, and an analyzed run delivers
+            // its instrumentation, not rows.
+            run.collect_mappings = 0;
+        }
+        if let Delivery::Stream { sink, chunk } = &mut delivery {
+            // A failing header write means the client is already gone;
+            // nothing ran, so surface it as a plain error.
+            sink.begin(&StreamHeader {
+                target: target.to_string(),
+                chunk: *chunk,
+                cache_hit: plan.cache_hit,
+                pattern_hash: plan.pattern_hash,
+                algorithm: plan.engine.algorithm(),
+                strategy: plan.engine.strategy(),
+                scheduler: run.scheduler,
+                routed: plan.routed,
+            })?;
+        }
+        self.record_dispatch(&run.scheduler);
         let wait_started = self.clock.now();
         let permit = self.admission.acquire();
-        let waited = self.clock.now().saturating_sub(wait_started);
-        self.stats.record_admission_wait(waited.as_secs_f64());
-        permit
+        let admitted = self.clock.now();
+        self.stats
+            .record_admission_wait(admitted.saturating_sub(wait_started).as_secs_f64());
+        let (outcome, rows_sent, cancelled) = match delivery {
+            Delivery::Buffered => (plan.engine.run(&run), 0, false),
+            Delivery::Stream { sink, chunk } => stream_rows(&plan.engine, &run, sink, chunk),
+            Delivery::Analyze(trace) => {
+                let mut instrumented = plan.engine.engine();
+                instrumented.set_trace_sink(trace);
+                (instrumented.run(&run), 0, false)
+            }
+        };
+        let finished = self.clock.now();
+        drop(permit);
+        self.observe_run(target, &plan.engine, &outcome);
+        let latency_seconds = finished.saturating_sub(plan.started).as_secs_f64();
+        self.stats.record_query(outcome.matches, latency_seconds);
+        if streaming {
+            self.stats.record_stream(rows_sent, cancelled);
+        }
+        self.engine_counters.record(&outcome);
+        let query = QueryOutcome {
+            target: target.to_string(),
+            pattern_hash: plan.pattern_hash,
+            cache_hit: plan.cache_hit,
+            latency_seconds,
+            routed: plan.routed,
+            outcome,
+        };
+        let mut spans = Vec::new();
+        if analyzing {
+            let mut trace = QueryTrace::begin(plan.started);
+            trace.record_span("plan", plan.started, plan.planned);
+            trace.record_span("admission_wait", wait_started, admitted);
+            trace.record_span("enumeration", admitted, finished);
+            spans = trace.spans().to_vec();
+        }
+        let streamed = StreamedQueryOutcome {
+            query,
+            rows_sent,
+            cancelled,
+        };
+        Ok((streamed, spans))
     }
 
     /// The per-target cost model routing decisions consult.
@@ -453,24 +657,6 @@ impl Service {
         Planner::new(engine.strategy()).route(&engine.plan().cost, correction, &self.config.routing)
     }
 
-    /// The run configuration a query will actually execute under: the spec's
-    /// own when the scheduler is pinned, otherwise the spec with its
-    /// scheduler replaced by the planner's routed choice.
-    fn effective_run(
-        &self,
-        target: &str,
-        spec: &QuerySpec,
-        engine: &PreparedEngine,
-    ) -> (RunConfig, Option<RoutingDecision>) {
-        if spec.pinned {
-            return (spec.run, None);
-        }
-        let decision = self.routing_decision(target, engine);
-        let mut run = spec.run;
-        run.scheduler = scheduler_for_choice(decision.choice);
-        (run, Some(decision))
-    }
-
     /// Counts one dispatch under the scheduler family that will execute it.
     fn record_dispatch(&self, scheduler: &Scheduler) {
         if scheduler.is_sequential() {
@@ -497,244 +683,6 @@ impl Service {
             .set((factor * 1000.0).round().max(0.0) as u64);
     }
 
-    fn run_query_inner(
-        &self,
-        target: &str,
-        spec: &QuerySpec,
-        started: Duration,
-    ) -> Result<QueryOutcome, ServiceError> {
-        let (engine, cache_hit, pattern_hash) = self.prepare_for_spec(target, spec)?;
-        let (run, decision) = self.effective_run(target, spec, &engine);
-        self.record_dispatch(&run.scheduler);
-        let outcome = {
-            let _permit = self.admit();
-            engine.run(&run)
-        };
-        self.observe_run(target, &engine, &outcome);
-        let latency_seconds = self.clock.now().saturating_sub(started).as_secs_f64();
-        self.stats.record_query(outcome.matches, latency_seconds);
-        self.engine_counters.record(&outcome);
-        Ok(QueryOutcome {
-            target: target.to_string(),
-            pattern_hash,
-            cache_hit,
-            latency_seconds,
-            routed: decision.is_some(),
-            outcome,
-        })
-    }
-
-    /// Executes one query against the named target, delivering mappings to
-    /// `sink` in frames of up to `spec.chunk` rows while enumeration runs —
-    /// the machinery behind the protocol's `emit=stream` QUERY mode.
-    ///
-    /// Enumeration and sink writes overlap (bounded-channel bridge inside
-    /// [`sge_engine::Engine::run_streaming`]), so service memory is O(chunk)
-    /// regardless of how many matches exist.  A failing sink write —
-    /// typically a disconnected client — cooperatively cancels enumeration:
-    /// the schedulers stop at their next budget check instead of running the
-    /// search to completion into a dead socket, and the returned outcome
-    /// reports `cancelled`.
-    ///
-    /// Rows arrive in discovery order (schedule-dependent under parallel
-    /// schedulers); `spec.run.collect_mappings` is ignored — rows go through
-    /// the sink, not into the outcome.
-    pub fn run_query_streaming(
-        &self,
-        target: &str,
-        spec: &QuerySpec,
-        sink: &mut dyn StreamSink,
-    ) -> Result<StreamedQueryOutcome, ServiceError> {
-        let started = self.clock.now();
-        let result = self.run_query_streaming_inner(target, spec, sink, started);
-        if result.is_err() {
-            self.stats.record_error();
-        }
-        result
-    }
-
-    fn run_query_streaming_inner(
-        &self,
-        target: &str,
-        spec: &QuerySpec,
-        sink: &mut dyn StreamSink,
-        started: Duration,
-    ) -> Result<StreamedQueryOutcome, ServiceError> {
-        let (engine, cache_hit, pattern_hash) = self.prepare_for_spec(target, spec)?;
-        let (mut run, decision) = self.effective_run(target, spec, &engine);
-        let chunk = spec.chunk.clamp(1, MAX_STREAM_CHUNK);
-        let header = StreamHeader {
-            target: target.to_string(),
-            chunk,
-            cache_hit,
-            pattern_hash,
-            algorithm: engine.algorithm(),
-            strategy: engine.strategy(),
-            scheduler: run.scheduler,
-            routed: decision.is_some(),
-        };
-        // A failing header write means the client is already gone; nothing
-        // ran, so surface it as a plain error instead of a result.
-        sink.begin(&header)?;
-        self.record_dispatch(&run.scheduler);
-        run.collect_mappings = 0;
-        let mut buffer: Vec<Vec<NodeId>> = Vec::with_capacity(chunk);
-        let mut rows_sent: u64 = 0;
-        let mut sink_alive = true;
-        let outcome = {
-            let _permit = self.admit();
-            engine.run_streaming(&run, chunk, |mapping| {
-                buffer.push(mapping);
-                if buffer.len() < chunk {
-                    return true;
-                }
-                sink_alive = sink.rows(&buffer).is_ok();
-                if sink_alive {
-                    rows_sent += buffer.len() as u64;
-                }
-                buffer.clear();
-                // Returning false cancels enumeration: the write failed, so
-                // the client will never read another row.
-                sink_alive
-            })
-        };
-        if sink_alive && !buffer.is_empty() {
-            if sink.rows(&buffer).is_ok() {
-                rows_sent += buffer.len() as u64;
-            } else {
-                sink_alive = false;
-            }
-        }
-        let cancelled = outcome.cancelled || !sink_alive;
-        self.observe_run(target, &engine, &outcome);
-        let latency_seconds = self.clock.now().saturating_sub(started).as_secs_f64();
-        self.stats.record_query(outcome.matches, latency_seconds);
-        self.stats.record_stream(rows_sent, cancelled);
-        self.engine_counters.record(&outcome);
-        Ok(StreamedQueryOutcome {
-            query: QueryOutcome {
-                target: target.to_string(),
-                pattern_hash,
-                cache_hit,
-                latency_seconds,
-                routed: decision.is_some(),
-                outcome,
-            },
-            rows_sent,
-            cancelled,
-        })
-    }
-
-    /// Plans (or fetches the cached plan for) one query without running it
-    /// and reports the plan — the machinery behind the protocol's `EXPLAIN`
-    /// verb.  Preparation goes through the same [`PreparedCache`] as
-    /// [`Service::run_query`], so an `EXPLAIN` warms the cache for the
-    /// query that follows it.
-    pub fn explain(&self, target: &str, spec: &QuerySpec) -> Result<ExplainOutcome, ServiceError> {
-        let result = self.explain_inner(target, spec);
-        if result.is_err() {
-            self.stats.record_error();
-        }
-        result
-    }
-
-    fn explain_inner(
-        &self,
-        target: &str,
-        spec: &QuerySpec,
-    ) -> Result<ExplainOutcome, ServiceError> {
-        let started = self.clock.now();
-        let (engine, cache_hit, pattern_hash) = self.prepare_for_spec(target, spec)?;
-        let routing = self.routing_decision(target, &engine);
-        let effective_scheduler = if spec.pinned {
-            spec.run.scheduler
-        } else {
-            scheduler_for_choice(routing.choice)
-        };
-        Ok(ExplainOutcome {
-            target: target.to_string(),
-            pattern_hash,
-            cache_hit,
-            latency_seconds: self.clock.now().saturating_sub(started).as_secs_f64(),
-            routing,
-            routed: !spec.pinned,
-            effective_scheduler,
-            engine,
-        })
-    }
-
-    /// `EXPLAIN ANALYZE`: plans the query **and** executes it with a
-    /// per-query [`TraceSink`] attached, returning the planner's estimates
-    /// side-by-side with what the run actually observed, plus a span
-    /// breakdown of where the wall time went.
-    ///
-    /// Spans are measured on the service's injected clock (deterministic
-    /// under a virtual clock): `plan` covers parse + cache lookup /
-    /// preparation, `admission_wait` the wait for an in-flight permit,
-    /// `enumeration` the run itself.  Mapping collection is disabled — the
-    /// deliverable is the instrumentation, not the rows.  The run counts
-    /// into `STATS`/`METRICS` exactly like a served query.
-    pub fn explain_analyze(
-        &self,
-        target: &str,
-        spec: &QuerySpec,
-    ) -> Result<ExplainAnalyzeOutcome, ServiceError> {
-        let result = self.explain_analyze_inner(target, spec);
-        if result.is_err() {
-            self.stats.record_error();
-        }
-        result
-    }
-
-    fn explain_analyze_inner(
-        &self,
-        target: &str,
-        spec: &QuerySpec,
-    ) -> Result<ExplainAnalyzeOutcome, ServiceError> {
-        let started = self.clock.now();
-        let mut trace = QueryTrace::begin(started);
-        let (engine, cache_hit, pattern_hash) = self.prepare_for_spec(target, spec)?;
-        let planned = self.clock.now();
-        trace.record_span("plan", started, planned);
-
-        let routing = self.routing_decision(target, &engine);
-        let (mut run, decision) = self.effective_run(target, spec, &engine);
-        self.record_dispatch(&run.scheduler);
-        let sink = Arc::new(TraceSink::new(engine.plan().num_positions()));
-        let outcome = {
-            let wait_started = self.clock.now();
-            let permit = self.admission.acquire();
-            let admitted = self.clock.now();
-            self.stats
-                .record_admission_wait(admitted.saturating_sub(wait_started).as_secs_f64());
-            trace.record_span("admission_wait", wait_started, admitted);
-            let _permit = permit;
-            run.collect_mappings = 0;
-            let mut instrumented = engine.engine();
-            instrumented.set_trace_sink(Arc::clone(&sink));
-            let outcome = instrumented.run(&run);
-            trace.record_span("enumeration", admitted, self.clock.now());
-            outcome
-        };
-        self.observe_run(target, &engine, &outcome);
-        let latency_seconds = self.clock.now().saturating_sub(started).as_secs_f64();
-        self.stats.record_query(outcome.matches, latency_seconds);
-        self.engine_counters.record(&outcome);
-        Ok(ExplainAnalyzeOutcome {
-            target: target.to_string(),
-            pattern_hash,
-            cache_hit,
-            latency_seconds,
-            observed_candidates: sink.candidates_per_position(),
-            observed_states: sink.states_per_position(),
-            spans: trace.spans().to_vec(),
-            routing,
-            routed: decision.is_some(),
-            engine,
-            outcome,
-        })
-    }
-
     /// Executes a [`QuerySet`] on this service's batch worker pool.
     pub fn run_batch(&self, set: &QuerySet) -> BatchOutcome {
         let executor = BatchExecutor::new(self.config.batch_workers);
@@ -742,6 +690,73 @@ impl Service {
         self.stats.record_batch();
         outcome
     }
+}
+
+/// What [`Service::plan`] settles before anything runs.
+struct Plan {
+    engine: Arc<PreparedEngine>,
+    cache_hit: bool,
+    pattern_hash: u64,
+    /// The routing decision current at planning time, reported by both
+    /// `EXPLAIN` verbs whether or not the scheduler is pinned.
+    routing: RoutingDecision,
+    /// Whether `run.scheduler` is the routed choice rather than the
+    /// caller's pinned one.
+    routed: bool,
+    /// The spec's run under the scheduler it will execute on.
+    run: RunConfig,
+    /// Clock readings at the start and the end of the head.
+    started: Duration,
+    planned: Duration,
+}
+
+/// Where [`Service::execute`] delivers a run's results.
+enum Delivery<'a> {
+    /// One outcome; mappings ride along when `collect_mappings` asks.
+    Buffered,
+    /// Row frames of up to `chunk` mappings to `sink` while the run goes on.
+    Stream {
+        sink: &'a mut dyn StreamSink,
+        chunk: usize,
+    },
+    /// No rows; the run carries this per-position trace sink.
+    Analyze(Arc<TraceSink>),
+}
+
+/// Runs `engine` with its mappings handed to `sink` in frames of `chunk`
+/// rows; a failed write cancels the run.  Returns the outcome, the rows the
+/// sink accepted and whether the stream was cut short.
+fn stream_rows(
+    engine: &PreparedEngine,
+    run: &RunConfig,
+    sink: &mut dyn StreamSink,
+    chunk: usize,
+) -> (EnumerationOutcome, u64, bool) {
+    let mut buffer: Vec<Vec<NodeId>> = Vec::with_capacity(chunk);
+    let mut rows_sent: u64 = 0;
+    let mut sink_alive = true;
+    let outcome = engine.run_streaming(run, chunk, |mapping| {
+        buffer.push(mapping);
+        if buffer.len() < chunk {
+            return true;
+        }
+        sink_alive = sink.rows(&buffer).is_ok();
+        if sink_alive {
+            rows_sent += buffer.len() as u64;
+        }
+        buffer.clear();
+        // Returning false cancels enumeration: the write failed, so the
+        // client will never read another row.
+        sink_alive
+    });
+    if sink_alive && !buffer.is_empty() {
+        sink_alive = sink.rows(&buffer).is_ok();
+        if sink_alive {
+            rows_sent += buffer.len() as u64;
+        }
+    }
+    let cancelled = outcome.cancelled || !sink_alive;
+    (outcome, rows_sent, cancelled)
 }
 
 /// Maps an executor-agnostic [`SchedulerChoice`] onto the engine's concrete

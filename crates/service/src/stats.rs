@@ -19,6 +19,7 @@ pub struct ServiceStats {
     batches: Counter,
     matches: Counter,
     errors: Counter,
+    panics: Counter,
     streams: Counter,
     rows_streamed: Counter,
     streams_cancelled: Counter,
@@ -48,6 +49,7 @@ impl ServiceStats {
             batches: registry.counter("service.batches_served"),
             matches: registry.counter("service.total_matches"),
             errors: registry.counter("service.errors"),
+            panics: registry.counter("service.panics"),
             streams: registry.counter("service.streams_served"),
             rows_streamed: registry.counter("service.rows_streamed"),
             streams_cancelled: registry.counter("service.streams_cancelled"),
@@ -82,6 +84,12 @@ impl ServiceStats {
     /// Records one failed query.
     pub fn record_error(&self) {
         self.errors.inc();
+    }
+
+    /// Records one query that panicked (its failure is counted separately
+    /// through [`ServiceStats::record_error`]).
+    pub fn record_panic(&self) {
+        self.panics.inc();
     }
 
     /// Records one admission-permit acquisition and how long the caller

@@ -363,8 +363,11 @@ fn explain_analyze_reports_observed_counts_and_spans() {
     let analyzed = service
         .explain_analyze("k5", &QuerySpec::new(&pattern))
         .unwrap();
-    assert_eq!(analyzed.outcome.matches, 60);
-    assert!(analyzed.outcome.mappings.is_empty(), "collection disabled");
+    assert_eq!(analyzed.query.outcome.matches, 60);
+    assert!(
+        analyzed.query.outcome.mappings.is_empty(),
+        "collection disabled"
+    );
 
     // Observed arrays line up position-for-position with the estimates.
     let plan = analyzed.engine.plan();
@@ -374,7 +377,7 @@ fn explain_analyze_reports_observed_counts_and_spans() {
     assert!(analyzed.observed_candidates[0] > 0);
     assert_eq!(
         analyzed.observed_states.iter().sum::<u64>(),
-        analyzed.outcome.states,
+        analyzed.query.outcome.states,
         "per-position checks sum to the outcome's state count"
     );
 
@@ -385,7 +388,9 @@ fn explain_analyze_reports_observed_counts_and_spans() {
     for span in &analyzed.spans {
         assert!(span.start_seconds >= 0.0, "{}", span.name);
         assert!(span.duration_seconds >= 0.0, "{}", span.name);
-        assert!(span.start_seconds + span.duration_seconds <= analyzed.latency_seconds + 1e-9);
+        assert!(
+            span.start_seconds + span.duration_seconds <= analyzed.query.latency_seconds + 1e-9
+        );
     }
 
     // An analyze counts as a served query and warms the cache.
@@ -656,4 +661,290 @@ fn bitmap_cap_fallback_is_logged_and_counted() {
             .count(),
         1
     );
+}
+
+// ---------------------------------------------------------------------------
+// Per-verb accounting
+// ---------------------------------------------------------------------------
+
+/// What a request moved in the service's books: the STATS counters, the
+/// dispatch counts and METRICS `engine.states`.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct Books {
+    queries_served: u64,
+    errors: u64,
+    streams_served: u64,
+    rows_streamed: u64,
+    streams_cancelled: u64,
+    admissions: u64,
+    dispatch: (u64, u64),
+    engine_states: u64,
+}
+
+/// The value of the METRICS counter `name`.
+fn counter(service: &Service, name: &str) -> u64 {
+    service
+        .metrics_snapshot()
+        .into_iter()
+        .find(|(metric, _)| metric == name)
+        .map(|(_, value)| match value {
+            sge_obs::MetricValue::Counter(count) => count,
+            other => panic!("{name}: {other:?}"),
+        })
+        .unwrap_or_else(|| panic!("{name} not registered"))
+}
+
+impl Books {
+    fn read(service: &Service) -> Books {
+        let stats = service.stats();
+        Books {
+            queries_served: stats.queries_served,
+            errors: stats.errors,
+            streams_served: stats.streams_served,
+            rows_streamed: stats.rows_streamed,
+            streams_cancelled: stats.streams_cancelled,
+            admissions: stats.admissions,
+            dispatch: service.dispatch_counts(),
+            engine_states: counter(service, "engine.states"),
+        }
+    }
+
+    fn since(self, before: Books) -> Books {
+        Books {
+            queries_served: self.queries_served - before.queries_served,
+            errors: self.errors - before.errors,
+            streams_served: self.streams_served - before.streams_served,
+            rows_streamed: self.rows_streamed - before.rows_streamed,
+            streams_cancelled: self.streams_cancelled - before.streams_cancelled,
+            admissions: self.admissions - before.admissions,
+            dispatch: (
+                self.dispatch.0 - before.dispatch.0,
+                self.dispatch.1 - before.dispatch.1,
+            ),
+            engine_states: self.engine_states - before.engine_states,
+        }
+    }
+}
+
+/// A sink whose header write fails: the client left before the stream began.
+struct GoneBeforeHeader;
+
+impl sge_service::StreamSink for GoneBeforeHeader {
+    fn begin(&mut self, _: &sge_service::StreamHeader) -> std::io::Result<()> {
+        Err(std::io::Error::new(
+            std::io::ErrorKind::BrokenPipe,
+            "client gone",
+        ))
+    }
+
+    fn rows(&mut self, _: &[Vec<sge_graph::NodeId>]) -> std::io::Result<()> {
+        unreachable!("no rows after a failed header")
+    }
+}
+
+/// How one accounting case calls the service.
+#[derive(Clone, Copy, Debug)]
+enum Verb {
+    Query,
+    /// A streamed QUERY in 4-row frames; `Some(n)` fails the sink after
+    /// `n` frames.
+    Stream(Option<usize>),
+    /// A streamed QUERY whose header write fails.
+    StreamGone,
+    Explain,
+    Analyze,
+}
+
+/// Sentinel for a cancelled stream's `engine.states`: it stops at a
+/// schedule-dependent state, so the change must equal the count the call
+/// itself reported.
+const AS_REPORTED: u64 = u64::MAX;
+
+/// Calls `verb` and returns the states its run reported (0 when nothing
+/// ran), or the error.
+fn call(service: &Service, verb: Verb, target: &str, pattern: &str) -> Result<u64, String> {
+    let spec = QuerySpec::new(pattern);
+    let failed = |err: sge_service::ServiceError| err.to_string();
+    match verb {
+        Verb::Query => service
+            .run_query(target, &spec)
+            .map(|query| query.outcome.states)
+            .map_err(failed),
+        Verb::Stream(fail_after) => {
+            let mut sink = match fail_after {
+                Some(frames) => VecSink::failing_after(frames),
+                None => VecSink::new(),
+            };
+            service
+                .run_query_streaming(target, &spec.with_streaming(4), &mut sink)
+                .map(|streamed| streamed.query.outcome.states)
+                .map_err(failed)
+        }
+        Verb::StreamGone => service
+            .run_query_streaming(target, &spec, &mut GoneBeforeHeader)
+            .map(|streamed| streamed.query.outcome.states)
+            .map_err(failed),
+        Verb::Explain => service.explain(target, &spec).map(|_| 0).map_err(failed),
+        Verb::Analyze => service
+            .explain_analyze(target, &spec)
+            .map(|analyzed| analyzed.observed_states.iter().sum())
+            .map_err(failed),
+    }
+}
+
+/// Every query verb's accounting, success and failure alike: which STATS
+/// counters, dispatch counts and engine totals one request moves.
+#[test]
+fn every_verb_moves_exactly_its_own_counters() {
+    use sge_plan::RoutingConfig;
+    let service = Service::new(ServiceConfig {
+        routing: RoutingConfig::pinned(50_000.0, 25_000.0, 4),
+        ..ServiceConfig::default()
+    });
+    service.registry().insert("k5", generators::clique(5, 0));
+    let triangle = write_graph(&generators::directed_cycle(3, 0));
+    let (triangle, garbage) = (triangle.as_str(), "not a graph");
+    // The 5-clique's 60 directed triangles take 85 states; the planner
+    // routes that small tree to the sequential scheduler.
+    let ran = |streamed: u64, rows: u64, cancelled: u64, states: u64| Books {
+        queries_served: 1,
+        streams_served: streamed,
+        rows_streamed: rows,
+        streams_cancelled: cancelled,
+        admissions: 1,
+        dispatch: (1, 0),
+        engine_states: states,
+        ..Books::default()
+    };
+    let error = Books {
+        errors: 1,
+        ..Books::default()
+    };
+    let mut cases = vec![
+        (
+            "QUERY",
+            Verb::Query,
+            "k5",
+            triangle,
+            Ok(()),
+            ran(0, 0, 0, 85),
+        ),
+        (
+            "stream",
+            Verb::Stream(None),
+            "k5",
+            triangle,
+            Ok(()),
+            ran(1, 60, 0, 85),
+        ),
+        // Two 4-row frames land, the third write fails and cancels the run.
+        (
+            "stream cut mid-way",
+            Verb::Stream(Some(2)),
+            "k5",
+            triangle,
+            Ok(()),
+            ran(1, 8, 1, AS_REPORTED),
+        ),
+        (
+            "stream without header",
+            Verb::StreamGone,
+            "k5",
+            triangle,
+            Err(()),
+            error,
+        ),
+        (
+            "EXPLAIN",
+            Verb::Explain,
+            "k5",
+            triangle,
+            Ok(()),
+            Books::default(),
+        ),
+        (
+            "EXPLAIN ANALYZE",
+            Verb::Analyze,
+            "k5",
+            triangle,
+            Ok(()),
+            ran(0, 0, 0, 85),
+        ),
+    ];
+    for verb in [
+        Verb::Query,
+        Verb::Stream(None),
+        Verb::Explain,
+        Verb::Analyze,
+    ] {
+        cases.push(("unknown target", verb, "ghost", triangle, Err(()), error));
+        cases.push(("unparsable pattern", verb, "k5", garbage, Err(()), error));
+    }
+
+    for (case, verb, target, pattern, succeeds, mut expected) in cases {
+        let before = Books::read(&service);
+        let result = call(&service, verb, target, pattern);
+        let moved = Books::read(&service).since(before);
+        assert_eq!(
+            result.is_ok(),
+            succeeds.is_ok(),
+            "{case} {verb:?}: {result:?}"
+        );
+        if expected.engine_states == AS_REPORTED {
+            expected.engine_states = result.clone().unwrap();
+        }
+        assert_eq!(moved, expected, "{case} {verb:?}");
+    }
+}
+
+/// A sink that panics on its first frame, as a query that hits a bug
+/// mid-run does.
+struct PanickingSink;
+
+impl sge_service::StreamSink for PanickingSink {
+    fn begin(&mut self, _: &sge_service::StreamHeader) -> std::io::Result<()> {
+        Ok(())
+    }
+
+    fn rows(&mut self, _: &[Vec<sge_graph::NodeId>]) -> std::io::Result<()> {
+        panic!("sink exploded")
+    }
+}
+
+/// A panicking query answers a structured internal error, is counted once
+/// in `errors` and in `service.panics`, is logged, and gives its admission
+/// permit back: with one permit, the next query would otherwise block.
+#[test]
+fn a_panicking_query_is_contained_and_the_service_keeps_serving() {
+    let service = Service::new(ServiceConfig {
+        max_in_flight: 1,
+        ..ServiceConfig::default()
+    });
+    let log = std::sync::Arc::new(sge_obs::EventLog::new(16));
+    service.set_event_log(std::sync::Arc::clone(&log));
+    service.registry().insert("k5", generators::clique(5, 0));
+    let pattern = write_graph(&generators::directed_cycle(3, 0));
+    assert_eq!(counter(&service, "service.panics"), 0);
+
+    let err = service
+        .run_query_streaming("k5", &QuerySpec::new(&pattern), &mut PanickingSink)
+        .expect_err("the panic comes back as an error");
+    assert_eq!(
+        sge_service::protocol::error_response(&err).render(),
+        "{\"ok\":false,\"error\":\"internal error: sink exploded\"}"
+    );
+    assert_eq!(counter(&service, "service.errors"), 1);
+    assert_eq!(counter(&service, "service.panics"), 1);
+    let events = log.recent();
+    let event = events
+        .iter()
+        .find(|line| line.contains("\"event\":\"query_panic\""))
+        .expect("query_panic event recorded");
+    assert!(event.contains("\"target\":\"k5\""), "{event}");
+    assert!(event.contains("sink exploded"), "{event}");
+
+    let next = service.run_query("k5", &QuerySpec::new(&pattern)).unwrap();
+    assert_eq!(next.outcome.matches, 60);
+    assert_eq!(counter(&service, "service.errors"), 1);
+    assert_eq!(counter(&service, "service.panics"), 1);
 }

@@ -52,6 +52,7 @@ pub fn corpus() -> Vec<Scenario> {
         disconnect_while_writable(),
         routing_keys(),
         dense_target_bitmap_kernels(),
+        failing_query_verbs(),
     ]
 }
 
@@ -357,6 +358,26 @@ pub fn dense_target_bitmap_kernels() -> Scenario {
             "METRICS".to_string(),
             "STATS".to_string(),
         ]))
+}
+
+/// Every query verb fails once on an unknown target and once on a
+/// malformed pattern, then STATS: each failure is one structured error
+/// line and one `errors` count, and none of them serves a query, streams a
+/// row or takes an admission permit.
+pub fn failing_query_verbs() -> Scenario {
+    let mut requests = Vec::new();
+    for (target, pattern) in [("ghost", tri()), ("k5", "not;a;graph".to_string())] {
+        for verb in ["QUERY", "EXPLAIN", "EXPLAIN ANALYZE"] {
+            requests.push(format!("{verb} target={target} pattern={pattern}"));
+        }
+        requests.push(format!(
+            "QUERY target={target} emit=stream pattern={pattern}"
+        ));
+    }
+    requests.push("STATS".to_string());
+    Scenario::new("failing_query_verbs", 0x5EED_0013)
+        .with_target("k5", TargetKind::Clique(5))
+        .with_client(ClientScript::new(requests))
 }
 
 #[cfg(test)]

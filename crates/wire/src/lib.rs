@@ -46,6 +46,8 @@ pub enum ServiceError {
     Protocol(String),
     /// Underlying I/O failure.
     Io(std::io::Error),
+    /// The query panicked; the service contained it and kept serving.
+    Internal(String),
 }
 
 impl fmt::Display for ServiceError {
@@ -55,6 +57,7 @@ impl fmt::Display for ServiceError {
             ServiceError::Parse(err) => write!(f, "graph parse error: {err}"),
             ServiceError::Protocol(msg) => write!(f, "protocol error: {msg}"),
             ServiceError::Io(err) => write!(f, "i/o error: {err}"),
+            ServiceError::Internal(msg) => write!(f, "internal error: {msg}"),
         }
     }
 }
@@ -247,18 +250,13 @@ pub struct ExplainOutcome {
 }
 
 /// The result of an `EXPLAIN ANALYZE`: the prepared engine (for the plan
-/// and its estimates), the executed outcome, and what the attached trace
-/// sink observed — per match-order position — while it ran.
+/// and its estimates), the served query, and what the attached trace sink
+/// observed — per match-order position — while it ran.
 #[derive(Clone)]
 pub struct ExplainAnalyzeOutcome {
-    /// Name of the target the query ran against.
-    pub target: String,
-    /// Stable-within-process hash of the canonical pattern.
-    pub pattern_hash: u64,
-    /// Whether the plan came out of the prepared cache.
-    pub cache_hit: bool,
-    /// End-to-end service latency in seconds (covers all spans).
-    pub latency_seconds: f64,
+    /// The served query (mappings empty — collection is disabled); its
+    /// `latency_seconds` covers all spans.
+    pub query: QueryOutcome,
     /// Candidates generated at each match-order position (the observed
     /// counterpart of the plan's `est_candidates`).
     pub observed_candidates: Vec<u64>,
@@ -270,12 +268,8 @@ pub struct ExplainAnalyzeOutcome {
     pub spans: Vec<SpanRecord>,
     /// The routing decision current when the query dispatched.
     pub routing: RoutingDecision,
-    /// Whether the run was planner-routed (`true`) or scheduler-pinned.
-    pub routed: bool,
     /// The prepared engine whose plan carries the estimates.
     pub engine: Arc<PreparedEngine>,
-    /// The executed enumeration (mappings empty — collection is disabled).
-    pub outcome: EnumerationOutcome,
 }
 
 /// Receiver of a streamed query's frames, driven by the executing service

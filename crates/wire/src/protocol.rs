@@ -87,9 +87,10 @@ use crate::{
     EmitMode, ExplainAnalyzeOutcome, ExplainOutcome, GraphInfo, QueryOutcome, QuerySpec,
     ServiceError, StreamHeader, StreamedQueryOutcome,
 };
-use sge_engine::RunConfig;
+use sge_engine::{PreparedEngine, RunConfig};
 use sge_graph::NodeId;
 use sge_obs::{MetricValue, MetricsSnapshot};
+use sge_plan::PositionCost;
 use std::sync::OnceLock;
 use std::time::Duration;
 
@@ -444,10 +445,7 @@ pub fn query_body(query: &QueryOutcome) -> Vec<(&'static str, Json)> {
         ("matches", Json::U64(outcome.matches)),
         ("states", Json::U64(outcome.states)),
         ("cache_hit", Json::Bool(query.cache_hit)),
-        (
-            "pattern_hash",
-            Json::str(format!("{:016x}", query.pattern_hash)),
-        ),
+        ("pattern_hash", hash_json(query.pattern_hash)),
         ("preprocess_seconds", Json::F64(outcome.preprocess_seconds)),
         ("match_seconds", Json::F64(outcome.match_seconds)),
         ("latency_seconds", Json::F64(query.latency_seconds)),
@@ -455,20 +453,22 @@ pub fn query_body(query: &QueryOutcome) -> Vec<(&'static str, Json)> {
         ("limit_hit", Json::Bool(outcome.limit_hit)),
     ];
     if !outcome.mappings.is_empty() {
-        pairs.push((
-            "mappings",
-            Json::Arr(
-                outcome
-                    .mappings
-                    .iter()
-                    .map(|mapping| {
-                        Json::Arr(mapping.iter().map(|&node| Json::U64(node as u64)).collect())
-                    })
-                    .collect(),
-            ),
-        ));
+        pairs.push(("mappings", rows_json(&outcome.mappings)));
     }
     pairs
+}
+
+/// Mappings as nested arrays: `rows[i][p]` is the target node pattern node
+/// `p` maps to.
+fn rows_json(rows: &[Vec<NodeId>]) -> Json {
+    let row =
+        |mapping: &Vec<NodeId>| Json::Arr(mapping.iter().map(|&v| Json::U64(v as u64)).collect());
+    Json::Arr(rows.iter().map(row).collect())
+}
+
+/// A pattern hash as the 16-digit hex string every response carries.
+fn hash_json(hash: u64) -> Json {
+    Json::str(format!("{hash:016x}"))
 }
 
 /// Response to a successful `QUERY`.
@@ -491,26 +491,14 @@ pub fn stream_header_response(header: &StreamHeader) -> Json {
         ("scheduler", Json::str(header.scheduler.to_string())),
         ("routed", Json::Bool(header.routed)),
         ("cache_hit", Json::Bool(header.cache_hit)),
-        (
-            "pattern_hash",
-            Json::str(format!("{:016x}", header.pattern_hash)),
-        ),
+        ("pattern_hash", hash_json(header.pattern_hash)),
     ])
 }
 
 /// One row frame of a streamed `QUERY`: up to `chunk` mappings
 /// (`rows[i][p]` = target node pattern node `p` maps to).
 pub fn stream_rows_frame(rows: &[Vec<NodeId>]) -> Json {
-    Json::obj(vec![(
-        "rows",
-        Json::Arr(
-            rows.iter()
-                .map(|mapping| {
-                    Json::Arr(mapping.iter().map(|&node| Json::U64(node as u64)).collect())
-                })
-                .collect(),
-        ),
-    )])
+    Json::obj(vec![("rows", rows_json(rows))])
 }
 
 /// Footer line of a streamed `QUERY`: the usual outcome fields plus how many
@@ -546,31 +534,45 @@ fn routing_object(
     ])
 }
 
+/// The `order`, `est_candidates`, `est_states` and `kernels` arrays both
+/// `EXPLAIN` verbs report: the pattern node and the planner's estimates per
+/// match-order position, and the kernel each position resolved to.
+fn plan_arrays(engine: &PreparedEngine) -> [Json; 4] {
+    let plan = engine.plan();
+    let estimates = |pick: fn(&PositionCost) -> f64| {
+        Json::Arr(
+            plan.cost
+                .positions
+                .iter()
+                .map(|p| Json::F64(pick(p)))
+                .collect(),
+        )
+    };
+    [
+        Json::Arr(
+            plan.order
+                .positions
+                .iter()
+                .map(|&v| Json::U64(v as u64))
+                .collect(),
+        ),
+        estimates(|p| p.est_candidates),
+        estimates(|p| p.est_states),
+        Json::Arr(
+            engine
+                .resolved_kernels()
+                .into_iter()
+                .map(Json::str)
+                .collect(),
+        ),
+    ]
+}
+
 /// Response to a successful `EXPLAIN`: the chosen strategy, the match order
 /// (pattern node per position) and the per-position cost estimates.
 pub fn explain_response(explain: &ExplainOutcome) -> Json {
     let plan = explain.engine.plan();
-    let order = Json::Arr(
-        plan.order
-            .positions
-            .iter()
-            .map(|&v| Json::U64(v as u64))
-            .collect(),
-    );
-    let est_candidates = Json::Arr(
-        plan.cost
-            .positions
-            .iter()
-            .map(|p| Json::F64(p.est_candidates))
-            .collect(),
-    );
-    let est_states = Json::Arr(
-        plan.cost
-            .positions
-            .iter()
-            .map(|p| Json::F64(p.est_states))
-            .collect(),
-    );
+    let [order, est_candidates, est_states, kernels] = plan_arrays(&explain.engine);
     Json::obj(vec![
         ("ok", Json::Bool(true)),
         ("target", Json::str(explain.target.clone())),
@@ -589,23 +591,10 @@ pub fn explain_response(explain: &ExplainOutcome) -> Json {
                 explain.routed,
             ),
         ),
-        (
-            "kernels",
-            Json::Arr(
-                explain
-                    .engine
-                    .resolved_kernels()
-                    .into_iter()
-                    .map(Json::str)
-                    .collect(),
-            ),
-        ),
+        ("kernels", kernels),
         ("impossible", Json::Bool(explain.engine.impossible())),
         ("cache_hit", Json::Bool(explain.cache_hit)),
-        (
-            "pattern_hash",
-            Json::str(format!("{:016x}", explain.pattern_hash)),
-        ),
+        ("pattern_hash", hash_json(explain.pattern_hash)),
         ("latency_seconds", Json::F64(explain.latency_seconds)),
     ])
 }
@@ -616,28 +605,9 @@ pub fn explain_response(explain: &ExplainOutcome) -> Json {
 /// measured on the service clock).
 pub fn explain_analyze_response(analyze: &ExplainAnalyzeOutcome) -> Json {
     let plan = analyze.engine.plan();
-    let outcome = &analyze.outcome;
-    let order = Json::Arr(
-        plan.order
-            .positions
-            .iter()
-            .map(|&v| Json::U64(v as u64))
-            .collect(),
-    );
-    let est_candidates = Json::Arr(
-        plan.cost
-            .positions
-            .iter()
-            .map(|p| Json::F64(p.est_candidates))
-            .collect(),
-    );
-    let est_states = Json::Arr(
-        plan.cost
-            .positions
-            .iter()
-            .map(|p| Json::F64(p.est_states))
-            .collect(),
-    );
+    let query = &analyze.query;
+    let outcome = &query.outcome;
+    let [order, est_candidates, est_states, kernels] = plan_arrays(&analyze.engine);
     let observed = |counts: &[u64]| Json::Arr(counts.iter().map(|&c| Json::U64(c)).collect());
     let spans = Json::Arr(
         analyze
@@ -655,7 +625,7 @@ pub fn explain_analyze_response(analyze: &ExplainAnalyzeOutcome) -> Json {
     Json::obj(vec![
         ("ok", Json::Bool(true)),
         ("analyze", Json::Bool(true)),
-        ("target", Json::str(analyze.target.clone())),
+        ("target", Json::str(query.target.clone())),
         ("algorithm", Json::str(plan.algorithm.name())),
         ("strategy", Json::str(plan.strategy.name())),
         ("scheduler", Json::str(outcome.scheduler.to_string())),
@@ -675,20 +645,10 @@ pub fn explain_analyze_response(analyze: &ExplainAnalyzeOutcome) -> Json {
             routing_object(
                 &analyze.routing,
                 &outcome.scheduler.to_string(),
-                analyze.routed,
+                query.routed,
             ),
         ),
-        (
-            "kernels",
-            Json::Arr(
-                analyze
-                    .engine
-                    .resolved_kernels()
-                    .into_iter()
-                    .map(Json::str)
-                    .collect(),
-            ),
-        ),
+        ("kernels", kernels),
         (
             "kernel_usage",
             Json::obj(vec![
@@ -706,15 +666,12 @@ pub fn explain_analyze_response(analyze: &ExplainAnalyzeOutcome) -> Json {
         ("matches", Json::U64(outcome.matches)),
         ("states", Json::U64(outcome.states)),
         ("steals", Json::U64(outcome.steals)),
-        ("cache_hit", Json::Bool(analyze.cache_hit)),
-        (
-            "pattern_hash",
-            Json::str(format!("{:016x}", analyze.pattern_hash)),
-        ),
+        ("cache_hit", Json::Bool(query.cache_hit)),
+        ("pattern_hash", hash_json(query.pattern_hash)),
         ("spans", spans),
         ("preprocess_seconds", Json::F64(outcome.preprocess_seconds)),
         ("match_seconds", Json::F64(outcome.match_seconds)),
-        ("latency_seconds", Json::F64(analyze.latency_seconds)),
+        ("latency_seconds", Json::F64(query.latency_seconds)),
         ("timed_out", Json::Bool(outcome.timed_out)),
         ("limit_hit", Json::Bool(outcome.limit_hit)),
     ])

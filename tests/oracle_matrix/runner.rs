@@ -424,7 +424,7 @@ impl<'a> Subject<'a> {
                 let analyzed = service.explain_analyze(&target, &spec(config));
                 let analyzed = analyzed.map_err(failed)?;
                 let positions = (analyzed.observed_candidates, analyzed.observed_states);
-                let mut seen = Observed::new(analyzed.outcome, pinned);
+                let mut seen = Observed::new(analyzed.query.outcome, pinned);
                 seen.positions = Some(positions);
                 seen
             }
