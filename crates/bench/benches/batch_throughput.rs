@@ -48,7 +48,6 @@ fn schedulers() -> Vec<(&'static str, Scheduler)> {
     vec![
         ("sequential", Scheduler::Sequential),
         ("work-stealing-4", Scheduler::work_stealing(4)),
-        ("rayon-4", Scheduler::Rayon { workers: 4 }),
     ]
 }
 

@@ -1,6 +1,5 @@
-//! Criterion bench for Figs. 5/6: sequential vs parallel vs rayon-style RI
-//! on the largest (longest-running) PDBSv1-like instance, through the
-//! unified engine.
+//! Criterion bench for Figs. 5/6: sequential vs parallel RI on the largest
+//! (longest-running) PDBSv1-like instance, through the unified engine.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sge::{Engine, RunConfig, Scheduler};
@@ -25,7 +24,6 @@ fn bench_fig6(c: &mut Criterion) {
     for (name, scheduler) in [
         ("sequential_ri", Scheduler::Sequential),
         ("parallel_ri_4_workers", Scheduler::work_stealing(4)),
-        ("rayon_style_ri_4_workers", Scheduler::Rayon { workers: 4 }),
     ] {
         group.bench_function(name, |b| {
             b.iter(|| std::hint::black_box(engine.run(&RunConfig::new(scheduler)).matches))

@@ -267,7 +267,11 @@ mod tests {
         let schedulers = [
             Scheduler::Sequential,
             Scheduler::work_stealing(2),
-            Scheduler::Rayon { workers: 2 },
+            Scheduler::WorkStealing {
+                workers: 2,
+                task_group_size: 1,
+                stealing: false,
+            },
         ];
         let matrix = run_instances_matrix(&collection, Algorithm::Ri, &schedulers, &config);
         assert_eq!(matrix.len(), schedulers.len());

@@ -19,10 +19,11 @@
 //!
 //! # The scheduler-equivalence contract
 //!
-//! Every scheduler explores **the same search tree** — the candidate
-//! generation and consistency checks of [`SearchContext`] — so for any
-//! prepared engine and any two run configurations that differ only in their
-//! scheduler (and are not truncated by `max_matches`/`time_limit`):
+//! Every scheduler runs the same depth-first loop (`sge_stealing::run`) over
+//! **the same search tree** — the candidate generation and consistency
+//! checks of [`SearchContext`] — so for any prepared engine and any two run
+//! configurations that differ only in their scheduler (and are not
+//! truncated by `max_matches`/`time_limit`):
 //!
 //! * `matches` is identical,
 //! * `states` is identical (the total number of consistency checks is
@@ -31,7 +32,9 @@
 //!   returned sorted lexicographically).
 //!
 //! Only scheduling artifacts (steal counts, per-worker breakdowns, wall-clock
-//! times) may differ.
+//! times) may differ.  One-worker runs (`Sequential`, `ws:1`, a one-worker
+//! static partition) are the same loop on the calling thread and agree on
+//! every counter.
 //!
 //! That contract is what makes *planner-routed* scheduling safe: the serving
 //! layer may pick any [`Scheduler`] per query from the plan's cost estimate
@@ -44,8 +47,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+#[cfg(test)]
+mod matcher;
 mod problem;
-mod rayon_pool;
 mod runner;
 
 use sge_graph::{AdjacencyBitmaps, Graph, GraphStats, NodeId};
@@ -60,25 +64,24 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// Which execution strategy drives the search.
+///
+/// Every scheduler runs the same depth-first loop (`sge_stealing::run`);
+/// they differ in how many workers run it and whether they steal.  A
+/// one-worker run — `Sequential`, `ws:1` or a one-worker static partition
+/// — executes on the calling thread and spawns no thread.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Scheduler {
-    /// The sequential depth-first matcher.
+    /// One worker, no stealing: the sequential depth-first search.
     Sequential,
     /// The paper's private-deque work-stealing runtime.
     WorkStealing {
-        /// Number of worker threads.
+        /// Number of workers; several run on threads of their own.
         workers: usize,
         /// Task-group (coalescing) size; the paper settles on 4.
         task_group_size: usize,
         /// `false` freezes the initial round-robin partition (the Fig. 3
         /// "no work stealing" baseline).
         stealing: bool,
-    },
-    /// First-level dynamic parallelism (the library-scheduler comparator —
-    /// what a rayon-style `par_iter` over root candidates achieves).
-    Rayon {
-        /// Number of worker threads.
-        workers: usize,
     },
 }
 
@@ -93,13 +96,11 @@ impl Scheduler {
         }
     }
 
-    /// Number of worker threads this scheduler uses (1 for sequential).
+    /// Number of workers this scheduler uses (1 for sequential).
     pub fn workers(&self) -> usize {
         match *self {
             Scheduler::Sequential => 1,
-            Scheduler::WorkStealing { workers, .. } | Scheduler::Rayon { workers } => {
-                workers.max(1)
-            }
+            Scheduler::WorkStealing { workers, .. } => workers.max(1),
         }
     }
 
@@ -120,7 +121,6 @@ impl Scheduler {
             Scheduler::WorkStealing {
                 stealing: false, ..
             } => "static-partition",
-            Scheduler::Rayon { .. } => "rayon-style",
         }
     }
 }
@@ -137,7 +137,6 @@ impl std::fmt::Display for Scheduler {
                 f,
                 "work-stealing(workers={workers}, group={task_group_size}, steal={stealing})"
             ),
-            Scheduler::Rayon { workers } => write!(f, "rayon-style(workers={workers})"),
         }
     }
 }
@@ -152,7 +151,6 @@ impl std::str::FromStr for Scheduler {
     /// * `ws:<workers>` — work stealing with the paper's defaults
     /// * `ws:<workers>:<group>` — explicit task-group size
     /// * `ws:<workers>:<group>:nosteal` — the static-partition baseline
-    /// * `rayon:<workers>` — the rayon-style first-level pool
     fn from_str(text: &str) -> Result<Self, Self::Err> {
         let lower = text.to_ascii_lowercase();
         if lower == "seq" || lower == "sequential" {
@@ -190,14 +188,8 @@ impl std::str::FromStr for Scheduler {
                     stealing,
                 })
             }
-            "rayon" => {
-                if parts.next().is_some() {
-                    return Err(format!("trailing tokens in scheduler '{text}'"));
-                }
-                Ok(Scheduler::Rayon { workers })
-            }
             other => Err(format!(
-                "unknown scheduler '{other}' (expected seq, ws:<n> or rayon:<n>)"
+                "unknown scheduler '{other}' (expected seq or ws:<n>)"
             )),
         }
     }
@@ -291,7 +283,7 @@ pub struct EnumerationOutcome {
     pub strategy: Strategy,
     /// Scheduler that ran it.
     pub scheduler: Scheduler,
-    /// Worker threads used (1 for sequential).
+    /// Workers used (1 for sequential).
     pub workers: usize,
     /// Number of embeddings found (exactly `min(max_matches, total)` when a
     /// match limit is set).
@@ -320,7 +312,8 @@ pub struct EnumerationOutcome {
     /// Population standard deviation of per-worker states — the Fig. 3 load
     /// imbalance metric (0 for sequential).
     pub worker_states_stddev: f64,
-    /// Per-worker counters (one entry for sequential).
+    /// Per-worker counters (one entry for sequential), tasks and task
+    /// groups included.
     pub worker_stats: Vec<WorkerStats>,
     /// Collected mappings (`mapping[p]` = target node of pattern node `p`),
     /// **sorted lexicographically** under every scheduler: a complete
@@ -397,6 +390,16 @@ impl<'g> Engine<'g> {
         }
     }
 
+    /// An engine over a context the caller planned and prepared itself
+    /// (e.g. a plan with hand-picked kernels); it reports no preprocessing
+    /// time.
+    pub fn from_context(ctx: SearchContext<'g>) -> Self {
+        Engine {
+            ctx,
+            preprocess_seconds: 0.0,
+        }
+    }
+
     /// The algorithm this engine was prepared for.
     pub fn algorithm(&self) -> Algorithm {
         self.ctx.algorithm()
@@ -457,9 +460,10 @@ impl<'g> Engine<'g> {
         self.execute(config, None, None)
     }
 
-    /// Executes one run, streaming every match to `visitor` (called from
-    /// worker threads under the parallel schedulers; from the calling thread,
-    /// as worker 0, under the sequential one).
+    /// Executes one run, streaming every match to `visitor`: from the
+    /// calling thread, as worker 0, in a one-worker run (`Sequential`,
+    /// `ws:1` or a one-worker static partition); from worker threads when
+    /// several workers run.
     pub fn run_with(&self, config: &RunConfig, visitor: &dyn MatchVisitor) -> EnumerationOutcome {
         self.execute(config, Some(visitor), None)
     }
@@ -746,9 +750,36 @@ mod tests {
                 task_group_size: 3,
                 stealing: false,
             },
-            Scheduler::Rayon { workers: 1 },
-            Scheduler::Rayon { workers: 3 },
+            nosteal(1),
+            nosteal(3),
         ]
+    }
+
+    /// `ws:<workers>:1:nosteal`: the frozen round-robin partition of the
+    /// roots, one task per group.
+    fn nosteal(workers: usize) -> Scheduler {
+        Scheduler::WorkStealing {
+            workers,
+            task_group_size: 1,
+            stealing: false,
+        }
+    }
+
+    fn tasks(outcome: &EnumerationOutcome) -> u64 {
+        outcome.worker_stats.iter().map(|w| w.tasks_executed).sum()
+    }
+
+    fn task_groups(outcome: &EnumerationOutcome) -> u64 {
+        outcome.worker_stats.iter().map(|w| w.task_groups).sum()
+    }
+
+    /// A visitor calling `F` for every match.
+    struct Calls<F>(F);
+
+    impl<F: Fn(usize, &[NodeId]) + Sync> MatchVisitor for Calls<F> {
+        fn on_match(&self, worker_id: usize, mapping: &[NodeId]) {
+            (self.0)(worker_id, mapping)
+        }
     }
 
     /// The kernel figures of a complete run against the sequential
@@ -804,8 +835,8 @@ mod tests {
             Scheduler::work_stealing(1),
             Scheduler::work_stealing(2),
             Scheduler::work_stealing(4),
-            Scheduler::Rayon { workers: 1 },
-            Scheduler::Rayon { workers: 2 },
+            nosteal(1),
+            nosteal(2),
         ];
         for scheduler in schedulers {
             let outcome = engine.run(&RunConfig::new(scheduler));
@@ -839,15 +870,6 @@ mod tests {
         let engine = Engine::prepare(&pattern, &target, Algorithm::RiDsSiFc);
         let sequential = engine.run(&RunConfig::default());
         assert_eq!(sequential.matches, 3360);
-        let tasks = |o: &EnumerationOutcome| -> u64 {
-            o.worker_stats.iter().map(|w| w.tasks_executed).sum()
-        };
-        struct Counting<F>(F);
-        impl<F: Fn(usize, &[NodeId]) + Sync> MatchVisitor for Counting<F> {
-            fn on_match(&self, worker_id: usize, mapping: &[NodeId]) {
-                (self.0)(worker_id, mapping)
-            }
-        }
         for workers in [1, 2] {
             let config = RunConfig::new(Scheduler::work_stealing(workers));
             let counted = engine.run(&config);
@@ -855,23 +877,86 @@ mod tests {
             let visitor = |_: usize, _: &[NodeId]| {
                 visited.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             };
-            let observed = engine.run_with(&config, &Counting(visitor));
+            let observed = engine.run_with(&config, &Calls(visitor));
             for outcome in [&counted, &observed] {
                 assert_eq!(outcome.matches, sequential.matches);
                 assert_eq!(outcome.states, sequential.states);
                 assert_kernels_match(outcome, &sequential);
-                assert!(
-                    outcome
-                        .worker_stats
-                        .iter()
-                        .map(|w| w.task_groups)
-                        .sum::<u64>()
-                        > 0
-                );
+                assert!(task_groups(outcome) > 0);
             }
             assert!(tasks(&counted) < counted.matches, "{}", tasks(&counted));
             assert!(tasks(&observed) >= observed.matches, "{}", tasks(&observed));
             assert_eq!(visited.into_inner(), observed.matches);
+        }
+    }
+
+    #[test]
+    fn a_full_collector_counts_the_remaining_leaves() {
+        // Once the collector holds its one mapping and no visitor listens,
+        // the rest of the 3,360 directed triangles in K16 are counted, not
+        // enumerated: with the count-only run's figures.
+        let pattern = generators::directed_cycle(3, 0);
+        let target = generators::clique(16, 0);
+        let engine = Engine::prepare(&pattern, &target, Algorithm::RiDsSiFc);
+        let counted = engine.run(&RunConfig::default());
+        assert_eq!(counted.matches, 3360);
+        for scheduler in [
+            Scheduler::Sequential,
+            Scheduler::work_stealing(1),
+            Scheduler::work_stealing(2),
+        ] {
+            let outcome = engine.run(&RunConfig::new(scheduler).with_collected_mappings(1));
+            assert_eq!(outcome.mappings.len(), 1, "{scheduler}");
+            let mapping = &outcome.mappings[0];
+            for (u, v, l) in pattern.edges() {
+                let edge = target.edge_label(mapping[u as usize], mapping[v as usize]);
+                assert_eq!(edge, Some(l), "{scheduler}");
+            }
+            let figures = (outcome.matches, outcome.states, outcome.kernels.lists);
+            let want = (counted.matches, counted.states, counted.kernels.lists);
+            assert_eq!(figures, want, "{scheduler}");
+            assert!(tasks(&outcome) < outcome.matches, "{scheduler}");
+        }
+    }
+
+    #[test]
+    fn one_worker_runs_stay_on_the_calling_thread() {
+        let pattern = generators::directed_cycle(3, 0);
+        let target = generators::clique(6, 0);
+        let engine = Engine::prepare(&pattern, &target, Algorithm::RiDsSiFc);
+        let caller = std::thread::current().id();
+        for scheduler in [
+            Scheduler::Sequential,
+            Scheduler::work_stealing(1),
+            "ws:1:3:nosteal".parse().unwrap(),
+        ] {
+            let threads = std::sync::Mutex::new(Vec::new());
+            let visitor = |_: usize, _: &[NodeId]| {
+                threads.lock().unwrap().push(std::thread::current().id());
+            };
+            let outcome = engine.run_with(&RunConfig::new(scheduler), &Calls(visitor));
+            let threads = threads.into_inner().unwrap();
+            assert_eq!(threads.len() as u64, outcome.matches, "{scheduler}");
+            assert_eq!(outcome.matches, 120, "{scheduler}");
+            assert!(threads.iter().all(|&id| id == caller), "{scheduler}");
+        }
+    }
+
+    #[test]
+    fn sequential_and_one_worker_stealing_agree_on_every_counter() {
+        let instances = [
+            (generators::star(3, 0, 0), generators::clique(7, 0)),
+            (generators::undirected_cycle(4, 0), generators::grid(4, 4)),
+        ];
+        for (pattern, target) in &instances {
+            let engine = Engine::prepare(pattern, target, Algorithm::RiDsSiFc);
+            let figures = |scheduler| {
+                let o = engine.run(&RunConfig::new(scheduler));
+                (o.matches, o.states, o.kernels, tasks(&o), task_groups(&o))
+            };
+            let sequential = figures(Scheduler::Sequential);
+            assert!(sequential.0 > 0 && sequential.3 > 0 && sequential.4 > 0);
+            assert_eq!(figures(Scheduler::work_stealing(1)), sequential);
         }
     }
 
@@ -923,8 +1008,7 @@ mod tests {
             .name(),
             "static-partition"
         );
-        assert_eq!(Scheduler::Rayon { workers: 2 }.name(), "rayon-style");
-        assert_eq!(Scheduler::Rayon { workers: 0 }.workers(), 1);
+        assert_eq!(Scheduler::work_stealing(0).workers(), 1);
     }
 
     #[test]
@@ -946,9 +1030,10 @@ mod tests {
                 stealing: false
             }
         );
-        assert_eq!(
-            "rayon:3".parse::<Scheduler>().unwrap(),
-            Scheduler::Rayon { workers: 3 }
+        let refused = "rayon:3".parse::<Scheduler>().unwrap_err();
+        assert!(
+            refused.contains("seq") && refused.contains("ws:<n>"),
+            "{refused}"
         );
         assert!("ws".parse::<Scheduler>().is_err());
         assert!("ws:x".parse::<Scheduler>().is_err());

@@ -9,25 +9,19 @@ use sge_stealing::{BacktrackProblem, LevelCount};
 ///
 /// Levels are positions of the static node ordering; choices are candidate
 /// target nodes.  The per-worker state is `sge_ri::WorkerState` (partial
-/// mapping + injectivity flags), which the engine reconstructs on a thief from
-/// the transferred prefix of choices — exactly the paper's "copy the partial
-/// mapping only for stolen tasks".
+/// mapping + injectivity flags + candidate memo): a level's candidate list
+/// is its memo entry, which the engine's frame reads in place.  The engine
+/// reconstructs the state on a thief from the transferred prefix of choices
+/// — exactly the paper's "copy the partial mapping only for stolen tasks".
 pub(crate) struct SubgraphProblem<'a> {
     ctx: &'a SearchContext<'a>,
     observers: &'a Observers<'a>,
-    /// Nothing observed individual matches when the run started, so the
-    /// last level may be counted by the leaf-count rule.
-    count_only: bool,
 }
 
 impl<'a> SubgraphProblem<'a> {
     /// Wraps a prepared search context; every match goes to `observers`.
     pub(crate) fn new(ctx: &'a SearchContext<'a>, observers: &'a Observers<'a>) -> Self {
-        SubgraphProblem {
-            ctx,
-            observers,
-            count_only: observers.count_only(),
-        }
+        SubgraphProblem { ctx, observers }
     }
 }
 
@@ -43,9 +37,12 @@ impl BacktrackProblem for SubgraphProblem<'_> {
         self.ctx.new_state()
     }
 
-    fn candidates(&self, level: usize, state: &mut WorkerState, out: &mut Vec<NodeId>) {
-        out.clear();
-        out.extend_from_slice(self.ctx.candidates(level, state));
+    fn candidates(&self, level: usize, state: &mut WorkerState) -> usize {
+        self.ctx.candidates(level, state).len()
+    }
+
+    fn candidate(&self, level: usize, index: usize, state: &WorkerState) -> NodeId {
+        state.last_candidates(level)[index]
     }
 
     fn is_consistent(&self, level: usize, choice: NodeId, state: &WorkerState) -> bool {
@@ -64,8 +61,11 @@ impl BacktrackProblem for SubgraphProblem<'_> {
         self.observers.on_match(self.ctx, worker_id, state);
     }
 
+    /// Counts the leaves once nothing observes individual matches: asked at
+    /// each expansion into the last position, so a collecting run counts
+    /// from the moment its collector is full.
     fn count_last_level(&self, state: &mut WorkerState) -> Option<LevelCount> {
-        if !self.count_only {
+        if !self.observers.count_only() {
             return None;
         }
         let count = self.ctx.count_leaves(state)?;
@@ -83,19 +83,20 @@ impl BacktrackProblem for SubgraphProblem<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Engine, RunConfig};
     use sge_graph::generators;
-    use sge_ri::{search_prepared, Algorithm, SearchLimits};
+    use sge_ri::Algorithm;
     use sge_stealing::{run, EngineConfig};
 
     #[test]
     fn problem_counts_match_sequential() {
         let pattern = generators::directed_cycle(3, 0);
         let target = generators::clique(5, 0);
-        let ctx = SearchContext::prepare(&pattern, &target, Algorithm::Ri);
-        let sequential = search_prepared(&ctx, &SearchLimits::default(), |_, _| {});
+        let engine = Engine::prepare(&pattern, &target, Algorithm::Ri);
+        let sequential = engine.run(&RunConfig::default());
         let observers = Observers::new(None, 0);
         let result = run(
-            &SubgraphProblem::new(&ctx, &observers),
+            &SubgraphProblem::new(engine.context(), &observers),
             &EngineConfig::with_workers(2),
         );
         assert_eq!(result.solutions, sequential.matches);

@@ -1,16 +1,14 @@
-//! How one run of a prepared [`Engine`] executes: the scheduler dispatch,
-//! the match observers every scheduler shares, and the assembly of the one
-//! [`EnumerationOutcome`] shape.
+//! How one run of a prepared [`Engine`] executes: the hand-off of every
+//! scheduler to `sge_stealing::run`, the match observers every run shares,
+//! and the assembly of the one [`EnumerationOutcome`] shape.
 //!
-//! Every scheduler reports an `sge_stealing::RunResult`, so per-worker
-//! counters travel one hop from the scheduler into the outcome.
+//! Every run reports an `sge_stealing::RunResult`, so per-worker counters
+//! travel one hop from the worker loop into the outcome.
 
 use crate::problem::SubgraphProblem;
-use crate::{rayon_pool, Engine, EnumerationOutcome, RunConfig, Scheduler};
+use crate::{Engine, EnumerationOutcome, RunConfig, Scheduler};
 use sge_graph::NodeId;
-use sge_ri::{
-    search_prepared, CollectingVisitor, MatchVisitor, SearchContext, SearchLimits, WorkerState,
-};
+use sge_ri::{CollectingVisitor, MatchVisitor, SearchContext, WorkerState};
 use sge_stealing::{EngineConfig, RunResult, WorkerStats};
 use sge_util::CancelToken;
 use std::sync::Arc;
@@ -32,7 +30,7 @@ impl<'a> Observers<'a> {
     }
 
     /// `true` when nothing observes individual matches (a zero-limit
-    /// collector starts out full).
+    /// collector starts out full, any other fills up as the run goes).
     pub(crate) fn count_only(&self) -> bool {
         self.visitor.is_none() && self.collector.is_full()
     }
@@ -66,7 +64,8 @@ impl<'a> Observers<'a> {
 
 impl Engine<'_> {
     /// Executes one run under `config.scheduler`, streaming matches to
-    /// `visitor` and stopping early once `cancel` fires.
+    /// `visitor` and stopping early once `cancel` fires.  Every scheduler
+    /// runs the one depth-first loop of `sge_stealing::run`.
     pub(crate) fn execute(
         &self,
         config: &RunConfig,
@@ -78,39 +77,32 @@ impl Engine<'_> {
         // runs; bracketing with snapshots attributes exactly this run's work.
         let kernels_before = ctx.kernel_totals();
         let observers = Observers::new(visitor, config.collect_mappings);
-        let limits = SearchLimits {
-            max_matches: config.max_matches,
-            time_limit: config.time_limit,
-            cancel: cancel.cloned(),
-            // The promise behind the last-depth counting fast path.
-            count_only: observers.count_only(),
-        };
-        // The empty pattern (one empty match, subject to the budget) and an
-        // instance preprocessing proved impossible need no parallel
-        // machinery: the sequential driver settles both under every
-        // scheduler.
-        let degenerate = ctx.num_positions() == 0 || ctx.impossible();
-        let run = match config.scheduler {
-            Scheduler::WorkStealing {
-                workers,
+        let run = if ctx.num_positions() > 0 && ctx.impossible() {
+            // Preprocessing proved there is no match: nothing runs, under
+            // any scheduler, and no deadline matters.
+            let mut run = RunResult::from_workers(vec![WorkerStats::default()], 0.0, false);
+            run.limit_hit = config.max_matches == Some(0);
+            run
+        } else {
+            let (num_workers, task_group_size, steal_enabled) = match config.scheduler {
+                // One worker on the calling thread, with no peer to steal from.
+                Scheduler::Sequential => (1, 4, false),
+                Scheduler::WorkStealing {
+                    workers,
+                    task_group_size,
+                    stealing,
+                } => (workers.max(1), task_group_size.max(1), stealing),
+            };
+            let engine = EngineConfig {
+                num_workers,
                 task_group_size,
-                stealing,
-            } if !degenerate => {
-                let engine = EngineConfig {
-                    num_workers: workers.max(1),
-                    task_group_size: task_group_size.max(1),
-                    steal_enabled: stealing,
-                    time_limit: config.time_limit,
-                    max_solutions: config.max_matches,
-                    cancel: cancel.cloned(),
-                    seed: config.seed,
-                };
-                sge_stealing::run(&SubgraphProblem::new(ctx, &observers), &engine)
-            }
-            Scheduler::Rayon { workers } if !degenerate => {
-                rayon_pool::run(ctx, workers.max(1), &limits, &observers)
-            }
-            _ => run_sequential(ctx, &limits, &observers),
+                steal_enabled,
+                time_limit: config.time_limit,
+                max_solutions: config.max_matches,
+                cancel: cancel.cloned(),
+                seed: config.seed,
+            };
+            sge_stealing::run(&SubgraphProblem::new(ctx, &observers), &engine)
         };
         // Scheduler-level counters are only known after the workers joined;
         // fold them into the attached trace sink (per-position candidate and
@@ -143,30 +135,4 @@ impl Engine<'_> {
             kernels: ctx.kernel_totals().since(&kernels_before),
         }
     }
-}
-
-/// The sequential depth-first driver, reported as a one-worker run.
-fn run_sequential(
-    ctx: &SearchContext<'_>,
-    limits: &SearchLimits,
-    observers: &Observers<'_>,
-) -> RunResult {
-    let run = if limits.count_only {
-        // Nothing observes individual matches: skip the per-match observer
-        // call entirely, leaving just the counter.
-        search_prepared(ctx, limits, |_, _| {})
-    } else {
-        search_prepared(ctx, limits, |ctx, state| observers.on_match(ctx, 0, state))
-    };
-    let worker = WorkerStats {
-        worker_id: 0,
-        states: run.states,
-        solutions: run.matches,
-        busy_seconds: run.match_seconds,
-        ..WorkerStats::default()
-    };
-    let mut result = RunResult::from_workers(vec![worker], run.match_seconds, run.timed_out);
-    result.limit_hit = run.limit_hit;
-    result.cancelled = run.cancelled;
-    result
 }

@@ -10,9 +10,9 @@
 //!   is what the `METRICS` wire verb serializes.
 //! * [`TraceSink`] — per-run enumeration counters: observed candidates and
 //!   consistency checks (*states*) per plan position, plus scheduler totals
-//!   (steals, steal requests, tasks, task groups, steal-wait and idle time).  The sequential, work-stealing and
-//!   rayon-style engines all drive the same `SearchContext`, which records
-//!   into an attached sink; because every candidate list is generated exactly
+//!   (steals, steal requests, tasks, task groups, steal-wait and idle time).
+//!   Every scheduler, sequential or parallel, drives the same
+//!   `SearchContext`, which records into an attached sink; because every candidate list is generated exactly
 //!   once per expansion and every consistency check happens exactly once
 //!   regardless of scheduling, the per-position totals are
 //!   *schedule-invariant* on complete runs.

@@ -1,4 +1,4 @@
-//! Sequential subgraph enumeration: RI, RI-DS, RI-DS-SI and RI-DS-SI-FC.
+//! Subgraph enumeration machinery: RI, RI-DS, RI-DS-SI and RI-DS-SI-FC.
 //!
 //! This crate implements the algorithms the paper parallelizes and improves:
 //!
@@ -24,30 +24,32 @@
 //! explicitly (choosing a `sge_plan::Strategy`) or the default RI-greedy
 //! plan produced by [`search::SearchContext::prepare`].
 //!
-//! The [`search::SearchContext`] type exposes the candidate generation and
-//! consistency checking machinery in a form that the parallel schedulers of
-//! `sge-engine` reuse unchanged, so the sequential and parallel matchers
-//! explore exactly the same search space.
+//! The crate has no search loop of its own.  [`search::SearchContext`]
+//! exposes candidate generation and consistency checking, and `sge-engine`
+//! plugs them into the one depth-first loop of `sge-stealing`, which runs
+//! every scheduler, sequential and parallel, over the same search space.
 //!
 //! # Quick example
 //!
 //! ```
 //! use sge_graph::generators;
-//! use sge_ri::{search_prepared, Algorithm, SearchContext, SearchLimits};
+//! use sge_ri::{Algorithm, SearchContext};
 //!
-//! // Find all directed 3-cycles in a 4-clique.
+//! // Directed 3-cycles in a 4-clique: every node may host the first
+//! // position, and every candidate passes its consistency check.
 //! let pattern = generators::directed_cycle(3, 0);
 //! let target = generators::clique(4, 0);
 //! let ctx = SearchContext::prepare(&pattern, &target, Algorithm::Ri);
-//! let run = search_prepared(&ctx, &SearchLimits::default(), |_, _| {});
-//! assert_eq!(run.matches, 24);
+//! let mut state = ctx.new_state();
+//! let roots = ctx.candidates(0, &mut state).to_vec();
+//! assert_eq!(roots, [0, 1, 2, 3]);
+//! assert!(roots.iter().all(|&v| ctx.is_consistent(0, v, &state)));
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod kernels;
-pub mod matcher;
 pub mod search;
 pub mod visitor;
 
@@ -59,10 +61,9 @@ pub use kernels::{
     assert_kernel_parity, check_kernel_parity, intersect_gallop, intersect_reference, KernelCells,
     KernelDivergence, KernelUsage,
 };
-pub use matcher::{search_prepared, Algorithm, SearchLimits, SearchRun};
 pub use search::{LeafCount, PreparedParts, SearchContext, WorkerState};
 pub use sge_plan::{
-    greatest_constraint_first, CandidatePlan, Domains, EdgeConstraint, KernelChoice, MatchOrder,
-    PlanStep, Planner, QueryPlan, Strategy,
+    greatest_constraint_first, Algorithm, CandidatePlan, Domains, EdgeConstraint, KernelChoice,
+    MatchOrder, PlanStep, Planner, QueryPlan, Strategy,
 };
 pub use visitor::{ChannelVisitor, CollectingVisitor, MatchVisitor, NoopVisitor};

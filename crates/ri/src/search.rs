@@ -1,8 +1,8 @@
 //! Shared search machinery: candidate generation and consistency checking.
 //!
-//! The sequential matcher ([`crate::matcher`]) and the parallel schedulers of
-//! `sge-engine` drive the same [`SearchContext`], so they explore exactly the
-//! same state-space tree.  A *state* in the paper's terminology is a
+//! Every scheduler of `sge-engine` drives the same [`SearchContext`] through
+//! the one depth-first loop of `sge-stealing`, so they all explore exactly
+//! the same state-space tree.  A *state* in the paper's terminology is a
 //! `(position, candidate target node)` pair for which a consistency check is
 //! performed; the caller counts those.
 //!
@@ -29,11 +29,10 @@
 //! memo.
 
 use crate::kernels::{self, GallopRoute, KernelCells, KernelUsage};
-use crate::matcher::Algorithm;
 use sge_graph::{AdjacencyBitmaps, BitmapConfig, EdgeRef, Graph, GraphStats, NodeId};
 use sge_obs::TraceSink;
 use sge_plan::ordering::{KernelChoice, MatchOrder, PlanStep, PrefilterSpec};
-use sge_plan::{Domains, Planner, QueryPlan, Strategy};
+use sge_plan::{Algorithm, Domains, Planner, QueryPlan, Strategy};
 use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 
@@ -297,6 +296,7 @@ impl<'a> SearchContext<'a> {
     /// stays readable through [`WorkerState::last_candidates`] while the
     /// caller assigns `depth` and requests deeper positions.  Every request
     /// counts in [`KernelUsage::lists`] and, when attached, the trace sink.
+    #[inline]
     pub fn candidates<'s>(&self, depth: usize, state: &'s mut WorkerState) -> &'s [NodeId] {
         self.refresh(depth, state);
         let list = &state.memo[depth].list;
@@ -309,6 +309,7 @@ impl<'a> SearchContext<'a> {
     /// Brings `state`'s memo entry for `depth` up to date: keeps it when
     /// every constraint parent's image equals the key it was built from,
     /// rebuilds it otherwise.
+    #[inline]
     fn refresh(&self, depth: usize, state: &mut WorkerState) {
         let step = &self.plan.order.plan.steps[depth];
         let WorkerState {
@@ -593,6 +594,7 @@ impl<'a> SearchContext<'a> {
     /// consistency check), an unconstrained last position (its candidates
     /// still need the label / domain test of [`Self::is_consistent`]) or a
     /// self-loop.
+    #[inline]
     pub fn count_leaves(&self, state: &mut WorkerState) -> Option<LeafCount> {
         let depth = self.num_positions().checked_sub(1)?;
         let step = &self.plan.order.plan.steps[depth];
@@ -617,6 +619,7 @@ impl<'a> SearchContext<'a> {
     /// pattern node carries one.  Edges back into the mapped prefix need no
     /// check: [`Self::candidates`] intersects their adjacency lists, so every
     /// constrained candidate satisfies them by construction.
+    #[inline]
     pub fn is_consistent(&self, depth: usize, vt: NodeId, state: &WorkerState) -> bool {
         if let Some(sink) = &self.sink {
             sink.record_state(depth);
@@ -850,7 +853,6 @@ impl WorkerState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matcher::Algorithm;
     use sge_graph::{generators, GraphBuilder};
 
     #[test]

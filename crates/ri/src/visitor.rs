@@ -1,8 +1,8 @@
 //! Streaming match observation shared by every scheduler.
 //!
 //! The unified `sge::Engine` supports streaming matches out of a run instead
-//! of (or in addition to) collecting them.  Sequential search calls the
-//! visitor from the single search thread; the parallel schedulers call it
+//! of (or in addition to) collecting them.  A one-worker run calls the
+//! visitor from the calling thread; the parallel schedulers call it
 //! concurrently from worker threads, so implementations must be [`Sync`] and
 //! do their own interior-mutable aggregation (an atomic counter, a mutexed
 //! vec, a channel, …).
@@ -27,7 +27,7 @@ use std::sync::Arc;
 /// if it must outlive the callback.
 pub trait MatchVisitor: Sync {
     /// Called for every match.  `worker_id` identifies the finding worker
-    /// (always 0 under the sequential scheduler).
+    /// (always 0 in a one-worker run).
     fn on_match(&self, worker_id: usize, mapping: &[NodeId]);
 }
 

@@ -149,7 +149,8 @@ pub struct Service {
 struct DispatchCells {
     /// Runs dispatched on the sequential scheduler (routed or pinned).
     sequential: Counter,
-    /// Runs dispatched on a parallel scheduler (work-stealing or rayon-style).
+    /// Runs dispatched on the work-stealing scheduler, whatever its worker
+    /// count.
     work_stealing: Counter,
     /// The cost model's most recently updated correction factor, in
     /// milli-units (1000 = identity) — gauges are integral.

@@ -56,7 +56,11 @@ fn repeated_pattern_hits_cache_with_identical_mappings() {
     for scheduler in [
         Scheduler::work_stealing(2),
         Scheduler::work_stealing(4),
-        Scheduler::Rayon { workers: 3 },
+        Scheduler::WorkStealing {
+            workers: 3,
+            task_group_size: 1,
+            stealing: false,
+        },
     ] {
         let run = RunConfig::new(scheduler).with_collected_mappings(1000);
         let outcome = service
@@ -129,7 +133,11 @@ fn batch_through_the_service_matches_single_queries() {
         let scheduler = match i % 3 {
             0 => Scheduler::Sequential,
             1 => Scheduler::work_stealing(2),
-            _ => Scheduler::Rayon { workers: 2 },
+            _ => Scheduler::WorkStealing {
+                workers: 2,
+                task_group_size: 1,
+                stealing: false,
+            },
         };
         set.push(QuerySpec::new(pattern).with_run(RunConfig::new(scheduler)));
     }
@@ -292,7 +300,11 @@ fn streamed_rows_match_buffered_collection_for_every_scheduler() {
     for scheduler in [
         Scheduler::Sequential,
         Scheduler::work_stealing(3),
-        Scheduler::Rayon { workers: 2 },
+        Scheduler::WorkStealing {
+            workers: 2,
+            task_group_size: 1,
+            stealing: false,
+        },
     ] {
         for chunk in [1usize, 7, 1000] {
             let mut sink = VecSink::new();

@@ -33,7 +33,7 @@ fn load_query_batch_stats_shutdown() {
         format!("LOAD k5 {}", target_path.display()),
         format!("QUERY target=k5 pattern={triangle}"),
         format!("QUERY target=k5 sched=ws:4 pattern={triangle}"),
-        format!("QUERY target=k5 algo=ri sched=rayon:2 max=5 pattern={edge}"),
+        format!("QUERY target=k5 algo=ri sched=ws:2 max=5 pattern={edge}"),
         format!("BATCH target=k5 n=2"),
         format!("pattern={triangle}"),
         format!("algo=ri-ds pattern={edge}"),
@@ -58,7 +58,7 @@ fn load_query_batch_stats_shutdown() {
     assert!(responses[2].contains("\"matches\":60"));
     assert!(responses[2].contains("\"cache_hit\":true"));
     assert!(responses[2].contains("work-stealing"));
-    // Limited RI query under the rayon-style pool.
+    // Limited RI query under two stealing workers.
     assert!(responses[3].contains("\"matches\":5"));
     assert!(responses[3].contains("\"limit_hit\":true"));
     // BATCH: 60 + 20 matches.

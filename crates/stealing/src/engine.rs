@@ -1,27 +1,36 @@
-//! The work-stealing engine: shared arrays, the worker loop and the driver.
+//! The work-stealing engine: the worker loop, the shared steal arrays and
+//! the driver.
 //!
-//! The worker main loop is a direct transcription of Fig. 2 of the paper:
+//! Every run, sequential or parallel, is one depth-first loop per worker
+//! (Fig. 2 of the paper, with lazy task creation):
 //!
 //! ```text
-//! while not terminated:
-//!     if q.is_empty():
-//!         acquire_task(worker)
-//!     task = q.pop()
-//!     work_available[worker] = not q.is_empty()
-//!     process_task_requests(worker)
-//!     execute(task)
+//! loop:
+//!     work_available[worker] = not frames.is_empty()
+//!     while the frames are not empty:
+//!         process_task_requests(worker)
+//!         take the deepest frame's next choice; check and apply it; then
+//!         record a solution, count the last level or open the next frame
+//!     acquire_task(worker), or stop once termination is detected
 //! ```
 //!
-//! The private deque `q` is the worker's DFS stack ([`TaskStack`]): one
-//! level per depth, holding the consistent children of the applied prefix.
-//! The owner pops depth-first from the deepest level; a steal takes a task
-//! group, a `task_group_size`-aligned range of the shallowest level.
+//! The private deque is implicit (`task::Frames`): one frame per depth, a
+//! cursor into the candidate list the problem built for that depth.
+//! Nothing is copied or checked for thieves in advance (lazy task creation,
+//! Mohr, Kranz and Halstead, IEEE TPDS 1991).  A steal request is answered
+//! from the shallowest frame with a choice left: the victim cuts the
+//! frame's last `task_group_size`-aligned range, rewinds its state to the
+//! frame's depth, checks the range against the frame's own prefix (those
+//! checks are its states), replays its path and hands the consistent
+//! choices over with the prefix.  So no dead end is stolen, and the partial
+//! assignment is copied only for stolen tasks.
 //!
-//! Three shared arrays coordinate the workers (Section 3.2):
+//! Three shared arrays coordinate the workers of a stealing run (Section
+//! 3.2):
 //!
 //! * `work_available` — one boolean per worker: does it currently have
-//!   stealable tasks?  A worker writes its flag only when the value changes,
-//!   not once per task,
+//!   stealable tasks, that is, live frames?  A worker writes its flag only
+//!   when the value changes, not once per state,
 //! * `requests` — one slot per worker; thieves CAS their own id into a
 //!   victim's slot (only one request per victim at a time, as in the paper's
 //!   use of `std::atomic_compare_exchange_weak`),
@@ -30,16 +39,16 @@
 //!
 //! Every slot of the three arrays sits on its own 128-byte line, so a
 //! thief's write to one worker's slot never invalidates the line another
-//! worker polls once per task.
+//! worker polls once per state.
 //!
-//! Only a steal copies between workers: the stolen range and the prefix it
-//! needs.  An expansion fills its level in place from the problem's
-//! candidates and drops the inconsistent ones, so in steady state it
-//! allocates nothing.
+//! A worker that cannot steal — the only worker of a run, or one of a run
+//! with stealing off — has no peers: no shared arrays, no termination ring
+//! and no request slot to poll.  A one-worker run executes on the calling
+//! thread, over the problem's own root list.
 
 use crate::problem::BacktrackProblem;
 use crate::stats::{RunResult, WorkerStats};
-use crate::task::{TaskStack, Transfer};
+use crate::task::{Frames, Next, TaskGroup, Transfer};
 use crate::termination::Termination;
 use sge_util::{CancelToken, MatchBudget, SplitMix64};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -49,14 +58,14 @@ use std::time::{Duration, Instant};
 /// Sentinel meaning "no pending steal request".
 const NO_REQUEST: usize = usize::MAX;
 
-/// How often (in executed tasks / spin iterations) the wall clock is consulted
-/// for the time limit.
+/// How often (in states / spin iterations) the wall clock is consulted for
+/// the time limit.
 const DEADLINE_CHECK_INTERVAL: u64 = 1024;
 
-/// Configuration of one parallel run.
+/// Configuration of one run.
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
-    /// Number of worker threads.
+    /// Number of workers; a single one runs on the calling thread.
     pub num_workers: usize,
     /// Task-group (coalescing) size; the paper settles on 4.
     pub task_group_size: usize,
@@ -160,24 +169,101 @@ enum TransferCell<C> {
     Task(Transfer<C>),
 }
 
-/// State shared by all workers of one run.
-struct Shared<C> {
+/// What ends a run early, shared by all its workers: the solution budget,
+/// the deadline and the cancel token.
+struct Limits {
+    /// Budget of countable solutions (`EngineConfig::max_solutions`); claims
+    /// beyond it are discarded, so the counted total is exact.
+    budget: MatchBudget,
+    deadline: Option<Instant>,
+    cancel: Option<Arc<CancelToken>>,
+    /// Set once one of them ended the run.
+    stopped: AtomicBool,
+    timed_out: AtomicBool,
+    cancelled: AtomicBool,
+}
+
+impl Limits {
+    fn new(config: &EngineConfig, start: Instant) -> Self {
+        Limits {
+            budget: MatchBudget::new(config.max_solutions),
+            deadline: config.time_limit.map(|limit| start + limit),
+            cancel: config.cancel.clone(),
+            stopped: AtomicBool::new(false),
+            timed_out: AtomicBool::new(false),
+            cancelled: AtomicBool::new(false),
+        }
+    }
+
+    fn is_stopped(&self) -> bool {
+        self.stopped.load(Ordering::SeqCst)
+    }
+
+    fn stop(&self) {
+        self.stopped.store(true, Ordering::SeqCst);
+    }
+
+    /// Checks the deadline; on expiry stops the run.
+    fn check_deadline(&self) {
+        if let Some(deadline) = self.deadline {
+            if Instant::now() >= deadline {
+                self.timed_out.store(true, Ordering::SeqCst);
+                self.stop();
+            }
+        }
+    }
+
+    /// `true` once the external cancellation token has fired; latches the
+    /// `cancelled` result flag and stops the run the first time it is
+    /// observed.
+    fn cancel_requested(&self) -> bool {
+        match &self.cancel {
+            Some(token) if token.is_cancelled() => {
+                self.cancelled.store(true, Ordering::SeqCst);
+                self.stop();
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// The periodic interrupt poll: cancellation, then the deadline.
+    fn check_interrupts(&self) {
+        self.cancel_requested();
+        self.check_deadline();
+    }
+
+    /// Claims one slot of the solution budget.  Returns `true` when the
+    /// solution should be counted; once the budget is exhausted the run
+    /// stops, and over-claims are discarded — the run reports exactly
+    /// `min(max_solutions, total)` solutions.
+    ///
+    /// An external cancellation trips this path too: solutions found after
+    /// the token fired are discarded, so cancellation behaves exactly like a
+    /// budget that ran out the moment the token fired.
+    fn claim(&self) -> bool {
+        if self.cancel_requested() {
+            return false;
+        }
+        let counted = self.budget.claim();
+        if self.budget.is_exhausted() {
+            self.stop();
+        }
+        counted
+    }
+}
+
+/// The shared arrays and the termination ring of a run whose workers steal.
+struct Peers<C> {
     work_available: Vec<Padded<AtomicBool>>,
     requests: Vec<Padded<AtomicUsize>>,
     transfers: Vec<Padded<Mutex<TransferCell<C>>>>,
     termination: Termination,
-    deadline: Option<Instant>,
-    timed_out: AtomicBool,
-    /// Budget of countable solutions (`EngineConfig::max_solutions`); claims
-    /// beyond it are discarded, so the counted total is exact.
-    budget: MatchBudget,
-    cancel: Option<Arc<CancelToken>>,
-    cancelled: AtomicBool,
 }
 
-impl<C> Shared<C> {
-    fn new(workers: usize, deadline: Option<Instant>, config: &EngineConfig) -> Self {
-        Shared {
+impl<C> Peers<C> {
+    fn new(workers: usize) -> Self {
+        Peers {
             work_available: (0..workers)
                 .map(|_| Padded(AtomicBool::new(false)))
                 .collect(),
@@ -188,63 +274,33 @@ impl<C> Shared<C> {
                 .map(|_| Padded(Mutex::new(TransferCell::Empty)))
                 .collect(),
             termination: Termination::new(workers),
-            deadline,
-            timed_out: AtomicBool::new(false),
-            budget: MatchBudget::new(config.max_solutions),
-            cancel: config.cancel.clone(),
-            cancelled: AtomicBool::new(false),
         }
-    }
-
-    /// Checks the global deadline; on expiry forces termination.
-    fn check_deadline(&self) {
-        if let Some(deadline) = self.deadline {
-            if Instant::now() >= deadline {
-                self.timed_out.store(true, Ordering::SeqCst);
-                self.termination.force();
-            }
-        }
-    }
-
-    /// `true` once the external cancellation token has fired; latches the
-    /// `cancelled` result flag and forces termination the first time it is
-    /// observed.
-    fn cancel_requested(&self) -> bool {
-        match &self.cancel {
-            Some(token) if token.is_cancelled() => {
-                self.cancelled.store(true, Ordering::SeqCst);
-                self.termination.force();
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// The per-tick interrupt poll: cancellation, then the deadline.
-    fn check_interrupts(&self) {
-        self.cancel_requested();
-        self.check_deadline();
     }
 }
 
 struct Worker<'a, P: BacktrackProblem> {
     id: usize,
     problem: &'a P,
-    shared: &'a Shared<P::Choice>,
-    config: &'a EngineConfig,
-    stack: TaskStack<P::Choice>,
+    limits: &'a Limits,
+    /// `None` when the worker neither steals nor is stolen from.
+    peers: Option<&'a Peers<P::Choice>>,
+    /// The private deque, which also holds the path: levels `0..d` are
+    /// applied, `d` the deepest frame's depth.
+    frames: Frames<P::Choice>,
     state: P::State,
-    /// Choices applied so far, by level; `path.len()` is the applied depth.
-    path: Vec<P::Choice>,
+    /// The choices a stolen group's victim had applied above it, levels
+    /// `0..frames.base()`.
+    prefix: Vec<P::Choice>,
     total_depth: usize,
     stats: WorkerStats,
     rng: SplitMix64,
     /// The value this worker last published in `work_available`.
     advertised: bool,
-    /// Whether the last level is counted through
-    /// [`BacktrackProblem::count_last_level`]: only when nothing can
-    /// interrupt it (no solution budget, time limit or cancel token).
-    count_last_level: bool,
+    /// Whether a limit (solution budget, time limit or cancel token) may
+    /// stop the run part-way.  A limited worker polls the limits once per
+    /// state and enumerates the last level; an unlimited one counts it
+    /// through [`BacktrackProblem::count_last_level`].
+    limited: bool,
     ticks: u64,
 }
 
@@ -252,170 +308,262 @@ impl<'a, P: BacktrackProblem> Worker<'a, P> {
     fn new(
         id: usize,
         problem: &'a P,
-        shared: &'a Shared<P::Choice>,
-        config: &'a EngineConfig,
+        limits: &'a Limits,
+        peers: Option<&'a Peers<P::Choice>>,
+        config: &EngineConfig,
     ) -> Self {
+        let total_depth = problem.depth();
         Worker {
             id,
             problem,
-            shared,
-            config,
-            stack: TaskStack::new(config.task_group_size),
+            limits,
+            peers,
+            frames: Frames::new(total_depth, config.task_group_size),
             state: problem.new_state(),
-            path: Vec::new(),
-            total_depth: problem.depth(),
+            prefix: Vec::new(),
+            total_depth,
             stats: WorkerStats {
                 worker_id: id,
                 ..WorkerStats::default()
             },
             rng: SplitMix64::new(config.seed ^ (id as u64).wrapping_mul(0x9E37_79B9)),
             advertised: false,
-            count_last_level: config.max_solutions.is_none()
-                && config.time_limit.is_none()
-                && config.cancel.is_none(),
+            limited: config.max_solutions.is_some()
+                || config.time_limit.is_some()
+                || config.cancel.is_some(),
             ticks: 0,
         }
     }
 
-    /// Undoes applied levels until only `depth` of them remain.
-    fn rewind_to(&mut self, depth: usize) {
-        while self.path.len() > depth {
-            let level = self.path.len() - 1;
+    /// Undoes the installed prefix once the frames below it finished.
+    fn rewind(&mut self) {
+        for level in (0..self.prefix.len()).rev() {
             self.problem.undo(level, &mut self.state);
-            self.path.pop();
+        }
+        self.prefix.clear();
+    }
+
+    /// The choice applied at `level`, below the deepest frame.
+    fn applied(&self, level: usize) -> P::Choice {
+        if level < self.frames.base() {
+            self.prefix[level]
+        } else {
+            self.resolve(level, self.frames.last_taken(level)).0
         }
     }
 
-    /// Executes one task: apply the choice and either record a solution,
-    /// count the last level below it, or fill the next level of the stack
-    /// with its (pre-checked) children.
-    fn execute(&mut self, depth: usize, choice: P::Choice, checked: bool) {
-        self.rewind_to(depth);
-        self.stats.tasks_executed += 1;
+    /// A choice of frame `depth` and whether it was checked already.
+    fn resolve(&self, depth: usize, next: Next<P::Choice>) -> (P::Choice, bool) {
+        match next {
+            Next::Listed(index) => (self.problem.candidate(depth, index, &self.state), false),
+            Next::Held(choice, checked) => (choice, checked),
+        }
+    }
+
+    /// Runs the frames depth-first until they are empty or a limit stops
+    /// the run, answering steal requests once per state.  Kept out of line,
+    /// like [`Self::acquire`], so the hot loop compiles apart from the
+    /// steal code.
+    #[inline(never)]
+    fn search(&mut self) {
+        while let Some(depth) = self.frames.deepest() {
+            if let Some(peers) = self.peers {
+                self.advertise(peers);
+                self.process_requests(peers);
+            }
+            if self.limited {
+                self.tick();
+                if self.limits.is_stopped() {
+                    return;
+                }
+            }
+            self.step(depth);
+        }
+    }
+
+    /// One step of the depth-first search at the deepest frame, `depth`:
+    /// take its next choice, check it, apply it and record a solution,
+    /// count the last level or open the frame below.  A frame with no
+    /// choice left closes.
+    fn step(&mut self, depth: usize) {
+        let Some(next) = self.frames.take() else {
+            self.close();
+            return;
+        };
+        let (choice, checked) = self.resolve(depth, next);
+        // Each check is a visited state.
         if !checked {
-            // Root-distribution tasks are enqueued unchecked (Section 3.3);
-            // their consistency check happens here and counts as a state.
             self.stats.states += 1;
             if !self.problem.is_consistent(depth, choice, &self.state) {
                 return;
             }
         }
+        self.frames.count_applied(depth);
         self.problem.apply(depth, choice, &mut self.state);
-        self.path.push(choice);
-
         let level = depth + 1;
         if level == self.total_depth {
-            if self.claim_solution() {
+            if self.limits.claim() {
                 self.stats.solutions += 1;
                 self.problem.on_solution(self.id, &self.state);
             }
-            return;
-        }
-        if self.count_last_level && level + 1 == self.total_depth {
-            if let Some(count) = self.problem.count_last_level(&mut self.state) {
-                self.stats.states += count.states;
-                self.stats.solutions += count.solutions;
+        } else if !self.counted_last_level(level) {
+            let len = self.problem.candidates(level, &mut self.state);
+            if len > 0 {
+                self.frames.expand(level, len);
                 return;
             }
         }
-
-        // Consistency is verified *before* the children become stealable
-        // (Section 3.1), so thieves do not steal dead ends; each check is a
-        // visited state.
-        let (problem, state, states) = (self.problem, &mut self.state, &mut self.stats.states);
-        let groups = self.stack.spawn(level, true, |children| {
-            problem.candidates(level, state, children);
-            *states += children.len() as u64;
-            children.retain(|&c| problem.is_consistent(level, c, state));
-        });
-        self.stats.task_groups += groups;
+        self.problem.undo(depth, &mut self.state);
     }
 
-    /// Publishes whether this worker has stealable work, writing the shared
-    /// flag only when the value changes.
-    fn advertise(&mut self) {
-        let available = !self.stack.is_empty();
-        if available != self.advertised {
-            self.advertised = available;
-            self.shared.work_available[self.id].store(available, Ordering::SeqCst);
+    /// Closes the deepest frame, which has no choice left, and backs up:
+    /// undoes the choice the frame explored below, or, past the first
+    /// frame, the installed prefix.
+    fn close(&mut self) {
+        let (tasks, groups) = self.frames.finish();
+        self.stats.tasks_executed += tasks;
+        self.stats.task_groups += groups;
+        match self.frames.deepest() {
+            Some(above) => self.problem.undo(above, &mut self.state),
+            None => self.rewind(),
         }
     }
 
-    /// Claims one slot of the shared solution budget.  Returns `true` when the
-    /// solution should be counted; once the budget is exhausted termination is
-    /// forced so all workers stop promptly, and over-claims are discarded —
-    /// the run reports exactly `min(max_solutions, total)` solutions.
-    ///
-    /// An external cancellation trips this path too: solutions found after
-    /// the token fired are discarded, so cancellation behaves exactly like a
-    /// budget that ran out the moment the token fired.
-    fn claim_solution(&mut self) -> bool {
-        if self.shared.cancel_requested() {
+    /// Counts the last level below the applied prefix instead of opening a
+    /// frame for it: only when `level` is the last one, nothing can stop
+    /// the run part-way and the problem can count it.
+    fn counted_last_level(&mut self, level: usize) -> bool {
+        if self.limited || level + 1 != self.total_depth {
             return false;
         }
-        let counted = self.shared.budget.claim();
-        if self.shared.budget.is_exhausted() {
-            self.shared.termination.force();
-        }
-        counted
+        let Some(count) = self.problem.count_last_level(&mut self.state) else {
+            return false;
+        };
+        self.stats.states += count.states;
+        self.stats.solutions += count.solutions;
+        true
     }
 
-    /// Answers at most one pending steal request: hand over the back group (and
-    /// the prefix of choices it needs) if we have one to spare, reject
-    /// otherwise.
-    fn process_requests(&mut self) {
-        let thief = self.shared.requests[self.id].load(Ordering::SeqCst);
-        if thief == NO_REQUEST || thief == self.id {
+    /// Publishes whether this worker is busy, writing the shared flag only
+    /// when the value changes.  A busy worker has a frame with a choice
+    /// left but for its last few steps, while it closes its frames.
+    fn advertise(&mut self, peers: &Peers<P::Choice>) {
+        let available = !self.frames.is_empty();
+        if available != self.advertised {
+            self.advertised = available;
+            peers.work_available[self.id].store(available, Ordering::SeqCst);
+        }
+    }
+
+    /// `true` once the run is over: a limit stopped it or the ring detected
+    /// termination.
+    fn over(&self, peers: &Peers<P::Choice>) -> bool {
+        self.limits.is_stopped() || peers.termination.is_terminated()
+    }
+
+    /// Answers at most one pending steal request: a group (and the prefix
+    /// of choices it needs) if there is one to spare, a rejection otherwise.
+    fn process_requests(&mut self, peers: &Peers<P::Choice>) {
+        let thief = peers.requests[self.id].load(Ordering::SeqCst);
+        if thief == NO_REQUEST {
             return;
         }
-        let answer = if self.shared.termination.is_terminated() {
-            TransferCell::Reject
-        } else {
-            match self.stack.steal_back() {
-                Some(group) => {
-                    let prefix = self.path[..group.depth].to_vec();
-                    self.stats.tasks_sent += 1;
-                    // Sending work may re-activate an idle worker: mark this
-                    // worker black for the termination ring.
-                    self.shared.termination.mark_black(self.id);
-                    TransferCell::Task(Transfer { prefix, group })
-                }
-                None => TransferCell::Reject,
-            }
+        let answer = match self.over(peers) {
+            true => None,
+            false => self.split(),
         };
-        *self.shared.transfers[thief].lock().expect("mutex poisoned") = answer;
+        let answer = match answer {
+            Some(transfer) => {
+                self.stats.tasks_sent += 1;
+                // Sending work may re-activate an idle worker: mark this
+                // worker black for the termination ring.
+                peers.termination.mark_black(self.id);
+                TransferCell::Task(transfer)
+            }
+            None => TransferCell::Reject,
+        };
+        *peers.transfers[thief].lock().expect("mutex poisoned") = answer;
         // Accept new requests only after the answer is visible to the thief.
-        self.shared.requests[self.id].store(NO_REQUEST, Ordering::SeqCst);
-        self.advertise();
+        peers.requests[self.id].store(NO_REQUEST, Ordering::SeqCst);
+        self.advertise(peers);
+    }
+
+    /// Cuts a group for a thief off the shallowest frame with a choice
+    /// left.  Choices not checked yet are checked against that frame's own
+    /// prefix: the worker undoes its deeper levels, checks, then replays
+    /// its path.  The checks count as this worker's states, and the
+    /// consistent choices towards the frame's task groups.  A range with no
+    /// consistent choice is dropped and the next one cut; `None` when no
+    /// frame has a choice left.
+    fn split(&mut self) -> Option<Transfer<P::Choice>> {
+        let deepest = self.frames.deepest().unwrap_or(0);
+        let mut applied = deepest;
+        let mut transfer = None;
+        while let Some((depth, range)) = self.frames.cut_back() {
+            while applied > depth {
+                applied -= 1;
+                self.problem.undo(applied, &mut self.state);
+            }
+            while applied < depth {
+                self.problem
+                    .apply(applied, self.applied(applied), &mut self.state);
+                applied += 1;
+            }
+            let mut choices = Vec::with_capacity(range.len());
+            for index in range {
+                let (choice, checked) = self.resolve(depth, self.frames.choice(depth, index));
+                if !checked {
+                    self.stats.states += 1;
+                    if !self.problem.is_consistent(depth, choice, &self.state) {
+                        continue;
+                    }
+                }
+                choices.push(choice);
+            }
+            if choices.is_empty() {
+                continue;
+            }
+            self.frames.count_stolen(depth, choices.len());
+            let prefix = (0..depth).map(|level| self.applied(level)).collect();
+            let group = TaskGroup::new(depth, choices, true);
+            transfer = Some(Transfer { prefix, group });
+            break;
+        }
+        while applied < deepest {
+            self.problem
+                .apply(applied, self.applied(applied), &mut self.state);
+            applied += 1;
+        }
+        transfer
     }
 
     /// Installs a stolen transfer: replay the prefix, then adopt the group
-    /// as the level below it.
+    /// as the frame below it.
     fn install(&mut self, transfer: Transfer<P::Choice>) {
-        self.rewind_to(0);
+        self.rewind();
         for (level, &choice) in transfer.prefix.iter().enumerate() {
             self.problem.apply(level, choice, &mut self.state);
-            self.path.push(choice);
         }
-        self.stack.install(transfer.group);
-        self.advertise();
+        self.prefix = transfer.prefix;
+        self.frames.install(transfer.group);
     }
 
     fn tick(&mut self) {
         self.ticks += 1;
         if self.ticks.is_multiple_of(DEADLINE_CHECK_INTERVAL) {
-            self.shared.check_interrupts();
+            self.limits.check_interrupts();
         }
     }
 
     /// Receiver-initiated steal loop: repeatedly request work from a random
-    /// victim until a task group arrives or termination is detected.  Returns
+    /// victim until a task group arrives or the run is over.  Returns
     /// `true` when work was obtained.  The clock is read only on entering
     /// and leaving: the time counts as steal wait when work arrived and as
     /// idle time when the loop ended in termination.
-    fn acquire(&mut self) -> bool {
+    #[inline(never)]
+    fn acquire(&mut self, peers: &Peers<P::Choice>) -> bool {
         let entered = Instant::now();
-        let acquired = self.steal();
+        let acquired = self.steal(peers);
         let seconds = entered.elapsed().as_secs_f64();
         if acquired {
             self.stats.steal_wait_seconds += seconds;
@@ -426,27 +574,27 @@ impl<'a, P: BacktrackProblem> Worker<'a, P> {
     }
 
     /// The body of [`Self::acquire`].
-    fn steal(&mut self) -> bool {
-        self.advertise();
-        let workers = self.config.num_workers;
+    fn steal(&mut self, peers: &Peers<P::Choice>) -> bool {
+        self.advertise(peers);
+        let workers = peers.requests.len();
         let mut spins: u64 = 0;
         loop {
-            if self.shared.termination.is_terminated() {
+            if self.over(peers) {
                 return false;
             }
             self.tick();
             // While idle we still answer requests (with a rejection) and keep
             // the termination token moving.
-            self.process_requests();
-            if self.shared.termination.poll_idle(self.id) {
+            self.process_requests(peers);
+            if peers.termination.poll_idle(self.id) {
                 return false;
             }
 
             // Pick a random victim that advertises work.
             let victim = self.rng.next_below(workers);
-            if victim != self.id && self.shared.work_available[victim].load(Ordering::SeqCst) {
+            if victim != self.id && peers.work_available[victim].load(Ordering::SeqCst) {
                 self.stats.steal_requests += 1;
-                if self.shared.requests[victim]
+                if peers.requests[victim]
                     .compare_exchange(NO_REQUEST, self.id, Ordering::SeqCst, Ordering::SeqCst)
                     .is_ok()
                 {
@@ -462,14 +610,12 @@ impl<'a, P: BacktrackProblem> Worker<'a, P> {
                     // winding down), so the wait always ends.
                     let mut waits: u64 = 0;
                     loop {
-                        if self.shared.termination.is_terminated() {
+                        if self.over(peers) {
                             return false;
                         }
                         self.tick();
-                        self.process_requests();
-                        let mut cell = self.shared.transfers[self.id]
-                            .lock()
-                            .expect("mutex poisoned");
+                        self.process_requests(peers);
+                        let mut cell = peers.transfers[self.id].lock().expect("mutex poisoned");
                         match std::mem::replace(&mut *cell, TransferCell::Empty) {
                             TransferCell::Empty => {
                                 drop(cell);
@@ -504,49 +650,42 @@ impl<'a, P: BacktrackProblem> Worker<'a, P> {
         }
     }
 
-    /// The worker main loop (paper Fig. 2).
+    /// The worker main loop (paper Fig. 2): search, then steal, until the
+    /// run is over.
     fn run(&mut self) {
         let start = Instant::now();
         loop {
-            if self.shared.termination.is_terminated() {
+            self.search();
+            let Some(peers) = self.peers else {
+                break;
+            };
+            if self.limits.is_stopped() || !self.acquire(peers) {
                 break;
             }
-            self.tick();
-            if self.stack.is_empty() {
-                if !self.config.steal_enabled {
-                    // Static initial partition only (Fig. 3 baseline).
-                    break;
-                }
-                if !self.acquire() {
-                    break;
-                }
-                continue;
-            }
-            let (depth, choice, checked) = self.stack.pop_task().expect("stack reported non-empty");
-            self.advertise();
-            self.process_requests();
-            self.execute(depth, choice, checked);
         }
-        // Final courtesy: make sure no thief is left waiting on us.
-        self.process_requests();
+        if let Some(peers) = self.peers {
+            // Final courtesy: make sure no thief is left waiting on us.
+            self.process_requests(peers);
+        }
         self.problem.retire_state(&self.state);
         self.stats.busy_seconds = start.elapsed().as_secs_f64();
     }
 }
 
-/// Runs the parallel backtracking search over `problem`.
+/// Runs the backtracking search over `problem`.
 ///
-/// The children of the state-space root are distributed round-robin over the
-/// workers' private deques (Section 3.3); from then on the receiver-initiated
-/// work-stealing protocol balances the load.
+/// One worker runs on the calling thread, over the problem's own root
+/// list.  Several workers run on threads of their own; the children of the
+/// state-space root are dealt round-robin over their private deques
+/// (Section 3.3), and from then on the receiver-initiated work-stealing
+/// protocol balances the load, unless stealing is off.
 ///
 /// A problem with `depth() == 0` has exactly one (empty) solution.
 pub fn run<P: BacktrackProblem>(problem: &P, config: &EngineConfig) -> RunResult {
     let start = Instant::now();
     let workers = config.num_workers.max(1);
-    let total_depth = problem.depth();
 
-    if total_depth == 0 {
+    if problem.depth() == 0 {
         let mut stats = vec![WorkerStats::default(); workers];
         for (id, w) in stats.iter_mut().enumerate() {
             w.worker_id = id;
@@ -562,37 +701,69 @@ pub fn run<P: BacktrackProblem>(problem: &P, config: &EngineConfig) -> RunResult
         return result;
     }
 
-    // Initial work distribution: one task per child of the root, dealt
-    // round-robin, enqueued unchecked.
-    let mut init_state = problem.new_state();
-    let mut roots: Vec<P::Choice> = Vec::new();
-    problem.candidates(0, &mut init_state, &mut roots);
-    problem.retire_state(&init_state);
-    let mut per_worker: Vec<Vec<P::Choice>> = vec![Vec::new(); workers];
-    for (i, choice) in roots.into_iter().enumerate() {
-        per_worker[i % workers].push(choice);
-    }
-
-    let deadline = config.time_limit.map(|limit| start + limit);
-    let shared: Shared<P::Choice> = Shared::new(workers, deadline, config);
+    let limits = Limits::new(config, start);
     // An already-expired deadline (or an already-fired cancellation token)
-    // forces termination before any worker runs, so every scheduler agrees
-    // on the degenerate outcome (zero work) instead of racing the periodic
+    // stops the run before any work, so every worker count agrees on the
+    // degenerate outcome (zero work) instead of racing the periodic
     // per-worker interrupt checks.
-    shared.check_interrupts();
+    limits.check_interrupts();
+    let worker_stats = match workers {
+        1 => vec![run_alone(problem, &limits, config)],
+        _ => run_shared(problem, &limits, config, workers),
+    };
 
-    let worker_stats: Vec<WorkerStats> = std::thread::scope(|scope| {
-        let shared = &shared;
-        let handles: Vec<_> = per_worker
+    let mut result = RunResult::from_workers(
+        worker_stats,
+        start.elapsed().as_secs_f64(),
+        limits.timed_out.load(Ordering::SeqCst),
+    );
+    result.limit_hit = limits.budget.is_exhausted();
+    result.cancelled = limits.cancelled.load(Ordering::SeqCst);
+    result
+}
+
+/// The one worker of a run, on the calling thread: its first frame reads
+/// the root list it builds in its own state, so nothing is copied.
+fn run_alone<P: BacktrackProblem>(
+    problem: &P,
+    limits: &Limits,
+    config: &EngineConfig,
+) -> WorkerStats {
+    let mut worker = Worker::new(0, problem, limits, None, config);
+    if !limits.is_stopped() {
+        let roots = problem.candidates(0, &mut worker.state);
+        worker.frames.expand(0, roots);
+    }
+    worker.run();
+    worker.stats
+}
+
+/// `workers` workers on threads of their own, each starting from its
+/// round-robin share of the root list, unchecked.
+fn run_shared<P: BacktrackProblem>(
+    problem: &P,
+    limits: &Limits,
+    config: &EngineConfig,
+    workers: usize,
+) -> Vec<WorkerStats> {
+    let mut shares = vec![Vec::new(); workers];
+    if !limits.is_stopped() {
+        let mut state = problem.new_state();
+        for index in 0..problem.candidates(0, &mut state) {
+            shares[index % workers].push(problem.candidate(0, index, &state));
+        }
+        problem.retire_state(&state);
+    }
+    let peers = config.steal_enabled.then(|| Peers::new(workers));
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = shares
             .into_iter()
             .enumerate()
             .map(|(id, share)| {
+                let peers = peers.as_ref();
                 scope.spawn(move || {
-                    let mut worker = Worker::new(id, problem, shared, config);
-                    worker.stats.task_groups += worker
-                        .stack
-                        .spawn(0, false, |roots| roots.extend_from_slice(&share));
-                    worker.advertise();
+                    let mut worker = Worker::new(id, problem, limits, peers, config);
+                    worker.frames.install(TaskGroup::new(0, share, false));
                     worker.run();
                     worker.stats
                 })
@@ -602,16 +773,7 @@ pub fn run<P: BacktrackProblem>(problem: &P, config: &EngineConfig) -> RunResult
             .into_iter()
             .map(|handle| handle.join().expect("worker thread panicked"))
             .collect()
-    });
-
-    let mut result = RunResult::from_workers(
-        worker_stats,
-        start.elapsed().as_secs_f64(),
-        shared.timed_out.load(Ordering::SeqCst),
-    );
-    result.limit_hit = shared.budget.is_exhausted();
-    result.cancelled = shared.cancelled.load(Ordering::SeqCst);
-    result
+    })
 }
 
 #[cfg(test)]
@@ -642,9 +804,12 @@ mod tests {
             }
         }
 
-        fn candidates(&self, _level: usize, _state: &mut QueensState, out: &mut Vec<u32>) {
-            out.clear();
-            out.extend(0..self.n as u32);
+        fn candidates(&self, _level: usize, _state: &mut QueensState) -> usize {
+            self.n
+        }
+
+        fn candidate(&self, _level: usize, index: usize, _state: &QueensState) -> u32 {
+            index as u32
         }
 
         fn is_consistent(&self, level: usize, choice: u32, state: &QueensState) -> bool {
@@ -688,8 +853,11 @@ mod tests {
         fn new_state(&self) -> QueensState {
             self.inner.new_state()
         }
-        fn candidates(&self, level: usize, state: &mut QueensState, out: &mut Vec<u32>) {
-            self.inner.candidates(level, state, out);
+        fn candidates(&self, level: usize, state: &mut QueensState) -> usize {
+            self.inner.candidates(level, state)
+        }
+        fn candidate(&self, level: usize, index: usize, state: &QueensState) -> u32 {
+            self.inner.candidate(level, index, state)
         }
         fn is_consistent(&self, level: usize, choice: u32, state: &QueensState) -> bool {
             self.inner.is_consistent(level, choice, state)
@@ -758,47 +926,181 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_stolen_group_replays_to_the_victims_state() {
-        let problem = NQueens { n: 8 };
-        let config = EngineConfig::with_workers(2).task_group_size(2);
-        let shared: Shared<u32> = Shared::new(2, None, &config);
-        let drain = |worker: &mut Worker<NQueens>| {
-            while let Some((depth, choice, checked)) = worker.stack.pop_task() {
-                worker.execute(depth, choice, checked);
+    /// A worker of a two-worker stealing run, built outside the driver.
+    fn worker<'a, P: BacktrackProblem>(
+        id: usize,
+        problem: &'a P,
+        limits: &'a Limits,
+        peers: &'a Peers<P::Choice>,
+        config: &EngineConfig,
+    ) -> Worker<'a, P> {
+        Worker::new(id, problem, limits, Some(peers), config)
+    }
+
+    /// `inner`, posting worker 1's steal request to worker 0 the first
+    /// time a choice is applied at `level`: the victim answers at its next
+    /// poll, with that choice applied.
+    struct RequestAt<'a, P> {
+        inner: P,
+        level: usize,
+        slot: &'a AtomicUsize,
+        /// The choice applied at `level` when the request went out.
+        held: AtomicUsize,
+    }
+
+    impl<'a, P> RequestAt<'a, P> {
+        fn new(inner: P, level: usize, peers: &'a Peers<u32>) -> Self {
+            let (slot, held) = (&*peers.requests[0], AtomicUsize::new(NO_REQUEST));
+            RequestAt {
+                inner,
+                level,
+                slot,
+                held,
             }
-        };
-        // The victim owns the subtree of a queen in column 0 and is three
-        // levels into it.
-        let mut victim = Worker::new(0, &problem, &shared, &config);
-        victim.stack.spawn(0, false, |roots| roots.push(0));
-        for _ in 0..3 {
-            let (depth, choice, checked) = victim.stack.pop_task().unwrap();
-            victim.execute(depth, choice, checked);
         }
-        shared.requests[0].store(1, Ordering::SeqCst);
-        victim.process_requests();
-        let answer = std::mem::replace(
-            &mut *shared.transfers[1].lock().unwrap(),
-            TransferCell::Empty,
-        );
-        let TransferCell::Task(transfer) = answer else {
+    }
+
+    impl<P: BacktrackProblem<Choice = u32>> BacktrackProblem for RequestAt<'_, P> {
+        type State = P::State;
+        type Choice = u32;
+        fn depth(&self) -> usize {
+            self.inner.depth()
+        }
+        fn new_state(&self) -> P::State {
+            self.inner.new_state()
+        }
+        fn candidates(&self, level: usize, state: &mut P::State) -> usize {
+            self.inner.candidates(level, state)
+        }
+        fn candidate(&self, level: usize, index: usize, state: &P::State) -> u32 {
+            self.inner.candidate(level, index, state)
+        }
+        fn is_consistent(&self, level: usize, choice: u32, state: &P::State) -> bool {
+            self.inner.is_consistent(level, choice, state)
+        }
+        fn apply(&self, level: usize, choice: u32, state: &mut P::State) {
+            self.inner.apply(level, choice, state);
+            if level == self.level && self.held.load(Ordering::SeqCst) == NO_REQUEST {
+                self.held.store(choice as usize, Ordering::SeqCst);
+                self.slot.store(1, Ordering::SeqCst);
+            }
+        }
+        fn undo(&self, level: usize, state: &mut P::State) {
+            self.inner.undo(level, state);
+        }
+    }
+
+    /// The answer worker 0 left worker 1.
+    fn answer(peers: &Peers<u32>) -> Transfer<u32> {
+        let cell = &mut *peers.transfers[1].lock().unwrap();
+        let TransferCell::Task(transfer) = std::mem::replace(cell, TransferCell::Empty) else {
             panic!("the victim had work to give");
         };
-        // Level 0 ran out, so the group comes from level 1: the back
+        transfer
+    }
+
+    #[test]
+    fn a_stolen_group_replays_to_the_victims_state() {
+        let config = EngineConfig::with_workers(2).task_group_size(2);
+        let (limits, peers) = (Limits::new(&config, Instant::now()), Peers::new(2));
+        // The victim owns the subtree of a queen in column 0 and answers
+        // three levels into it, with queens in columns 0, 2 and 4.
+        let problem = RequestAt::new(NQueens { n: 8 }, 2, &peers);
+        let mut victim = worker(0, &problem, &limits, &peers, &config);
+        victim.frames.install(TaskGroup::new(0, vec![0], false));
+        victim.search();
+        let transfer = answer(&peers);
+        // Frame 0 ran out, so the group comes from frame 1: the back
         // 2-aligned group of the queens row 1 can take beside column 0.
         let depth = transfer.group.depth;
         assert_eq!(depth, 1);
         assert_eq!(transfer.group.choices, vec![6, 7]);
-        assert_eq!(transfer.prefix, victim.path[..depth]);
-        let mut thief = Worker::new(1, &problem, &shared, &config);
+        assert_eq!(transfer.prefix, [0]);
+        let mut thief = worker(1, &problem, &limits, &peers, &config);
         thief.install(transfer);
-        assert_eq!(thief.state.columns, victim.state.columns[..depth]);
-        // Between them they find the four solutions below column 0.
-        drain(&mut victim);
-        drain(&mut thief);
+        assert_eq!(thief.state.columns, [0]);
+        // Between them they find the four solutions below column 0: the
+        // victim replayed its path after the check.
+        thief.search();
         assert_eq!(victim.stats.solutions + thief.stats.solutions, 4);
         assert!(thief.stats.solutions > 0);
+        assert!(victim.state.columns.is_empty() && thief.state.columns.is_empty());
+    }
+
+    /// Injective assignments of `k` out of `n` values: a choice is
+    /// consistent when no applied level holds it, a check that reads a
+    /// used-flag set over the whole state, as subgraph matching does.
+    struct Injective {
+        n: usize,
+        k: usize,
+    }
+
+    #[derive(Debug)]
+    struct InjectiveState {
+        used: Vec<bool>,
+        chosen: Vec<u32>,
+    }
+
+    impl BacktrackProblem for Injective {
+        type State = InjectiveState;
+        type Choice = u32;
+        fn depth(&self) -> usize {
+            self.k
+        }
+        fn new_state(&self) -> InjectiveState {
+            InjectiveState {
+                used: vec![false; self.n],
+                chosen: Vec::new(),
+            }
+        }
+        fn candidates(&self, _level: usize, _state: &mut InjectiveState) -> usize {
+            self.n
+        }
+        fn candidate(&self, _level: usize, index: usize, _state: &InjectiveState) -> u32 {
+            index as u32
+        }
+        fn is_consistent(&self, _level: usize, choice: u32, state: &InjectiveState) -> bool {
+            !state.used[choice as usize]
+        }
+        fn apply(&self, _level: usize, choice: u32, state: &mut InjectiveState) {
+            state.used[choice as usize] = true;
+            state.chosen.push(choice);
+        }
+        fn undo(&self, _level: usize, state: &mut InjectiveState) {
+            let choice = state.chosen.pop().expect("undo without apply");
+            state.used[choice as usize] = false;
+        }
+    }
+
+    #[test]
+    fn a_stolen_group_is_checked_against_its_frames_prefix() {
+        // One group spans a whole frame, so the steal takes every root the
+        // victim has not taken yet.  The victim answers with 0 and 1
+        // applied.
+        let config = EngineConfig::with_workers(2).task_group_size(8);
+        let (limits, peers) = (Limits::new(&config, Instant::now()), Peers::new(2));
+        let problem = RequestAt::new(Injective { n: 5, k: 3 }, 1, &peers);
+        let mut victim = worker(0, &problem, &limits, &peers, &config);
+        let roots = problem.candidates(0, &mut victim.state);
+        victim.frames.expand(0, roots);
+        victim.search();
+        let transfer = answer(&peers);
+        // The group comes from frame 0 and holds the value level 1 held:
+        // checked against the victim's whole state, it would have been
+        // dropped.
+        let held = problem.held.load(Ordering::SeqCst) as u32;
+        assert_eq!(held, 1);
+        assert_eq!(transfer.group.depth, 0);
+        assert_eq!(transfer.group.choices, vec![1, 2, 3, 4]);
+        assert!(transfer.prefix.is_empty());
+        let mut thief = worker(1, &problem, &limits, &peers, &config);
+        thief.install(transfer);
+        thief.search();
+        // 5! / (5 - 3)! = 60 assignments between them; the victim replayed
+        // its path and finished the subtree of root 0.
+        assert_eq!(victim.stats.solutions, 12);
+        assert_eq!(victim.stats.solutions + thief.stats.solutions, 60);
+        assert_eq!(victim.state.used, [false; 5]);
     }
 
     #[test]
@@ -942,8 +1244,11 @@ mod tests {
             fn new_state(&self) -> QueensState {
                 self.inner.new_state()
             }
-            fn candidates(&self, level: usize, state: &mut QueensState, out: &mut Vec<u32>) {
-                self.inner.candidates(level, state, out);
+            fn candidates(&self, level: usize, state: &mut QueensState) -> usize {
+                self.inner.candidates(level, state)
+            }
+            fn candidate(&self, level: usize, index: usize, state: &QueensState) -> u32 {
+                self.inner.candidate(level, index, state)
             }
             fn is_consistent(&self, level: usize, choice: u32, state: &QueensState) -> bool {
                 self.inner.is_consistent(level, choice, state)
@@ -1002,8 +1307,11 @@ mod tests {
             fn new_state(&self) -> QueensState {
                 self.inner.new_state()
             }
-            fn candidates(&self, level: usize, state: &mut QueensState, out: &mut Vec<u32>) {
-                self.inner.candidates(level, state, out);
+            fn candidates(&self, level: usize, state: &mut QueensState) -> usize {
+                self.inner.candidates(level, state)
+            }
+            fn candidate(&self, level: usize, index: usize, state: &QueensState) -> u32 {
+                self.inner.candidate(level, index, state)
             }
             fn is_consistent(&self, level: usize, choice: u32, state: &QueensState) -> bool {
                 self.inner.is_consistent(level, choice, state)

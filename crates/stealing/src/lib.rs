@@ -6,26 +6,32 @@
 //! backtracking problems:
 //!
 //! * every worker owns a **private deque**, laid out as its depth-first
-//!   stack: one level per depth, holding the consistent children of the
-//!   applied prefix.  The owner takes the next choice from the deepest
-//!   level that still has one; steals take from the shallowest,
+//!   search: one frame per depth, a cursor into the candidate list the
+//!   problem built for that depth.  The owner runs the sequential
+//!   depth-first loop over the deepest frame; steals cut from the
+//!   shallowest,
+//! * **lazy task creation**: nothing is copied or checked for thieves in
+//!   advance; the owner checks each choice when it takes it,
 //! * **receiver-initiated stealing**: an idle worker publishes a request in a
 //!   shared `requests` slot of a random victim; busy workers poll their slot
-//!   once per executed task and answer through a `transfers` cell,
+//!   once per state and answer through a `transfers` cell,
 //! * a task is just a `(depth, choice)` pair — the partial assignment is *not*
 //!   copied per task; it travels (as a prefix of choices) only when a task
 //!   group is stolen.  A steal is the only copy between workers, and in
 //!   steady state an expansion allocates nothing,
 //! * **task coalescing**: a task group is a `task_group_size`-aligned range
-//!   of one level (the paper settles on 4); a steal hands over the back
-//!   group of the shallowest level, or the rest of a partly run one,
-//! * children are **consistency-checked before they can be stolen**, so
-//!   thieves rarely steal dead ends,
+//!   of one frame (the paper settles on 4); a steal hands over the back
+//!   group of the shallowest frame, or the rest of a partly run one,
+//! * a stolen group is **consistency-checked before it is handed over**,
+//!   against its frame's own prefix, so thieves never steal dead ends,
 //! * a problem may **count its last level** instead of enumerating it
 //!   ([`BacktrackProblem::count_last_level`]) when nothing observes
 //!   individual solutions,
 //! * termination is detected with the **Dijkstra ring token** algorithm
 //!   (white/black token passed by idle workers).
+//!
+//! A one-worker run is the sequential search: the same loop on the calling
+//! thread, with no peer to answer.
 //!
 //! The engine is generic over a [`BacktrackProblem`]; `sge-engine` plugs the
 //! RI / RI-DS search into it, and the test-suite exercises it with independent

@@ -19,9 +19,12 @@ pub struct LevelCount {
 ///
 /// Implementations must be cheap to share between threads (`Sync`); all
 /// per-worker mutable data lives in [`BacktrackProblem::State`], of which the
-/// engine creates one instance per worker.  Because the engine transfers only
-/// *prefixes of choices* between workers (never whole states), `apply`/`undo`
-/// must be able to reconstruct any state from a sequence of choices.
+/// engine creates one instance per worker, candidate lists included.
+/// Because the engine transfers only *prefixes of choices* between workers
+/// (never whole states), `apply`/`undo` must be able to reconstruct any
+/// state from a sequence of choices.  A worker answering a steal also undoes
+/// its deeper levels to check a shallower level's choices against that
+/// level's own prefix, then applies them again.
 pub trait BacktrackProblem: Sync {
     /// Per-worker mutable search state (partial assignment plus whatever
     /// auxiliary structures make `is_consistent` fast).
@@ -37,11 +40,19 @@ pub trait BacktrackProblem: Sync {
     /// A fresh state with no choices applied.
     fn new_state(&self) -> Self::State;
 
-    /// Writes the raw (unchecked) candidate choices for `level` into `out`,
-    /// given that levels `0..level` are applied in `state`.  `out` is cleared
-    /// by the callee.  The state is mutable so that a problem can keep a
-    /// per-worker memo of earlier candidate lists in it.
-    fn candidates(&self, level: usize, state: &mut Self::State, out: &mut Vec<Self::Choice>);
+    /// Builds the raw (unchecked) candidate list for `level` in `state`,
+    /// given that levels `0..level` are applied, and returns its length.
+    ///
+    /// The engine reads the list through [`Self::candidate`] for as long as
+    /// it explores the level below this prefix, while it applies and undoes
+    /// this and deeper levels and builds the deeper levels' lists: a list
+    /// must stay unchanged until the next `candidates` call for its own
+    /// level.
+    fn candidates(&self, level: usize, state: &mut Self::State) -> usize;
+
+    /// Entry `index` of the list the last [`Self::candidates`] call for
+    /// `level` built in `state`.
+    fn candidate(&self, level: usize, index: usize, state: &Self::State) -> Self::Choice;
 
     /// Is `choice` consistent at `level`, given the applied prefix `0..level`?
     fn is_consistent(&self, level: usize, choice: Self::Choice, state: &Self::State) -> bool;
@@ -61,14 +72,15 @@ pub trait BacktrackProblem: Sync {
 
     /// Counts the states and solutions of the last level (`depth() - 1`)
     /// below the applied prefix, without enumerating them.  `None` (the
-    /// default) means "enumerate": the engine then spawns the level's tasks
-    /// as usual.
+    /// default) means "enumerate": the engine then opens a frame over the
+    /// level's candidates as usual.
     ///
-    /// The engine asks only when nothing can interrupt the level part-way
-    /// (no solution budget, time limit or cancel token), and counted
-    /// solutions never reach [`Self::on_solution`], so a problem answers
-    /// only while nothing observes individual solutions.  The counts must
-    /// equal what enumerating would have produced.
+    /// The engine asks each time it reaches the last level, and only when
+    /// nothing can interrupt the level part-way (no solution budget, time
+    /// limit or cancel token).  Counted solutions never reach
+    /// [`Self::on_solution`], so a problem answers only while nothing
+    /// observes individual solutions.  The counts must equal what
+    /// enumerating would have produced.
     fn count_last_level(&self, _state: &mut Self::State) -> Option<LevelCount> {
         None
     }

@@ -15,7 +15,9 @@ pub struct WorkerStats {
     pub states: u64,
     /// Complete solutions found by this worker.
     pub solutions: u64,
-    /// Tasks executed (choices taken from the private deque).
+    /// Tasks executed: consistent choices this worker applied, the nodes of
+    /// the search tree it entered.  Last-level solutions counted through
+    /// `BacktrackProblem::count_last_level` are not tasks.
     pub tasks_executed: u64,
     /// Successful steals performed by this worker (task groups received).
     pub steals: u64,
@@ -23,9 +25,11 @@ pub struct WorkerStats {
     pub steal_requests: u64,
     /// Task groups this worker handed to thieves.
     pub tasks_sent: u64,
-    /// Task groups this worker spawned (its share of the root distribution
-    /// plus one group per `task_group_size` consistent children); stolen
-    /// groups move, so the total is schedule-invariant on complete runs.
+    /// Task groups of the frames this worker expanded or started from:
+    /// ⌈consistent choices ÷ `task_group_size`⌉ per frame, counted when the
+    /// frame finishes, the choices a steal took included.  Stolen groups
+    /// count where they were cut, so the total is schedule-invariant on
+    /// complete runs for a fixed worker count and group size.
     pub task_groups: u64,
     /// Wall-clock seconds this worker spent before terminating.
     pub busy_seconds: f64,

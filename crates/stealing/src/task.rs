@@ -1,5 +1,7 @@
 //! Task groups, steal transfers and the private deque laid out as a
-//! worker's DFS stack.
+//! worker's depth-first search.
+
+use std::ops::Range;
 
 /// A group of sibling tasks: untried choices for one level of the search,
 /// sharing the same parent path.  This is the hand-off format of a steal.
@@ -15,9 +17,9 @@ pub struct TaskGroup<C> {
     pub choices: Vec<C>,
     /// Index of the next unexecuted choice; `choices[..next]` are done.
     pub next: usize,
-    /// `true` when the choices were consistency-checked at spawn time (all
-    /// spawned groups); `false` only for the initial root distribution, which
-    /// the paper enqueues unchecked.
+    /// `true` when the victim checked the choices before it handed them
+    /// over (every stolen group); `false` for a share of the root list,
+    /// which the paper enqueues unchecked.
     pub checked: bool,
 }
 
@@ -66,145 +68,220 @@ pub struct Transfer<C> {
     pub group: TaskGroup<C>,
 }
 
-/// One level of a [`TaskStack`]: choices for one depth, all below the same
-/// applied prefix.
-#[derive(Debug)]
-struct Level<C> {
-    choices: Vec<C>,
-    /// The next choice the owner takes.
-    next: usize,
-    /// End of the choices still owned; steals cut `choices[end..]` off.
-    end: usize,
-    checked: bool,
+/// Where a frame's choices come from.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Source {
+    /// The problem's candidate list for the frame's depth, built when the
+    /// worker expanded the state above it.
+    Listed,
+    /// Choices the frame holds, not checked yet: a worker's share of the
+    /// root list.
+    Share,
+    /// Choices the frame holds that the victim checked before it handed
+    /// them over.
+    Stolen,
 }
 
-impl<C> Default for Level<C> {
+/// A choice a frame hands out.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Next<C> {
+    /// Entry `index` of the problem's candidate list for the frame's depth,
+    /// not checked yet.
+    Listed(usize),
+    /// A choice the frame holds, and whether it was checked already.
+    Held(C, bool),
+}
+
+/// One depth of a worker's search: a cursor over the choices for that
+/// depth below the applied prefix.
+#[derive(Debug)]
+struct Frame<C> {
+    source: Source,
+    /// The choices of a `Share` or `Stolen` frame; unused by a `Listed` one.
+    held: Vec<C>,
+    /// The next choice the owner takes.
+    next: usize,
+    /// End of the choices still owned; steals cut ranges off the back.
+    end: usize,
+    /// Choices the owner applied.
+    applied: usize,
+    /// Consistent choices steals took.
+    stolen: usize,
+}
+
+impl<C> Default for Frame<C> {
     fn default() -> Self {
-        Level {
-            choices: Vec::new(),
+        Frame {
+            source: Source::Listed,
+            held: Vec::new(),
             next: 0,
             end: 0,
-            checked: false,
+            applied: 0,
+            stolen: 0,
         }
     }
 }
 
-impl<C> Level<C> {
+impl<C: Copy> Frame<C> {
+    fn at(&self, index: usize) -> Next<C> {
+        match self.source {
+            Source::Listed => Next::Listed(index),
+            source => Next::Held(self.held[index], source == Source::Stolen),
+        }
+    }
+
     fn has_choices(&self) -> bool {
         self.next < self.end
     }
 }
 
-/// The private deque of one worker, laid out as its depth-first stack.
+/// The private deque of one worker, laid out as its depth-first search.
 ///
-/// Level `d` holds the choices for depth `d` below the applied prefix of
-/// length `d`: the worker's share of the root choices at level 0, the
-/// consistent children of the last task executed at depth `d - 1` above
-/// it.  The owner takes the next choice of the *deepest* level that still
-/// has one, which is depth-first order.  A steal answer takes a task group
-/// from the *shallowest* such level — the one with the largest subtrees
-/// below it, so stolen work tends to be long-running (Section 3.2).
+/// Frame `d` is a cursor over the choices for depth `d` below the applied
+/// prefix of length `d`: the problem's own candidate list when the worker
+/// expanded the state above it, or choices the frame holds — a share of
+/// the root list or a stolen group.  The owner takes the next choice of
+/// the *deepest* frame and checks it then, which is the sequential
+/// depth-first loop: nothing is copied or checked for thieves in advance
+/// (lazy task creation).  A steal cuts a task group off the *shallowest*
+/// frame that still has a choice — the one with the largest subtrees below
+/// it, so stolen work tends to be long-running (Section 3.2).
 ///
-/// Groups are not stored: group `k` of a level is its `group_size`-aligned
-/// range `k * g .. (k + 1) * g`.  A steal hands over the level's last such
-/// range, or the choices from the owner's next one on when only a partly
-/// run group is left.  Expansions refill a level's storage in place, so in
-/// steady state the owner allocates nothing; only a steal copies choices.
+/// Groups are not stored: group `k` of a frame is its `group_size`-aligned
+/// range `k * g .. (k + 1) * g`.  A steal takes the frame's last such range,
+/// or the choices from the owner's next one on when only a partly run group
+/// is left.  A frame counts its task groups, ⌈consistent choices ÷ g⌉,
+/// when it finishes, the choices a steal took included, so the total does
+/// not depend on who ran them.
+///
+/// The frames also hold the worker's path: the choice applied at a live
+/// frame's depth is the last one the owner took from it, since the owner
+/// comes back to a frame only once the frames below it finished.
 #[derive(Debug)]
-pub(crate) struct TaskStack<C> {
-    levels: Vec<Level<C>>,
-    /// Levels `top..` have no choices left; level `top - 1`, if any, has.
+pub(crate) struct Frames<C> {
+    frames: Vec<Frame<C>>,
+    /// Frames `base..top` are live; frame `top - 1` is the deepest.
+    base: usize,
     top: usize,
     group_size: usize,
 }
 
-impl<C: Copy> TaskStack<C> {
-    /// An empty stack cutting levels into groups of `group_size`.
-    pub(crate) fn new(group_size: usize) -> Self {
-        TaskStack {
-            levels: Vec::new(),
+impl<C: Copy> Frames<C> {
+    /// No live frame, for a search `depth` levels deep, cutting groups of
+    /// `group_size`.
+    pub(crate) fn new(depth: usize, group_size: usize) -> Self {
+        Frames {
+            frames: (0..depth).map(|_| Frame::default()).collect(),
+            base: 0,
             top: 0,
             group_size: group_size.max(1),
         }
     }
 
-    /// `true` when no level has a choice left.
+    /// `true` when no frame is live: the worker is out of work.
     pub(crate) fn is_empty(&self) -> bool {
-        self.top == 0
+        self.top == self.base
     }
 
-    /// Replaces level `depth` with the choices `fill` writes into its
-    /// cleared storage and returns the task groups they form, ⌈choices ÷
-    /// group size⌉.  Every level from `depth` on must be out of choices:
-    /// the owner expands only below the level it took its task from.
-    pub(crate) fn spawn(
-        &mut self,
-        depth: usize,
-        checked: bool,
-        fill: impl FnOnce(&mut Vec<C>),
-    ) -> u64 {
-        debug_assert!(depth >= self.top, "level {depth} still has choices");
-        if self.levels.len() <= depth {
-            self.levels.resize_with(depth + 1, Level::default);
-        }
-        let level = &mut self.levels[depth];
-        level.choices.clear();
-        fill(&mut level.choices);
-        (level.next, level.end, level.checked) = (0, level.choices.len(), checked);
-        if level.has_choices() {
-            self.top = depth + 1;
-        }
-        level.end.div_ceil(self.group_size) as u64
+    /// The depth of the deepest live frame.
+    pub(crate) fn deepest(&self) -> Option<usize> {
+        (!self.is_empty()).then(|| self.top - 1)
     }
 
-    /// Takes the next task in depth-first order: the next choice of the
-    /// deepest level that has one.  Returns `(depth, choice, checked)`.
-    pub(crate) fn pop_task(&mut self) -> Option<(usize, C, bool)> {
-        let depth = self.top.checked_sub(1)?;
-        let level = &mut self.levels[depth];
-        let choice = level.choices[level.next];
-        level.next += 1;
-        let checked = level.checked;
-        self.settle();
-        Some((depth, choice, checked))
+    /// Takes the next choice of the deepest frame; `None` when it has none
+    /// left.
+    #[inline]
+    pub(crate) fn take(&mut self) -> Option<Next<C>> {
+        let frame = &mut self.frames[self.top - 1];
+        if frame.next == frame.end {
+            return None;
+        }
+        frame.next += 1;
+        Some(frame.at(frame.next - 1))
     }
 
-    /// Hands over the back group of the shallowest level with choices left,
-    /// skipping exhausted levels.
-    pub(crate) fn steal_back(&mut self) -> Option<TaskGroup<C>> {
-        let depth = self.levels[..self.top]
-            .iter()
-            .position(Level::has_choices)?;
-        let level = &mut self.levels[depth];
-        let start = ((level.end - 1) / self.group_size * self.group_size).max(level.next);
-        let stolen = level.choices[start..level.end].to_vec();
-        level.end = start;
-        let group = TaskGroup::new(depth, stolen, level.checked);
-        self.settle();
-        Some(group)
+    /// Counts the choice the owner just took from frame `depth` as applied.
+    #[inline]
+    pub(crate) fn count_applied(&mut self, depth: usize) {
+        self.frames[depth].applied += 1;
     }
 
-    /// Adopts a stolen group as level `group.depth` of an empty stack.
-    pub(crate) fn install(&mut self, group: TaskGroup<C>) {
-        debug_assert!(self.is_empty(), "only an idle worker steals");
-        if group.is_exhausted() {
-            return;
-        }
-        let depth = group.depth;
-        if self.levels.len() <= depth {
-            self.levels.resize_with(depth + 1, Level::default);
-        }
-        let level = &mut self.levels[depth];
-        (level.next, level.end, level.checked) = (group.next, group.choices.len(), group.checked);
-        level.choices = group.choices;
+    /// Opens frame `depth` over the `len` entries of the problem's
+    /// candidate list for it: the first frame of a search, or the one
+    /// below the deepest.
+    pub(crate) fn expand(&mut self, depth: usize, len: usize) {
+        debug_assert!(depth == self.top, "frame {depth} is not below the deepest");
+        let frame = &mut self.frames[depth];
+        (frame.source, frame.next, frame.end) = (Source::Listed, 0, len);
+        (frame.applied, frame.stolen) = (0, 0);
         self.top = depth + 1;
     }
 
-    /// Lowers `top` past the levels that ran out of choices.
-    fn settle(&mut self) {
-        while self.top > 0 && !self.levels[self.top - 1].has_choices() {
-            self.top -= 1;
+    /// Adopts a root share or a stolen group as the only live frame, at
+    /// its depth.  A group without a choice left opens nothing.
+    pub(crate) fn install(&mut self, group: TaskGroup<C>) {
+        debug_assert!(self.is_empty(), "only an idle worker adopts a group");
+        if group.is_exhausted() {
+            return;
         }
+        let frame = &mut self.frames[group.depth];
+        frame.source = [Source::Share, Source::Stolen][group.checked as usize];
+        (frame.next, frame.end) = (group.next, group.choices.len());
+        (frame.applied, frame.stolen) = (0, 0);
+        frame.held = group.choices;
+        (self.base, self.top) = (group.depth, group.depth + 1);
+    }
+
+    /// Closes the deepest frame, which has no choice left, and returns the
+    /// tasks its owner executed from it and the task groups it formed.  A
+    /// stolen group forms none: its victim counted them.
+    pub(crate) fn finish(&mut self) -> (u64, u64) {
+        self.top -= 1;
+        let frame = &self.frames[self.top];
+        debug_assert!(!frame.has_choices(), "frame {} still has choices", self.top);
+        let consistent = frame.applied + frame.stolen;
+        let groups = match frame.source {
+            Source::Stolen => 0,
+            // Most frames form at most one group: no division for them.
+            _ if consistent <= self.group_size => (consistent > 0) as usize,
+            _ => consistent.div_ceil(self.group_size),
+        };
+        (frame.applied as u64, groups as u64)
+    }
+
+    /// Cuts the last group off the shallowest frame with a choice left and
+    /// returns the frame's depth and the group's indices, which
+    /// [`Self::choice`] resolves.
+    pub(crate) fn cut_back(&mut self) -> Option<(usize, Range<usize>)> {
+        let frames = &self.frames[self.base..self.top];
+        let depth = self.base + frames.iter().position(Frame::has_choices)?;
+        let frame = &mut self.frames[depth];
+        let start = ((frame.end - 1) / self.group_size * self.group_size).max(frame.next);
+        let group = start..frame.end;
+        frame.end = start;
+        Some((depth, group))
+    }
+
+    /// Counts `n` consistent choices a steal took from frame `depth`.
+    pub(crate) fn count_stolen(&mut self, depth: usize, n: usize) {
+        self.frames[depth].stolen += n;
+    }
+
+    /// Entry `index` of frame `depth`, as [`Self::take`] hands it out.
+    pub(crate) fn choice(&self, depth: usize, index: usize) -> Next<C> {
+        self.frames[depth].at(index)
+    }
+
+    /// The depth of the first live frame: a stolen group's, or 0.
+    pub(crate) fn base(&self) -> usize {
+        self.base
+    }
+
+    /// The choice the owner last took from live frame `depth`: the one
+    /// applied at that depth while a deeper frame is live.
+    pub(crate) fn last_taken(&self, depth: usize) -> Next<C> {
+        let frame = &self.frames[depth];
+        frame.at(frame.next - 1)
     }
 }
 
@@ -225,103 +302,137 @@ mod tests {
         assert_eq!(group.take_next(), None);
     }
 
-    fn pop_all(stack: &mut TaskStack<u32>) -> Vec<(usize, u32, bool)> {
-        std::iter::from_fn(|| stack.pop_task()).collect()
+    /// Takes the deepest frame's choices until it has none left.
+    fn take_all(frames: &mut Frames<u32>) -> Vec<Next<u32>> {
+        std::iter::from_fn(|| frames.take()).collect()
+    }
+
+    /// Takes the deepest frame's next choice, counting it applied when
+    /// `apply`.
+    fn take_one(frames: &mut Frames<u32>, apply: bool) -> Option<Next<u32>> {
+        let next = frames.take();
+        if apply && next.is_some() {
+            frames.count_applied(frames.deepest().unwrap());
+        }
+        next
+    }
+
+    /// Cuts groups off until none is left: `(depth, indices)` each.
+    fn cut_all(frames: &mut Frames<u32>) -> Vec<(usize, Range<usize>)> {
+        std::iter::from_fn(|| frames.cut_back()).collect()
     }
 
     #[test]
     fn deque_pops_front_group_in_dfs_order() {
-        let mut stack = TaskStack::new(4);
-        assert_eq!(stack.spawn(0, false, |v| v.extend([1, 2])), 1);
-        assert_eq!(stack.pop_task(), Some((0, 1, false)));
-        // The children of the task just taken come before its siblings.
-        assert_eq!(stack.spawn(1, true, |v| v.extend([7, 8])), 1);
-        assert_eq!(stack.pop_task(), Some((1, 7, true)));
-        assert_eq!(stack.spawn(2, true, |v| v.push(9)), 1);
-        assert_eq!(
-            pop_all(&mut stack),
-            vec![(2, 9, true), (1, 8, true), (0, 2, false)]
-        );
-        assert!(stack.is_empty());
+        let mut frames = Frames::new(3, 4);
+        frames.install(TaskGroup::new(0, vec![1, 2], false));
+        assert_eq!(take_one(&mut frames, true), Some(Next::Held(1, false)));
+        // The children of the choice just taken come before its siblings.
+        frames.expand(1, 2);
+        assert_eq!(frames.deepest(), Some(1));
+        assert_eq!(take_one(&mut frames, false), Some(Next::Listed(0)));
+        frames.expand(2, 1);
+        assert_eq!(take_all(&mut frames), vec![Next::Listed(0)]);
+        assert_eq!(frames.finish(), (0, 0), "no consistent choice, no group");
+        // Frame 1's path entry is the choice taken last.
+        assert_eq!(frames.last_taken(1), Next::Listed(0));
+        assert_eq!(take_all(&mut frames), vec![Next::Listed(1)]);
+        frames.finish();
+        assert_eq!(take_all(&mut frames), vec![Next::Held(2, false)]);
+        assert_eq!(frames.finish(), (1, 1));
+        assert!(frames.is_empty());
     }
 
     #[test]
     fn steal_takes_the_shallowest_group() {
-        let mut stack = TaskStack::new(4);
-        stack.spawn(0, false, |v| v.extend(1..=10));
-        assert_eq!(stack.pop_task(), Some((0, 1, false)));
-        stack.spawn(1, true, |v| v.extend([20, 21, 22]));
-        assert_eq!(stack.pop_task(), Some((1, 20, true)));
-        stack.spawn(2, true, |v| v.push(30));
-        let mut steal = || {
-            let group = stack.steal_back().unwrap();
-            assert_eq!(group.next, 0);
-            (group.depth, group.choices, group.checked)
-        };
-        // The shallowest level's 4-aligned groups, back first: [8, 10),
-        // [4, 8), then the partly run [0, 4) from its next choice on.
-        assert_eq!(steal(), (0, vec![9, 10], false));
-        assert_eq!(steal(), (0, vec![5, 6, 7, 8], false));
-        assert_eq!(steal(), (0, vec![2, 3, 4], false));
-        assert_eq!(steal(), (1, vec![21, 22], true));
-        // The owner keeps the deepest level.
-        assert_eq!(pop_all(&mut stack), vec![(2, 30, true)]);
-        assert!(stack.steal_back().is_none());
+        let mut frames = Frames::new(3, 4);
+        frames.install(TaskGroup::new(0, (1..=10).collect(), false));
+        assert_eq!(take_one(&mut frames, true), Some(Next::Held(1, false)));
+        frames.expand(1, 3);
+        assert_eq!(take_one(&mut frames, true), Some(Next::Listed(0)));
+        frames.expand(2, 1);
+        // The shallowest frame's 4-aligned groups, back first: [8, 10),
+        // [4, 8), then the partly run [0, 4) from its next choice on; then
+        // the next frame down.
+        assert_eq!(
+            cut_all(&mut frames),
+            vec![(0, 8..10), (0, 4..8), (0, 1..4), (1, 1..3), (2, 0..1)]
+        );
+        assert_eq!(frames.choice(0, 9), Next::Held(10, false));
+        assert_eq!(frames.choice(1, 2), Next::Listed(2));
+        // The owner is left with nothing to take below its applied prefix.
+        assert_eq!(frames.take(), None);
+        assert!(
+            !frames.is_empty(),
+            "the frames finish as the owner backs up"
+        );
     }
 
     #[test]
     fn exhausted_groups_are_skipped() {
-        let mut stack = TaskStack::new(2);
-        stack.spawn(0, false, |v| v.extend([1, 2]));
-        assert_eq!(stack.pop_task(), Some((0, 1, false)));
-        stack.spawn(1, true, |v| v.extend([3, 4]));
-        assert_eq!(stack.pop_task(), Some((1, 3, true)));
-        stack.spawn(2, true, |v| v.push(5));
-        assert_eq!(stack.pop_task(), Some((2, 5, true)));
-        // Level 2 ran out: the owner goes on with level 1.
-        assert!(!stack.is_empty());
-        assert_eq!(
-            stack.steal_back().map(|g| (g.depth, g.choices)),
-            Some((0, vec![2]))
-        );
-        // Level 0 ran out: the next steal skips it.
-        assert_eq!(
-            stack.steal_back().map(|g| (g.depth, g.choices)),
-            Some((1, vec![4]))
-        );
-        assert!(stack.is_empty());
-        assert_eq!(stack.pop_task(), None);
-        assert!(stack.steal_back().is_none());
+        let mut frames = Frames::new(3, 2);
+        frames.install(TaskGroup::new(0, vec![1, 2], false));
+        assert_eq!(take_one(&mut frames, true), Some(Next::Held(1, false)));
+        frames.expand(1, 2);
+        assert_eq!(take_one(&mut frames, true), Some(Next::Listed(0)));
+        frames.expand(2, 1);
+        assert_eq!(take_one(&mut frames, true), Some(Next::Listed(0)));
+        // Frame 2 ran out: a steal goes to the shallowest frame with a
+        // choice left, then skips it once it ran out too.
+        assert_eq!(frames.cut_back(), Some((0, 1..2)));
+        assert_eq!(frames.cut_back(), Some((1, 1..2)));
+        assert_eq!(frames.cut_back(), None);
+        for _ in 0..3 {
+            assert_eq!(take_one(&mut frames, false), None);
+            assert_eq!(frames.finish(), (1, 1));
+        }
+        assert!(frames.is_empty());
     }
 
     #[test]
     fn spawn_keeps_dfs_order_and_reuses_exhausted_storage() {
-        let mut stack = TaskStack::new(2);
-        assert_eq!(stack.spawn(1, true, |v| v.extend(1..=5)), 3);
-        let expected: Vec<_> = (1..=5).map(|c| (1, c, true)).collect();
-        assert_eq!(pop_all(&mut stack), expected, "in order");
-        let storage = stack.levels[1].choices.as_ptr();
-        // The next expansion of the level refills the same storage.
-        assert_eq!(stack.spawn(1, true, |v| v.extend([6, 7, 8, 9])), 2);
-        assert_eq!(stack.levels[1].choices.as_ptr(), storage);
-        // A steal copies the group out and leaves the storage in place.
-        let stolen = stack.steal_back().unwrap();
-        assert_eq!((stolen.depth, stolen.choices), (1, vec![8, 9]));
-        assert_eq!(stack.levels[1].choices.as_ptr(), storage);
-        assert_eq!(pop_all(&mut stack), vec![(1, 6, true), (1, 7, true)]);
-        assert_eq!(stack.spawn(2, true, |_| {}), 0, "no children, no group");
-        assert!(stack.is_empty());
+        let mut frames: Frames<u32> = Frames::new(3, 2);
+        frames.expand(0, 1);
+        assert_eq!(take_one(&mut frames, true), Some(Next::Listed(0)));
+        // An expansion is a cursor over the problem's list: it hands the
+        // list's indices out in order and holds no choice of its own.
+        frames.expand(1, 5);
+        for index in 0..5 {
+            assert_eq!(
+                take_one(&mut frames, index % 2 == 0),
+                Some(Next::Listed(index))
+            );
+        }
+        assert_eq!(frames.frames[1].held.capacity(), 0);
+        assert_eq!(frames.finish(), (3, 2), "three applied choices, two groups");
+        // The next expansion of the depth reuses its frame.
+        frames.expand(1, 4);
+        assert_eq!(frames.cut_back(), Some((1, 2..4)), "after frame 0 ran out");
+        // The choices a steal cut off and found consistent count in the
+        // frame they came from: two applied and two stolen form two groups.
+        frames.count_stolen(1, 2);
+        assert_eq!(take_one(&mut frames, true), Some(Next::Listed(0)));
+        assert_eq!(take_one(&mut frames, true), Some(Next::Listed(1)));
+        assert_eq!(take_one(&mut frames, true), None);
+        assert_eq!(frames.finish(), (2, 2));
+        assert_eq!(take_all(&mut frames), vec![]);
+        assert_eq!(frames.finish(), (1, 1));
+        assert!(frames.is_empty());
     }
 
     #[test]
     fn empty_group_never_enters_the_deque() {
-        let mut stack: TaskStack<u32> = TaskStack::new(4);
-        stack.spawn(0, true, |_| {});
-        assert!(stack.is_empty());
-        stack.install(TaskGroup::new(3, vec![], true));
-        assert!(stack.is_empty());
-        // A stolen group becomes its depth's level.
-        stack.install(TaskGroup::new(2, vec![5, 6], true));
-        assert_eq!(pop_all(&mut stack), vec![(2, 5, true), (2, 6, true)]);
+        let mut frames: Frames<u32> = Frames::new(4, 4);
+        frames.install(TaskGroup::new(3, vec![], true));
+        assert!(frames.is_empty());
+        assert_eq!(frames.cut_back(), None);
+        // A stolen group becomes its depth's frame and forms no group of
+        // its own: its victim counted them.
+        frames.install(TaskGroup::new(2, vec![5, 6], true));
+        assert_eq!(frames.deepest(), Some(2));
+        assert_eq!(take_one(&mut frames, true), Some(Next::Held(5, true)));
+        assert_eq!(take_all(&mut frames), vec![Next::Held(6, true)]);
+        assert_eq!(frames.finish(), (1, 0));
+        assert!(frames.is_empty());
     }
 }

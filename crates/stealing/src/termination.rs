@@ -58,7 +58,7 @@ impl Termination {
         self.terminated.load(Ordering::SeqCst)
     }
 
-    /// Forces termination (used for global time limits and by tests).
+    /// Forces termination from outside the ring.
     pub fn force(&self) {
         self.terminated.store(true, Ordering::SeqCst);
     }

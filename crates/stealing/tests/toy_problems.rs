@@ -30,9 +30,12 @@ impl BacktrackProblem for CompleteTree {
         Vec::new()
     }
 
-    fn candidates(&self, _level: usize, _state: &mut Vec<u32>, out: &mut Vec<u32>) {
-        out.clear();
-        out.extend(0..self.branching);
+    fn candidates(&self, _level: usize, _state: &mut Vec<u32>) -> usize {
+        self.branching as usize
+    }
+
+    fn candidate(&self, _level: usize, index: usize, _state: &Vec<u32>) -> u32 {
+        index as u32
     }
 
     fn is_consistent(&self, _level: usize, _choice: u32, _state: &Vec<u32>) -> bool {
@@ -68,9 +71,12 @@ impl BacktrackProblem for BoundedPrefix {
         (Vec::new(), 0)
     }
 
-    fn candidates(&self, _level: usize, _state: &mut (Vec<u32>, u32), out: &mut Vec<u32>) {
-        out.clear();
-        out.extend([0u32, 1]);
+    fn candidates(&self, _level: usize, _state: &mut (Vec<u32>, u32)) -> usize {
+        2
+    }
+
+    fn candidate(&self, _level: usize, index: usize, _state: &(Vec<u32>, u32)) -> u32 {
+        index as u32
     }
 
     fn is_consistent(&self, level: usize, choice: u32, state: &(Vec<u32>, u32)) -> bool {

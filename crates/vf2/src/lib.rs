@@ -188,8 +188,8 @@ impl<'a> Vf2<'a> {
 
 /// Enumerates all non-induced embeddings of `pattern` in `target`.
 ///
-/// An empty pattern has exactly one (empty) embedding, mirroring
-/// `sge_ri::search_prepared`.
+/// An empty pattern has exactly one (empty) embedding, as under every
+/// `sge::Engine` scheduler.
 pub fn enumerate(pattern: &Graph, target: &Graph) -> Vf2Result {
     enumerate_limited(pattern, target, None)
 }

@@ -24,8 +24,8 @@
 //! * `algo` — `ri`, `ri-ds`, `ri-ds-si` or `ri-ds-si-fc` (default).
 //! * `sched` — `auto` (default: the planner routes the run to the cheapest
 //!   scheduler from its cost-model-corrected state estimate), or a pinned
-//!   `seq`, `ws:<workers>[:<group>[:nosteal]]` or `rayon:<workers>`, with
-//!   at most [`max_sched_workers`] workers.
+//!   `seq` or `ws:<workers>[:<group>[:nosteal]]`, with at most
+//!   [`max_sched_workers`] workers.
 //!   Responses carry `routed` (whether the planner chose) and `EXPLAIN`
 //!   reports the full decision under `routing`.
 //! * `strategy` — ordering strategy: `ri-greedy` (default),
@@ -106,11 +106,11 @@ pub const MAX_REQUEST_LINE_BYTES: usize = 1 << 20; // 1 MiB
 /// connection forever).
 pub const MAX_BATCH_QUERIES: usize = 4096;
 
-/// Workers a pinned `sched=ws:<n>` or `sched=rayon:<n>` may ask for per
-/// core the host makes available.  Both schedulers spawn one OS thread per
-/// worker on every query, and a host that cannot back those threads aborts
-/// the whole server process, so the cap grows with what the host can run
-/// rather than with what a client asks for.
+/// Workers a pinned `sched=ws:<n>` may ask for per core the host makes
+/// available.  A run of two or more workers spawns one OS thread per worker
+/// on every query (a one-worker run stays on the calling thread), and a
+/// host that cannot back those threads fails the query, so the cap grows
+/// with what the host can run rather than with what a client asks for.
 pub const SCHED_WORKERS_PER_CORE: usize = 16;
 
 /// The worker cap of a pinned scheduler on this host:
@@ -784,24 +784,22 @@ mod tests {
         let cap = max_sched_workers();
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         assert_eq!(cap, SCHED_WORKERS_PER_CORE * cores);
-        for sched in ["ws", "rayon"] {
-            let line = |n: usize| format!("QUERY target=k5 sched={sched}:{n} pattern=1;0;0");
-            match parse_command(&line(cap)).unwrap() {
-                Command::Query { spec, .. } => {
-                    assert_eq!(spec.run.scheduler.workers(), cap);
-                }
-                other => panic!("unexpected {other:?}"),
+        let line = |n: usize| format!("QUERY target=k5 sched=ws:{n} pattern=1;0;0");
+        match parse_command(&line(cap)).unwrap() {
+            Command::Query { spec, .. } => {
+                assert_eq!(spec.run.scheduler.workers(), cap);
             }
-            let err = parse_command(&line(cap + 1)).expect_err("over the cap");
-            let rendered = error_response(&err).render();
-            assert!(rendered.starts_with("{\"ok\":false,"), "{rendered}");
-            assert!(
-                rendered.contains(&format!("exceeds the cap of {cap} workers")),
-                "{rendered}"
-            );
-            let over = format!("sched={sched}:{} pattern=1;0;0", cap + 1);
-            assert!(parse_batch_query(&over).is_err());
+            other => panic!("unexpected {other:?}"),
         }
+        let err = parse_command(&line(cap + 1)).expect_err("over the cap");
+        let rendered = error_response(&err).render();
+        assert!(rendered.starts_with("{\"ok\":false,"), "{rendered}");
+        assert!(
+            rendered.contains(&format!("exceeds the cap of {cap} workers")),
+            "{rendered}"
+        );
+        let over = format!("sched=ws:{} pattern=1;0;0", cap + 1);
+        assert!(parse_batch_query(&over).is_err());
     }
 
     #[test]

@@ -68,11 +68,4 @@ fn main() {
             result.matches
         );
     }
-
-    // What a library scheduler gets you on the same prepared instance.
-    let rayon = engine.run(&RunConfig::new(Scheduler::Rayon { workers: 4 }));
-    println!(
-        "\nrayon-style comparator (4 workers): {} matches, {:.4} s match time",
-        rayon.matches, rayon.match_seconds
-    );
 }

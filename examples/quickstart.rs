@@ -48,8 +48,8 @@ fn main() {
     }
     println!();
 
-    // The same instance with the paper's parallel scheduler and the
-    // rayon-style comparator — one engine, three schedulers.
+    // The same instance with the paper's parallel scheduler — one engine,
+    // every worker count (one worker runs on this thread).
     let engine = Engine::prepare(&pattern, &target, Algorithm::RiDsSiFc);
     for workers in [1usize, 2, 4] {
         let result = engine.run(&RunConfig::new(Scheduler::work_stealing(workers)));
@@ -58,9 +58,4 @@ fn main() {
             result.matches, result.states, result.steals, result.match_seconds
         );
     }
-    let rayon = engine.run(&RunConfig::new(Scheduler::Rayon { workers: 4 }));
-    println!(
-        "rayon-style   RI-DS-SI-FC,  4 workers: {} matches, {} states, {} steals, {:.6} s",
-        rayon.matches, rayon.states, rayon.steals, rayon.match_seconds
-    );
 }

@@ -7,9 +7,9 @@
 //! work stealing with private deques.
 //!
 //! The public API is the unified [`Engine`]: prepare an instance once, then
-//! run it under any [`Scheduler`] — sequential, the paper's work-stealing
-//! runtime, or a rayon-style first-level pool — with one knob set and one
-//! result shape.  See the [`engine`] module for the scheduler-equivalence
+//! run it under any [`Scheduler`] — sequential, or the paper's
+//! work-stealing runtime, both one depth-first loop — with one knob set and
+//! one result shape.  See the [`engine`] module for the scheduler-equivalence
 //! contract.
 //!
 //! This crate is a thin facade re-exporting the workspace members:
@@ -18,10 +18,10 @@
 //! |-------|----------|
 //! | [`graph`] | labeled directed CSR graphs, builders, text I/O, generators |
 //! | [`plan`] | query planning: ordering strategies, cost model, EXPLAIN-able plans |
-//! | [`ri`] | the RI family's search: candidate generation, consistency checks, the sequential driver |
+//! | [`ri`] | the RI family's search machinery: candidate generation, consistency checks, the candidate memo |
 //! | [`vf2`] | a VF2-style baseline, the oracle `tests/oracle_matrix.rs` diffs every configuration against |
-//! | [`stealing`] | the generic private-deque work-stealing engine |
-//! | [`engine`] | the unified [`Engine`]/[`Scheduler`] API and [`PreparedEngine`]: sequential, work-stealing and rayon-style runs of one prepared search |
+//! | [`stealing`] | the one depth-first loop, generic over the problem: one worker on the calling thread, or private-deque work stealing |
+//! | [`engine`] | the unified [`Engine`]/[`Scheduler`] API and [`PreparedEngine`]: sequential and work-stealing runs of one prepared search |
 //! | [`wire`] | the serving wire plane: line-protocol codec, JSON encoder, stream framing |
 //! | [`service`] | query serving: graph registry, prepared cache, batch executor, event-loop TCP front end |
 //! | [`obs`] | observability: metrics registry, query traces, enumeration trace sinks, event log |
@@ -43,14 +43,15 @@
 //! // …then run under any scheduler with the same knobs and result shape.
 //! let seq = engine.run(&RunConfig::new(Scheduler::Sequential));
 //! let par = engine.run(&RunConfig::new(Scheduler::work_stealing(4)));
-//! let ray = engine.run(&RunConfig::new(Scheduler::Rayon { workers: 4 }));
+//! // The paper's no-stealing baseline, a static partition of the roots:
+//! let frozen = engine.run(&RunConfig::new("ws:4:1:nosteal".parse().unwrap()));
 //!
 //! assert_eq!(seq.matches, 60);
 //! assert_eq!(par.matches, 60);
-//! assert_eq!(ray.matches, 60);
+//! assert_eq!(frozen.matches, 60);
 //! // Same search tree under every scheduler:
 //! assert_eq!(seq.states, par.states);
-//! assert_eq!(seq.states, ray.states);
+//! assert_eq!(seq.states, frozen.states);
 //!
 //! // The full knob set works uniformly — e.g. stop after 10 matches:
 //! let first10 = engine.run(&RunConfig::new(Scheduler::work_stealing(2)).with_max_matches(10));
@@ -101,7 +102,7 @@ mod tests {
 
         // The per-crate modules reach the same machinery.
         let ctx = crate::ri::SearchContext::prepare(&pattern, &target, Algorithm::Ri);
-        let run = crate::ri::search_prepared(&ctx, &Default::default(), |_, _| {});
+        let run = Engine::from_context(ctx).run(&RunConfig::default());
         assert_eq!(run.matches, 6);
         assert_eq!(crate::vf2::count_matches(&pattern, &target), 6);
     }

@@ -14,7 +14,11 @@ fn thread_schedulers(i: usize) -> Scheduler {
         0 => Scheduler::Sequential,
         1 => Scheduler::work_stealing(2),
         2 => Scheduler::work_stealing(4),
-        _ => Scheduler::Rayon { workers: 2 },
+        _ => Scheduler::WorkStealing {
+            workers: 2,
+            task_group_size: 1,
+            stealing: false,
+        },
     }
 }
 

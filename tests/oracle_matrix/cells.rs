@@ -52,8 +52,6 @@ axis! {
         WsN,
         /// `ws:N:g:nosteal`, the frozen initial partition.
         NoSteal,
-        /// `rayon:N`, the first-level pool.
-        Rayon,
     }
 }
 
@@ -71,9 +69,10 @@ axis! {
         Stream,
         /// `Engine::run` with a `TraceSink` attached.
         Analyze,
-        /// The forced-kernel plans: `search_prepared` count-only and
-        /// enumerating, plus a walk of the whole tree diffing every
-        /// candidate set against a scalar reference.
+        /// The forced-kernel plans: `Engine::from_context` over the
+        /// hand-planned context, sequential count-only and enumerating,
+        /// plus a walk of the whole tree diffing every candidate set
+        /// against a scalar reference.
         Driver,
         /// `Service::run_query`, scheduler pinned, collecting rows.
         Pinned,
@@ -120,7 +119,6 @@ impl Sched {
             Sched::Ws2 => ws(2, true),
             Sched::WsN => ws(3 + n % 2, true),
             Sched::NoSteal => ws(n, false),
-            Sched::Rayon => Scheduler::Rayon { workers: n },
         }
     }
 }

@@ -7,8 +7,8 @@ use sge::graph::io::write_graph;
 use sge::graph::{AdjacencyBitmaps, BitmapConfig, Graph, GraphBuilder, GraphStats, NodeId};
 use sge::obs::TraceSink;
 use sge::prelude::*;
-use sge::ri::{check_kernel_parity, search_prepared, KernelChoice, KernelUsage, PlanStep};
-use sge::ri::{SearchContext, SearchLimits, WorkerState};
+use sge::ri::{check_kernel_parity, KernelChoice, KernelUsage, PlanStep};
+use sge::ri::{SearchContext, WorkerState};
 use sge::service::{StreamHeader, StreamSink};
 use sge::util::SplitMix64 as Rng;
 use std::cell::{OnceCell, RefCell};
@@ -506,8 +506,8 @@ impl<'a> Subject<'a> {
         Ok(())
     }
 
-    /// The forced-kernel cells: the sequential driver, count-only and
-    /// enumerating, and a walk of the whole tree.
+    /// The forced-kernel cells: a sequential engine over the hand-planned
+    /// context, count-only and enumerating, and a walk of the whole tree.
     fn drive_forced(&self, cell: Cell) -> Check {
         let (algorithm, strategy) = (cell.algorithm, cell.strategy);
         let reference = self.reference((algorithm, strategy, Kernel::RowsPresent))?;
@@ -526,16 +526,12 @@ impl<'a> Subject<'a> {
             walk(&ctx, 0, &mut ctx.new_state())?;
         }
         let before = ctx.kernel_totals();
-        let count_only = SearchLimits {
-            count_only: true,
-            ..SearchLimits::default()
-        };
-        let counted = search_prepared(&ctx, &count_only, |_, _| {});
-        let mut rows = Vec::new();
-        let listed = search_prepared(&ctx, &SearchLimits::default(), |ctx, state| {
-            rows.push(ctx.mapping_by_pattern_node(state))
-        });
-        ensure!(sorted(rows) == self.oracle, "the driver's rows differ");
+        let engine = Engine::from_context(ctx);
+        let counted = engine.run(&RunConfig::default());
+        let visitor = RowVisitor(Mutex::new(Vec::new()));
+        let listed = engine.run_with(&RunConfig::default(), &visitor);
+        let rows = sorted(visitor.0.into_inner().unwrap());
+        ensure!(rows == self.oracle, "the driver's rows differ");
         let want = (self.total(), reference.states);
         same(
             "count-only matches, states",
@@ -547,7 +543,8 @@ impl<'a> Subject<'a> {
             (listed.matches, listed.states),
             want,
         )?;
-        check_bitmap(cell.kernel, bitmap, &ctx.kernel_totals().since(&before))
+        let usage = engine.context().kernel_totals().since(&before);
+        check_bitmap(cell.kernel, bitmap, &usage)
     }
 
     /// What the bitmap counter of a complete run of `plan` over `sidecar`
