@@ -1,147 +1,117 @@
-//! The machine-readable perf-trajectory report (`BENCH_pr7.json`).
+//! The figure registry and the machine-readable record (`BENCH_pr<N>.json`).
 //!
-//! Criterion benches print human-oriented tables; CI and future PRs need a
-//! stable, machine-readable record of where the hot path stands.  This module
-//! runs a small set of *figures* — named workloads mirroring the criterion
-//! benches — and emits one JSON document per run:
+//! Every figure is one function returning one typed [`Table`]: the paper's
+//! tables and figures first, in paper order (see [`crate::experiments`]),
+//! then the record figures below, which time the hot path.  The
+//! `bench-report` binary prints a figure's table as text; with `--out` it
+//! runs every figure and writes one JSON document:
 //!
 //! ```json
 //! {
 //!   "schema": "sge-bench-report/v1",
-//!   "pr": "pr3",
 //!   "repeats": 5,
+//!   "host_parallelism": 2,
 //!   "figures": {
 //!     "<figure>": {
-//!       "cases": [
-//!         {
-//!           "name": "<case>",
-//!           "intersection_seconds": 0.0123,
-//!           "speedup_vs_sequential": 1.7,
-//!           "observed_states_total": 123456,
-//!           "steals_total": 42
-//!         }
-//!       ]
+//!       "cases": [{ "<column>": <value>, ... }],
+//!       "<extra>": <value>
 //!     }
 //!   }
 //! }
 //! ```
 //!
-//! * `intersection_seconds` — median wall time of the case on the
-//!   intersection-based candidate path (the committed records up to
-//!   `BENCH_pr10.json` also carry two columns timing a since-removed
-//!   candidate generator; the validator ignores them),
+//! A case holds one table row, keyed by the table's column names, at full
+//! precision.  The scheduler-sweep figures (`fig3_work_stealing`,
+//! `batch_throughput`, `dense_target`) have one case per scheduler, `name`d
+//! `sequential`, `ws4_stealing` or `ws4_no_stealing`, with these columns:
+//!
+//! * `intersection_seconds` — median wall time of the case (the committed
+//!   records up to `BENCH_pr10.json` also carry two columns timing a
+//!   since-removed candidate generator),
 //! * `speedup_vs_sequential` — the figure's sequential median divided by
 //!   this case's median,
-//! * `observed_states_total` / `steals_total` — since PR 7: the consistency
-//!   checks and successful steals a [`sge::obs::TraceSink`] records over one
-//!   extra *untimed* instrumented pass of the case's intersection workload
-//!   (the timed passes stay sink-free, preserving the zero-overhead
-//!   contract).  States are schedule-invariant — identical across the
-//!   scheduler cases of a figure — while steals depend on the scheduler, so
-//!   the pair documents how much search each figure does and how much of it
-//!   moved between workers.
+//! * `observed_states_total` / `steals_total` / `worker_states_stddev_mean`
+//!   — the consistency checks and successful steals a
+//!   [`sge::obs::TraceSink`] records, and the mean per-run standard
+//!   deviation of worker states, over one extra *untimed* instrumented pass
+//!   of the case's workload (the timed passes stay sink-free, preserving the
+//!   zero-overhead contract).  States are schedule-invariant — identical
+//!   across the scheduler cases of a figure — while steals and the worker
+//!   spread depend on the scheduler.
 //!
-//! Since PR 4 the report also carries a `strategy_comparison` figure: the
-//! same count-only workload enumerated once per ordering strategy
-//! (`ri-greedy`, `least-frequent-label`, `degree-descending`), each case
-//! reporting its median wall seconds, its speedup relative to the RI-greedy
-//! baseline, and the cost model's total state estimate — so the planner's
-//! predictions can be eyeballed against measured reality.
-//!
-//! The report also carries a `modular_mix` figure: a count-only
-//! triangle-class query mix against a modular clique-community target through
-//! the single-registry service, reporting the mix's median wall seconds,
-//! queries per second, total matches and bitmap-kernel invocations.
-//!
-//! Future PRs append comparable records as `BENCH_pr<N>.json` with the same
-//! schema string so the trajectory stays diffable.
+//! `strategy_comparison` enumerates one count-only workload per ordering
+//! strategy next to the cost model's state estimate, `adaptive_dispatch`
+//! times planner routing through the real service against the pinned
+//! schedulers it chooses between, `kernel_comparison` times the three
+//! intersection kernels per density tier, and `modular_mix` runs a
+//! triangle-class query mix against a modular clique-community target.
 
-use crate::experiments::collection;
-use crate::report::Table;
-use crate::ExperimentConfig;
+use crate::config::Settings;
+use crate::experiments::{self, collection};
+use crate::report::{Cell, Table};
 use sge::obs::TraceSink;
 use sge::prelude::*;
-use sge_datasets::CollectionKind;
-use sge_graph::{generators, io::write_graph, Graph};
-use sge_ri::Algorithm;
-use sge_service::json::Json;
+use sge_datasets::{Collection, CollectionKind};
+use sge_graph::{generators, io::write_graph};
+use sge_util::RunningStats;
+use sge_wire::json::Json;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Figure names every report must contain; CI's `bench-smoke` job validates
-/// the emitted document against this list.  (`adaptive_dispatch` is required
-/// since PR 8; older committed records are grandfathered.)
-pub const EXPECTED_FIGURES: [&str; 7] = [
-    "fig3_work_stealing",
-    "batch_throughput",
-    "dense_target",
-    "strategy_comparison",
-    "adaptive_dispatch",
-    "kernel_comparison",
-    "modular_mix",
+/// A figure: one typed table from the settings.
+pub type FigureFn = fn(&Settings) -> Table;
+
+/// Every figure: the paper's in paper order, then the record's.
+pub const FIGURES: [(&str, FigureFn); 19] = [
+    ("table1", experiments::table1),
+    ("fig3_work_stealing", fig3_work_stealing),
+    ("fig4", experiments::fig4),
+    ("table2", experiments::table2),
+    ("fig5", experiments::fig5),
+    ("fig6", experiments::fig6),
+    ("fig7", experiments::fig7),
+    ("fig8", experiments::fig8),
+    ("fig9", experiments::fig9),
+    ("fig10", experiments::fig10),
+    ("fig11", experiments::fig11),
+    ("fig12", experiments::fig12),
+    ("table3", experiments::table3),
+    ("batch_throughput", batch_throughput),
+    ("dense_target", dense_target),
+    ("strategy_comparison", strategy_comparison),
+    ("adaptive_dispatch", adaptive_dispatch),
+    ("kernel_comparison", kernel_comparison),
+    ("modular_mix", modular_mix),
 ];
 
-/// Knobs of one report run.
-#[derive(Clone, Copy, Debug)]
-pub struct ReportConfig {
-    /// Wall-time samples per case (the report records the median).
-    pub repeats: usize,
-    /// Shrink workloads to CI-smoke size.
-    pub smoke: bool,
+/// The registry entry called `name`.
+pub(crate) fn figure(name: &str) -> Option<(&'static str, FigureFn)> {
+    FIGURES.iter().copied().find(|(n, _)| *n == name)
 }
 
-impl Default for ReportConfig {
-    fn default() -> Self {
-        ReportConfig {
-            repeats: 5,
-            smoke: false,
-        }
-    }
-}
-
-/// One measured case of a figure.
-struct Case {
-    name: &'static str,
-    intersection_seconds: f64,
-    speedup_vs_sequential: f64,
-    observed_states_total: u64,
-    steals_total: u64,
-}
-
-impl Case {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("name", Json::str(self.name)),
-            ("intersection_seconds", Json::F64(self.intersection_seconds)),
-            (
-                "speedup_vs_sequential",
-                Json::F64(self.speedup_vs_sequential),
-            ),
-            (
-                "observed_states_total",
-                Json::U64(self.observed_states_total),
-            ),
-            ("steals_total", Json::U64(self.steals_total)),
-        ])
-    }
+/// The median of `samples`; an even count averages the two middle samples.
+fn median(mut samples: Vec<f64>) -> f64 {
+    samples.sort_by(f64::total_cmp);
+    let n = samples.len();
+    (samples[(n - 1) / 2] + samples[n / 2]) / 2.0
 }
 
 /// Median of `repeats` wall-time samples of `work`.
 fn median_seconds(repeats: usize, mut work: impl FnMut()) -> f64 {
-    let mut samples: Vec<f64> = (0..repeats.max(1))
-        .map(|_| {
-            let start = Instant::now();
-            work();
-            start.elapsed().as_secs_f64()
-        })
-        .collect();
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
+    median(
+        (0..repeats.max(1))
+            .map(|_| {
+                let start = Instant::now();
+                work();
+                start.elapsed().as_secs_f64()
+            })
+            .collect(),
+    )
 }
 
-/// The scheduler sweep every figure reports.
-fn schedulers() -> Vec<(&'static str, Scheduler)> {
-    vec![
+/// The scheduler sweep of the engine-set figures, sequential first.
+fn schedulers() -> [(&'static str, Scheduler); 3] {
+    [
         ("sequential", Scheduler::Sequential),
         ("ws4_stealing", Scheduler::work_stealing(4)),
         (
@@ -159,105 +129,100 @@ fn schedulers() -> Vec<(&'static str, Scheduler)> {
 /// each sweep as one count-only pass over the set.
 ///
 /// All timed passes run first, while every engine is still sink-free — the
-/// instrumented counter pass attaches [`TraceSink`]s, and the zero-overhead
+/// instrumented pass attaches [`TraceSink`]s, and the zero-overhead
 /// contract only holds for engines without one.
-fn sweep_engine_set(engines: &mut [Engine<'_>], repeats: usize) -> Vec<Case> {
-    let mut timed = Vec::new();
-    let mut sequential_median = f64::NAN;
-    for (name, scheduler) in schedulers() {
-        let seconds = median_seconds(repeats, || {
-            for engine in engines.iter() {
-                std::hint::black_box(engine.run(&RunConfig::new(scheduler)).matches);
-            }
-        });
-        if scheduler == Scheduler::Sequential {
-            sequential_median = seconds;
-        }
-        timed.push((
-            name,
-            scheduler,
-            seconds,
-            sequential_median / seconds.max(1e-12),
-        ));
-    }
-    timed
-        .into_iter()
-        .map(|(name, scheduler, seconds, speedup)| {
-            let (observed_states_total, steals_total) = instrumented_totals(engines, scheduler);
-            Case {
-                name,
-                intersection_seconds: seconds,
-                speedup_vs_sequential: speedup,
-                observed_states_total,
-                steals_total,
-            }
+fn sweep_engine_set(title: &str, engines: &mut [Engine<'_>], repeats: usize) -> Table {
+    let timed: Vec<f64> = schedulers()
+        .iter()
+        .map(|&(_, scheduler)| {
+            median_seconds(repeats, || {
+                for engine in engines.iter() {
+                    std::hint::black_box(engine.run(&RunConfig::new(scheduler)).matches);
+                }
+            })
         })
-        .collect()
+        .collect();
+    let mut table = Table::new(
+        title,
+        &[
+            "name",
+            "intersection_seconds",
+            "speedup_vs_sequential",
+            "observed_states_total",
+            "steals_total",
+            "worker_states_stddev_mean",
+        ],
+    );
+    for ((name, scheduler), &seconds) in schedulers().into_iter().zip(&timed) {
+        let (states, steals, stddev) = instrumented_pass(engines, scheduler);
+        table.row(vec![
+            name.into(),
+            Cell::Seconds(seconds),
+            Cell::Ratio(timed[0] / seconds.max(1e-12)),
+            states.into(),
+            steals.into(),
+            Cell::Ratio(stddev),
+        ]);
+    }
+    table
 }
 
-/// One untimed instrumented pass over the workload: attaches a
-/// fresh [`TraceSink`] to every engine, runs the count-only sweep once under
-/// `scheduler`, and sums the observed consistency checks and successful
-/// steals across the set.
-fn instrumented_totals(engines: &mut [Engine<'_>], scheduler: Scheduler) -> (u64, u64) {
-    let mut states = 0u64;
-    let mut steals = 0u64;
+/// One untimed instrumented pass over the workload: attaches a fresh
+/// [`TraceSink`] to every engine, runs the count-only sweep once under
+/// `scheduler`, and returns the observed consistency checks and successful
+/// steals summed across the set, and the mean per-run standard deviation of
+/// worker states.
+fn instrumented_pass(engines: &mut [Engine<'_>], scheduler: Scheduler) -> (u64, u64, f64) {
+    let (mut states, mut steals, mut stddev) = (0u64, 0u64, RunningStats::new());
     for engine in engines.iter_mut() {
         let sink = Arc::new(TraceSink::new(engine.plan().num_positions()));
         engine.set_trace_sink(Arc::clone(&sink));
-        std::hint::black_box(engine.run(&RunConfig::new(scheduler)).matches);
+        stddev.push(engine.run(&RunConfig::new(scheduler)).worker_states_stddev);
         states += sink.states_total();
         steals += sink.steals();
     }
-    (states, steals)
+    (states, steals, stddev.mean())
 }
 
-/// Runs the scheduler sweep over one instance.
-fn sweep_instance(
-    pattern: &Graph,
-    target: &Graph,
-    algorithm: Algorithm,
-    repeats: usize,
-) -> Vec<Case> {
-    sweep_engine_set(&mut [Engine::prepare(pattern, target, algorithm)], repeats)
+/// The PPIS32-like collection a record figure enumerates whole: the smoke
+/// preset's, or the one at `scale` outside smoke runs.
+fn record_collection(settings: &Settings, scale: f64) -> Collection {
+    let smoke = Settings::smoke();
+    let scale = if settings.smoke { smoke.scale } else { scale };
+    collection(CollectionKind::Ppis32, &Settings { scale, ..smoke })
 }
 
-/// Figure `fig3_work_stealing`: the PPIS32-like collection under the
-/// stealing / no-stealing sweep.  The whole collection is enumerated per
-/// sample (single instances of the smoke collection finish in microseconds,
-/// below timer resolution).
-fn fig3_cases(config: &ReportConfig) -> Vec<Case> {
-    let experiment = if config.smoke {
-        ExperimentConfig::smoke()
-    } else {
-        // Large enough that search time dominates the per-run thread-spawn
-        // cost of the parallel schedulers.
-        ExperimentConfig {
-            scale: 1.5,
-            max_instances: Some(8),
-            ..ExperimentConfig::smoke()
-        }
-    };
-    let coll = collection(CollectionKind::Ppis32, &experiment);
+/// **Fig. 3** — the effect of work stealing on a PPIS32 sample: mean match
+/// time and the spread of the per-worker search space, with and without
+/// stealing.  The whole collection is enumerated per sample (single
+/// instances of the smoke collection finish in microseconds, below timer
+/// resolution); outside smoke runs its scale makes search time dominate the
+/// per-run thread-spawn cost of the parallel schedulers.
+pub fn fig3_work_stealing(settings: &Settings) -> Table {
+    let coll = record_collection(settings, 1.5);
     let mut engines: Vec<Engine<'_>> = coll
         .instances
         .iter()
         .map(|i| Engine::prepare(&i.pattern, coll.target_of(i), Algorithm::RiDs))
         .collect();
-    sweep_engine_set(&mut engines, config.repeats)
+    sweep_engine_set(
+        "Fig. 3: work stealing vs none (4 workers, PPIS32 sample, median wall seconds)",
+        &mut engines,
+        settings.repeats,
+    )
 }
 
 /// The grid target the `batch_throughput` figure (engine-level cases *and*
 /// the service pass) runs against.
-fn batch_target(config: &ReportConfig) -> Graph {
-    if config.smoke {
+fn batch_target(settings: &Settings) -> Graph {
+    if settings.smoke {
         generators::grid(6, 6)
     } else {
         generators::grid(16, 16)
     }
 }
 
-/// The 100-pattern shape zoo used by the `batch_throughput` bench.
+/// The 100-pattern shape zoo of the `batch_throughput` figure.
 fn zoo_patterns() -> Vec<Graph> {
     let shapes = [
         generators::directed_cycle(3, 0),
@@ -270,88 +235,219 @@ fn zoo_patterns() -> Vec<Graph> {
 }
 
 /// Figure `batch_throughput`: the full 100-pattern query mix against the
-/// grid target, engines prepared once (prepared-cache semantics), runs timed.
-fn batch_cases(config: &ReportConfig) -> Vec<Case> {
-    let target = batch_target(config);
+/// grid target, engines prepared once (prepared-cache semantics), runs
+/// timed; plus the same batch through the service.
+pub fn batch_throughput(settings: &Settings) -> Table {
+    let target = batch_target(settings);
     let patterns = zoo_patterns();
     let mut engines: Vec<Engine<'_>> = patterns
         .iter()
         .map(|p| Engine::prepare(p, &target, Algorithm::RiDsSiFc))
         .collect();
-    sweep_engine_set(&mut engines, config.repeats)
+    let mut table = sweep_engine_set(
+        "batch throughput: 100-pattern zoo on a grid (median wall seconds)",
+        &mut engines,
+        settings.repeats,
+    );
+    table.extra(
+        "service_queries_per_second",
+        Cell::Ratio(service_queries_per_second(settings)),
+    );
+    table
 }
 
 /// The 100-pattern batch through the *real* service stack (registry, parse,
 /// prepared cache, admission control), reported as the median queries/second
-/// over `config.repeats` passes against the same target size the
+/// over `settings.repeats` passes against the same target size the
 /// `batch_throughput` engine-level cases use.
-fn service_queries_per_second(config: &ReportConfig) -> f64 {
+fn service_queries_per_second(settings: &Settings) -> f64 {
     let service = Service::new(ServiceConfig {
         cache_capacity: 32,
         batch_workers: 4,
         max_in_flight: 8,
         ..ServiceConfig::default()
     });
-    service.registry().insert("grid", batch_target(config));
+    service.registry().insert("grid", batch_target(settings));
     let mut set = QuerySet::new("grid");
     for pattern in zoo_patterns() {
         set.push(QuerySpec::new(write_graph(&pattern)));
     }
-    let mut samples: Vec<f64> = (0..config.repeats.max(1))
-        .map(|_| {
-            let outcome = service.run_batch(&set);
-            assert_eq!(outcome.succeeded(), 100, "batch must fully succeed");
-            outcome.queries_per_second()
-        })
-        .collect();
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
+    median(
+        (0..settings.repeats.max(1))
+            .map(|_| {
+                let outcome = service.run_batch(&set);
+                assert_eq!(outcome.succeeded(), 100, "batch must fully succeed");
+                outcome.queries_per_second()
+            })
+            .collect(),
+    )
 }
 
 /// Figure `dense_target`: small cyclic patterns in cliques — the workload
 /// where the multi-parent intersection prunes hardest.
-fn dense_cases(config: &ReportConfig) -> Vec<Case> {
-    let clique_nodes = if config.smoke { 12 } else { 32 };
+pub fn dense_target(settings: &Settings) -> Table {
+    let clique_nodes = if settings.smoke { 12 } else { 32 };
     let pattern = generators::directed_cycle(4, 0);
     let target = generators::clique(clique_nodes, 0);
-    sweep_instance(&pattern, &target, Algorithm::RiDs, config.repeats)
+    sweep_engine_set(
+        "dense target: directed 4-cycle in a clique (median wall seconds)",
+        &mut [Engine::prepare(&pattern, &target, Algorithm::RiDs)],
+        settings.repeats,
+    )
 }
 
-/// One measured case of the `kernel_comparison` figure: the same pairwise
-/// adjacency-intersection workload through each of the three kernel paths,
-/// plus the candidate-prefilter verdict from one instrumented enumeration of
-/// the tier's target.
-struct KernelCase {
-    name: &'static str,
-    scalar_seconds: f64,
-    vectorized_seconds: f64,
-    bitmap_seconds: f64,
-    prefilter_rejected: u64,
-    prefilter_reject_rate: f64,
-}
+/// Figure `strategy_comparison`: one sequential count-only pass over a mixed
+/// workload (the PPIS32-like collection plus a dense clique instance) per
+/// ordering strategy.  Preparation happens outside the timed region — the
+/// figure isolates how the *match order* shapes the search, exactly what a
+/// strategy trades.
+pub fn strategy_comparison(settings: &Settings) -> Table {
+    let coll = record_collection(settings, 1.0);
+    let dense_pattern = generators::directed_cycle(4, 0);
+    let dense_target = generators::clique(if settings.smoke { 12 } else { 24 }, 0);
 
-impl KernelCase {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("name", Json::str(self.name)),
-            ("scalar_seconds", Json::F64(self.scalar_seconds)),
-            ("vectorized_seconds", Json::F64(self.vectorized_seconds)),
-            ("bitmap_seconds", Json::F64(self.bitmap_seconds)),
-            (
-                "speedup_vectorized_vs_scalar",
-                Json::F64(self.scalar_seconds / self.vectorized_seconds.max(1e-12)),
-            ),
-            (
-                "speedup_bitmap_vs_scalar",
-                Json::F64(self.scalar_seconds / self.bitmap_seconds.max(1e-12)),
-            ),
-            ("prefilter_rejected", Json::U64(self.prefilter_rejected)),
-            (
-                "prefilter_reject_rate",
-                Json::F64(self.prefilter_reject_rate),
-            ),
-        ])
+    // Measure every strategy first; the RI-greedy baseline for the speedup
+    // column is looked up afterwards so nothing depends on the iteration
+    // order of `Strategy::ALL`.
+    let measured: Vec<(Strategy, f64, f64)> = Strategy::ALL
+        .iter()
+        .map(|&strategy| {
+            let engines: Vec<Engine<'_>> = coll
+                .instances
+                .iter()
+                .map(|i| {
+                    Engine::prepare_planned(
+                        &i.pattern,
+                        coll.target_of(i),
+                        Algorithm::RiDs,
+                        strategy,
+                    )
+                })
+                .collect();
+            let dense =
+                Engine::prepare_planned(&dense_pattern, &dense_target, Algorithm::RiDs, strategy);
+            let est_states_total = engines
+                .iter()
+                .chain(std::iter::once(&dense))
+                .map(|e| e.plan().cost.est_total_states)
+                .sum();
+            let seconds = median_seconds(settings.repeats, || {
+                for engine in &engines {
+                    std::hint::black_box(engine.run(&RunConfig::default()).matches);
+                }
+                std::hint::black_box(dense.run(&RunConfig::default()).matches);
+            });
+            (strategy, seconds, est_states_total)
+        })
+        .collect();
+    let greedy_seconds = measured
+        .iter()
+        .find(|(strategy, _, _)| *strategy == Strategy::RiGreedy)
+        .map(|&(_, seconds, _)| seconds)
+        .expect("Strategy::ALL contains RiGreedy");
+    let mut table = Table::new(
+        "strategy comparison (sequential count-only, median wall seconds)",
+        &[
+            "name",
+            "seconds",
+            "speedup_vs_ri_greedy",
+            "est_states_total",
+        ],
+    );
+    for (strategy, seconds, est_states_total) in measured {
+        table.row(vec![
+            strategy.name().into(),
+            Cell::Seconds(seconds),
+            Cell::Ratio(greedy_seconds / seconds.max(1e-12)),
+            Cell::Ratio(est_states_total),
+        ]);
     }
+    table
+}
+
+/// Figure `adaptive_dispatch`: planner-routed scheduling through the real
+/// service stack next to the pinned baselines it chooses between.  The ws4
+/// regression BENCH_pr3/pr4 documented (work-stealing at a fraction of
+/// sequential on small instances) is exactly what routing removes: the
+/// corrected estimate stays below the sequential threshold, so the routed
+/// run takes the count-only sequential fast path instead of paying the
+/// task-distribution overhead.
+pub fn adaptive_dispatch(settings: &Settings) -> Table {
+    let service = Service::new(ServiceConfig {
+        cache_capacity: 16,
+        batch_workers: 1,
+        max_in_flight: 4,
+        ..ServiceConfig::default()
+    });
+    service.registry().insert("grid", batch_target(settings));
+    service.registry().insert(
+        "clique",
+        generators::clique(if settings.smoke { 12 } else { 24 }, 0),
+    );
+    let workloads: [(&'static str, &'static str, Graph); 3] = [
+        ("triangle_grid", "grid", generators::directed_cycle(3, 0)),
+        ("path4_grid", "grid", generators::directed_path(4, 0)),
+        ("cycle4_clique", "clique", generators::directed_cycle(4, 0)),
+    ];
+    let mut table = Table::new(
+        "adaptive dispatch (median wall seconds through the service)",
+        &[
+            "name",
+            "sequential_seconds",
+            "ws4_seconds",
+            "routed_seconds",
+            "routed_scheduler",
+            "routed_vs_sequential",
+            "routed_vs_ws4",
+            "correction",
+        ],
+    );
+    for (name, target, pattern) in workloads {
+        let text = write_graph(&pattern);
+        let seq_spec = QuerySpec::new(&text).with_run(RunConfig::new(Scheduler::Sequential));
+        let ws4_spec = QuerySpec::new(&text).with_run(RunConfig::new(Scheduler::work_stealing(4)));
+        let routed_spec = QuerySpec::new(&text);
+        // Warm the prepared cache and the cost model so every timed pass
+        // runs cache-hit with a learned correction factor, like a steady
+        // -state server would.
+        for spec in [&seq_spec, &ws4_spec, &routed_spec] {
+            service
+                .run_query(target, spec)
+                .expect("dispatch warmup query must succeed");
+        }
+        let time_spec = |spec: &QuerySpec| {
+            median_seconds(settings.repeats, || {
+                std::hint::black_box(
+                    service
+                        .run_query(target, spec)
+                        .expect("dispatch query must succeed")
+                        .outcome
+                        .matches,
+                );
+            })
+        };
+        let sequential_seconds = time_spec(&seq_spec);
+        let ws4_seconds = time_spec(&ws4_spec);
+        let routed_seconds = time_spec(&routed_spec);
+        let routed_outcome = service
+            .run_query(target, &routed_spec)
+            .expect("routed probe query must succeed");
+        table.row(vec![
+            name.into(),
+            Cell::Seconds(sequential_seconds),
+            Cell::Seconds(ws4_seconds),
+            Cell::Seconds(routed_seconds),
+            routed_outcome.outcome.scheduler.name().into(),
+            Cell::Ratio(sequential_seconds / routed_seconds.max(1e-12)),
+            Cell::Ratio(ws4_seconds / routed_seconds.max(1e-12)),
+            Cell::Ratio(service.cost_model().correction_for(target)),
+        ]);
+    }
+    table.extra(
+        "correction_factor_final",
+        Cell::Ratio(service.correction_factor()),
+    );
+    table
 }
 
 /// A dense clique core with degree-1 fringe nodes hanging off it — the
@@ -404,13 +500,14 @@ fn prefilter_verdict(target: &Graph) -> (u64, f64) {
 /// vectorized gallop and the bitmap AND kernel over one identical workload
 /// per density tier — every ordered node pair (capped) of the tier's target,
 /// seeding the candidate buffer with `u`'s out-neighborhood and intersecting
-/// it against `w`'s adjacency.  The bitmap sidecar is built with a
-/// threshold of 1 so every tier has rows to compare, even where the planner
-/// would never pick the bitmap kernel.
-fn kernel_cases(config: &ReportConfig) -> Vec<KernelCase> {
+/// it against `w`'s adjacency — plus the candidate-prefilter verdict from
+/// one instrumented enumeration of the tier's target.  The bitmap sidecar is
+/// built with a threshold of 1 so every tier has rows to compare, even where
+/// the planner would never pick the bitmap kernel.
+pub fn kernel_comparison(settings: &Settings) -> Table {
     use sge_ri::kernels::{and_rows, collect_row};
 
-    let tiers: Vec<(&'static str, Graph)> = if config.smoke {
+    let tiers: Vec<(&'static str, Graph)> = if settings.smoke {
         vec![
             ("sparse_grid", generators::grid(6, 6)),
             ("medium_clique", generators::clique(8, 0)),
@@ -426,310 +523,110 @@ fn kernel_cases(config: &ReportConfig) -> Vec<KernelCase> {
         ]
     };
     // Enough intersections per timed sample to clear timer resolution.
-    let rounds = if config.smoke { 4 } else { 16 };
+    let rounds = if settings.smoke { 4 } else { 16 };
     const MAX_SAMPLED_NODES: usize = 64;
 
-    tiers
-        .into_iter()
-        .map(|(name, target)| {
-            let sidecar = sge_graph::AdjacencyBitmaps::build(
-                &target,
-                &sge_graph::BitmapConfig {
-                    degree_threshold: 1,
-                    max_bytes: usize::MAX,
-                },
-            );
-            let nodes = target.num_nodes().min(MAX_SAMPLED_NODES) as u32;
-            let seed_out = |u: u32, out: &mut Vec<u32>| {
-                out.clear();
-                out.extend(
-                    target
-                        .out_edges(u)
-                        .iter()
-                        .filter(|e| e.label == 0)
-                        .map(|e| e.node),
-                );
-            };
-            let mut buffer: Vec<u32> = Vec::new();
-            let scalar_seconds = median_seconds(config.repeats, || {
-                for _ in 0..rounds {
-                    for u in 0..nodes {
-                        for w in 0..nodes {
-                            seed_out(u, &mut buffer);
-                            sge_ri::intersect_reference(&mut buffer, target.out_edges(w), 0);
-                            std::hint::black_box(buffer.len());
-                        }
-                    }
-                }
-            });
-            let vectorized_seconds = median_seconds(config.repeats, || {
-                for _ in 0..rounds {
-                    for u in 0..nodes {
-                        for w in 0..nodes {
-                            seed_out(u, &mut buffer);
-                            std::hint::black_box(sge_ri::intersect_gallop(
-                                &mut buffer,
-                                target.out_edges(w),
-                                0,
-                            ));
-                        }
-                    }
-                }
-            });
-            let mut scratch: Vec<u64> = vec![0; sidecar.words_per_row()];
-            let bitmap_seconds = median_seconds(config.repeats, || {
-                for _ in 0..rounds {
-                    for u in 0..nodes {
-                        for w in 0..nodes {
-                            let (Some(row_u), Some(row_w)) =
-                                (sidecar.out_row(u, 0), sidecar.out_row(w, 0))
-                            else {
-                                continue;
-                            };
-                            scratch.copy_from_slice(row_u);
-                            and_rows(&mut scratch, row_w);
-                            buffer.clear();
-                            collect_row(&scratch, &mut buffer);
-                            std::hint::black_box(buffer.len());
-                        }
-                    }
-                }
-            });
-            let (prefilter_rejected, prefilter_reject_rate) = prefilter_verdict(&target);
-            KernelCase {
-                name,
-                scalar_seconds,
-                vectorized_seconds,
-                bitmap_seconds,
-                prefilter_rejected,
-                prefilter_reject_rate,
-            }
-        })
-        .collect()
-}
-
-/// One measured case of the `adaptive_dispatch` figure: the same count-only
-/// query through the real service under a pinned sequential scheduler, a
-/// pinned `ws:4`, and planner routing.
-struct DispatchCase {
-    name: &'static str,
-    sequential_seconds: f64,
-    ws4_seconds: f64,
-    routed_seconds: f64,
-    routed_scheduler: String,
-    correction: f64,
-}
-
-impl DispatchCase {
-    fn routed_vs_sequential(&self) -> f64 {
-        self.sequential_seconds / self.routed_seconds.max(1e-12)
-    }
-
-    fn routed_vs_ws4(&self) -> f64 {
-        self.ws4_seconds / self.routed_seconds.max(1e-12)
-    }
-
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("name", Json::str(self.name)),
-            ("sequential_seconds", Json::F64(self.sequential_seconds)),
-            ("ws4_seconds", Json::F64(self.ws4_seconds)),
-            ("routed_seconds", Json::F64(self.routed_seconds)),
-            ("routed_scheduler", Json::str(self.routed_scheduler.clone())),
-            (
-                "routed_vs_sequential",
-                Json::F64(self.routed_vs_sequential()),
-            ),
-            ("routed_vs_ws4", Json::F64(self.routed_vs_ws4())),
-            ("correction", Json::F64(self.correction)),
-        ])
-    }
-}
-
-/// Figure `adaptive_dispatch`: planner-routed scheduling through the real
-/// service stack next to the pinned baselines it chooses between.  The ws4
-/// regression BENCH_pr3/pr4 documented (work-stealing at a fraction of
-/// sequential on small instances) is exactly what routing removes: the
-/// corrected estimate stays below the sequential threshold, so the routed
-/// run takes the count-only sequential fast path instead of paying the
-/// task-distribution overhead.
-fn adaptive_dispatch_cases(config: &ReportConfig) -> (Vec<DispatchCase>, f64) {
-    let service = Service::new(ServiceConfig {
-        cache_capacity: 16,
-        batch_workers: 1,
-        max_in_flight: 4,
-        ..ServiceConfig::default()
-    });
-    service.registry().insert("grid", batch_target(config));
-    service.registry().insert(
-        "clique",
-        generators::clique(if config.smoke { 12 } else { 24 }, 0),
+    let mut table = Table::new(
+        "kernel comparison (median wall seconds per intersection sweep)",
+        &[
+            "name",
+            "scalar_seconds",
+            "vectorized_seconds",
+            "bitmap_seconds",
+            "speedup_vectorized_vs_scalar",
+            "speedup_bitmap_vs_scalar",
+            "prefilter_rejected",
+            "prefilter_reject_rate",
+        ],
     );
-    let workloads: [(&'static str, &'static str, Graph); 3] = [
-        ("triangle_grid", "grid", generators::directed_cycle(3, 0)),
-        ("path4_grid", "grid", generators::directed_path(4, 0)),
-        ("cycle4_clique", "clique", generators::directed_cycle(4, 0)),
-    ];
-    let mut cases = Vec::new();
-    for (name, target, pattern) in workloads {
-        let text = write_graph(&pattern);
-        let seq_spec = QuerySpec::new(&text).with_run(RunConfig::new(Scheduler::Sequential));
-        let ws4_spec = QuerySpec::new(&text).with_run(RunConfig::new(Scheduler::work_stealing(4)));
-        let routed_spec = QuerySpec::new(&text);
-        // Warm the prepared cache and the cost model so every timed pass
-        // runs cache-hit with a learned correction factor, like a steady
-        // -state server would.
-        for spec in [&seq_spec, &ws4_spec, &routed_spec] {
-            service
-                .run_query(target, spec)
-                .expect("dispatch warmup query must succeed");
-        }
-        let time_spec = |spec: &QuerySpec| {
-            median_seconds(config.repeats, || {
-                std::hint::black_box(
-                    service
-                        .run_query(target, spec)
-                        .expect("dispatch query must succeed")
-                        .outcome
-                        .matches,
-                );
-            })
+    for (name, target) in tiers {
+        let sidecar = sge_graph::AdjacencyBitmaps::build(
+            &target,
+            &sge_graph::BitmapConfig {
+                degree_threshold: 1,
+                max_bytes: usize::MAX,
+            },
+        );
+        let nodes = target.num_nodes().min(MAX_SAMPLED_NODES) as u32;
+        let seed_out = |u: u32, out: &mut Vec<u32>| {
+            out.clear();
+            out.extend(
+                target
+                    .out_edges(u)
+                    .iter()
+                    .filter(|e| e.label == 0)
+                    .map(|e| e.node),
+            );
         };
-        let sequential_seconds = time_spec(&seq_spec);
-        let ws4_seconds = time_spec(&ws4_spec);
-        let routed_seconds = time_spec(&routed_spec);
-        let routed_outcome = service
-            .run_query(target, &routed_spec)
-            .expect("routed probe query must succeed");
-        cases.push(DispatchCase {
-            name,
-            sequential_seconds,
-            ws4_seconds,
-            routed_seconds,
-            routed_scheduler: routed_outcome.outcome.scheduler.name().to_string(),
-            correction: service.cost_model().correction_for(target),
-        });
-    }
-    (cases, service.correction_factor())
-}
-
-/// One measured ordering strategy of the `strategy_comparison` figure.
-struct StrategyCase {
-    name: &'static str,
-    seconds: f64,
-    speedup_vs_ri_greedy: f64,
-    est_states_total: f64,
-}
-
-impl StrategyCase {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("name", Json::str(self.name)),
-            ("seconds", Json::F64(self.seconds)),
-            ("speedup_vs_ri_greedy", Json::F64(self.speedup_vs_ri_greedy)),
-            ("est_states_total", Json::F64(self.est_states_total)),
-        ])
-    }
-}
-
-/// Figure `strategy_comparison`: one sequential count-only pass over a mixed
-/// workload (the PPIS32-like collection plus a dense clique instance) per
-/// ordering strategy.  Preparation happens outside the timed region — the
-/// figure isolates how the *match order* shapes the search, exactly what a
-/// strategy trades.
-fn strategy_cases(config: &ReportConfig) -> Vec<StrategyCase> {
-    let experiment = if config.smoke {
-        ExperimentConfig::smoke()
-    } else {
-        ExperimentConfig {
-            scale: 1.0,
-            max_instances: Some(8),
-            ..ExperimentConfig::smoke()
-        }
-    };
-    let coll = collection(CollectionKind::Ppis32, &experiment);
-    let dense_pattern = generators::directed_cycle(4, 0);
-    let dense_target = generators::clique(if config.smoke { 12 } else { 24 }, 0);
-
-    // Measure every strategy first; the RI-greedy baseline for the speedup
-    // column is looked up afterwards so nothing depends on the iteration
-    // order of `Strategy::ALL`.
-    let measured: Vec<(Strategy, f64, f64)> = Strategy::ALL
-        .iter()
-        .map(|&strategy| {
-            let engines: Vec<Engine<'_>> = coll
-                .instances
-                .iter()
-                .map(|i| {
-                    Engine::prepare_planned(
-                        &i.pattern,
-                        coll.target_of(i),
-                        Algorithm::RiDs,
-                        strategy,
-                    )
-                })
-                .collect();
-            let dense =
-                Engine::prepare_planned(&dense_pattern, &dense_target, Algorithm::RiDs, strategy);
-            let est_states_total = engines
-                .iter()
-                .chain(std::iter::once(&dense))
-                .map(|e| e.plan().cost.est_total_states)
-                .sum();
-            let seconds = median_seconds(config.repeats, || {
-                for engine in &engines {
-                    std::hint::black_box(engine.run(&RunConfig::default()).matches);
+        let mut buffer: Vec<u32> = Vec::new();
+        let scalar_seconds = median_seconds(settings.repeats, || {
+            for _ in 0..rounds {
+                for u in 0..nodes {
+                    for w in 0..nodes {
+                        seed_out(u, &mut buffer);
+                        sge_ri::intersect_reference(&mut buffer, target.out_edges(w), 0);
+                        std::hint::black_box(buffer.len());
+                    }
                 }
-                std::hint::black_box(dense.run(&RunConfig::default()).matches);
-            });
-            (strategy, seconds, est_states_total)
-        })
-        .collect();
-    let greedy_seconds = measured
-        .iter()
-        .find(|(strategy, _, _)| *strategy == Strategy::RiGreedy)
-        .map(|&(_, seconds, _)| seconds)
-        .expect("Strategy::ALL contains RiGreedy");
-    measured
-        .into_iter()
-        .map(|(strategy, seconds, est_states_total)| StrategyCase {
-            name: strategy.name(),
-            seconds,
-            speedup_vs_ri_greedy: greedy_seconds / seconds.max(1e-12),
-            est_states_total,
-        })
-        .collect()
-}
-
-/// The `modular_mix` figure: the count-only triangle-class query mix
-/// against the modular clique-community target through the single registry.
-struct ModularMix {
-    mix_seconds: f64,
-    queries_per_second: f64,
-    matches_total: u64,
-    bitmap_ops: u64,
-}
-
-impl ModularMix {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("mix_seconds", Json::F64(self.mix_seconds)),
-            ("queries_per_second", Json::F64(self.queries_per_second)),
-            ("matches_total", Json::U64(self.matches_total)),
-            ("bitmap_ops", Json::U64(self.bitmap_ops)),
-        ])
+            }
+        });
+        let vectorized_seconds = median_seconds(settings.repeats, || {
+            for _ in 0..rounds {
+                for u in 0..nodes {
+                    for w in 0..nodes {
+                        seed_out(u, &mut buffer);
+                        std::hint::black_box(sge_ri::intersect_gallop(
+                            &mut buffer,
+                            target.out_edges(w),
+                            0,
+                        ));
+                    }
+                }
+            }
+        });
+        let mut scratch: Vec<u64> = vec![0; sidecar.words_per_row()];
+        let bitmap_seconds = median_seconds(settings.repeats, || {
+            for _ in 0..rounds {
+                for u in 0..nodes {
+                    for w in 0..nodes {
+                        let (Some(row_u), Some(row_w)) =
+                            (sidecar.out_row(u, 0), sidecar.out_row(w, 0))
+                        else {
+                            continue;
+                        };
+                        scratch.copy_from_slice(row_u);
+                        and_rows(&mut scratch, row_w);
+                        buffer.clear();
+                        collect_row(&scratch, &mut buffer);
+                        std::hint::black_box(buffer.len());
+                    }
+                }
+            }
+        });
+        let (prefilter_rejected, prefilter_reject_rate) = prefilter_verdict(&target);
+        table.row(vec![
+            name.into(),
+            Cell::Seconds(scalar_seconds),
+            Cell::Seconds(vectorized_seconds),
+            Cell::Seconds(bitmap_seconds),
+            Cell::Ratio(scalar_seconds / vectorized_seconds.max(1e-12)),
+            Cell::Ratio(scalar_seconds / bitmap_seconds.max(1e-12)),
+            prefilter_rejected.into(),
+            Cell::Ratio(prefilter_reject_rate),
+        ]);
     }
+    table
 }
 
 /// Figure `modular_mix`: a directed 3-cycle, a directed 3-path and a
 /// 3-clique, sequential and cache-hot, against eight clique communities on a
-/// bridge ring (`clique(64)` each, `clique(24)` in smoke runs).  The target's
-/// mean degree clears the planner's density bar, so every constrained
-/// position runs the bitmap kernel; `bitmap_ops` counts those invocations
-/// over one pass of the mix.
-fn modular_mix(config: &ReportConfig) -> ModularMix {
+/// bridge ring (`clique(64)` each, `clique(24)` in smoke runs) through the
+/// single registry.  The target's mean degree clears the planner's density
+/// bar, so every constrained position runs the bitmap kernel; `bitmap_ops`
+/// counts those invocations over one pass of the mix.
+pub fn modular_mix(settings: &Settings) -> Table {
     use sge_datasets::{generate_modular, ModularSpec};
-    let size = if config.smoke { 24 } else { 64 };
+    let size = if settings.smoke { 24 } else { 64 };
     let service = Service::new(ServiceConfig::default());
     service.registry().insert(
         "modular",
@@ -758,189 +655,61 @@ fn modular_mix(config: &ReportConfig) -> ModularMix {
         matches_total += outcome.matches;
         bitmap_ops += outcome.kernels.bitmap;
     }
-    let mix_seconds = median_seconds(config.repeats, || {
+    let mix_seconds = median_seconds(settings.repeats, || {
         for spec in &specs {
             std::hint::black_box(run(spec).matches);
         }
     });
-    ModularMix {
-        mix_seconds,
-        queries_per_second: specs.len() as f64 / mix_seconds.max(1e-12),
-        matches_total,
-        bitmap_ops,
-    }
+    let mut table = Table::new(
+        "modular mix (single registry, median wall seconds)",
+        &[
+            "mix_seconds",
+            "queries_per_second",
+            "matches_total",
+            "bitmap_ops",
+        ],
+    );
+    table.row(vec![
+        Cell::Seconds(mix_seconds),
+        Cell::Ratio(specs.len() as f64 / mix_seconds.max(1e-12)),
+        matches_total.into(),
+        bitmap_ops.into(),
+    ]);
+    table
 }
 
-fn figure_json(cases: &[Case], extra: Vec<(&'static str, Json)>) -> Json {
-    let mut pairs = vec![(
-        "cases",
-        Json::Arr(cases.iter().map(Case::to_json).collect()),
-    )];
-    pairs.extend(extra);
-    Json::obj(pairs)
-}
-
-/// Runs every figure and renders the report document.
+/// Renders the record of a run of every figure.
 ///
 /// The record carries `host_parallelism` so trajectory readers can interpret
 /// the ws4 cases: on a single-core host the parallel schedulers can never
 /// beat sequential (`speedup_vs_sequential` < 1 measures scheduling
 /// overhead).
-pub fn run_report(config: &ReportConfig) -> String {
-    let fig3 = fig3_cases(config);
-    let batch = batch_cases(config);
-    let qps = service_queries_per_second(config);
-    let dense = dense_cases(config);
-    let strategies = strategy_cases(config);
-    let (dispatch, correction_final) = adaptive_dispatch_cases(config);
-    let kernels = kernel_cases(config);
-    let mix = modular_mix(config);
-
-    let mut table = Table::new(
-        "bench-report (median wall seconds)",
-        &["figure", "case", "seconds", "vs-seq", "states", "steals"],
-    );
-    for (figure, cases) in [
-        ("fig3_work_stealing", &fig3),
-        ("batch_throughput", &batch),
-        ("dense_target", &dense),
-    ] {
-        for case in cases {
-            table.row(vec![
-                figure.to_string(),
-                case.name.to_string(),
-                format!("{:.6}", case.intersection_seconds),
-                format!("{:.2}", case.speedup_vs_sequential),
-                case.observed_states_total.to_string(),
-                case.steals_total.to_string(),
-            ]);
-        }
-    }
-    println!("{}", table.render());
-    println!("service batch throughput: {qps:.0} queries/s");
-
-    let mut strategy_table = Table::new(
-        "strategy comparison (sequential count-only, median wall seconds)",
-        &[
-            "strategy",
-            "seconds",
-            "vs-ri-greedy",
-            "est states (cost model)",
-        ],
-    );
-    for case in &strategies {
-        strategy_table.row(vec![
-            case.name.to_string(),
-            format!("{:.6}", case.seconds),
-            format!("{:.2}", case.speedup_vs_ri_greedy),
-            format!("{:.0}", case.est_states_total),
-        ]);
-    }
-    println!("{}", strategy_table.render());
-
-    let mut dispatch_table = Table::new(
-        "adaptive dispatch (median wall seconds through the service)",
-        &["case", "sequential", "ws4", "routed", "routed-as", "vs-seq"],
-    );
-    for case in &dispatch {
-        dispatch_table.row(vec![
-            case.name.to_string(),
-            format!("{:.6}", case.sequential_seconds),
-            format!("{:.6}", case.ws4_seconds),
-            format!("{:.6}", case.routed_seconds),
-            case.routed_scheduler.clone(),
-            format!("{:.2}", case.routed_vs_sequential()),
-        ]);
-    }
-    println!("{}", dispatch_table.render());
-
-    let mut kernel_table = Table::new(
-        "kernel comparison (median wall seconds per intersection sweep)",
-        &[
-            "tier",
-            "scalar",
-            "vectorized",
-            "bitmap",
-            "bitmap-vs-scalar",
-            "prefilter-rejects",
-        ],
-    );
-    for case in &kernels {
-        kernel_table.row(vec![
-            case.name.to_string(),
-            format!("{:.6}", case.scalar_seconds),
-            format!("{:.6}", case.vectorized_seconds),
-            format!("{:.6}", case.bitmap_seconds),
-            format!(
-                "{:.2}",
-                case.scalar_seconds / case.bitmap_seconds.max(1e-12)
-            ),
-            format!(
-                "{} ({:.1}%)",
-                case.prefilter_rejected,
-                case.prefilter_reject_rate * 100.0
-            ),
-        ]);
-    }
-    println!("{}", kernel_table.render());
-
-    println!(
-        "modular mix (single registry): {:.6} s per mix, {:.0} queries/s, {} matches, {} bitmap ops",
-        mix.mix_seconds, mix.queries_per_second, mix.matches_total, mix.bitmap_ops
-    );
-
-    let host_parallelism = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+pub fn render_record(settings: &Settings, tables: &[(&str, Table)]) -> String {
+    let host_parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
     Json::obj(vec![
-        ("schema", Json::str("sge-bench-report/v1")),
-        ("pr", Json::str("pr13")),
-        ("repeats", Json::U64(config.repeats as u64)),
+        ("schema", Json::str(SCHEMA)),
+        ("repeats", Json::U64(settings.repeats as u64)),
         ("host_parallelism", Json::U64(host_parallelism as u64)),
         (
             "figures",
-            Json::obj(vec![
-                ("fig3_work_stealing", figure_json(&fig3, Vec::new())),
-                (
-                    "batch_throughput",
-                    figure_json(&batch, vec![("service_queries_per_second", Json::F64(qps))]),
-                ),
-                ("dense_target", figure_json(&dense, Vec::new())),
-                (
-                    "strategy_comparison",
-                    Json::obj(vec![(
-                        "cases",
-                        Json::Arr(strategies.iter().map(StrategyCase::to_json).collect()),
-                    )]),
-                ),
-                (
-                    "adaptive_dispatch",
-                    Json::obj(vec![
-                        (
-                            "cases",
-                            Json::Arr(dispatch.iter().map(DispatchCase::to_json).collect()),
-                        ),
-                        ("correction_factor_final", Json::F64(correction_final)),
-                    ]),
-                ),
-                (
-                    "kernel_comparison",
-                    Json::obj(vec![(
-                        "cases",
-                        Json::Arr(kernels.iter().map(KernelCase::to_json).collect()),
-                    )]),
-                ),
-                ("modular_mix", mix.to_json()),
-            ]),
+            Json::obj(
+                tables
+                    .iter()
+                    .map(|(name, table)| (*name, table.to_json()))
+                    .collect(),
+            ),
         ),
     ])
     .render()
 }
 
-/// Validates an emitted report's shape: the document must be syntactically
-/// valid JSON and its `figures` object must contain every key in
-/// [`EXPECTED_FIGURES`].  Timings are data, not verdicts: perf regressions
-/// are the benchmark harness's call, never this validator's.
+/// The record's schema marker.
+const SCHEMA: &str = "sge-bench-report/v1";
+
+/// Validates a record's shape: the document must be syntactically valid
+/// JSON, carry the schema marker and hold every registered figure.  Timings
+/// are data, not verdicts: perf regressions are the benchmark harness's
+/// call, never this validator's.
 pub fn validate_report(text: &str) -> Result<(), String> {
     let mut parser = MiniJson {
         bytes: text.trim().as_bytes(),
@@ -951,43 +720,16 @@ pub fn validate_report(text: &str) -> Result<(), String> {
     if parser.pos != parser.bytes.len() {
         return Err(format!("trailing bytes at offset {}", parser.pos));
     }
-    if !text.contains("\"schema\":\"sge-bench-report/v1\"") {
+    if !text.contains(&format!("\"schema\":\"{SCHEMA}\"")) {
         return Err("missing or unexpected schema marker".to_string());
     }
-    // Records since pr7 carry the observed-counter columns; since pr8 the
-    // adaptive_dispatch figure; since pr9 the kernel_comparison figure;
-    // records after pr10 the modular_mix figure.  Committed older records
-    // stay valid as-is.
-    let pre_counter = ["\"pr\":\"pr3\"", "\"pr\":\"pr4\""]
+    match FIGURES
         .iter()
-        .any(|marker| text.contains(marker));
-    let pre_dispatch = pre_counter || text.contains("\"pr\":\"pr7\"") || !text.contains("\"pr\":");
-    let pre_kernel = pre_dispatch || text.contains("\"pr\":\"pr8\"");
-    let pre_mix = pre_kernel
-        || ["\"pr\":\"pr9\"", "\"pr\":\"pr10\""]
-            .iter()
-            .any(|marker| text.contains(marker));
-    for figure in EXPECTED_FIGURES {
-        if figure == "adaptive_dispatch" && pre_dispatch {
-            continue;
-        }
-        if figure == "kernel_comparison" && pre_kernel {
-            continue;
-        }
-        if figure == "modular_mix" && pre_mix {
-            continue;
-        }
-        if !text.contains(&format!("\"{figure}\"")) {
-            return Err(format!("missing figure key '{figure}'"));
-        }
+        .find(|(name, _)| !text.contains(&format!("\"{name}\":")))
+    {
+        Some((name, _)) => Err(format!("missing figure key '{name}'")),
+        None => Ok(()),
     }
-    if !pre_counter && !text.contains("\"observed_states_total\"") {
-        return Err("missing 'observed_states_total' counter column".to_string());
-    }
-    if !pre_kernel && !text.contains("\"prefilter_reject_rate\"") {
-        return Err("missing 'prefilter_reject_rate' column in kernel_comparison".to_string());
-    }
-    Ok(())
 }
 
 /// A minimal JSON syntax checker (no DOM; enough to reject malformed output).
@@ -1120,24 +862,66 @@ impl MiniJson<'_> {
 mod tests {
     use super::*;
 
+    /// Every case and figure-level key of the record before the registry,
+    /// which a fresh record must keep so it diffs against the committed ones.
+    const RECORD_KEYS: [&str; 30] = [
+        "schema",
+        "repeats",
+        "host_parallelism",
+        "figures",
+        "cases",
+        "name",
+        "intersection_seconds",
+        "speedup_vs_sequential",
+        "observed_states_total",
+        "steals_total",
+        "service_queries_per_second",
+        "seconds",
+        "speedup_vs_ri_greedy",
+        "est_states_total",
+        "sequential_seconds",
+        "ws4_seconds",
+        "routed_seconds",
+        "routed_scheduler",
+        "routed_vs_sequential",
+        "routed_vs_ws4",
+        "correction",
+        "correction_factor_final",
+        "scalar_seconds",
+        "vectorized_seconds",
+        "bitmap_seconds",
+        "speedup_vectorized_vs_scalar",
+        "speedup_bitmap_vs_scalar",
+        "prefilter_rejected",
+        "prefilter_reject_rate",
+        "bitmap_ops",
+    ];
+
     #[test]
     fn smoke_report_emits_every_figure_and_validates() {
-        let config = ReportConfig {
+        let settings = Settings {
             repeats: 1,
-            smoke: true,
+            ..Settings::smoke()
         };
-        let report = run_report(&config);
-        validate_report(&report).expect("fresh report must validate");
-        for figure in EXPECTED_FIGURES {
-            assert!(report.contains(&format!("\"{figure}\"")), "{figure}");
+        let tables: Vec<(&str, Table)> = FIGURES
+            .iter()
+            .map(|&(name, run)| (name, run(&settings)))
+            .collect();
+        for (name, table) in &tables {
+            assert!(!table.is_empty(), "{name} renders no row");
         }
-        assert!(report.contains("\"speedup_vs_sequential\""));
-        assert!(report.contains("\"routed_vs_sequential\""));
-        assert!(report.contains("\"speedup_vs_ri_greedy\""));
-        assert!(report.contains("\"observed_states_total\""));
-        assert!(report.contains("\"steals_total\""));
-        assert!(report.contains("\"speedup_bitmap_vs_scalar\""));
-        assert!(report.contains("\"prefilter_reject_rate\""));
+        let report = render_record(&settings, &tables);
+        validate_report(&report).expect("fresh report must validate");
+        // The figures object holds exactly the registry: each name once, and
+        // one `cases` array per figure.
+        for (name, _) in FIGURES {
+            assert_eq!(report.matches(&format!("\"{name}\":")).count(), 1, "{name}");
+        }
+        assert_eq!(report.matches(":{\"cases\":[").count(), FIGURES.len());
+        for key in RECORD_KEYS {
+            assert!(report.contains(&format!("\"{key}\":")), "{key}");
+        }
+        assert!(!report.contains("\"pr\":"), "records carry no PR label");
         // The smoke modular target clears the density bar, so the mix runs
         // the bitmap kernel.
         let bitmap_ops: u64 = report
@@ -1155,132 +939,37 @@ mod tests {
         }
     }
 
+    fn document(figures: &[&str]) -> String {
+        let figures: Vec<String> = figures
+            .iter()
+            .map(|f| format!("\"{f}\":{{\"cases\":[]}}"))
+            .collect();
+        format!(
+            "{{\"schema\":\"{SCHEMA}\",\"figures\":{{{}}}}}",
+            figures.join(",")
+        )
+    }
+
     #[test]
     fn validator_rejects_malformed_documents() {
         assert!(validate_report("{").is_err());
         assert!(validate_report("{}").is_err(), "schema marker required");
         assert!(validate_report("not json at all").is_err());
-        let missing_figure = format!(
-            "{{\"schema\":\"sge-bench-report/v1\",\"figures\":{{\"{}\":{{}}}}}}",
-            EXPECTED_FIGURES[0]
-        );
-        assert!(
-            validate_report(&missing_figure).is_err(),
-            "all figure keys are required"
-        );
+        let names: Vec<&str> = FIGURES.iter().map(|(name, _)| *name).collect();
+        for missing in 0..names.len() {
+            let mut partial = names.clone();
+            partial.remove(missing);
+            let err = validate_report(&document(&partial)).unwrap_err();
+            assert!(err.contains(names[missing]), "{err}");
+        }
+        let complete = document(&names);
+        assert!(validate_report(&complete[..complete.len() - 1]).is_err());
     }
 
     #[test]
     fn validator_accepts_minimal_complete_documents() {
-        let figures: Vec<String> = EXPECTED_FIGURES
-            .iter()
-            .map(|f| format!("\"{f}\":{{\"cases\":[{{\"observed_states_total\":0}}]}}"))
-            .collect();
-        let doc = format!(
-            "{{\"schema\":\"sge-bench-report/v1\",\"figures\":{{{}}}}}",
-            figures.join(",")
-        );
-        validate_report(&doc).expect("complete minimal document");
-    }
-
-    #[test]
-    fn validator_grandfathers_pre_counter_records() {
-        // The committed BENCH_pr4.json predates the counter columns and must
-        // keep validating; a current-format record without them must not.
-        let figures: Vec<String> = EXPECTED_FIGURES
-            .iter()
-            .map(|f| format!("\"{f}\":{{}}"))
-            .collect();
-        let legacy = format!(
-            "{{\"schema\":\"sge-bench-report/v1\",\"pr\":\"pr4\",\"figures\":{{{}}}}}",
-            figures.join(",")
-        );
-        validate_report(&legacy).expect("pr4-era record stays valid");
-        let current = legacy.replace("\"pr\":\"pr4\"", "\"pr\":\"pr7\"");
-        assert!(
-            validate_report(&current)
-                .unwrap_err()
-                .contains("observed_states_total"),
-            "current records must carry the counter columns"
-        );
-    }
-
-    #[test]
-    fn validator_grandfathers_pre_kernel_records() {
-        // The committed BENCH_pr8.json predates the kernel_comparison figure
-        // and must keep validating without it; a pr9 record must carry both
-        // the figure and its prefilter column.
-        let figures: Vec<String> = EXPECTED_FIGURES
-            .iter()
-            .filter(|f| **f != "kernel_comparison" && **f != "modular_mix")
-            .map(|f| format!("\"{f}\":{{\"cases\":[{{\"observed_states_total\":0}}]}}"))
-            .collect();
-        let pr8 = format!(
-            "{{\"schema\":\"sge-bench-report/v1\",\"pr\":\"pr8\",\"figures\":{{{}}}}}",
-            figures.join(",")
-        );
-        validate_report(&pr8).expect("pr8-era record stays valid");
-        let pr9 = pr8.replace("\"pr\":\"pr8\"", "\"pr\":\"pr9\"");
-        assert!(
-            validate_report(&pr9)
-                .unwrap_err()
-                .contains("kernel_comparison"),
-            "pr9 records must carry the kernel_comparison figure"
-        );
-        let with_figure = pr9.replace(
-            ",\"figures\":{",
-            ",\"figures\":{\"kernel_comparison\":{\"cases\":[{\"prefilter_reject_rate\":0.0}]},",
-        );
-        validate_report(&with_figure).expect("complete pr9 record validates");
-    }
-
-    #[test]
-    fn validator_grandfathers_pre_modular_mix_records() {
-        // The committed BENCH_pr9.json and BENCH_pr10.json predate the
-        // modular_mix figure and must keep validating without it; a current
-        // record must carry the figure.
-        let figures: Vec<String> = EXPECTED_FIGURES
-            .iter()
-            .filter(|f| **f != "modular_mix")
-            .map(|f| {
-                format!(
-                    "\"{f}\":{{\"cases\":[{{\"observed_states_total\":0,\
-                     \"prefilter_reject_rate\":0.0}}]}}"
-                )
-            })
-            .collect();
-        let pr10 = format!(
-            "{{\"schema\":\"sge-bench-report/v1\",\"pr\":\"pr10\",\"figures\":{{{}}}}}",
-            figures.join(",")
-        );
-        validate_report(&pr10).expect("pr10-era record stays valid");
-        let pr9 = pr10.replace("\"pr\":\"pr10\"", "\"pr\":\"pr9\"");
-        validate_report(&pr9).expect("pr9-era record stays valid");
-        let current = pr10.replace("\"pr\":\"pr10\"", "\"pr\":\"pr13\"");
-        assert!(
-            validate_report(&current)
-                .unwrap_err()
-                .contains("modular_mix"),
-            "current records must carry the modular_mix figure"
-        );
-        let with_figure = current.replace(
-            ",\"figures\":{",
-            ",\"figures\":{\"modular_mix\":{\"bitmap_ops\":1},",
-        );
-        validate_report(&with_figure).expect("complete current record validates");
-    }
-
-    #[test]
-    fn committed_records_still_validate() {
-        for (name, text) in [
-            ("BENCH_pr4.json", include_str!("../../../BENCH_pr4.json")),
-            ("BENCH_pr7.json", include_str!("../../../BENCH_pr7.json")),
-            ("BENCH_pr8.json", include_str!("../../../BENCH_pr8.json")),
-            ("BENCH_pr9.json", include_str!("../../../BENCH_pr9.json")),
-            ("BENCH_pr10.json", include_str!("../../../BENCH_pr10.json")),
-        ] {
-            validate_report(text).unwrap_or_else(|err| panic!("{name}: {err}"));
-        }
+        let names: Vec<&str> = FIGURES.iter().map(|(name, _)| *name).collect();
+        validate_report(&document(&names)).expect("complete minimal document");
     }
 
     #[test]
@@ -1289,5 +978,13 @@ mod tests {
         let median = median_seconds(3, || calls += 1);
         assert_eq!(calls, 3);
         assert!(median >= 0.0);
+    }
+
+    #[test]
+    fn median_of_an_even_count_averages_the_middle_samples() {
+        assert_eq!(median(vec![4.0, 1.0, 3.0, 2.0]), 2.5);
+        assert_eq!(median(vec![1.0, 2.0, 3.0, 4.0]), 2.5);
+        assert_eq!(median(vec![5.0]), 5.0);
+        assert_eq!(median(vec![1.0, 9.0, 5.0]), 5.0);
     }
 }

@@ -1,63 +1,57 @@
-//! `bench-report` — emit / validate the machine-readable perf record.
+//! `bench-report` — print the paper's and the record's figures, write or
+//! validate the machine-readable record.
 //!
 //! ```text
-//! bench-report [--out PATH] [--repeats N] [--smoke]   run figures, write JSON
-//! bench-report --validate PATH                        check an emitted file
+//! bench-report [FIGURE ...] [flags]     print the named figures (default: all)
+//! bench-report --out PATH [flags]       print every figure, write the record
+//! bench-report --validate PATH          check a written record
 //! ```
 //!
-//! The run mode executes every figure of [`sge_bench::bench_report`] and
-//! writes the JSON document (default `BENCH_pr9.json`).  The validate mode
-//! parses the file and checks that every expected figure key is present; it
-//! exits non-zero on failure, which is what the CI `bench-smoke` job gates on.
+//! Flags:
+//! * `--scale <f64>`           collection size multiplier (default 0.25)
+//! * `--seed <u64>`            dataset seed (default 20170525)
+//! * `--workers <list>`        comma-separated worker counts (default 1,2,4,8,16)
+//! * `--group-sizes <list>`    task-group sizes for fig4 (default 1,2,4,8,16)
+//! * `--time-limit-secs <f64>` per-instance time limit (default 5)
+//! * `--long-threshold <f64>`  short/long split threshold in seconds (default 0.05)
+//! * `--max-instances <n>`     cap instances per collection (default 24)
+//! * `--strategy <s>`          ordering strategy: ri-greedy (default),
+//!   least-frequent-label or degree-descending
+//! * `--repeats <n>`           wall-time samples per timed case (default 5)
+//! * `--smoke`                 tiny preset for CI: the flags above at smoke
+//!   values and the record figures at smoke sizes
+//!
+//! A malformed flag or an unknown figure prints usage and exits 2; a record
+//! that fails validation exits 1, which is what CI's `bench-smoke` job gates
+//! on.
 
-use sge_bench::bench_report::{run_report, validate_report, ReportConfig};
+use sge_bench::bench_report::{render_record, validate_report, FIGURES};
+use sge_bench::config::parse_args;
 use std::process::exit;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: bench-report [--out PATH] [--repeats N] [--smoke]\n       bench-report --validate PATH"
-    );
+fn usage_error(message: &str) -> ! {
+    eprintln!("error: {message}");
+    eprintln!("usage: bench-report [FIGURE ...] [--out PATH] [--smoke] [--repeats N]");
+    eprintln!("       bench-report --validate PATH");
+    eprintln!("flags: --scale F --seed N --workers LIST --group-sizes LIST");
+    eprintln!("       --time-limit-secs F --long-threshold F --max-instances N");
+    eprintln!("       --strategy ri-greedy|least-frequent-label|degree-descending");
+    let names: Vec<&str> = FIGURES.iter().map(|(name, _)| *name).collect();
+    eprintln!("figures: {}", names.join(" "));
     exit(2);
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut out = String::from("BENCH_pr9.json");
-    let mut config = ReportConfig::default();
-    let mut validate: Option<String> = None;
+    let invocation = parse_args(&args).unwrap_or_else(|err| usage_error(&err));
 
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--out" => match iter.next() {
-                Some(path) => out = path.clone(),
-                None => usage(),
-            },
-            "--repeats" => match iter.next().and_then(|n| n.parse::<usize>().ok()) {
-                Some(n) if n > 0 => config.repeats = n,
-                _ => usage(),
-            },
-            "--smoke" => config.smoke = true,
-            "--validate" => match iter.next() {
-                Some(path) => validate = Some(path.clone()),
-                None => usage(),
-            },
-            _ => usage(),
-        }
-    }
-
-    if let Some(path) = validate {
-        let text = match std::fs::read_to_string(&path) {
-            Ok(text) => text,
-            Err(err) => {
-                eprintln!("bench-report: cannot read '{path}': {err}");
-                exit(2);
-            }
-        };
+    if let Some(path) = invocation.validate {
+        let text = std::fs::read_to_string(&path).unwrap_or_else(|err| {
+            eprintln!("bench-report: cannot read '{path}': {err}");
+            exit(2);
+        });
         match validate_report(&text) {
-            Ok(()) => {
-                println!("{path}: valid sge-bench-report/v1 with every expected figure");
-            }
+            Ok(()) => println!("{path}: valid sge-bench-report/v1 with every registered figure"),
             Err(err) => {
                 eprintln!("bench-report: '{path}' failed validation: {err}");
                 exit(1);
@@ -66,10 +60,19 @@ fn main() {
         return;
     }
 
-    let report = run_report(&config);
-    if let Err(err) = std::fs::write(&out, format!("{report}\n")) {
-        eprintln!("bench-report: cannot write '{out}': {err}");
-        exit(2);
+    let mut tables = Vec::new();
+    for (name, run) in invocation.figures {
+        let table = run(&invocation.settings);
+        println!("\n### {name}\n");
+        println!("{}", table.render());
+        tables.push((name, table));
     }
-    println!("wrote {out}");
+    if let Some(out) = invocation.out {
+        let record = render_record(&invocation.settings, &tables);
+        if let Err(err) = std::fs::write(&out, format!("{record}\n")) {
+            eprintln!("bench-report: cannot write '{out}': {err}");
+            exit(2);
+        }
+        println!("wrote {out}");
+    }
 }

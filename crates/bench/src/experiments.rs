@@ -2,52 +2,71 @@
 //!
 //! Every function generates its workload from the synthetic collections,
 //! executes the relevant algorithm variants through the unified `sge::Engine`
-//! and returns a rendered text table whose rows correspond to what the paper
-//! plots.  Absolute times differ from the paper (synthetic data, different
-//! hardware); the targeted quantities are the *shapes*: which variant wins,
-//! how the search space shrinks from RI-DS to RI-DS-SI-FC, how steal counts
-//! react to the task-group size, and how speedups split short/long.
+//! and returns a typed table whose rows correspond to what the paper plots.
+//! Absolute times differ from the paper (synthetic data, different hardware);
+//! the targeted quantities are the *shapes*: which variant wins, how the
+//! search space shrinks from RI-DS to RI-DS-SI-FC, how steal counts react to
+//! the task-group size, and how speedups split short/long.  Fig. 3 is
+//! [`crate::bench_report::fig3_work_stealing`], which shares the record
+//! figures' timed scheduler sweep.
 
-use crate::config::ExperimentConfig;
+use crate::config::Settings;
 use crate::records::{
-    run_instances_matrix, run_instances_parallel, run_instances_sequential, speedup_pairs,
-    split_short_long, totals_by_instance, InstanceRecord,
+    run_instances, speedup_pairs, split_short_long, totals_by_instance, InstanceRecord,
 };
-use crate::report::{num2, secs, Table};
+use crate::report::{Cell, Table};
 use sge::Scheduler;
 use sge_datasets::{graemlin32_like, pdbsv1_like, ppis32_like, Collection, CollectionKind};
 use sge_ri::Algorithm;
 use sge_util::{RunningStats, SpeedupSummary};
 
-/// The work-stealing scheduler with the paper's task-group default.
-fn stealing(workers: usize) -> Scheduler {
-    Scheduler::WorkStealing {
-        workers,
-        task_group_size: 4,
-        stealing: true,
-    }
-}
-
 /// Generates the synthetic analogue of one of the paper's collections.
-pub fn collection(kind: CollectionKind, config: &ExperimentConfig) -> Collection {
+pub fn collection(kind: CollectionKind, settings: &Settings) -> Collection {
     let spec = match kind {
-        CollectionKind::Ppis32 => ppis32_like(config.scale, config.seed),
-        CollectionKind::Graemlin32 => graemlin32_like(config.scale, config.seed ^ 0x1),
-        CollectionKind::PdbsV1 => pdbsv1_like(config.scale, config.seed ^ 0x2),
+        CollectionKind::Ppis32 => ppis32_like(settings.scale, settings.seed),
+        CollectionKind::Graemlin32 => graemlin32_like(settings.scale, settings.seed ^ 0x1),
+        CollectionKind::PdbsV1 => pdbsv1_like(settings.scale, settings.seed ^ 0x2),
     };
     Collection::generate(&spec)
 }
 
-fn mean(values: impl Iterator<Item = f64>) -> f64 {
+/// Mean of `value` over the records' outcomes (0 for none).
+fn mean<'a>(
+    records: impl IntoIterator<Item = &'a InstanceRecord>,
+    value: impl Fn(&sge::EnumerationOutcome) -> f64,
+) -> f64 {
     let mut stats = RunningStats::new();
-    for v in values {
-        stats.push(v);
+    for record in records {
+        stats.push(value(&record.outcome));
     }
     stats.mean()
 }
 
+/// The work-stealing scheduler with the paper's task-group default at every
+/// swept worker count, preceded by `first`.
+fn worker_sweep(first: Option<Scheduler>, workers: &[usize]) -> Vec<Scheduler> {
+    first
+        .into_iter()
+        .chain(workers.iter().map(|&w| Scheduler::work_stealing(w)))
+        .collect()
+}
+
+/// The three RI-DS variants.
+const RI_DS_VARIANTS: [Algorithm; 3] = [Algorithm::RiDs, Algorithm::RiDsSi, Algorithm::RiDsSiFc];
+
+/// The two parallel variants of Figs. 10 and 11.
+const PARALLEL_VARIANTS: [(&str, Algorithm); 2] = [
+    ("parallel RI-DS", Algorithm::RiDs),
+    ("parallel RI-DS-SI-FC", Algorithm::RiDsSiFc),
+];
+
+/// Sequential records of `algorithm` over the collection.
+fn sequential(coll: &Collection, algorithm: Algorithm, settings: &Settings) -> Vec<InstanceRecord> {
+    run_instances(coll, algorithm, &[Scheduler::Sequential], settings).remove(0)
+}
+
 /// **Table 1** — collection statistics (graphs, node/edge ranges, degree µ/σ).
-pub fn table1(config: &ExperimentConfig) -> String {
+pub fn table1(settings: &Settings) -> Table {
     let mut table = Table::new(
         "Table 1: graph data collections (synthetic analogues)",
         &[
@@ -60,51 +79,22 @@ pub fn table1(config: &ExperimentConfig) -> String {
         ],
     );
     for kind in CollectionKind::ALL {
-        let coll = collection(kind, config);
-        let stats = coll.stats();
+        let stats = collection(kind, settings).stats();
         table.row(vec![
-            kind.name().to_string(),
-            stats.graphs.to_string(),
-            format!("{}/{}", stats.nodes_min, stats.nodes_max),
-            format!("{}/{}", stats.edges_min, stats.edges_max),
-            num2(stats.degree_mean),
-            num2(stats.degree_stddev),
+            kind.name().into(),
+            stats.graphs.into(),
+            format!("{}/{}", stats.nodes_min, stats.nodes_max).into(),
+            format!("{}/{}", stats.edges_min, stats.edges_max).into(),
+            Cell::Ratio(stats.degree_mean),
+            Cell::Ratio(stats.degree_stddev),
         ]);
     }
-    table.render()
-}
-
-/// **Fig. 3** — the effect of work stealing with the maximum worker count on a
-/// PPIS32 sample: mean match time and the standard deviation of the per-worker
-/// search space, with and without stealing.
-pub fn fig3(config: &ExperimentConfig) -> String {
-    let coll = collection(CollectionKind::Ppis32, config);
-    let workers = config.max_workers();
-    let mut table = Table::new(
-        format!(
-            "Fig. 3: work stealing vs none ({} workers, PPIS32 sample)",
-            workers
-        ),
-        &[
-            "scheduler",
-            "mean match time (s)",
-            "mean stddev of worker states",
-        ],
-    );
-    for (label, steal) in [("no work stealing", false), ("work stealing", true)] {
-        let records = run_instances_parallel(&coll, Algorithm::RiDs, workers, 4, steal, config);
-        table.row(vec![
-            label.to_string(),
-            secs(mean(records.iter().map(|r| r.match_seconds))),
-            num2(mean(records.iter().map(|r| r.worker_states_stddev))),
-        ]);
-    }
-    table.render()
+    table
 }
 
 /// **Fig. 4** — task-coalescing sweep: mean match time and mean number of
 /// steals per task-group size and worker count, per collection.
-pub fn fig4(config: &ExperimentConfig) -> String {
+pub fn fig4(settings: &Settings) -> Table {
     let mut table = Table::new(
         "Fig. 4: task group size vs match time and steals",
         &[
@@ -115,71 +105,95 @@ pub fn fig4(config: &ExperimentConfig) -> String {
             "mean steals",
         ],
     );
+    let sweep: Vec<(usize, usize)> = settings
+        .workers
+        .iter()
+        .filter(|&&w| w > 1)
+        .flat_map(|&w| settings.task_group_sizes.iter().map(move |&g| (w, g)))
+        .collect();
+    let schedulers: Vec<Scheduler> = sweep
+        .iter()
+        .map(|&(workers, task_group_size)| Scheduler::WorkStealing {
+            workers,
+            task_group_size,
+            stealing: true,
+        })
+        .collect();
     for kind in CollectionKind::ALL {
-        let coll = collection(kind, config);
         let algorithm = if kind == CollectionKind::PdbsV1 {
             Algorithm::Ri
         } else {
             Algorithm::RiDs
         };
-        for &workers in config.workers.iter().filter(|&&w| w > 1) {
-            for &group in &config.task_group_sizes {
-                let records =
-                    run_instances_parallel(&coll, algorithm, workers, group, true, config);
-                table.row(vec![
-                    kind.name().to_string(),
-                    workers.to_string(),
-                    group.to_string(),
-                    secs(mean(records.iter().map(|r| r.match_seconds))),
-                    num2(mean(records.iter().map(|r| r.steals as f64))),
-                ]);
-            }
+        let coll = collection(kind, settings);
+        let matrix = run_instances(&coll, algorithm, &schedulers, settings);
+        for (&(workers, group), records) in sweep.iter().zip(&matrix) {
+            table.row(vec![
+                kind.name().into(),
+                workers.into(),
+                group.into(),
+                Cell::Seconds(mean(records, |o| o.match_seconds)),
+                Cell::Ratio(mean(records, |o| o.steals as f64)),
+            ]);
         }
     }
-    table.render()
+    table
 }
 
+/// The speedup columns of Tables 2 and 3.
+const SPEEDUP_HEADERS: [&str; 7] = [
+    "collection",
+    "workers",
+    "group",
+    "instances",
+    "avg",
+    "gmean",
+    "max",
+];
+
+/// Appends the rows of Tables 2 and 3: the speedup of `algorithm` on `kind`
+/// at every worker count above one over its one-worker run, for all / short
+/// / long instances.  One preparation per instance serves every worker
+/// count (the engine's amortized-preprocessing sweep).
 fn speedup_rows(
     table: &mut Table,
-    collection_name: &str,
-    baseline: &[InstanceRecord],
-    per_workers: &[(usize, Vec<InstanceRecord>)],
-    threshold: f64,
+    kind: CollectionKind,
+    algorithm: Algorithm,
+    settings: &Settings,
 ) {
-    let totals = totals_by_instance(baseline);
-    for (workers, records) in per_workers {
+    let workers: Vec<usize> = settings
+        .workers
+        .iter()
+        .copied()
+        .filter(|&w| w > 1)
+        .collect();
+    let schedulers = worker_sweep(Some(Scheduler::work_stealing(1)), &workers);
+    let matrix = run_instances(
+        &collection(kind, settings),
+        algorithm,
+        &schedulers,
+        settings,
+    );
+    let threshold = settings.long_threshold_secs;
+    let totals = totals_by_instance(&matrix[0]);
+    let (base_short, base_long) = split_short_long(&matrix[0], &totals, threshold);
+    let base_all: Vec<&InstanceRecord> = matrix[0].iter().collect();
+    for (&workers, records) in workers.iter().zip(&matrix[1..]) {
         let (short, long) = split_short_long(records, &totals, threshold);
-        let (base_short, base_long) = {
-            let (s, l) = split_short_long(baseline, &totals, threshold);
-            (
-                s.into_iter().cloned().collect::<Vec<_>>(),
-                l.into_iter().cloned().collect::<Vec<_>>(),
-            )
-        };
-        let groups: [(&str, Vec<InstanceRecord>, Vec<InstanceRecord>); 3] = [
-            ("all", baseline.to_vec(), records.clone()),
-            (
-                "short",
-                base_short,
-                short.into_iter().cloned().collect::<Vec<_>>(),
-            ),
-            (
-                "long",
-                base_long,
-                long.into_iter().cloned().collect::<Vec<_>>(),
-            ),
-        ];
-        for (group_name, base, var) in groups {
-            let pairs = speedup_pairs(&base, &var, true);
-            let summary = SpeedupSummary::from_pairs(&pairs);
+        for (group, base, variant) in [
+            ("all", &base_all, records.iter().collect()),
+            ("short", &base_short, short),
+            ("long", &base_long, long),
+        ] {
+            let summary = SpeedupSummary::from_pairs(&speedup_pairs(base, &variant));
             table.row(vec![
-                collection_name.to_string(),
-                workers.to_string(),
-                group_name.to_string(),
-                summary.instances.to_string(),
-                num2(summary.avg),
-                num2(summary.gmean),
-                num2(summary.max),
+                kind.name().into(),
+                workers.into(),
+                group.into(),
+                summary.instances.into(),
+                Cell::Ratio(summary.avg),
+                Cell::Ratio(summary.gmean),
+                Cell::Ratio(summary.max),
             ]);
         }
     }
@@ -187,106 +201,70 @@ fn speedup_rows(
 
 /// **Table 2** — speedup of parallel RI over one worker on PDBSv1, for all /
 /// short / long instances (avg, gmean, max).
-pub fn table2(config: &ExperimentConfig) -> String {
-    let coll = collection(CollectionKind::PdbsV1, config);
-    // One preparation per instance, every worker count reused (the engine's
-    // amortized-preprocessing sweep).
-    let mut schedulers = vec![stealing(1)];
-    schedulers.extend(
-        config
-            .workers
-            .iter()
-            .filter(|&&w| w > 1)
-            .map(|&w| stealing(w)),
-    );
-    let mut matrix = run_instances_matrix(&coll, Algorithm::Ri, &schedulers, config);
-    let baseline = matrix.remove(0);
-    let per_workers: Vec<(usize, Vec<InstanceRecord>)> = schedulers[1..]
-        .iter()
-        .zip(matrix)
-        .map(|(s, records)| (s.workers(), records))
-        .collect();
+pub fn table2(settings: &Settings) -> Table {
     let mut table = Table::new(
         "Table 2: speedup of parallel RI over 1 worker (PDBSv1)",
-        &[
-            "collection",
-            "workers",
-            "group",
-            "instances",
-            "avg",
-            "gmean",
-            "max",
-        ],
+        &SPEEDUP_HEADERS,
     );
-    speedup_rows(
-        &mut table,
-        CollectionKind::PdbsV1.name(),
-        &baseline,
-        &per_workers,
-        config.long_threshold_secs,
-    );
-    table.render()
+    speedup_rows(&mut table, CollectionKind::PdbsV1, Algorithm::Ri, settings);
+    table
 }
 
 /// **Fig. 5** — number of timed-out instances on PDBSv1: sequential RI (the
 /// stand-in for the original RI 3.6) vs parallel RI by worker count.
-pub fn fig5(config: &ExperimentConfig) -> String {
-    let coll = collection(CollectionKind::PdbsV1, config);
+pub fn fig5(settings: &Settings) -> Table {
     let mut table = Table::new(
         format!(
             "Fig. 5: timed out instances on PDBSv1 (limit {:.2} s)",
-            config.time_limit.as_secs_f64()
+            settings.time_limit.as_secs_f64()
         ),
         &["algorithm", "workers", "timed out", "instances"],
     );
-    let sequential = run_instances_sequential(&coll, Algorithm::Ri, config);
-    table.row(vec![
-        "sequential RI".to_string(),
-        "1".to_string(),
-        sequential
-            .iter()
-            .filter(|r| r.timed_out)
-            .count()
-            .to_string(),
-        sequential.len().to_string(),
-    ]);
-    for &workers in &config.workers {
-        let records = run_instances_parallel(&coll, Algorithm::Ri, workers, 4, true, config);
+    let coll = collection(CollectionKind::PdbsV1, settings);
+    let schedulers = worker_sweep(Some(Scheduler::Sequential), &settings.workers);
+    let matrix = run_instances(&coll, Algorithm::Ri, &schedulers, settings);
+    for (scheduler, records) in schedulers.iter().zip(&matrix) {
+        let label = if scheduler.is_sequential() {
+            "sequential RI"
+        } else {
+            "parallel RI"
+        };
+        let timed_out = records.iter().filter(|r| r.outcome.timed_out).count();
         table.row(vec![
-            "parallel RI".to_string(),
-            workers.to_string(),
-            records.iter().filter(|r| r.timed_out).count().to_string(),
-            records.len().to_string(),
+            label.into(),
+            scheduler.workers().into(),
+            timed_out.into(),
+            records.len().into(),
         ]);
     }
-    table.render()
+    table
 }
 
 /// **Fig. 6** — mean match time on long-running PDBSv1 instances as the worker
 /// count grows.
-pub fn fig6(config: &ExperimentConfig) -> String {
-    let coll = collection(CollectionKind::PdbsV1, config);
-    let baseline = run_instances_parallel(&coll, Algorithm::Ri, 1, 4, true, config);
-    let totals = totals_by_instance(&baseline);
+pub fn fig6(settings: &Settings) -> Table {
     let mut table = Table::new(
         "Fig. 6: mean match time on long PDBSv1 instances",
         &["workers", "long instances", "mean match time (s)"],
     );
-    for &workers in &config.workers {
-        let records = run_instances_parallel(&coll, Algorithm::Ri, workers, 4, true, config);
-        let (_, long) = split_short_long(&records, &totals, config.long_threshold_secs);
+    let coll = collection(CollectionKind::PdbsV1, settings);
+    let schedulers = worker_sweep(Some(Scheduler::work_stealing(1)), &settings.workers);
+    let matrix = run_instances(&coll, Algorithm::Ri, &schedulers, settings);
+    let totals = totals_by_instance(&matrix[0]);
+    for (&workers, records) in settings.workers.iter().zip(&matrix[1..]) {
+        let (_, long) = split_short_long(records, &totals, settings.long_threshold_secs);
         table.row(vec![
-            workers.to_string(),
-            long.len().to_string(),
-            secs(mean(long.iter().map(|r| r.match_seconds))),
+            workers.into(),
+            long.len().into(),
+            Cell::Seconds(mean(long, |o| o.match_seconds)),
         ]);
     }
-    table.render()
+    table
 }
 
 /// **Fig. 7** — search-space size and total time of RI-DS, RI-DS-SI and
 /// RI-DS-SI-FC on short-running instances of all three collections.
-pub fn fig7(config: &ExperimentConfig) -> String {
+pub fn fig7(settings: &Settings) -> Table {
     let mut table = Table::new(
         "Fig. 7: RI-DS variants on short instances",
         &[
@@ -297,26 +275,25 @@ pub fn fig7(config: &ExperimentConfig) -> String {
         ],
     );
     for kind in CollectionKind::ALL {
-        let coll = collection(kind, config);
-        let baseline = run_instances_sequential(&coll, Algorithm::RiDs, config);
-        let totals = totals_by_instance(&baseline);
-        for algorithm in [Algorithm::RiDs, Algorithm::RiDsSi, Algorithm::RiDsSiFc] {
-            let records = run_instances_sequential(&coll, algorithm, config);
-            let (short, _) = split_short_long(&records, &totals, config.long_threshold_secs);
+        let coll = collection(kind, settings);
+        let totals = totals_by_instance(&sequential(&coll, Algorithm::RiDs, settings));
+        for algorithm in RI_DS_VARIANTS {
+            let records = sequential(&coll, algorithm, settings);
+            let (short, _) = split_short_long(&records, &totals, settings.long_threshold_secs);
             table.row(vec![
-                kind.name().to_string(),
-                algorithm.name().to_string(),
-                secs(mean(short.iter().map(|r| r.total_seconds()))),
-                num2(mean(short.iter().map(|r| r.states as f64))),
+                kind.name().into(),
+                algorithm.name().into(),
+                Cell::Seconds(mean(short.iter().copied(), |o| o.total_seconds())),
+                Cell::Ratio(mean(short, |o| o.states as f64)),
             ]);
         }
     }
-    table.render()
+    table
 }
 
 /// **Fig. 8** — search space and search speed (states per second) of the RI-DS
 /// variants on long-running PPIS32 / GRAEMLIN32 instances, single worker.
-pub fn fig8(config: &ExperimentConfig) -> String {
+pub fn fig8(settings: &Settings) -> Table {
     let mut table = Table::new(
         "Fig. 8: RI-DS variants on long instances (search space and states/s)",
         &[
@@ -328,26 +305,25 @@ pub fn fig8(config: &ExperimentConfig) -> String {
         ],
     );
     for kind in [CollectionKind::Ppis32, CollectionKind::Graemlin32] {
-        let coll = collection(kind, config);
-        let baseline = run_instances_sequential(&coll, Algorithm::RiDs, config);
-        let totals = totals_by_instance(&baseline);
-        for algorithm in [Algorithm::RiDs, Algorithm::RiDsSi, Algorithm::RiDsSiFc] {
-            let records = run_instances_sequential(&coll, algorithm, config);
-            let (_, long) = split_short_long(&records, &totals, config.long_threshold_secs);
+        let coll = collection(kind, settings);
+        let totals = totals_by_instance(&sequential(&coll, Algorithm::RiDs, settings));
+        for algorithm in RI_DS_VARIANTS {
+            let records = sequential(&coll, algorithm, settings);
+            let (_, long) = split_short_long(&records, &totals, settings.long_threshold_secs);
             table.row(vec![
-                kind.name().to_string(),
-                algorithm.name().to_string(),
-                long.len().to_string(),
-                num2(mean(long.iter().map(|r| r.states as f64))),
-                num2(mean(long.iter().map(|r| r.states_per_second()))),
+                kind.name().into(),
+                algorithm.name().into(),
+                long.len().into(),
+                Cell::Ratio(mean(long.iter().copied(), |o| o.states as f64)),
+                Cell::Ratio(mean(long, |o| o.states_per_second())),
             ]);
         }
     }
-    table.render()
+    table
 }
 
 /// **Fig. 9** — total / match / preprocessing time of the RI-DS variants.
-pub fn fig9(config: &ExperimentConfig) -> String {
+pub fn fig9(settings: &Settings) -> Table {
     let mut table = Table::new(
         "Fig. 9: time breakdown of the RI-DS variants",
         &[
@@ -359,57 +335,55 @@ pub fn fig9(config: &ExperimentConfig) -> String {
         ],
     );
     for kind in [CollectionKind::Ppis32, CollectionKind::Graemlin32] {
-        let coll = collection(kind, config);
-        for algorithm in [Algorithm::RiDs, Algorithm::RiDsSi, Algorithm::RiDsSiFc] {
-            let records = run_instances_sequential(&coll, algorithm, config);
+        let coll = collection(kind, settings);
+        for algorithm in RI_DS_VARIANTS {
+            let records = sequential(&coll, algorithm, settings);
             table.row(vec![
-                kind.name().to_string(),
-                algorithm.name().to_string(),
-                secs(mean(records.iter().map(|r| r.total_seconds()))),
-                secs(mean(records.iter().map(|r| r.match_seconds))),
-                secs(mean(records.iter().map(|r| r.preprocess_seconds))),
+                kind.name().into(),
+                algorithm.name().into(),
+                Cell::Seconds(mean(&records, |o| o.total_seconds())),
+                Cell::Seconds(mean(&records, |o| o.match_seconds)),
+                Cell::Seconds(mean(&records, |o| o.preprocess_seconds)),
             ]);
         }
     }
-    table.render()
+    table
 }
 
 /// **Fig. 10** — mean total time of parallel RI-DS-SI-FC, parallel RI-DS and
 /// sequential RI-DS by worker count, on GRAEMLIN32 and PPIS32.
-pub fn fig10(config: &ExperimentConfig) -> String {
+pub fn fig10(settings: &Settings) -> Table {
     let mut table = Table::new(
         "Fig. 10: total time of RI-DS variants by worker count",
         &["collection", "algorithm", "workers", "mean total time (s)"],
     );
     for kind in [CollectionKind::Graemlin32, CollectionKind::Ppis32] {
-        let coll = collection(kind, config);
-        let sequential = run_instances_sequential(&coll, Algorithm::RiDs, config);
-        table.row(vec![
-            kind.name().to_string(),
-            "RI-DS 3.51 (sequential stand-in)".to_string(),
-            "1".to_string(),
-            secs(mean(sequential.iter().map(|r| r.total_seconds()))),
-        ]);
-        for (label, algorithm) in [
-            ("parallel RI-DS", Algorithm::RiDs),
-            ("parallel RI-DS-SI-FC", Algorithm::RiDsSiFc),
-        ] {
-            for &workers in &config.workers {
-                let records = run_instances_parallel(&coll, algorithm, workers, 4, true, config);
+        let coll = collection(kind, settings);
+        for (label, algorithm) in PARALLEL_VARIANTS {
+            // RI-DS also runs sequentially: the stand-in for RI-DS 3.51.
+            let first = (algorithm == Algorithm::RiDs).then_some(Scheduler::Sequential);
+            let schedulers = worker_sweep(first, &settings.workers);
+            let matrix = run_instances(&coll, algorithm, &schedulers, settings);
+            for (scheduler, records) in schedulers.iter().zip(&matrix) {
+                let label = if scheduler.is_sequential() {
+                    "RI-DS 3.51 (sequential stand-in)"
+                } else {
+                    label
+                };
                 table.row(vec![
-                    kind.name().to_string(),
-                    label.to_string(),
-                    workers.to_string(),
-                    secs(mean(records.iter().map(|r| r.total_seconds()))),
+                    kind.name().into(),
+                    label.into(),
+                    scheduler.workers().into(),
+                    Cell::Seconds(mean(records, |o| o.total_seconds())),
                 ]);
             }
         }
     }
-    table.render()
+    table
 }
 
 /// **Fig. 11** — Fig. 10 split between short and long instances.
-pub fn fig11(config: &ExperimentConfig) -> String {
+pub fn fig11(settings: &Settings) -> Table {
     let mut table = Table::new(
         "Fig. 11: total time by worker count, split short/long",
         &[
@@ -422,35 +396,33 @@ pub fn fig11(config: &ExperimentConfig) -> String {
         ],
     );
     for kind in [CollectionKind::Graemlin32, CollectionKind::Ppis32] {
-        let coll = collection(kind, config);
-        let baseline = run_instances_sequential(&coll, Algorithm::RiDs, config);
-        let totals = totals_by_instance(&baseline);
-        for (label, algorithm) in [
-            ("parallel RI-DS", Algorithm::RiDs),
-            ("parallel RI-DS-SI-FC", Algorithm::RiDsSiFc),
-        ] {
-            for &workers in &config.workers {
-                let records = run_instances_parallel(&coll, algorithm, workers, 4, true, config);
-                let (short, long) = split_short_long(&records, &totals, config.long_threshold_secs);
+        let coll = collection(kind, settings);
+        let totals = totals_by_instance(&sequential(&coll, Algorithm::RiDs, settings));
+        for (label, algorithm) in PARALLEL_VARIANTS {
+            let schedulers = worker_sweep(None, &settings.workers);
+            let matrix = run_instances(&coll, algorithm, &schedulers, settings);
+            for (&workers, records) in settings.workers.iter().zip(&matrix) {
+                let (short, long) =
+                    split_short_long(records, &totals, settings.long_threshold_secs);
                 for (group, subset) in [("short", short), ("long", long)] {
                     table.row(vec![
-                        kind.name().to_string(),
-                        label.to_string(),
-                        workers.to_string(),
-                        group.to_string(),
-                        subset.len().to_string(),
-                        secs(mean(subset.iter().map(|r| r.total_seconds()))),
+                        kind.name().into(),
+                        label.into(),
+                        workers.into(),
+                        group.into(),
+                        subset.len().into(),
+                        Cell::Seconds(mean(subset, |o| o.total_seconds())),
                     ]);
                 }
             }
         }
     }
-    table.render()
+    table
 }
 
 /// **Fig. 12** — mean search-space size of RI-DS vs RI-DS-SI-FC, split between
 /// short and long instances of GRAEMLIN32 and PPIS32.
-pub fn fig12(config: &ExperimentConfig) -> String {
+pub fn fig12(settings: &Settings) -> Table {
     let mut table = Table::new(
         "Fig. 12: search space of RI-DS vs RI-DS-SI-FC, short/long",
         &[
@@ -462,111 +434,48 @@ pub fn fig12(config: &ExperimentConfig) -> String {
         ],
     );
     for kind in [CollectionKind::Graemlin32, CollectionKind::Ppis32] {
-        let coll = collection(kind, config);
-        let baseline = run_instances_sequential(&coll, Algorithm::RiDs, config);
-        let totals = totals_by_instance(&baseline);
+        let coll = collection(kind, settings);
+        let totals = totals_by_instance(&sequential(&coll, Algorithm::RiDs, settings));
         for algorithm in [Algorithm::RiDs, Algorithm::RiDsSiFc] {
-            let records = run_instances_sequential(&coll, algorithm, config);
-            let (short, long) = split_short_long(&records, &totals, config.long_threshold_secs);
+            let records = sequential(&coll, algorithm, settings);
+            let (short, long) = split_short_long(&records, &totals, settings.long_threshold_secs);
             for (group, subset) in [("short", short), ("long", long)] {
                 table.row(vec![
-                    kind.name().to_string(),
-                    algorithm.name().to_string(),
-                    group.to_string(),
-                    subset.len().to_string(),
-                    num2(mean(subset.iter().map(|r| r.states as f64))),
+                    kind.name().into(),
+                    algorithm.name().into(),
+                    group.into(),
+                    subset.len().into(),
+                    Cell::Ratio(mean(subset, |o| o.states as f64)),
                 ]);
             }
         }
     }
-    table.render()
+    table
 }
 
 /// **Table 3** — speedup of parallel RI-DS-SI-FC over itself with one worker on
 /// GRAEMLIN32 and PPIS32, for all / short / long instances.
-pub fn table3(config: &ExperimentConfig) -> String {
+pub fn table3(settings: &Settings) -> Table {
     let mut table = Table::new(
         "Table 3: speedup of parallel RI-DS-SI-FC over 1 worker",
-        &[
-            "collection",
-            "workers",
-            "group",
-            "instances",
-            "avg",
-            "gmean",
-            "max",
-        ],
+        &SPEEDUP_HEADERS,
     );
     for kind in [CollectionKind::Graemlin32, CollectionKind::Ppis32] {
-        let coll = collection(kind, config);
-        let mut schedulers = vec![stealing(1)];
-        schedulers.extend(
-            config
-                .workers
-                .iter()
-                .filter(|&&w| w > 1)
-                .map(|&w| stealing(w)),
-        );
-        let mut matrix = run_instances_matrix(&coll, Algorithm::RiDsSiFc, &schedulers, config);
-        let baseline = matrix.remove(0);
-        let per_workers: Vec<(usize, Vec<InstanceRecord>)> = schedulers[1..]
-            .iter()
-            .zip(matrix)
-            .map(|(s, records)| (s.workers(), records))
-            .collect();
-        speedup_rows(
-            &mut table,
-            kind.name(),
-            &baseline,
-            &per_workers,
-            config.long_threshold_secs,
-        );
+        speedup_rows(&mut table, kind, Algorithm::RiDsSiFc, settings);
     }
-    table.render()
-}
-
-/// A named experiment: renders one table / figure from a configuration.
-pub type ExperimentFn = fn(&ExperimentConfig) -> String;
-
-/// Every experiment in paper order, concatenated.
-pub fn run_all(config: &ExperimentConfig) -> String {
-    let experiments: Vec<(&str, ExperimentFn)> = all_experiments();
-    let mut out = String::new();
-    for (name, function) in experiments {
-        out.push_str(&format!("\n### {name}\n\n"));
-        out.push_str(&function(config));
-    }
-    out
-}
-
-/// Name → function table for the CLI.
-pub fn all_experiments() -> Vec<(&'static str, ExperimentFn)> {
-    vec![
-        ("table1", table1),
-        ("fig3", fig3),
-        ("fig4", fig4),
-        ("table2", table2),
-        ("fig5", fig5),
-        ("fig6", fig6),
-        ("fig7", fig7),
-        ("fig8", fig8),
-        ("fig9", fig9),
-        ("fig10", fig10),
-        ("fig11", fig11),
-        ("fig12", fig12),
-        ("table3", table3),
-    ]
+    table
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bench_report::{fig3_work_stealing, FIGURES};
 
     /// Smoke-test the cheap experiments end to end; the expensive sweeps are
     /// covered by dedicated tests below with an even smaller configuration.
     #[test]
     fn table1_renders_all_collections() {
-        let text = table1(&ExperimentConfig::smoke());
+        let text = table1(&Settings::smoke()).render();
         for name in ["PPIS32", "GRAEMLIN32", "PDBSv1"] {
             assert!(text.contains(name), "missing {name} in:\n{text}");
         }
@@ -574,23 +483,29 @@ mod tests {
 
     #[test]
     fn fig3_reports_both_schedulers() {
-        let text = fig3(&ExperimentConfig::smoke());
-        assert!(text.contains("no work stealing"));
-        assert!(text.contains("work stealing"));
+        let settings = Settings {
+            repeats: 1,
+            ..Settings::smoke()
+        };
+        let text = fig3_work_stealing(&settings).render();
+        for case in ["sequential", "ws4_stealing", "ws4_no_stealing"] {
+            assert!(text.contains(case), "missing {case} in:\n{text}");
+        }
+        assert!(text.contains("worker_states_stddev_mean"));
     }
 
     #[test]
     fn table2_and_table3_have_speedup_groups() {
-        let config = ExperimentConfig::smoke();
-        let t2 = table2(&config);
+        let settings = Settings::smoke();
+        let t2 = table2(&settings).render();
         assert!(t2.contains("all") && t2.contains("short") && t2.contains("long"));
-        let t3 = table3(&config);
+        let t3 = table3(&settings).render();
         assert!(t3.contains("GRAEMLIN32") && t3.contains("PPIS32"));
     }
 
     #[test]
     fn fig7_lists_all_three_variants() {
-        let text = fig7(&ExperimentConfig::smoke());
+        let text = fig7(&Settings::smoke()).render();
         assert!(text.contains("RI-DS-SI-FC"));
         assert!(text.contains("RI-DS-SI"));
         assert!(text.contains("RI-DS"));
@@ -598,10 +513,14 @@ mod tests {
 
     #[test]
     fn experiment_registry_is_complete() {
-        let names: Vec<&str> = all_experiments().iter().map(|(n, _)| *n).collect();
-        assert_eq!(names.len(), 13);
-        assert!(names.contains(&"table1"));
-        assert!(names.contains(&"fig12"));
-        assert!(names.contains(&"table3"));
+        let names: Vec<&str> = FIGURES.iter().map(|(n, _)| *n).collect();
+        let mut unique = names.clone();
+        unique.sort_unstable();
+        unique.dedup();
+        assert_eq!(unique.len(), 19);
+        // The paper's figures first, in paper order, then the record's.
+        assert_eq!(names[..3], ["table1", "fig3_work_stealing", "fig4"]);
+        assert_eq!(names[12], "table3");
+        assert_eq!(names[18], "modular_mix");
     }
 }

@@ -1,13 +1,13 @@
-//! Experiment harness reproducing every table and figure of the paper.
+//! Figure harness reproducing every table and figure of the paper.
 //!
 //! The paper's evaluation (Section 5) consists of three tables and ten figures.
 //! For each of them this crate provides a function that generates the
 //! appropriate synthetic workload, runs the relevant algorithm variants and
-//! prints the same rows / series the paper reports.  The `experiments` binary
-//! exposes them as subcommands (`cargo run --release -p sge-bench --bin
-//! experiments -- all`), and the Criterion benches under `benches/` exercise
-//! scaled-down versions of the same code paths so regressions are caught by
-//! `cargo bench`.
+//! returns the same rows / series the paper reports as a typed [`Table`].
+//! Record figures that time the hot path follow them in the one registry,
+//! [`bench_report::FIGURES`].  The `bench-report` binary prints any of them
+//! as text (`cargo run --release -p sge-bench --bin bench-report -- fig4`)
+//! and writes every figure's table into one JSON record with `--out`.
 //!
 //! Absolute running times differ from the paper (different hardware, synthetic
 //! data, and — on single-core CI hosts — no true parallelism); the quantities
@@ -25,9 +25,6 @@ pub mod experiments;
 pub mod records;
 pub mod report;
 
-pub use config::ExperimentConfig;
-pub use records::{
-    run_instances, run_instances_matrix, run_instances_parallel, run_instances_sequential,
-    InstanceRecord,
-};
-pub use report::Table;
+pub use config::Settings;
+pub use records::{run_instances, InstanceRecord};
+pub use report::{Cell, Table};

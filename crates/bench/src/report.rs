@@ -1,31 +1,100 @@
-//! Plain-text table formatting for the experiment output.
+//! The typed table every figure returns, rendered as text or as JSON.
 
-/// A simple fixed-width text table (headers + rows of strings).
+use sge_wire::json::Json;
+
+/// One table cell.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Cell {
+    /// Free text: names, labels, ranges.
+    Text(String),
+    /// An exact count.
+    Count(u64),
+    /// Seconds, shown with 4 decimals.
+    Seconds(f64),
+    /// A real number shown with 2 decimals: speedups, rates and means.
+    Ratio(f64),
+}
+
+impl Cell {
+    /// The cell as the text table shows it.
+    fn render(&self) -> String {
+        match self {
+            Cell::Text(text) => text.clone(),
+            Cell::Count(n) => n.to_string(),
+            Cell::Seconds(x) => format!("{x:.4}"),
+            Cell::Ratio(x) => format!("{x:.2}"),
+        }
+    }
+
+    /// The cell as the record stores it, at full precision.
+    fn to_json(&self) -> Json {
+        match self {
+            Cell::Text(text) => Json::str(text.as_str()),
+            Cell::Count(n) => Json::U64(*n),
+            Cell::Seconds(x) | Cell::Ratio(x) => Json::F64(*x),
+        }
+    }
+}
+
+impl From<&str> for Cell {
+    fn from(text: &str) -> Cell {
+        Cell::Text(text.to_string())
+    }
+}
+
+impl From<String> for Cell {
+    fn from(text: String) -> Cell {
+        Cell::Text(text)
+    }
+}
+
+impl From<u64> for Cell {
+    fn from(n: u64) -> Cell {
+        Cell::Count(n)
+    }
+}
+
+impl From<usize> for Cell {
+    fn from(n: usize) -> Cell {
+        Cell::Count(n as u64)
+    }
+}
+
+/// A figure's output: a title, named columns, typed rows and figure-level
+/// extras.  The text table and the record's JSON object both read it.
 #[derive(Clone, Debug, Default)]
 pub struct Table {
     title: String,
-    headers: Vec<String>,
-    rows: Vec<Vec<String>>,
+    headers: Vec<&'static str>,
+    rows: Vec<Vec<Cell>>,
+    extras: Vec<(&'static str, Cell)>,
 }
 
 impl Table {
-    /// Creates an empty table with a title and column headers.
-    pub fn new(title: impl Into<String>, headers: &[&str]) -> Self {
+    /// Creates an empty table with a title and column headers; the headers
+    /// double as the record's keys.
+    pub fn new(title: impl Into<String>, headers: &[&'static str]) -> Self {
         Table {
             title: title.into(),
-            headers: headers.iter().map(|h| h.to_string()).collect(),
-            rows: Vec::new(),
+            headers: headers.to_vec(),
+            ..Table::default()
         }
     }
 
     /// Appends a row (must have as many cells as there are headers).
-    pub fn row(&mut self, cells: Vec<String>) -> &mut Self {
+    pub fn row(&mut self, cells: Vec<Cell>) -> &mut Self {
         assert_eq!(
             cells.len(),
             self.headers.len(),
             "row width does not match header width"
         );
         self.rows.push(cells);
+        self
+    }
+
+    /// Attaches a figure-level value that belongs to no single row.
+    pub fn extra(&mut self, key: &'static str, value: Cell) -> &mut Self {
+        self.extras.push((key, value));
         self
     }
 
@@ -39,43 +108,61 @@ impl Table {
         self.rows.is_empty()
     }
 
-    /// Renders the table as aligned plain text.
+    /// Renders the table as aligned plain text, extras below it.
     pub fn render(&self) -> String {
-        let cols = self.headers.len();
+        let rows: Vec<Vec<String>> = self
+            .rows
+            .iter()
+            .map(|row| row.iter().map(Cell::render).collect())
+            .collect();
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
-        for row in &self.rows {
+        for row in &rows {
             for (i, cell) in row.iter().enumerate() {
                 widths[i] = widths[i].max(cell.len());
             }
         }
-        let mut out = String::new();
-        out.push_str("== ");
-        out.push_str(&self.title);
-        out.push_str(" ==\n");
-        for (i, header) in self.headers.iter().enumerate() {
-            out.push_str(&format!("{:>width$}", header, width = widths[i] + 2));
+        let mut out = format!("== {} ==\n", self.title);
+        for (header, width) in self.headers.iter().zip(&widths) {
+            out.push_str(&format!("{:>width$}", header, width = width + 2));
         }
         out.push('\n');
         out.push_str(&"-".repeat(widths.iter().map(|w| w + 2).sum::<usize>()));
         out.push('\n');
-        for row in &self.rows {
-            for i in 0..cols {
-                out.push_str(&format!("{:>width$}", row[i], width = widths[i] + 2));
+        for row in &rows {
+            for (cell, width) in row.iter().zip(&widths) {
+                out.push_str(&format!("{:>width$}", cell, width = width + 2));
             }
             out.push('\n');
         }
+        for (key, value) in &self.extras {
+            out.push_str(&format!("{key}: {}\n", value.render()));
+        }
         out
     }
-}
 
-/// Formats a float with 4 decimal places (times in seconds).
-pub fn secs(x: f64) -> String {
-    format!("{x:.4}")
-}
-
-/// Formats a float with 2 decimal places (speedups, means).
-pub fn num2(x: f64) -> String {
-    format!("{x:.2}")
+    /// Renders the table as `{"cases":[{column: value, ...}], extra: value}`.
+    pub fn to_json(&self) -> Json {
+        let cases = self
+            .rows
+            .iter()
+            .map(|row| {
+                Json::obj(
+                    self.headers
+                        .iter()
+                        .zip(row)
+                        .map(|(&header, cell)| (header, cell.to_json()))
+                        .collect(),
+                )
+            })
+            .collect();
+        let mut pairs = vec![("cases", Json::Arr(cases))];
+        pairs.extend(
+            self.extras
+                .iter()
+                .map(|(key, value)| (*key, value.to_json())),
+        );
+        Json::obj(pairs)
+    }
 }
 
 #[cfg(test)]
@@ -85,8 +172,8 @@ mod tests {
     #[test]
     fn renders_aligned_rows() {
         let mut table = Table::new("demo", &["name", "value"]);
-        table.row(vec!["x".into(), "1".into()]);
-        table.row(vec!["longer-name".into(), "2.5".into()]);
+        table.row(vec!["x".into(), 1u64.into()]);
+        table.row(vec!["longer-name".into(), Cell::Ratio(2.5)]);
         let text = table.render();
         assert!(text.contains("demo"));
         assert!(text.contains("longer-name"));
@@ -106,7 +193,21 @@ mod tests {
 
     #[test]
     fn number_formatting() {
-        assert_eq!(secs(0.123456), "0.1235");
-        assert_eq!(num2(2.46913), "2.47");
+        assert_eq!(Cell::Seconds(0.123456).render(), "0.1235");
+        assert_eq!(Cell::Ratio(2.46913).render(), "2.47");
+        assert_eq!(Cell::Count(42).render(), "42");
+    }
+
+    #[test]
+    fn json_keeps_full_precision_and_extras() {
+        let mut table = Table::new("demo", &["name", "seconds", "states"]);
+        table.row(vec!["a".into(), Cell::Seconds(0.123456), 7u64.into()]);
+        table.extra("queries_per_second", Cell::Ratio(12.5));
+        assert_eq!(
+            table.to_json().render(),
+            "{\"cases\":[{\"name\":\"a\",\"seconds\":0.123456,\"states\":7}],\
+             \"queries_per_second\":12.5}"
+        );
+        assert!(table.render().ends_with("queries_per_second: 12.50\n"));
     }
 }

@@ -15,7 +15,6 @@
 //! down.  Stepping granularity is what lets the simulator interleave many
 //! virtual clients deterministically from a seed.
 
-use crate::json::Json;
 use crate::protocol::{
     batch_response, error_response, explain_analyze_response, explain_response, load_response,
     metrics_response, parse_batch_query, parse_command, query_response, shutdown_response,
@@ -24,6 +23,7 @@ use crate::protocol::{
 };
 use crate::{EmitMode, QuerySet, Service, ServiceError, StreamHeader, StreamSink};
 use sge_graph::NodeId;
+use sge_wire::json::Json;
 use std::io::{BufRead, Read, Write};
 
 /// What one [`Connection::step`] call did to the connection.

@@ -38,11 +38,11 @@
 //! cancels instead of pinning its worker, joins the workers and returns.
 
 use crate::connection::{Connection, StepOutcome};
-use crate::json::Json;
 use crate::protocol::{MAX_BATCH_QUERIES, MAX_REQUEST_LINE_BYTES};
 use crate::Service;
 use sge_obs::{EventLog, Gauge};
 use sge_util::poll::{poll_entries, PollEntry, POLLIN, POLLOUT};
+use sge_wire::json::Json;
 use std::collections::HashMap;
 use std::io::{BufReader, Cursor, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};

@@ -29,7 +29,7 @@
 //!   the run.
 //!
 //! Everything is `std`-only: no async runtime, no serialization crates —
-//! the JSON responses come from the hand-rolled encoder in [`json`].
+//! the JSON responses come from the hand-rolled encoder in [`sge_wire::json`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,7 +40,6 @@ pub mod client;
 pub mod connection;
 #[cfg(unix)]
 pub mod event_server;
-pub mod json;
 pub mod protocol;
 pub mod registry;
 pub mod stats;
@@ -68,6 +67,7 @@ use sge_obs::{
 };
 use sge_plan::{CostModel, Planner, RoutingConfig, RoutingDecision, SchedulerChoice};
 use sge_util::{Clock, SystemClock};
+use sge_wire::json::Json;
 use std::any::Any;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
@@ -302,11 +302,11 @@ impl Service {
                 .map(|(_, _, bitmaps)| bitmaps.required_row_bytes())
                 .unwrap_or(0);
             self.log_event(
-                &json::Json::obj(vec![
-                    ("event", json::Json::str("bitmap_cap_fallback")),
-                    ("target", json::Json::str(name)),
-                    ("required_bytes", json::Json::U64(required as u64)),
-                    ("cap_bytes", json::Json::U64(config.max_bytes as u64)),
+                &Json::obj(vec![
+                    ("event", Json::str("bitmap_cap_fallback")),
+                    ("target", Json::str(name)),
+                    ("required_bytes", Json::U64(required as u64)),
+                    ("cap_bytes", Json::U64(config.max_bytes as u64)),
                 ])
                 .render(),
             );
@@ -496,10 +496,10 @@ impl Service {
             .unwrap_or_else(|| "query panicked".to_string());
         self.stats.record_panic();
         self.log_event(
-            &json::Json::obj(vec![
-                ("event", json::Json::str("query_panic")),
-                ("target", json::Json::str(target)),
-                ("message", json::Json::str(message.clone())),
+            &Json::obj(vec![
+                ("event", Json::str("query_panic")),
+                ("target", Json::str(target)),
+                ("message", Json::str(message.clone())),
             ])
             .render(),
         );

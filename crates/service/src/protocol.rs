@@ -8,8 +8,8 @@
 
 pub use sge_wire::protocol::*;
 
-use crate::json::Json;
 use crate::{BatchOutcome, Service};
+use sge_wire::json::Json;
 
 /// Response to `METRICS`: one JSON object with every registered metric,
 /// sorted by name — counters and gauges as integers, histograms as nested
