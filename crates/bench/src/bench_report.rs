@@ -40,9 +40,9 @@
 //!   spread depend on the scheduler.
 //!
 //! `strategy_comparison` enumerates one count-only workload per ordering
-//! strategy next to the cost model's state estimate, `adaptive_dispatch`
-//! times planner routing through the real service against the pinned
-//! schedulers it chooses between, `kernel_comparison` times the three
+//! strategy next to the probe's state estimate, `adaptive_dispatch` times
+//! routing through the real service against the pinned schedulers it
+//! chooses between, `kernel_comparison` times the three
 //! intersection kernels per density tier, and `modular_mix` runs a
 //! triangle-class query mix against a modular clique-community target.
 
@@ -329,7 +329,7 @@ pub fn strategy_comparison(settings: &Settings) -> Table {
             let est_states_total = engines
                 .iter()
                 .chain(std::iter::once(&dense))
-                .map(|e| e.plan().cost.est_total_states)
+                .map(|e| e.context().estimate().est_total_states)
                 .sum();
             let seconds = median_seconds(settings.repeats, || {
                 for engine in &engines {
@@ -365,13 +365,15 @@ pub fn strategy_comparison(settings: &Settings) -> Table {
     table
 }
 
-/// Figure `adaptive_dispatch`: planner-routed scheduling through the real
-/// service stack next to the pinned baselines it chooses between.  The ws4
+/// Figure `adaptive_dispatch`: routed scheduling through the real service
+/// stack next to the pinned baselines it chooses between.  The ws4
 /// regression BENCH_pr3/pr4 documented (work-stealing at a fraction of
 /// sequential on small instances) is exactly what routing removes: the
-/// corrected estimate stays below the sequential threshold, so the routed
-/// run takes the count-only sequential fast path instead of paying the
-/// task-distribution overhead.
+/// probe estimate stays below the sequential threshold, so the routed run
+/// takes the count-only sequential fast path instead of paying the
+/// task-distribution overhead.  `est_error` is how far that estimate is
+/// from the states the routed run observed: `max(observed / est, est /
+/// observed)`, each side at least 1.
 pub fn adaptive_dispatch(settings: &Settings) -> Table {
     let service = Service::new(ServiceConfig {
         cache_capacity: 16,
@@ -399,7 +401,7 @@ pub fn adaptive_dispatch(settings: &Settings) -> Table {
             "routed_scheduler",
             "routed_vs_sequential",
             "routed_vs_ws4",
-            "correction",
+            "est_error",
         ],
     );
     for (name, target, pattern) in workloads {
@@ -407,9 +409,8 @@ pub fn adaptive_dispatch(settings: &Settings) -> Table {
         let seq_spec = QuerySpec::new(&text).with_run(RunConfig::new(Scheduler::Sequential));
         let ws4_spec = QuerySpec::new(&text).with_run(RunConfig::new(Scheduler::work_stealing(4)));
         let routed_spec = QuerySpec::new(&text);
-        // Warm the prepared cache and the cost model so every timed pass
-        // runs cache-hit with a learned correction factor, like a steady
-        // -state server would.
+        // Warm the prepared cache so every timed pass runs cache-hit, like
+        // a steady-state server would.
         for spec in [&seq_spec, &ws4_spec, &routed_spec] {
             service
                 .run_query(target, spec)
@@ -432,6 +433,11 @@ pub fn adaptive_dispatch(settings: &Settings) -> Table {
         let routed_outcome = service
             .run_query(target, &routed_spec)
             .expect("routed probe query must succeed");
+        let explain = service
+            .explain(target, &routed_spec)
+            .expect("routed explain must succeed");
+        let observed = (routed_outcome.outcome.states as f64).max(1.0);
+        let estimated = explain.engine.estimate().est_total_states.max(1.0);
         table.row(vec![
             name.into(),
             Cell::Seconds(sequential_seconds),
@@ -440,13 +446,9 @@ pub fn adaptive_dispatch(settings: &Settings) -> Table {
             routed_outcome.outcome.scheduler.name().into(),
             Cell::Ratio(sequential_seconds / routed_seconds.max(1e-12)),
             Cell::Ratio(ws4_seconds / routed_seconds.max(1e-12)),
-            Cell::Ratio(service.cost_model().correction_for(target)),
+            Cell::Ratio((observed / estimated).max(estimated / observed)),
         ]);
     }
-    table.extra(
-        "correction_factor_final",
-        Cell::Ratio(service.correction_factor()),
-    );
     table
 }
 
@@ -864,7 +866,7 @@ mod tests {
 
     /// Every case and figure-level key of the record before the registry,
     /// which a fresh record must keep so it diffs against the committed ones.
-    const RECORD_KEYS: [&str; 30] = [
+    const RECORD_KEYS: [&str; 28] = [
         "schema",
         "repeats",
         "host_parallelism",
@@ -885,8 +887,6 @@ mod tests {
         "routed_scheduler",
         "routed_vs_sequential",
         "routed_vs_ws4",
-        "correction",
-        "correction_factor_final",
         "scalar_seconds",
         "vectorized_seconds",
         "bitmap_seconds",

@@ -15,7 +15,10 @@
 //!    [`MatchVisitor`],
 //! 4. [`PreparedEngine`] is the *owned* counterpart of [`Engine`]: it keeps
 //!    the graphs alive behind [`Arc`]s so a prepared instance can outlive
-//!    the scope that built it — the shape a query-serving cache needs.
+//!    the scope that built it — the shape a query-serving cache needs — and
+//!    estimates the size of its search tree once, while it prepares,
+//! 5. [`RoutingConfig::route`] turns that estimate into the [`Scheduler`] a
+//!    routed query runs under.
 //!
 //! # The scheduler-equivalence contract
 //!
@@ -36,13 +39,11 @@
 //! static partition) are the same loop on the calling thread and agree on
 //! every counter.
 //!
-//! That contract is what makes *planner-routed* scheduling safe: the serving
-//! layer may pick any [`Scheduler`] per query from the plan's cost estimate
-//! (small trees stay on the sequential count-only fast path, large ones fan
-//! out with planner-sized workers) without changing any result a client can
-//! observe.  The routing decision itself lives upstream in `sge-plan`
-//! (`SchedulerChoice`); this crate only guarantees the equivalence that
-//! routing relies on.
+//! That contract is what makes routed scheduling safe: the serving layer
+//! may pick any [`Scheduler`] per query from the prepared engine's tree-size
+//! estimate (small trees stay on the sequential count-only fast path, large
+//! ones fan out with sized workers) without changing any result a client
+//! can observe.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -50,13 +51,16 @@
 #[cfg(test)]
 mod matcher;
 mod problem;
+mod route;
 mod runner;
+
+pub use route::{RoutingConfig, RoutingDecision};
 
 use sge_graph::{AdjacencyBitmaps, Graph, GraphStats, NodeId};
 use sge_obs::TraceSink;
 use sge_ri::{
-    Algorithm, ChannelVisitor, KernelChoice, KernelUsage, MatchVisitor, PreparedParts, QueryPlan,
-    SearchContext, Strategy,
+    Algorithm, ChannelVisitor, KernelChoice, KernelUsage, MatchVisitor, PlanCost, PreparedParts,
+    QueryPlan, SearchContext, Strategy,
 };
 use sge_stealing::WorkerStats;
 use sge_util::{CancelToken, PhaseTimer};
@@ -200,11 +204,6 @@ impl std::str::FromStr for Scheduler {
 pub struct RunConfig {
     /// Execution strategy.
     pub scheduler: Scheduler,
-    /// Ordering strategy for the match order.  A *preparation* knob: the
-    /// serving layer prepares each query under it (pass it to
-    /// [`Engine::prepare_planned`] in-process); [`Engine::run`] executes
-    /// whatever plan the engine was prepared with and ignores this field.
-    pub strategy: Strategy,
     /// Stop cooperatively after this many matches (`None` = enumerate all).
     /// Every scheduler reports exactly `min(max_matches, total)`.
     pub max_matches: Option<u64>,
@@ -228,7 +227,6 @@ impl RunConfig {
     pub fn new(scheduler: Scheduler) -> Self {
         RunConfig {
             scheduler,
-            strategy: Strategy::default(),
             max_matches: None,
             time_limit: None,
             collect_mappings: 0,
@@ -239,13 +237,6 @@ impl RunConfig {
     /// Sets the scheduler.
     pub fn with_scheduler(mut self, scheduler: Scheduler) -> Self {
         self.scheduler = scheduler;
-        self
-    }
-
-    /// Sets the ordering strategy (consumed at preparation time; see
-    /// [`RunConfig::strategy`]).
-    pub fn with_strategy(mut self, strategy: Strategy) -> Self {
-        self.strategy = strategy;
         self
     }
 
@@ -410,13 +401,13 @@ impl<'g> Engine<'g> {
         self.ctx.strategy()
     }
 
-    /// The prepared query plan (match order, domains, cost estimates) —
-    /// what `EXPLAIN` reports.
+    /// The prepared query plan (match order, domains).
     pub fn plan(&self) -> &QueryPlan {
         self.ctx.plan()
     }
 
-    /// The prepared search context (ordering, domains, candidate machinery).
+    /// The prepared search context (ordering, domains, candidate machinery;
+    /// [`SearchContext::estimate`] probes its tree).
     pub fn context(&self) -> &SearchContext<'g> {
         &self.ctx
     }
@@ -553,6 +544,7 @@ pub struct PreparedEngine {
     pattern: Arc<Graph>,
     target: Arc<Graph>,
     parts: PreparedParts,
+    estimate: PlanCost,
     preprocess_seconds: f64,
 }
 
@@ -561,7 +553,7 @@ impl PreparedEngine {
     /// instance sharing ownership of both graphs.
     pub fn prepare(pattern: Arc<Graph>, target: Arc<Graph>, algorithm: Algorithm) -> Self {
         Self::timed(pattern, target, |pattern, target| {
-            PreparedParts::extract(&SearchContext::prepare(pattern, target, algorithm))
+            SearchContext::prepare(pattern, target, algorithm)
         })
     }
 
@@ -581,30 +573,34 @@ impl PreparedEngine {
         strategy: Strategy,
     ) -> Self {
         Self::timed(pattern, target, |pattern, target| {
-            PreparedParts::extract(&SearchContext::prepare_planned_full(
+            SearchContext::prepare_planned_full(
                 pattern,
                 target,
                 target_stats,
                 bitmaps,
                 algorithm,
                 strategy,
-            ))
+            )
         })
     }
 
-    /// Runs `prepare` against the owned graphs, timing it as the instance's
-    /// preprocessing cost.
+    /// Runs `prepare` against the owned graphs and probes the prepared
+    /// search's tree, timing both as the instance's preprocessing cost.
     fn timed(
         pattern: Arc<Graph>,
         target: Arc<Graph>,
-        prepare: impl FnOnce(&Graph, &Graph) -> PreparedParts,
+        prepare: impl for<'g> FnOnce(&'g Graph, &'g Graph) -> SearchContext<'g>,
     ) -> Self {
         let mut timer = PhaseTimer::new();
-        let parts = timer.time("preprocess", || prepare(&pattern, &target));
+        let (parts, estimate) = timer.time("preprocess", || {
+            let ctx = prepare(&pattern, &target);
+            (PreparedParts::extract(&ctx), ctx.estimate())
+        });
         PreparedEngine {
             pattern,
             target,
             parts,
+            estimate,
             preprocess_seconds: timer.seconds("preprocess"),
         }
     }
@@ -671,10 +667,17 @@ impl PreparedEngine {
         self.parts.strategy()
     }
 
-    /// The prepared query plan (match order, domains, cost estimates) —
-    /// what the service's `EXPLAIN` verb reports.
+    /// The prepared query plan (match order, domains) — what the
+    /// service's `EXPLAIN` verb reports.
     pub fn plan(&self) -> &QueryPlan {
         self.parts.plan()
+    }
+
+    /// The probe estimate of this instance's search tree, taken once at
+    /// preparation ([`SearchContext::estimate`]): what routing and both
+    /// `EXPLAIN` verbs read.
+    pub fn estimate(&self) -> &PlanCost {
+        &self.estimate
     }
 
     /// The bitmap sidecar captured at preparation time, if any.
@@ -1100,7 +1103,7 @@ mod tests {
                 let engine = Engine::prepare_planned(&pattern, &target, algorithm, strategy);
                 assert_eq!(engine.strategy(), strategy);
                 assert_eq!(engine.plan().strategy, strategy);
-                assert_eq!(engine.plan().cost.positions.len(), 4);
+                assert_eq!(engine.plan().num_positions(), 4);
                 let outcome = engine.run(&RunConfig::default().with_collected_mappings(10_000));
                 assert_eq!(outcome.strategy, strategy, "{algorithm} {strategy}");
                 assert_eq!(outcome.matches, reference.matches, "{algorithm} {strategy}");
@@ -1132,7 +1135,8 @@ mod tests {
         assert_eq!(prepared.strategy(), Strategy::LeastFrequentLabelFirst);
         assert!(prepared.bitmaps().is_some());
         assert_eq!(prepared.plan().num_positions(), 3);
-        assert!(prepared.plan().cost.est_total_states > 0.0);
+        assert_eq!(prepared.estimate().est_total_states, 85.0);
+        assert_eq!(prepared.estimate(), &prepared.engine().context().estimate());
         assert_eq!(prepared.run(&RunConfig::default()).matches, 60);
     }
 

@@ -1,5 +1,5 @@
 //! Graph statistics in the shape of the paper's Table 1, plus the per-label
-//! frequency tables the query planner's cost model consumes.
+//! frequency tables the query planner's ordering strategies consume.
 
 use crate::graph::{Graph, Label};
 use sge_util::RunningStats;
@@ -7,9 +7,9 @@ use sge_util::RunningStats;
 /// Summary statistics of one graph: node/edge counts, the mean / standard
 /// deviation of the total degree, the number of distinct node labels, and
 /// per-label node/edge frequency tables.  Table 1 of the paper reports the
-/// scalar quantities per collection; the frequency tables feed the
-/// `sge-plan` cost model (how selective is a label filter, how long is the
-/// average adjacency list for an edge label).
+/// scalar quantities per collection; the frequency tables tell the
+/// `sge-plan` ordering strategies how selective a label filter is, and how
+/// long the average adjacency list for an edge label is.
 #[derive(Clone, Debug, PartialEq)]
 pub struct GraphStats {
     /// Number of nodes.

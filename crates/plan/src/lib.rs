@@ -10,9 +10,10 @@
 //!   and produces a self-contained [`QueryPlan`];
 //! * [`QueryPlan`] carries the match order ([`MatchOrder`], including the
 //!   [`CandidatePlan`] back-edge metadata driving intersection-based
-//!   candidate generation), the RI-DS [`Domains`], the impossibility verdict
-//!   and a per-position [`cost::PlanCost`] estimate — everything an executor
-//!   needs and everything `EXPLAIN` reports;
+//!   candidate generation), the RI-DS [`Domains`] and the impossibility
+//!   verdict — everything an executor needs.  How large the planned search
+//!   is gets measured on the prepared search (`sge-ri`'s probe), not
+//!   predicted here;
 //! * [`Strategy`] selects one of the pluggable [`OrderingStrategy`]
 //!   implementations: [`strategy::RiGreedy`] (the paper's
 //!   GreatestConstraintFirst heuristic, bit-for-bit identical to the
@@ -29,20 +30,16 @@
 #![warn(missing_docs)]
 
 pub mod algorithm;
-pub mod cost;
 pub mod domains;
 pub mod ordering;
 pub mod planner;
-pub mod route;
 pub mod strategy;
 
 pub use algorithm::Algorithm;
-pub use cost::{PlanCost, PositionCost};
 pub use domains::Domains;
 pub use ordering::{
     finish_order, greatest_constraint_first, CandidatePlan, EdgeConstraint, KernelChoice,
     MatchOrder, PlanStep, PrefilterSpec,
 };
 pub use planner::{Planner, QueryPlan};
-pub use route::{CostModel, RoutingConfig, RoutingDecision, SchedulerChoice};
 pub use strategy::{OrderingStrategy, Strategy};

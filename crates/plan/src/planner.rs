@@ -1,7 +1,6 @@
 //! The [`Planner`]: preprocessing in, [`QueryPlan`] out.
 
 use crate::algorithm::Algorithm;
-use crate::cost::{self, PlanCost};
 use crate::domains::Domains;
 use crate::ordering::{finish_order, KernelChoice, MatchOrder};
 use crate::strategy::{PlanningInput, Strategy};
@@ -13,9 +12,8 @@ use std::sync::Arc;
 /// A plan is everything an executor needs — the match order with its
 /// back-edge [`crate::CandidatePlan`], the domains, whether preprocessing
 /// already proved infeasibility, and whether the executor must re-check
-/// degrees during the search — plus the [`PlanCost`] estimates that make the
-/// plan inspectable (`EXPLAIN`).  Domains sit behind an [`Arc`] so a plan
-/// can be cloned into long-lived prepared engines without copying bitmasks.
+/// degrees during the search.  Domains sit behind an [`Arc`] so a plan can
+/// be cloned into long-lived prepared engines without copying bitmasks.
 #[derive(Clone)]
 pub struct QueryPlan {
     /// The algorithm variant this plan was built for.
@@ -33,8 +31,6 @@ pub struct QueryPlan {
     /// Plain RI checks degrees during the search; the RI-DS domains already
     /// encode the degree filter.
     pub check_degrees: bool,
-    /// Per-position cost estimates for this order.
-    pub cost: PlanCost,
 }
 
 impl QueryPlan {
@@ -55,7 +51,7 @@ impl QueryPlan {
 /// let plan = Planner::new(Strategy::RiGreedy).plan(&pattern, &target, Algorithm::RiDsSiFc);
 /// assert_eq!(plan.num_positions(), 3);
 /// assert!(!plan.impossible);
-/// assert_eq!(plan.cost.positions.len(), 3);
+/// assert_eq!(plan.order.plan.steps.len(), 3);
 /// ```
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Planner {
@@ -82,7 +78,7 @@ impl Planner {
 
     /// Plans with precomputed target statistics: domain computation and
     /// forward checking (as the algorithm requires), strategy ordering,
-    /// back-edge plan construction, cost estimation.
+    /// back-edge plan construction and kernel selection.
     pub fn plan_with_stats(
         &self,
         pattern: &Graph,
@@ -110,7 +106,6 @@ impl Planner {
         let positions = self.strategy.implementation().positions(pattern, &input);
         let mut order = finish_order(pattern, positions);
         select_kernels(&mut order, target_stats);
-        let cost = cost::estimate(pattern, &order, domains.as_deref(), target_stats);
         QueryPlan {
             algorithm,
             strategy: self.strategy,
@@ -118,7 +113,6 @@ impl Planner {
             domains,
             impossible,
             check_degrees: !algorithm.uses_domains(),
-            cost,
         }
     }
 }
@@ -168,7 +162,7 @@ mod tests {
                 assert_eq!(plan.algorithm, algorithm);
                 assert_eq!(plan.strategy, strategy);
                 assert_eq!(plan.num_positions(), 4);
-                assert_eq!(plan.cost.positions.len(), 4);
+                assert_eq!(plan.order.plan.steps.len(), 4);
                 assert_eq!(plan.domains.is_some(), algorithm.uses_domains());
                 assert_eq!(plan.check_degrees, !algorithm.uses_domains());
                 assert!(!plan.impossible);

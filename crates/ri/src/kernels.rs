@@ -15,10 +15,11 @@
 //!     (the `core::simd`-style shape: a compare-and-sum LLVM auto-vectorizes
 //!     under `#![forbid(unsafe_code)]`);
 //!   * a much longer `adj` takes **exponential-probe galloping** per
-//!     candidate;
-//!   * a much *shorter* `adj` swaps iteration direction and gallops through
-//!     the candidate buffer instead — the worst case of the old kernel,
-//!     which probed a tiny adjacency list once per candidate.
+//!     candidate.
+//!
+//!   The search never hands it a buffer longer than `adj`: it seeds the
+//!   buffer from the shortest adjacency list of the step, and every
+//!   intersection only shrinks it.
 //! * bitmap rows from [`sge_graph::AdjacencyBitmaps`] intersect via
 //!   [`and_rows`] / [`collect_row`] — word-wise AND, no per-element work.
 //!
@@ -33,9 +34,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 const WORD_BITS: usize = 64;
 
 /// Length-ratio at which the gallop kernel switches strategies: `adj` more
-/// than `WIDTH_RATIO`× longer than `out` gallops through `adj`; `out` more
-/// than `WIDTH_RATIO`× longer than `adj` swaps direction and gallops through
-/// `out`; anything in between takes the chunked linear merge.
+/// than `WIDTH_RATIO`× longer than `out` gallops through `adj`; anything
+/// shorter takes the chunked linear merge.
 pub const WIDTH_RATIO: usize = 8;
 
 /// Chunk width of the branchless count-of-smaller scan in the merge bucket.
@@ -48,8 +48,6 @@ pub enum GallopRoute {
     Merge,
     /// `adj` much longer: exponential-probe gallop through `adj`.
     Gallop,
-    /// `out` much longer: swapped iteration, galloping through `out`.
-    GallopSwapped,
 }
 
 /// Totals of candidate lists and of the kernel work that built them, for
@@ -59,14 +57,14 @@ pub enum GallopRoute {
 /// those a worker's memo served without a rebuild.  The other fields count
 /// work that actually ran while building the rest: `bitmap` counts bitmap
 /// rows ANDed, `gallop`/`merge` count [`intersect_gallop`] invocations per
-/// bucket (the swapped bucket counts as `gallop`), and `prefilter_rejected`
+/// bucket, and `prefilter_rejected`
 /// counts candidates dropped by the label-signature/min-degree prefilter
 /// before any kernel ran.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct KernelUsage {
     /// Bitmap rows intersected via word-wise AND.
     pub bitmap: u64,
-    /// Galloping intersections (probe-driven, either direction).
+    /// Galloping (probe-driven) intersections.
     pub gallop: u64,
     /// Chunked linear-merge intersections.
     pub merge: u64,
@@ -186,10 +184,7 @@ pub fn intersect_reference(out: &mut Vec<NodeId>, adj: &[EdgeRef], label: Label)
 /// by length ratio (see [`WIDTH_RATIO`]).  Returns the bucket taken so
 /// callers can account invocations per path.
 pub fn intersect_gallop(out: &mut Vec<NodeId>, adj: &[EdgeRef], label: Label) -> GallopRoute {
-    if out.len() > WIDTH_RATIO * adj.len() {
-        intersect_swapped(out, adj, label);
-        GallopRoute::GallopSwapped
-    } else if adj.len() > WIDTH_RATIO * out.len() {
+    if adj.len() > WIDTH_RATIO * out.len() {
         intersect_probing(out, adj, label);
         GallopRoute::Gallop
     } else {
@@ -212,29 +207,6 @@ fn intersect_probing(out: &mut Vec<NodeId>, adj: &[EdgeRef], label: Label) {
         if adj[from].node == v && adj[from].label == label {
             out[write] = v;
             write += 1;
-        }
-    }
-    out.truncate(write);
-}
-
-/// Swapped gallop: iterate `adj` (the short side), gallop through `out`.
-/// Fixes the old kernel's worst case — a tiny adjacency list probed once per
-/// element of a huge candidate buffer.
-fn intersect_swapped(out: &mut Vec<NodeId>, adj: &[EdgeRef], label: Label) {
-    let mut write = 0;
-    let mut read = 0;
-    for e in adj {
-        if e.label != label {
-            continue;
-        }
-        read = advance_ids(out, read.max(write), e.node);
-        if read >= out.len() {
-            break;
-        }
-        if out[read] == e.node {
-            out[write] = e.node;
-            write += 1;
-            read += 1;
         }
     }
     out.truncate(write);
@@ -300,22 +272,6 @@ fn advance_probing(adj: &[EdgeRef], from: usize, v: NodeId) -> usize {
     }
     let hi = (lo + step).min(adj.len());
     lo + 1 + adj[lo + 1..hi].partition_point(|e| e.node < v)
-}
-
-/// [`advance_probing`] over a plain sorted id slice (the candidate buffer).
-#[inline]
-fn advance_ids(ids: &[NodeId], from: usize, v: NodeId) -> usize {
-    let mut lo = from;
-    if lo >= ids.len() || ids[lo] >= v {
-        return lo;
-    }
-    let mut step = 1;
-    while lo + step < ids.len() && ids[lo + step] < v {
-        lo += step;
-        step <<= 1;
-    }
-    let hi = (lo + step).min(ids.len());
-    lo + 1 + ids[lo + 1..hi].partition_point(|&id| id < v)
 }
 
 /// Word-wise AND of `row` into `acc` (`acc` keeps only bits set in both).
@@ -432,7 +388,7 @@ mod tests {
         let seed: Vec<NodeId> = vec![1, 2, 3, 5, 9, 13];
         let expected = run(intersect_reference, &seed);
         assert_eq!(expected, vec![2, 5, 13]); // 3 present but wrong label
-        for kernel in [intersect_merge, intersect_probing, intersect_swapped] {
+        for kernel in [intersect_merge, intersect_probing] {
             assert_kernel_parity("bucket", &expected, &run(kernel, &seed));
         }
         assert_kernel_parity(
@@ -457,14 +413,6 @@ mod tests {
         );
         assert_eq!(out, vec![500]);
 
-        let mut out: Vec<NodeId> = (0..1000).collect();
-        let tiny = adj(&[(37, 0)]);
-        assert_eq!(
-            intersect_gallop(&mut out, &tiny, 0),
-            GallopRoute::GallopSwapped
-        );
-        assert_eq!(out, vec![37]);
-
         let mut out: Vec<NodeId> = (0..20).collect();
         let medium = adj(&(0..30).map(|i| (i as NodeId, 0)).collect::<Vec<_>>());
         assert_eq!(intersect_gallop(&mut out, &medium, 0), GallopRoute::Merge);
@@ -472,33 +420,8 @@ mod tests {
     }
 
     #[test]
-    fn swapped_gallop_handles_one_element_adjacency_against_huge_buffer() {
-        // Regression for the old kernel's worst case: |out| = 10_000 against
-        // |adj| = 1 must route to the swapped bucket and intersect correctly.
-        let mut out: Vec<NodeId> = (0..10_000).collect();
-        let single = adj(&[(9_999, 0)]);
-        let mut expected = out.clone();
-        intersect_reference(&mut expected, &single, 0);
-        assert_eq!(
-            intersect_gallop(&mut out, &single, 0),
-            GallopRoute::GallopSwapped
-        );
-        assert_kernel_parity("gallop-swapped", &expected, &out);
-        assert_eq!(out, vec![9_999]);
-
-        // Same shape, but the lone edge carries the wrong label.
-        let mut out: Vec<NodeId> = (0..10_000).collect();
-        let single = adj(&[(9_999, 7)]);
-        assert_eq!(
-            intersect_gallop(&mut out, &single, 0),
-            GallopRoute::GallopSwapped
-        );
-        assert!(out.is_empty());
-    }
-
-    #[test]
     fn empty_sides_are_handled() {
-        for kernel in [intersect_merge, intersect_probing, intersect_swapped] {
+        for kernel in [intersect_merge, intersect_probing] {
             let mut out: Vec<NodeId> = Vec::new();
             kernel(&mut out, &adj(&[(1, 0)]), 0);
             assert!(out.is_empty());
@@ -640,7 +563,6 @@ mod tests {
                     intersect_merge as fn(&mut Vec<NodeId>, &[EdgeRef], Label),
                 ),
                 ("probing", intersect_probing),
-                ("swapped", intersect_swapped),
             ] {
                 let mut out = seed.clone();
                 kernel(&mut out, &list, label);

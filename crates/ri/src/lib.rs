@@ -18,11 +18,13 @@
 //!   other domain, propagating until fixpoint).
 //!
 //! Since the planning extraction, this crate is a **pure executor**: node
-//! ordering, domain computation and the cost model live in `sge-plan`
-//! (re-exported here for compatibility), and a [`search::SearchContext`] is
-//! built from a `sge_plan::QueryPlan` — either one the caller planned
-//! explicitly (choosing a `sge_plan::Strategy`) or the default RI-greedy
-//! plan produced by [`search::SearchContext::prepare`].
+//! ordering and domain computation live in `sge-plan` (re-exported here for
+//! compatibility), and a [`search::SearchContext`] is built from a
+//! `sge_plan::QueryPlan` — either one the caller planned explicitly
+//! (choosing a `sge_plan::Strategy`) or the default RI-greedy plan produced
+//! by [`search::SearchContext::prepare`].  What a plan will cost is
+//! measured on the prepared search itself: [`estimate`] walks seeded random
+//! paths through it (Knuth's estimator).
 //!
 //! The crate has no search loop of its own.  [`search::SearchContext`]
 //! exposes candidate generation and consistency checking, and `sge-engine`
@@ -49,6 +51,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod estimate;
 pub mod kernels;
 pub mod search;
 pub mod visitor;
@@ -57,6 +60,7 @@ pub mod visitor;
 // their historical `sge_ri` paths.
 pub use sge_plan::{domains, ordering};
 
+pub use estimate::{PlanCost, PositionCost};
 pub use kernels::{
     assert_kernel_parity, check_kernel_parity, intersect_gallop, intersect_reference, KernelCells,
     KernelDivergence, KernelUsage,

@@ -55,7 +55,7 @@ pub struct LeafCount {
 }
 
 /// Read-only description of one enumeration instance: pattern, target and
-/// the [`QueryPlan`] being executed (ordering, domains, cost estimates).
+/// the [`QueryPlan`] being executed (ordering, domains).
 ///
 /// Domains are held behind an [`Arc`] inside the plan so that prepared
 /// instances can be rebuilt against long-lived owned graphs (see
@@ -298,12 +298,34 @@ impl<'a> SearchContext<'a> {
     /// counts in [`KernelUsage::lists`] and, when attached, the trace sink.
     #[inline]
     pub fn candidates<'s>(&self, depth: usize, state: &'s mut WorkerState) -> &'s [NodeId] {
-        self.refresh(depth, state);
-        let list = &state.memo[depth].list;
+        let list = self.refresh_candidates(depth, state);
         if let Some(sink) = &self.sink {
             sink.record_candidates(depth, list.len() as u64);
         }
         list
+    }
+
+    /// [`Self::candidates`] unseen by the trace sink: the tree-size probe's
+    /// request.
+    #[inline]
+    pub(crate) fn refresh_candidates<'s>(
+        &self,
+        depth: usize,
+        state: &'s mut WorkerState,
+    ) -> &'s [NodeId] {
+        self.refresh(depth, state);
+        &state.memo[depth].list
+    }
+
+    /// The consistent members of the list the last request for `depth`
+    /// returned, checked unseen by the trace sink.
+    pub(crate) fn consistent_candidates<'s>(
+        &'s self,
+        depth: usize,
+        state: &'s WorkerState,
+    ) -> impl Iterator<Item = NodeId> + 's {
+        let list = state.last_candidates(depth).iter().copied();
+        list.filter(move |&vt| self.consistent_candidate(depth, vt, state))
     }
 
     /// Brings `state`'s memo entry for `depth` up to date: keeps it when
@@ -468,9 +490,13 @@ impl<'a> SearchContext<'a> {
             if out.is_empty() {
                 return;
             }
-            match kernels::intersect_gallop(out, self.constraint_adjacency(c, mapping), c.label) {
+            let adj = self.constraint_adjacency(c, mapping);
+            // Seeded from the shortest list and only ever shrunk, the buffer
+            // is never longer than the list it meets.
+            debug_assert!(out.len() <= adj.len());
+            match kernels::intersect_gallop(out, adj, c.label) {
                 GallopRoute::Merge => local.merge += 1,
-                GallopRoute::Gallop | GallopRoute::GallopSwapped => local.gallop += 1,
+                GallopRoute::Gallop => local.gallop += 1,
             }
         }
     }
@@ -624,6 +650,17 @@ impl<'a> SearchContext<'a> {
         if let Some(sink) = &self.sink {
             sink.record_state(depth);
         }
+        self.consistent_candidate(depth, vt, state)
+    }
+
+    /// [`Self::is_consistent`] unseen by the trace sink.
+    #[inline]
+    pub(crate) fn consistent_candidate(
+        &self,
+        depth: usize,
+        vt: NodeId,
+        state: &WorkerState,
+    ) -> bool {
         let vp = self.plan.order.positions[depth];
         if state.used[vt as usize] {
             return false;
@@ -752,7 +789,7 @@ impl PreparedParts {
         self.plan.strategy
     }
 
-    /// The captured query plan (order, domains, cost estimates).
+    /// The captured query plan (order, domains).
     pub fn plan(&self) -> &QueryPlan {
         &self.plan
     }
@@ -1168,7 +1205,7 @@ mod tests {
             Strategy::DegreeDescending,
         );
         assert_eq!(ctx.strategy(), Strategy::DegreeDescending);
-        assert_eq!(ctx.plan().cost.positions.len(), 3);
+        assert_eq!(ctx.plan().num_positions(), 3);
         let parts = PreparedParts::extract(&ctx);
         assert_eq!(parts.strategy(), Strategy::DegreeDescending);
         assert_eq!(parts.plan().num_positions(), 3);

@@ -17,9 +17,11 @@
 //! The front end is the event-driven readiness loop
 //! ([`sge_service::EventServer`]), built on `poll(2)`: off Unix the binary
 //! says so and exits 2.  `--route-threshold` / `--route-states-per-worker`
-//! tune the planner's scheduler routing (estimated states below the
-//! threshold stay on the sequential fast path; above it, worker count is
-//! sized from the corrected estimate).
+//! tune scheduler routing: a query whose prepared search is estimated below
+//! the threshold (a finite number of states, at least 0) stays on the
+//! sequential fast path; above it, the worker count is sized from the
+//! estimate at the given states per worker (finite, above 0).  Malformed
+//! or out-of-range values print usage and exit 2.
 
 use sge_service::{Service, ServiceConfig};
 use std::sync::Arc;
@@ -79,15 +81,15 @@ fn main() {
                 }
             }
             "--route-threshold" => {
-                config.routing.sequential_threshold = match value().parse() {
-                    Ok(n) => n,
-                    Err(_) => fail("invalid --route-threshold"),
+                config.routing.sequential_threshold = match value().parse::<f64>() {
+                    Ok(n) if n.is_finite() && n >= 0.0 => n,
+                    _ => fail("--route-threshold expects a finite number >= 0"),
                 }
             }
             "--route-states-per-worker" => {
-                config.routing.states_per_worker = match value().parse() {
-                    Ok(n) => n,
-                    Err(_) => fail("invalid --route-states-per-worker"),
+                config.routing.states_per_worker = match value().parse::<f64>() {
+                    Ok(n) if n.is_finite() && n > 0.0 => n,
+                    _ => fail("--route-states-per-worker expects a finite number > 0"),
                 }
             }
             "--load" => {

@@ -19,7 +19,7 @@
 //!   keeps aggregate statistics.  Every query verb shares its head (lookup,
 //!   parse, cached prepare, routing); `EXPLAIN` stops there, and buffered,
 //!   streamed and analyzed queries share one execute path (dispatch →
-//!   admission → run → observe → record).  A panicking query is answered
+//!   admission → run → record).  A panicking query is answered
 //!   with an internal error instead of unwinding into the caller;
 //! * [`EventServer`] (Unix) is the std-only TCP front end speaking the
 //!   newline-delimited text protocol documented in [`protocol`] with
@@ -60,12 +60,13 @@ pub use sge_wire::{
     StreamHeader, StreamSink, StreamedQueryOutcome, DEFAULT_STREAM_CHUNK, MAX_STREAM_CHUNK,
 };
 
-use sge_engine::{EnumerationOutcome, PreparedEngine, RunConfig, Scheduler};
+use sge_engine::{
+    EnumerationOutcome, PreparedEngine, RoutingConfig, RoutingDecision, RunConfig, Scheduler,
+};
 use sge_graph::{BitmapConfig, NodeId};
 use sge_obs::{
     Counter, EventLog, Gauge, MetricsRegistry, MetricsSnapshot, QueryTrace, SpanRecord, TraceSink,
 };
-use sge_plan::{CostModel, Planner, RoutingConfig, RoutingDecision, SchedulerChoice};
 use sge_util::{Clock, SystemClock};
 use sge_wire::json::Json;
 use std::any::Any;
@@ -83,9 +84,9 @@ pub struct ServiceConfig {
     /// Global cap on concurrently *executing* enumeration runs (admission
     /// control across all connections and batches).
     pub max_in_flight: usize,
-    /// Planner-routing knobs: when a query does not pin a scheduler
-    /// (`sched=` on the wire), [`Planner::route`] picks one from the
-    /// cost-model-corrected state estimate under these thresholds.
+    /// Routing knobs: when a query does not pin a scheduler (`sched=` on
+    /// the wire), [`RoutingConfig::route`] picks one from the prepared
+    /// engine's tree-size estimate under these thresholds.
     pub routing: RoutingConfig,
     /// Bitmap-sidecar knobs applied when targets are registered through
     /// [`Service::load_target`] (the `LOAD` verb); `bitmap_cap=<bytes>` on
@@ -134,7 +135,6 @@ pub struct Service {
     metrics: MetricsRegistry,
     engine_counters: EngineCounters,
     dispatch: DispatchCells,
-    cost_model: CostModel,
     admission: semaphore::Semaphore,
     config: ServiceConfig,
     clock: Arc<dyn Clock>,
@@ -152,23 +152,17 @@ struct DispatchCells {
     /// Runs dispatched on the work-stealing scheduler, whatever its worker
     /// count.
     work_stealing: Counter,
-    /// The cost model's most recently updated correction factor, in
-    /// milli-units (1000 = identity) — gauges are integral.
-    correction: Gauge,
     /// Currently open server connections (maintained by the TCP front end).
     connections_open: Gauge,
 }
 
 impl DispatchCells {
     fn with_registry(registry: &MetricsRegistry) -> Self {
-        let cells = DispatchCells {
+        DispatchCells {
             sequential: registry.counter("engine.dispatch.sequential"),
             work_stealing: registry.counter("engine.dispatch.work_stealing"),
-            correction: registry.gauge("engine.cost_model.correction"),
             connections_open: registry.gauge("service.connections_open"),
-        };
-        cells.correction.set(1000); // identity until the first observation
-        cells
+        }
     }
 }
 
@@ -248,7 +242,6 @@ impl Service {
             stats: ServiceStats::with_registry(&metrics),
             engine_counters: EngineCounters::with_registry(&metrics),
             dispatch: DispatchCells::with_registry(&metrics),
-            cost_model: CostModel::new(),
             metrics,
             admission: semaphore::Semaphore::new(config.max_in_flight.max(1)),
             config,
@@ -509,7 +502,8 @@ impl Service {
     /// The head every query verb shares: lookup → parse → cached prepare →
     /// one routing decision → the effective run.  `EXPLAIN` stops here, so
     /// it describes exactly the plan and scheduler the identical `QUERY`
-    /// runs.
+    /// runs.  Routing reads only the prepared engine's estimate, so the
+    /// decision does not depend on what the service ran before.
     fn plan(&self, target: &str, spec: &QuerySpec) -> Result<Plan, ServiceError> {
         let started = self.clock.now();
         let (target_graph, target_stats, target_bitmaps) = self
@@ -524,12 +518,15 @@ impl Service {
             &target_stats,
             &target_bitmaps,
             spec.algorithm,
-            spec.run.strategy,
+            spec.strategy,
         );
-        let routing = self.routing_decision(target, &engine);
+        let routing = self
+            .config
+            .routing
+            .route(engine.estimate().est_total_states);
         let mut run = spec.run;
         if !spec.pinned {
-            run.scheduler = scheduler_for_choice(routing.choice);
+            run.scheduler = routing.scheduler;
         }
         Ok(Plan {
             pattern_hash: PreparedCache::pattern_hash(&pattern),
@@ -544,7 +541,7 @@ impl Service {
     }
 
     /// The one execute path behind every query that runs: dispatch →
-    /// admission → run → observe → record.  `delivery` decides only where
+    /// admission → run → record.  `delivery` decides only where
     /// the rows go and whether a trace sink rides along; the clock is read
     /// at the same points for every delivery, and only an analyzed run
     /// turns the readings into spans.  Returns the served query
@@ -594,7 +591,6 @@ impl Service {
         };
         let finished = self.clock.now();
         drop(permit);
-        self.observe_run(target, &plan.engine, &outcome);
         let latency_seconds = finished.saturating_sub(plan.started).as_secs_f64();
         self.stats.record_query(outcome.matches, latency_seconds);
         if streaming {
@@ -625,11 +621,6 @@ impl Service {
         Ok((streamed, spans))
     }
 
-    /// The per-target cost model routing decisions consult.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost_model
-    }
-
     /// The `service.connections_open` gauge handle — incremented /
     /// decremented by the TCP front end as connections open and close.
     pub fn connections_gauge(&self) -> Gauge {
@@ -645,19 +636,6 @@ impl Service {
         )
     }
 
-    /// The most recently updated cost-model correction factor (1.0 until a
-    /// first complete run is observed).
-    pub fn correction_factor(&self) -> f64 {
-        self.dispatch.correction.value() as f64 / 1000.0
-    }
-
-    /// The routing decision [`Planner::route`] makes for `engine` against
-    /// `target` right now (current correction factor, configured thresholds).
-    pub fn routing_decision(&self, target: &str, engine: &PreparedEngine) -> RoutingDecision {
-        let correction = self.cost_model.correction_for(target);
-        Planner::new(engine.strategy()).route(&engine.plan().cost, correction, &self.config.routing)
-    }
-
     /// Counts one dispatch under the scheduler family that will execute it.
     fn record_dispatch(&self, scheduler: &Scheduler) {
         if scheduler.is_sequential() {
@@ -665,23 +643,6 @@ impl Service {
         } else {
             self.dispatch.work_stealing.inc();
         }
-    }
-
-    /// Folds one finished run into the cost model — only *complete* runs:
-    /// a cancelled, timed-out or limit-capped run undercounts the true tree
-    /// and would corrupt the observed/estimated ratio.
-    fn observe_run(&self, target: &str, engine: &PreparedEngine, outcome: &EnumerationOutcome) {
-        if outcome.cancelled || outcome.timed_out || outcome.limit_hit {
-            return;
-        }
-        let estimated = engine.plan().cost.est_total_states;
-        if !estimated.is_finite() || estimated <= 0.0 {
-            return;
-        }
-        let factor = self.cost_model.observe(target, estimated, outcome.states);
-        self.dispatch
-            .correction
-            .set((factor * 1000.0).round().max(0.0) as u64);
     }
 
     /// Executes a [`QuerySet`] on this service's batch worker pool.
@@ -698,8 +659,8 @@ struct Plan {
     engine: Arc<PreparedEngine>,
     cache_hit: bool,
     pattern_hash: u64,
-    /// The routing decision current at planning time, reported by both
-    /// `EXPLAIN` verbs whether or not the scheduler is pinned.
+    /// The prepared engine's routing decision, reported by both `EXPLAIN`
+    /// verbs whether or not the scheduler is pinned.
     routing: RoutingDecision,
     /// Whether `run.scheduler` is the routed choice rather than the
     /// caller's pinned one.
@@ -758,16 +719,6 @@ fn stream_rows(
     }
     let cancelled = outcome.cancelled || !sink_alive;
     (outcome, rows_sent, cancelled)
-}
-
-/// Maps an executor-agnostic [`SchedulerChoice`] onto the engine's concrete
-/// scheduler type (work-stealing runs get the default task-group size with
-/// stealing enabled).
-pub fn scheduler_for_choice(choice: SchedulerChoice) -> Scheduler {
-    match choice {
-        SchedulerChoice::Sequential => Scheduler::Sequential,
-        SchedulerChoice::WorkStealing { workers } => Scheduler::work_stealing(workers),
-    }
 }
 
 /// Convenience alias: a service shared across the front end's worker threads.

@@ -88,10 +88,6 @@ pub fn stats_response(service: &Service) -> Json {
                 ("work_stealing", Json::U64(dispatch_work_stealing)),
             ]),
         ),
-        (
-            "cost_model_correction",
-            Json::F64(service.correction_factor()),
-        ),
         ("targets", Json::Arr(targets)),
         (
             "cache",

@@ -116,7 +116,8 @@ impl GraphRegistry {
     }
 
     /// Looks a target up by name together with its registration-time
-    /// statistics (what the planner's cost model consumes).
+    /// statistics (what the planner's ordering strategies and kernel choice
+    /// consume).
     pub fn get_with_stats(&self, name: &str) -> Option<(Arc<Graph>, Arc<GraphStats>)> {
         self.get_full(name).map(|(graph, stats, _)| (graph, stats))
     }

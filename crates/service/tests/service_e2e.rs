@@ -226,7 +226,7 @@ fn explain_counts_errors_and_reports_the_cached_plan() {
     let explained = service.explain("k5", &QuerySpec::new(&pattern)).unwrap();
     assert!(!explained.cache_hit);
     assert_eq!(explained.engine.plan().num_positions(), 3);
-    assert!(explained.engine.plan().cost.est_total_states > 0.0);
+    assert_eq!(explained.engine.estimate().est_total_states, 85.0);
     let query = service.run_query("k5", &QuerySpec::new(&pattern)).unwrap();
     assert!(query.cache_hit, "explain must warm the prepared cache");
     assert_eq!(query.outcome.matches, 60);
@@ -385,7 +385,8 @@ fn explain_analyze_reports_observed_counts_and_spans() {
     let plan = analyzed.engine.plan();
     assert_eq!(analyzed.observed_candidates.len(), plan.num_positions());
     assert_eq!(analyzed.observed_states.len(), plan.num_positions());
-    assert_eq!(plan.cost.positions.len(), plan.num_positions());
+    let estimate = &analyzed.engine.estimate().positions;
+    assert_eq!(estimate.len(), plan.num_positions());
     assert!(analyzed.observed_candidates[0] > 0);
     assert_eq!(
         analyzed.observed_states.iter().sum::<u64>(),
@@ -491,56 +492,15 @@ fn zero_max_in_flight_is_clamped_not_deadlocked() {
 }
 
 // ---------------------------------------------------------------------------
-// Planner-routed scheduling and the self-correcting cost model
+// Routed scheduling
 // ---------------------------------------------------------------------------
-
-/// Property: repeating the *same* query converges the per-target correction
-/// factor onto the observed/estimated state ratio, with monotonically
-/// shrinking error (the EWMA contracts geometrically on a fixed signal).
-#[test]
-fn repeated_identical_queries_converge_the_correction_factor() {
-    let service = Service::new(ServiceConfig::default());
-    service.registry().insert("grid", generators::grid(6, 6));
-    let pattern = write_graph(&generators::directed_path(3, 0));
-    let spec = QuerySpec::new(&pattern); // routed: feeds the cost model
-
-    // The true ratio the model should learn: observed states over the
-    // planner's raw estimate (both deterministic for a fixed query).
-    let first = service.run_query("grid", &spec).unwrap();
-    let explain = service.explain("grid", &QuerySpec::new(&pattern)).unwrap();
-    let estimated = explain.routing.raw_est_states;
-    assert!(estimated > 0.0);
-    let ratio = first.outcome.states as f64 / estimated;
-
-    let mut last_error = (service.cost_model().correction_for("grid") - ratio).abs();
-    for round in 0..12 {
-        service.run_query("grid", &spec).unwrap();
-        let error = (service.cost_model().correction_for("grid") - ratio).abs();
-        assert!(
-            error <= last_error + 1e-12,
-            "round {round}: error grew from {last_error} to {error}"
-        );
-        last_error = error;
-    }
-    let converged = service.cost_model().correction_for("grid");
-    assert!(
-        (converged - ratio).abs() <= ratio.max(1.0) * 0.05,
-        "correction {converged} did not converge to ratio {ratio}"
-    );
-    // The gauge mirrors the model (milli-units).
-    assert!(
-        (service.correction_factor() - converged).abs() < 0.002,
-        "gauge {} vs model {converged}",
-        service.correction_factor()
-    );
-}
 
 /// Routed and pinned-scheduler runs of the same query return byte-identical
 /// sorted mappings — routing changes *where* the tree is enumerated, never
 /// *what* comes back.
 #[test]
 fn routed_and_pinned_schedulers_agree_on_sorted_mappings() {
-    use sge_plan::RoutingConfig;
+    use sge_engine::RoutingConfig;
     // Threshold 1 state: every routed query fans out to work-stealing, so
     // the parity below crosses scheduler families even on a 1-core host.
     let service = Service::new(ServiceConfig {
@@ -583,7 +543,7 @@ fn routed_and_pinned_schedulers_agree_on_sorted_mappings() {
 /// EXPLAIN surfaces the routing decision without executing anything.
 #[test]
 fn dispatch_counters_and_explain_report_routing() {
-    use sge_plan::{RoutingConfig, SchedulerChoice};
+    use sge_engine::RoutingConfig;
     let service = Service::new(ServiceConfig {
         routing: RoutingConfig::pinned(50_000.0, 25_000.0, 4),
         ..ServiceConfig::default()
@@ -609,7 +569,8 @@ fn dispatch_counters_and_explain_report_routing() {
 
     let explain = service.explain("k5", &QuerySpec::new(&pattern)).unwrap();
     assert!(explain.routed);
-    assert_eq!(explain.routing.choice, SchedulerChoice::Sequential);
+    assert_eq!(explain.routing.scheduler, Scheduler::Sequential);
+    assert_eq!(explain.routing.est_total_states, 85.0);
     assert!(explain.routing.threshold == 50_000.0);
     // EXPLAIN plans only: the dispatch counters did not move.
     assert_eq!(service.dispatch_counts(), (1, 1));
@@ -808,7 +769,7 @@ fn call(service: &Service, verb: Verb, target: &str, pattern: &str) -> Result<u6
 /// counters, dispatch counts and engine totals one request moves.
 #[test]
 fn every_verb_moves_exactly_its_own_counters() {
-    use sge_plan::RoutingConfig;
+    use sge_engine::RoutingConfig;
     let service = Service::new(ServiceConfig {
         routing: RoutingConfig::pinned(50_000.0, 25_000.0, 4),
         ..ServiceConfig::default()

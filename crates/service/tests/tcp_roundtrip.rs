@@ -300,10 +300,31 @@ fn explain_round_trips_with_order_costs_and_strategy() {
     assert!(responses[1].contains("\"strategy\":\"ri-greedy\""));
     assert!(responses[1].contains("\"positions\":3"));
     assert!(responses[1].contains("\"order\":["));
-    assert!(responses[1].contains("\"est_candidates\":["));
-    assert!(responses[1].contains("\"est_states\":["));
     assert!(responses[1].contains("\"impossible\":false"));
     assert!(!responses[1].contains("\"mode\""), "{}", responses[1]);
+    // Every random path through a clique branches alike, so the probe
+    // estimate is the tree itself: 5 roots, 4 then 3 candidates below each,
+    // under every strategy and algorithm.
+    for response in &responses[1..4] {
+        assert!(
+            response.contains("\"est_candidates\":[5.0,4.0,3.0]"),
+            "{response}"
+        );
+        assert!(
+            response.contains("\"est_states\":[5.0,20.0,60.0]"),
+            "{response}"
+        );
+        assert!(response.contains("\"est_total_states\":85.0"), "{response}");
+    }
+    // The routing object keeps the decision and its threshold; the
+    // estimate it compared is the top-level `est_total_states`.
+    assert!(
+        responses[1].contains(
+            "\"routing\":{\"chosen_scheduler\":\"sequential\",\"routed\":true,\"threshold\":"
+        ),
+        "{}",
+        responses[1]
+    );
     // Strategy selection reaches the plan.
     assert!(responses[2].contains("\"strategy\":\"least-frequent-label\""));
     assert!(responses[3].contains("\"strategy\":\"degree-descending\""));

@@ -320,9 +320,9 @@ pub fn disconnect_while_writable() -> Scenario {
 
 /// Every scheduler-routing surface in one connection: routed (`sched=auto`
 /// and absent), pinned sequential, pinned work-stealing, EXPLAIN's routing
-/// object and EXPLAIN ANALYZE's — then STATS with the dispatch counters and
-/// the cost-model correction gauge.  The pinned `RoutingConfig` in
-/// [`pinned_config`] keeps the decisions host-independent.
+/// object and EXPLAIN ANALYZE's — then STATS with the dispatch counters.
+/// The pinned `RoutingConfig` in [`pinned_config`] keeps the decisions
+/// host-independent.
 pub fn routing_keys() -> Scenario {
     Scenario::new("routing_keys", 0x5EED_0011)
         .with_target("k5", TargetKind::Clique(5))

@@ -8,8 +8,8 @@
 //! the same event trace bit for bit.
 
 use crate::transport::{ReadFault, WriteFault};
+use sge_engine::RoutingConfig;
 use sge_graph::{generators, Graph};
-use sge_plan::RoutingConfig;
 use sge_service::ServiceConfig;
 
 /// A named target graph, generated in-process so scenarios never touch the

@@ -26,16 +26,7 @@ const ALWAYS_SCRUBBED: &[&str] = &["preprocess_seconds", "match_seconds"];
 
 /// Keys scrubbed only under `normalize_counts` (racy after a mid-enumeration
 /// cancel).
-const COUNT_KEYS: &[&str] = &[
-    "matches",
-    "states",
-    "total_matches",
-    "rows_sent",
-    // Derived from the racy state counts above: the planner's EWMA
-    // correction folds in each query's *actual* states, so a cancelled
-    // enumeration perturbs it by however far the producer got.
-    "cost_model_correction",
-];
+const COUNT_KEYS: &[&str] = &["matches", "states", "total_matches", "rows_sent"];
 
 /// Longest rendered payload kept per trace line, in bytes.  Sized so the
 /// longest single-line responses the corpus asserts on — a METRICS registry

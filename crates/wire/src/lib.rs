@@ -19,12 +19,11 @@
 pub mod json;
 pub mod protocol;
 
-use sge_engine::{EnumerationOutcome, PreparedEngine, RunConfig, Scheduler};
+use sge_engine::{EnumerationOutcome, PreparedEngine, RoutingDecision, RunConfig, Scheduler};
 use sge_graph::io::ParseError;
 use sge_graph::NodeId;
 use sge_obs::SpanRecord;
-use sge_plan::RoutingDecision;
-use sge_ri::Algorithm;
+use sge_ri::{Algorithm, Strategy};
 use std::fmt;
 use std::sync::Arc;
 
@@ -141,9 +140,10 @@ pub struct QuerySpec {
     pub pattern_text: String,
     /// Algorithm variant to prepare (part of the cache key).
     pub algorithm: Algorithm,
-    /// Scheduler and limits for this run.  The embedded
-    /// `RunConfig::strategy` selects the ordering strategy the engine is
-    /// prepared with (also part of the cache key).
+    /// Ordering strategy to prepare the match order with (part of the cache
+    /// key).
+    pub strategy: Strategy,
+    /// Scheduler and limits for this run.
     pub run: RunConfig,
     /// How results leave the service (buffered response vs. row stream).
     /// Not part of the cache key: the same prepared engine serves both.
@@ -152,8 +152,8 @@ pub struct QuerySpec {
     /// ignored in buffered mode.
     pub chunk: usize,
     /// Whether the caller pinned the scheduler.  When `false` (the default)
-    /// the service routes the run through [`sge_plan::Planner::route`],
-    /// replacing `run.scheduler` with the planner's choice; when `true` the
+    /// the service routes the run through [`sge_engine::RoutingConfig::route`],
+    /// replacing `run.scheduler` with the routed one; when `true` the
     /// embedded scheduler is honored verbatim (`sched=` on the wire, or
     /// [`QuerySpec::with_run`] in-process).
     pub pinned: bool,
@@ -161,11 +161,13 @@ pub struct QuerySpec {
 
 impl QuerySpec {
     /// A query with the given pattern text, the paper's strongest variant
-    /// (RI-DS-SI-FC) and an unlimited, buffered, planner-routed run.
+    /// (RI-DS-SI-FC) under the default ordering strategy and an unlimited,
+    /// buffered, routed run.
     pub fn new(pattern_text: impl Into<String>) -> Self {
         QuerySpec {
             pattern_text: pattern_text.into(),
             algorithm: Algorithm::RiDsSiFc,
+            strategy: Strategy::default(),
             run: RunConfig::default(),
             emit: EmitMode::default(),
             chunk: DEFAULT_STREAM_CHUNK,
@@ -179,18 +181,24 @@ impl QuerySpec {
         self
     }
 
+    /// Sets the ordering strategy.
+    pub fn with_strategy(mut self, strategy: Strategy) -> Self {
+        self.strategy = strategy;
+        self
+    }
+
     /// Sets the run configuration and pins its scheduler (a caller that
     /// passes an explicit [`RunConfig`] expects its scheduler to be the one
     /// that runs).  Chain [`QuerySpec::routed`] to keep the limits but let
-    /// the planner pick the scheduler.
+    /// routing pick the scheduler.
     pub fn with_run(mut self, run: RunConfig) -> Self {
         self.run = run;
         self.pinned = true;
         self
     }
 
-    /// Un-pins the scheduler: the embedded `run`'s limits stay, but the
-    /// planner routes the scheduler choice.
+    /// Un-pins the scheduler: the embedded `run`'s limits stay, but routing
+    /// picks the scheduler.
     pub fn routed(mut self) -> Self {
         self.pinned = false;
         self
@@ -217,7 +225,7 @@ pub struct QueryOutcome {
     /// End-to-end service latency of this query in seconds (parse + cache
     /// lookup / preparation + run).
     pub latency_seconds: f64,
-    /// Whether the scheduler was chosen by [`sge_plan::Planner::route`]
+    /// Whether the scheduler was chosen by [`sge_engine::RoutingConfig::route`]
     /// (`true`) or pinned by the caller (`false`).
     pub routed: bool,
     /// The enumeration result.
@@ -235,17 +243,18 @@ pub struct ExplainOutcome {
     pub cache_hit: bool,
     /// End-to-end service latency of the explain in seconds.
     pub latency_seconds: f64,
-    /// The routing decision current when the explain ran (what an
-    /// unpinned QUERY of the same spec would dispatch as right now).
+    /// The routing decision of the prepared engine (what an unpinned QUERY
+    /// of the same spec dispatches as).
     pub routing: RoutingDecision,
-    /// Whether the explained query would be planner-routed (`true`) or ran
+    /// Whether the explained query would be routed (`true`) or ran
     /// with a caller-pinned scheduler (`false`).
     pub routed: bool,
     /// The scheduler the explained query would execute under: the routed
     /// choice, or the pinned one.
     pub effective_scheduler: Scheduler,
     /// The prepared engine; its [`PreparedEngine::plan`] carries the match
-    /// order, strategy and cost estimates.
+    /// order and strategy, its [`PreparedEngine::estimate`] the tree-size
+    /// estimates.
     pub engine: Arc<PreparedEngine>,
 }
 
@@ -266,7 +275,7 @@ pub struct ExplainAnalyzeOutcome {
     /// Where the wall time went: `plan`, `admission_wait`, `enumeration`,
     /// with offsets relative to the query start.
     pub spans: Vec<SpanRecord>,
-    /// The routing decision current when the query dispatched.
+    /// The routing decision of the prepared engine.
     pub routing: RoutingDecision,
     /// The prepared engine whose plan carries the estimates.
     pub engine: Arc<PreparedEngine>,
@@ -300,10 +309,10 @@ pub struct StreamHeader {
     /// Algorithm variant that will run.
     pub algorithm: Algorithm,
     /// Ordering strategy of the prepared plan.
-    pub strategy: sge_ri::Strategy,
+    pub strategy: Strategy,
     /// Scheduler the run executes under (the routed choice when `routed`).
     pub scheduler: Scheduler,
-    /// Whether the scheduler was planner-routed rather than caller-pinned.
+    /// Whether the scheduler was routed rather than caller-pinned.
     pub routed: bool,
 }
 

@@ -22,22 +22,23 @@
 //! ```
 //!
 //! * `algo` — `ri`, `ri-ds`, `ri-ds-si` or `ri-ds-si-fc` (default).
-//! * `sched` — `auto` (default: the planner routes the run to the cheapest
-//!   scheduler from its cost-model-corrected state estimate), or a pinned
+//! * `sched` — `auto` (default: the run is routed from the prepared
+//!   search's probe estimate of its states alone, so the same query routes
+//!   the same way whatever ran before it), or a pinned
 //!   `seq` or `ws:<workers>[:<group>[:nosteal]]`, with at most
 //!   [`max_sched_workers`] workers.
-//!   Responses carry `routed` (whether the planner chose) and `EXPLAIN`
-//!   reports the full decision under `routing`.
+//!   Responses carry `routed` (whether routing chose) and `EXPLAIN`
+//!   reports the decision under `routing`.
 //! * `strategy` — ordering strategy: `ri-greedy` (default),
 //!   `least-frequent-label` or `degree-descending`.
 //! * `emit` — `buffered` (default, one JSON response) or `stream` (see
 //!   below); `chunk` — rows per streamed frame (default 64, clamped to at
 //!   most 65536).  Not valid on `BATCH` continuation lines.
 //! * `EXPLAIN` plans (through the prepared cache) without running and
-//!   reports the match order, chosen strategy and per-position cost
-//!   estimates.
+//!   reports the match order, chosen strategy and the per-position
+//!   estimates of a seeded random-path probe of the prepared search.
 //! * `EXPLAIN ANALYZE` plans **and executes** (accepting the full QUERY
-//!   knob set): the response carries the planner's per-position
+//!   knob set): the response carries the probe's per-position
 //!   `est_candidates`/`est_states` side-by-side with the
 //!   `observed_candidates`/`observed_states` a trace sink recorded during
 //!   the run, plus a `spans` array (`plan`, `admission_wait`,
@@ -87,10 +88,10 @@ use crate::{
     EmitMode, ExplainAnalyzeOutcome, ExplainOutcome, GraphInfo, QueryOutcome, QuerySpec,
     ServiceError, StreamHeader, StreamedQueryOutcome,
 };
-use sge_engine::{PreparedEngine, RunConfig};
+use sge_engine::{PreparedEngine, RoutingDecision, RunConfig};
 use sge_graph::NodeId;
 use sge_obs::{MetricValue, MetricsSnapshot};
-use sge_plan::PositionCost;
+use sge_ri::PositionCost;
 use std::sync::OnceLock;
 use std::time::Duration;
 
@@ -198,6 +199,7 @@ fn parse_query_args(tokens: &[&str]) -> Result<QueryArgs, ServiceError> {
     let mut target = None;
     let mut pattern_text: Option<String> = None;
     let mut algorithm = sge_ri::Algorithm::RiDsSiFc;
+    let mut strategy = sge_ri::Strategy::default();
     let mut run = RunConfig::default();
     let mut emit = EmitMode::default();
     let mut chunk = crate::DEFAULT_STREAM_CHUNK;
@@ -213,7 +215,7 @@ fn parse_query_args(tokens: &[&str]) -> Result<QueryArgs, ServiceError> {
             }
             "sched" => {
                 // `sched=auto` is the explicit spelling of the default:
-                // let the planner route.  Any concrete scheduler pins it.
+                // let routing pick.  Any concrete scheduler pins it.
                 if value.eq_ignore_ascii_case("auto") {
                     pinned = false;
                 } else {
@@ -229,7 +231,7 @@ fn parse_query_args(tokens: &[&str]) -> Result<QueryArgs, ServiceError> {
                 }
             }
             "strategy" => {
-                run.strategy = value.parse().map_err(protocol_error)?;
+                strategy = value.parse().map_err(protocol_error)?;
             }
             "max" => {
                 let n: u64 = value
@@ -279,6 +281,7 @@ fn parse_query_args(tokens: &[&str]) -> Result<QueryArgs, ServiceError> {
     let spec = pattern_text.map(|pattern_text| QuerySpec {
         pattern_text,
         algorithm,
+        strategy,
         run,
         emit,
         chunk,
@@ -515,33 +518,25 @@ pub fn stream_footer_response(streamed: &StreamedQueryOutcome) -> Json {
 }
 
 /// The `routing` sub-object of `EXPLAIN` / `EXPLAIN ANALYZE` responses: the
-/// scheduler the query dispatches under and the numbers that picked it.
-fn routing_object(
-    decision: &sge_plan::RoutingDecision,
-    effective_scheduler: &str,
-    routed: bool,
-) -> Json {
+/// scheduler the query dispatches under, whether routing chose it, and the
+/// threshold the top-level `est_total_states` was compared against.
+fn routing_object(decision: &RoutingDecision, effective_scheduler: &str, routed: bool) -> Json {
     Json::obj(vec![
         ("chosen_scheduler", Json::str(effective_scheduler)),
         ("routed", Json::Bool(routed)),
-        ("est_states_raw", Json::F64(decision.raw_est_states)),
-        (
-            "est_states_corrected",
-            Json::F64(decision.corrected_est_states),
-        ),
-        ("correction", Json::F64(decision.correction)),
         ("threshold", Json::F64(decision.threshold)),
     ])
 }
 
 /// The `order`, `est_candidates`, `est_states` and `kernels` arrays both
-/// `EXPLAIN` verbs report: the pattern node and the planner's estimates per
+/// `EXPLAIN` verbs report: the pattern node and the probe's estimates per
 /// match-order position, and the kernel each position resolved to.
 fn plan_arrays(engine: &PreparedEngine) -> [Json; 4] {
     let plan = engine.plan();
     let estimates = |pick: fn(&PositionCost) -> f64| {
         Json::Arr(
-            plan.cost
+            engine
+                .estimate()
                 .positions
                 .iter()
                 .map(|p| Json::F64(pick(p)))
@@ -569,7 +564,7 @@ fn plan_arrays(engine: &PreparedEngine) -> [Json; 4] {
 }
 
 /// Response to a successful `EXPLAIN`: the chosen strategy, the match order
-/// (pattern node per position) and the per-position cost estimates.
+/// (pattern node per position) and the per-position probe estimates.
 pub fn explain_response(explain: &ExplainOutcome) -> Json {
     let plan = explain.engine.plan();
     let [order, est_candidates, est_states, kernels] = plan_arrays(&explain.engine);
@@ -582,7 +577,10 @@ pub fn explain_response(explain: &ExplainOutcome) -> Json {
         ("order", order),
         ("est_candidates", est_candidates),
         ("est_states", est_states),
-        ("est_total_states", Json::F64(plan.cost.est_total_states)),
+        (
+            "est_total_states",
+            Json::F64(explain.engine.estimate().est_total_states),
+        ),
         (
             "routing",
             routing_object(
@@ -639,7 +637,10 @@ pub fn explain_analyze_response(analyze: &ExplainAnalyzeOutcome) -> Json {
             observed(&analyze.observed_candidates),
         ),
         ("observed_states", observed(&analyze.observed_states)),
-        ("est_total_states", Json::F64(plan.cost.est_total_states)),
+        (
+            "est_total_states",
+            Json::F64(analyze.engine.estimate().est_total_states),
+        ),
         (
             "routing",
             routing_object(
@@ -807,14 +808,14 @@ mod tests {
         let line = "QUERY target=k5 strategy=lfl pattern=1;0;0";
         match parse_command(line).unwrap() {
             Command::Query { spec, .. } => {
-                assert_eq!(spec.run.strategy, sge_ri::Strategy::LeastFrequentLabelFirst);
+                assert_eq!(spec.strategy, sge_ri::Strategy::LeastFrequentLabelFirst);
             }
             other => panic!("unexpected {other:?}"),
         }
         match parse_command("EXPLAIN target=k5 strategy=degree-descending pattern=1;0;0").unwrap() {
             Command::Explain { target, spec } => {
                 assert_eq!(target, "k5");
-                assert_eq!(spec.run.strategy, sge_ri::Strategy::DegreeDescending);
+                assert_eq!(spec.strategy, sge_ri::Strategy::DegreeDescending);
             }
             other => panic!("unexpected {other:?}"),
         }

@@ -9,4 +9,7 @@
 //!
 //! See the [`sge_engine`] crate docs for the scheduler-equivalence contract.
 
-pub use sge_engine::{Engine, EnumerationOutcome, PreparedEngine, RunConfig, Scheduler};
+pub use sge_engine::{
+    Engine, EnumerationOutcome, PreparedEngine, RoutingConfig, RoutingDecision, RunConfig,
+    Scheduler,
+};

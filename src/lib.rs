@@ -17,11 +17,11 @@
 //! | crate | contents |
 //! |-------|----------|
 //! | [`graph`] | labeled directed CSR graphs, builders, text I/O, generators |
-//! | [`plan`] | query planning: ordering strategies, cost model, EXPLAIN-able plans |
-//! | [`ri`] | the RI family's search machinery: candidate generation, consistency checks, the candidate memo |
+//! | [`plan`] | query planning: ordering strategies, domains, EXPLAIN-able plans |
+//! | [`ri`] | the RI family's search machinery: candidate generation, consistency checks, the candidate memo, the tree-size probe |
 //! | [`vf2`] | a VF2-style baseline, the oracle `tests/oracle_matrix.rs` diffs every configuration against |
 //! | [`stealing`] | the one depth-first loop, generic over the problem: one worker on the calling thread, or private-deque work stealing |
-//! | [`engine`] | the unified [`Engine`]/[`Scheduler`] API and [`PreparedEngine`]: sequential and work-stealing runs of one prepared search |
+//! | [`engine`] | the unified [`Engine`]/[`Scheduler`] API and [`PreparedEngine`]: sequential and work-stealing runs of one prepared search, and routing a query to a scheduler |
 //! | [`wire`] | the serving wire plane: line-protocol codec, JSON encoder, stream framing |
 //! | [`service`] | query serving: graph registry, prepared cache, batch executor, event-loop TCP front end |
 //! | [`obs`] | observability: metrics registry, query traces, enumeration trace sinks, event log |

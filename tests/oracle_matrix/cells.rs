@@ -76,7 +76,7 @@ axis! {
         Driver,
         /// `Service::run_query`, scheduler pinned, collecting rows.
         Pinned,
-        /// The same with the scheduler routed by the planner.
+        /// The same with the scheduler picked by routing.
         Routed,
         /// `Service::run_query_streaming` in chunks of 1-4.
         ServiceStream,
@@ -167,7 +167,7 @@ impl Cell {
     ///   are the kernel-parity walk and run to completion;
     /// - a service delivery over the one-shot or forced kernels: the
     ///   registry attaches its own sidecar and plans for itself;
-    /// - a routed query under any scheduler but one: the planner picks it.
+    /// - a routed query under any scheduler but one: routing picks it.
     pub fn exists(&self) -> bool {
         let forced = matches!(self.kernel, Kernel::ForcedGallop | Kernel::ForcedBitmap);
         let stream = matches!(self.delivery, Delivery::Stream | Delivery::ServiceStream);

@@ -54,7 +54,7 @@ struct Reference {
 /// What one delivery handed back.
 struct Observed {
     outcome: EnumerationOutcome,
-    /// The pinned scheduler; `None` when the planner routed the run.
+    /// The pinned scheduler; `None` when routing picked it.
     pinned: Option<Scheduler>,
     /// Sorted rows, for deliveries that return them.
     rows: Option<Rows>,
@@ -137,7 +137,7 @@ impl<'a> Subject<'a> {
         let reference = self.reference((cell.algorithm, cell.strategy, cell.kernel))?;
         let mut rng = Rng::new(cell_seed);
         let scheduler = cell.sched.draw(&mut rng);
-        let mut config = RunConfig::new(scheduler).with_strategy(cell.strategy);
+        let mut config = RunConfig::new(scheduler);
         config.seed = rng.next_u64();
         let (total, budgets) = (self.total(), &self.instance.budgets);
         config.max_matches = cell.limit.max_matches(total, budgets, &mut rng);
@@ -213,7 +213,7 @@ impl<'a> Subject<'a> {
             let plan = engine.plan();
             let bitmaps = engine.context().bitmaps().map(|b| &**b);
             let expected = self.bitmap_expectation(plan, bitmaps);
-            let metadata = (plan.algorithm, plan.strategy, plan.cost.positions.len());
+            let metadata = (plan.algorithm, plan.strategy, plan.num_positions());
             let facts = (expected, bitmaps.is_some(), engine.impossible());
             (engine.run(&RunConfig::default()), metadata, facts)
         });
@@ -377,10 +377,11 @@ impl<'a> Subject<'a> {
         let (service, total) = (self.service(), self.total());
         let target = format!("{:?}", cell.kernel);
         let text = write_graph(&self.pattern);
-        let algorithm = cell.algorithm;
+        let (algorithm, strategy) = (cell.algorithm, cell.strategy);
         let spec = |run| {
             QuerySpec::new(&text)
                 .with_algorithm(algorithm)
+                .with_strategy(strategy)
                 .with_run(run)
         };
         let failed = |e: sge::service::ServiceError| format!("service error: {e}");
