@@ -479,8 +479,8 @@ fn dense_core_with_fringe(core: usize, fringe: usize) -> Graph {
 /// relative to everything the prefilter inspected.  Plain RI is the right
 /// probe: RI-DS domains are already arc-consistent and would exclude the
 /// infeasible candidates before the prefilter ever sees them, reading 0
-/// everywhere.  On targets where the planner never routes to the bitmap
-/// kernels the sidecar stays detached and both numbers are zero — that
+/// everywhere.  On targets where no neighborhood earns a row the one-shot
+/// preparation attaches no sidecar and both numbers are zero — that
 /// non-decision is part of the figure.
 fn prefilter_verdict(target: &Graph) -> (u64, f64) {
     let pattern = generators::directed_cycle(4, 0);
@@ -498,23 +498,34 @@ fn prefilter_verdict(target: &Graph) -> (u64, f64) {
     (rejected, rejected as f64 / (inspected.max(1)) as f64)
 }
 
-/// Figure `kernel_comparison`: the scalar reference, the width-bucketed
-/// vectorized gallop and the bitmap AND kernel over one identical workload
-/// per density tier — every ordered node pair (capped) of the tier's target,
-/// seeding the candidate buffer with `u`'s out-neighborhood and intersecting
-/// it against `w`'s adjacency — plus the candidate-prefilter verdict from
-/// one instrumented enumeration of the tier's target.  The bitmap sidecar is
-/// built with a threshold of 1 so every tier has rows to compare, even where
-/// the planner would never pick the bitmap kernel.
+/// Figure `kernel_comparison`: the two-pointer merge (`scalar`), the CSR
+/// kernel `intersect_gallop` (`vectorized`, the record's name for it) and
+/// the bitmap AND over one identical workload per tier — every ordered pair
+/// of the tier's 64 nodes of largest out-degree, seeding the candidate
+/// buffer with `u`'s out-neighborhood and intersecting it against `w`'s —
+/// plus the candidate-prefilter verdict from one instrumented enumeration of
+/// the tier's target.  Every tier's rows come from
+/// [`sge_graph::AdjacencyBitmaps::every_row`], so the AND is timed where the
+/// row rule declines rows too: `wide_ppi_hubs` pairs the hubs of the
+/// PPIS32-like benchmark target, whose 88-word rows no neighborhood earns.
 pub fn kernel_comparison(settings: &Settings) -> Table {
     use sge_ri::kernels::{and_rows, collect_row};
 
+    // The benchmark's PPI-like target (5,600 nodes); 700 in smoke runs.
+    let ppi_seed = 20170525;
+    let ppi_scale = if settings.smoke { 1.0 } else { 8.0 };
+    let ppi = sge_datasets::generate_target(
+        &sge_datasets::ppis32_like(ppi_scale, ppi_seed).targets[2],
+        ppi_seed.wrapping_add(2 * 7919),
+        "ppis32-t2",
+    );
     let tiers: Vec<(&'static str, Graph)> = if settings.smoke {
         vec![
             ("sparse_grid", generators::grid(6, 6)),
             ("medium_clique", generators::clique(8, 0)),
             ("dense_clique", generators::clique(16, 0)),
             ("dense_fringe", dense_core_with_fringe(24, 8)),
+            ("wide_ppi_hubs", ppi),
         ]
     } else {
         vec![
@@ -522,6 +533,7 @@ pub fn kernel_comparison(settings: &Settings) -> Table {
             ("medium_clique", generators::clique(16, 0)),
             ("dense_clique", generators::clique(48, 0)),
             ("dense_fringe", dense_core_with_fringe(32, 16)),
+            ("wide_ppi_hubs", ppi),
         ]
     };
     // Enough intersections per timed sample to clear timer resolution.
@@ -542,14 +554,10 @@ pub fn kernel_comparison(settings: &Settings) -> Table {
         ],
     );
     for (name, target) in tiers {
-        let sidecar = sge_graph::AdjacencyBitmaps::build(
-            &target,
-            &sge_graph::BitmapConfig {
-                degree_threshold: 1,
-                max_bytes: usize::MAX,
-            },
-        );
-        let nodes = target.num_nodes().min(MAX_SAMPLED_NODES) as u32;
+        let sidecar = sge_graph::AdjacencyBitmaps::every_row(&target);
+        let mut hubs: Vec<u32> = target.nodes().collect();
+        hubs.sort_by_key(|&v| std::cmp::Reverse(target.out_degree(v)));
+        hubs.truncate(MAX_SAMPLED_NODES);
         let seed_out = |u: u32, out: &mut Vec<u32>| {
             out.clear();
             out.extend(
@@ -563,8 +571,8 @@ pub fn kernel_comparison(settings: &Settings) -> Table {
         let mut buffer: Vec<u32> = Vec::new();
         let scalar_seconds = median_seconds(settings.repeats, || {
             for _ in 0..rounds {
-                for u in 0..nodes {
-                    for w in 0..nodes {
+                for &u in &hubs {
+                    for &w in &hubs {
                         seed_out(u, &mut buffer);
                         sge_ri::intersect_reference(&mut buffer, target.out_edges(w), 0);
                         std::hint::black_box(buffer.len());
@@ -574,8 +582,8 @@ pub fn kernel_comparison(settings: &Settings) -> Table {
         });
         let vectorized_seconds = median_seconds(settings.repeats, || {
             for _ in 0..rounds {
-                for u in 0..nodes {
-                    for w in 0..nodes {
+                for &u in &hubs {
+                    for &w in &hubs {
                         seed_out(u, &mut buffer);
                         std::hint::black_box(sge_ri::intersect_gallop(
                             &mut buffer,
@@ -589,8 +597,8 @@ pub fn kernel_comparison(settings: &Settings) -> Table {
         let mut scratch: Vec<u64> = vec![0; sidecar.words_per_row()];
         let bitmap_seconds = median_seconds(settings.repeats, || {
             for _ in 0..rounds {
-                for u in 0..nodes {
-                    for w in 0..nodes {
+                for &u in &hubs {
+                    for &w in &hubs {
                         let (Some(row_u), Some(row_w)) =
                             (sidecar.out_row(u, 0), sidecar.out_row(w, 0))
                         else {
@@ -623,9 +631,9 @@ pub fn kernel_comparison(settings: &Settings) -> Table {
 /// Figure `modular_mix`: a directed 3-cycle, a directed 3-path and a
 /// 3-clique, sequential and cache-hot, against eight clique communities on a
 /// bridge ring (`clique(64)` each, `clique(24)` in smoke runs) through the
-/// single registry.  The target's mean degree clears the planner's density
-/// bar, so every constrained position runs the bitmap kernel; `bitmap_ops`
-/// counts those invocations over one pass of the mix.
+/// single registry.  Every neighborhood of the target earns a bitmap row, so
+/// every constrained step ANDs rows; `bitmap_ops` counts the rows ANDed over
+/// one pass of the mix.
 pub fn modular_mix(settings: &Settings) -> Table {
     use sge_datasets::{generate_modular, ModularSpec};
     let size = if settings.smoke { 24 } else { 64 };
@@ -922,8 +930,8 @@ mod tests {
             assert!(report.contains(&format!("\"{key}\":")), "{key}");
         }
         assert!(!report.contains("\"pr\":"), "records carry no PR label");
-        // The smoke modular target clears the density bar, so the mix runs
-        // the bitmap kernel.
+        // Every neighborhood of the smoke modular target earns a row, so the
+        // mix ANDs rows.
         let bitmap_ops: u64 = report
             .split("\"bitmap_ops\":")
             .nth(1)

@@ -3,9 +3,9 @@
 //! Many dense communities joined by a sparse bridge ring: a target shape the
 //! other generators in this crate deliberately avoid.  With one label and
 //! clique-dense communities ([`ModularSpec::cliques`]) every neighborhood is
-//! same-label dense, so the whole target clears the planner's bitmap-kernel
-//! density bar — the `modular_mix` bench figure measures that kernel route
-//! on a mix of triangle-class queries.
+//! same-label dense, so every neighborhood earns a bitmap row and every
+//! constrained step ANDs rows — the `modular_mix` bench figure measures that
+//! kernel route on a mix of triangle-class queries.
 //!
 //! Generation is deterministic in the seed: intra-community bonds are sampled
 //! *without replacement* (exactly `intra_bonds` distinct undirected pairs per

@@ -59,8 +59,8 @@ pub use route::{RoutingConfig, RoutingDecision};
 use sge_graph::{AdjacencyBitmaps, Graph, GraphStats, NodeId};
 use sge_obs::TraceSink;
 use sge_ri::{
-    Algorithm, ChannelVisitor, KernelChoice, KernelUsage, MatchVisitor, PlanCost, PreparedParts,
-    QueryPlan, SearchContext, Strategy,
+    Algorithm, ChannelVisitor, KernelUsage, MatchVisitor, PlanCost, PreparedParts, QueryPlan,
+    SearchContext, Strategy,
 };
 use sge_stealing::WorkerStats;
 use sge_util::{CancelToken, PhaseTimer};
@@ -382,7 +382,7 @@ impl<'g> Engine<'g> {
     }
 
     /// An engine over a context the caller planned and prepared itself
-    /// (e.g. a plan with hand-picked kernels); it reports no preprocessing
+    /// (e.g. over a sidecar of its choosing); it reports no preprocessing
     /// time.
     pub fn from_context(ctx: SearchContext<'g>) -> Self {
         Engine {
@@ -561,9 +561,8 @@ impl PreparedEngine {
     /// target statistics and the target's bitmap sidecar — the entry point
     /// the serving cache prepares through, so a long-lived registry target
     /// pays its frequency-table pass and sidecar build once at registration
-    /// instead of on every cache miss.  A row-less (memory-capped) sidecar
-    /// makes the plan's bitmap-kernel hints fall back to galloping at run
-    /// time.
+    /// instead of on every cache miss.  With a row-less sidecar every step
+    /// intersects CSR lists.
     pub fn prepare_planned_full(
         pattern: Arc<Graph>,
         target: Arc<Graph>,
@@ -685,29 +684,25 @@ impl PreparedEngine {
         self.parts.bitmaps()
     }
 
-    /// The kernel that will generate candidates at each position, resolved
-    /// for EXPLAIN: `"scan"` for positions without back-edge constraints
-    /// (domain / full-target scans), otherwise the planner's
-    /// [`KernelChoice`] — downgraded to `"gallop"` when no sidecar is
-    /// attached or the sidecar is row-less (memory-capped), since the bitmap
-    /// path cannot run then.  (`"bitmap"` positions still fall back to
-    /// `"gallop"` at run time when one specific row is missing.)
+    /// The kernel that generates candidates at each position, resolved for
+    /// EXPLAIN from the sidecar alone: `"scan"` for positions without
+    /// back-edge constraints (domain / full-target scans), `"bitmap"` for
+    /// the rest when the sidecar holds rows, `"gallop"` when it holds none
+    /// (no sidecar, no neighborhood dense enough, or the memory cap).  A
+    /// `"bitmap"` step still intersects CSR lists wherever one of its
+    /// constraints' images has no row.
     pub fn resolved_kernels(&self) -> Vec<&'static str> {
         let rows_present = self.parts.bitmaps().is_some_and(|b| b.row_count() > 0);
+        let constrained = ["gallop", "bitmap"][rows_present as usize];
         self.parts
             .plan()
             .order
             .plan
             .steps
             .iter()
-            .map(|step| {
-                if step.constraints.is_empty() {
-                    "scan"
-                } else if step.kernel == KernelChoice::Bitmap && rows_present {
-                    step.kernel.as_str()
-                } else {
-                    KernelChoice::Gallop.as_str()
-                }
+            .map(|step| match step.constraints.is_empty() {
+                true => "scan",
+                false => constrained,
             })
             .collect()
     }
@@ -802,10 +797,10 @@ mod tests {
 
     #[test]
     fn dense_targets_report_bitmap_kernel_usage_under_every_scheduler() {
-        // clique(16) has degree_mean 30 >= 16 and >= nodes/4, so the planner
-        // routes every constrained position to the bitmap kernel; the outcome
-        // must report bitmap row ANDs, and the lists handed to the search
-        // must be schedule-invariant (one per expansion, like states).
+        // Every neighborhood of clique(16) reaches the row floor of 8, so
+        // every constrained step ANDs rows; the outcome must report bitmap
+        // row ANDs, and the lists handed to the search must be
+        // schedule-invariant (one per expansion, like states).
         let pattern = generators::directed_cycle(4, 0);
         let target = generators::clique(16, 0);
         let engine = Engine::prepare(&pattern, &target, Algorithm::RiDs);

@@ -1,11 +1,20 @@
 //! Optional u64-bitmap adjacency sidecar for dense neighborhoods.
 //!
-//! The CSR lists in [`crate::Graph`] are ideal for sparse targets, but on
-//! dense neighborhoods the galloping intersection in the matcher degenerates
-//! into long probe chains.  This module builds, *alongside* the CSR arrays, a
-//! per-`(node, direction, label)` bitmap row over the target's node ids for
-//! every neighborhood whose same-label degree meets a threshold: two dense
-//! neighborhoods then intersect with word-wise `AND` instead of galloping.
+//! The CSR lists in [`crate::Graph`] suit sparse neighborhoods; on dense
+//! ones a word-wise AND of bitmap rows beats walking the lists.  This module
+//! builds, *alongside* the CSR arrays, one bitmap row over the target's node
+//! ids for every `(node, direction, label)` neighborhood that earns one, and
+//! it is the one place that decides where the search ANDs rows: a
+//! constrained step ANDs exactly when every one of its constraints has a
+//! row, and intersects CSR lists otherwise.
+//!
+//! **The row rule.**  A neighborhood earns a row when its same-label degree
+//! reaches [`row_degree_floor`], `max(8, 4 × words_per_row)`.  A row word and
+//! a CSR list entry are both 8 bytes, so a row is then at most a quarter of
+//! the list it stands in for: rows add at most a quarter to the adjacency
+//! bytes of the neighborhoods that get them, and an AND reads at most a
+//! quarter of the words a list walk reads.  The floor of 8 keeps the short
+//! lists of small targets on the CSR path.
 //!
 //! The sidecar also carries a compact Bloom-style **label signature** per
 //! node and direction (one bit per `label & 63` of each incident neighbor
@@ -16,16 +25,20 @@
 //!
 //! Total row storage is capped by [`BitmapConfig::max_bytes`]; if a target
 //! would exceed the cap the rows are skipped entirely (`capped() == true`)
-//! and the matcher falls back to CSR-only galloping.  Signatures survive the
-//! cap because they are O(nodes), not O(nodes²).
+//! and every step intersects CSR lists.  Signatures survive the cap because
+//! they are O(nodes), not O(nodes²).
 
 use crate::graph::{EdgeRef, Graph, Label, NodeId};
 
 const WORD_BITS: usize = 64;
 const BYTES_PER_WORD: usize = 8;
 
-/// Default same-label degree at or above which a bitmap row is built.
-pub const DEFAULT_DEGREE_THRESHOLD: usize = 8;
+/// The smallest same-label degree that earns a row on any target.
+const MIN_ROW_DEGREE: usize = 8;
+
+/// A neighborhood earns a row once its list is this many times longer than
+/// the row's words.
+const LIST_ENTRIES_PER_ROW_WORD: usize = 4;
 
 /// Default cap on total bitmap row bytes per target (16 MiB).
 pub const DEFAULT_MAX_BITMAP_BYTES: usize = 16 * 1024 * 1024;
@@ -41,12 +54,16 @@ pub fn label_sig_bit(label: Label) -> u64 {
     1u64 << (label & 63)
 }
 
-/// Tuning knobs for [`AdjacencyBitmaps::build`].
+/// The same-label degree at or above which a neighborhood of a target with
+/// `nodes` nodes earns a bitmap row: `max(8, 4 × ceil(nodes / 64))`.
+pub fn row_degree_floor(nodes: usize) -> usize {
+    MIN_ROW_DEGREE.max(LIST_ENTRIES_PER_ROW_WORD * nodes.div_ceil(WORD_BITS))
+}
+
+/// The byte cap of [`AdjacencyBitmaps::build`]; the row rule itself takes
+/// no setting.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BitmapConfig {
-    /// Minimum same-label directed degree for a `(node, direction, label)`
-    /// neighborhood to earn a bitmap row.
-    pub degree_threshold: usize,
     /// Cap on total row bytes; exceeding it skips rows (CSR-only fallback).
     pub max_bytes: usize,
 }
@@ -54,7 +71,6 @@ pub struct BitmapConfig {
 impl Default for BitmapConfig {
     fn default() -> Self {
         BitmapConfig {
-            degree_threshold: DEFAULT_DEGREE_THRESHOLD,
             max_bytes: DEFAULT_MAX_BITMAP_BYTES,
         }
     }
@@ -84,11 +100,38 @@ pub struct AdjacencyBitmaps {
 }
 
 impl AdjacencyBitmaps {
-    /// Builds the sidecar for `graph`.
+    /// Builds the sidecar for `graph`: a row for every neighborhood whose
+    /// same-label degree reaches [`row_degree_floor`].
     ///
     /// Never fails: when the rows would exceed `config.max_bytes` the result
     /// has `capped() == true`, no rows, and intact signatures.
     pub fn build(graph: &Graph, config: &BitmapConfig) -> AdjacencyBitmaps {
+        let floor = row_degree_floor(graph.num_nodes());
+        Self::build_with_floor(graph, floor, config.max_bytes)
+    }
+
+    /// [`Self::build`] when the sidecar holds at least one row, `None`
+    /// otherwise: what a one-shot preparation attaches.  A same-label
+    /// degree never exceeds its direction's degree, so when no node's out-
+    /// or in-degree reaches the floor this costs O(nodes) and builds
+    /// nothing.
+    pub fn build_if_any_row(graph: &Graph, config: &BitmapConfig) -> Option<AdjacencyBitmaps> {
+        let floor = row_degree_floor(graph.num_nodes());
+        let reaches = |v| graph.out_degree(v) >= floor || graph.in_degree(v) >= floor;
+        if !graph.nodes().any(reaches) {
+            return None;
+        }
+        Some(Self::build(graph, config)).filter(|maps| maps.row_count() > 0)
+    }
+
+    /// A sidecar with a row for every non-empty neighborhood and no byte
+    /// cap, so every constrained step ANDs rows: the reference the kernel
+    /// tests and the `kernel_comparison` figure time the AND against.
+    pub fn every_row(graph: &Graph) -> AdjacencyBitmaps {
+        Self::build_with_floor(graph, 1, usize::MAX)
+    }
+
+    fn build_with_floor(graph: &Graph, floor: usize, max_bytes: usize) -> AdjacencyBitmaps {
         let n = graph.num_nodes();
         let words_per_row = n.div_ceil(WORD_BITS);
 
@@ -100,20 +143,19 @@ impl AdjacencyBitmaps {
         }
 
         // First pass: decide which (node, direction, label) groups earn rows.
-        let threshold = config.degree_threshold.max(1);
         let mut out_specs: Vec<(NodeId, Label)> = Vec::new();
         let mut in_specs: Vec<(NodeId, Label)> = Vec::new();
         let mut scratch: Vec<Label> = Vec::new();
         for v in graph.nodes() {
-            dense_labels(graph.out_edges(v), threshold, &mut scratch);
+            dense_labels(graph.out_edges(v), floor, &mut scratch);
             out_specs.extend(scratch.iter().map(|&l| (v, l)));
-            dense_labels(graph.in_edges(v), threshold, &mut scratch);
+            dense_labels(graph.in_edges(v), floor, &mut scratch);
             in_specs.extend(scratch.iter().map(|&l| (v, l)));
         }
 
         let total_rows = out_specs.len() + in_specs.len();
         let required_row_bytes = total_rows * words_per_row * BYTES_PER_WORD;
-        if required_row_bytes > config.max_bytes {
+        if required_row_bytes > max_bytes {
             return AdjacencyBitmaps {
                 nodes: n,
                 words_per_row,
@@ -240,10 +282,10 @@ fn signature(graph: &Graph, edges: &[EdgeRef]) -> u64 {
 }
 
 /// Fills `labels` with the distinct edge labels in `edges` that occur at
-/// least `threshold` times.
-fn dense_labels(edges: &[EdgeRef], threshold: usize, labels: &mut Vec<Label>) {
+/// least `floor` times.
+fn dense_labels(edges: &[EdgeRef], floor: usize, labels: &mut Vec<Label>) {
     labels.clear();
-    if edges.len() < threshold {
+    if edges.len() < floor {
         return;
     }
     let mut sorted: Vec<Label> = edges.iter().map(|e| e.label).collect();
@@ -251,7 +293,7 @@ fn dense_labels(edges: &[EdgeRef], threshold: usize, labels: &mut Vec<Label>) {
     let mut run_start = 0;
     for i in 1..=sorted.len() {
         if i == sorted.len() || sorted[i] != sorted[run_start] {
-            if i - run_start >= threshold {
+            if i - run_start >= floor {
                 labels.push(sorted[run_start]);
             }
             run_start = i;
@@ -327,7 +369,6 @@ mod tests {
         let at_cap = AdjacencyBitmaps::build(
             &g,
             &BitmapConfig {
-                degree_threshold: DEFAULT_DEGREE_THRESHOLD,
                 max_bytes: required,
             },
         );
@@ -338,7 +379,6 @@ mod tests {
         let over = AdjacencyBitmaps::build(
             &g,
             &BitmapConfig {
-                degree_threshold: DEFAULT_DEGREE_THRESHOLD,
                 max_bytes: required - 1,
             },
         );
@@ -362,6 +402,73 @@ mod tests {
         assert_eq!(maps.out_sig(a) & label_sig_bit(1), label_sig_bit(1));
         assert_eq!(maps.in_sig(c), label_sig_bit(2) | label_sig_bit(7));
         assert_eq!(maps.in_sig(a), 0);
+    }
+
+    /// A star whose hub points at `leaves` of `nodes` nodes.
+    fn star(nodes: usize, leaves: u32) -> Graph {
+        let mut b = crate::GraphBuilder::new();
+        for _ in 0..nodes {
+            b.add_node(0);
+        }
+        for leaf in 1..=leaves {
+            b.add_edge(0, leaf, 0);
+        }
+        b.build()
+    }
+
+    #[test]
+    fn the_row_floor_grows_with_the_row_width() {
+        assert_eq!(row_degree_floor(0), 8);
+        assert_eq!(row_degree_floor(128), 8);
+        assert_eq!(row_degree_floor(129), 12);
+        // The benchmark's PPI-like target: 88 words per row.
+        assert_eq!(row_degree_floor(5_600), 352);
+        // 200 nodes: 4 words per row, a floor of 16 same-label neighbors.
+        let below = AdjacencyBitmaps::build(&star(200, 15), &BitmapConfig::default());
+        assert_eq!(below.row_count(), 0);
+        let at = AdjacencyBitmaps::build(&star(200, 16), &BitmapConfig::default());
+        assert_eq!(at.row_count(), 1);
+        assert_eq!(at.row_bytes(), 4 * BYTES_PER_WORD);
+        assert!(at.out_row(0, 0).is_some() && at.in_row(1, 0).is_none());
+    }
+
+    #[test]
+    fn one_shot_sidecars_exist_only_with_a_row() {
+        let config = BitmapConfig::default();
+        assert!(AdjacencyBitmaps::build_if_any_row(&star(200, 15), &config).is_none());
+        let built = AdjacencyBitmaps::build_if_any_row(&star(200, 16), &config);
+        assert_eq!(built.map(|maps| maps.row_count()), Some(1));
+        // The hub's 16 edges reach the floor of 8, but split over three
+        // labels no same-label neighborhood does: built, no row, no sidecar.
+        let mut b = crate::GraphBuilder::new();
+        for _ in 0..17 {
+            b.add_node(0);
+        }
+        for leaf in 1..=16 {
+            b.add_edge(0, leaf, leaf % 3);
+        }
+        let split = b.build();
+        assert_eq!(row_degree_floor(split.num_nodes()), 8);
+        assert_eq!(AdjacencyBitmaps::build(&split, &config).row_count(), 0);
+        assert!(AdjacencyBitmaps::build_if_any_row(&split, &config).is_none());
+        let wide = star(300, 12); // floor 20: the hub reaches 12
+        assert!(AdjacencyBitmaps::build_if_any_row(&wide, &config).is_none());
+        // Rows over the cap leave nothing to attach.
+        let capped = BitmapConfig { max_bytes: 0 };
+        assert!(AdjacencyBitmaps::build_if_any_row(&star(200, 16), &capped).is_none());
+    }
+
+    #[test]
+    fn every_row_covers_each_non_empty_neighborhood() {
+        let g = generators::directed_cycle(6, 0);
+        let maps = AdjacencyBitmaps::every_row(&g);
+        assert!(!maps.capped());
+        assert_eq!(maps.row_count(), 12);
+        for v in g.nodes() {
+            let next = (v as usize + 1) % 6;
+            assert_eq!(row_bits(maps.out_row(v, 0).unwrap()), vec![next]);
+        }
+        assert_eq!(maps.out_row(0, 1), None, "no label-1 edges, no row");
     }
 
     #[test]

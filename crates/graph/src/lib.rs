@@ -34,7 +34,7 @@ pub mod graph;
 pub mod io;
 pub mod stats;
 
-pub use bitmap::{label_sig_bit, AdjacencyBitmaps, BitmapConfig};
+pub use bitmap::{label_sig_bit, row_degree_floor, AdjacencyBitmaps, BitmapConfig};
 pub use builder::GraphBuilder;
 pub use graph::{EdgeRef, Graph, Label, NodeId, DEFAULT_EDGE_LABEL};
 pub use stats::GraphStats;

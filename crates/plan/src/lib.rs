@@ -38,8 +38,8 @@ pub mod strategy;
 pub use algorithm::Algorithm;
 pub use domains::Domains;
 pub use ordering::{
-    finish_order, greatest_constraint_first, CandidatePlan, EdgeConstraint, KernelChoice,
-    MatchOrder, PlanStep, PrefilterSpec,
+    finish_order, greatest_constraint_first, CandidatePlan, EdgeConstraint, MatchOrder, PlanStep,
+    PrefilterSpec,
 };
 pub use planner::{Planner, QueryPlan};
 pub use strategy::{OrderingStrategy, Strategy};

@@ -20,7 +20,10 @@
 //!
 //! Each position also records its *constraints*: every pattern edge back to an
 //! earlier position.  During the search, candidates are the intersection of
-//! the adjacency lists those edges select on the already-mapped images.
+//! the adjacency lists those edges select on the already-mapped images, or
+//! the AND of their bitmap rows where the target's sidecar holds a row for
+//! each of them.  The plan names no kernel: the sidecar's row rule decides
+//! (`sge_graph::bitmap`).
 
 use crate::domains::Domains;
 use sge_graph::{label_sig_bit, Graph, Label, NodeId};
@@ -37,32 +40,6 @@ pub struct EdgeConstraint {
     pub out_from_parent: bool,
     /// The pattern edge's label; the supporting target edge must carry it too.
     pub label: Label,
-}
-
-/// Which intersection kernel the planner selected for one position.
-///
-/// The choice is a *hint*: the matcher honors `Bitmap` only when the target's
-/// [`sge_graph::AdjacencyBitmaps`] sidecar actually has a row for every
-/// constraint of the step, and falls back to galloping otherwise (a row may
-/// be missing because the neighborhood is below the density threshold or the
-/// sidecar hit its memory cap).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum KernelChoice {
-    /// Width-bucketed merge/gallop over sorted CSR adjacency (the default).
-    #[default]
-    Gallop,
-    /// Word-wise AND over dense bitmap adjacency rows.
-    Bitmap,
-}
-
-impl KernelChoice {
-    /// Stable lowercase name used by EXPLAIN and the bench report.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            KernelChoice::Gallop => "gallop",
-            KernelChoice::Bitmap => "bitmap",
-        }
-    }
 }
 
 /// Cheap per-candidate feasibility test computed from the pattern node.
@@ -123,8 +100,6 @@ pub struct PlanStep {
     pub constraints: Vec<EdgeConstraint>,
     /// Label of the pattern self-loop on this node, when present.
     pub self_loop: Option<Label>,
-    /// Intersection kernel selected by the planner for this position.
-    pub kernel: KernelChoice,
     /// Candidate prefilter derived from the pattern node at this position.
     pub prefilter: PrefilterSpec,
 }
@@ -282,7 +257,6 @@ pub fn finish_order(pattern: &Graph, positions: Vec<NodeId>) -> MatchOrder {
         let mut step = PlanStep {
             constraints: Vec::new(),
             self_loop: pattern.edge_label(v, v),
-            kernel: KernelChoice::default(),
             prefilter: PrefilterSpec::for_node(pattern, v),
         };
         for (j, &u) in positions.iter().enumerate().take(i) {
@@ -510,7 +484,7 @@ mod tests {
     }
 
     #[test]
-    fn plan_steps_carry_prefilter_and_default_kernel() {
+    fn plan_steps_carry_the_prefilter() {
         use sge_graph::label_sig_bit;
         let mut pb = GraphBuilder::new();
         let a = pb.add_node(3);
@@ -522,7 +496,6 @@ mod tests {
         let order = greatest_constraint_first(&pattern, None, false);
         let pos_a = order.position_of[a as usize];
         let step = &order.plan.steps[pos_a];
-        assert_eq!(step.kernel, KernelChoice::Gallop);
         assert_eq!(
             step.prefilter,
             PrefilterSpec {

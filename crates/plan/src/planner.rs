@@ -1,8 +1,14 @@
 //! The [`Planner`]: preprocessing in, [`QueryPlan`] out.
+//!
+//! A plan fixes the tree the search visits: the order, every step's
+//! constraints and prefilter, and the domains.  It names no intersection
+//! kernel; a step ANDs bitmap rows exactly where the target's sidecar holds
+//! them, which the sidecar's row rule decides per neighborhood
+//! (`sge_graph::bitmap`).
 
 use crate::algorithm::Algorithm;
 use crate::domains::Domains;
-use crate::ordering::{finish_order, KernelChoice, MatchOrder};
+use crate::ordering::{finish_order, MatchOrder};
 use crate::strategy::{PlanningInput, Strategy};
 use sge_graph::{Graph, GraphStats};
 use std::sync::Arc;
@@ -77,8 +83,8 @@ impl Planner {
     }
 
     /// Plans with precomputed target statistics: domain computation and
-    /// forward checking (as the algorithm requires), strategy ordering,
-    /// back-edge plan construction and kernel selection.
+    /// forward checking (as the algorithm requires), strategy ordering and
+    /// back-edge plan construction.
     pub fn plan_with_stats(
         &self,
         pattern: &Graph,
@@ -104,8 +110,7 @@ impl Planner {
             domain_size_tie_break: algorithm.uses_domain_size_tie_break(),
         };
         let positions = self.strategy.implementation().positions(pattern, &input);
-        let mut order = finish_order(pattern, positions);
-        select_kernels(&mut order, target_stats);
+        let order = finish_order(pattern, positions);
         QueryPlan {
             algorithm,
             strategy: self.strategy,
@@ -117,39 +122,9 @@ impl Planner {
     }
 }
 
-/// Mean total degree at or above which a target counts as kernel-dense.
-const BITMAP_DEGREE_MEAN_MIN: f64 = 16.0;
-
-/// Routes each constrained position to the bitmap kernel when the target's
-/// degree distribution says dense neighborhoods dominate.
-///
-/// The rule is deliberately coarse: mean total degree at least
-/// [`BITMAP_DEGREE_MEAN_MIN`] *and* at least an eighth of the node count.
-/// At that bar one bitmap row (`ceil(nodes / 64)` words) is at most a
-/// quarter the length of the mean per-direction adjacency list
-/// (`degree_mean / 2` entries), so a word-wise AND beats galloping over the
-/// CSR lists.  Sparse targets (grids, cycles, the PPI collections) keep the
-/// default gallop kernel.  Positions without back-edge constraints scan
-/// domains or the whole node set and never intersect, so their kernel hint
-/// stays `Gallop`.
-fn select_kernels(order: &mut MatchOrder, stats: &GraphStats) {
-    let dense = stats.nodes > 0
-        && stats.degree_mean >= BITMAP_DEGREE_MEAN_MIN
-        && stats.degree_mean >= stats.nodes as f64 / 8.0;
-    if !dense {
-        return;
-    }
-    for step in &mut order.plan.steps {
-        if !step.constraints.is_empty() {
-            step.kernel = KernelChoice::Bitmap;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sge_datasets::{generate_modular, generate_target, ppis32_like, ModularSpec};
     use sge_graph::{generators, GraphBuilder};
 
     #[test]
@@ -181,61 +156,6 @@ mod tests {
         // Plain RI has no domains, so planning alone cannot prove it.
         let plan = Planner::default().plan(&pattern, &target, Algorithm::Ri);
         assert!(!plan.impossible);
-    }
-
-    #[test]
-    fn dense_targets_route_constrained_positions_to_bitmap() {
-        let pattern = generators::directed_cycle(4, 0);
-        let targets = [
-            // Mean degree 62 ≥ 16 and ≥ 32/8.
-            generators::clique(32, 0),
-            // The modular bench targets: 512 nodes at mean degree ~126 and
-            // 192 nodes at mean degree ~46, both above an eighth of the nodes.
-            generate_modular(&ModularSpec::cliques(64), 0x0DA7_A5E7, "modular"),
-            generate_modular(&ModularSpec::cliques(24), 0x0DA7_A5E7, "modular-smoke"),
-        ];
-        for target in &targets {
-            let plan = Planner::default().plan(&pattern, target, Algorithm::RiDs);
-            for (i, step) in plan.order.plan.steps.iter().enumerate() {
-                let expect = if step.constraints.is_empty() {
-                    KernelChoice::Gallop
-                } else {
-                    KernelChoice::Bitmap
-                };
-                assert_eq!(step.kernel, expect, "{} position {i}", target.name());
-            }
-            assert!(plan
-                .order
-                .plan
-                .steps
-                .iter()
-                .any(|s| s.kernel == KernelChoice::Bitmap));
-        }
-    }
-
-    #[test]
-    fn sparse_targets_keep_the_gallop_kernel() {
-        let pattern = generators::directed_cycle(4, 0);
-        // The PPIS32-like base target of the repository benchmark: 5.6k
-        // nodes at mean degree ~20, far below an eighth of the nodes.
-        let ppi_seed = 20170525;
-        let ppi = generate_target(
-            &ppis32_like(8.0, ppi_seed).targets[2],
-            ppi_seed.wrapping_add(2 * 7919),
-            "ppis32-t2",
-        );
-        for target in [generators::grid(8, 8), generators::clique(5, 0), ppi] {
-            let plan = Planner::default().plan(&pattern, &target, Algorithm::RiDs);
-            assert!(
-                plan.order
-                    .plan
-                    .steps
-                    .iter()
-                    .all(|s| s.kernel == KernelChoice::Gallop),
-                "{}",
-                target.name()
-            );
-        }
     }
 
     #[test]

@@ -1,27 +1,23 @@
-//! Intersection kernels: scalar reference, width-bucketed vectorized
-//! gallop, and bitmap word-AND, plus the parity diff tool.
+//! Intersection kernels: the two-pointer merge, exponential-probe
+//! galloping and the bitmap word-AND, plus the parity diff tool.
 //!
 //! All kernels compute the same function — intersect a sorted candidate
 //! buffer with a sorted labeled CSR adjacency list — and must produce
 //! byte-identical results.  They differ only in the access pattern:
 //!
-//! * [`intersect_reference`] — the obviously-correct two-pointer scalar
-//!   merge.  Never used on the hot path; it is the oracle every other kernel
-//!   is diffed against.
-//! * [`intersect_gallop`] — the production kernel for CSR lists, bucketed by
-//!   the length ratio `|adj| / |out|`:
-//!   * comparable lengths take a **branch-light chunked linear merge** whose
-//!     inner loop is a branchless count-of-smaller over fixed-size chunks
-//!     (the `core::simd`-style shape: a compare-and-sum LLVM auto-vectorizes
-//!     under `#![forbid(unsafe_code)]`);
-//!   * a much longer `adj` takes **exponential-probe galloping** per
-//!     candidate.
-//!
-//!   The search never hands it a buffer longer than `adj`: it seeds the
-//!   buffer from the shortest adjacency list of the step, and every
-//!   intersection only shrinks it.
+//! * [`intersect_reference`] — the two-pointer scalar merge: the CSR
+//!   kernel's comparable-width bucket and the reference the parity tools
+//!   diff every other path against.
+//! * [`intersect_gallop`] — the one CSR kernel, bucketed by the length
+//!   ratio `|adj| / |out|`: comparable lengths take [`intersect_reference`];
+//!   an `adj` more than [`WIDTH_RATIO`]× longer takes **exponential-probe
+//!   galloping** per candidate.  The search never hands it a buffer longer
+//!   than `adj`: it seeds the buffer from the shortest adjacency list of the
+//!   step, and every intersection only shrinks it.
 //! * bitmap rows from [`sge_graph::AdjacencyBitmaps`] intersect via
 //!   [`and_rows`] / [`collect_row`] — word-wise AND, no per-element work.
+//!   A step takes this path exactly when the sidecar holds a row for each of
+//!   its constraints; the sidecar's row rule decides where rows exist.
 //!
 //! [`assert_kernel_parity`] / [`check_kernel_parity`] pinpoint the first
 //! diverging element between a kernel's output and the reference, in the
@@ -35,16 +31,13 @@ const WORD_BITS: usize = 64;
 
 /// Length-ratio at which the gallop kernel switches strategies: `adj` more
 /// than `WIDTH_RATIO`× longer than `out` gallops through `adj`; anything
-/// shorter takes the chunked linear merge.
+/// shorter takes the two-pointer merge.
 pub const WIDTH_RATIO: usize = 8;
-
-/// Chunk width of the branchless count-of-smaller scan in the merge bucket.
-const CHUNK: usize = 8;
 
 /// Which bucket [`intersect_gallop`] routed one invocation to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum GallopRoute {
-    /// Comparable lengths: chunked branch-light linear merge.
+    /// Comparable lengths: the two-pointer merge.
     Merge,
     /// `adj` much longer: exponential-probe gallop through `adj`.
     Gallop,
@@ -66,7 +59,7 @@ pub struct KernelUsage {
     pub bitmap: u64,
     /// Galloping (probe-driven) intersections.
     pub gallop: u64,
-    /// Chunked linear-merge intersections.
+    /// Two-pointer merge intersections.
     pub merge: u64,
     /// Candidates rejected by the prefilter before any kernel ran.
     pub prefilter_rejected: u64,
@@ -158,9 +151,10 @@ impl KernelCells {
     }
 }
 
-/// Scalar reference kernel: in-place two-pointer intersection of the sorted
-/// buffer `out` with the sorted adjacency list `adj`, keeping nodes whose
-/// supporting edge carries `label`.
+/// Two-pointer kernel: in-place intersection of the sorted buffer `out` with
+/// the sorted adjacency list `adj`, keeping nodes whose supporting edge
+/// carries `label`.  [`intersect_gallop`]'s merge bucket, and the reference
+/// every other path is diffed against.
 pub fn intersect_reference(out: &mut Vec<NodeId>, adj: &[EdgeRef], label: Label) {
     let mut write = 0;
     let mut j = 0;
@@ -180,15 +174,15 @@ pub fn intersect_reference(out: &mut Vec<NodeId>, adj: &[EdgeRef], label: Label)
     out.truncate(write);
 }
 
-/// Production CSR kernel: same contract as [`intersect_reference`], bucketed
-/// by length ratio (see [`WIDTH_RATIO`]).  Returns the bucket taken so
-/// callers can account invocations per path.
+/// The CSR kernel: same contract as [`intersect_reference`], bucketed by
+/// length ratio (see [`WIDTH_RATIO`]).  Returns the bucket taken so callers
+/// can account invocations per path.
 pub fn intersect_gallop(out: &mut Vec<NodeId>, adj: &[EdgeRef], label: Label) -> GallopRoute {
     if adj.len() > WIDTH_RATIO * out.len() {
         intersect_probing(out, adj, label);
         GallopRoute::Gallop
     } else {
-        intersect_merge(out, adj, label);
+        intersect_reference(out, adj, label);
         GallopRoute::Merge
     }
 }
@@ -210,50 +204,6 @@ fn intersect_probing(out: &mut Vec<NodeId>, adj: &[EdgeRef], label: Label) {
         }
     }
     out.truncate(write);
-}
-
-/// Chunked branch-light linear merge: iterate `out`, advance the `adj`
-/// cursor with a branchless count-of-smaller over fixed-width chunks.
-fn intersect_merge(out: &mut Vec<NodeId>, adj: &[EdgeRef], label: Label) {
-    let mut write = 0;
-    let mut from = 0;
-    for read in 0..out.len() {
-        let v = out[read];
-        from = advance_chunked(adj, from, v);
-        if from >= adj.len() {
-            break;
-        }
-        if adj[from].node == v && adj[from].label == label {
-            out[write] = v;
-            write += 1;
-        }
-    }
-    out.truncate(write);
-}
-
-/// First index `>= from` with `adj[i].node >= v`, via chunked linear scan.
-///
-/// The inner loop counts how many of the next [`CHUNK`] entries are still
-/// `< v` with a compare-and-sum — no data-dependent branch inside the chunk,
-/// which is the shape LLVM turns into vector compares.  Because `adj` is
-/// sorted, the count equals the offset of the first entry `>= v` within the
-/// chunk.
-#[inline]
-fn advance_chunked(adj: &[EdgeRef], mut from: usize, v: NodeId) -> usize {
-    while from + CHUNK <= adj.len() {
-        let below: usize = adj[from..from + CHUNK]
-            .iter()
-            .map(|e| (e.node < v) as usize)
-            .sum();
-        from += below;
-        if below < CHUNK {
-            return from;
-        }
-    }
-    while from < adj.len() && adj[from].node < v {
-        from += 1;
-    }
-    from
 }
 
 /// First index `>= from` with `adj[i].node >= v`, via exponential probes
@@ -367,7 +317,7 @@ pub fn assert_kernel_parity(kernel: &'static str, expected: &[NodeId], actual: &
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sge_graph::{AdjacencyBitmaps, BitmapConfig, GraphBuilder};
+    use sge_graph::{AdjacencyBitmaps, GraphBuilder};
 
     fn adj(entries: &[(NodeId, Label)]) -> Vec<EdgeRef> {
         entries
@@ -388,9 +338,7 @@ mod tests {
         let seed: Vec<NodeId> = vec![1, 2, 3, 5, 9, 13];
         let expected = run(intersect_reference, &seed);
         assert_eq!(expected, vec![2, 5, 13]); // 3 present but wrong label
-        for kernel in [intersect_merge, intersect_probing] {
-            assert_kernel_parity("bucket", &expected, &run(kernel, &seed));
-        }
+        assert_kernel_parity("probing", &expected, &run(intersect_probing, &seed));
         assert_kernel_parity(
             "gallop",
             &expected,
@@ -421,7 +369,7 @@ mod tests {
 
     #[test]
     fn empty_sides_are_handled() {
-        for kernel in [intersect_merge, intersect_probing] {
+        for kernel in [intersect_reference, intersect_probing] {
             let mut out: Vec<NodeId> = Vec::new();
             kernel(&mut out, &adj(&[(1, 0)]), 0);
             assert!(out.is_empty());
@@ -441,12 +389,8 @@ mod tests {
             b.add_edge(0, v, 0);
         }
         let g = b.build();
-        let config = BitmapConfig {
-            degree_threshold: 1,
-            ..BitmapConfig::default()
-        };
-        let maps = AdjacencyBitmaps::build(&g, &config);
-        let row = maps.out_row(0, 0).expect("forced row");
+        let maps = AdjacencyBitmaps::every_row(&g);
+        let row = maps.out_row(0, 0).expect("every-row sidecar");
 
         let seed: Vec<NodeId> = vec![0, 1, 2, 3, 33, 63, 64, 65, 69];
         let mut expected = seed.clone();
@@ -557,21 +501,13 @@ mod tests {
 
             let mut expected = seed.clone();
             intersect_reference(&mut expected, &list, label);
-            for (name, kernel) in [
-                (
-                    "merge",
-                    intersect_merge as fn(&mut Vec<NodeId>, &[EdgeRef], Label),
-                ),
-                ("probing", intersect_probing),
-            ] {
-                let mut out = seed.clone();
-                kernel(&mut out, &list, label);
-                assert!(
-                    check_kernel_parity(name, &expected, &out).is_ok(),
-                    "round {round}: {}",
-                    check_kernel_parity(name, &expected, &out).unwrap_err()
-                );
-            }
+            let mut out = seed.clone();
+            intersect_probing(&mut out, &list, label);
+            assert!(
+                check_kernel_parity("probing", &expected, &out).is_ok(),
+                "round {round}: {}",
+                check_kernel_parity("probing", &expected, &out).unwrap_err()
+            );
             let mut out = seed.clone();
             intersect_gallop(&mut out, &list, label);
             assert_kernel_parity("gallop", &expected, &out);

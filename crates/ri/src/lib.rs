@@ -67,7 +67,7 @@ pub use kernels::{
 };
 pub use search::{LeafCount, PreparedParts, SearchContext, WorkerState};
 pub use sge_plan::{
-    greatest_constraint_first, Algorithm, CandidatePlan, Domains, EdgeConstraint, KernelChoice,
-    MatchOrder, PlanStep, Planner, QueryPlan, Strategy,
+    greatest_constraint_first, Algorithm, CandidatePlan, Domains, EdgeConstraint, MatchOrder,
+    PlanStep, Planner, QueryPlan, Strategy,
 };
 pub use visitor::{ChannelVisitor, CollectingVisitor, MatchVisitor, NoopVisitor};

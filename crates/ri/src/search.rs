@@ -31,7 +31,7 @@
 use crate::kernels::{self, GallopRoute, KernelCells, KernelUsage};
 use sge_graph::{AdjacencyBitmaps, BitmapConfig, EdgeRef, Graph, GraphStats, NodeId};
 use sge_obs::TraceSink;
-use sge_plan::ordering::{KernelChoice, MatchOrder, PlanStep, PrefilterSpec};
+use sge_plan::ordering::{MatchOrder, PlanStep, PrefilterSpec};
 use sge_plan::{Algorithm, Domains, Planner, QueryPlan, Strategy};
 use std::cell::{Cell, RefCell};
 use std::sync::Arc;
@@ -68,9 +68,10 @@ pub struct SearchContext<'a> {
     /// generation and consistency checks record per-position counters; when
     /// absent the cost is one predictable branch per call.
     sink: Option<Arc<TraceSink>>,
-    /// Optional dense-adjacency bitmap sidecar of the target.  Required for
-    /// the bitmap kernel and the candidate prefilter; when absent every
-    /// position gallops over CSR and no candidates are prefiltered.
+    /// Optional dense-adjacency bitmap sidecar of the target.  Its rows
+    /// decide where the bitmap AND runs and its signatures drive the
+    /// candidate prefilter; when absent every step intersects CSR lists and
+    /// no candidates are prefiltered.
     bitmaps: Option<Arc<AdjacencyBitmaps>>,
     /// Shared kernel-invocation counters (always on).  Candidate fills
     /// accumulate in the [`WorkerState`] that drives them; schedulers fold
@@ -106,8 +107,9 @@ impl<'a> SearchContext<'a> {
     /// target instead of paying for them on every preparation.
     ///
     /// The context attaches `bitmaps` as given, even when it is row-less
-    /// (the registry hit its memory cap): steps routed to the bitmap kernel
-    /// then fall back to galloping at run time.
+    /// (no neighborhood earned a row, or the registry hit its memory cap):
+    /// its signatures still drive the prefilter, and every step intersects
+    /// CSR lists.
     pub fn prepare_planned_full(
         pattern: &'a Graph,
         target: &'a Graph,
@@ -140,9 +142,9 @@ impl<'a> SearchContext<'a> {
 
     /// Attaches (or detaches, with `None`) a target bitmap sidecar.
     ///
-    /// The sidecar must describe this context's target graph.  Steps routed
-    /// to the bitmap kernel fall back to galloping whenever the sidecar (or
-    /// a specific row) is missing, so detaching is always safe.
+    /// The sidecar must describe this context's target graph.  A step ANDs
+    /// rows only where the sidecar holds one for each of its constraints
+    /// and intersects CSR lists otherwise, so detaching is always safe.
     pub fn set_bitmaps(&mut self, bitmaps: Option<Arc<AdjacencyBitmaps>>) {
         self.bitmaps = bitmaps;
     }
@@ -152,27 +154,16 @@ impl<'a> SearchContext<'a> {
         self.bitmaps.as_ref()
     }
 
-    /// Builds and attaches a default-configuration sidecar when the plan
-    /// routes at least one position to the bitmap kernel and no sidecar is
-    /// attached yet.  One-shot enumeration pays the build during its
-    /// preprocessing phase; serving callers attach the registry's shared
-    /// sidecar instead (see [`Self::prepare_planned_full`]).
+    /// Builds and attaches the default sidecar when no sidecar is attached
+    /// yet and the default one holds a row
+    /// ([`AdjacencyBitmaps::build_if_any_row`]).  One-shot enumeration pays
+    /// the build during its preprocessing phase; serving callers attach the
+    /// registry's shared sidecar instead (see [`Self::prepare_planned_full`]).
     pub fn ensure_bitmaps(&mut self) {
-        if self.bitmaps.is_none() && self.plan_wants_bitmaps() {
-            self.bitmaps = Some(Arc::new(AdjacencyBitmaps::build(
-                self.target,
-                &BitmapConfig::default(),
-            )));
+        if self.bitmaps.is_none() {
+            let config = BitmapConfig::default();
+            self.bitmaps = AdjacencyBitmaps::build_if_any_row(self.target, &config).map(Arc::new);
         }
-    }
-
-    fn plan_wants_bitmaps(&self) -> bool {
-        self.plan
-            .order
-            .plan
-            .steps
-            .iter()
-            .any(|s| s.kernel == KernelChoice::Bitmap)
     }
 
     /// Snapshot of the kernel-invocation counters accumulated through this
@@ -410,16 +401,14 @@ impl<'a> SearchContext<'a> {
         }
     }
 
-    /// Multi-parent candidate generation, dispatched on the planner's
-    /// [`KernelChoice`] for the step.
+    /// Multi-parent candidate generation.
     ///
     /// The bitmap path ANDs the constraint rows of the target's sidecar
-    /// word-by-word (plus the domain bitset) and runs only when every
-    /// constraint has a row; otherwise — and always under
-    /// [`KernelChoice::Gallop`] — the CSR path seeds `out` from the smallest
-    /// adjacency list among the constraints (filtered by edge label, domain /
-    /// node-label membership and the prefilter), then intersects with each
-    /// remaining list through the width-bucketed
+    /// word-by-word (plus the domain bitset) and runs exactly when every
+    /// constraint's image has a row; otherwise the CSR path seeds `out` from
+    /// the smallest adjacency list among the constraints (filtered by edge
+    /// label, domain / node-label membership and the prefilter), then
+    /// intersects with each remaining list through
     /// [`kernels::intersect_gallop`].  Both paths produce byte-identical
     /// candidate sets (the oracle matrix walks both against a scalar
     /// reference).
@@ -431,9 +420,7 @@ impl<'a> SearchContext<'a> {
         out: &mut Vec<NodeId>,
         local: &mut KernelUsage,
     ) {
-        if step.kernel == KernelChoice::Bitmap
-            && self.bitmap_candidates(vp, step, mapping, out, local)
-        {
+        if self.bitmap_candidates(vp, step, mapping, out, local) {
             return;
         }
         // Seed from the smallest adjacency list (smallest-degree-first); every
@@ -871,11 +858,6 @@ impl WorkerState {
         for (depth, &vt) in prefix.iter().enumerate() {
             self.assign(depth, vt);
         }
-    }
-
-    /// Raw view of the mapping indexed by position.
-    pub fn mapping(&self) -> &[NodeId] {
-        &self.mapping
     }
 
     /// The list the last [`SearchContext::candidates`] request for `depth`

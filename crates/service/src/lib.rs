@@ -88,9 +88,10 @@ pub struct ServiceConfig {
     /// the wire), [`RoutingConfig::route`] picks one from the prepared
     /// engine's tree-size estimate under these thresholds.
     pub routing: RoutingConfig,
-    /// Bitmap-sidecar knobs applied when targets are registered through
+    /// The bitmap sidecar's byte cap for targets registered through
     /// [`Service::load_target`] (the `LOAD` verb); `bitmap_cap=<bytes>` on
-    /// the wire overrides `bitmaps.max_bytes` per load.
+    /// the wire overrides it per load.  Which neighborhoods get rows is the
+    /// sidecar's row rule, not a setting.
     pub bitmaps: BitmapConfig,
 }
 
@@ -273,20 +274,17 @@ impl Service {
     }
 
     /// Loads a target file into the registry (the `LOAD` verb): the
-    /// service-level path that applies the configured [`BitmapConfig`] —
-    /// with `bitmap_cap` overriding the byte cap per call — and records a
-    /// warning event when the sidecar hits the cap and falls back to
-    /// CSR-only kernels.
+    /// service-level path that applies the configured byte cap — or
+    /// `bitmap_cap`, per call — and records a warning event when the
+    /// sidecar hits the cap and every step falls back to CSR lists.
     pub fn load_target(
         &self,
         name: &str,
         path: impl AsRef<std::path::Path>,
         bitmap_cap: Option<usize>,
     ) -> Result<GraphInfo, ServiceError> {
-        let mut config = self.config.bitmaps;
-        if let Some(cap) = bitmap_cap {
-            config.max_bytes = cap;
-        }
+        let max_bytes = bitmap_cap.unwrap_or(self.config.bitmaps.max_bytes);
+        let config = BitmapConfig { max_bytes };
         let info = self.registry.load_file_with_config(name, path, &config)?;
         if info.bitmap_capped {
             let required = self

@@ -27,11 +27,11 @@ struct TargetEntry {
     /// preparation would put a full O(V + E log E) target pass on the
     /// serving hot path.
     stats: Arc<GraphStats>,
-    /// Bitmap adjacency sidecar, built once at registration and shared by
-    /// every prepared engine against this target.  When the configured byte
-    /// cap was exceeded the sidecar is *capped*: it carries the per-node
-    /// label signatures (the candidate prefilter keeps working) but no rows,
-    /// so every intersection falls back to the CSR gallop kernels.
+    /// Bitmap adjacency sidecar, built once at registration by the row rule
+    /// and shared by every prepared engine against this target.  When the
+    /// configured byte cap was exceeded the sidecar is *capped*: it carries
+    /// the per-node label signatures (the candidate prefilter keeps working)
+    /// but no rows, so every step intersects CSR lists.
     bitmaps: Arc<AdjacencyBitmaps>,
 }
 
@@ -64,7 +64,7 @@ impl GraphRegistry {
         self.load_file_with_config(name, path, &BitmapConfig::default())
     }
 
-    /// [`GraphRegistry::load_file`] with explicit bitmap-sidecar knobs (the
+    /// [`GraphRegistry::load_file`] with an explicit sidecar byte cap (the
     /// wire protocol's `LOAD ... bitmap_cap=<bytes>`).
     pub fn load_file_with_config(
         &self,
@@ -91,7 +91,7 @@ impl GraphRegistry {
         self.insert_with_config(name, graph, &BitmapConfig::default())
     }
 
-    /// [`GraphRegistry::insert`] with explicit bitmap-sidecar knobs.
+    /// [`GraphRegistry::insert`] with an explicit sidecar byte cap.
     pub fn insert_with_config(&self, name: &str, graph: Graph, config: &BitmapConfig) -> GraphInfo {
         // Stats and the bitmap sidecar are computed outside the write lock
         // so concurrent lookups never wait on the frequency-table or
@@ -116,8 +116,7 @@ impl GraphRegistry {
     }
 
     /// Looks a target up by name together with its registration-time
-    /// statistics (what the planner's ordering strategies and kernel choice
-    /// consume).
+    /// statistics (what the planner's ordering strategies consume).
     pub fn get_with_stats(&self, name: &str) -> Option<(Arc<Graph>, Arc<GraphStats>)> {
         self.get_full(name).map(|(graph, stats, _)| (graph, stats))
     }
@@ -304,17 +303,32 @@ mod tests {
     fn byte_cap_falls_back_to_csr_only() {
         let registry = GraphRegistry::new();
         let config = BitmapConfig {
-            degree_threshold: 1,
             max_bytes: 1, // no row fits
         };
-        let info = registry.insert_with_config("k8", generators::clique(8, 0), &config);
+        let info = registry.insert_with_config("k12", generators::clique(12, 0), &config);
         assert!(info.bitmap_capped);
         assert_eq!(info.bitmap_rows, 0);
         assert_eq!(info.bitmap_bytes, 0);
         // Signatures survive the cap: the prefilter still works.
-        let (_, _, bitmaps) = registry.get_full("k8").unwrap();
+        let (_, _, bitmaps) = registry.get_full("k12").unwrap();
         assert!(bitmaps.capped());
         assert_ne!(bitmaps.out_sig(0), 0);
+    }
+
+    #[test]
+    fn the_benchmark_ppi_target_registers_without_rows() {
+        // 5,600 nodes, so a row is 88 words and a neighborhood needs 352
+        // same-label neighbors to earn one; the widest has 160.
+        let seed = 20170525;
+        let spec = sge_datasets::ppis32_like(8.0, seed);
+        let target = sge_datasets::generate_target(
+            &spec.targets[2],
+            seed.wrapping_add(2 * 7919),
+            "ppis32-t2",
+        );
+        let info = GraphRegistry::new().insert("ppi", target);
+        let rows = (info.bitmap_rows, info.bitmap_bytes, info.bitmap_capped);
+        assert_eq!(rows, (0, 0, false));
     }
 
     #[test]

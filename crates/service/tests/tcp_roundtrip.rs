@@ -340,9 +340,10 @@ fn explain_round_trips_with_order_costs_and_strategy() {
     server.join().unwrap();
 }
 
-/// A dense target routes constrained positions onto the bitmap kernel, and
-/// the whole story is visible over the wire: LOAD reports the sidecar, the
-/// plan's kernel per position shows in EXPLAIN / EXPLAIN ANALYZE, runtime
+/// Every neighborhood of a dense target earns a bitmap row, so constrained
+/// positions AND rows, and the whole story is visible over the wire: LOAD
+/// reports the sidecar, the kernel per position shows in EXPLAIN / EXPLAIN
+/// ANALYZE, runtime
 /// usage shows in `kernel_usage` and the `engine.kernel.*` counters, and a
 /// byte-capped reload of the same graph degrades to the gallop kernels.
 #[test]
@@ -372,8 +373,8 @@ fn kernel_selection_is_visible_in_load_explain_and_metrics() {
         responses[0]
     );
     assert!(responses[0].contains("\"bitmap_capped\":false"));
-    // The planner routes every constrained position onto the bitmap kernel
-    // (the root position is a scan — it has no parents to intersect).
+    // The sidecar holds rows, so every constrained position ANDs them (the
+    // root position is a scan — it has no parents to intersect).
     let kernels = "\"kernels\":[\"scan\",\"bitmap\",\"bitmap\",\"bitmap\"]";
     assert!(responses[1].contains(kernels), "{}", responses[1]);
     assert!(responses[2].contains(kernels), "{}", responses[2]);

@@ -338,8 +338,8 @@ pub fn routing_keys() -> Scenario {
 }
 
 /// PR 9's kernel story under simulated time: a dense target (K16, every
-/// neighborhood over the bitmap threshold) routes its constrained positions
-/// onto the bitmap intersection kernel.  EXPLAIN pins the per-position
+/// neighborhood of 15 over the row floor of 8) ANDs bitmap rows at every
+/// constrained position.  EXPLAIN pins the per-position
 /// kernel array, EXPLAIN ANALYZE pins the observed `kernel_usage` counts
 /// (schedule-invariant, so seed-stable), and METRICS pins the cumulative
 /// `engine.kernel.*` counters — byte-identical replay is the regression

@@ -15,43 +15,19 @@ pub struct TaskGroup<C> {
     pub depth: usize,
     /// The sibling choices (in exploration order).
     pub choices: Vec<C>,
-    /// Index of the next unexecuted choice; `choices[..next]` are done.
-    pub next: usize,
     /// `true` when the victim checked the choices before it handed them
     /// over (every stolen group); `false` for a share of the root list,
     /// which the paper enqueues unchecked.
     pub checked: bool,
 }
 
-impl<C: Copy> TaskGroup<C> {
+impl<C> TaskGroup<C> {
     /// Creates a group over `choices` for `depth`.
     pub fn new(depth: usize, choices: Vec<C>, checked: bool) -> Self {
         TaskGroup {
             depth,
             choices,
-            next: 0,
             checked,
-        }
-    }
-
-    /// Number of unexecuted choices left.
-    pub fn remaining(&self) -> usize {
-        self.choices.len() - self.next
-    }
-
-    /// `true` when every choice has been taken.
-    pub fn is_exhausted(&self) -> bool {
-        self.next >= self.choices.len()
-    }
-
-    /// Takes the next choice in exploration order.
-    pub fn take_next(&mut self) -> Option<C> {
-        if self.is_exhausted() {
-            None
-        } else {
-            let choice = self.choices[self.next];
-            self.next += 1;
-            Some(choice)
         }
     }
 }
@@ -221,12 +197,12 @@ impl<C: Copy> Frames<C> {
     /// its depth.  A group without a choice left opens nothing.
     pub(crate) fn install(&mut self, group: TaskGroup<C>) {
         debug_assert!(self.is_empty(), "only an idle worker adopts a group");
-        if group.is_exhausted() {
+        if group.choices.is_empty() {
             return;
         }
         let frame = &mut self.frames[group.depth];
         frame.source = [Source::Share, Source::Stolen][group.checked as usize];
-        (frame.next, frame.end) = (group.next, group.choices.len());
+        (frame.next, frame.end) = (0, group.choices.len());
         (frame.applied, frame.stolen) = (0, 0);
         frame.held = group.choices;
         (self.base, self.top) = (group.depth, group.depth + 1);
@@ -288,19 +264,6 @@ impl<C: Copy> Frames<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn task_group_iteration_order() {
-        let mut group = TaskGroup::new(2, vec![10, 20, 30], true);
-        assert_eq!(group.remaining(), 3);
-        assert_eq!(group.take_next(), Some(10));
-        assert_eq!(group.take_next(), Some(20));
-        assert_eq!(group.remaining(), 1);
-        assert!(!group.is_exhausted());
-        assert_eq!(group.take_next(), Some(30));
-        assert!(group.is_exhausted());
-        assert_eq!(group.take_next(), None);
-    }
 
     /// Takes the deepest frame's choices until it has none left.
     fn take_all(frames: &mut Frames<u32>) -> Vec<Next<u32>> {

@@ -85,7 +85,8 @@ pub struct GraphInfo {
     pub nodes: usize,
     /// Number of directed edges.
     pub edges: usize,
-    /// Rows the adjacency-bitmap sidecar materialized (0 when capped out).
+    /// Rows the adjacency-bitmap sidecar materialized (0 when no
+    /// neighborhood reaches the row floor, or when capped out).
     pub bitmap_rows: usize,
     /// Bytes the sidecar occupies.
     pub bitmap_bytes: usize,

@@ -100,9 +100,9 @@ fn run_family(family: Family) {
 #[test]
 fn every_cell_runs_in_two_families() {
     // 4 algorithms x 3 strategies x (4 engine kernels x 5 schedulers x 41
-    // engine (delivery, limit) pairs + 2 forced kernels + 3 service kernels
+    // engine (delivery, limit) pairs + 2 forced kernels + 2 service kernels
     // x (5 schedulers x 25 pinned (delivery, limit) pairs + 8 routed)).
-    assert_eq!(cells::all().len(), 12 * (4 * 5 * 41 + 2 + 3 * (5 * 25 + 8)));
+    assert_eq!(cells::all().len(), 12 * (4 * 5 * 41 + 2 + 2 * (5 * 25 + 8)));
     for index in 0..cells::all().len() {
         let [(a, _), (b, _)] = homes(index);
         assert_ne!(a, b);

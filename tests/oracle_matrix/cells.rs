@@ -18,25 +18,27 @@ macro_rules! axis {
 }
 
 axis! {
-    /// How the instance is prepared and which kernel generates candidates.
+    /// How the instance is prepared and which sidecar it runs over.  The
+    /// sidecar decides the kernel: a constrained step ANDs bitmap rows
+    /// exactly when the sidecar holds a row for each of its constraints.
     Kernel {
-        /// `Engine::prepare_planned`: a default sidecar only when the plan
-        /// routes a position to the bitmap AND, so sparse targets run
-        /// without the prefilter.
+        /// `Engine::prepare_planned`: the default sidecar only when it holds
+        /// a row, so targets without one run without the prefilter.
         OneShot,
         /// `PreparedEngine::prepare_planned_full` with the registry-default
         /// sidecar.
         Default,
-        /// The same with a row for every non-empty neighbourhood
-        /// (`degree_threshold: 1`): the bitmap AND never falls back.
+        /// The same over `AdjacencyBitmaps::every_row`: every constrained
+        /// step ANDs rows.
         RowsPresent,
-        /// The same with a zero-byte cap: the plan may name the bitmap
-        /// kernel, but gallop runs.
+        /// The same with a zero-byte cap: signatures and no row, so every
+        /// step intersects CSR lists.
         Capped,
-        /// `SearchContext::from_plan` with every constrained position
-        /// forced to gallop, over the rows-present sidecar.
+        /// `SearchContext::from_plan` over the zero-byte-cap sidecar: CSR
+        /// intersection at every step.
         ForcedGallop,
-        /// The same forced to the bitmap AND.
+        /// The same over the every-row sidecar: the bitmap AND at every
+        /// constrained step.
         ForcedBitmap,
     }
 }
@@ -69,10 +71,10 @@ axis! {
         Stream,
         /// `Engine::run` with a `TraceSink` attached.
         Analyze,
-        /// The forced-kernel plans: `Engine::from_context` over the
-        /// hand-planned context, sequential count-only and enumerating,
-        /// plus a walk of the whole tree diffing every candidate set
-        /// against a scalar reference.
+        /// The forced kernels: `Engine::from_context` over a context of the
+        /// plan and the kernel's sidecar, sequential count-only and
+        /// enumerating, plus a walk of the whole tree diffing every
+        /// candidate set against a scalar reference.
         Driver,
         /// `Service::run_query`, scheduler pinned, collecting rows.
         Pinned,
@@ -165,8 +167,9 @@ impl Cell {
     /// - a forced kernel outside the driver, or the driver with anything
     ///   but a forced kernel, `Sequential` and no limit: the driver cells
     ///   are the kernel-parity walk and run to completion;
-    /// - a service delivery over the one-shot or forced kernels: the
-    ///   registry attaches its own sidecar and plans for itself;
+    /// - a service delivery over any sidecar but the default and the
+    ///   capped one: the registry builds its own by the row rule, and a
+    ///   byte cap is all a load can set;
     /// - a routed query under any scheduler but one: routing picks it.
     pub fn exists(&self) -> bool {
         let forced = matches!(self.kernel, Kernel::ForcedGallop | Kernel::ForcedBitmap);
@@ -180,7 +183,8 @@ impl Cell {
                 && self.sched == Sched::Sequential
                 && self.limit == Limit::None;
         }
-        !(self.is_service() && self.kernel == Kernel::OneShot)
+        let registry = matches!(self.kernel, Kernel::Default | Kernel::Capped);
+        (registry || !self.is_service())
             && (self.delivery != Delivery::Routed || self.sched == Sched::Sequential)
     }
 

@@ -7,7 +7,7 @@ use sge::graph::io::write_graph;
 use sge::graph::{AdjacencyBitmaps, BitmapConfig, Graph, GraphBuilder, GraphStats, NodeId};
 use sge::obs::TraceSink;
 use sge::prelude::*;
-use sge::ri::{check_kernel_parity, KernelChoice, KernelUsage, PlanStep};
+use sge::ri::{check_kernel_parity, KernelUsage, PlanStep};
 use sge::ri::{SearchContext, WorkerState};
 use sge::service::{StreamHeader, StreamSink};
 use sge::util::SplitMix64 as Rng;
@@ -99,7 +99,7 @@ pub struct Subject<'a> {
 impl<'a> Subject<'a> {
     pub fn new(instance: &'a Instance) -> Self {
         let (pattern, target) = (&instance.pattern, &instance.target);
-        let sidecar = |k| (k, Arc::new(AdjacencyBitmaps::build(target, &sidecar(k))));
+        let sidecar = |k| (k, Arc::new(sidecar(target, k)));
         let sidecars = [Kernel::Default, Kernel::RowsPresent, Kernel::Capped];
         Subject {
             instance,
@@ -338,13 +338,11 @@ impl<'a> Subject<'a> {
     }
 
     /// A service with the instance's target loaded from `.gfd` text once
-    /// per sidecar variant.
+    /// per sidecar a load can ask for: the default and the zero-byte cap.
     fn service(&self) -> &Service {
         self.service.get_or_init(|| {
             static FILES: AtomicUsize = AtomicUsize::new(0);
-            let mut config = ServiceConfig::default();
-            config.bitmaps.degree_threshold = 1;
-            let service = Service::new(config);
+            let service = Service::new(ServiceConfig::default());
             let load = |graph: &Graph, load: &dyn Fn(&std::path::Path)| {
                 let n = FILES.fetch_add(1, Ordering::Relaxed);
                 let file = format!("sge-oracle-{}-{n}.gfd", std::process::id());
@@ -366,7 +364,6 @@ impl<'a> Subject<'a> {
             });
             load(&self.target, &|path| {
                 service.registry().load_file("Default", path).unwrap();
-                service.load_target("RowsPresent", path, None).unwrap();
                 service.load_target("Capped", path, Some(0)).unwrap();
             });
             service
@@ -507,19 +504,20 @@ impl<'a> Subject<'a> {
         Ok(())
     }
 
-    /// The forced-kernel cells: a sequential engine over the hand-planned
-    /// context, count-only and enumerating, and a walk of the whole tree.
+    /// The forced-kernel cells: a sequential engine over a context of the
+    /// plan and the kernel's sidecar, count-only and enumerating, and a walk
+    /// of the whole tree.
     fn drive_forced(&self, cell: Cell) -> Check {
         let (algorithm, strategy) = (cell.algorithm, cell.strategy);
         let reference = self.reference((algorithm, strategy, Kernel::RowsPresent))?;
         let planner = sge::Planner::new(strategy);
         let graphs = (&*self.pattern, &*self.target);
-        let mut plan = planner.plan_with_stats(graphs.0, graphs.1, &self.stats, algorithm);
-        for step in &mut plan.order.plan.steps {
-            let bitmap = cell.kernel == Kernel::ForcedBitmap && !step.constraints.is_empty();
-            step.kernel = [KernelChoice::Gallop, KernelChoice::Bitmap][bitmap as usize];
-        }
-        let sidecar = &self.sidecars[&Kernel::RowsPresent];
+        let plan = planner.plan_with_stats(graphs.0, graphs.1, &self.stats, algorithm);
+        let rows = match cell.kernel {
+            Kernel::ForcedBitmap => Kernel::RowsPresent,
+            _ => Kernel::Capped,
+        };
+        let sidecar = &self.sidecars[&rows];
         let bitmap = self.bitmap_expectation(&plan, Some(sidecar));
         let mut ctx = SearchContext::from_plan(graphs.0, graphs.1, plan);
         ctx.set_bitmaps(Some(Arc::clone(sidecar)));
@@ -549,18 +547,19 @@ impl<'a> Subject<'a> {
     }
 
     /// What the bitmap counter of a complete run of `plan` over `sidecar`
-    /// must show: `Some(false)`, zero, when no position is routed to the AND
-    /// or no row exists; `Some(true)`, positive, when the first VF2
-    /// embedding, whose prefixes every complete run expands, meets a routed
-    /// position with a row for each constraint; `None` otherwise.
+    /// must show: `Some(false)`, zero, when the sidecar holds no row or no
+    /// step is constrained; `Some(true)`, positive, when the first VF2
+    /// embedding, whose prefixes every complete run expands, meets a
+    /// constrained step with a row for each constraint; `None` otherwise.
     fn bitmap_expectation(
         &self,
         plan: &QueryPlan,
         maps: Option<&AdjacencyBitmaps>,
     ) -> Option<bool> {
-        let routed = |s: &&PlanStep| s.kernel == KernelChoice::Bitmap && !s.constraints.is_empty();
+        let constrained = |s: &&PlanStep| !s.constraints.is_empty();
         let steps = &plan.order.plan.steps;
-        let rowed = |m: &&AdjacencyBitmaps| m.row_count() > 0 && steps.iter().any(|s| routed(&s));
+        let rowed =
+            |m: &&AdjacencyBitmaps| m.row_count() > 0 && steps.iter().any(|s| constrained(&s));
         let Some(maps) = maps.filter(rowed) else {
             return Some(false);
         };
@@ -572,7 +571,11 @@ impl<'a> Subject<'a> {
                 false => maps.in_row(image(c.parent_pos), c.label).is_some(),
             })
         };
-        steps.iter().filter(routed).any(has_rows).then_some(true)
+        steps
+            .iter()
+            .filter(constrained)
+            .any(has_rows)
+            .then_some(true)
     }
 }
 
@@ -586,18 +589,12 @@ fn check_bitmap(kernel: Kernel, expected: Option<bool>, usage: &KernelUsage) -> 
     Ok(())
 }
 
-fn sidecar(kernel: Kernel) -> BitmapConfig {
-    let (default, rows) = (BitmapConfig::default(), usize::MAX);
+/// The sidecar the prepared engines of `kernel` run over.
+fn sidecar(target: &Graph, kernel: Kernel) -> AdjacencyBitmaps {
     match kernel {
-        Kernel::Default => default,
-        Kernel::Capped => BitmapConfig {
-            max_bytes: 0,
-            ..default
-        },
-        _ => BitmapConfig {
-            degree_threshold: 1,
-            max_bytes: rows,
-        },
+        Kernel::RowsPresent => AdjacencyBitmaps::every_row(target),
+        Kernel::Capped => AdjacencyBitmaps::build(target, &BitmapConfig { max_bytes: 0 }),
+        _ => AdjacencyBitmaps::build(target, &BitmapConfig::default()),
     }
 }
 
