@@ -53,6 +53,7 @@ use sge::obs::TraceSink;
 use sge::prelude::*;
 use sge_datasets::{Collection, CollectionKind};
 use sge_graph::{generators, io::write_graph};
+use sge_ri::kernels::WIDTH_RATIO;
 use sge_util::RunningStats;
 use sge_wire::json::Json;
 use std::sync::Arc;
@@ -500,45 +501,46 @@ fn prefilter_verdict(target: &Graph) -> (u64, f64) {
 
 /// Figure `kernel_comparison`: the two-pointer merge (`scalar`), the CSR
 /// kernel `intersect_gallop` (`vectorized`, the record's name for it) and
-/// the bitmap AND over one identical workload per tier — every ordered pair
-/// of the tier's 64 nodes of largest out-degree, seeding the candidate
-/// buffer with `u`'s out-neighborhood and intersecting it against `w`'s —
-/// plus the candidate-prefilter verdict from one instrumented enumeration of
-/// the tier's target.  Every tier's rows come from
+/// the bitmap AND over one identical workload per tier — the tier's
+/// [`kernel_pairs`], seeding the candidate buffer with one node's
+/// out-neighborhood and intersecting it against the other's — plus the
+/// candidate-prefilter verdict from one instrumented enumeration of the
+/// tier's target.  Every tier's rows come from
 /// [`sge_graph::AdjacencyBitmaps::every_row`], so the AND is timed where the
 /// row rule declines rows too: `wide_ppi_hubs` pairs the hubs of the
-/// PPIS32-like benchmark target, whose 88-word rows no neighborhood earns.
+/// PPIS32-like benchmark target, whose 88-word rows no neighborhood earns,
+/// and `ppi_probe` pairs its sparsest nodes with hubs more than
+/// `WIDTH_RATIO`× wider, the gallop kernel's probe bucket that serving PPI
+/// queries take most.
 pub fn kernel_comparison(settings: &Settings) -> Table {
     use sge_ri::kernels::{and_rows, collect_row};
 
-    // The benchmark's PPI-like target (5,600 nodes); 700 in smoke runs.
-    let ppi_seed = 20170525;
-    let ppi_scale = if settings.smoke { 1.0 } else { 8.0 };
-    let ppi = sge_datasets::generate_target(
-        &sge_datasets::ppis32_like(ppi_scale, ppi_seed).targets[2],
-        ppi_seed.wrapping_add(2 * 7919),
-        "ppis32-t2",
-    );
-    let tiers: Vec<(&'static str, Graph)> = if settings.smoke {
+    let ppi = ppi_target(settings.smoke);
+    let tiers: Vec<(&'static str, Graph, Pairing)> = if settings.smoke {
         vec![
-            ("sparse_grid", generators::grid(6, 6)),
-            ("medium_clique", generators::clique(8, 0)),
-            ("dense_clique", generators::clique(16, 0)),
-            ("dense_fringe", dense_core_with_fringe(24, 8)),
-            ("wide_ppi_hubs", ppi),
+            ("sparse_grid", generators::grid(6, 6), Pairing::Hubs),
+            ("medium_clique", generators::clique(8, 0), Pairing::Hubs),
+            ("dense_clique", generators::clique(16, 0), Pairing::Hubs),
+            ("dense_fringe", dense_core_with_fringe(24, 8), Pairing::Hubs),
+            ("wide_ppi_hubs", ppi.clone(), Pairing::Hubs),
+            ("ppi_probe", ppi, Pairing::Probe),
         ]
     } else {
         vec![
-            ("sparse_grid", generators::grid(16, 16)),
-            ("medium_clique", generators::clique(16, 0)),
-            ("dense_clique", generators::clique(48, 0)),
-            ("dense_fringe", dense_core_with_fringe(32, 16)),
-            ("wide_ppi_hubs", ppi),
+            ("sparse_grid", generators::grid(16, 16), Pairing::Hubs),
+            ("medium_clique", generators::clique(16, 0), Pairing::Hubs),
+            ("dense_clique", generators::clique(48, 0), Pairing::Hubs),
+            (
+                "dense_fringe",
+                dense_core_with_fringe(32, 16),
+                Pairing::Hubs,
+            ),
+            ("wide_ppi_hubs", ppi.clone(), Pairing::Hubs),
+            ("ppi_probe", ppi, Pairing::Probe),
         ]
     };
     // Enough intersections per timed sample to clear timer resolution.
     let rounds = if settings.smoke { 4 } else { 16 };
-    const MAX_SAMPLED_NODES: usize = 64;
 
     let mut table = Table::new(
         "kernel comparison (median wall seconds per intersection sweep)",
@@ -553,63 +555,44 @@ pub fn kernel_comparison(settings: &Settings) -> Table {
             "prefilter_reject_rate",
         ],
     );
-    for (name, target) in tiers {
+    for (name, target, pairing) in tiers {
         let sidecar = sge_graph::AdjacencyBitmaps::every_row(&target);
-        let mut hubs: Vec<u32> = target.nodes().collect();
-        hubs.sort_by_key(|&v| std::cmp::Reverse(target.out_degree(v)));
-        hubs.truncate(MAX_SAMPLED_NODES);
-        let seed_out = |u: u32, out: &mut Vec<u32>| {
-            out.clear();
-            out.extend(
-                target
-                    .out_edges(u)
-                    .iter()
-                    .filter(|e| e.label == 0)
-                    .map(|e| e.node),
-            );
-        };
+        let pairs = kernel_pairs(&target, pairing);
         let mut buffer: Vec<u32> = Vec::new();
         let scalar_seconds = median_seconds(settings.repeats, || {
             for _ in 0..rounds {
-                for &u in &hubs {
-                    for &w in &hubs {
-                        seed_out(u, &mut buffer);
-                        sge_ri::intersect_reference(&mut buffer, target.out_edges(w), 0);
-                        std::hint::black_box(buffer.len());
-                    }
+                for &(u, w) in &pairs {
+                    seed_out(&target, u, &mut buffer);
+                    sge_ri::intersect_reference(&mut buffer, target.out_edges(w), 0);
+                    std::hint::black_box(buffer.len());
                 }
             }
         });
         let vectorized_seconds = median_seconds(settings.repeats, || {
             for _ in 0..rounds {
-                for &u in &hubs {
-                    for &w in &hubs {
-                        seed_out(u, &mut buffer);
-                        std::hint::black_box(sge_ri::intersect_gallop(
-                            &mut buffer,
-                            target.out_edges(w),
-                            0,
-                        ));
-                    }
+                for &(u, w) in &pairs {
+                    seed_out(&target, u, &mut buffer);
+                    std::hint::black_box(sge_ri::intersect_gallop(
+                        &mut buffer,
+                        target.out_edges(w),
+                        0,
+                    ));
                 }
             }
         });
         let mut scratch: Vec<u64> = vec![0; sidecar.words_per_row()];
         let bitmap_seconds = median_seconds(settings.repeats, || {
             for _ in 0..rounds {
-                for &u in &hubs {
-                    for &w in &hubs {
-                        let (Some(row_u), Some(row_w)) =
-                            (sidecar.out_row(u, 0), sidecar.out_row(w, 0))
-                        else {
-                            continue;
-                        };
-                        scratch.copy_from_slice(row_u);
-                        and_rows(&mut scratch, row_w);
-                        buffer.clear();
-                        collect_row(&scratch, &mut buffer);
-                        std::hint::black_box(buffer.len());
-                    }
+                for &(u, w) in &pairs {
+                    let (Some(row_u), Some(row_w)) = (sidecar.out_row(u, 0), sidecar.out_row(w, 0))
+                    else {
+                        continue;
+                    };
+                    scratch.copy_from_slice(row_u);
+                    and_rows(&mut scratch, row_w);
+                    buffer.clear();
+                    collect_row(&scratch, &mut buffer);
+                    std::hint::black_box(buffer.len());
                 }
             }
         });
@@ -626,6 +609,69 @@ pub fn kernel_comparison(settings: &Settings) -> Table {
         ]);
     }
     table
+}
+
+/// The benchmark's PPIS32-like target: 5,600 nodes, 700 in smoke runs.
+fn ppi_target(smoke: bool) -> Graph {
+    let seed = 20170525;
+    let scale = if smoke { 1.0 } else { 8.0 };
+    sge_datasets::generate_target(
+        &sge_datasets::ppis32_like(scale, seed).targets[2],
+        seed.wrapping_add(2 * 7919),
+        "ppis32-t2",
+    )
+}
+
+/// How a [`kernel_comparison`] tier pairs candidate buffers with the lists
+/// they meet.
+#[derive(Clone, Copy)]
+enum Pairing {
+    /// Every ordered pair of the target's 64 nodes of largest out-degree.
+    Hubs,
+    /// Each of the 64 lowest-degree nodes with a label-0 out-neighbor
+    /// against each of those hubs whose out-list is more than `WIDTH_RATIO`×
+    /// longer than that neighborhood.
+    Probe,
+}
+
+/// The `(u, w)` pairs a [`kernel_comparison`] tier times: the buffer holds
+/// `u`'s label-0 out-neighbors ([`seed_out`]) and meets `w`'s out-list.
+fn kernel_pairs(target: &Graph, pairing: Pairing) -> Vec<(u32, u32)> {
+    const MAX_SAMPLED_NODES: usize = 64;
+    let mut by_degree: Vec<u32> = target.nodes().collect();
+    by_degree.sort_by_key(|&v| std::cmp::Reverse(target.out_degree(v)));
+    let hubs = &by_degree[..by_degree.len().min(MAX_SAMPLED_NODES)];
+    let seed_len = |u: u32| target.out_edges(u).iter().filter(|e| e.label == 0).count();
+    match pairing {
+        Pairing::Hubs => hubs
+            .iter()
+            .flat_map(|&u| hubs.iter().map(move |&w| (u, w)))
+            .collect(),
+        Pairing::Probe => {
+            let sparse = by_degree.iter().rev().filter(|&&u| seed_len(u) > 0);
+            let wide = |u: u32, w: u32| target.out_degree(w) > WIDTH_RATIO * seed_len(u);
+            sparse
+                .take(MAX_SAMPLED_NODES)
+                .flat_map(|&u| {
+                    hubs.iter()
+                        .filter(move |&&w| wide(u, w))
+                        .map(move |&w| (u, w))
+                })
+                .collect()
+        }
+    }
+}
+
+/// Seeds `out` with `u`'s label-0 out-neighbors.
+fn seed_out(target: &Graph, u: u32, out: &mut Vec<u32>) {
+    out.clear();
+    out.extend(
+        target
+            .out_edges(u)
+            .iter()
+            .filter(|e| e.label == 0)
+            .map(|e| e.node),
+    );
 }
 
 /// Figure `modular_mix`: a directed 3-cycle, a directed 3-path and a
@@ -978,6 +1024,27 @@ mod tests {
     fn validator_accepts_minimal_complete_documents() {
         let names: Vec<&str> = FIGURES.iter().map(|(name, _)| *name).collect();
         validate_report(&document(&names)).expect("complete minimal document");
+    }
+
+    #[test]
+    fn the_probe_tier_takes_the_gallop_bucket_and_the_hub_tier_merges() {
+        use sge_ri::kernels::GallopRoute;
+        let target = ppi_target(true);
+        let route = |pairing| {
+            let pairs = kernel_pairs(&target, pairing);
+            let mut buffer = Vec::new();
+            let routes = pairs.iter().map(|&(u, w)| {
+                seed_out(&target, u, &mut buffer);
+                sge_ri::intersect_gallop(&mut buffer, target.out_edges(w), 0)
+            });
+            (pairs.len(), routes.collect::<Vec<_>>())
+        };
+        let (probes, routes) = route(Pairing::Probe);
+        assert!(probes >= 64, "{probes} probe pairs");
+        assert!(routes.iter().all(|&r| r == GallopRoute::Gallop));
+        let (hubs, routes) = route(Pairing::Hubs);
+        assert_eq!(hubs, 64 * 64);
+        assert!(routes.iter().all(|&r| r == GallopRoute::Merge));
     }
 
     #[test]

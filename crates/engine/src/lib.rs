@@ -684,6 +684,13 @@ impl PreparedEngine {
         self.parts.bitmaps()
     }
 
+    /// The first position of the plan's independent suffix, which runs
+    /// that observe no match count instead of enumerating
+    /// ([`SearchContext::counted_from`]): what both `EXPLAIN` verbs report.
+    pub fn counted_from(&self) -> usize {
+        self.parts.counted_from()
+    }
+
     /// The kernel that generates candidates at each position, resolved for
     /// EXPLAIN from the sidecar alone: `"scan"` for positions without
     /// back-edge constraints (domain / full-target scans), `"bitmap"` for
@@ -860,9 +867,9 @@ mod tests {
     #[test]
     fn stealing_counts_the_last_level_only_when_nothing_observes_matches() {
         // 3,360 directed triangles in K16 below 16 + 240 inner nodes: the
-        // leaf-count rule turns every match into a counted state, so a
-        // count-only run executes fewer tasks than it finds matches, while
-        // an observed run executes one task per match on top.
+        // suffix-count rule counts the last position, so a count-only run
+        // executes fewer tasks than it finds matches, while an observed run
+        // executes one task per match on top.
         let pattern = generators::directed_cycle(3, 0);
         let target = generators::clique(16, 0);
         let engine = Engine::prepare(&pattern, &target, Algorithm::RiDsSiFc);
@@ -914,6 +921,33 @@ mod tests {
             let want = (counted.matches, counted.states, counted.kernels.lists);
             assert_eq!(figures, want, "{scheduler}");
             assert!(tasks(&outcome) < outcome.matches, "{scheduler}");
+        }
+    }
+
+    #[test]
+    fn a_star_is_counted_below_its_centre() {
+        // Every leaf hangs off the centre, so the suffix-count rule counts
+        // all four leaf positions below each centre image: only the 8
+        // roots are tasks, and the figures are an observed run's.
+        let pattern = generators::star(4, 0, 0);
+        let target = generators::clique(8, 0);
+        let engine = Engine::prepare(&pattern, &target, Algorithm::RiDsSiFc);
+        assert_eq!(engine.context().counted_from(), 1);
+        for scheduler in [
+            Scheduler::Sequential,
+            Scheduler::work_stealing(1),
+            Scheduler::work_stealing(2),
+        ] {
+            let config = RunConfig::new(scheduler);
+            let counted = engine.run(&config);
+            let observed = engine.run_with(&config, &Calls(|_: usize, _: &[NodeId]| {}));
+            assert_eq!(counted.matches, 8 * 7 * 6 * 5 * 4, "{scheduler}");
+            let figures = |o: &EnumerationOutcome| (o.matches, o.states, o.kernels.lists);
+            assert_eq!(figures(&counted), figures(&observed), "{scheduler}");
+            if scheduler.workers() == 1 {
+                assert_eq!(counted.kernels, observed.kernels, "{scheduler}");
+            }
+            assert_eq!(tasks(&counted), 8, "{scheduler}");
         }
     }
 

@@ -2,8 +2,8 @@
 
 use crate::runner::Observers;
 use sge_graph::NodeId;
-use sge_ri::{SearchContext, WorkerState};
-use sge_stealing::{BacktrackProblem, LevelCount};
+use sge_ri::{SearchContext, SuffixCount, WorkerState};
+use sge_stealing::{BacktrackProblem, RestCount};
 
 /// The RI / RI-DS state-space search wrapped for the work-stealing engine.
 ///
@@ -61,15 +61,28 @@ impl BacktrackProblem for SubgraphProblem<'_> {
         self.observers.on_match(self.ctx, worker_id, state);
     }
 
-    /// Counts the leaves once nothing observes individual matches: asked at
-    /// each expansion into the last position, so a collecting run counts
+    fn counted_from(&self) -> usize {
+        self.ctx.counted_from()
+    }
+
+    /// Counts the independent suffix once nothing observes individual
+    /// matches: asked at each expansion into it, so a collecting run counts
     /// from the moment its collector is full.
-    fn count_last_level(&self, state: &mut WorkerState) -> Option<LevelCount> {
+    fn count_rest(
+        &self,
+        level: usize,
+        state: &mut WorkerState,
+        room: RestCount,
+    ) -> Option<RestCount> {
         if !self.observers.count_only() {
             return None;
         }
-        let count = self.ctx.count_leaves(state)?;
-        Some(LevelCount {
+        let room = SuffixCount {
+            states: room.states,
+            matches: room.solutions,
+        };
+        let count = self.ctx.count_rest(level, state, room)?;
+        Some(RestCount {
             states: count.states,
             solutions: count.matches,
         })

@@ -64,7 +64,7 @@ pub struct KernelUsage {
     /// Candidates rejected by the prefilter before any kernel ran.
     pub prefilter_rejected: u64,
     /// Candidate lists handed to the search: one per expansion of a
-    /// consistent prefix, the root list and counted leaf levels included.
+    /// consistent prefix, the root list and counted levels included.
     /// Schedule-invariant on complete runs.
     pub lists: u64,
     /// Lists among `lists` that came from the requesting worker's memo.

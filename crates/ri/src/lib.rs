@@ -30,6 +30,9 @@
 //! exposes candidate generation and consistency checking, and `sge-engine`
 //! plugs them into the one depth-first loop of `sge-stealing`, which runs
 //! every scheduler, sequential and parallel, over the same search space.
+//! Where nothing observes individual matches, [`suffix`] counts the order's
+//! independent suffix below a mapped prefix instead of walking it, with the
+//! states, matches and kernel counters the walk would give.
 //!
 //! # Quick example
 //!
@@ -54,6 +57,7 @@
 pub mod estimate;
 pub mod kernels;
 pub mod search;
+pub mod suffix;
 pub mod visitor;
 
 // Planning moved to `sge-plan`; the modules and types stay reachable under
@@ -65,9 +69,10 @@ pub use kernels::{
     assert_kernel_parity, check_kernel_parity, intersect_gallop, intersect_reference, KernelCells,
     KernelDivergence, KernelUsage,
 };
-pub use search::{LeafCount, PreparedParts, SearchContext, WorkerState};
+pub use search::{PreparedParts, SearchContext, WorkerState};
 pub use sge_plan::{
     greatest_constraint_first, Algorithm, CandidatePlan, Domains, EdgeConstraint, MatchOrder,
     PlanStep, Planner, QueryPlan, Strategy,
 };
+pub use suffix::SuffixCount;
 pub use visitor::{ChannelVisitor, CollectingVisitor, MatchVisitor, NoopVisitor};

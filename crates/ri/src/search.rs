@@ -29,6 +29,7 @@
 //! memo.
 
 use crate::kernels::{self, GallopRoute, KernelCells, KernelUsage};
+use crate::suffix;
 use sge_graph::{AdjacencyBitmaps, BitmapConfig, EdgeRef, Graph, GraphStats, NodeId};
 use sge_obs::TraceSink;
 use sge_plan::ordering::{MatchOrder, PlanStep, PrefilterSpec};
@@ -42,16 +43,6 @@ thread_local! {
     /// contend, and reused across candidate fills so the hot path does not
     /// allocate.
     static BITMAP_SCRATCH: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
-}
-
-/// What the last position contributes below one mapped prefix, counted by
-/// [`SearchContext::count_leaves`] instead of enumerated.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct LeafCount {
-    /// States the enumerating path would have visited at the last position.
-    pub states: u64,
-    /// Matches among them (states minus injectivity rejections).
-    pub matches: u64,
 }
 
 /// Read-only description of one enumeration instance: pattern, target and
@@ -78,6 +69,9 @@ pub struct SearchContext<'a> {
     /// each worker's totals in once, when the worker stops
     /// ([`Self::flush_kernels`]).
     kernels: Arc<KernelCells>,
+    /// The first position of the order's independent suffix
+    /// ([`Self::counted_from`]).
+    counted_from: usize,
 }
 
 impl<'a> SearchContext<'a> {
@@ -133,6 +127,7 @@ impl<'a> SearchContext<'a> {
         SearchContext {
             pattern,
             target,
+            counted_from: suffix::counted_from(&plan.order),
             plan,
             sink: None,
             bitmaps: None,
@@ -233,6 +228,16 @@ impl<'a> SearchContext<'a> {
         self.plan.order.len()
     }
 
+    /// The first position of the order's independent suffix: every position
+    /// from it on is constrained, carries no self-loop and reads all its
+    /// constraint parents before it, so below a mapped prefix only
+    /// injectivity couples their choices and [`Self::count_rest`] counts
+    /// them.  At most 64 positions long; [`Self::num_positions`] when the
+    /// last position does not qualify.
+    pub fn counted_from(&self) -> usize {
+        self.counted_from
+    }
+
     /// `true` when preprocessing proved there are no matches; the search can be
     /// skipped entirely.
     pub fn impossible(&self) -> bool {
@@ -319,11 +324,22 @@ impl<'a> SearchContext<'a> {
         list.filter(move |&vt| self.consistent_candidate(depth, vt, state))
     }
 
+    /// Answers one request for `depth`'s list from `state`'s memo,
+    /// counting it in the state's kernel counters.
+    #[inline]
+    pub(crate) fn refresh(&self, depth: usize, state: &mut WorkerState) {
+        let held = self.update_memo(depth, state);
+        let usage = state.kernels.get_mut();
+        usage.lists += 1;
+        usage.reused += u64::from(held);
+    }
+
     /// Brings `state`'s memo entry for `depth` up to date: keeps it when
     /// every constraint parent's image equals the key it was built from,
-    /// rebuilds it otherwise.
+    /// rebuilds it otherwise, counting the kernel work in the state's
+    /// counters.  Returns `true` when the entry was kept.
     #[inline]
-    fn refresh(&self, depth: usize, state: &mut WorkerState) {
+    pub(crate) fn update_memo(&self, depth: usize, state: &mut WorkerState) -> bool {
         let step = &self.plan.order.plan.steps[depth];
         let WorkerState {
             mapping,
@@ -335,17 +351,15 @@ impl<'a> SearchContext<'a> {
         let entry = &mut memo[depth];
         let key = &mut keys[entry.key_at..entry.key_at + step.constraints.len()];
         let images = step.constraints.iter().map(|c| mapping[c.parent_pos]);
-        let usage = kernels.get_mut();
-        usage.lists += 1;
         if entry.built && images.clone().eq(key.iter().copied()) {
-            usage.reused += 1;
-            return;
+            return true;
         }
         for (slot, image) in key.iter_mut().zip(images) {
             *slot = image;
         }
         entry.built = true;
-        self.fill_candidates(depth, mapping, &mut entry.list, usage);
+        self.fill_candidates(depth, mapping, &mut entry.list, kernels.get_mut());
+        false
     }
 
     fn fill_candidates(
@@ -577,53 +591,6 @@ impl<'a> SearchContext<'a> {
         true
     }
 
-    /// The one leaf-count rule: the states and matches the last position
-    /// contributes below the mapped prefix in `state`, counted without
-    /// visiting them.  Every scheduler calls it when it would expand into
-    /// the last position, and only when nothing observes individual matches
-    /// and nothing can interrupt the position part-way (no match budget,
-    /// deadline or cancel token).
-    ///
-    /// At the last depth every pattern edge of the position's node points
-    /// back into the mapped prefix, so a constrained candidate provably
-    /// passes every remaining per-candidate check except injectivity:
-    ///
-    /// * domain membership (or the node label) was applied when candidates
-    ///   were generated, and the prefilter's degree / signature minimums are
-    ///   implied by the satisfied back-edges (one distinct neighbor per
-    ///   pattern edge);
-    /// * `check_degrees` holds for the same reason.
-    ///
-    /// So `states` is the candidate count and `matches` subtracts the
-    /// candidates already used by the prefix (each would have been visited
-    /// and rejected by the injectivity check): byte-identical to
-    /// enumerating.  The count reads the memo list that
-    /// [`Self::candidates`] would return, in O(candidates), so counting and
-    /// enumerating build exactly the same lists and advance the kernel
-    /// counters alike.
-    ///
-    /// `None` — with nothing computed — when a guarantee is missing: an
-    /// attached trace sink (which must observe every candidate fill and
-    /// consistency check), an unconstrained last position (its candidates
-    /// still need the label / domain test of [`Self::is_consistent`]) or a
-    /// self-loop.
-    #[inline]
-    pub fn count_leaves(&self, state: &mut WorkerState) -> Option<LeafCount> {
-        let depth = self.num_positions().checked_sub(1)?;
-        let step = &self.plan.order.plan.steps[depth];
-        if self.sink.is_some() || step.constraints.is_empty() || step.self_loop.is_some() {
-            return None;
-        }
-        self.refresh(depth, state);
-        let list = &state.memo[depth].list;
-        let states = list.len() as u64;
-        let used = list.iter().filter(|&&v| state.used[v as usize]).count() as u64;
-        Some(LeafCount {
-            states,
-            matches: states - used,
-        })
-    }
-
     /// Full consistency check for mapping the pattern node at `depth` onto
     /// `vt`, given the already-assigned prefix in `state`.
     ///
@@ -737,6 +704,7 @@ fn prefilter_pass(
 pub struct PreparedParts {
     plan: QueryPlan,
     bitmaps: Option<Arc<AdjacencyBitmaps>>,
+    counted_from: usize,
 }
 
 impl PreparedParts {
@@ -747,6 +715,7 @@ impl PreparedParts {
         PreparedParts {
             plan: ctx.plan.clone(),
             bitmaps: ctx.bitmaps.clone(),
+            counted_from: ctx.counted_from,
         }
     }
 
@@ -781,6 +750,12 @@ impl PreparedParts {
         &self.plan
     }
 
+    /// The first position of the plan's independent suffix
+    /// ([`SearchContext::counted_from`]).
+    pub fn counted_from(&self) -> usize {
+        self.counted_from
+    }
+
     /// `true` when preprocessing already proved there are no matches.
     pub fn impossible(&self) -> bool {
         self.plan.impossible
@@ -792,12 +767,13 @@ impl PreparedParts {
 /// of the candidate requests it drove since its last
 /// [`SearchContext::flush_kernels`], and its candidate memo.
 #[derive(Clone, Debug)]
+#[cfg_attr(test, derive(PartialEq))]
 pub struct WorkerState {
     mapping: Vec<NodeId>,
-    used: Vec<bool>,
-    kernels: Cell<KernelUsage>,
+    pub(crate) used: Vec<bool>,
+    pub(crate) kernels: Cell<KernelUsage>,
     /// One entry per position: the last candidate list built for it.
-    memo: Vec<MemoEntry>,
+    pub(crate) memo: Vec<MemoEntry>,
     /// Every entry's key back to back: the images of its step's constraint
     /// parents, one per constraint, that its list was built from.
     keys: Vec<NodeId>,
@@ -805,12 +781,13 @@ pub struct WorkerState {
 
 /// One position's memoized candidate list.
 #[derive(Clone, Debug)]
-struct MemoEntry {
-    list: Vec<NodeId>,
+#[cfg_attr(test, derive(PartialEq))]
+pub(crate) struct MemoEntry {
+    pub(crate) list: Vec<NodeId>,
     /// Where this position's key starts in [`WorkerState::keys`].
     key_at: usize,
     /// Whether `list` was ever built; until then the key means nothing.
-    built: bool,
+    pub(crate) built: bool,
 }
 
 impl WorkerState {

@@ -1,7 +1,7 @@
 //! End-to-end service tests over the in-process API (the acceptance path:
 //! registry load → repeated query → cache hit → identical mappings).
 
-use sge_engine::{RunConfig, Scheduler};
+use sge_engine::{EnumerationOutcome, RunConfig, Scheduler};
 use sge_graph::{generators, io::write_graph};
 use sge_ri::Algorithm;
 use sge_service::{QuerySet, QuerySpec, Service, ServiceConfig};
@@ -421,6 +421,28 @@ fn explain_analyze_reports_observed_counts_and_spans() {
         .unwrap();
     assert_eq!(parallel.observed_candidates, analyzed.observed_candidates);
     assert_eq!(parallel.observed_states, analyzed.observed_states);
+}
+
+#[test]
+fn a_counted_query_reports_the_states_analyze_observes() {
+    // A centre with three out-leaves in K5: every leaf reads only the
+    // centre, so a count-only QUERY counts positions 1.. below each centre
+    // image, while EXPLAIN ANALYZE, which traces, enumerates them.
+    let service = Service::new(ServiceConfig::default());
+    service.registry().insert("k5", generators::clique(5, 0));
+    let pattern = write_graph(&generators::star(3, 0, 0));
+    let query = service.run_query("k5", &QuerySpec::new(&pattern)).unwrap();
+    let analyzed = service
+        .explain_analyze("k5", &QuerySpec::new(&pattern))
+        .unwrap();
+    assert_eq!(analyzed.engine.counted_from(), 1);
+    assert_eq!(analyzed.observed_states, [5, 20, 80, 240]);
+    assert_eq!(query.outcome.matches, 120);
+    assert_eq!(analyzed.query.outcome.matches, 120);
+    assert_eq!(query.outcome.states, 345);
+    assert_eq!(analyzed.query.outcome.states, 345);
+    let lists = |o: &EnumerationOutcome| (o.kernels.lists, o.kernels.reused);
+    assert_eq!(lists(&query.outcome), lists(&analyzed.query.outcome));
 }
 
 #[test]

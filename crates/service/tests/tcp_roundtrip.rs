@@ -315,6 +315,8 @@ fn explain_round_trips_with_order_costs_and_strategy() {
             "{response}"
         );
         assert!(response.contains("\"est_total_states\":85.0"), "{response}");
+        // The last position reads both earlier ones: it alone is counted.
+        assert!(response.contains("\"counted_from\":2"), "{response}");
     }
     // The routing object keeps the decision and its threshold; the
     // estimate it compared is the top-level `est_total_states`.

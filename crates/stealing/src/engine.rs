@@ -10,7 +10,7 @@
 //!     while the frames are not empty:
 //!         process_task_requests(worker)
 //!         take the deepest frame's next choice; check and apply it; then
-//!         record a solution, count the last level or open the next frame
+//!         record a solution, count the levels below or open the next frame
 //!     acquire_task(worker), or stop once termination is detected
 //! ```
 //!
@@ -46,7 +46,7 @@
 //! and no request slot to poll.  A one-worker run executes on the calling
 //! thread, over the problem's own root list.
 
-use crate::problem::BacktrackProblem;
+use crate::problem::{BacktrackProblem, RestCount};
 use crate::stats::{RunResult, WorkerStats};
 use crate::task::{Frames, Next, TaskGroup, Transfer};
 use crate::termination::Termination;
@@ -298,9 +298,12 @@ struct Worker<'a, P: BacktrackProblem> {
     advertised: bool,
     /// Whether a limit (solution budget, time limit or cancel token) may
     /// stop the run part-way.  A limited worker polls the limits once per
-    /// state and enumerates the last level; an unlimited one counts it
-    /// through [`BacktrackProblem::count_last_level`].
+    /// state and enumerates every level; an unlimited one offers each
+    /// expansion from `counted_from` on to
+    /// [`BacktrackProblem::count_rest`].
     limited: bool,
+    /// [`BacktrackProblem::counted_from`].
+    counted_from: usize,
     ticks: u64,
 }
 
@@ -331,6 +334,7 @@ impl<'a, P: BacktrackProblem> Worker<'a, P> {
             limited: config.max_solutions.is_some()
                 || config.time_limit.is_some()
                 || config.cancel.is_some(),
+            counted_from: problem.counted_from(),
             ticks: 0,
         }
     }
@@ -383,7 +387,7 @@ impl<'a, P: BacktrackProblem> Worker<'a, P> {
 
     /// One step of the depth-first search at the deepest frame, `depth`:
     /// take its next choice, check it, apply it and record a solution,
-    /// count the last level or open the frame below.  A frame with no
+    /// count the levels below or open the frame below.  A frame with no
     /// choice left closes.
     fn step(&mut self, depth: usize) {
         let Some(next) = self.frames.take() else {
@@ -406,7 +410,7 @@ impl<'a, P: BacktrackProblem> Worker<'a, P> {
                 self.stats.solutions += 1;
                 self.problem.on_solution(self.id, &self.state);
             }
-        } else if !self.counted_last_level(level) {
+        } else if !self.counted_rest(level) {
             let len = self.problem.candidates(level, &mut self.state);
             if len > 0 {
                 self.frames.expand(level, len);
@@ -429,14 +433,19 @@ impl<'a, P: BacktrackProblem> Worker<'a, P> {
         }
     }
 
-    /// Counts the last level below the applied prefix instead of opening a
-    /// frame for it: only when `level` is the last one, nothing can stop
-    /// the run part-way and the problem can count it.
-    fn counted_last_level(&mut self, level: usize) -> bool {
-        if self.limited || level + 1 != self.total_depth {
+    /// Counts the levels from `level` down below the applied prefix
+    /// instead of opening a frame for `level`: only when `level` is at or
+    /// past `counted_from`, nothing can stop the run part-way and the
+    /// problem can count them.
+    fn counted_rest(&mut self, level: usize) -> bool {
+        if self.limited || level < self.counted_from {
             return false;
         }
-        let Some(count) = self.problem.count_last_level(&mut self.state) else {
+        let room = RestCount {
+            states: u64::MAX - self.stats.states,
+            solutions: u64::MAX - self.stats.solutions,
+        };
+        let Some(count) = self.problem.count_rest(level, &mut self.state, room) else {
             return false;
         };
         self.stats.states += count.states;
@@ -779,7 +788,6 @@ fn run_shared<P: BacktrackProblem>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::problem::LevelCount;
 
     /// N-Queens as a [`BacktrackProblem`]: level = row, choice = column.
     struct NQueens {
@@ -868,14 +876,19 @@ mod tests {
         fn undo(&self, level: usize, state: &mut QueensState) {
             self.inner.undo(level, state);
         }
-        fn count_last_level(&self, state: &mut QueensState) -> Option<LevelCount> {
+        fn count_rest(
+            &self,
+            level: usize,
+            state: &mut QueensState,
+            _room: RestCount,
+        ) -> Option<RestCount> {
             self.asked.fetch_add(1, Ordering::Relaxed);
-            let level = self.inner.n - 1;
+            assert_eq!(level, self.inner.n - 1, "asked from the default level");
             let columns = 0..self.inner.n as u32;
             let solutions = columns
                 .filter(|&c| self.inner.is_consistent(level, c, state))
                 .count() as u64;
-            Some(LevelCount {
+            Some(RestCount {
                 states: self.inner.n as u64,
                 solutions,
             })
@@ -1069,6 +1082,90 @@ mod tests {
         fn undo(&self, _level: usize, state: &mut InjectiveState) {
             let choice = state.chosen.pop().expect("undo without apply");
             state.used[choice as usize] = false;
+        }
+    }
+
+    /// [`Injective`] counting every level from 1 on: below `level`
+    /// applied values, level `level + i` is reached along the falling
+    /// factorial of the free values, and checks all `n` of them each time.
+    struct CountingInjective {
+        inner: Injective,
+        asked: std::sync::atomic::AtomicU64,
+    }
+
+    impl BacktrackProblem for CountingInjective {
+        type State = InjectiveState;
+        type Choice = u32;
+        fn depth(&self) -> usize {
+            self.inner.depth()
+        }
+        fn new_state(&self) -> InjectiveState {
+            self.inner.new_state()
+        }
+        fn candidates(&self, level: usize, state: &mut InjectiveState) -> usize {
+            self.inner.candidates(level, state)
+        }
+        fn candidate(&self, level: usize, index: usize, state: &InjectiveState) -> u32 {
+            self.inner.candidate(level, index, state)
+        }
+        fn is_consistent(&self, level: usize, choice: u32, state: &InjectiveState) -> bool {
+            self.inner.is_consistent(level, choice, state)
+        }
+        fn apply(&self, level: usize, choice: u32, state: &mut InjectiveState) {
+            self.inner.apply(level, choice, state);
+        }
+        fn undo(&self, level: usize, state: &mut InjectiveState) {
+            self.inner.undo(level, state);
+        }
+        fn counted_from(&self) -> usize {
+            1
+        }
+        fn count_rest(
+            &self,
+            level: usize,
+            state: &mut InjectiveState,
+            room: RestCount,
+        ) -> Option<RestCount> {
+            self.asked.fetch_add(1, Ordering::Relaxed);
+            assert_eq!(state.chosen.len(), level);
+            let (n, free) = (self.inner.n as u64, (self.inner.n - level) as u64);
+            let (mut reached, mut states) = (1u64, 0u64);
+            for i in 0..(self.inner.k - level) as u64 {
+                states += reached * n;
+                reached *= free.saturating_sub(i);
+            }
+            let count = RestCount {
+                states,
+                solutions: reached,
+            };
+            (count.states <= room.states && count.solutions <= room.solutions).then_some(count)
+        }
+    }
+
+    #[test]
+    fn counting_from_level_one_matches_enumeration() {
+        for (n, k) in [(5usize, 3usize), (6, 4), (3, 5), (7, 2), (4, 1)] {
+            let reference = run(&Injective { n, k }, &EngineConfig::with_workers(1));
+            let falling: u64 = (0..k as u64)
+                .map(|i| (n as u64).saturating_sub(i))
+                .product();
+            assert_eq!(reference.solutions, falling, "n={n} k={k}");
+            for workers in [1usize, 2, 4] {
+                let problem = CountingInjective {
+                    inner: Injective { n, k },
+                    asked: std::sync::atomic::AtomicU64::new(0),
+                };
+                let result = run(&problem, &EngineConfig::with_workers(workers));
+                let case = format!("n={n} k={k} workers={workers}");
+                assert_eq!(result.solutions, reference.solutions, "{case}");
+                assert_eq!(result.states, reference.states, "{case}");
+                // Every root expands into level 1 and is counted there, so
+                // no frame below the roots opens.
+                let asked = problem.asked.load(Ordering::Relaxed);
+                assert_eq!(asked, if k > 1 { n as u64 } else { 0 }, "{case}");
+                let tasks: u64 = result.workers.iter().map(|w| w.tasks_executed).sum();
+                assert_eq!(tasks, n as u64, "{case}: only the roots are tasks");
+            }
         }
     }
 

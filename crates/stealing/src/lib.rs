@@ -24,8 +24,9 @@
 //!   group of the shallowest frame, or the rest of a partly run one,
 //! * a stolen group is **consistency-checked before it is handed over**,
 //!   against its frame's own prefix, so thieves never steal dead ends,
-//! * a problem may **count its last level** instead of enumerating it
-//!   ([`BacktrackProblem::count_last_level`]) when nothing observes
+//! * a problem may **count the levels below an expansion** instead of
+//!   enumerating them ([`BacktrackProblem::count_rest`], from
+//!   [`BacktrackProblem::counted_from`] on) when nothing observes
 //!   individual solutions,
 //! * termination is detected with the **Dijkstra ring token** algorithm
 //!   (white/black token passed by idle workers).
@@ -48,6 +49,6 @@ pub mod task;
 pub mod termination;
 
 pub use engine::{run, EngineConfig};
-pub use problem::{BacktrackProblem, LevelCount};
+pub use problem::{BacktrackProblem, RestCount};
 pub use stats::{RunResult, WorkerStats};
 pub use task::{TaskGroup, Transfer};

@@ -1,10 +1,11 @@
 //! The abstraction the engine parallelizes.
 
-/// What the last level contributes below one applied prefix, counted by
-/// [`BacktrackProblem::count_last_level`] instead of enumerated.
+/// What the levels from one expansion down contribute below its applied
+/// prefix, counted by [`BacktrackProblem::count_rest`] instead of
+/// enumerated.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct LevelCount {
-    /// Consistency checks enumerating the level would have performed.
+pub struct RestCount {
+    /// Consistency checks enumerating the levels would have performed.
     pub states: u64,
     /// Solutions among them.
     pub solutions: u64,
@@ -70,18 +71,32 @@ pub trait BacktrackProblem: Sync {
     /// vector); the engine itself only counts.
     fn on_solution(&self, _worker_id: usize, _state: &Self::State) {}
 
-    /// Counts the states and solutions of the last level (`depth() - 1`)
-    /// below the applied prefix, without enumerating them.  `None` (the
+    /// The first level [`Self::count_rest`] may count: the last level
+    /// (`depth() - 1`) by default.
+    fn counted_from(&self) -> usize {
+        self.depth().saturating_sub(1)
+    }
+
+    /// Counts the states and solutions of levels `level..depth()` below the
+    /// applied prefix `0..level`, without enumerating them.  `None` (the
     /// default) means "enumerate": the engine then opens a frame over the
-    /// level's candidates as usual.
+    /// level's candidates as usual, and asks again one level down.
     ///
-    /// The engine asks each time it reaches the last level, and only when
-    /// nothing can interrupt the level part-way (no solution budget, time
-    /// limit or cancel token).  Counted solutions never reach
-    /// [`Self::on_solution`], so a problem answers only while nothing
-    /// observes individual solutions.  The counts must equal what
-    /// enumerating would have produced.
-    fn count_last_level(&self, _state: &mut Self::State) -> Option<LevelCount> {
+    /// The engine asks at each expansion into a level at or past
+    /// [`Self::counted_from`] (the root list is not an expansion), and only
+    /// when nothing can interrupt the levels part-way (no solution budget,
+    /// time limit or cancel token).  Counted levels open no frame and are
+    /// not tasks, and counted solutions never reach [`Self::on_solution`],
+    /// so a problem answers only while nothing observes individual
+    /// solutions.  The counts must equal what enumerating would have
+    /// produced, and must fit `room`, what the worker's totals can still
+    /// take: a problem declines a count above it.
+    fn count_rest(
+        &self,
+        _level: usize,
+        _state: &mut Self::State,
+        _room: RestCount,
+    ) -> Option<RestCount> {
         None
     }
 

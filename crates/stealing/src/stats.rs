@@ -16,8 +16,8 @@ pub struct WorkerStats {
     /// Complete solutions found by this worker.
     pub solutions: u64,
     /// Tasks executed: consistent choices this worker applied, the nodes of
-    /// the search tree it entered.  Last-level solutions counted through
-    /// `BacktrackProblem::count_last_level` are not tasks.
+    /// the search tree it entered.  Levels counted through
+    /// `BacktrackProblem::count_rest` are not tasks.
     pub tasks_executed: u64,
     /// Successful steals performed by this worker (task groups received).
     pub steals: u64,

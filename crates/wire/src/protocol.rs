@@ -35,8 +35,10 @@
 //!   below); `chunk` — rows per streamed frame (default 64, clamped to at
 //!   most 65536).  Not valid on `BATCH` continuation lines.
 //! * `EXPLAIN` plans (through the prepared cache) without running and
-//!   reports the match order, chosen strategy and the per-position
-//!   estimates of a seeded random-path probe of the prepared search.
+//!   reports the match order, chosen strategy, the per-position
+//!   estimates of a seeded random-path probe of the prepared search and
+//!   `counted_from`, the first position a count-only run counts instead of
+//!   enumerating.
 //! * `EXPLAIN ANALYZE` plans **and executes** (accepting the full QUERY
 //!   knob set): the response carries the probe's per-position
 //!   `est_candidates`/`est_states` side-by-side with the
@@ -590,6 +592,10 @@ pub fn explain_response(explain: &ExplainOutcome) -> Json {
             ),
         ),
         ("kernels", kernels),
+        (
+            "counted_from",
+            Json::U64(explain.engine.counted_from() as u64),
+        ),
         ("impossible", Json::Bool(explain.engine.impossible())),
         ("cache_hit", Json::Bool(explain.cache_hit)),
         ("pattern_hash", hash_json(explain.pattern_hash)),
@@ -650,6 +656,10 @@ pub fn explain_analyze_response(analyze: &ExplainAnalyzeOutcome) -> Json {
             ),
         ),
         ("kernels", kernels),
+        (
+            "counted_from",
+            Json::U64(analyze.engine.counted_from() as u64),
+        ),
         (
             "kernel_usage",
             Json::obj(vec![

@@ -61,7 +61,7 @@ axis! {
     /// Where the matches go.
     Delivery {
         /// `Engine::run` with no observer: without a limit, every scheduler
-        /// counts the last depth by the leaf-count rule.
+        /// counts the independent suffix by the suffix-count rule.
         Count,
         /// `Engine::run` collecting mappings, to capacity or short of it.
         Collect,

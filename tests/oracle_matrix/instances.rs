@@ -49,18 +49,24 @@ pub enum Family {
     Degenerate,
     /// Small `ppis32_like`, `graemlin32_like` and `pdbsv1_like` instances.
     Collection,
+    /// A small core walked out of a sparse or denser target with pendant
+    /// leaves hung off it: the independent suffixes the suffix-count rule
+    /// counts, with twin leaves, leaves of different hubs sharing
+    /// candidates and leaves held by two hubs.
+    Pendant,
     /// [`named`] instances.
     Named,
 }
 
 impl Family {
     /// Every family; all but the last generate from a seed.
-    pub const ALL: [Family; 6] = [
+    pub const ALL: [Family; 7] = [
         Family::Sparse,
         Family::Dense,
         Family::RandomPattern,
         Family::Degenerate,
         Family::Collection,
+        Family::Pendant,
         Family::Named,
     ];
 
@@ -130,6 +136,17 @@ impl Family {
                 let target = collection.target_of(pick).clone();
                 return Instance::new(name, seed, pick.pattern.clone(), target);
             }
+            Family::Pendant => {
+                let target = match seed % 2 {
+                    0 => sparse_target(&mut rng),
+                    _ => {
+                        let (n, p) = (10 + rng.next_below(7), 0.3 + 0.2 * rng.next_f64());
+                        let labels = 1 + rng.next_below(2);
+                        random_graph(&mut rng, n, p, labels, 2, 0.1)
+                    }
+                };
+                (pendant_pattern(&mut rng, &target), target)
+            }
             Family::Named => unreachable!("named instances are pinned, not generated"),
         };
         Instance::new(name, seed, pattern, target)
@@ -170,6 +187,23 @@ fn random_graph(
 /// A connected pattern of up to `k` nodes walked out of `target`, keeping
 /// every edge (self-loops included) among the chosen nodes.
 fn extract_pattern(rng: &mut SplitMix64, target: &Graph, k: usize) -> Graph {
+    let chosen = walk_nodes(rng, target, k);
+    let mut b = GraphBuilder::new();
+    for &v in &chosen {
+        b.add_node(target.label(v));
+    }
+    for (i, &u) in chosen.iter().enumerate() {
+        for (j, &v) in chosen.iter().enumerate() {
+            if let Some(l) = target.edge_label(u, v) {
+                b.add_edge(i as NodeId, j as NodeId, l);
+            }
+        }
+    }
+    b.build()
+}
+
+/// Up to `k` connected nodes of `target`, walked out from a random one.
+fn walk_nodes(rng: &mut SplitMix64, target: &Graph, k: usize) -> Vec<NodeId> {
     let mut chosen = vec![rng.next_below(target.num_nodes()) as NodeId];
     for _ in 0..k * 8 {
         if chosen.len() >= k {
@@ -184,15 +218,51 @@ fn extract_pattern(rng: &mut SplitMix64, target: &Graph, k: usize) -> Graph {
             }
         }
     }
+    chosen
+}
+
+/// A connected core of 1-3 nodes walked out of `target`, with up to six
+/// pendant leaves: target neighbors of core nodes that keep their edges to
+/// one core node, or now and then to two, and none to each other or to
+/// themselves.  Every pattern edge is a target edge, so the pattern embeds.
+fn pendant_pattern(rng: &mut SplitMix64, target: &Graph) -> Graph {
+    let k = 1 + rng.next_below(3);
+    let mut chosen = walk_nodes(rng, target, k);
+    let hubs = chosen.len();
+    let (leaves, mut held) = (1 + rng.next_below(6), Vec::new());
+    for _ in 0..leaves * 8 {
+        if held.len() == leaves {
+            break;
+        }
+        let hub = rng.next_below(hubs);
+        let neighbors = target.undirected_neighbors(chosen[hub]);
+        if neighbors.is_empty() {
+            continue;
+        }
+        let leaf = neighbors[rng.next_below(neighbors.len())];
+        if !chosen.contains(&leaf) {
+            chosen.push(leaf);
+            let second = rng.next_bool(0.2);
+            held.push((hub, second.then(|| rng.next_below(hubs))));
+        }
+    }
+    // Every target edge among the core, self-loops included, and between
+    // each leaf and its hubs.
+    let mut pairs: Vec<(usize, usize)> = (0..hubs)
+        .flat_map(|i| (0..hubs).map(move |j| (i, j)))
+        .collect();
+    for (leaf, &(hub, second)) in held.iter().enumerate() {
+        for h in [Some(hub), second].into_iter().flatten() {
+            pairs.extend([(hubs + leaf, h), (h, hubs + leaf)]);
+        }
+    }
     let mut b = GraphBuilder::new();
     for &v in &chosen {
         b.add_node(target.label(v));
     }
-    for (i, &u) in chosen.iter().enumerate() {
-        for (j, &v) in chosen.iter().enumerate() {
-            if let Some(l) = target.edge_label(u, v) {
-                b.add_edge(i as NodeId, j as NodeId, l);
-            }
+    for (i, j) in pairs {
+        if let Some(label) = target.edge_label(chosen[i], chosen[j]) {
+            b.add_edge(i as NodeId, j as NodeId, label);
         }
     }
     b.build()
@@ -231,6 +301,14 @@ const REGRESSIONS: &[(&str, &str, &str)] = &[
         "1\n0\n0\n",
         "0\n0\n",
     ),
+    // A conflict zero: both leaves' only candidate is the same node, so
+    // the second leaf's level is reached once and no match exists; under
+    // RI-DS forward checking proves it during preprocessing instead.
+    (
+        "two_leaves_one_candidate",
+        "3\n0\n1\n1\n2\n0 1 0\n0 2 0\n",
+        "3\n0\n1\n2\n2\n0 1 0\n0 2 0\n",
+    ),
 ];
 
 /// The named instances: the hand-made cases of the per-scheduler suites
@@ -254,6 +332,15 @@ pub fn named() -> Vec<Instance> {
     let lookalikes =
         gfd("6\n0\n1\n0\n1\n0\n1\n8\n0 0 5\n2 2 6\n0 1 7\n1 0 8\n0 3 7\n3 0 9\n2 5 7\n5 2 8\n");
     let looped_triangle = gfd("3\n0\n0\n0\n7\n0 0 0\n0 1 0\n1 0 0\n1 2 0\n2 1 0\n0 2 0\n2 0 0\n");
+    // Two leaves each held by a 5-labelled edge out of the hub and a
+    // 6-labelled one back; in the target, hub 0 holds three such leaves,
+    // one only one way and one with a 7 back, and hub 6 two of hub 0's.
+    let two_label_leaves = gfd("3\n0\n1\n1\n4\n0 1 5\n1 0 6\n0 2 5\n2 0 6\n");
+    let two_label_hubs = gfd(concat!(
+        "7\n0\n1\n1\n1\n1\n1\n0\n13\n",
+        "0 1 5\n1 0 6\n0 2 5\n2 0 6\n0 3 5\n3 0 6\n0 4 5\n0 5 5\n5 0 7\n",
+        "6 1 5\n1 6 6\n6 2 5\n2 6 6\n",
+    ));
     let mut named: Vec<Instance> = [
         ("self_loop_and_edge_labels", looped_pair, lookalikes),
         // Bridge edges, triangles across the cuts, self-looped anchors.
@@ -278,6 +365,13 @@ pub fn named() -> Vec<Instance> {
         ("k5_in_k3", clique(5, 0), clique(3, 0)),
         ("empty_in_k4", gfd("0\n0\n"), clique(4, 0)),
         ("absent_label_in_k4", gfd("1\n42\n0\n"), clique(4, 0)),
+        // Pendant leaves, counted by the suffix-count rule: twins on one
+        // hub, leaves of two hubs with shared candidates, and twin leaves
+        // held by two differently labelled edges.
+        ("star3_in_k6", generators::star(3, 0, 0), clique(6, 0)),
+        ("two_hubs_in_k6", two_hub_leaves(), clique(6, 0)),
+        ("two_hubs_in_grid4x4", two_hub_leaves(), grid(4, 4)),
+        ("two_label_leaves", two_label_leaves, two_label_hubs),
     ]
     .into_iter()
     .chain(
@@ -290,6 +384,18 @@ pub fn named() -> Vec<Instance> {
     // The early-termination budgets of the triangle in K16 (3360 matches).
     named[18].budgets = vec![25, 500];
     named
+}
+
+/// An undirected path of three hubs with two leaves on one end and one on
+/// the other: the end hubs' leaves share candidates wherever the ends'
+/// images share neighbors.
+fn two_hub_leaves() -> Graph {
+    let mut b = GraphBuilder::new();
+    b.add_nodes(6, 0);
+    for (u, v) in [(0, 1), (1, 2), (0, 3), (0, 4), (2, 5)] {
+        b.add_undirected_edge(u, v, 0);
+    }
+    b.build()
 }
 
 /// Communities of directed cliques joined into a ring by double bridge
