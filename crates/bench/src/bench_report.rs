@@ -170,17 +170,18 @@ fn sweep_engine_set(title: &str, engines: &mut [Engine<'_>], repeats: usize) -> 
 
 /// One untimed instrumented pass over the workload: attaches a fresh
 /// [`TraceSink`] to every engine, runs the count-only sweep once under
-/// `scheduler`, and returns the observed consistency checks and successful
-/// steals summed across the set, and the mean per-run standard deviation of
-/// worker states.
+/// `scheduler`, and returns the observed consistency checks and the
+/// outcomes' successful steals summed across the set, and the mean per-run
+/// standard deviation of worker states.
 fn instrumented_pass(engines: &mut [Engine<'_>], scheduler: Scheduler) -> (u64, u64, f64) {
     let (mut states, mut steals, mut stddev) = (0u64, 0u64, RunningStats::new());
     for engine in engines.iter_mut() {
         let sink = Arc::new(TraceSink::new(engine.plan().num_positions()));
         engine.set_trace_sink(Arc::clone(&sink));
-        stddev.push(engine.run(&RunConfig::new(scheduler)).worker_states_stddev);
+        let outcome = engine.run(&RunConfig::new(scheduler));
+        stddev.push(outcome.worker_states_stddev);
         states += sink.states_total();
-        steals += sink.steals();
+        steals += outcome.steals;
     }
     (states, steals, stddev.mean())
 }

@@ -17,8 +17,9 @@
 //!    the graphs alive behind [`Arc`]s so a prepared instance can outlive
 //!    the scope that built it — the shape a query-serving cache needs — and
 //!    estimates the size of its search tree once, while it prepares,
-//! 5. [`RoutingConfig::route`] turns that estimate into the [`Scheduler`] a
-//!    routed query runs under.
+//! 5. [`RoutingConfig::route`] turns a price taken from that estimate (the
+//!    whole tree for a run that walks it, less for a run that counts its
+//!    independent suffix) into the [`Scheduler`] a routed query runs under.
 //!
 //! # The scheduler-equivalence contract
 //!
@@ -40,10 +41,10 @@
 //! every counter.
 //!
 //! That contract is what makes routed scheduling safe: the serving layer
-//! may pick any [`Scheduler`] per query from the prepared engine's tree-size
-//! estimate (small trees stay on the sequential count-only fast path, large
-//! ones fan out with sized workers) without changing any result a client
-//! can observe.
+//! may pick any [`Scheduler`] per query from the prepared engine's prices
+//! (small runs stay on the sequential count-only fast path, large ones fan
+//! out with sized workers) without changing any result a client can
+//! observe.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -355,6 +356,9 @@ impl EnumerationOutcome {
 pub struct Engine<'g> {
     ctx: SearchContext<'g>,
     preprocess_seconds: f64,
+    /// What every run of this engine records into; the prepared context
+    /// itself records nothing.
+    sink: Option<Arc<TraceSink>>,
 }
 
 impl<'g> Engine<'g> {
@@ -378,6 +382,7 @@ impl<'g> Engine<'g> {
         Engine {
             ctx,
             preprocess_seconds: timer.seconds("preprocess"),
+            sink: None,
         }
     }
 
@@ -388,6 +393,7 @@ impl<'g> Engine<'g> {
         Engine {
             ctx,
             preprocess_seconds: 0.0,
+            sink: None,
         }
     }
 
@@ -417,17 +423,18 @@ impl<'g> Engine<'g> {
         self.preprocess_seconds
     }
 
-    /// Attaches a [`TraceSink`] that observes candidate generation and
-    /// consistency checks at every match-order position, for every scheduler
-    /// this engine subsequently runs under.  Per-position totals are
+    /// Attaches a [`TraceSink`] that every later run of this engine, under
+    /// any scheduler, records its candidate lists and consistency checks
+    /// into, per match-order position.  Per-position totals are
     /// schedule-invariant on complete runs (the scheduler-equivalence
-    /// contract extends to the observed counts); the sink additionally
-    /// accumulates steal/task counters under the parallel schedulers.
+    /// contract extends to the observed counts).  A traced run walks every
+    /// state: it never counts the independent suffix.  Scheduler totals
+    /// (steals, tasks, wait times) are in each run's outcome.
     ///
     /// Without a sink the hot path pays a single predictable branch — the
     /// zero-overhead-when-disabled contract the benchmarks rely on.
     pub fn set_trace_sink(&mut self, sink: Arc<TraceSink>) {
-        self.ctx.set_trace_sink(sink);
+        self.sink = Some(sink);
     }
 
     /// Builder-style [`Engine::set_trace_sink`].
@@ -438,7 +445,7 @@ impl<'g> Engine<'g> {
 
     /// The attached trace sink, if any.
     pub fn trace_sink(&self) -> Option<&Arc<TraceSink>> {
-        self.ctx.trace_sink()
+        self.sink.as_ref()
     }
 
     /// `true` when preprocessing already proved there are no matches.
@@ -545,6 +552,7 @@ pub struct PreparedEngine {
     target: Arc<Graph>,
     parts: PreparedParts,
     estimate: PlanCost,
+    count_only_price: f64,
     preprocess_seconds: f64,
 }
 
@@ -596,6 +604,7 @@ impl PreparedEngine {
             (PreparedParts::extract(&ctx), ctx.estimate())
         });
         PreparedEngine {
+            count_only_price: route::count_only_price(&estimate, parts.counted_from()),
             pattern,
             target,
             parts,
@@ -611,6 +620,7 @@ impl PreparedEngine {
         Engine {
             ctx: self.parts.context(&self.pattern, &self.target),
             preprocess_seconds: self.preprocess_seconds,
+            sink: None,
         }
     }
 
@@ -673,10 +683,21 @@ impl PreparedEngine {
     }
 
     /// The probe estimate of this instance's search tree, taken once at
-    /// preparation ([`SearchContext::estimate`]): what routing and both
-    /// `EXPLAIN` verbs read.
+    /// preparation ([`SearchContext::estimate`]): what both `EXPLAIN` verbs
+    /// report, and the price routing gives a run that walks the tree.
     pub fn estimate(&self) -> &PlanCost {
         &self.estimate
+    }
+
+    /// The price routing gives a run that counts the independent suffix
+    /// from [`Self::counted_from`] on, taken once at preparation: the
+    /// estimated states before the suffix, plus one scan of the suffix's
+    /// candidate lists per count, `Σ_{d<c} est_states[d] + (est_states[c] /
+    /// est_candidates[c]) · Σ_{i≥c} est_candidates[i]` with `c` =
+    /// `counted_from`.  It equals `est_total_states` when at most one
+    /// position is counted.
+    pub fn count_only_price(&self) -> f64 {
+        self.count_only_price
     }
 
     /// The bitmap sidecar captured at preparation time, if any.
@@ -949,6 +970,68 @@ mod tests {
             }
             assert_eq!(tasks(&counted), 8, "{scheduler}");
         }
+    }
+
+    #[test]
+    fn a_nested_run_reports_only_its_own_kernel_work() {
+        // A visitor runs the same engine once from inside the outer run;
+        // each run reports the work of the worker states it drove.
+        let pattern = generators::undirected_cycle(4, 0);
+        let target = generators::grid(5, 5);
+        let engine = Engine::prepare(&pattern, &target, Algorithm::RiDsSiFc);
+        let config = RunConfig::default();
+        let alone = engine.run_with(&config, &Calls(|_: usize, _: &[NodeId]| {}));
+        assert_eq!((alone.kernels.lists, alone.kernels.merge), (294, 621));
+        let inner = std::sync::OnceLock::new();
+        let nesting = |_: usize, _: &[NodeId]| {
+            inner.get_or_init(|| engine.run(&config));
+        };
+        let outer = engine.run_with(&config, &Calls(nesting));
+        let inner = inner.into_inner().expect("the visitor ran the engine");
+        assert_eq!(outer.kernels, alone.kernels);
+        assert_eq!(inner.kernels.lists, alone.kernels.lists);
+        assert_eq!(outer.matches, alone.matches);
+    }
+
+    #[test]
+    fn a_traced_run_walks_the_suffix_it_would_count() {
+        // The leaves of a star are the independent suffix: a count-only
+        // run counts them below each centre, a traced one enumerates them
+        // and records every position it walks.
+        let pattern = generators::star(3, 0, 0);
+        let target = generators::clique(6, 0);
+        let mut engine = Engine::prepare(&pattern, &target, Algorithm::Ri);
+        let counted_from = engine.context().counted_from();
+        assert_eq!(counted_from, 1);
+        for scheduler in [Scheduler::Sequential, Scheduler::work_stealing(2)] {
+            let config = RunConfig::new(scheduler);
+            let counted = engine.run(&config);
+            let sink = Arc::new(TraceSink::new(engine.plan().num_positions()));
+            engine.set_trace_sink(Arc::clone(&sink));
+            let traced = engine.run(&config);
+            engine.sink = None;
+            assert_eq!(traced.matches, 6 * 5 * 4 * 3, "{scheduler}");
+            assert_eq!(traced.states, counted.states, "{scheduler}");
+            assert_eq!(sink.states_total(), traced.states, "{scheduler}");
+            let observed = sink.states_per_position();
+            assert!(
+                observed[counted_from..].iter().all(|&s| s > 0),
+                "{observed:?}"
+            );
+            assert!(tasks(&traced) > tasks(&counted), "{scheduler}");
+        }
+    }
+
+    #[test]
+    fn the_estimate_leaves_an_attached_sink_at_zero() {
+        let pattern = generators::undirected_cycle(6, 0);
+        let target = generators::grid(24, 24);
+        let sink = Arc::new(TraceSink::new(6));
+        let engine = Engine::prepare(&pattern, &target, Algorithm::RiDsSiFc)
+            .with_trace_sink(Arc::clone(&sink));
+        assert!(engine.context().estimate().est_total_states > 0.0);
+        assert_eq!(sink.candidates_per_position(), [0; 6]);
+        assert_eq!(sink.states_per_position(), [0; 6]);
     }
 
     #[test]

@@ -38,7 +38,11 @@ impl BacktrackProblem for SubgraphProblem<'_> {
     }
 
     fn candidates(&self, level: usize, state: &mut WorkerState) -> usize {
-        self.ctx.candidates(level, state).len()
+        let width = self.ctx.candidates(level, state).len();
+        if let Some(sink) = self.observers.sink {
+            sink.record_candidates(level, width as u64);
+        }
+        width
     }
 
     fn candidate(&self, level: usize, index: usize, state: &WorkerState) -> NodeId {
@@ -46,6 +50,9 @@ impl BacktrackProblem for SubgraphProblem<'_> {
     }
 
     fn is_consistent(&self, level: usize, choice: NodeId, state: &WorkerState) -> bool {
+        if let Some(sink) = self.observers.sink {
+            sink.record_state(level);
+        }
         self.ctx.is_consistent(level, choice, state)
     }
 
@@ -67,7 +74,8 @@ impl BacktrackProblem for SubgraphProblem<'_> {
 
     /// Counts the independent suffix once nothing observes individual
     /// matches: asked at each expansion into it, so a collecting run counts
-    /// from the moment its collector is full.
+    /// from the moment its collector is full.  A traced run never counts:
+    /// its sink observes every candidate list and consistency check.
     fn count_rest(
         &self,
         level: usize,
@@ -89,7 +97,7 @@ impl BacktrackProblem for SubgraphProblem<'_> {
     }
 
     fn retire_state(&self, state: &WorkerState) {
-        self.ctx.flush_kernels(state);
+        self.observers.retire(state.kernel_usage());
     }
 }
 
@@ -107,7 +115,7 @@ mod tests {
         let target = generators::clique(5, 0);
         let engine = Engine::prepare(&pattern, &target, Algorithm::Ri);
         let sequential = engine.run(&RunConfig::default());
-        let observers = Observers::new(None, 0);
+        let observers = Observers::new(None, 0, None);
         let result = run(
             &SubgraphProblem::new(engine.context(), &observers),
             &EngineConfig::with_workers(2),
@@ -121,7 +129,7 @@ mod tests {
         let pattern = generators::directed_cycle(3, 0);
         let target = generators::clique(4, 0);
         let ctx = SearchContext::prepare(&pattern, &target, Algorithm::RiDs);
-        let observers = Observers::new(None, 5);
+        let observers = Observers::new(None, 5, None);
         let result = run(
             &SubgraphProblem::new(&ctx, &observers),
             &EngineConfig::with_workers(3),

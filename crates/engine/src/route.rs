@@ -1,13 +1,17 @@
-//! Routing a query to a [`Scheduler`] from the estimated size of its tree.
+//! Routing a query to a [`Scheduler`] from the price of the work its run
+//! does.
 //!
-//! Work stealing only pays once the search tree is large enough to amortize
-//! task distribution: on small trees a parallel run is a fraction of
-//! sequential speed.  A [`PreparedEngine`](crate::PreparedEngine) carries a
-//! probe estimate of its tree's states, and [`RoutingConfig::route`] turns
-//! that number alone into a scheduler, so the same query on the same target
-//! routes the same way whatever ran before it.
+//! Work stealing only pays once a run does enough work to amortize task
+//! distribution: on small trees a parallel run is a fraction of sequential
+//! speed.  A [`PreparedEngine`](crate::PreparedEngine) carries a probe
+//! estimate of its tree's states, which prices a run that walks the tree,
+//! and [`count_only_price`] of that estimate, which prices a run that
+//! counts the independent suffix.  [`RoutingConfig::route`] turns a price
+//! alone into a scheduler, so the same query on the same target routes the
+//! same way whatever ran before it.
 
 use crate::Scheduler;
+use sge_ri::PlanCost;
 
 /// The thresholds routing compares an estimate against.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -45,22 +49,22 @@ impl RoutingConfig {
         }
     }
 
-    /// Routes a search of `est_total_states` estimated states.
+    /// Routes a run priced at `price` estimated states of work.
     ///
-    /// Below `sequential_threshold` the run stays sequential (small trees
+    /// Below `sequential_threshold` the run stays sequential (small runs
     /// never amortize task hand-off); above it, work stealing gets enough
     /// workers for each to see about `states_per_worker` states.  A host
     /// without parallelism (`max_workers <= 1`) always routes sequential.
-    pub fn route(&self, est_total_states: f64) -> RoutingDecision {
-        let scheduler = if self.max_workers <= 1 || est_total_states < self.sequential_threshold {
+    pub fn route(&self, price: f64) -> RoutingDecision {
+        let scheduler = if self.max_workers <= 1 || price < self.sequential_threshold {
             Scheduler::Sequential
         } else {
-            let sized = (est_total_states / self.states_per_worker.max(1.0)).ceil() as usize;
+            let sized = (price / self.states_per_worker.max(1.0)).ceil() as usize;
             Scheduler::work_stealing(sized.clamp(2, self.max_workers))
         };
         RoutingDecision {
             scheduler,
-            est_total_states,
+            price,
             threshold: self.sequential_threshold,
         }
     }
@@ -77,22 +81,41 @@ impl Default for RoutingConfig {
 pub struct RoutingDecision {
     /// The scheduler a routed query runs under.
     pub scheduler: Scheduler,
-    /// The estimate the decision was made from.
-    pub est_total_states: f64,
-    /// The sequential threshold the estimate was compared against.
+    /// The price the decision was made from: estimated states of work.
+    pub price: f64,
+    /// The sequential threshold the price was compared against.
     pub threshold: f64,
+}
+
+/// [`crate::PreparedEngine::count_only_price`] of `estimate`:
+/// `est_states[c] / est_candidates[c]` estimates the counts, the prefixes
+/// that reach `c` = `counted_from`.  The ratio of the scanned lengths is
+/// taken first, so one counted position prices exactly `est_total_states`.
+pub(crate) fn count_only_price(estimate: &PlanCost, counted_from: usize) -> f64 {
+    let (walked, counted) = estimate
+        .positions
+        .split_at(counted_from.min(estimate.positions.len()));
+    let walked: f64 = walked.iter().map(|p| p.est_states).sum();
+    match counted.first() {
+        Some(first) if first.est_candidates > 0.0 => {
+            let scanned: f64 = counted.iter().map(|p| p.est_candidates).sum();
+            walked + first.est_states * (scanned / first.est_candidates)
+        }
+        _ => walked,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sge_ri::PositionCost;
 
     #[test]
     fn small_estimates_route_sequential() {
         let config = RoutingConfig::pinned(1000.0, 500.0, 8);
         let decision = config.route(999.0);
         assert_eq!(decision.scheduler, Scheduler::Sequential);
-        assert_eq!(decision.est_total_states, 999.0);
+        assert_eq!(decision.price, 999.0);
         assert_eq!(decision.threshold, 1000.0);
     }
 
@@ -108,6 +131,38 @@ mod tests {
         let config = RoutingConfig::pinned(1000.0, 500.0, 3);
         let decision = config.route(1e9);
         assert_eq!(decision.scheduler, Scheduler::work_stealing(3));
+    }
+
+    /// An estimate of `(est_candidates, est_states)` per position.
+    fn estimate(positions: &[(f64, f64)]) -> PlanCost {
+        let positions: Vec<PositionCost> = positions
+            .iter()
+            .map(|&(est_candidates, est_states)| PositionCost {
+                pattern_node: 0,
+                est_candidates,
+                est_states,
+            })
+            .collect();
+        PlanCost {
+            est_total_states: positions.iter().map(|p| p.est_states).sum(),
+            positions,
+        }
+    }
+
+    #[test]
+    fn a_count_is_priced_by_the_walked_states_and_one_scan_per_count() {
+        // A centre and three leaves in K10: 10 roots, 90 prefixes reach
+        // the first leaf, and each count scans three lists of 9.
+        let star = estimate(&[(10.0, 10.0), (9.0, 90.0), (9.0, 720.0), (9.0, 5040.0)]);
+        assert_eq!(count_only_price(&star, 1), 10.0 + 10.0 * 27.0);
+        // Without a suffix, or with one counted level, the price is the
+        // whole tree.
+        assert_eq!(count_only_price(&star, 4), star.est_total_states);
+        let odd = estimate(&[(5.0, 5.0), (7.0, 35.0), (3.0, 105.0), (11.0, 0.1)]);
+        assert_eq!(count_only_price(&odd, 3), odd.est_total_states);
+        // A suffix no prefix reaches costs nothing past the walk.
+        let dead = estimate(&[(4.0, 4.0), (0.0, 0.0), (0.0, 0.0)]);
+        assert_eq!(count_only_price(&dead, 1), 4.0);
     }
 
     #[test]

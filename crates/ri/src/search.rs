@@ -13,12 +13,14 @@
 //! RI-greedy strategy; [`SearchContext::prepare_planned`] accepts any
 //! [`sge_plan::Strategy`].
 //!
-//! [`WorkerState`] is the per-worker mutable part: the partial mapping `M`
-//! (target node per ordered position), the injectivity flags, the worker's
-//! kernel counters and its candidate memo.  In the parallel runtime it is
-//! private to a worker and *never copied for private tasks*; only when a
-//! task is stolen does the prefix of `M` travel to the thief (Section 3 of
-//! the paper).
+//! A context is read-only prepared data, shared by every worker of every
+//! run: it records nothing.  [`WorkerState`] is the per-worker mutable
+//! part: the partial mapping `M` (target node per ordered position), the
+//! injectivity flags, the worker's kernel counters and its candidate memo.
+//! In the parallel runtime it is private to a worker and *never copied for
+//! private tasks*; only when a task is stolen does the prefix of `M` travel
+//! to the thief (Section 3 of the paper).  Whoever drives a state reads its
+//! counters ([`WorkerState::kernel_usage`]) when it retires it.
 //!
 //! The memo keeps, per position, the last candidate list the worker
 //! requested and the images of the step's constraint parents it was built
@@ -28,13 +30,12 @@
 //! image fixed many levels up, and most requests are answered from the
 //! memo.
 
-use crate::kernels::{self, GallopRoute, KernelCells, KernelUsage};
+use crate::kernels::{self, GallopRoute, KernelUsage};
 use crate::suffix;
 use sge_graph::{AdjacencyBitmaps, BitmapConfig, EdgeRef, Graph, GraphStats, NodeId};
-use sge_obs::TraceSink;
 use sge_plan::ordering::{MatchOrder, PlanStep, PrefilterSpec};
 use sge_plan::{Algorithm, Domains, Planner, QueryPlan, Strategy};
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::sync::Arc;
 
 thread_local! {
@@ -55,20 +56,11 @@ pub struct SearchContext<'a> {
     pattern: &'a Graph,
     target: &'a Graph,
     plan: QueryPlan,
-    /// Optional per-run observation sink.  When attached, candidate
-    /// generation and consistency checks record per-position counters; when
-    /// absent the cost is one predictable branch per call.
-    sink: Option<Arc<TraceSink>>,
     /// Optional dense-adjacency bitmap sidecar of the target.  Its rows
     /// decide where the bitmap AND runs and its signatures drive the
     /// candidate prefilter; when absent every step intersects CSR lists and
     /// no candidates are prefiltered.
     bitmaps: Option<Arc<AdjacencyBitmaps>>,
-    /// Shared kernel-invocation counters (always on).  Candidate fills
-    /// accumulate in the [`WorkerState`] that drives them; schedulers fold
-    /// each worker's totals in once, when the worker stops
-    /// ([`Self::flush_kernels`]).
-    kernels: Arc<KernelCells>,
     /// The first position of the order's independent suffix
     /// ([`Self::counted_from`]).
     counted_from: usize,
@@ -129,9 +121,7 @@ impl<'a> SearchContext<'a> {
             target,
             counted_from: suffix::counted_from(&plan.order),
             plan,
-            sink: None,
             bitmaps: None,
-            kernels: Arc::new(KernelCells::default()),
         }
     }
 
@@ -159,33 +149,6 @@ impl<'a> SearchContext<'a> {
             let config = BitmapConfig::default();
             self.bitmaps = AdjacencyBitmaps::build_if_any_row(self.target, &config).map(Arc::new);
         }
-    }
-
-    /// Snapshot of the kernel-invocation counters accumulated through this
-    /// context so far (across all workers whose states were flushed with
-    /// [`Self::flush_kernels`]).
-    pub fn kernel_totals(&self) -> KernelUsage {
-        self.kernels.snapshot()
-    }
-
-    /// Moves the kernel counters `state` accumulated since its last flush
-    /// into this context's shared cells.  Schedulers call it once per worker
-    /// when the worker stops, so candidate fills never touch shared memory.
-    pub fn flush_kernels(&self, state: &WorkerState) {
-        self.kernels.flush(state.kernels.take());
-    }
-
-    /// Attaches a [`TraceSink`]: from now on every candidate list generated
-    /// and every consistency check performed through this context is
-    /// recorded per position.  All schedulers drive the same context, so the
-    /// recorded totals are schedule-invariant on complete runs.
-    pub fn set_trace_sink(&mut self, sink: Arc<TraceSink>) {
-        self.sink = Some(sink);
-    }
-
-    /// The attached trace sink, if any.
-    pub fn trace_sink(&self) -> Option<&Arc<TraceSink>> {
-        self.sink.as_ref()
     }
 
     /// The pattern graph.
@@ -268,7 +231,7 @@ impl<'a> SearchContext<'a> {
         WorkerState {
             mapping: vec![NodeId::MAX; self.num_positions()],
             used: vec![false; self.target.num_nodes()],
-            kernels: Cell::default(),
+            kernels: KernelUsage::default(),
             memo,
             keys: vec![NodeId::MAX; keys],
         }
@@ -291,37 +254,22 @@ impl<'a> SearchContext<'a> {
     /// built from, so a parentless position is built once per state.  It
     /// stays readable through [`WorkerState::last_candidates`] while the
     /// caller assigns `depth` and requests deeper positions.  Every request
-    /// counts in [`KernelUsage::lists`] and, when attached, the trace sink.
+    /// counts in the state's [`KernelUsage::lists`].
     #[inline]
     pub fn candidates<'s>(&self, depth: usize, state: &'s mut WorkerState) -> &'s [NodeId] {
-        let list = self.refresh_candidates(depth, state);
-        if let Some(sink) = &self.sink {
-            sink.record_candidates(depth, list.len() as u64);
-        }
-        list
-    }
-
-    /// [`Self::candidates`] unseen by the trace sink: the tree-size probe's
-    /// request.
-    #[inline]
-    pub(crate) fn refresh_candidates<'s>(
-        &self,
-        depth: usize,
-        state: &'s mut WorkerState,
-    ) -> &'s [NodeId] {
         self.refresh(depth, state);
         &state.memo[depth].list
     }
 
     /// The consistent members of the list the last request for `depth`
-    /// returned, checked unseen by the trace sink.
+    /// returned.
     pub(crate) fn consistent_candidates<'s>(
         &'s self,
         depth: usize,
         state: &'s WorkerState,
     ) -> impl Iterator<Item = NodeId> + 's {
         let list = state.last_candidates(depth).iter().copied();
-        list.filter(move |&vt| self.consistent_candidate(depth, vt, state))
+        list.filter(move |&vt| self.is_consistent(depth, vt, state))
     }
 
     /// Answers one request for `depth`'s list from `state`'s memo,
@@ -329,9 +277,8 @@ impl<'a> SearchContext<'a> {
     #[inline]
     pub(crate) fn refresh(&self, depth: usize, state: &mut WorkerState) {
         let held = self.update_memo(depth, state);
-        let usage = state.kernels.get_mut();
-        usage.lists += 1;
-        usage.reused += u64::from(held);
+        state.kernels.lists += 1;
+        state.kernels.reused += u64::from(held);
     }
 
     /// Brings `state`'s memo entry for `depth` up to date: keeps it when
@@ -358,7 +305,7 @@ impl<'a> SearchContext<'a> {
             *slot = image;
         }
         entry.built = true;
-        self.fill_candidates(depth, mapping, &mut entry.list, kernels.get_mut());
+        self.fill_candidates(depth, mapping, &mut entry.list, kernels);
         false
     }
 
@@ -601,20 +548,6 @@ impl<'a> SearchContext<'a> {
     /// constrained candidate satisfies them by construction.
     #[inline]
     pub fn is_consistent(&self, depth: usize, vt: NodeId, state: &WorkerState) -> bool {
-        if let Some(sink) = &self.sink {
-            sink.record_state(depth);
-        }
-        self.consistent_candidate(depth, vt, state)
-    }
-
-    /// [`Self::is_consistent`] unseen by the trace sink.
-    #[inline]
-    pub(crate) fn consistent_candidate(
-        &self,
-        depth: usize,
-        vt: NodeId,
-        state: &WorkerState,
-    ) -> bool {
         let vp = self.plan.order.positions[depth];
         if state.used[vt as usize] {
             return false;
@@ -725,9 +658,13 @@ impl PreparedParts {
     /// structurally identical copies); the ordering and domains reference
     /// their node ids directly.
     pub fn context<'a>(&self, pattern: &'a Graph, target: &'a Graph) -> SearchContext<'a> {
-        let mut ctx = SearchContext::from_plan(pattern, target, self.plan.clone());
-        ctx.bitmaps = self.bitmaps.clone();
-        ctx
+        SearchContext {
+            pattern,
+            target,
+            plan: self.plan.clone(),
+            bitmaps: self.bitmaps.clone(),
+            counted_from: self.counted_from,
+        }
     }
 
     /// The captured bitmap sidecar, if one was attached at preparation time.
@@ -764,14 +701,13 @@ impl PreparedParts {
 
 /// Mutable per-worker search state: the partial mapping (indexed by ordered
 /// position), the injectivity flags over target nodes, the kernel counters
-/// of the candidate requests it drove since its last
-/// [`SearchContext::flush_kernels`], and its candidate memo.
+/// of every candidate request it drove, and its candidate memo.
 #[derive(Clone, Debug)]
 #[cfg_attr(test, derive(PartialEq))]
 pub struct WorkerState {
     mapping: Vec<NodeId>,
     pub(crate) used: Vec<bool>,
-    pub(crate) kernels: Cell<KernelUsage>,
+    pub(crate) kernels: KernelUsage,
     /// One entry per position: the last candidate list built for it.
     pub(crate) memo: Vec<MemoEntry>,
     /// Every entry's key back to back: the images of its step's constraint
@@ -843,6 +779,12 @@ impl WorkerState {
     #[inline]
     pub fn last_candidates(&self, depth: usize) -> &[NodeId] {
         &self.memo[depth].list
+    }
+
+    /// The kernel counters of every candidate request this state drove,
+    /// counted levels included.
+    pub fn kernel_usage(&self) -> KernelUsage {
+        self.kernels
     }
 }
 
@@ -1075,7 +1017,7 @@ mod tests {
     }
 
     fn usage(state: &WorkerState) -> (u64, u64) {
-        let usage = state.kernels.get();
+        let usage = state.kernel_usage();
         (usage.lists, usage.reused)
     }
 

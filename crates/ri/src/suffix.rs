@@ -93,16 +93,15 @@ impl SearchContext<'_> {
     /// through `state`'s memo and kernel counters (see the module docs).
     /// The loop asks at each expansion into a level at or past
     /// [`Self::counted_from`], and only while nothing observes individual
-    /// matches and nothing can interrupt the walk part-way (no match
-    /// budget, deadline or cancel token).
+    /// matches, candidate lists or states and nothing can interrupt the
+    /// walk part-way (no match budget, deadline or cancel token).
     ///
-    /// `None` when a trace sink is attached (it must observe every
-    /// candidate list and consistency check), when `level` is not in the
-    /// independent suffix, or when the count or the state's kernel counters
-    /// would overflow or the count exceeds `room`, what the caller's totals
-    /// can still take.  A declined count leaves the counters as they were
-    /// and marks every list it rebuilt for rebuilding, so enumerating from
-    /// there counts exactly what a walk would have.
+    /// `None` when `level` is not in the independent suffix, or when the
+    /// count or the state's kernel counters would overflow or the count
+    /// exceeds `room`, what the caller's totals can still take.  A declined
+    /// count leaves the counters as they were and marks every list it
+    /// rebuilt for rebuilding, so enumerating from there counts exactly
+    /// what a walk would have.
     #[inline]
     pub fn count_rest(
         &self,
@@ -111,7 +110,7 @@ impl SearchContext<'_> {
         room: SuffixCount,
     ) -> Option<SuffixCount> {
         let n = self.num_positions();
-        if self.trace_sink().is_some() || level < self.counted_from() || level >= n {
+        if level < self.counted_from() || level >= n {
             return None;
         }
         match n - level {
@@ -159,7 +158,7 @@ impl SearchContext<'_> {
             // The next request of every rebuilt level rebuilds it again and
             // counts its work then, as a walk would have.
             if let Some(before) = requests.before {
-                state.kernels.set(before);
+                state.kernels = before;
             }
             for i in (0..requests.len).filter(|&i| requests.held >> i & 1 == 0) {
                 state.memo[level + i].built = false;
@@ -173,7 +172,7 @@ impl SearchContext<'_> {
     /// is reached along more than `n^i` paths, so states, matches and
     /// requests stay within `k·n^k`.
     #[inline]
-    fn fits(&self, k: usize, state: &mut WorkerState, room: SuffixCount) -> bool {
+    fn fits(&self, k: usize, state: &WorkerState, room: SuffixCount) -> bool {
         let n = self.target().num_nodes() as u64;
         let bound = match k {
             1 => Some(n),
@@ -183,7 +182,7 @@ impl SearchContext<'_> {
                 .and_then(|n2| n2.checked_mul(n)?.checked_mul(3)),
             _ => None,
         };
-        let usage = state.kernels.get_mut();
+        let usage = &state.kernels;
         let left = room
             .states
             .min(room.matches)
@@ -244,7 +243,7 @@ impl SearchContext<'_> {
     #[inline]
     fn request(&self, depth: usize, paths: u64, state: &mut WorkerState) {
         self.refresh(depth, state);
-        let usage = state.kernels.get_mut();
+        let usage = &mut state.kernels;
         usage.lists += paths - 1;
         usage.reused += paths - 1;
     }
@@ -309,7 +308,7 @@ impl Requests {
     /// Brings the next level's memo entry up to date, counting a rebuild's
     /// kernel work in `state`.
     fn next(&mut self, ctx: &SearchContext<'_>, state: &mut WorkerState) {
-        self.before.get_or_insert_with(|| state.kernels.get());
+        self.before.get_or_insert(state.kernels);
         if ctx.update_memo(self.level + self.len, state) {
             self.held |= 1 << self.len;
         }
@@ -357,7 +356,7 @@ impl Totals {
         if self.states > room.states || matches > room.matches {
             return None;
         }
-        let usage = state.kernels.get_mut();
+        let usage = &mut state.kernels;
         (usage.lists, usage.reused) = (
             usage.lists.checked_add(self.lists)?,
             usage.reused.checked_add(self.reused)?,
@@ -504,7 +503,6 @@ fn walk(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels::KernelUsage;
     use sge_graph::{generators, AdjacencyBitmaps, BitmapConfig, Graph, GraphBuilder};
     use sge_plan::{finish_order, Algorithm, Planner, Strategy};
     use sge_util::SplitMix64;
@@ -800,7 +798,7 @@ mod tests {
             let built: Vec<bool> = state.memo.iter().map(|e| e.built).collect();
             assert!(built[1] && built[2], "{built:?}");
             assert!(built[3..].iter().all(|&b| !b), "{built:?}");
-            let usage = state.kernels.get();
+            let usage = state.kernel_usage();
             assert_eq!((usage.lists, usage.reused), (2, 0));
             assert_eq!(check_counts(&ctx, 1, false), 3);
             assert_eq!(check_counts(&ctx, 1, true), 3);
@@ -847,7 +845,7 @@ mod tests {
         let before = state.clone();
         assert_eq!(ctx.count_rest(1, &mut state, ROOM), None);
         // Declining rebuilt the lists but marks them for a rebuild.
-        assert_eq!(state.kernels.get(), before.kernels.get());
+        assert_eq!(state.kernel_usage(), before.kernel_usage());
         assert!(state.memo[1..].iter().all(|e| !e.built));
         // A countable suffix that does not fit the caller's room.
         let pattern = generators::star(3, 0, 0);
@@ -869,7 +867,7 @@ mod tests {
         };
         let before = state.clone();
         assert_eq!(ctx.count_rest(1, &mut state, tight), None);
-        assert_eq!(state.kernels.get(), before.kernels.get());
+        assert_eq!(state.kernel_usage(), before.kernel_usage());
         // One level takes the general path when the room is below a whole
         // target, and declines exactly when the count does not fit.
         let mut last = state.clone();
@@ -895,11 +893,6 @@ mod tests {
         let before = last.clone();
         assert_eq!(ctx.count_rest(3, &mut last, short), None);
         assert_eq!(last, before);
-        // A traced context enumerates.
-        let mut traced = context(&pattern, &target, vec![0, 1, 2, 3], Algorithm::Ri, false);
-        traced.set_trace_sink(Arc::new(sge_obs::TraceSink::new(4)));
-        assert_eq!(traced.count_rest(1, &mut traced.new_state(), ROOM), None);
-        assert_eq!(KernelUsage::default(), traced.new_state().kernels.get());
     }
 
     #[test]

@@ -31,14 +31,6 @@ pub trait MatchVisitor: Sync {
     fn on_match(&self, worker_id: usize, mapping: &[NodeId]);
 }
 
-/// A visitor that does nothing; useful as a default.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NoopVisitor;
-
-impl MatchVisitor for NoopVisitor {
-    fn on_match(&self, _worker_id: usize, _mapping: &[NodeId]) {}
-}
-
 /// Collects mappings under a mutex, up to a limit — the building block of
 /// `collect_mappings` support in the parallel schedulers.
 ///
@@ -152,7 +144,6 @@ mod tests {
         let visitor = CollectingVisitor::new(0);
         visitor.on_match(1, &[4, 5, 6]);
         assert!(visitor.take().is_empty());
-        NoopVisitor.on_match(0, &[1]);
     }
 
     #[test]

@@ -103,14 +103,14 @@ impl PreparedCache {
     /// Process-stable hash of the canonical pattern (reported to clients for
     /// correlation; identity always uses the full canonical form).
     pub fn pattern_hash(pattern: &Graph) -> u64 {
-        let mut hasher = DefaultHasher::new();
-        Self::canonical_pattern(pattern).hash(&mut hasher);
-        hasher.finish()
+        text_hash(&Self::canonical_pattern(pattern))
     }
 
     /// Fetches the prepared engine for `(pattern, target_name, algorithm,
-    /// strategy)`, preparing and inserting it on a miss.  Returns the engine
-    /// and whether the lookup was a hit.
+    /// strategy)`, preparing and inserting it on a miss.  Returns the
+    /// engine, whether the lookup was a hit, and the pattern's
+    /// [`Self::pattern_hash`], taken over the canonical text of the key so
+    /// the pattern is serialized once.
     ///
     /// The same pattern prepared under two strategies yields two independent
     /// entries.  A miss prepares with the target statistics and the bitmap
@@ -126,13 +126,14 @@ impl PreparedCache {
         bitmaps: &Arc<AdjacencyBitmaps>,
         algorithm: Algorithm,
         strategy: Strategy,
-    ) -> (Arc<PreparedEngine>, bool) {
+    ) -> (Arc<PreparedEngine>, bool, u64) {
         let key = CacheKey {
             pattern: Self::canonical_pattern(pattern),
             target: target_name.to_string(),
             algorithm,
             strategy,
         };
+        let pattern_hash = text_hash(&key.pattern);
 
         let slot = self.slot(key, target);
         let mut prepared = false;
@@ -149,7 +150,7 @@ impl PreparedCache {
         });
         let counter = if prepared { &self.misses } else { &self.hits };
         counter.fetch_add(1, Ordering::Relaxed);
-        (Arc::clone(engine), !prepared)
+        (Arc::clone(engine), !prepared, pattern_hash)
     }
 
     /// The slot of `key` for `target`: the resident one, or a fresh one
@@ -235,6 +236,13 @@ impl PreparedCache {
     }
 }
 
+/// The [`DefaultHasher`] digest of `text`.
+fn text_hash(text: &str) -> u64 {
+    let mut hasher = DefaultHasher::new();
+    text.hash(&mut hasher);
+    hasher.finish()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -256,7 +264,10 @@ mod tests {
     ) -> (Arc<PreparedEngine>, bool) {
         let stats = GraphStats::of(target);
         let bitmaps = Arc::new(AdjacencyBitmaps::build(target, &BitmapConfig::default()));
-        cache.get_or_prepare(pattern, name, target, &stats, &bitmaps, algorithm, strategy)
+        let (engine, hit, hash) =
+            cache.get_or_prepare(pattern, name, target, &stats, &bitmaps, algorithm, strategy);
+        assert_eq!(hash, PreparedCache::pattern_hash(pattern));
+        (engine, hit)
     }
 
     fn lookup(

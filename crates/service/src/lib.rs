@@ -369,7 +369,7 @@ impl Service {
     /// the prepared engine is fetched from (or inserted into) the cache, and
     /// the run is gated by the global admission limit.
     pub fn run_query(&self, target: &str, spec: &QuerySpec) -> Result<QueryOutcome, ServiceError> {
-        self.serve(target, spec, |plan| {
+        self.serve(target, spec, true, |plan| {
             Ok(self.execute(target, &plan, Delivery::Buffered)?.0.query)
         })
     }
@@ -396,7 +396,7 @@ impl Service {
         sink: &mut dyn StreamSink,
     ) -> Result<StreamedQueryOutcome, ServiceError> {
         let chunk = spec.chunk.clamp(1, MAX_STREAM_CHUNK);
-        self.serve(target, spec, |plan| {
+        self.serve(target, spec, false, |plan| {
             Ok(self
                 .execute(target, &plan, Delivery::Stream { sink, chunk })?
                 .0)
@@ -409,7 +409,8 @@ impl Service {
     /// [`Service::run_query`], so an `EXPLAIN` warms the cache for the
     /// query that follows it.
     pub fn explain(&self, target: &str, spec: &QuerySpec) -> Result<ExplainOutcome, ServiceError> {
-        self.serve(target, spec, |plan| {
+        let buffered = spec.emit == EmitMode::Buffered;
+        self.serve(target, spec, buffered, |plan| {
             Ok(ExplainOutcome {
                 target: target.to_string(),
                 pattern_hash: plan.pattern_hash,
@@ -439,7 +440,7 @@ impl Service {
         target: &str,
         spec: &QuerySpec,
     ) -> Result<ExplainAnalyzeOutcome, ServiceError> {
-        self.serve(target, spec, |plan| {
+        self.serve(target, spec, false, |plan| {
             let sink = Arc::new(TraceSink::new(plan.engine.plan().num_positions()));
             let (served, spans) =
                 self.execute(target, &plan, Delivery::Analyze(Arc::clone(&sink)))?;
@@ -454,8 +455,9 @@ impl Service {
         })
     }
 
-    /// The boundary every query verb passes: the [`Service::plan`] head,
-    /// then `verb`, under `catch_unwind`.  A panicking query answers
+    /// The boundary every query verb passes: the [`Service::plan`] head
+    /// (`buffered` as it takes it), then `verb`, under `catch_unwind`.  A
+    /// panicking query answers
     /// [`ServiceError::Internal`] instead of unwinding into the caller (an
     /// event-server worker would die with its request unanswered), and a
     /// failed request of either kind counts once in `errors`.  Unwinding
@@ -466,9 +468,12 @@ impl Service {
         &self,
         target: &str,
         spec: &QuerySpec,
+        buffered: bool,
         verb: impl FnOnce(Plan) -> Result<T, ServiceError>,
     ) -> Result<T, ServiceError> {
-        let served = panic::catch_unwind(AssertUnwindSafe(|| verb(self.plan(target, spec)?)));
+        let served = panic::catch_unwind(AssertUnwindSafe(|| {
+            verb(self.plan(target, spec, buffered)?)
+        }));
         let result = served.unwrap_or_else(|payload| Err(self.contain_panic(target, &*payload)));
         if result.is_err() {
             self.stats.record_error();
@@ -500,16 +505,22 @@ impl Service {
     /// The head every query verb shares: lookup → parse → cached prepare →
     /// one routing decision → the effective run.  `EXPLAIN` stops here, so
     /// it describes exactly the plan and scheduler the identical `QUERY`
-    /// runs.  Routing reads only the prepared engine's estimate, so the
+    /// runs.  Routing reads only the prepared engine's prices, so the
     /// decision does not depend on what the service ran before.
-    fn plan(&self, target: &str, spec: &QuerySpec) -> Result<Plan, ServiceError> {
+    ///
+    /// `buffered` says the verb runs the query with no visitor and no trace
+    /// sink (a buffered `QUERY`, or the `EXPLAIN` of one).  Such a run with
+    /// no match limit and no deadline counts its independent suffix, so
+    /// routing prices it by [`PreparedEngine::count_only_price`]; every
+    /// other run walks its tree and is priced by `est_total_states`.
+    fn plan(&self, target: &str, spec: &QuerySpec, buffered: bool) -> Result<Plan, ServiceError> {
         let started = self.clock.now();
         let (target_graph, target_stats, target_bitmaps) = self
             .registry
             .get_full(target)
             .ok_or_else(|| ServiceError::UnknownTarget(target.to_string()))?;
         let pattern = self.registry.parse_pattern(&spec.pattern_text)?;
-        let (engine, cache_hit) = self.cache.get_or_prepare(
+        let (engine, cache_hit, pattern_hash) = self.cache.get_or_prepare(
             &pattern,
             target,
             &target_graph,
@@ -518,16 +529,18 @@ impl Service {
             spec.algorithm,
             spec.strategy,
         );
-        let routing = self
-            .config
-            .routing
-            .route(engine.estimate().est_total_states);
+        let counts = buffered && spec.run.max_matches.is_none() && spec.run.time_limit.is_none();
+        let price = match counts {
+            true => engine.count_only_price(),
+            false => engine.estimate().est_total_states,
+        };
+        let routing = self.config.routing.route(price);
         let mut run = spec.run;
         if !spec.pinned {
             run.scheduler = routing.scheduler;
         }
         Ok(Plan {
-            pattern_hash: PreparedCache::pattern_hash(&pattern),
+            pattern_hash,
             engine,
             cache_hit,
             routing,

@@ -592,10 +592,43 @@ fn dispatch_counters_and_explain_report_routing() {
     let explain = service.explain("k5", &QuerySpec::new(&pattern)).unwrap();
     assert!(explain.routed);
     assert_eq!(explain.routing.scheduler, Scheduler::Sequential);
-    assert_eq!(explain.routing.est_total_states, 85.0);
+    // One counted level: the count-only price is the whole tree's.
+    assert_eq!(explain.routing.price, 85.0);
     assert!(explain.routing.threshold == 50_000.0);
     // EXPLAIN plans only: the dispatch counters did not move.
     assert_eq!(service.dispatch_counts(), (1, 1));
+}
+
+/// A count-only query is priced by the work its run does: below each of
+/// the 30 centres of `star(5)` in K30 the five leaves are counted, each
+/// count scanning five lists of 29, so the buffered, unlimited run is
+/// priced at 30 + 30 · 29 · 5 = 4,380 states, not at the 515,727,330 of its
+/// tree.  A match limit or a stream makes the run walk the tree, and
+/// routing prices all of it.
+#[test]
+fn a_count_only_query_is_priced_by_its_count() {
+    use sge_engine::RoutingConfig;
+    use sge_service::EmitMode;
+    let service = Service::new(ServiceConfig {
+        routing: RoutingConfig::pinned(50_000.0, 25_000.0, 4),
+        ..ServiceConfig::default()
+    });
+    service.registry().insert("k30", generators::clique(30, 0));
+    let spec = QuerySpec::new(write_graph(&generators::star(5, 0, 0)));
+    let counted = service.explain("k30", &spec).unwrap();
+    assert_eq!(counted.engine.estimate().est_total_states, 515_727_330.0);
+    assert_eq!(counted.engine.counted_from(), 1);
+    assert_eq!(counted.routing.price, 4_380.0);
+    assert_eq!(counted.effective_scheduler, Scheduler::Sequential);
+    let mut limited = spec.clone();
+    limited.run.max_matches = Some(10);
+    let mut streamed = spec.clone();
+    streamed.emit = EmitMode::Stream;
+    for walked in [limited, streamed] {
+        let explain = service.explain("k30", &walked).unwrap();
+        assert_eq!(explain.routing.price, 515_727_330.0);
+        assert_eq!(explain.effective_scheduler, Scheduler::work_stealing(4));
+    }
 }
 
 /// A `LOAD` whose sidecar trips the byte cap records a `bitmap_cap_fallback`

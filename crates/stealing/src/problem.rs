@@ -102,7 +102,8 @@ pub trait BacktrackProblem: Sync {
 
     /// Called once with each worker's state when the worker stops, and once
     /// with the state that generated the root choices.  Problems that
-    /// accumulate per-worker counters in their state flush them here, once
-    /// per worker, instead of touching shared cells per operation.
+    /// accumulate per-worker counters in their state add them to the run's
+    /// totals here, once per worker, instead of touching shared memory per
+    /// operation.
     fn retire_state(&self, _state: &Self::State) {}
 }

@@ -22,9 +22,12 @@
 //! ```
 //!
 //! * `algo` — `ri`, `ri-ds`, `ri-ds-si` or `ri-ds-si-fc` (default).
-//! * `sched` — `auto` (default: the run is routed from the prepared
-//!   search's probe estimate of its states alone, so the same query routes
-//!   the same way whatever ran before it), or a pinned
+//! * `sched` — `auto` (default: the run is routed from the price of the
+//!   work it does, taken from the prepared search's probe estimate alone,
+//!   so the same query routes the same way whatever ran before it: its
+//!   states, or for a buffered count with no `max` and no `timeout_ms`,
+//!   which counts its independent suffix, the states before the suffix
+//!   plus one scan of the suffix's lists per count), or a pinned
 //!   `seq` or `ws:<workers>[:<group>[:nosteal]]`, with at most
 //!   [`max_sched_workers`] workers.
 //!   Responses carry `routed` (whether routing chose) and `EXPLAIN`
@@ -150,7 +153,8 @@ pub enum Command {
     Explain {
         /// Registry name of the target.
         target: String,
-        /// The query whose plan is reported (run limits are ignored).
+        /// The query whose plan is reported.  Nothing runs; its `max`,
+        /// `timeout_ms` and `emit` only decide how routing prices it.
         spec: QuerySpec,
     },
     /// Plan **and execute** one query, reporting estimates vs. observed
@@ -521,7 +525,11 @@ pub fn stream_footer_response(streamed: &StreamedQueryOutcome) -> Json {
 
 /// The `routing` sub-object of `EXPLAIN` / `EXPLAIN ANALYZE` responses: the
 /// scheduler the query dispatches under, whether routing chose it, and the
-/// threshold the top-level `est_total_states` was compared against.
+/// threshold the query's price was compared against.  A run that walks its
+/// tree (streamed, traced, limited or with a deadline) is priced at the
+/// top-level `est_total_states`; a buffered run with no limit and no
+/// deadline counts its independent suffix and is priced lower, at
+/// [`PreparedEngine::count_only_price`].
 fn routing_object(decision: &RoutingDecision, effective_scheduler: &str, routed: bool) -> Json {
     Json::obj(vec![
         ("chosen_scheduler", Json::str(effective_scheduler)),

@@ -44,6 +44,10 @@ fn one_engine_many_threads_matches_sequential() {
                     let outcome = engine.run(&run);
                     assert_eq!(outcome.matches, reference.matches, "thread {i}");
                     assert_eq!(outcome.states, reference.states, "thread {i}");
+                    // Lists handed to the search are schedule-invariant, and
+                    // a run counts only those of its own workers.
+                    let lists = outcome.kernels.lists;
+                    assert_eq!(lists, reference.kernels.lists, "thread {i}");
                     assert_eq!(outcome.mappings, reference.mappings, "thread {i}");
                 }
             });

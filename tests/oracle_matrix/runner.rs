@@ -312,25 +312,7 @@ impl<'a> Subject<'a> {
             same("uncollected mappings", outcome.mappings.len(), 0)?;
             let preprocessed = engine.preprocess_seconds();
             same("preprocessing", outcome.preprocess_seconds, preprocessed)?;
-            let mut positions = None;
-            if let Some(sink) = sink {
-                let tasks = outcome.worker_stats.iter().map(|w| w.tasks_executed);
-                let groups = outcome.worker_stats.iter().map(|w| w.task_groups);
-                let run = (
-                    outcome.steals,
-                    outcome.steal_requests,
-                    tasks.sum(),
-                    groups.sum(),
-                );
-                let counted = (
-                    sink.steals(),
-                    sink.steal_requests(),
-                    sink.tasks_executed(),
-                    sink.task_groups(),
-                );
-                same("sink counters", counted, run)?;
-                positions = Some((sink.candidates_per_position(), sink.states_per_position()));
-            }
+            let positions = sink.map(|s| (s.candidates_per_position(), s.states_per_position()));
             let mut seen = Observed::new(outcome, Some(config.scheduler));
             (seen.rows, seen.row_cap, seen.positions) = (rows, row_cap, positions);
             Ok(seen)
@@ -524,7 +506,6 @@ impl<'a> Subject<'a> {
         if ctx.num_positions() > 0 && !ctx.impossible() {
             walk(&ctx, 0, &mut ctx.new_state())?;
         }
-        let before = ctx.kernel_totals();
         let engine = Engine::from_context(ctx);
         let counted = engine.run(&RunConfig::default());
         let visitor = RowVisitor(Mutex::new(Vec::new()));
@@ -542,7 +523,8 @@ impl<'a> Subject<'a> {
             (listed.matches, listed.states),
             want,
         )?;
-        let usage = engine.context().kernel_totals().since(&before);
+        let mut usage = counted.kernels;
+        usage.add(listed.kernels);
         check_bitmap(cell.kernel, bitmap, &usage)
     }
 
