@@ -199,7 +199,7 @@ fn record_collection(settings: &Settings, scale: f64) -> Collection {
 /// stealing.  The whole collection is enumerated per sample (single
 /// instances of the smoke collection finish in microseconds, below timer
 /// resolution); outside smoke runs its scale makes search time dominate the
-/// per-run thread-spawn cost of the parallel schedulers.
+/// per-run cost of handing shares to the pooled helpers.
 pub fn fig3_work_stealing(settings: &Settings) -> Table {
     let coll = record_collection(settings, 1.5);
     let mut engines: Vec<Engine<'_>> = coll

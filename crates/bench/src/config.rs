@@ -2,7 +2,7 @@
 
 use crate::bench_report::{figure, FigureFn, FIGURES};
 use sge::Strategy;
-use sge_wire::protocol::max_sched_workers;
+use sge_util::pool::max_workers;
 use std::time::Duration;
 
 /// Knobs shared by every figure.
@@ -106,7 +106,7 @@ pub fn parse_args(args: &[String]) -> Result<Invocation, String> {
             }
             "--seed" => settings.seed = checked(flag, value()?, |_| true)?,
             "--workers" => {
-                settings.workers = list(flag, value()?, |n| (1..=max_sched_workers()).contains(&n))?
+                settings.workers = list(flag, value()?, |n| (1..=max_workers()).contains(&n))?
             }
             "--group-sizes" => settings.task_group_sizes = list(flag, value()?, |n| n >= 1)?,
             "--time-limit-secs" => {
@@ -212,7 +212,7 @@ mod tests {
 
     #[test]
     fn malformed_arguments_are_errors() {
-        let too_many_workers = format!("1,{}", max_sched_workers() + 1);
+        let too_many_workers = format!("1,{}", max_workers() + 1);
         let bad: [&[&str]; 24] = [
             &["nonsense"],
             &["--bogus"],

@@ -71,16 +71,20 @@ use std::time::Duration;
 /// Which execution strategy drives the search.
 ///
 /// Every scheduler runs the same depth-first loop (`sge_stealing::run`);
-/// they differ in how many workers run it and whether they steal.  A
-/// one-worker run — `Sequential`, `ws:1` or a one-worker static partition
-/// — executes on the calling thread and spawns no thread.
+/// they differ in how many workers run it and whether they steal.  Worker
+/// 0 is the calling thread, so a one-worker run — `Sequential`, `ws:1` or
+/// a one-worker static partition — uses no other thread.  The other
+/// workers are offered to the process-wide pool of parked helper threads,
+/// which starts a helper only when no parked one is free to take the offer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Scheduler {
     /// One worker, no stealing: the sequential depth-first search.
     Sequential,
     /// The paper's private-deque work-stealing runtime.
     WorkStealing {
-        /// Number of workers; several run on threads of their own.
+        /// Number of workers: worker 0 on the calling thread, each other
+        /// one on a pooled helper thread if one takes it in time, and by
+        /// worker 0 otherwise.
         workers: usize,
         /// Task-group (coalescing) size; the paper settles on 4.
         task_group_size: usize,
@@ -460,8 +464,9 @@ impl<'g> Engine<'g> {
 
     /// Executes one run, streaming every match to `visitor`: from the
     /// calling thread, as worker 0, in a one-worker run (`Sequential`,
-    /// `ws:1` or a one-worker static partition); from worker threads when
-    /// several workers run.
+    /// `ws:1` or a one-worker static partition); when several workers run,
+    /// concurrently from the calling thread and the pooled helper threads
+    /// that joined the run.
     pub fn run_with(&self, config: &RunConfig, visitor: &dyn MatchVisitor) -> EnumerationOutcome {
         self.execute(config, Some(visitor), None)
     }
@@ -991,6 +996,31 @@ mod tests {
         assert_eq!(outer.kernels, alone.kernels);
         assert_eq!(inner.kernels.lists, alone.kernels.lists);
         assert_eq!(outer.matches, alone.matches);
+    }
+
+    #[test]
+    fn a_work_stealing_run_inside_another_matches_the_sequential_run() {
+        // Every match of an outer `ws:2` run starts an inner `ws:2` run from
+        // the outer run's worker, while the outer run holds its helper: the
+        // inner run's worker 0 runs what no free helper takes.
+        let pattern = generators::undirected_cycle(4, 0);
+        let target = generators::grid(4, 4);
+        let engine = Engine::prepare(&pattern, &target, Algorithm::RiDsSiFc);
+        let figures = |config: RunConfig, visitor: &dyn MatchVisitor| {
+            let o = engine.run_with(&config.with_collected_mappings(usize::MAX), visitor);
+            (o.matches, o.states, o.mappings)
+        };
+        let quiet = Calls(|_: usize, _: &[NodeId]| {});
+        let sequential = figures(RunConfig::new(Scheduler::Sequential), &quiet);
+        assert_eq!(sequential.0, 72);
+        let ws2 = RunConfig::new(Scheduler::work_stealing(2));
+        let inner_runs = std::sync::atomic::AtomicU64::new(0);
+        let nesting = Calls(|_: usize, _: &[NodeId]| {
+            assert_eq!(figures(ws2, &quiet), sequential);
+            inner_runs.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        });
+        assert_eq!(figures(ws2, &nesting), sequential);
+        assert_eq!(inner_runs.into_inner(), 72);
     }
 
     #[test]

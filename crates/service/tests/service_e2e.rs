@@ -620,6 +620,15 @@ fn a_count_only_query_is_priced_by_its_count() {
     assert_eq!(counted.engine.counted_from(), 1);
     assert_eq!(counted.routing.price, 4_380.0);
     assert_eq!(counted.effective_scheduler, Scheduler::Sequential);
+    // The wire reports the price beside the threshold it was compared with.
+    let wire = sge_service::protocol::explain_response(&counted).render();
+    assert!(
+        wire.contains(
+            "\"routing\":{\"chosen_scheduler\":\"sequential\",\"routed\":true,\
+             \"threshold\":50000.0,\"price\":4380.0}"
+        ),
+        "{wire}"
+    );
     let mut limited = spec.clone();
     limited.run.max_matches = Some(10);
     let mut streamed = spec.clone();

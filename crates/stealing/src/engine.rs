@@ -43,16 +43,28 @@
 //!
 //! A worker that cannot steal — the only worker of a run, or one of a run
 //! with stealing off — has no peers: no shared arrays, no termination ring
-//! and no request slot to poll.  A one-worker run executes on the calling
-//! thread, over the problem's own root list.
+//! and no request slot to poll.
+//!
+//! Worker 0 is the calling thread.  Alone, it runs over the problem's own
+//! root list.  Otherwise the roots are dealt round-robin (Section 3.3) and
+//! each other worker's share is offered to the process-wide pool of parked
+//! helper threads (`sge_util::pool`), in the work-first style of Cilk-5:
+//! a helper that takes an offer becomes that worker and joins the ring in
+//! the same step.  Once worker 0 runs out of work it withdraws every share
+//! no helper has taken and runs it itself, one share at a time, before it
+//! first steals, so no run waits on a helper that has not started.  In a
+//! stealing run a helper that arrives after its share was withdrawn still
+//! joins, as a thief, while the run is live.  A worker that panics stops
+//! the run, so no peer waits on it; the caller re-raises the panic once
+//! every helper that joined has left.
 
 use crate::problem::{BacktrackProblem, RestCount};
 use crate::stats::{RunResult, WorkerStats};
 use crate::task::{Frames, Next, TaskGroup, Transfer};
 use crate::termination::Termination;
-use sge_util::{CancelToken, MatchBudget, SplitMix64};
+use sge_util::{CancelToken, MatchBudget, Pool, SplitMix64};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Sentinel meaning "no pending steal request".
@@ -65,7 +77,8 @@ const DEADLINE_CHECK_INTERVAL: u64 = 1024;
 /// Configuration of one run.
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
-    /// Number of workers; a single one runs on the calling thread.
+    /// Number of workers: worker 0 runs on the calling thread, the others
+    /// on pooled helper threads that may join late or never.
     pub num_workers: usize,
     /// Task-group (coalescing) size; the paper settles on 4.
     pub task_group_size: usize,
@@ -105,8 +118,8 @@ impl Default for EngineConfig {
 }
 
 impl EngineConfig {
-    /// Convenience constructor with `workers` threads and the paper's default
-    /// task-group size of 4.
+    /// Convenience constructor with `workers` workers and the paper's
+    /// default task-group size of 4.
     pub fn with_workers(workers: usize) -> Self {
         EngineConfig {
             num_workers: workers,
@@ -253,7 +266,20 @@ impl Limits {
     }
 }
 
+/// Stops the run when the worker that holds it unwinds, so that no peer
+/// waits on a steal answer or a ring token from a dead worker.
+struct StopOnPanic<'a>(&'a Limits);
+
+impl Drop for StopOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.stop();
+        }
+    }
+}
+
 /// The shared arrays and the termination ring of a run whose workers steal.
+/// Only worker 0 starts out in the ring; the others join as they start.
 struct Peers<C> {
     work_available: Vec<Padded<AtomicBool>>,
     requests: Vec<Padded<AtomicUsize>>,
@@ -278,12 +304,88 @@ impl<C> Peers<C> {
     }
 }
 
+/// The place of a worker past the first in a multi-worker run: the root
+/// share offered to the pool's helpers and, once a helper ran the worker,
+/// its counters.
+struct Seat<C> {
+    /// The share, until a helper takes it or worker 0 withdraws it.
+    share: Mutex<Option<Vec<C>>>,
+    stats: OnceLock<WorkerStats>,
+}
+
+impl<C: Copy + Send> Seat<C> {
+    fn new(share: Vec<C>) -> Self {
+        Seat {
+            share: Mutex::new(Some(share)),
+            stats: OnceLock::new(),
+        }
+    }
+
+    /// Worker 0 takes the share back if no helper has taken it.
+    fn withdraw(&self) -> Option<Vec<C>> {
+        self.share.lock().expect("seat mutex poisoned").take()
+    }
+
+    /// What a helper does for seat `id`: take the share and run it, or,
+    /// once worker 0 withdrew the share, join as a thief while a stealing
+    /// run is live.  Taking the seat and joining the ring are one step
+    /// under the share's lock, so worker 0, which withdraws every share
+    /// before it first goes idle, never starts a round that misses a worker
+    /// holding a share.
+    fn run<P: BacktrackProblem<Choice = C>>(
+        &self,
+        id: usize,
+        problem: &P,
+        limits: &Limits,
+        peers: Option<&Peers<C>>,
+        config: &EngineConfig,
+    ) {
+        if limits.is_stopped() {
+            return;
+        }
+        let share = {
+            let mut share = self.share.lock().expect("seat mutex poisoned");
+            let share = share.take();
+            let live = peers.is_some_and(|peers| !peers.termination.is_terminated());
+            if share.is_none() && !live {
+                return;
+            }
+            if let Some(peers) = peers {
+                peers.termination.join(id);
+            }
+            share
+        };
+        let mut worker = Worker::new(id, problem, limits, peers, config);
+        if let Some(share) = share {
+            worker.frames.install(TaskGroup::new(0, share, false));
+        }
+        worker.run();
+        // One offer per seat: the only helper that ran it sets this.
+        let _ = self.stats.set(worker.stats);
+    }
+
+    /// The counters of the helper that ran seat `id`: zero if none joined.
+    fn stats(&self, id: usize) -> WorkerStats {
+        self.stats.get().cloned().unwrap_or(WorkerStats {
+            worker_id: id,
+            ..WorkerStats::default()
+        })
+    }
+}
+
+/// One worker's loop state.  Aligned like a [`Padded`] slot: worker 0 lives
+/// on the calling thread's stack beside the run's shared arrays and limits,
+/// which every worker reads once per state, and its own per-state writes
+/// must not share their cache lines.
+#[repr(align(128))]
 struct Worker<'a, P: BacktrackProblem> {
     id: usize,
     problem: &'a P,
     limits: &'a Limits,
     /// `None` when the worker neither steals nor is stolen from.
     peers: Option<&'a Peers<P::Choice>>,
+    /// Worker 0's: the seats whose shares it has not tried to withdraw.
+    seats: &'a [Seat<P::Choice>],
     /// The private deque, which also holds the path: levels `0..d` are
     /// applied, `d` the deepest frame's depth.
     frames: Frames<P::Choice>,
@@ -321,6 +423,7 @@ impl<'a, P: BacktrackProblem> Worker<'a, P> {
             problem,
             limits,
             peers,
+            seats: &[],
             frames: Frames::new(total_depth, config.task_group_size),
             state: problem.new_state(),
             prefix: Vec::new(),
@@ -659,16 +762,34 @@ impl<'a, P: BacktrackProblem> Worker<'a, P> {
         }
     }
 
-    /// The worker main loop (paper Fig. 2): search, then steal, until the
-    /// run is over.
+    /// The first share of [`Self::seats`] no helper has taken.
+    fn withdraw(&mut self) -> Option<Vec<P::Choice>> {
+        while let Some((seat, rest)) = self.seats.split_first() {
+            self.seats = rest;
+            if let Some(share) = seat.withdraw() {
+                return Some(share);
+            }
+        }
+        None
+    }
+
+    /// The worker main loop (paper Fig. 2): search, then take back a share
+    /// no helper took, or steal, until the run is over.
     fn run(&mut self) {
         let start = Instant::now();
         loop {
             self.search();
+            if self.limits.is_stopped() {
+                break;
+            }
+            if let Some(share) = self.withdraw() {
+                self.frames.install(TaskGroup::new(0, share, false));
+                continue;
+            }
             let Some(peers) = self.peers else {
                 break;
             };
-            if self.limits.is_stopped() || !self.acquire(peers) {
+            if !self.acquire(peers) {
                 break;
             }
         }
@@ -683,14 +804,31 @@ impl<'a, P: BacktrackProblem> Worker<'a, P> {
 
 /// Runs the backtracking search over `problem`.
 ///
-/// One worker runs on the calling thread, over the problem's own root
-/// list.  Several workers run on threads of their own; the children of the
-/// state-space root are dealt round-robin over their private deques
-/// (Section 3.3), and from then on the receiver-initiated work-stealing
-/// protocol balances the load, unless stealing is off.
+/// Worker 0 runs on the calling thread: alone, over the problem's own root
+/// list.  Several workers deal the children of the state-space root
+/// round-robin over their private deques (Section 3.3); each share past
+/// worker 0's is offered to the process-wide pool of parked helper threads,
+/// and worker 0 runs every share no helper took by the time it runs out of
+/// work.  From then on the receiver-initiated work-stealing protocol
+/// balances the load, unless stealing is off.  A worker no helper ran
+/// reports zero counters.
 ///
 /// A problem with `depth() == 0` has exactly one (empty) solution.
+///
+/// # Panics
+///
+/// Re-raises a panic of the problem's code on any worker, once every helper
+/// that joined the run has left it.
 pub fn run<P: BacktrackProblem>(problem: &P, config: &EngineConfig) -> RunResult {
+    run_on(Pool::global(), problem, config)
+}
+
+/// [`run`] with helpers from `pool`.
+fn run_on<P: BacktrackProblem>(
+    pool: &'static Pool,
+    problem: &P,
+    config: &EngineConfig,
+) -> RunResult {
     let start = Instant::now();
     let workers = config.num_workers.max(1);
 
@@ -716,10 +854,7 @@ pub fn run<P: BacktrackProblem>(problem: &P, config: &EngineConfig) -> RunResult
     // degenerate outcome (zero work) instead of racing the periodic
     // per-worker interrupt checks.
     limits.check_interrupts();
-    let worker_stats = match workers {
-        1 => vec![run_alone(problem, &limits, config)],
-        _ => run_shared(problem, &limits, config, workers),
-    };
+    let worker_stats = run_workers(pool, problem, &limits, config, workers);
 
     let mut result = RunResult::from_workers(
         worker_stats,
@@ -731,63 +866,54 @@ pub fn run<P: BacktrackProblem>(problem: &P, config: &EngineConfig) -> RunResult
     result
 }
 
-/// The one worker of a run, on the calling thread: its first frame reads
-/// the root list it builds in its own state, so nothing is copied.
-fn run_alone<P: BacktrackProblem>(
-    problem: &P,
-    limits: &Limits,
-    config: &EngineConfig,
-) -> WorkerStats {
-    let mut worker = Worker::new(0, problem, limits, None, config);
-    if !limits.is_stopped() {
-        let roots = problem.candidates(0, &mut worker.state);
-        worker.frames.expand(0, roots);
-    }
-    worker.run();
-    worker.stats
-}
-
-/// `workers` workers on threads of their own, each starting from its
-/// round-robin share of the root list, unchecked.
-fn run_shared<P: BacktrackProblem>(
+/// Worker 0 on the calling thread, building the root list in its own
+/// state: alone, its first frame reads that list, so nothing is copied;
+/// otherwise it starts from its round-robin share, and each other worker's
+/// share is offered to `pool` through a seat.
+fn run_workers<P: BacktrackProblem>(
+    pool: &'static Pool,
     problem: &P,
     limits: &Limits,
     config: &EngineConfig,
     workers: usize,
 ) -> Vec<WorkerStats> {
+    let peers = (workers > 1 && config.steal_enabled).then(|| Peers::new(workers));
+    let mut caller = Worker::new(0, problem, limits, peers.as_ref(), config);
     let mut shares = vec![Vec::new(); workers];
     if !limits.is_stopped() {
-        let mut state = problem.new_state();
-        for index in 0..problem.candidates(0, &mut state) {
-            shares[index % workers].push(problem.candidate(0, index, &state));
+        let roots = problem.candidates(0, &mut caller.state);
+        if workers == 1 {
+            caller.frames.expand(0, roots);
+        } else {
+            for index in 0..roots {
+                shares[index % workers].push(problem.candidate(0, index, &caller.state));
+            }
+            let own = std::mem::take(&mut shares[0]);
+            caller.frames.install(TaskGroup::new(0, own, false));
         }
-        problem.retire_state(&state);
     }
-    let peers = config.steal_enabled.then(|| Peers::new(workers));
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = shares
-            .into_iter()
-            .enumerate()
-            .map(|(id, share)| {
-                let peers = peers.as_ref();
-                scope.spawn(move || {
-                    let mut worker = Worker::new(id, problem, limits, peers, config);
-                    worker.frames.install(TaskGroup::new(0, share, false));
-                    worker.run();
-                    worker.stats
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|handle| handle.join().expect("worker thread panicked"))
-            .collect()
-    })
+    let seats: Vec<Seat<P::Choice>> = shares.into_iter().skip(1).map(Seat::new).collect();
+    caller.seats = &seats;
+    pool.scope(|scope| {
+        for (seat, id) in seats.iter().zip(1..) {
+            let peers = peers.as_ref();
+            scope.offer(move || {
+                let _stop = StopOnPanic(limits);
+                seat.run(id, problem, limits, peers, config);
+            });
+        }
+        let _stop = StopOnPanic(limits);
+        caller.run();
+    });
+    let mut stats = vec![std::mem::take(&mut caller.stats)];
+    stats.extend(seats.iter().zip(1..).map(|(seat, id)| seat.stats(id)));
+    stats
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
 
     /// N-Queens as a [`BacktrackProblem`]: level = row, choice = column.
     struct NQueens {
@@ -1461,6 +1587,350 @@ mod tests {
         assert_eq!(total, result.states);
         assert!(result.workers.iter().all(|w| w.busy_seconds >= 0.0));
         assert!(result.elapsed_seconds > 0.0);
+    }
+
+    /// A pool of its own with at most `max_helpers` helpers, so a test
+    /// knows how many helpers a run can find.
+    fn private_pool(max_helpers: usize) -> &'static Pool {
+        Box::leak(Box::new(Pool::new(max_helpers)))
+    }
+
+    /// Keeps `helpers` helpers of `pool` busy, from a thread of `threads`,
+    /// until the returned sender is dropped.
+    fn occupy<'scope>(
+        threads: &'scope std::thread::Scope<'scope, '_>,
+        pool: &'static Pool,
+        helpers: usize,
+    ) -> mpsc::Sender<()> {
+        let (release, wait_release) = mpsc::channel::<()>();
+        let wait_release = Arc::new(Mutex::new(wait_release));
+        let (busy, wait_busy) = mpsc::channel();
+        threads.spawn(move || {
+            let (taken, wait_taken) = mpsc::channel();
+            pool.scope(|scope| {
+                for _ in 0..helpers {
+                    let (taken, wait_release) = (taken.clone(), Arc::clone(&wait_release));
+                    scope.offer(move || {
+                        taken.send(()).unwrap();
+                        let _ = wait_release.lock().unwrap().recv();
+                    });
+                }
+                for _ in 0..helpers {
+                    wait_taken.recv().unwrap();
+                }
+                busy.send(()).unwrap();
+            })
+        });
+        wait_busy.recv().unwrap();
+        release
+    }
+
+    /// N-Queens whose `on_solution` is a closure.
+    struct Observed<F> {
+        inner: NQueens,
+        on_solution: F,
+    }
+
+    impl<F: Fn(usize, &QueensState) + Sync> BacktrackProblem for Observed<F> {
+        type State = QueensState;
+        type Choice = u32;
+        fn depth(&self) -> usize {
+            self.inner.depth()
+        }
+        fn new_state(&self) -> QueensState {
+            self.inner.new_state()
+        }
+        fn candidates(&self, level: usize, state: &mut QueensState) -> usize {
+            self.inner.candidates(level, state)
+        }
+        fn candidate(&self, level: usize, index: usize, state: &QueensState) -> u32 {
+            self.inner.candidate(level, index, state)
+        }
+        fn is_consistent(&self, level: usize, choice: u32, state: &QueensState) -> bool {
+            self.inner.is_consistent(level, choice, state)
+        }
+        fn apply(&self, level: usize, choice: u32, state: &mut QueensState) {
+            self.inner.apply(level, choice, state);
+        }
+        fn undo(&self, level: usize, state: &mut QueensState) {
+            self.inner.undo(level, state);
+        }
+        fn on_solution(&self, worker_id: usize, state: &QueensState) {
+            (self.on_solution)(worker_id, state);
+        }
+    }
+
+    /// A run's solutions, states and sorted solution columns.
+    type Figures = (u64, u64, Vec<Vec<u32>>);
+
+    /// Runs N-Queens(`n`) on `pool`, recording each solution and then
+    /// handing its worker to `also`; returns the run's figures and its
+    /// workers' counters.
+    fn recorded(
+        n: usize,
+        pool: &'static Pool,
+        config: &EngineConfig,
+        also: impl Fn(usize) + Sync,
+    ) -> (Figures, Vec<WorkerStats>) {
+        let solutions = Mutex::new(Vec::new());
+        let problem = Observed {
+            inner: NQueens { n },
+            on_solution: |worker_id, state: &QueensState| {
+                solutions.lock().unwrap().push(state.columns.clone());
+                also(worker_id);
+            },
+        };
+        let result = run_on(pool, &problem, config);
+        assert_eq!(result.workers.len(), config.num_workers.max(1));
+        let mut solutions = solutions.into_inner().unwrap();
+        solutions.sort_unstable();
+        ((result.solutions, result.states, solutions), result.workers)
+    }
+
+    /// The figures of the sequential N-Queens(`n`), to compare others with.
+    fn sequential(n: usize) -> Figures {
+        recorded(n, private_pool(0), &EngineConfig::with_workers(1), |_| {}).0
+    }
+
+    #[test]
+    fn a_run_nested_in_a_workers_solution_finds_the_helper_taken() {
+        // The outer run's one helper runs worker 1, so the nested runs its
+        // workers start find no helper free and run alone.
+        let pool = private_pool(1);
+        let reference = sequential(6);
+        let nested_runs = AtomicUsize::new(0);
+        let (outer, _) = recorded(8, pool, &EngineConfig::with_workers(2), |worker_id| {
+            let (nested, _) = recorded(6, pool, &EngineConfig::with_workers(2), |_| {});
+            assert_eq!(nested, reference, "nested in worker {worker_id}");
+            nested_runs.fetch_add(1, Ordering::SeqCst);
+        });
+        assert_eq!(outer, sequential(8));
+        assert_eq!(nested_runs.load(Ordering::SeqCst), 92);
+        assert_eq!(pool.spawned(), 1);
+    }
+
+    #[test]
+    fn more_concurrent_runs_than_helpers_all_finish() {
+        let pool = private_pool(3);
+        let reference = sequential(8);
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|threads| {
+            for thread in 0..4 {
+                let (start, reference) = (&start, &reference);
+                threads.spawn(move || {
+                    start.wait();
+                    for round in 0..10 {
+                        let config = EngineConfig::with_workers(4).steal(round % 3 != 2);
+                        let (run, _) = recorded(8, pool, &config, |_| {});
+                        assert_eq!(&run, reference, "thread {thread} round {round}");
+                    }
+                });
+            }
+        });
+        assert_eq!(pool.spawned(), 3);
+    }
+
+    #[test]
+    fn workers_above_the_pool_cap_report_zero() {
+        let pool = private_pool(2);
+        let reference = sequential(8);
+        let check = |stealing: bool| {
+            let config = EngineConfig::with_workers(6).steal(stealing);
+            let (run, workers) = recorded(8, pool, &config, |_| {});
+            assert_eq!(run, reference);
+            let ids: Vec<_> = workers.iter().map(|w| w.worker_id).collect();
+            assert_eq!(ids, [0, 1, 2, 3, 4, 5]);
+            workers
+        };
+        // Both helpers busy elsewhere: no worker past the first joins.
+        std::thread::scope(|threads| {
+            let release = occupy(threads, pool, 2);
+            for stealing in [true, false] {
+                let workers = check(stealing);
+                let zero = |w: &WorkerStats| {
+                    (w.states, w.solutions, w.tasks_executed, w.busy_seconds) == (0, 0, 0, 0.0)
+                };
+                assert!(workers[1..].iter().all(zero), "{workers:?}");
+                assert_eq!(workers[0].solutions, 92);
+            }
+            drop(release);
+        });
+        // Free helpers join, and the pool stays at its cap.
+        check(true);
+        check(false);
+        assert_eq!(pool.spawned(), 2);
+    }
+
+    /// N-Queens(8) with two roots, queens in columns 0 and 1, the first
+    /// declared inconsistent.  In a two-worker run the caller, worker 0,
+    /// finds its own root dead and withdraws worker 1's at once.  Armed
+    /// with `release`, its check of that root ends the job that keeps the
+    /// pool's one helper busy and waits until the helper, coming late for
+    /// worker 1, built a state, which a helper does only after it joined
+    /// the ring of a stealing run.  Then, in a stealing run, worker 0
+    /// checks each choice below slowly until the helper installed a stolen
+    /// group.
+    struct LateHelper {
+        inner: NQueens,
+        stealing: bool,
+        caller: std::thread::ThreadId,
+        release: Mutex<Option<mpsc::Sender<()>>>,
+        came: Mutex<mpsc::Sender<()>>,
+        heard: Mutex<mpsc::Receiver<()>>,
+        stolen: AtomicBool,
+    }
+
+    impl LateHelper {
+        fn new(stealing: bool, release: Option<mpsc::Sender<()>>) -> Self {
+            let (came, heard) = mpsc::channel();
+            LateHelper {
+                inner: NQueens { n: 8 },
+                stealing,
+                caller: std::thread::current().id(),
+                release: Mutex::new(release),
+                came: Mutex::new(came),
+                heard: Mutex::new(heard),
+                stolen: AtomicBool::new(false),
+            }
+        }
+
+        fn on_caller(&self) -> bool {
+            std::thread::current().id() == self.caller
+        }
+    }
+
+    impl BacktrackProblem for LateHelper {
+        type State = QueensState;
+        type Choice = u32;
+        fn depth(&self) -> usize {
+            self.inner.depth()
+        }
+        fn new_state(&self) -> QueensState {
+            if !self.on_caller() {
+                let _ = self.came.lock().unwrap().send(());
+            }
+            self.inner.new_state()
+        }
+        fn candidates(&self, level: usize, state: &mut QueensState) -> usize {
+            if level == 0 {
+                2
+            } else {
+                self.inner.candidates(level, state)
+            }
+        }
+        fn candidate(&self, level: usize, index: usize, state: &QueensState) -> u32 {
+            self.inner.candidate(level, index, state)
+        }
+        fn is_consistent(&self, level: usize, choice: u32, state: &QueensState) -> bool {
+            if level == 0 && choice == 0 {
+                return false;
+            }
+            if !self.on_caller() {
+                return self.inner.is_consistent(level, choice, state);
+            }
+            if level == 0 {
+                if let Some(release) = self.release.lock().unwrap().take() {
+                    drop(release);
+                    // Without stealing no helper builds a state: the wait
+                    // only gives it time to come and leave.
+                    let wait = if self.stealing { 10_000 } else { 50 };
+                    let heard = self.heard.lock().unwrap();
+                    let _ = heard.recv_timeout(Duration::from_millis(wait));
+                }
+            } else if self.stealing && !self.stolen.load(Ordering::SeqCst) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            self.inner.is_consistent(level, choice, state)
+        }
+        fn apply(&self, level: usize, choice: u32, state: &mut QueensState) {
+            if !self.on_caller() {
+                self.stolen.store(true, Ordering::SeqCst);
+            }
+            self.inner.apply(level, choice, state);
+        }
+        fn undo(&self, level: usize, state: &mut QueensState) {
+            self.inner.undo(level, state);
+        }
+    }
+
+    #[test]
+    fn a_helper_that_finds_its_share_withdrawn_joins_as_a_thief() {
+        let reference = run_on(
+            private_pool(0),
+            &LateHelper::new(true, None),
+            &EngineConfig::with_workers(1),
+        );
+        // Eight solutions have their first queen in column 1.
+        assert_eq!(reference.solutions, 8);
+        for stealing in [true, false] {
+            let pool = private_pool(1);
+            let config = EngineConfig::with_workers(2)
+                .task_group_size(1)
+                .steal(stealing);
+            let started = Instant::now();
+            let result = std::thread::scope(|threads| {
+                let release = occupy(threads, pool, 1);
+                run_on(pool, &LateHelper::new(stealing, Some(release)), &config)
+            });
+            assert!(started.elapsed() < Duration::from_secs(5), "{stealing}");
+            let figures = |r: &RunResult| (r.solutions, r.states);
+            assert_eq!(figures(&result), figures(&reference), "{stealing}");
+            let helper = &result.workers[1];
+            if stealing {
+                assert!(helper.steals > 0, "{helper:?}");
+            } else {
+                let zero = (helper.states, helper.solutions, helper.tasks_executed);
+                assert_eq!(zero, (0, 0, 0), "{helper:?}");
+                assert_eq!(helper.busy_seconds, 0.0);
+            }
+            assert_eq!(pool.spawned(), 1);
+        }
+    }
+
+    /// Runs N-Queens(8) on two workers of a one-helper pool, its
+    /// `on_solution` panicking on worker `panics_on`, and expects the
+    /// panic back within seconds, then a correct run on the same pool.
+    /// With `wait_for_panic`, worker 0 holds its first solution until the
+    /// panic happened, so the helper surely joins with its share first.
+    fn contains_the_panic(panics_on: usize, wait_for_panic: bool) {
+        let (panicked, heard) = mpsc::channel();
+        let (panicked, heard) = (Mutex::new(panicked), Mutex::new(heard));
+        let waiting = AtomicBool::new(wait_for_panic);
+        let problem = Observed {
+            inner: NQueens { n: 8 },
+            on_solution: |worker_id, _: &QueensState| {
+                if worker_id == panics_on {
+                    let _ = panicked.lock().unwrap().send(());
+                    panic!("solution on worker {worker_id}");
+                }
+                if worker_id == 0 && waiting.swap(false, Ordering::SeqCst) {
+                    let heard = heard.lock().unwrap();
+                    let _ = heard.recv_timeout(Duration::from_secs(10));
+                }
+            },
+        };
+        let pool = private_pool(1);
+        let started = Instant::now();
+        let config = EngineConfig::with_workers(2);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_on(pool, &problem, &config)
+        }));
+        let payload = caught.expect_err("the worker's panic reaches the caller");
+        let expected = format!("solution on worker {panics_on}");
+        assert_eq!(payload.downcast_ref::<String>(), Some(&expected));
+        assert!(started.elapsed() < Duration::from_secs(5));
+        assert_eq!(recorded(8, pool, &config, |_| {}).0, sequential(8));
+        assert_eq!(pool.spawned(), 1, "the helper survived");
+    }
+
+    #[test]
+    fn a_panic_on_a_helper_stops_the_run_and_reaches_the_caller() {
+        contains_the_panic(1, true);
+    }
+
+    #[test]
+    fn a_panic_on_the_caller_waits_for_the_helper_and_propagates() {
+        contains_the_panic(0, false);
     }
 
     #[test]

@@ -29,10 +29,16 @@
 //!   [`BacktrackProblem::counted_from`] on) when nothing observes
 //!   individual solutions,
 //! * termination is detected with the **Dijkstra ring token** algorithm
-//!   (white/black token passed by idle workers).
+//!   (white/black token passed by idle workers), skipping workers that have
+//!   not joined.
 //!
 //! A one-worker run is the sequential search: the same loop on the calling
-//! thread, with no peer to answer.
+//! thread, with no peer to answer.  A run of several workers starts no
+//! thread of its own either: worker 0 is the calling thread, and each other
+//! worker's root share is offered to the process-wide pool of parked
+//! helpers (`sge_util::pool`).  Worker 0 runs every share no helper took by the time
+//! it runs out of work, so a run never waits on a helper that has not
+//! started, and a helper that arrives late joins as a thief.
 //!
 //! The engine is generic over a [`BacktrackProblem`]; `sge-engine` plugs the
 //! RI / RI-DS search into it, and the test-suite exercises it with independent

@@ -20,7 +20,10 @@
 //!   deterministic serving-layer simulator),
 //! * [`poll`] (unix only) — a raw `poll(2)` readiness primitive backing the
 //!   event-driven server; the single place in the workspace where FFI is
-//!   permitted.
+//!   permitted,
+//! * [`pool`] — the process-wide pool of parked helper threads that the
+//!   work-stealing runtime offers its workers past the first to; its scope's
+//!   lifetime erasure is the workspace's only other unsafe code.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,6 +33,7 @@ pub mod budget;
 pub mod clock;
 #[cfg(unix)]
 pub mod poll;
+pub mod pool;
 pub mod rng;
 pub mod stats;
 pub mod timing;
@@ -37,6 +41,7 @@ pub mod timing;
 pub use bitset::Bitset;
 pub use budget::{CancelToken, MatchBudget};
 pub use clock::{Clock, SystemClock, VirtualClock};
+pub use pool::Pool;
 pub use rng::SplitMix64;
 pub use stats::{geometric_mean, LatencyHistogram, RunningStats, SpeedupSummary};
 pub use timing::PhaseTimer;

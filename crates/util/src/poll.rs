@@ -10,10 +10,11 @@
 //! interest set from the connection table on every loop iteration is cheap at
 //! the scale this server targets (hundreds to a few thousand fds).
 //!
-//! This is the single unsafe module in the workspace; the crate-level lint is
-//! `deny(unsafe_code)` with a scoped allow here, and the unsafety is confined
-//! to the FFI call itself (the slice pointer/length pair handed to the kernel
-//! is derived from a live `&mut [PollEntry]`).
+//! This is the only unsafe module in the workspace (the pool's
+//! `Scope::offer` is the only other unsafe function); the crate-level lint
+//! is `deny(unsafe_code)` with a scoped allow here, and the unsafety is
+//! confined to the FFI call itself (the slice pointer/length pair handed to
+//! the kernel is derived from a live `&mut [PollEntry]`).
 
 #![allow(unsafe_code)]
 

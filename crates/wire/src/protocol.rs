@@ -29,7 +29,11 @@
 //!   which counts its independent suffix, the states before the suffix
 //!   plus one scan of the suffix's lists per count), or a pinned
 //!   `seq` or `ws:<workers>[:<group>[:nosteal]]`, with at most
-//!   [`max_sched_workers`] workers.
+//!   [`max_workers`] workers (16 per core).  The query's thread runs
+//!   worker 0 and offers the others to the process-wide pool of helper
+//!   threads, which never holds more than [`max_workers`] − 1 helpers
+//!   however many pinned queries run at once; a worker no helper takes is
+//!   run by worker 0.
 //!   Responses carry `routed` (whether routing chose) and `EXPLAIN`
 //!   reports the decision under `routing`.
 //! * `strategy` — ordering strategy: `ri-greedy` (default),
@@ -85,7 +89,7 @@
 //! Request lines longer than [`MAX_REQUEST_LINE_BYTES`] and `BATCH` headers
 //! announcing more than [`MAX_BATCH_QUERIES`] continuation lines are
 //! answered with a structured error and the connection is closed.  A
-//! pinned scheduler asking for more than [`max_sched_workers`] workers is
+//! pinned scheduler asking for more than [`max_workers`] workers is
 //! answered with a structured error and the connection keeps serving.
 
 use crate::json::Json;
@@ -97,7 +101,7 @@ use sge_engine::{PreparedEngine, RoutingDecision, RunConfig};
 use sge_graph::NodeId;
 use sge_obs::{MetricValue, MetricsSnapshot};
 use sge_ri::PositionCost;
-use std::sync::OnceLock;
+use sge_util::pool::{max_workers, WORKERS_PER_CORE};
 use std::time::Duration;
 
 /// Hard cap on one request line (newline included): longer lines are
@@ -111,23 +115,6 @@ pub const MAX_REQUEST_LINE_BYTES: usize = 1 << 20; // 1 MiB
 /// controlled — an unbounded drain would let `n=u64::MAX` pin the
 /// connection forever).
 pub const MAX_BATCH_QUERIES: usize = 4096;
-
-/// Workers a pinned `sched=ws:<n>` may ask for per core the host makes
-/// available.  A run of two or more workers spawns one OS thread per worker
-/// on every query (a one-worker run stays on the calling thread), and a
-/// host that cannot back those threads fails the query, so the cap grows
-/// with what the host can run rather than with what a client asks for.
-pub const SCHED_WORKERS_PER_CORE: usize = 16;
-
-/// The worker cap of a pinned scheduler on this host:
-/// [`SCHED_WORKERS_PER_CORE`] × `std::thread::available_parallelism()`,
-/// read once.
-pub fn max_sched_workers() -> usize {
-    static CAP: OnceLock<usize> = OnceLock::new();
-    *CAP.get_or_init(|| {
-        SCHED_WORKERS_PER_CORE * std::thread::available_parallelism().map_or(1, |n| n.get())
-    })
-}
 
 /// A parsed protocol request.
 #[derive(Clone, Debug)]
@@ -226,11 +213,11 @@ fn parse_query_args(tokens: &[&str]) -> Result<QueryArgs, ServiceError> {
                     pinned = false;
                 } else {
                     run.scheduler = value.parse().map_err(protocol_error)?;
-                    let cap = max_sched_workers();
+                    let cap = max_workers();
                     if run.scheduler.workers() > cap {
                         return Err(protocol_error(format!(
                             "scheduler '{value}' exceeds the cap of {cap} workers \
-                             ({SCHED_WORKERS_PER_CORE} per core)"
+                             ({WORKERS_PER_CORE} per core)"
                         )));
                     }
                     pinned = true;
@@ -524,9 +511,9 @@ pub fn stream_footer_response(streamed: &StreamedQueryOutcome) -> Json {
 }
 
 /// The `routing` sub-object of `EXPLAIN` / `EXPLAIN ANALYZE` responses: the
-/// scheduler the query dispatches under, whether routing chose it, and the
-/// threshold the query's price was compared against.  A run that walks its
-/// tree (streamed, traced, limited or with a deadline) is priced at the
+/// scheduler the query dispatches under, whether routing chose it, the
+/// threshold and the price routing compared.  A run that walks its tree
+/// (streamed, traced, limited or with a deadline) is priced at the
 /// top-level `est_total_states`; a buffered run with no limit and no
 /// deadline counts its independent suffix and is priced lower, at
 /// [`PreparedEngine::count_only_price`].
@@ -535,6 +522,7 @@ fn routing_object(decision: &RoutingDecision, effective_scheduler: &str, routed:
         ("chosen_scheduler", Json::str(effective_scheduler)),
         ("routed", Json::Bool(routed)),
         ("threshold", Json::F64(decision.threshold)),
+        ("price", Json::F64(decision.price)),
     ])
 }
 
@@ -800,9 +788,9 @@ mod tests {
 
     #[test]
     fn scheduler_worker_counts_are_capped() {
-        let cap = max_sched_workers();
+        let cap = max_workers();
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        assert_eq!(cap, SCHED_WORKERS_PER_CORE * cores);
+        assert_eq!(cap, WORKERS_PER_CORE * cores);
         let line = |n: usize| format!("QUERY target=k5 sched=ws:{n} pattern=1;0;0");
         match parse_command(&line(cap)).unwrap() {
             Command::Query { spec, .. } => {
