@@ -60,11 +60,11 @@ pub use route::{RoutingConfig, RoutingDecision};
 use sge_graph::{AdjacencyBitmaps, Graph, GraphStats, NodeId};
 use sge_obs::TraceSink;
 use sge_ri::{
-    Algorithm, ChannelVisitor, KernelUsage, MatchVisitor, PlanCost, PreparedParts, QueryPlan,
-    SearchContext, Strategy,
+    Algorithm, KernelUsage, MatchVisitor, PlanCost, PreparedParts, QueryPlan, SearchContext,
+    Strategy,
 };
 use sge_stealing::WorkerStats;
-use sge_util::{CancelToken, PhaseTimer};
+use sge_util::PhaseTimer;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -297,9 +297,9 @@ pub struct EnumerationOutcome {
     /// Whether the match limit stopped the run early.
     pub limit_hit: bool,
     /// Whether cooperative cancellation stopped the run early — set when a
-    /// [`Engine::run_streaming`] consumer vanished (e.g. a streaming client
-    /// disconnected) or returned `false`.  Counts are then lower bounds,
-    /// exactly as for a timed-out run.
+    /// [`Engine::run_streaming`] consumer returned `false` (e.g. a streaming
+    /// client disconnected).  Counts are then lower bounds, exactly as for a
+    /// timed-out run.
     pub cancelled: bool,
     /// Successful steals (work-stealing scheduler only; 0 otherwise).
     pub steals: u64,
@@ -471,18 +471,22 @@ impl<'g> Engine<'g> {
         self.execute(config, Some(visitor), None)
     }
 
-    /// Executes one run while handing every discovered mapping to `consumer`
-    /// **on the calling thread**, with enumeration running concurrently on a
-    /// second thread and a bounded channel of `channel_capacity` mappings in
-    /// between — memory stays O(`channel_capacity`) regardless of the result
-    /// cardinality, and enumeration overlaps with whatever the consumer does
-    /// (e.g. socket writes).
+    /// Executes one run, handing every mapping to `consumer` as it is found,
+    /// on the thread that found it: the calling thread, as worker 0, and in
+    /// a `ws:N` run the pooled helpers that joined.  Calls never overlap
+    /// (the consumer runs under one lock, so it must be `Send` but need not
+    /// be `Sync`), and nothing is buffered between the workers and the
+    /// consumer: memory stays what the run and the consumer hold, whatever
+    /// the result cardinality, and a slow consumer slows the workers.
     ///
     /// The consumer returns `true` to keep going; returning `false` (the
     /// client is gone, enough rows were delivered, …) cooperatively cancels
-    /// the run: the channel is torn down, the in-flight schedulers observe
-    /// the cancellation at their next budget check and stop early, and the
-    /// returned outcome reports [`EnumerationOutcome::cancelled`].
+    /// the run: the consumer is never called again, the workers stop at
+    /// their next match or interrupt check, and the returned outcome reports
+    /// [`EnumerationOutcome::cancelled`].
+    ///
+    /// `channel_capacity` is unused; the argument stays for callers of this
+    /// three-argument form.
     ///
     /// Mappings arrive in **discovery order** (schedule-dependent under the
     /// parallel schedulers), not sorted like
@@ -490,38 +494,13 @@ impl<'g> Engine<'g> {
     pub fn run_streaming<F>(
         &self,
         config: &RunConfig,
-        channel_capacity: usize,
-        mut consumer: F,
+        _channel_capacity: usize,
+        consumer: F,
     ) -> EnumerationOutcome
     where
-        F: FnMut(Vec<NodeId>) -> bool,
+        F: FnMut(Vec<NodeId>) -> bool + Send,
     {
-        let cancel = Arc::new(CancelToken::new());
-        let (sender, receiver) = std::sync::mpsc::sync_channel(channel_capacity.max(1));
-        std::thread::scope(|scope| {
-            let producer = {
-                let cancel = Arc::clone(&cancel);
-                scope.spawn(move || {
-                    let bridge = ChannelVisitor::new(sender, Arc::clone(&cancel));
-                    // The bridge owns the sender; dropping it when this
-                    // closure returns disconnects the receiver below.
-                    self.execute(config, Some(&bridge), Some(&cancel))
-                })
-            };
-            while let Ok(mapping) = receiver.recv() {
-                if !consumer(mapping) {
-                    cancel.cancel();
-                    break;
-                }
-            }
-            // Unblock any sender stuck on a full channel: once the receiver
-            // is gone every `send` fails fast and the bridge keeps the token
-            // fired, so the producer winds down promptly.
-            drop(receiver);
-            producer
-                .join()
-                .expect("streaming enumeration thread panicked")
-        })
+        self.stream(config, consumer)
     }
 
     /// Convenience: count all matches sequentially.
@@ -639,21 +618,14 @@ impl PreparedEngine {
         self.engine().run_with(config, visitor)
     }
 
-    /// Executes one run, handing every mapping to `consumer` on the calling
-    /// thread through a bounded channel while enumeration proceeds on a
-    /// second thread — see [`Engine::run_streaming`].  The consumer returns
-    /// `false` to cooperatively cancel the run.
-    pub fn run_streaming<F>(
-        &self,
-        config: &RunConfig,
-        channel_capacity: usize,
-        consumer: F,
-    ) -> EnumerationOutcome
+    /// Executes one run, handing every mapping to `consumer` on the worker
+    /// that found it, one call at a time — see [`Engine::run_streaming`].
+    /// The consumer returns `false` to cooperatively cancel the run.
+    pub fn run_streaming<F>(&self, config: &RunConfig, consumer: F) -> EnumerationOutcome
     where
-        F: FnMut(Vec<NodeId>) -> bool,
+        F: FnMut(Vec<NodeId>) -> bool + Send,
     {
-        self.engine()
-            .run_streaming(config, channel_capacity, consumer)
+        self.engine().stream(config, consumer)
     }
 
     /// Convenience: count all matches sequentially.
@@ -1111,7 +1083,7 @@ mod tests {
         let target = Arc::new(generators::clique(5, 0));
         let prepared = PreparedEngine::prepare(pattern, target, Algorithm::RiDsSiFc);
         let mut rows: Vec<Vec<sge_graph::NodeId>> = Vec::new();
-        let outcome = prepared.run_streaming(&RunConfig::default(), 8, |mapping| {
+        let outcome = prepared.run_streaming(&RunConfig::default(), |mapping| {
             rows.push(mapping);
             true
         });

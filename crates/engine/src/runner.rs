@@ -1,6 +1,7 @@
 //! How one run of a prepared [`Engine`] executes: the hand-off of every
 //! scheduler to `sge_stealing::run`, the observers that belong to the run,
-//! and the assembly of the one [`EnumerationOutcome`] shape.
+//! the visitor a streamed run hands its consumer through, and the assembly
+//! of the one [`EnumerationOutcome`] shape.
 //!
 //! Every run reports an `sge_stealing::RunResult`, so per-worker counters
 //! travel one hop from the worker loop into the outcome.  The prepared
@@ -16,6 +17,32 @@ use sge_ri::{CollectingVisitor, KernelUsage, MatchVisitor, SearchContext, Worker
 use sge_stealing::{EngineConfig, RunResult, WorkerStats};
 use sge_util::CancelToken;
 use std::sync::{Arc, Mutex, PoisonError};
+
+/// The visitor of a streamed run: it hands each mapping to the consumer
+/// under one lock, on the worker that found it, and cancels the run the
+/// first time the consumer declines one.
+struct Streamer<'a, F> {
+    consumer: Mutex<F>,
+    cancel: &'a CancelToken,
+}
+
+impl<F: FnMut(Vec<NodeId>) -> bool + Send> MatchVisitor for Streamer<'_, F> {
+    fn on_match(&self, _worker_id: usize, mapping: &[NodeId]) {
+        // Copied before the lock, so the other workers wait only for the
+        // consumer.
+        let row = mapping.to_vec();
+        // A consumer that panicked is not called again; its panic stops the
+        // run and reaches the caller.
+        let Ok(mut consumer) = self.consumer.lock() else {
+            return;
+        };
+        // The token is read under the lock, so once the consumer declined a
+        // row no worker hands it another.
+        if !self.cancel.is_cancelled() && !consumer(row) {
+            self.cancel.cancel();
+        }
+    }
+}
 
 /// What observes one run: the caller's visitor and the mapping collector
 /// see its matches, the engine's trace sink its candidate lists and
@@ -91,6 +118,20 @@ impl<'a> Observers<'a> {
 }
 
 impl Engine<'_> {
+    /// Executes one run that hands every mapping to `consumer` and stops
+    /// once it declines one ([`Engine::run_streaming`]).
+    pub(crate) fn stream<F>(&self, config: &RunConfig, consumer: F) -> EnumerationOutcome
+    where
+        F: FnMut(Vec<NodeId>) -> bool + Send,
+    {
+        let cancel = Arc::new(CancelToken::new());
+        let streamer = Streamer {
+            consumer: Mutex::new(consumer),
+            cancel: &cancel,
+        };
+        self.execute(config, Some(&streamer), Some(&cancel))
+    }
+
     /// Executes one run under `config.scheduler`, streaming matches to
     /// `visitor` and stopping early once `cancel` fires.  Every scheduler
     /// runs the one depth-first loop of `sge_stealing::run`.

@@ -79,4 +79,4 @@ pub use sge_plan::{
     PlanStep, Planner, QueryPlan, Strategy,
 };
 pub use suffix::SuffixCount;
-pub use visitor::{ChannelVisitor, CollectingVisitor, MatchVisitor};
+pub use visitor::{CollectingVisitor, MatchVisitor};

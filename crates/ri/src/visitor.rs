@@ -2,21 +2,13 @@
 //!
 //! The unified `sge::Engine` supports streaming matches out of a run instead
 //! of (or in addition to) collecting them.  A one-worker run calls the
-//! visitor from the calling thread; the parallel schedulers call it
-//! concurrently from worker threads, so implementations must be [`Sync`] and
-//! do their own interior-mutable aggregation (an atomic counter, a mutexed
-//! vec, a channel, …).
-//!
-//! [`ChannelVisitor`] is the bounded-channel bridge behind
-//! `Engine::run_streaming`: matches flow through a `std::sync::mpsc`
-//! sync-channel to a consumer on another thread, so enumeration and
-//! consumption (e.g. socket writes) overlap with memory bounded by the
-//! channel capacity, and a vanished consumer cooperatively cancels the run.
+//! visitor from the calling thread; a parallel run calls it concurrently
+//! from the calling thread and the pooled helpers that joined it, so
+//! implementations must be [`Sync`] and do their own interior-mutable
+//! aggregation (an atomic counter, a mutexed vec, …).  `Engine::run_streaming`
+//! is such a visitor: it hands each mapping to its consumer under one lock.
 
 use sge_graph::NodeId;
-use sge_util::CancelToken;
-use std::sync::mpsc::SyncSender;
-use std::sync::Arc;
 
 /// Observer invoked once per discovered embedding, from whichever worker
 /// thread found it.
@@ -82,46 +74,6 @@ impl MatchVisitor for CollectingVisitor {
     }
 }
 
-/// Bridges matches into a **bounded** channel consumed by another thread.
-///
-/// `on_match` blocks when the channel is full (backpressure: enumeration
-/// never runs further ahead of the consumer than the channel capacity), and
-/// when the receiving end has been dropped — the consumer is gone, e.g. a
-/// streaming client disconnected — it fires the shared [`CancelToken`] so
-/// the schedulers stop the search instead of enumerating into the void.
-/// After the token has fired, `on_match` returns immediately without
-/// touching the channel.
-#[derive(Debug)]
-pub struct ChannelVisitor {
-    sender: SyncSender<Vec<NodeId>>,
-    cancel: Arc<CancelToken>,
-}
-
-impl ChannelVisitor {
-    /// Wraps the sending half of a `std::sync::mpsc::sync_channel` together
-    /// with the cancellation token the run was started with.
-    pub fn new(sender: SyncSender<Vec<NodeId>>, cancel: Arc<CancelToken>) -> Self {
-        ChannelVisitor { sender, cancel }
-    }
-
-    /// `true` once the consumer vanished (or anyone else cancelled the run).
-    pub fn is_cancelled(&self) -> bool {
-        self.cancel.is_cancelled()
-    }
-}
-
-impl MatchVisitor for ChannelVisitor {
-    fn on_match(&self, _worker_id: usize, mapping: &[NodeId]) {
-        if self.cancel.is_cancelled() {
-            return;
-        }
-        if self.sender.send(mapping.to_vec()).is_err() {
-            // Receiver dropped: the consumer will never read another row.
-            self.cancel.cancel();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,22 +96,5 @@ mod tests {
         let visitor = CollectingVisitor::new(0);
         visitor.on_match(1, &[4, 5, 6]);
         assert!(visitor.take().is_empty());
-    }
-
-    #[test]
-    fn channel_visitor_streams_and_cancels_on_dropped_receiver() {
-        let (sender, receiver) = std::sync::mpsc::sync_channel(2);
-        let visitor = ChannelVisitor::new(sender, Arc::new(CancelToken::new()));
-        visitor.on_match(0, &[1, 2]);
-        visitor.on_match(1, &[3, 4]);
-        assert_eq!(receiver.recv().unwrap(), vec![1, 2]);
-        assert_eq!(receiver.recv().unwrap(), vec![3, 4]);
-        assert!(!visitor.is_cancelled());
-        drop(receiver);
-        visitor.on_match(0, &[5, 6]);
-        assert!(visitor.is_cancelled(), "dropped receiver fires the token");
-        // Further matches are dropped without touching the channel.
-        visitor.on_match(0, &[7, 8]);
-        assert!(visitor.is_cancelled());
     }
 }

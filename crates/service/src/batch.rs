@@ -1,6 +1,8 @@
-//! The batch executor: many patterns against one target, on a worker pool.
+//! Batches: many patterns against one target, answered by the calling
+//! thread and helpers of the process-wide pool.
 
 use crate::{QueryOutcome, QuerySpec, Service, ServiceError};
+use sge_util::Pool;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -39,7 +41,8 @@ pub struct BatchOutcome {
     pub results: Vec<Result<QueryOutcome, ServiceError>>,
     /// Wall-clock seconds for the whole batch.
     pub wall_seconds: f64,
-    /// Worker threads the executor used.
+    /// Claimers the batch ran with: the calling thread plus the claimers it
+    /// offered to pooled helpers, taken or not.
     pub workers: usize,
 }
 
@@ -77,50 +80,45 @@ impl BatchOutcome {
     }
 }
 
-/// Fans a [`QuerySet`] out over a pool of std threads.
-///
-/// Each worker repeatedly claims the next unclaimed query index and runs it
-/// through [`Service::run_query`], so per-query cache hits, statistics and
-/// the **global admission limit** all behave exactly as for single queries —
-/// a batch cannot starve interactive traffic beyond the configured
-/// `max_in_flight`.
-pub struct BatchExecutor {
-    workers: usize,
-}
-
-impl BatchExecutor {
-    /// An executor using `workers` threads (clamped to at least 1).
-    pub fn new(workers: usize) -> Self {
-        BatchExecutor {
-            workers: workers.max(1),
-        }
-    }
-
+impl Service {
     /// Runs every query of `set` and returns the per-query results in
-    /// submission order.  Wall time is measured on the service's clock, so
-    /// batch throughput figures are deterministic under a virtual clock.
-    pub fn execute(&self, service: &Service, set: &QuerySet) -> BatchOutcome {
-        let started = service.clock().now();
+    /// submission order.
+    ///
+    /// Claimers take the next unclaimed query index until none is left and
+    /// run it through [`Service::run_query`], so per-query cache hits,
+    /// statistics and the **global admission limit** behave exactly as for
+    /// single queries: a batch cannot starve interactive traffic beyond the
+    /// configured `max_in_flight`.  The calling thread claims, and up to
+    /// `batch_workers − 1` more claimers are offered to the process-wide
+    /// helper pool ([`Pool::global`]); an offer no helper took by the time
+    /// the caller finds the batch drained is withdrawn unrun.  So a batch
+    /// starts no thread once the pool holds enough parked helpers.  Wall
+    /// time is measured on the service's clock, so batch throughput figures
+    /// are deterministic under a virtual clock.
+    pub fn run_batch(&self, set: &QuerySet) -> BatchOutcome {
+        let started = self.clock().now();
         let n = set.queries.len();
-        let workers = self.workers.min(n.max(1));
+        let workers = self.config().batch_workers.clamp(1, n.max(1));
         let next = AtomicUsize::new(0);
         let results: Mutex<Vec<Option<Result<QueryOutcome, ServiceError>>>> =
             Mutex::new((0..n).map(|_| None).collect());
-
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let index = next.fetch_add(1, Ordering::Relaxed);
-                    if index >= n {
-                        break;
-                    }
-                    let result = service.run_query(&set.target, &set.queries[index]);
-                    results
-                        .lock()
-                        .unwrap_or_else(|poisoned| poisoned.into_inner())[index] = Some(result);
-                });
+        let claim = || loop {
+            let index = next.fetch_add(1, Ordering::Relaxed);
+            if index >= n {
+                break;
             }
+            let result = self.run_query(&set.target, &set.queries[index]);
+            results
+                .lock()
+                .unwrap_or_else(|poisoned| poisoned.into_inner())[index] = Some(result);
+        };
+        Pool::global().scope(|scope| {
+            for _ in 1..workers {
+                scope.offer(claim);
+            }
+            claim();
         });
+        self.stats.record_batch();
 
         let results = results
             .into_inner()
@@ -131,7 +129,7 @@ impl BatchExecutor {
         BatchOutcome {
             target: set.target.clone(),
             results,
-            wall_seconds: service.clock().now().saturating_sub(started).as_secs_f64(),
+            wall_seconds: self.clock().now().saturating_sub(started).as_secs_f64(),
             workers,
         }
     }

@@ -1,7 +1,7 @@
 //! `sge-serve` — the TCP enumeration server.
 //!
 //! ```text
-//! sge-serve [--addr HOST:PORT] [--cache N] [--workers N]
+//! sge-serve [--addr HOST:PORT] [--cache N] [--workers BATCH_CLAIMERS]
 //!           [--max-in-flight N] [--drain-ms N] [--load NAME=PATH]...
 //!           [--log PATH] [--route-threshold STATES]
 //!           [--route-states-per-worker STATES]
@@ -13,6 +13,12 @@
 //! responses before the process exits.  `--log PATH` appends one JSON line
 //! per server lifecycle event (`listening`, `conn_open`, `conn_close`,
 //! `shutdown`, `drained`) to PATH.
+//!
+//! `--workers BATCH_CLAIMERS` sets how many claimers answer one `BATCH`
+//! (`ServiceConfig::batch_workers`, default the core count): the front-end
+//! worker that received it and up to BATCH_CLAIMERS − 1 helpers of the
+//! process-wide pool, which starts a helper only when no parked one is
+//! free.
 //!
 //! The front end is the event-driven readiness loop
 //! ([`sge_service::EventServer`]), built on `poll(2)`: off Unix the binary
@@ -26,7 +32,7 @@
 use sge_service::{Service, ServiceConfig};
 use std::sync::Arc;
 
-const USAGE: &str = "usage: sge-serve [--addr HOST:PORT] [--cache N] [--workers N] \
+const USAGE: &str = "usage: sge-serve [--addr HOST:PORT] [--cache N] [--workers BATCH_CLAIMERS] \
      [--max-in-flight N] [--drain-ms N] [--load NAME=PATH]... [--log PATH] \
      [--route-threshold STATES] [--route-states-per-worker STATES]";
 

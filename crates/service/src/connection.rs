@@ -1,7 +1,9 @@
 //! Transport-generic protocol handling: one connection, one step at a time.
 //!
 //! [`Connection`] owns the per-connection request/response loop, generic
-//! over any [`BufRead`] reader and [`Write`] writer.  The TCP front end's
+//! over any [`BufRead`] reader and [`Write`] + [`Send`] writer (a streamed
+//! `QUERY` writes its row frames from the worker that fills them).  The TCP
+//! front end's
 //! workers step it over one framed request unit, writing into an outbox the
 //! readiness loop drains to the socket (`crate::event_server`, Unix only);
 //! the deterministic simulator drives the *same code* over in-memory
@@ -46,7 +48,7 @@ pub struct Connection<R, W> {
     line: String,
 }
 
-impl<R: BufRead, W: Write> Connection<R, W> {
+impl<R: BufRead, W: Write + Send> Connection<R, W> {
     /// Wraps a transport pair.
     pub fn new(reader: R, writer: W) -> Self {
         Connection {
@@ -234,11 +236,13 @@ fn refuse<W: Write>(writer: &mut W, err: &ServiceError) -> std::io::Result<()> {
 }
 
 /// [`StreamSink`] over the connection writer: one JSON line per call.
+/// A streamed run writes its frames from the worker that filled them, so
+/// the writer must be `Send`.
 struct WriterSink<'a, W: Write> {
     writer: &'a mut W,
 }
 
-impl<W: Write> StreamSink for WriterSink<'_, W> {
+impl<W: Write + Send> StreamSink for WriterSink<'_, W> {
     fn begin(&mut self, header: &StreamHeader) -> std::io::Result<()> {
         writeln!(self.writer, "{}", stream_header_response(header).render())?;
         self.writer.flush()

@@ -12,10 +12,11 @@
 //!   *(pattern, target name, algorithm, ordering strategy)* — a repeated
 //!   pattern skips the domain computation / forward checking / ordering
 //!   phase entirely;
-//! * [`BatchExecutor`] fans a [`QuerySet`] (many patterns, one target) out
-//!   over a std-thread worker pool, with every run gated by the service's
-//!   global in-flight admission limit;
-//! * [`Service`] ties the three together behind one query pipeline and
+//! * [`Service::run_batch`] answers a [`QuerySet`] (many patterns, one
+//!   target): the calling thread and pooled helper threads claim its
+//!   queries, with every run gated by the service's global in-flight
+//!   admission limit;
+//! * [`Service`] ties them together behind one query pipeline and
 //!   keeps aggregate statistics.  Every query verb shares its head (lookup,
 //!   parse, cached prepare, routing); `EXPLAIN` stops there, and buffered,
 //!   streamed and analyzed queries share one execute path (dispatch →
@@ -46,7 +47,7 @@ pub mod stats;
 
 mod semaphore;
 
-pub use batch::{BatchExecutor, BatchOutcome, QuerySet};
+pub use batch::{BatchOutcome, QuerySet};
 pub use cache::{CacheStats, PreparedCache};
 pub use connection::{Connection, StepOutcome};
 #[cfg(unix)]
@@ -79,7 +80,8 @@ use std::time::Duration;
 pub struct ServiceConfig {
     /// Maximum number of prepared engines the [`PreparedCache`] retains.
     pub cache_capacity: usize,
-    /// Worker threads a [`BatchExecutor`] uses per batch.
+    /// Claimers per batch ([`Service::run_batch`]): the calling thread and
+    /// up to `batch_workers − 1` helpers of the process-wide pool.
     pub batch_workers: usize,
     /// Global cap on concurrently *executing* enumeration runs (admission
     /// control across all connections and batches).
@@ -378,13 +380,13 @@ impl Service {
     /// `sink` in frames of up to `spec.chunk` rows while enumeration runs —
     /// the machinery behind the protocol's `emit=stream` QUERY mode.
     ///
-    /// Enumeration and sink writes overlap (bounded-channel bridge inside
-    /// [`sge_engine::Engine::run_streaming`]), so service memory is O(chunk)
-    /// regardless of how many matches exist.  A failing sink write —
-    /// typically a disconnected client — cooperatively cancels enumeration:
-    /// the schedulers stop at their next budget check instead of running the
-    /// search to completion into a dead socket, and the returned outcome
-    /// reports `cancelled`.
+    /// The worker that finds a mapping adds it to the frame and writes the
+    /// frame once it is full ([`sge_engine::Engine::run_streaming`]), so
+    /// service memory is O(chunk) regardless of how many matches exist.  A
+    /// failing sink write — typically a disconnected client — cooperatively
+    /// cancels enumeration: the workers stop at their next match or interrupt
+    /// check instead of running the search to completion into a dead socket,
+    /// and the returned outcome reports `cancelled`.
     ///
     /// Rows arrive in discovery order (schedule-dependent under parallel
     /// schedulers); `spec.run.collect_mappings` is ignored — rows go through
@@ -655,14 +657,6 @@ impl Service {
             self.dispatch.work_stealing.inc();
         }
     }
-
-    /// Executes a [`QuerySet`] on this service's batch worker pool.
-    pub fn run_batch(&self, set: &QuerySet) -> BatchOutcome {
-        let executor = BatchExecutor::new(self.config.batch_workers);
-        let outcome = executor.execute(self, set);
-        self.stats.record_batch();
-        outcome
-    }
 }
 
 /// What [`Service::plan`] settles before anything runs.
@@ -708,7 +702,7 @@ fn stream_rows(
     let mut buffer: Vec<Vec<NodeId>> = Vec::with_capacity(chunk);
     let mut rows_sent: u64 = 0;
     let mut sink_alive = true;
-    let outcome = engine.run_streaming(run, chunk, |mapping| {
+    let outcome = engine.run_streaming(run, |mapping| {
         buffer.push(mapping);
         if buffer.len() < chunk {
             return true;

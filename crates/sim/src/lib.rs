@@ -4,11 +4,14 @@
 //! [`Connection`](sge_service::Connection) loop, protocol parser, admission
 //! gate, prepared cache and statistics — through scripted virtual clients
 //! over in-memory transports, under a [`VirtualClock`](sge_util::VirtualClock).
-//! Execution is single-threaded and every choice (which client steps next,
-//! how much virtual time passes, where a fault lands) comes from a
-//! [`SplitMix64`](sge_util::SplitMix64) stream, so **a `u64` seed is a
+//! Clients step one at a time on one thread, and every choice (which client
+//! steps next, how much virtual time passes, where a fault lands) comes from
+//! a [`SplitMix64`](sge_util::SplitMix64) stream, so **a `u64` seed is a
 //! complete reproduction of a run**: same seed, same scenario → the same
-//! event trace, byte for byte.
+//! event trace, byte for byte, every match and state count included.  A
+//! routed or `sched=seq` query runs on the stepping thread, streamed rows
+//! and all; a pinned `sched=ws:<n>` query borrows pooled helpers within its
+//! step and reports schedule-invariant counts.
 //!
 //! The pieces:
 //!
@@ -17,7 +20,8 @@
 //!   truncation, reset, slow-reader stalls and mid-response disconnects.
 //! * [`sim`] — the seeded scheduler: [`sim::run_scenario`] executes one
 //!   scenario, [`sim::check_determinism`] runs it twice and diffs traces.
-//! * [`trace`] — the normalized event trace (the determinism witness).
+//! * [`trace`] — the event trace, engine timings scrubbed (the determinism
+//!   witness).
 //! * [`corpus`] — pinned regression scenarios (≥8, each with a pinned seed).
 //! * [`swarm`] — randomized scenario generation + CI batch runners.
 //!

@@ -126,12 +126,6 @@ pub struct Scenario {
     /// Upper bound (exclusive is `+1`) on the random virtual-time jitter, in
     /// microseconds, the simulator advances the clock by before each step.
     pub step_jitter_us: u64,
-    /// Scrub match/state counters from the trace.  Required for scenarios
-    /// that cancel enumeration *mid-run* without a `max=` cap: how many
-    /// states the producer visits before observing the cancel token is an
-    /// OS-scheduling fact no seed controls.  Scenarios that cap the run (or
-    /// never cancel) keep exact counts in the trace.
-    pub normalize_counts: bool,
 }
 
 impl Scenario {
@@ -144,7 +138,6 @@ impl Scenario {
             targets: Vec::new(),
             clients: Vec::new(),
             step_jitter_us: 500,
-            normalize_counts: false,
         }
     }
 
@@ -168,21 +161,16 @@ impl Scenario {
         self.config = config;
         self
     }
-
-    /// Enables count scrubbing (see [`Scenario::normalize_counts`]).
-    pub fn with_normalized_counts(mut self) -> Self {
-        self.normalize_counts = true;
-        self
-    }
 }
 
 /// The pinned service sizing simulated runs default to.
 ///
 /// Every field is a constant: [`ServiceConfig::default`] sizes itself from
 /// `available_parallelism`, which would make traces differ across hosts.
-/// `batch_workers` is 1 because a multi-worker batch races its queries
-/// against the prepared cache — per-query `cache_hit` flags would then
-/// depend on OS thread scheduling, which no seed replays.
+/// `batch_workers` is 1 because a batch with more claimers races its
+/// queries on pooled helpers against the prepared cache — per-query
+/// `cache_hit` flags would then depend on OS thread scheduling, which no
+/// seed replays.
 pub fn pinned_config() -> ServiceConfig {
     ServiceConfig {
         cache_capacity: 8,

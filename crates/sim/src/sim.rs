@@ -11,7 +11,7 @@
 //! same fault timings, the same trace, byte for byte.
 
 use crate::scenario::Scenario;
-use crate::trace::{normalize_line, TraceRecorder};
+use crate::trace::TraceRecorder;
 use crate::transport::{FaultWriter, ReaderProbe, ScriptReader, WriterProbe};
 use sge_service::protocol::stats_response;
 use sge_service::{Connection, Service, StatsSnapshot, StepOutcome};
@@ -65,7 +65,7 @@ pub fn run_scenario(scenario: &Scenario) -> SimReport {
 /// Runs `scenario` under an explicit seed (the swarm's entry point).
 pub fn run_scenario_with_seed(scenario: &Scenario, seed: u64) -> SimReport {
     let clock = Arc::new(VirtualClock::new());
-    let mut trace = TraceRecorder::new(scenario.normalize_counts);
+    let mut trace = TraceRecorder::default();
 
     trace.note(format!("# scenario {} seed {seed}", scenario.name));
     trace.note(format!(
@@ -309,10 +309,4 @@ impl std::fmt::Display for Divergence {
             self.scenario, self.seed, self.line, self.first, self.second
         )
     }
-}
-
-/// Re-normalizes a rendered trace line (used by tests comparing against
-/// expected fragments).
-pub fn normalize(line: &str, normalize_counts: bool) -> String {
-    normalize_line(line, normalize_counts)
 }

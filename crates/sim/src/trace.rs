@@ -1,18 +1,15 @@
 //! The event-trace recorder and its normalization rules.
 //!
 //! The trace is the simulator's determinism witness: running a scenario
-//! twice under the same seed must render the *byte-identical* trace.  Two
-//! normalizations make that hold without giving up real assertions:
-//!
-//! * `preprocess_seconds` / `match_seconds` are always scrubbed — the engine
-//!   measures them on a raw [`std::time::Instant`], which no virtual clock
-//!   controls.  Every *service-level* time (latency, wall seconds, admission
-//!   wait, the STATS histogram) derives from the injected clock and stays in
-//!   the trace verbatim.
-//! * match/state counters are scrubbed only when a scenario opts in via
-//!   `normalize_counts` — required when enumeration is cancelled mid-run
-//!   without a `max=` cap, because how far the producer thread gets before
-//!   observing the cancel token is OS scheduling, not seed.
+//! twice under the same seed must render the *byte-identical* trace.  One
+//! normalization makes that hold without giving up real assertions:
+//! `preprocess_seconds` / `match_seconds` are scrubbed — the engine measures
+//! them on a raw [`std::time::Instant`], which no virtual clock controls.
+//! Every *service-level* time (latency, wall seconds, admission wait, the
+//! STATS histogram) derives from the injected clock and stays in the trace
+//! verbatim, and so does every count: a streamed run hands its rows to the
+//! connection's writer from the worker that found them, so a cancelled
+//! sequential stream stops at the same match under every replay.
 //!
 //! Long lines (row frames, mapping dumps) are truncated at a fixed byte
 //! budget; truncation is itself deterministic, so it never perturbs
@@ -22,11 +19,7 @@ use std::time::Duration;
 
 /// Keys whose numeric values are never reproducible (engine-internal raw
 /// `Instant` timings).
-const ALWAYS_SCRUBBED: &[&str] = &["preprocess_seconds", "match_seconds"];
-
-/// Keys scrubbed only under `normalize_counts` (racy after a mid-enumeration
-/// cancel).
-const COUNT_KEYS: &[&str] = &["matches", "states", "total_matches", "rows_sent"];
+const SCRUBBED_KEYS: &[&str] = &["preprocess_seconds", "match_seconds"];
 
 /// Longest rendered payload kept per trace line, in bytes.  Sized so the
 /// longest single-line responses the corpus asserts on — a METRICS registry
@@ -39,27 +32,18 @@ const MAX_LINE_BYTES: usize = 1200;
 #[derive(Debug, Default)]
 pub struct TraceRecorder {
     lines: Vec<String>,
-    normalize_counts: bool,
 }
 
 impl TraceRecorder {
-    /// An empty trace with the given count-scrubbing policy.
-    pub fn new(normalize_counts: bool) -> Self {
-        TraceRecorder {
-            lines: Vec::new(),
-            normalize_counts,
-        }
-    }
-
     /// Records an untimestamped header/footer line.
     pub fn note(&mut self, text: impl AsRef<str>) {
         self.lines.push(truncate(text.as_ref()));
     }
 
     /// Records one event at virtual time `now`.  `payload` is normalized
-    /// (timing scrub, optional count scrub, truncation).
+    /// (timing scrub, truncation).
     pub fn event(&mut self, now: Duration, kind: &str, payload: &str) {
-        let payload = normalize_line(payload, self.normalize_counts);
+        let payload = normalize_line(payload);
         self.lines.push(format!(
             "[{:>10}us] {kind} {}",
             now.as_micros(),
@@ -88,26 +72,20 @@ impl TraceRecorder {
     }
 }
 
-/// Normalizes one response/summary line: scrubs engine-internal timings and —
-/// when `normalize_counts` — the racy match/state counters.  Control
-/// characters are made visible so traces stay one event per line.
-pub fn normalize_line(line: &str, normalize_counts: bool) -> String {
+/// Normalizes one response/summary line: scrubs engine-internal timings.
+/// Control characters are made visible so traces stay one event per line.
+pub fn normalize_line(line: &str) -> String {
     let mut text = escape_controls(line);
-    for key in ALWAYS_SCRUBBED {
+    for key in SCRUBBED_KEYS {
         text = scrub_key(&text, key);
-    }
-    if normalize_counts {
-        for key in COUNT_KEYS {
-            text = scrub_key(&text, key);
-        }
     }
     text
 }
 
 /// Replaces every numeric value of `"key":` in `text` with `_`.
 ///
-/// Matches only the exact quoted key (`"matches":` will not rewrite
-/// `"total_matches":` — the leading quote would not line up), and only scalar
+/// Matches only the exact quoted key (`"seconds":` would not rewrite
+/// `"match_seconds":` — the leading quote would not line up), and only scalar
 /// values: scan stops at `,`, `}` or `]`.
 fn scrub_key(text: &str, key: &str) -> String {
     let needle = format!("\"{key}\":");
@@ -161,36 +139,24 @@ mod tests {
     fn scrubs_engine_timings_but_keeps_clock_latencies() {
         let line = r#"{"ok":true,"preprocess_seconds":1.2e-5,"match_seconds":0.003,"latency_seconds":0.25}"#;
         assert_eq!(
-            normalize_line(line, false),
+            normalize_line(line),
             r#"{"ok":true,"preprocess_seconds":_,"match_seconds":_,"latency_seconds":0.25}"#
         );
     }
 
     #[test]
-    fn count_scrub_is_opt_in_and_exact_key_only() {
-        let line =
-            r#"{"matches":60,"states":120,"total_matches":60,"rows_sent":7,"rows_streamed":7}"#;
-        assert_eq!(normalize_line(line, false), line);
-        // The STATS total `rows_streamed` is seed-deterministic (the
-        // connection thread writes every frame) and stays in the trace.
-        assert_eq!(
-            normalize_line(line, true),
-            r#"{"matches":_,"states":_,"total_matches":_,"rows_sent":_,"rows_streamed":7}"#
-        );
-    }
-
-    #[test]
     fn scrub_does_not_cross_object_boundaries() {
-        let line = r#"{"results":[{"matches":60},{"matches":20}],"total_matches":80}"#;
+        let line =
+            r#"{"results":[{"match_seconds":0.5},{"match_seconds":2e-6}],"match_seconds":1.5}"#;
         assert_eq!(
-            normalize_line(line, true),
-            r#"{"results":[{"matches":_},{"matches":_}],"total_matches":_}"#
+            normalize_line(line),
+            r#"{"results":[{"match_seconds":_},{"match_seconds":_}],"match_seconds":_}"#
         );
     }
 
     #[test]
     fn events_are_timestamped_in_virtual_micros() {
-        let mut trace = TraceRecorder::new(false);
+        let mut trace = TraceRecorder::default();
         trace.event(Duration::from_millis(3), "response[0]", r#"{"ok":true}"#);
         assert_eq!(trace.render(), "[      3000us] response[0] {\"ok\":true}\n");
     }

@@ -5,18 +5,22 @@
 //! [`sge_service::Connection`] loop, and a [`FaultWriter`] receiving the
 //! server's response bytes (optionally stalling the virtual clock per line —
 //! a slow reader — or failing after a line budget — a client that vanished
-//! mid-response).  Both sides expose `Rc`-shared probes so the simulator can
+//! mid-response).  Both sides expose shared probes so the simulator can
 //! observe consumed requests and produced responses without owning the
 //! halves, which the connection does.
 //!
-//! Everything here is single-threaded by construction (`Rc`, not `Arc`):
+//! The simulator drives one connection step at a time on one thread, and
 //! determinism comes from never letting the OS scheduler pick an ordering.
+//! The reader side is `Rc`-shared.  The writer must be `Send`, as a
+//! connection's writer is (a streamed run writes its frames from the worker
+//! that fills them), so its buffer is an `Arc<Mutex<…>>`; the scenarios'
+//! streams run on one worker, the stepping thread.
 
 use sge_util::VirtualClock;
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::io::{BufRead, Read, Write};
 use std::rc::Rc;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// How the client side of a scripted connection misbehaves.
@@ -159,7 +163,7 @@ impl WriteFault {
 /// The server side's writer: collects response bytes, injecting the
 /// configured [`WriteFault`] and charging stalls to the virtual clock.
 pub struct FaultWriter {
-    out: Rc<RefCell<Vec<u8>>>,
+    out: Arc<Mutex<Vec<u8>>>,
     clock: Arc<VirtualClock>,
     fault: WriteFault,
     lines_written: u64,
@@ -168,9 +172,9 @@ pub struct FaultWriter {
 impl FaultWriter {
     /// A writer stalling/failing per `fault`, charging time to `clock`.
     pub fn new(clock: Arc<VirtualClock>, fault: WriteFault) -> (FaultWriter, WriterProbe) {
-        let out = Rc::new(RefCell::new(Vec::new()));
+        let out = Arc::new(Mutex::new(Vec::new()));
         let probe = WriterProbe {
-            out: Rc::clone(&out),
+            out: Arc::clone(&out),
         };
         (
             FaultWriter {
@@ -200,7 +204,7 @@ impl Write for FaultWriter {
                 .advance(self.fault.stall_per_line * newlines as u32);
         }
         self.lines_written += newlines;
-        self.out.borrow_mut().extend_from_slice(buf);
+        bytes(&self.out).extend_from_slice(buf);
         Ok(buf.len())
     }
 
@@ -209,16 +213,22 @@ impl Write for FaultWriter {
     }
 }
 
+/// Locks a writer's buffer.  Appending bytes cannot panic midway, so a
+/// poisoned lock still holds every byte written.
+fn bytes(out: &Mutex<Vec<u8>>) -> MutexGuard<'_, Vec<u8>> {
+    out.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Write-side observer: the response bytes produced so far.
 #[derive(Clone)]
 pub struct WriterProbe {
-    out: Rc<RefCell<Vec<u8>>>,
+    out: Arc<Mutex<Vec<u8>>>,
 }
 
 impl WriterProbe {
     /// Bytes written so far.
     pub fn len(&self) -> usize {
-        self.out.borrow().len()
+        bytes(&self.out).len()
     }
 
     /// `true` when nothing has been written.
@@ -228,7 +238,7 @@ impl WriterProbe {
 
     /// The response text written since a previous mark.
     pub fn text_since(&self, mark: usize) -> String {
-        let out = self.out.borrow();
+        let out = bytes(&self.out);
         let mark = mark.min(out.len());
         String::from_utf8_lossy(&out[mark..]).into_owned()
     }

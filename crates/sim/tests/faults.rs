@@ -39,6 +39,10 @@ fn disconnect_between_frame_write_and_footer() {
     assert_eq!(report.stats.rows_streamed, 16);
     // The healthy client's buffered query still completed.
     assert_eq!(report.stats.queries_served, 2);
+    // Exact, as every count in the trace: the edge query's 20 plus the
+    // stream's 24 — the 16 rows sent and the 8 of the frame whose write
+    // failed; the stream stopped at its next match.
+    assert_eq!(report.stats.total_matches, 44);
     // A cancelled stream is not a service error: the query ran and was cut
     // short by the client, which the footer (had it been deliverable) would
     // have reported as cancelled=true.

@@ -55,8 +55,9 @@
 //! first steals, so no run waits on a helper that has not started.  In a
 //! stealing run a helper that arrives after its share was withdrawn still
 //! joins, as a thief, while the run is live.  A worker that panics stops
-//! the run, so no peer waits on it; the caller re-raises the panic once
-//! every helper that joined has left.
+//! the run, so no peer waits on it: every worker of a multi-worker run
+//! checks the stop flag at least every 1,024 states, limits or not.  The
+//! caller re-raises the panic once every helper that joined has left.
 
 use crate::problem::{BacktrackProblem, RestCount};
 use crate::stats::{RunResult, WorkerStats};
@@ -71,7 +72,8 @@ use std::time::{Duration, Instant};
 const NO_REQUEST: usize = usize::MAX;
 
 /// How often (in states / spin iterations) the wall clock is consulted for
-/// the time limit.
+/// the time limit, and a worker of an unlimited multi-worker run checks
+/// whether a peer's panic stopped the run.
 const DEADLINE_CHECK_INTERVAL: u64 = 1024;
 
 /// Configuration of one run.
@@ -404,6 +406,9 @@ struct Worker<'a, P: BacktrackProblem> {
     /// expansion from `counted_from` on to
     /// [`BacktrackProblem::count_rest`].
     limited: bool,
+    /// Whether this worker polls the stop flag: in a limited run, and in a
+    /// run of several workers, where a peer that panics stops the run.
+    polls: bool,
     /// [`BacktrackProblem::counted_from`].
     counted_from: usize,
     ticks: u64,
@@ -418,6 +423,9 @@ impl<'a, P: BacktrackProblem> Worker<'a, P> {
         config: &EngineConfig,
     ) -> Self {
         let total_depth = problem.depth();
+        let limited = config.max_solutions.is_some()
+            || config.time_limit.is_some()
+            || config.cancel.is_some();
         Worker {
             id,
             problem,
@@ -434,9 +442,8 @@ impl<'a, P: BacktrackProblem> Worker<'a, P> {
             },
             rng: SplitMix64::new(config.seed ^ (id as u64).wrapping_mul(0x9E37_79B9)),
             advertised: false,
-            limited: config.max_solutions.is_some()
-                || config.time_limit.is_some()
-                || config.cancel.is_some(),
+            limited,
+            polls: limited || config.num_workers > 1,
             counted_from: problem.counted_from(),
             ticks: 0,
         }
@@ -467,10 +474,10 @@ impl<'a, P: BacktrackProblem> Worker<'a, P> {
         }
     }
 
-    /// Runs the frames depth-first until they are empty or a limit stops
-    /// the run, answering steal requests once per state.  Kept out of line,
-    /// like [`Self::acquire`], so the hot loop compiles apart from the
-    /// steal code.
+    /// Runs the frames depth-first until they are empty or the run stops,
+    /// answering steal requests once per state.  Kept out of line, like
+    /// [`Self::acquire`], so the hot loop compiles apart from the steal
+    /// code.
     #[inline(never)]
     fn search(&mut self) {
         while let Some(depth) = self.frames.deepest() {
@@ -478,14 +485,21 @@ impl<'a, P: BacktrackProblem> Worker<'a, P> {
                 self.advertise(peers);
                 self.process_requests(peers);
             }
-            if self.limited {
-                self.tick();
-                if self.limits.is_stopped() {
-                    return;
-                }
+            if self.polls && self.stopped() {
+                return;
             }
             self.step(depth);
         }
+    }
+
+    /// Counts one state towards the periodic checks and reports whether the
+    /// run stopped: at every state of a limited run (a peer may have spent
+    /// the budget), at every [`DEADLINE_CHECK_INTERVAL`]-th of an unlimited
+    /// one (only a peer's panic stops it).
+    fn stopped(&mut self) -> bool {
+        self.tick();
+        (self.limited || self.ticks.is_multiple_of(DEADLINE_CHECK_INTERVAL))
+            && self.limits.is_stopped()
     }
 
     /// One step of the depth-first search at the deepest frame, `depth`:
@@ -1453,8 +1467,9 @@ mod tests {
 
     #[test]
     fn slow_solution_observers_lose_no_solutions() {
-        // A blocking on_solution (the streaming bridge blocks on a bounded
-        // channel) drastically changes steal timing; counts must not change.
+        // A slow on_solution (a streamed run's consumer runs on the worker,
+        // under a lock) drastically changes steal timing; counts must not
+        // change.
         struct SlowQueens {
             inner: NQueens,
         }
@@ -1931,6 +1946,40 @@ mod tests {
     #[test]
     fn a_panic_on_the_caller_waits_for_the_helper_and_propagates() {
         contains_the_panic(0, false);
+    }
+
+    #[test]
+    fn an_unlimited_run_stops_soon_after_a_helpers_panic() {
+        // No budget, deadline or cancel token: worker 0 learns of the
+        // helper's panic only from the stop flag.  It holds its first
+        // solution until the helper reached its own, then takes 5 ms per
+        // solution.  Its share of N-Queens(10) holds 362 solutions; it must
+        // stop within 1,024 of its states after the panic instead.
+        let (panicked, heard) = mpsc::channel();
+        let (panicked, heard) = (Mutex::new(panicked), Mutex::new(heard));
+        let seen = AtomicUsize::new(0);
+        let problem = Observed {
+            inner: NQueens { n: 10 },
+            on_solution: |worker_id, _: &QueensState| {
+                if worker_id != 0 {
+                    let _ = panicked.lock().unwrap().send(());
+                    panic!("solution on worker {worker_id}");
+                }
+                if seen.fetch_add(1, Ordering::SeqCst) == 0 {
+                    let heard = heard.lock().unwrap();
+                    let _ = heard.recv_timeout(Duration::from_secs(10));
+                }
+                std::thread::sleep(Duration::from_millis(5));
+            },
+        };
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_on(private_pool(1), &problem, &EngineConfig::with_workers(2))
+        }));
+        let payload = caught.expect_err("the helper's panic reaches the caller");
+        let expected = "solution on worker 1".to_string();
+        assert_eq!(payload.downcast_ref::<String>(), Some(&expected));
+        let seen = seen.load(Ordering::SeqCst);
+        assert!(seen < 36, "worker 0 handled {seen} of its 362 solutions");
     }
 
     #[test]

@@ -22,8 +22,9 @@
 //!   event-driven server; the single place in the workspace where FFI is
 //!   permitted,
 //! * [`pool`] — the process-wide pool of parked helper threads that the
-//!   work-stealing runtime offers its workers past the first to; its scope's
-//!   lifetime erasure is the workspace's only other unsafe code.
+//!   work-stealing runtime offers its workers past the first to, and a
+//!   batch its claimers past the caller; its scope's lifetime erasure is
+//!   the workspace's only other unsafe code.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

@@ -9,7 +9,9 @@
 //! the scope waits only for the offers helpers took.  So a job may never
 //! run, and the code that offers it must be able to do its work another
 //! way: `sge-stealing` offers each worker past the first its share of the
-//! roots and has the calling worker take back every share no helper took.
+//! roots and has the calling worker take back every share no helper took,
+//! and `sge-service` offers a batch's claimers past the calling thread,
+//! which claims every query no helper claimed.
 //!
 //! Open offers wait in one queue, oldest first, under the pool's lock.  An
 //! offer wakes a parked helper, or starts one when every parked helper has

@@ -282,13 +282,15 @@ pub struct ExplainAnalyzeOutcome {
     pub engine: Arc<PreparedEngine>,
 }
 
-/// Receiver of a streamed query's frames, driven by the executing service
-/// on the calling thread.
+/// Receiver of a streamed query's frames.  The executing service writes the
+/// header from the calling thread and each frame from the worker that
+/// filled it (the calling thread, or in a `ws:N` run a pooled helper), one
+/// call at a time, so a sink must be [`Send`].
 ///
 /// The TCP server implements this over the connection socket (one JSON line
 /// per call); tests implement it over plain vectors.  Returning an error from
 /// [`StreamSink::rows`] cancels the enumeration cooperatively.
-pub trait StreamSink {
+pub trait StreamSink: Send {
     /// Called once, before enumeration starts, with the stream metadata.
     fn begin(&mut self, header: &StreamHeader) -> std::io::Result<()>;
     /// Called for every frame of up to `chunk` mappings (`rows[i][p]` is the

@@ -23,7 +23,7 @@
 //! | [`stealing`] | the one depth-first loop, generic over the problem: one worker on the calling thread, or private-deque work stealing |
 //! | [`engine`] | the unified [`Engine`]/[`Scheduler`] API and [`PreparedEngine`]: sequential and work-stealing runs of one prepared search, and routing a query to a scheduler |
 //! | [`wire`] | the serving wire plane: line-protocol codec, JSON encoder, stream framing |
-//! | [`service`] | query serving: graph registry, prepared cache, batch executor, event-loop TCP front end |
+//! | [`service`] | query serving: graph registry, prepared cache, batches on the helper pool, event-loop TCP front end |
 //! | [`obs`] | observability: metrics registry, query traces, enumeration trace sinks, event log |
 //! | [`datasets`] | synthetic PPIS32 / GRAEMLIN32 / PDBSv1 analogues |
 //! | [`util`] | bitsets, statistics, timing |

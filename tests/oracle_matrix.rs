@@ -39,7 +39,7 @@ const SWARM_BUDGET: Duration = Duration::from_secs(60);
 const SWARM_SHARE: usize = 4;
 
 /// The seed a cell draws its parameters from on `instance`: worker count,
-/// task-group size, scheduling seed, budget, channel width, cancel point.
+/// task-group size, scheduling seed, budget, cancel point.
 fn cell_seed(instance: &Instance, index: usize) -> u64 {
     SplitMix64::new(instance.seed ^ (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)).next_u64()
 }

@@ -67,7 +67,8 @@ axis! {
         Collect,
         /// `Engine::run_with` and a visitor keeping every row.
         Visitor,
-        /// `Engine::run_streaming` through a channel of 1-4.
+        /// `Engine::run_streaming`, rows handed to the consumer on the
+        /// workers, under one lock.
         Stream,
         /// `Engine::run` with a `TraceSink` attached.
         Analyze,

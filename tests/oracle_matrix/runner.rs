@@ -265,7 +265,6 @@ impl<'a> Subject<'a> {
         let total = self.total();
         let analyze = cell.delivery == Delivery::Analyze;
         let sink = analyze.then(|| Arc::new(TraceSink::new(self.pattern.num_nodes())));
-        let width = 1 + rng.next_below(4);
         let cancel_after = (cell.limit == Limit::Cancel).then(|| 1 + rng.next_below(3));
         // Half the collections stop short of the total.
         let short = 1 + rng.next_below(total as usize + 1) as u64;
@@ -288,16 +287,17 @@ impl<'a> Subject<'a> {
                 }
                 _ => {
                     let mut streamed = Vec::new();
-                    let outcome = engine.run_streaming(&config, width, |row| {
+                    let outcome = engine.run_streaming(&config, 1, |row| {
                         streamed.push(row);
                         cancel_after.is_none_or(|k| streamed.len() < k)
                     });
                     if let Some(k) = cancel_after {
                         let seen = streamed.len() as u64;
                         same("rows before the cancel", seen, total.min(k as u64))?;
-                        // Past the channel and one row per worker the
-                        // producer cannot have finished: it sees the cancel.
-                        let ahead = (k + width + config.scheduler.workers()) as u64;
+                        // A worker counts at most one match after the
+                        // consumer declined row k (its next claim sees the
+                        // cancel), so a run with more matches stops short.
+                        let ahead = (k + config.scheduler.workers()) as u64;
                         let stopped = outcome.cancelled && outcome.matches < total;
                         ensure!(total <= ahead || stopped, "no cancel after {k} rows");
                         row_cap = None;
