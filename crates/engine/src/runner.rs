@@ -27,10 +27,13 @@ struct Streamer<'a, F> {
 }
 
 impl<F: FnMut(Vec<NodeId>) -> bool + Send> MatchVisitor for Streamer<'_, F> {
-    fn on_match(&self, _worker_id: usize, mapping: &[NodeId]) {
+    fn on_match(&self, worker_id: usize, mapping: &[NodeId]) {
         // Copied before the lock, so the other workers wait only for the
         // consumer.
-        let row = mapping.to_vec();
+        self.on_match_owned(worker_id, mapping.to_vec());
+    }
+
+    fn on_match_owned(&self, _worker_id: usize, row: Vec<NodeId>) {
         // A consumer that panicked is not called again; its panic stops the
         // run and reaches the caller.
         let Ok(mut consumer) = self.consumer.lock() else {
@@ -92,18 +95,23 @@ impl<'a> Observers<'a> {
 
     /// Hands one match, found by `worker_id`, to the observers.  The mapping
     /// is built only for observers that still want it: once the collector is
-    /// full, a visitor-less run stops allocating per match.
+    /// full, a visitor-less run stops allocating per match.  It is built
+    /// once and handed over by value; only when the visitor and the
+    /// collector both want it does the visitor borrow it, and copy it if it
+    /// keeps it.
     pub(crate) fn on_match(&self, ctx: &SearchContext<'_>, worker_id: usize, state: &WorkerState) {
         let collecting = !self.collector.is_full();
         if self.visitor.is_none() && !collecting {
             return;
         }
         let mapping = ctx.mapping_by_pattern_node(state);
-        if let Some(visitor) = self.visitor {
-            visitor.on_match(worker_id, &mapping);
-        }
-        if collecting {
-            self.collector.on_match(worker_id, &mapping);
+        match self.visitor {
+            Some(visitor) if !collecting => visitor.on_match_owned(worker_id, mapping),
+            Some(visitor) => {
+                visitor.on_match(worker_id, &mapping);
+                self.collector.on_match_owned(worker_id, mapping);
+            }
+            None => self.collector.on_match_owned(worker_id, mapping),
         }
     }
 

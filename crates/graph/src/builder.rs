@@ -77,47 +77,70 @@ impl GraphBuilder {
         }
     }
 
+    /// Reserves room for at least `additional` more edges.
+    pub fn reserve_edges(&mut self, additional: usize) {
+        self.edges.reserve(additional);
+    }
+
     /// Finalizes the CSR structure.
+    ///
+    /// Two counting sorts (count degrees, prefix-sum, scatter) order the
+    /// edges, first by head, then stably by tail, so each tail's list comes
+    /// out sorted by head with parallel edges in the order they were added.
+    /// Each list is then de-duplicated in place: the first label of a
+    /// parallel edge wins, as in the original RI loader which ignores
+    /// repeated bonds.  The in-lists are filled by scanning the tails in
+    /// order, so they come out sorted by tail.
     pub fn build(self) -> Graph {
         let n = self.node_labels.len();
-        let mut edges = self.edges;
-        // Sort by (tail, head) and deduplicate parallel edges (first label wins,
-        // as in the original RI loader which ignores repeated bonds).
-        edges.sort_by_key(|&(u, v, _)| (u, v));
-        edges.dedup_by_key(|&mut (u, v, _)| (u, v));
-
         let mut out_offsets = vec![0u32; n + 1];
-        for &(u, _, _) in &edges {
-            out_offsets[u as usize + 1] += 1;
-        }
-        for i in 0..n {
-            out_offsets[i + 1] += out_offsets[i];
-        }
-        let out_edges: Vec<EdgeRef> = edges
-            .iter()
-            .map(|&(_, v, l)| EdgeRef { node: v, label: l })
-            .collect();
-
-        // In-edges: bucket by head, then sort each bucket by tail id.
         let mut in_offsets = vec![0u32; n + 1];
-        for &(_, v, _) in &edges {
+        for &(u, v, _) in &self.edges {
+            out_offsets[u as usize + 1] += 1;
             in_offsets[v as usize + 1] += 1;
         }
-        for i in 0..n {
-            in_offsets[i + 1] += in_offsets[i];
-        }
+        prefix_sum(&mut out_offsets);
+        prefix_sum(&mut in_offsets);
+
         let mut cursor = in_offsets.clone();
-        let mut in_edges = vec![EdgeRef { node: 0, label: 0 }; edges.len()];
-        for &(u, v, l) in &edges {
-            let slot = cursor[v as usize] as usize;
-            in_edges[slot] = EdgeRef { node: u, label: l };
-            cursor[v as usize] += 1;
+        let mut by_head = vec![EdgeRef { node: 0, label: 0 }; self.edges.len()];
+        for &(u, v, label) in &self.edges {
+            let slot = &mut cursor[v as usize];
+            by_head[*slot as usize] = EdgeRef { node: u, label };
+            *slot += 1;
         }
-        for v in 0..n {
-            let lo = in_offsets[v] as usize;
-            let hi = in_offsets[v + 1] as usize;
-            in_edges[lo..hi].sort_unstable_by_key(|e| e.node);
+        drop(self.edges);
+        let mut out_edges = vec![EdgeRef { node: 0, label: 0 }; by_head.len()];
+        transpose(&in_offsets, &by_head, &out_offsets, &mut out_edges);
+
+        // Compact the lists towards the front: `out_offsets[u]` is read
+        // before it is moved.
+        let mut kept = 0usize;
+        for u in 0..n {
+            let (lo, hi) = (out_offsets[u] as usize, out_offsets[u + 1] as usize);
+            let start = kept;
+            out_offsets[u] = start as u32;
+            for i in lo..hi {
+                let edge = out_edges[i];
+                if kept == start || out_edges[kept - 1].node != edge.node {
+                    out_edges[kept] = edge;
+                    kept += 1;
+                }
+            }
         }
+        out_offsets[n] = kept as u32;
+        out_edges.truncate(kept);
+        out_edges.shrink_to_fit();
+
+        in_offsets.fill(0);
+        for e in &out_edges {
+            in_offsets[e.node as usize + 1] += 1;
+        }
+        prefix_sum(&mut in_offsets);
+        let mut in_edges = by_head;
+        in_edges.truncate(kept);
+        in_edges.shrink_to_fit();
+        transpose(&out_offsets, &out_edges, &in_offsets, &mut in_edges);
 
         Graph {
             node_labels: self.node_labels,
@@ -125,8 +148,34 @@ impl GraphBuilder {
             out_edges,
             in_offsets,
             in_edges,
-            num_edges: edges.len(),
+            num_edges: kept,
             name: self.name,
+        }
+    }
+}
+
+/// Turns per-node counts at `offsets[v + 1]` into CSR start offsets.
+fn prefix_sum(offsets: &mut [u32]) {
+    for i in 1..offsets.len() {
+        offsets[i] += offsets[i - 1];
+    }
+}
+
+/// Turns the CSR `lists` around: entry `e` of node `v`'s list becomes
+/// `EdgeRef { node: v, label: e.label }` in `e.node`'s list of `into`,
+/// whose lists start at `into_offsets`.  The nodes are scanned in order, so
+/// every list of `into` comes out sorted by node, equal nodes in the order
+/// of `lists`.
+fn transpose(offsets: &[u32], lists: &[EdgeRef], into_offsets: &[u32], into: &mut [EdgeRef]) {
+    let mut cursor = into_offsets.to_vec();
+    for (v, window) in offsets.windows(2).enumerate() {
+        for e in &lists[window[0] as usize..window[1] as usize] {
+            let slot = &mut cursor[e.node as usize];
+            into[*slot as usize] = EdgeRef {
+                node: v as NodeId,
+                label: e.label,
+            };
+            *slot += 1;
         }
     }
 }

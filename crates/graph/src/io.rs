@@ -17,14 +17,33 @@
 //! ...
 //! ```
 //!
-//! Node labels may be arbitrary whitespace-free strings; they are interned to
-//! dense integer ids in first-seen order.  An optional third column per edge
-//! line carries an integer edge label (0 when omitted).
+//! Node labels are strings; they are interned to dense integer ids in
+//! first-seen order.  An optional third column per edge line carries an
+//! integer edge label (0 when omitted).
+//!
+//! What the reader accepts:
+//! - lines end in `\n` or `\r\n`; blank and whitespace-only lines are
+//!   skipped, and every line is trimmed of Unicode whitespace at both ends;
+//! - the name line is optional; the name is everything after the `#`;
+//! - a count is the whole line, an optional `+` and ASCII digits;
+//! - a node label is the whole trimmed line, inner blanks included;
+//! - edge fields are separated by any run of Unicode whitespace (spaces,
+//!   tabs, U+00A0, U+3000, …); each is an optional `+` and ASCII digits
+//!   that fit a `u32`; fields after the third are ignored;
+//! - lines after the last edge are not read;
+//! - errors name their 1-based line.  A count above the number of lines
+//!   left is reported at the last line, before any bad line after it.
+//!
+//! The reader makes one pass over the text and keeps no vector of its
+//! lines.  An edge line is first split at ASCII blanks as it stands; only
+//! when that does not parse (a blank line, Unicode whitespace, a bad field)
+//! is it trimmed and split at Unicode whitespace.  [`GraphBuilder::build`]
+//! then orders the edges with counting sorts.
 
 use crate::builder::GraphBuilder;
-use crate::graph::{Graph, NodeId, DEFAULT_EDGE_LABEL};
+use crate::graph::{Graph, Label, NodeId, DEFAULT_EDGE_LABEL};
 use std::collections::HashMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::path::Path;
 
 /// Errors produced by the text format parser.
@@ -86,94 +105,176 @@ pub fn parse_graph(text: &str) -> Result<(Graph, HashMap<String, u32>), ParseErr
 /// so that several files (e.g. a pattern and its target) share one consistent
 /// label numbering — the way the original RI loader treats its `.gfu`/`.gfd`
 /// databases.
+///
+/// The text is read front to back with no vector of its lines: a label
+/// allocates its `String` only the first time the interner sees it, and
+/// capacity is reserved from the counts, never beyond what the remaining
+/// bytes can hold.  The labels are interned once every label line is known
+/// to be there, so a node count above the lines left adds nothing to
+/// `interner`; an error after the labels (in the edge count or an edge)
+/// leaves them in it, and a caller that must not keep them rolls it back.
 pub fn parse_graph_with_interner(
     text: &str,
     interner: &mut HashMap<String, u32>,
 ) -> Result<Graph, ParseError> {
-    let lines: Vec<(usize, &str)> = text
-        .lines()
-        .enumerate()
-        .map(|(idx, line)| (idx + 1, line.trim()))
-        .filter(|(_, line)| !line.is_empty())
-        .collect();
-    // Truncation errors point at the last line the input actually has.
-    let last_line = lines.last().map(|&(no, _)| no).unwrap_or(0);
-    let mut cursor = 0usize;
-    let next = |cursor: &mut usize| -> Option<(usize, &str)> {
-        let item = lines.get(*cursor).copied();
-        *cursor += 1;
-        item
+    let mut lines = Lines::new(text);
+    let (first_no, first) = lines.next().ok_or_else(|| malformed(0, "empty input"))?;
+    let (name, (line_no, count_text)) = match first.strip_prefix('#') {
+        Some(name) => {
+            let line = lines
+                .next()
+                .ok_or_else(|| malformed(first_no, "missing node count"))?;
+            (name, line)
+        }
+        None => ("", (first_no, first)),
     };
-
-    let (first_no, first) = next(&mut cursor).ok_or_else(|| malformed(0, "empty input"))?;
-    let (name, node_count_line) = if let Some(stripped) = first.strip_prefix('#') {
-        let line = next(&mut cursor).ok_or_else(|| malformed(first_no, "missing node count"))?;
-        (stripped.to_string(), line)
-    } else {
-        (String::new(), (first_no, first))
-    };
-
-    let (line_no, count_text) = node_count_line;
     let node_count: usize = count_text
         .parse()
         .map_err(|_| malformed(line_no, format!("invalid node count '{count_text}'")))?;
-    // Each node needs its own label line; reject impossible counts before
-    // reserving any capacity for them.
-    if node_count > lines.len() - cursor {
-        return Err(malformed(
-            last_line,
-            "unexpected end of file in node labels",
-        ));
-    }
 
-    let mut builder = GraphBuilder::with_capacity(node_count, 0).name(name);
+    // Walk past the labels first: they are interned only once all are there.
+    let label_lines = lines;
     for _ in 0..node_count {
-        let (_, label_text) = next(&mut cursor)
-            .ok_or_else(|| malformed(last_line, "unexpected end of file in node labels"))?;
-        let next_id = interner.len() as u32;
-        let label = *interner.entry(label_text.to_string()).or_insert(next_id);
+        // Truncation errors point at the last line the input actually has.
+        lines
+            .next()
+            .ok_or_else(|| malformed(lines.last, "unexpected end of file in node labels"))?;
+    }
+    let mut builder = GraphBuilder::with_capacity(node_count, 0).name(name);
+    for (_, label_text) in label_lines.take(node_count) {
+        let label = match interner.get(label_text) {
+            Some(&label) => label,
+            None => {
+                let label = interner.len() as u32;
+                interner.insert(label_text.to_owned(), label);
+                label
+            }
+        };
         builder.add_node(label);
     }
 
-    let (line_no, edge_count_text) =
-        next(&mut cursor).ok_or_else(|| malformed(last_line, "missing edge count"))?;
+    let (line_no, edge_count_text) = lines
+        .next()
+        .ok_or_else(|| malformed(lines.last, "missing edge count"))?;
     let edge_count: usize = edge_count_text
         .parse()
         .map_err(|_| malformed(line_no, format!("invalid edge count '{edge_count_text}'")))?;
-    if edge_count > lines.len() - cursor {
-        return Err(malformed(last_line, "unexpected end of file in edge list"));
-    }
+    // An edge line takes at least four bytes with its line break.
+    builder.reserve_edges(edge_count.min(lines.rest.len() / 4 + 1));
 
-    for _ in 0..edge_count {
-        let (line_no, edge_text) = next(&mut cursor)
-            .ok_or_else(|| malformed(last_line, "unexpected end of file in edge list"))?;
-        let mut parts = edge_text.split_whitespace();
-        let tail: NodeId = parts
-            .next()
-            .ok_or_else(|| malformed(line_no, "missing edge tail"))?
-            .parse()
-            .map_err(|_| malformed(line_no, "invalid edge tail"))?;
-        let head: NodeId = parts
-            .next()
-            .ok_or_else(|| malformed(line_no, "missing edge head"))?
-            .parse()
-            .map_err(|_| malformed(line_no, "invalid edge head"))?;
-        let label = match parts.next() {
-            Some(text) => text
-                .parse()
-                .map_err(|_| malformed(line_no, "invalid edge label"))?,
-            None => DEFAULT_EDGE_LABEL,
-        };
-        if tail as usize >= node_count || head as usize >= node_count {
-            return Err(malformed(
-                line_no,
-                format!("edge ({tail}, {head}) references a node >= {node_count}"),
-            ));
+    for parsed in 0..edge_count {
+        if let Some((tail, head, label)) = lines.next_plain_edge(node_count) {
+            builder.add_edge(tail, head, label);
+            continue;
         }
-        builder.add_edge(tail, head, label);
+        let (line_no, edge_text) = lines
+            .next()
+            .ok_or_else(|| malformed(lines.last, "unexpected end of file in edge list"))?;
+        match parse_edge(line_no, edge_text.split_whitespace(), node_count) {
+            Ok((tail, head, label)) => builder.add_edge(tail, head, label),
+            Err(err) => {
+                // A count above the lines left is reported before any bad
+                // line: count what is left from this line on.
+                let mut rest = lines;
+                let left = 1 + rest.by_ref().count();
+                return Err(if edge_count - parsed > left {
+                    malformed(rest.last, "unexpected end of file in edge list")
+                } else {
+                    err
+                });
+            }
+        }
     }
 
     Ok(builder.build())
+}
+
+/// The non-blank lines of a text, trimmed, with their 1-based line numbers,
+/// read one at a time.
+#[derive(Clone, Copy)]
+struct Lines<'t> {
+    /// The text after the last line read.
+    rest: &'t str,
+    /// Number of the last line read, blank or not.
+    number: usize,
+    /// Number of the last non-blank line read (0 before the first).
+    last: usize,
+}
+
+impl<'t> Lines<'t> {
+    fn new(text: &'t str) -> Self {
+        Lines {
+            rest: text,
+            number: 0,
+            last: 0,
+        }
+    }
+
+    /// Reads the next line when [`parse_edge`] accepts it untrimmed and
+    /// split at ASCII blanks, the shape of nearly every edge line.  Reads
+    /// nothing otherwise (a blank line, Unicode whitespace, a bad field),
+    /// and the line then goes the general way.  Both ways agree: a field
+    /// that parses holds no whitespace of either kind.
+    fn next_plain_edge(&mut self, node_count: usize) -> Option<(NodeId, NodeId, Label)> {
+        let (line, rest) = self.rest.split_once('\n').unwrap_or((self.rest, ""));
+        let edge = parse_edge(self.number + 1, line.split_ascii_whitespace(), node_count).ok()?;
+        self.rest = rest;
+        self.number += 1;
+        self.last = self.number;
+        Some(edge)
+    }
+}
+
+impl<'t> Iterator for Lines<'t> {
+    type Item = (usize, &'t str);
+
+    fn next(&mut self) -> Option<(usize, &'t str)> {
+        while !self.rest.is_empty() {
+            let (line, rest) = self.rest.split_once('\n').unwrap_or((self.rest, ""));
+            self.rest = rest;
+            self.number += 1;
+            // Trimming drops a `\r` before the line break with the rest of
+            // the surrounding whitespace.
+            let line = line.trim();
+            if !line.is_empty() {
+                self.last = self.number;
+                return Some((self.number, line));
+            }
+        }
+        None
+    }
+}
+
+/// Parses one edge line, given as its fields: `<tail> <head> [<edge
+/// label>]`, extra fields ignored, endpoints below `node_count`.
+fn parse_edge<'a>(
+    line_no: usize,
+    mut parts: impl Iterator<Item = &'a str>,
+    node_count: usize,
+) -> Result<(NodeId, NodeId, Label), ParseError> {
+    let tail: NodeId = parts
+        .next()
+        .ok_or_else(|| malformed(line_no, "missing edge tail"))?
+        .parse()
+        .map_err(|_| malformed(line_no, "invalid edge tail"))?;
+    let head: NodeId = parts
+        .next()
+        .ok_or_else(|| malformed(line_no, "missing edge head"))?
+        .parse()
+        .map_err(|_| malformed(line_no, "invalid edge head"))?;
+    let label = match parts.next() {
+        Some(text) => text
+            .parse()
+            .map_err(|_| malformed(line_no, "invalid edge label"))?,
+        None => DEFAULT_EDGE_LABEL,
+    };
+    if tail as usize >= node_count || head as usize >= node_count {
+        return Err(malformed(
+            line_no,
+            format!("edge ({tail}, {head}) references a node >= {node_count}"),
+        ));
+    }
+    Ok((tail, head, label))
 }
 
 /// Serializes a graph to the text format (labels written as their integer ids).
@@ -184,7 +285,7 @@ pub fn write_graph(graph: &Graph) -> String {
         out.push_str(graph.name());
         out.push('\n');
     }
-    out.push_str(&write_graph_body(graph));
+    write_body_into(graph, &mut out);
     out
 }
 
@@ -195,18 +296,23 @@ pub fn write_graph(graph: &Graph) -> String {
 /// is what cache keys and structural comparisons should hash.
 pub fn write_graph_body(graph: &Graph) -> String {
     let mut out = String::new();
-    out.push_str(&graph.num_nodes().to_string());
-    out.push('\n');
-    for v in graph.nodes() {
-        out.push_str(&graph.label(v).to_string());
-        out.push('\n');
-    }
-    out.push_str(&graph.num_edges().to_string());
-    out.push('\n');
-    for (u, v, l) in graph.edges() {
-        out.push_str(&format!("{u} {v} {l}\n"));
-    }
+    write_body_into(graph, &mut out);
     out
+}
+
+/// Appends the body of the text format to `out`.
+fn write_body_into(graph: &Graph, out: &mut String) {
+    // Room for short labels; the string grows if they are longer.
+    out.reserve(8 + 2 * graph.num_nodes() + 8 * graph.num_edges());
+    // Writing to a `String` cannot fail.
+    let _ = writeln!(out, "{}", graph.num_nodes());
+    for label in graph.node_labels() {
+        let _ = writeln!(out, "{label}");
+    }
+    let _ = writeln!(out, "{}", graph.num_edges());
+    for (u, v, l) in graph.edges() {
+        let _ = writeln!(out, "{u} {v} {l}");
+    }
 }
 
 /// Reads a graph from a file in the text format.
@@ -297,6 +403,36 @@ mod tests {
     fn error_on_empty_input() {
         assert!(parse_graph("").is_err());
         assert!(parse_graph("   \n  \n").is_err());
+    }
+
+    #[test]
+    fn the_body_is_written_as_format_writes_it() {
+        let reference = |graph: &Graph| {
+            let mut out = format!("{}\n", graph.num_nodes());
+            for v in graph.nodes() {
+                out.push_str(&format!("{}\n", graph.label(v)));
+            }
+            out.push_str(&format!("{}\n", graph.num_edges()));
+            for (u, v, l) in graph.edges() {
+                out.push_str(&format!("{u} {v} {l}\n"));
+            }
+            out
+        };
+        let mut wide = GraphBuilder::new();
+        for label in [0, 9, 10, 99, 100, 12_345, u32::MAX] {
+            wide.add_node(label);
+        }
+        wide.add_edge(6, 0, u32::MAX);
+        wide.add_edge(0, 6, 1_000_000);
+        wide.add_edge(3, 3, 0);
+        for graph in [
+            GraphBuilder::new().build(),
+            generators::clique(4, 3),
+            generators::grid(11, 11),
+            wide.build(),
+        ] {
+            assert_eq!(write_graph_body(&graph), reference(&graph));
+        }
     }
 
     #[test]

@@ -2,6 +2,9 @@
 //! queries and the text format must agree with a naive edge-list model for
 //! randomized graphs (deterministic seeds, so failures reproduce exactly).
 
+mod reference;
+
+use reference::ReferenceBuilder;
 use sge_graph::{io, GraphBuilder};
 use sge_util::SplitMix64;
 use std::collections::{HashMap, HashSet};
@@ -131,5 +134,65 @@ fn stats_are_internally_consistent() {
         // Handshake lemma: sum of total degrees = 2 * directed edge count.
         let total: usize = (0..graph.num_nodes() as u32).map(|v| graph.degree(v)).sum();
         assert_eq!(total, 2 * graph.num_edges());
+    }
+}
+
+#[test]
+fn counting_sort_build_matches_the_reference_build() {
+    for seed in 400..528u64 {
+        let mut rng = SplitMix64::new(seed);
+        let n = 1 + rng.next_below(40);
+        let labels: Vec<u32> = (0..n).map(|_| rng.next_below(4) as u32).collect();
+        // A multiset: every pair may come back with another label, and
+        // self-loops and hubs are common.
+        let pairs = rng.next_below(4 * n + 1);
+        let mut edges: Vec<(u32, u32, u32)> = Vec::new();
+        for _ in 0..pairs {
+            // Tails lean towards low ids, so some nodes are hubs.
+            let bound = 1 + rng.next_below(n);
+            let u = rng.next_below(bound) as u32;
+            let v = rng.next_below(n) as u32;
+            for _ in 0..1 + rng.next_below(3) {
+                edges.push((u, v, rng.next_below(5) as u32));
+            }
+        }
+        rng.shuffle(&mut edges);
+
+        let mut builder = GraphBuilder::new();
+        let mut reference = ReferenceBuilder::default();
+        for &label in &labels {
+            builder.add_node(label);
+            reference.add_node(label);
+        }
+        for &(u, v, l) in &edges {
+            builder.add_edge(u, v, l);
+            reference.add_edge(u, v, l);
+        }
+        let graph = builder.build();
+        reference
+            .build()
+            .assert_same(&graph, &format!("seed {seed}"));
+
+        // The first label of a parallel edge wins, and every list is
+        // sorted by its other endpoint.
+        let mut first: HashMap<(u32, u32), u32> = HashMap::new();
+        for &(u, v, l) in &edges {
+            first.entry((u, v)).or_insert(l);
+        }
+        for (&(u, v), &l) in &first {
+            assert_eq!(graph.edge_label(u, v), Some(l), "seed {seed}");
+        }
+        for v in 0..n as u32 {
+            let tails: Vec<u32> = graph.in_edges(v).iter().map(|e| e.node).collect();
+            assert!(
+                tails.windows(2).all(|w| w[0] < w[1]),
+                "in-list of {v}, seed {seed}"
+            );
+            let heads: Vec<u32> = graph.out_edges(v).iter().map(|e| e.node).collect();
+            assert!(
+                heads.windows(2).all(|w| w[0] < w[1]),
+                "out-list of {v}, seed {seed}"
+            );
+        }
     }
 }

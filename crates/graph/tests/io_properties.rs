@@ -6,9 +6,12 @@
 //! `ParseError::Malformed` with an accurate line number and **never**
 //! panics or over-allocates.
 
-use sge_graph::io::{parse_graph, write_graph, ParseError};
+mod reference;
+
+use sge_graph::io::{parse_graph, parse_graph_with_interner, write_graph, ParseError};
 use sge_graph::GraphBuilder;
 use sge_util::SplitMix64;
+use std::collections::HashMap;
 
 /// Deterministic random graph file: optional name, string labels, random
 /// edges (possibly with explicit edge labels).  Every line is non-blank.
@@ -198,4 +201,254 @@ fn random_garbage_never_panics() {
         text.push_str(&tail);
         let _ = parse_graph(&text);
     }
+}
+
+/// What a line of a [`MessyText`] holds.
+#[derive(Clone, Copy, PartialEq)]
+enum Kind {
+    Blank,
+    Name,
+    Count,
+    Label,
+    Edge,
+}
+
+/// One line of a [`MessyText`]: its fields, the blanks between them and
+/// the blanks around them.
+#[derive(Clone)]
+struct Line {
+    kind: Kind,
+    fields: Vec<String>,
+    separators: Vec<&'static str>,
+    lead: &'static str,
+    trail: &'static str,
+}
+
+/// A generated graph text in the exchange format, kept line by line so a
+/// test can corrupt one field and render it again.
+#[derive(Clone)]
+struct MessyText {
+    lines: Vec<Line>,
+    line_break: &'static str,
+    final_break: bool,
+}
+
+/// Blanks around a line's fields, Unicode whitespace included.
+const BLANKS: [&str; 9] = [
+    "", "", "", " ", "\t", "  \t ", "\u{a0}", "\u{3000}", "\x0b\x0c",
+];
+/// Blanks between fields.
+const SEPARATORS: [&str; 7] = [" ", " ", " ", "\t", "    ", "\u{a0}", " \u{3000}\t"];
+/// Node labels: a label is the whole trimmed line, inner blanks included.
+const LABELS: [&str; 8] = ["C", "N", "O", "Ca", "C a", "\u{e9}", "0", "12"];
+/// Tokens no count or edge field accepts.
+const BAD_TOKENS: [&str; 12] = [
+    "x",
+    "-1",
+    "3.5",
+    "0x10",
+    "99999999999999999999",
+    "4294967296",
+    "+",
+    "++1",
+    "1+",
+    "-0",
+    "\u{e9}",
+    "\u{663}",
+];
+
+impl MessyText {
+    fn random(rng: &mut SplitMix64) -> MessyText {
+        let mut text = MessyText {
+            lines: Vec::new(),
+            line_break: if rng.next_bool(0.5) { "\n" } else { "\r\n" },
+            final_break: rng.next_bool(0.8),
+        };
+        if rng.next_bool(0.5) {
+            let name = ["", "g1", " g 2", "ppi"][rng.next_below(4)];
+            text.push(rng, Kind::Name, vec![format!("#{name}")]);
+        }
+        let nodes = rng.next_below(8);
+        let count = number(rng, nodes as u64);
+        text.push(rng, Kind::Count, vec![count]);
+        for _ in 0..nodes {
+            let label = LABELS[rng.next_below(LABELS.len())];
+            text.push(rng, Kind::Label, vec![label.to_string()]);
+        }
+        // Random edges, self-loops allowed; some repeat an earlier pair with
+        // another label.  Shuffled, so no list arrives sorted.
+        let mut edges: Vec<(u64, u64, u64)> = Vec::new();
+        if nodes > 0 {
+            for _ in 0..rng.next_below(3 * nodes + 1) {
+                let edge = match edges.len() {
+                    len if len > 0 && rng.next_bool(0.3) => {
+                        let (u, v, _) = edges[rng.next_below(len)];
+                        (u, v, rng.next_below(4) as u64)
+                    }
+                    _ => (
+                        rng.next_below(nodes) as u64,
+                        rng.next_below(nodes) as u64,
+                        rng.next_below(4) as u64,
+                    ),
+                };
+                edges.push(edge);
+            }
+        }
+        rng.shuffle(&mut edges);
+        let count = number(rng, edges.len() as u64);
+        text.push(rng, Kind::Count, vec![count]);
+        for (u, v, label) in edges {
+            let mut fields = vec![number(rng, u), number(rng, v)];
+            if rng.next_bool(0.7) {
+                fields.push(number(rng, label));
+            }
+            if rng.next_bool(0.05) {
+                // An extra field, ignored whatever it holds.
+                fields.push(["junk", "7", "-1"][rng.next_below(3)].to_string());
+            }
+            if rng.next_bool(0.03) {
+                fields.truncate(1); // a missing head
+            }
+            text.push(rng, Kind::Edge, fields);
+        }
+        if rng.next_bool(0.3) {
+            text.push(rng, Kind::Blank, Vec::new());
+        }
+        text
+    }
+
+    /// Appends a line, sometimes after a blank or whitespace-only one.
+    fn push(&mut self, rng: &mut SplitMix64, kind: Kind, fields: Vec<String>) {
+        if kind != Kind::Blank && rng.next_bool(0.1) {
+            self.push(rng, Kind::Blank, Vec::new());
+        }
+        let pick = |rng: &mut SplitMix64, from: &[&'static str]| from[rng.next_below(from.len())];
+        let separators = (0..fields.len()).map(|_| pick(rng, &SEPARATORS)).collect();
+        let line = Line {
+            kind,
+            fields,
+            separators,
+            lead: pick(rng, &BLANKS),
+            trail: pick(rng, &BLANKS),
+        };
+        self.lines.push(line);
+    }
+
+    fn render(&self) -> String {
+        let mut out = String::new();
+        for (i, line) in self.lines.iter().enumerate() {
+            out.push_str(line.lead);
+            for (j, field) in line.fields.iter().enumerate() {
+                if j > 0 {
+                    out.push_str(line.separators[j]);
+                }
+                out.push_str(field);
+            }
+            out.push_str(line.trail);
+            if i + 1 < self.lines.len() || self.final_break {
+                out.push_str(self.line_break);
+            }
+        }
+        out
+    }
+
+    /// Indices of the lines of `kind`.
+    fn lines_of(&self, kind: Kind) -> Vec<usize> {
+        (0..self.lines.len())
+            .filter(|&i| self.lines[i].kind == kind)
+            .collect()
+    }
+}
+
+/// `value` as a field, sometimes with a `+` sign or leading zeros.
+fn number(rng: &mut SplitMix64, value: u64) -> String {
+    match rng.next_below(10) {
+        0 => format!("+{value}"),
+        1 => format!("00{value}"),
+        _ => value.to_string(),
+    }
+}
+
+/// Parses `text` with the one-pass parser and the reference, each under a
+/// copy of `interner`: both give the same graph and interner, or the same
+/// `(line, message)`.
+fn assert_same_parse(text: &str, interner: &HashMap<String, u32>) {
+    let mut interned = interner.clone();
+    let mut reference_interned = interner.clone();
+    let parsed = parse_graph_with_interner(text, &mut interned);
+    let expected = reference::parse_graph_with_interner(text, &mut reference_interned);
+    match (parsed, expected) {
+        (Ok(graph), Ok(expected)) => {
+            expected.assert_same(&graph, &format!("{text:?}"));
+            assert_eq!(interned, reference_interned, "interner for {text:?}");
+        }
+        (
+            Err(ParseError::Malformed { line, message }),
+            Err(ParseError::Malformed {
+                line: expected_line,
+                message: expected_message,
+            }),
+        ) => {
+            assert_eq!(
+                (line, message),
+                (expected_line, expected_message),
+                "error for {text:?}"
+            );
+            assert_eq!(interned, reference_interned, "interner for {text:?}");
+        }
+        (parsed, expected) => {
+            panic!("{text:?}: parsed {parsed:?}, the reference {expected:?}")
+        }
+    }
+}
+
+#[test]
+fn one_pass_parse_matches_the_reference_parser() {
+    let mut rng = SplitMix64::new(0xDEFACE);
+    let shared: HashMap<String, u32> = [("N".to_string(), 0), ("x".to_string(), 1)].into();
+    let mut accepted = 0;
+    for round in 0..300 {
+        let interner = if round % 2 == 0 {
+            HashMap::new()
+        } else {
+            shared.clone()
+        };
+        let text = MessyText::random(&mut rng);
+        let rendered = text.render();
+        accepted += usize::from(parse_graph(&rendered).is_ok());
+
+        // The text, then every prefix of it.
+        for end in (0..=rendered.len()).filter(|&end| rendered.is_char_boundary(end)) {
+            assert_same_parse(&rendered[..end], &interner);
+        }
+
+        // A bad token in each count and in each edge field.
+        let counts = text.lines_of(Kind::Count);
+        let edges = text.lines_of(Kind::Edge);
+        for &at in counts.iter().chain(&edges) {
+            for field in 0..text.lines[at].fields.len() {
+                for bad in BAD_TOKENS {
+                    let mut corrupted = text.clone();
+                    corrupted.lines[at].fields[field] = bad.to_string();
+                    assert_same_parse(&corrupted.render(), &interner);
+                }
+            }
+        }
+
+        // A count that overruns the input, with a bad line after it: the
+        // overrun is reported, at the last line.
+        for (count, kind) in [(counts[0], Kind::Label), (counts[1], Kind::Edge)] {
+            let mut overrun = text.clone();
+            let over = 1 + rng.next_below(3);
+            let lines = text.lines_of(kind).len();
+            overrun.lines[count].fields[0] = (lines + over).to_string();
+            if let Some(&victim) = edges.get(rng.next_below(edges.len().max(1))) {
+                let bad = BAD_TOKENS[rng.next_below(BAD_TOKENS.len())];
+                overrun.lines[victim].fields[0] = bad.to_string();
+            }
+            assert_same_parse(&overrun.render(), &interner);
+        }
+    }
+    // Most generated texts are valid, so the graphs themselves are compared.
+    assert!(accepted > 200, "only {accepted} of 300 texts parsed");
 }

@@ -27,21 +27,32 @@ pub struct Domains {
 impl Domains {
     /// Computes domains for `pattern` against `target`: label + degree filter
     /// followed by one arc-consistency sweep over the pattern edges.
+    ///
+    /// One pass over the target collects the nodes of each pattern label, so
+    /// the degree filter reads only the nodes of its own label.
     pub fn compute(pattern: &Graph, target: &Graph) -> Domains {
         let np = pattern.num_nodes();
         let nt = target.num_nodes();
-        let mut sets: Vec<Bitset> = Vec::with_capacity(np);
+        let mut labels = pattern.node_labels().to_vec();
+        labels.sort_unstable();
+        labels.dedup();
+        let mut by_label: Vec<Vec<NodeId>> = vec![Vec::new(); labels.len()];
+        for (vt, label) in target.node_labels().iter().enumerate() {
+            if let Ok(i) = labels.binary_search(label) {
+                by_label[i].push(vt as NodeId);
+            }
+        }
 
+        let mut sets: Vec<Bitset> = Vec::with_capacity(np);
         for vp in 0..np as NodeId {
             let mut dom = Bitset::new(nt);
-            let lp = pattern.label(vp);
             let out_p = pattern.out_degree(vp);
             let in_p = pattern.in_degree(vp);
-            for vt in 0..nt as NodeId {
-                if target.label(vt) == lp
-                    && target.out_degree(vt) >= out_p
-                    && target.in_degree(vt) >= in_p
-                {
+            let i = labels
+                .binary_search(&pattern.label(vp))
+                .expect("every pattern label was collected");
+            for &vt in &by_label[i] {
+                if target.out_degree(vt) >= out_p && target.in_degree(vt) >= in_p {
                     dom.insert(vt as usize);
                 }
             }

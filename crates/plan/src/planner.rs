@@ -75,11 +75,14 @@ impl Planner {
         self.strategy
     }
 
-    /// Plans `pattern` against `target`, computing the target statistics
-    /// internally.  Callers that plan many patterns against one target
-    /// should compute [`GraphStats`] once and use [`Planner::plan_with_stats`].
+    /// Plans `pattern` against `target`.  Only an algorithm without domains
+    /// orders by the target's label frequencies, so only then are the
+    /// target statistics computed here.  Callers that plan many patterns
+    /// against one target should compute [`GraphStats`] once and use
+    /// [`Planner::plan_with_stats`].
     pub fn plan(&self, pattern: &Graph, target: &Graph, algorithm: Algorithm) -> QueryPlan {
-        self.plan_with_stats(pattern, target, &GraphStats::of(target), algorithm)
+        let stats = (!algorithm.uses_domains()).then(|| GraphStats::of(target));
+        self.plan_inner(pattern, target, stats.as_ref(), algorithm)
     }
 
     /// Plans with precomputed target statistics: domain computation and
@@ -90,6 +93,16 @@ impl Planner {
         pattern: &Graph,
         target: &Graph,
         target_stats: &GraphStats,
+        algorithm: Algorithm,
+    ) -> QueryPlan {
+        self.plan_inner(pattern, target, Some(target_stats), algorithm)
+    }
+
+    fn plan_inner(
+        &self,
+        pattern: &Graph,
+        target: &Graph,
+        target_stats: Option<&GraphStats>,
         algorithm: Algorithm,
     ) -> QueryPlan {
         let mut impossible = false;

@@ -12,8 +12,9 @@ use sge_graph::{Graph, GraphStats, NodeId};
 
 /// Everything an [`OrderingStrategy`] may consult besides the pattern.
 pub struct PlanningInput<'a> {
-    /// Label-frequency statistics of the target graph.
-    pub target_stats: &'a GraphStats,
+    /// Label-frequency statistics of the target graph.  They are read only
+    /// when `domains` is absent, so a plan with domains may leave them out.
+    pub target_stats: Option<&'a GraphStats>,
     /// RI-DS domains, when the algorithm computes them.
     pub domains: Option<&'a Domains>,
     /// Whether ordering ties should be broken by domain size (the SI
@@ -133,7 +134,10 @@ pub struct LeastFrequentLabelFirst;
 fn rarity(v: NodeId, pattern: &Graph, input: &PlanningInput<'_>) -> usize {
     match input.domains {
         Some(domains) => domains.size(v),
-        None => input.target_stats.node_label_count(pattern.label(v)),
+        None => input
+            .target_stats
+            .expect("a plan without domains carries target statistics")
+            .node_label_count(pattern.label(v)),
     }
 }
 
@@ -242,7 +246,7 @@ mod tests {
         let target = generators::grid(4, 4);
         let stats = GraphStats::of(&target);
         let input = PlanningInput {
-            target_stats: &stats,
+            target_stats: Some(&stats),
             domains: None,
             domain_size_tie_break: false,
         };
@@ -278,7 +282,7 @@ mod tests {
         let target = tb.build();
         let stats = GraphStats::of(&target);
         let input = PlanningInput {
-            target_stats: &stats,
+            target_stats: Some(&stats),
             domains: None,
             domain_size_tie_break: false,
         };
@@ -294,7 +298,7 @@ mod tests {
         let positions = DegreeDescending.positions(
             &pattern,
             &PlanningInput {
-                target_stats: &GraphStats::of(&pattern),
+                target_stats: None,
                 domains: None,
                 domain_size_tie_break: false,
             },

@@ -16,11 +16,20 @@ use sge_graph::NodeId;
 /// `mapping[p]` is the target node the pattern node `p` is mapped to (indexed
 /// by *pattern node id*, not by search position — the order every scheduler
 /// agrees on).  The slice is only valid for the duration of the call; copy it
-/// if it must outlive the callback.
+/// if it must outlive the callback, or take it by value through
+/// [`MatchVisitor::on_match_owned`].
 pub trait MatchVisitor: Sync {
     /// Called for every match.  `worker_id` identifies the finding worker
     /// (always 0 in a one-worker run).
     fn on_match(&self, worker_id: usize, mapping: &[NodeId]);
+
+    /// Called instead of [`MatchVisitor::on_match`] when the run built the
+    /// mapping for this visitor alone, so a visitor that keeps mappings can
+    /// take it without a copy.  By default it lends the mapping to
+    /// `on_match`.
+    fn on_match_owned(&self, worker_id: usize, mapping: Vec<NodeId>) {
+        self.on_match(worker_id, &mapping);
+    }
 }
 
 /// Collects mappings under a mutex, up to a limit — the building block of
@@ -60,13 +69,19 @@ impl CollectingVisitor {
 }
 
 impl MatchVisitor for CollectingVisitor {
-    fn on_match(&self, _worker_id: usize, mapping: &[NodeId]) {
+    fn on_match(&self, worker_id: usize, mapping: &[NodeId]) {
+        if !self.is_full() {
+            self.on_match_owned(worker_id, mapping.to_vec());
+        }
+    }
+
+    fn on_match_owned(&self, _worker_id: usize, mapping: Vec<NodeId>) {
         if self.is_full() {
             return;
         }
         let mut guard = self.collected.lock().expect("collector mutex poisoned");
         if guard.len() < self.limit {
-            guard.push(mapping.to_vec());
+            guard.push(mapping);
         }
         if guard.len() >= self.limit {
             self.full.store(true, std::sync::atomic::Ordering::Relaxed);

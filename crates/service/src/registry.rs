@@ -60,6 +60,7 @@ impl GraphRegistry {
 
     /// Loads a `.gfu`/`.gfd` file and registers it under `name` with the
     /// default [`BitmapConfig`], replacing any previous graph of that name.
+    /// A file that fails to parse leaves the label table as it found it.
     pub fn load_file(&self, name: &str, path: impl AsRef<Path>) -> Result<GraphInfo, ServiceError> {
         self.load_file_with_config(name, path, &BitmapConfig::default())
     }
@@ -75,13 +76,7 @@ impl GraphRegistry {
         // Read before locking: the interner gates every concurrent query's
         // pattern parse and must not wait on disk I/O.
         let text = std::fs::read_to_string(path).map_err(ServiceError::Io)?;
-        let graph = {
-            let mut interner = self
-                .interner
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            parse_graph_with_interner(&text, &mut interner)?
-        };
+        let graph = self.parse_interned(&text, true)?;
         Ok(self.insert_with_config(name, graph, config))
     }
 
@@ -147,13 +142,20 @@ impl GraphRegistry {
     /// queries never grow it.  Within the pattern they keep distinct ids,
     /// and they match no loaded node either way.
     pub fn parse_pattern(&self, text: &str) -> Result<Graph, ServiceError> {
+        self.parse_interned(text, false)
+    }
+
+    /// Parses `text` through the shared label interner.  The ids the parse
+    /// added stay only when it succeeded and `keep_new_labels` is set (a
+    /// `LOAD`), so a failed load leaves the table as it found it.
+    fn parse_interned(&self, text: &str, keep_new_labels: bool) -> Result<Graph, ServiceError> {
         let mut interner = self
             .interner
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner());
         let known = interner.len();
         let parsed = parse_graph_with_interner(text, &mut interner);
-        if interner.len() > known {
+        if (parsed.is_err() || !keep_new_labels) && interner.len() > known {
             // Ids are dense, so the parse added exactly the ids >= known.
             interner.retain(|_, id| (*id as usize) < known);
         }
@@ -270,6 +272,42 @@ mod tests {
         // interned.
         assert!(registry.parse_pattern("2\nZ\nW\n1\n0 5\n").is_err());
         assert_eq!(size(), 2);
+    }
+
+    #[test]
+    fn a_failed_load_leaves_the_interner_as_it_was() {
+        let registry = GraphRegistry::new();
+        let path = std::env::temp_dir().join(format!("sge-failed-load-{}.gfu", std::process::id()));
+        std::fs::write(&path, "2\nC\nN\n1\n0 1\n").unwrap();
+        registry.load_file("mol", &path).unwrap();
+        let size = || registry.interner.lock().unwrap().len();
+        assert_eq!(size(), 2);
+
+        // Three fresh labels are interned before the edge count overruns
+        // the file.
+        std::fs::write(&path, "3\nzzz\nyyy\nxxx\n5\n0 1\n").unwrap();
+        assert!(registry.load_file("bad", &path).is_err());
+        assert_eq!(size(), 2, "the failed load's labels are dropped");
+        // A bad edge line after a known and a fresh label.
+        std::fs::write(&path, "2\nN\nO\n1\n0 x\n").unwrap();
+        assert!(registry.load_file("bad", &path).is_err());
+        assert_eq!(size(), 2);
+        std::fs::remove_file(&path).ok();
+        assert!(registry.get("bad").is_none());
+        assert_eq!(registry.parse_pattern("1\nN\n0\n").unwrap().label(0), 1);
+    }
+
+    #[test]
+    fn the_crlf_clique_loads_as_the_plain_one() {
+        let registry = GraphRegistry::new();
+        let testdata = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("testdata");
+        registry
+            .load_file("plain", testdata.join("clique5.gfd"))
+            .unwrap();
+        registry
+            .load_file("crlf", testdata.join("clique5_crlf.gfd"))
+            .unwrap();
+        assert_eq!(registry.get("plain"), registry.get("crlf"));
     }
 
     #[test]
