@@ -552,13 +552,15 @@ impl PreparedEngine {
     /// [`PreparedEngine::prepare`] planned by `strategy` with precomputed
     /// target statistics and the target's bitmap sidecar — the entry point
     /// the serving cache prepares through, so a long-lived registry target
-    /// pays its frequency-table pass and sidecar build once at registration
-    /// instead of on every cache miss.  With a row-less sidecar every step
-    /// intersects CSR lists.
+    /// pays its sidecar build once at registration and its frequency-table
+    /// pass at most once, instead of on every cache miss.  `target_stats`
+    /// is read only by a plan that orders by them
+    /// ([`Strategy::reads_target_stats`]).  With a row-less sidecar every
+    /// step intersects CSR lists.
     pub fn prepare_planned_full(
         pattern: Arc<Graph>,
         target: Arc<Graph>,
-        target_stats: &GraphStats,
+        target_stats: Option<&GraphStats>,
         bitmaps: Arc<AdjacencyBitmaps>,
         algorithm: Algorithm,
         strategy: Strategy,
@@ -1241,7 +1243,7 @@ mod tests {
         let prepared = PreparedEngine::prepare_planned_full(
             Arc::clone(&pattern),
             Arc::clone(&target),
-            &GraphStats::of(&target),
+            Some(&GraphStats::of(&target)),
             Arc::new(bitmaps),
             Algorithm::RiDsSiFc,
             Strategy::LeastFrequentLabelFirst,

@@ -75,36 +75,33 @@ impl Planner {
         self.strategy
     }
 
-    /// Plans `pattern` against `target`.  Only an algorithm without domains
-    /// orders by the target's label frequencies, so only then are the
-    /// target statistics computed here.  Callers that plan many patterns
-    /// against one target should compute [`GraphStats`] once and use
-    /// [`Planner::plan_with_stats`].
+    /// Plans `pattern` against `target`, computing the target statistics
+    /// only when the plan reads them ([`Strategy::reads_target_stats`]).
+    /// Callers that plan many patterns against one target should keep its
+    /// [`GraphStats`] and use [`Planner::plan_with_stats`].
     pub fn plan(&self, pattern: &Graph, target: &Graph, algorithm: Algorithm) -> QueryPlan {
-        let stats = (!algorithm.uses_domains()).then(|| GraphStats::of(target));
-        self.plan_inner(pattern, target, stats.as_ref(), algorithm)
+        self.plan_with_stats(pattern, target, None, algorithm)
     }
 
     /// Plans with precomputed target statistics: domain computation and
     /// forward checking (as the algorithm requires), strategy ordering and
-    /// back-edge plan construction.
+    /// back-edge plan construction.  `target_stats` is read only when
+    /// [`Strategy::reads_target_stats`]; `None` computes them here then.
     pub fn plan_with_stats(
-        &self,
-        pattern: &Graph,
-        target: &Graph,
-        target_stats: &GraphStats,
-        algorithm: Algorithm,
-    ) -> QueryPlan {
-        self.plan_inner(pattern, target, Some(target_stats), algorithm)
-    }
-
-    fn plan_inner(
         &self,
         pattern: &Graph,
         target: &Graph,
         target_stats: Option<&GraphStats>,
         algorithm: Algorithm,
     ) -> QueryPlan {
+        let computed;
+        let target_stats = match target_stats {
+            None if self.strategy.reads_target_stats(algorithm) => {
+                computed = GraphStats::of(target);
+                Some(&computed)
+            }
+            given => given,
+        };
         let mut impossible = false;
         let domains = if algorithm.uses_domains() {
             let mut domains = Domains::compute(pattern, target);

@@ -6,6 +6,7 @@
 //! strategy enumerates the *same* matches — only the shape (and therefore
 //! the size) of the explored search tree changes.
 
+use crate::algorithm::Algorithm;
 use crate::domains::Domains;
 use crate::ordering::greedy_positions;
 use sge_graph::{Graph, GraphStats, NodeId};
@@ -13,7 +14,8 @@ use sge_graph::{Graph, GraphStats, NodeId};
 /// Everything an [`OrderingStrategy`] may consult besides the pattern.
 pub struct PlanningInput<'a> {
     /// Label-frequency statistics of the target graph.  They are read only
-    /// when `domains` is absent, so a plan with domains may leave them out.
+    /// when [`Strategy::reads_target_stats`], so other plans may leave them
+    /// out.
     pub target_stats: Option<&'a GraphStats>,
     /// RI-DS domains, when the algorithm computes them.
     pub domains: Option<&'a Domains>,
@@ -64,6 +66,13 @@ impl Strategy {
             Strategy::LeastFrequentLabelFirst => "least-frequent-label",
             Strategy::DegreeDescending => "degree-descending",
         }
+    }
+
+    /// Whether a plan under this strategy reads the target's
+    /// [`GraphStats`]: only a least-frequent-label order without domains
+    /// does (with domains, domain sizes stand in for label frequencies).
+    pub fn reads_target_stats(self, algorithm: Algorithm) -> bool {
+        self == Strategy::LeastFrequentLabelFirst && !algorithm.uses_domains()
     }
 
     /// The strategy implementation behind this selector.

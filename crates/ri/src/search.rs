@@ -89,8 +89,9 @@ impl<'a> SearchContext<'a> {
 
     /// [`Self::prepare_planned`] with precomputed target statistics and an
     /// explicitly supplied bitmap sidecar — the serving path, where the
-    /// registry computes [`GraphStats`] and the sidecar once per long-lived
-    /// target instead of paying for them on every preparation.
+    /// registry builds the sidecar once per long-lived target and keeps
+    /// [`GraphStats`] for the plans that read them
+    /// ([`Planner::plan_with_stats`] computes them when given `None`).
     ///
     /// The context attaches `bitmaps` as given, even when it is row-less
     /// (no neighborhood earned a row, or the registry hit its memory cap):
@@ -99,7 +100,7 @@ impl<'a> SearchContext<'a> {
     pub fn prepare_planned_full(
         pattern: &'a Graph,
         target: &'a Graph,
-        target_stats: &GraphStats,
+        target_stats: Option<&GraphStats>,
         bitmaps: Arc<AdjacencyBitmaps>,
         algorithm: Algorithm,
         strategy: Strategy,

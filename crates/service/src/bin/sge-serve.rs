@@ -16,13 +16,14 @@
 //!
 //! `--workers BATCH_CLAIMERS` sets how many claimers answer one `BATCH`
 //! (`ServiceConfig::batch_workers`, default the core count): the front-end
-//! worker that received it and up to BATCH_CLAIMERS − 1 helpers of the
+//! thread that read it and up to BATCH_CLAIMERS − 1 helpers of the
 //! process-wide pool, which starts a helper only when no parked one is
 //! free.
 //!
-//! The front end is the event-driven readiness loop
-//! ([`sge_service::EventServer`]), built on `poll(2)`: off Unix the binary
-//! says so and exits 2.  `--route-threshold` / `--route-states-per-worker`
+//! The front end is [`sge_service::EventServer`]: `max(2, cores)` threads,
+//! the main thread among them, take turns leading one `poll(2)` set, and
+//! each request is answered on the thread that read it, its reply written
+//! straight to the socket.  Off Unix the binary says so and exits 2.  `--route-threshold` / `--route-states-per-worker`
 //! tune scheduler routing: a query whose prepared search is estimated below
 //! the threshold (a finite number of states, at least 0) stays on the
 //! sequential fast path; above it, the worker count is sized from the
@@ -128,7 +129,7 @@ fn main() {
     serve(&addr, service, drain_ms, log_path.as_deref());
 }
 
-/// Binds the event loop over `service` and serves until `SHUTDOWN`.
+/// Binds the front end over `service` and serves until `SHUTDOWN`.
 #[cfg(unix)]
 fn serve(addr: &str, service: Arc<Service>, drain_ms: u64, log_path: Option<&str>) {
     use sge_obs::EventLog;
@@ -163,6 +164,6 @@ fn serve(addr: &str, service: Arc<Service>, drain_ms: u64, log_path: Option<&str
 /// The front end is built on `poll(2)`; there is nothing to serve with.
 #[cfg(not(unix))]
 fn serve(_addr: &str, _service: Arc<Service>, _drain_ms: u64, _log_path: Option<&str>) {
-    eprintln!("error: sge-serve needs a Unix host (its event loop is built on poll(2))");
+    eprintln!("error: sge-serve needs a Unix host (its front end is built on poll(2))");
     std::process::exit(2);
 }

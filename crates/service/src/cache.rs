@@ -1,7 +1,8 @@
 //! The prepared-context cache: a bounded LRU over [`PreparedEngine`]s.
 
+use crate::registry::TargetStats;
 use sge_engine::PreparedEngine;
-use sge_graph::{AdjacencyBitmaps, Graph, GraphStats};
+use sge_graph::{AdjacencyBitmaps, Graph};
 use sge_ri::{Algorithm, Strategy};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -113,16 +114,17 @@ impl PreparedCache {
     /// the pattern is serialized once.
     ///
     /// The same pattern prepared under two strategies yields two independent
-    /// entries.  A miss prepares with the target statistics and the bitmap
-    /// sidecar the registry computed at registration, instead of re-deriving
-    /// the frequency tables or building a private sidecar.
+    /// entries.  A miss prepares with the bitmap sidecar the registry built
+    /// at registration and, when the plan reads them, the registry's target
+    /// statistics, instead of building a private sidecar or re-deriving the
+    /// frequency tables.
     #[allow(clippy::too_many_arguments)]
     pub fn get_or_prepare(
         &self,
         pattern: &Graph,
         target_name: &str,
         target: &Arc<Graph>,
-        target_stats: &GraphStats,
+        target_stats: &TargetStats,
         bitmaps: &Arc<AdjacencyBitmaps>,
         algorithm: Algorithm,
         strategy: Strategy,
@@ -139,10 +141,11 @@ impl PreparedCache {
         let mut prepared = false;
         let engine = slot.get_or_init(|| {
             prepared = true;
+            let reads_stats = strategy.reads_target_stats(algorithm);
             Arc::new(PreparedEngine::prepare_planned_full(
                 Arc::new(pattern.clone()),
                 Arc::clone(target),
-                target_stats,
+                reads_stats.then(|| target_stats.get(target)),
                 Arc::clone(bitmaps),
                 algorithm,
                 strategy,
@@ -252,8 +255,8 @@ mod tests {
         Arc::new(generators::clique(5, 0))
     }
 
-    /// A registry-style lookup under `strategy`: stats and sidecar derived
-    /// from `target`, as the registry does at registration.
+    /// A registry-style lookup under `strategy`: a fresh sidecar and lazy
+    /// stats for `target`, as the registry keeps them.
     fn lookup_planned(
         cache: &PreparedCache,
         pattern: &Graph,
@@ -262,7 +265,7 @@ mod tests {
         algorithm: Algorithm,
         strategy: Strategy,
     ) -> (Arc<PreparedEngine>, bool) {
-        let stats = GraphStats::of(target);
+        let stats = TargetStats::default();
         let bitmaps = Arc::new(AdjacencyBitmaps::build(target, &BitmapConfig::default()));
         let (engine, hit, hash) =
             cache.get_or_prepare(pattern, name, target, &stats, &bitmaps, algorithm, strategy);

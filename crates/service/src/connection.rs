@@ -3,12 +3,12 @@
 //! [`Connection`] owns the per-connection request/response loop, generic
 //! over any [`BufRead`] reader and [`Write`] + [`Send`] writer (a streamed
 //! `QUERY` writes its row frames from the worker that fills them).  The TCP
-//! front end's
-//! workers step it over one framed request unit, writing into an outbox the
-//! readiness loop drains to the socket (`crate::event_server`, Unix only);
-//! the deterministic simulator drives the *same code* over in-memory
-//! fault-injecting transports — which is the point: the simulator
-//! exercises the real protocol surface, not a reimplementation.
+//! front end's threads step it over one framed request unit on the thread
+//! that read it, each flush one `write(2)` straight to the socket
+//! (`crate::event_server`, Unix only); the deterministic simulator drives
+//! the *same code* over in-memory fault-injecting transports — which is the
+//! point: the simulator exercises the real protocol surface, not a
+//! reimplementation.
 //!
 //! [`Connection::step`] processes exactly one request (a `BATCH` header
 //! consumes its continuation lines in the same step; a streamed `QUERY`

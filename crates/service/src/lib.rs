@@ -460,8 +460,9 @@ impl Service {
     /// The boundary every query verb passes: the [`Service::plan`] head
     /// (`buffered` as it takes it), then `verb`, under `catch_unwind`.  A
     /// panicking query answers
-    /// [`ServiceError::Internal`] instead of unwinding into the caller (an
-    /// event-server worker would die with its request unanswered), and a
+    /// [`ServiceError::Internal`] instead of unwinding into the caller (the
+    /// front end would close the connection with its request unanswered),
+    /// and a
     /// failed request of either kind counts once in `errors`.  Unwinding
     /// leaves the service usable: its counters are atomics, its locks
     /// recover from poisoning, the admission permit drops, and the cache
@@ -726,5 +727,5 @@ fn stream_rows(
     (outcome, rows_sent, cancelled)
 }
 
-/// Convenience alias: a service shared across the front end's worker threads.
+/// Convenience alias: a service shared across the front end's threads.
 pub type SharedService = Arc<Service>;

@@ -5,7 +5,7 @@ use sge_graph::io::parse_graph_with_interner;
 use sge_graph::{AdjacencyBitmaps, BitmapConfig, Graph, GraphStats};
 use std::collections::HashMap;
 use std::path::Path;
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
 // The summary struct itself is wire-plane vocabulary now (LOAD responses
 // are built from it); the registry re-exports it so existing
@@ -22,17 +22,36 @@ pub use sge_wire::GraphInfo;
 /// interner and must already use consistent integer labels.
 struct TargetEntry {
     graph: Arc<Graph>,
-    /// Label-frequency statistics, computed once at registration — the
-    /// planner consumes these on every cache miss, and recomputing them per
-    /// preparation would put a full O(V + E log E) target pass on the
-    /// serving hot path.
-    stats: Arc<GraphStats>,
+    /// Label-frequency statistics, computed by the first plan that reads
+    /// them and kept for the next: recomputing them per preparation would
+    /// put a full O(V + E log E) target pass on the serving hot path.
+    stats: Arc<TargetStats>,
     /// Bitmap adjacency sidecar, built once at registration by the row rule
     /// and shared by every prepared engine against this target.  When the
     /// configured byte cap was exceeded the sidecar is *capped*: it carries
     /// the per-node label signatures (the candidate prefilter keeps working)
     /// but no rows, so every step intersects CSR lists.
     bitmaps: Arc<AdjacencyBitmaps>,
+}
+
+/// A registered target's label-frequency statistics, computed on first
+/// read.  Only a plan that orders by them reads them
+/// ([`sge_ri::Strategy::reads_target_stats`]: a least-frequent-label
+/// order without domains), so a `LOAD` does not sort every edge label.
+#[derive(Debug, Default)]
+pub struct TargetStats(OnceLock<GraphStats>);
+
+impl TargetStats {
+    /// The statistics of `target`, the graph registered beside them,
+    /// computed by the first call.
+    pub fn get(&self, target: &Graph) -> &GraphStats {
+        self.0.get_or_init(|| GraphStats::of(target))
+    }
+
+    /// Whether a plan has read them yet.
+    pub fn computed(&self) -> bool {
+        self.0.get().is_some()
+    }
 }
 
 /// See module docs; holds one [`TargetEntry`] per registered name.
@@ -88,13 +107,12 @@ impl GraphRegistry {
 
     /// [`GraphRegistry::insert`] with an explicit sidecar byte cap.
     pub fn insert_with_config(&self, name: &str, graph: Graph, config: &BitmapConfig) -> GraphInfo {
-        // Stats and the bitmap sidecar are computed outside the write lock
-        // so concurrent lookups never wait on the frequency-table or
-        // row-building passes.
+        // The bitmap sidecar is built outside the write lock so concurrent
+        // lookups never wait on the row-building pass.
         let bitmaps = Arc::new(AdjacencyBitmaps::build(&graph, config));
         let info = graph_info(name, &graph, &bitmaps);
         let entry = TargetEntry {
-            stats: Arc::new(GraphStats::of(&graph)),
+            stats: Arc::default(),
             graph: Arc::new(graph),
             bitmaps,
         };
@@ -107,13 +125,7 @@ impl GraphRegistry {
 
     /// Looks a target up by name.
     pub fn get(&self, name: &str) -> Option<Arc<Graph>> {
-        self.get_with_stats(name).map(|(graph, _)| graph)
-    }
-
-    /// Looks a target up by name together with its registration-time
-    /// statistics (what the planner's ordering strategies consume).
-    pub fn get_with_stats(&self, name: &str) -> Option<(Arc<Graph>, Arc<GraphStats>)> {
-        self.get_full(name).map(|(graph, stats, _)| (graph, stats))
+        self.get_full(name).map(|(graph, _, _)| graph)
     }
 
     /// Looks a target up by name together with its statistics and its bitmap
@@ -121,7 +133,7 @@ impl GraphRegistry {
     pub fn get_full(
         &self,
         name: &str,
-    ) -> Option<(Arc<Graph>, Arc<GraphStats>, Arc<AdjacencyBitmaps>)> {
+    ) -> Option<(Arc<Graph>, Arc<TargetStats>, Arc<AdjacencyBitmaps>)> {
         self.graphs
             .read()
             .unwrap_or_else(|poisoned| poisoned.into_inner())
@@ -218,10 +230,12 @@ mod tests {
         assert_eq!(registry.len(), 2);
         assert_eq!(registry.get("k4").unwrap().num_nodes(), 4);
         assert!(registry.get("missing").is_none());
-        // Stats are captured at registration time.
-        let (graph, stats) = registry.get_with_stats("k4").unwrap();
-        assert_eq!(stats.nodes, graph.num_nodes());
-        assert_eq!(stats.edge_label_count(0), graph.num_edges());
+        // Stats are computed on first read, once.
+        let (graph, stats, _) = registry.get_full("k4").unwrap();
+        assert!(!stats.computed());
+        assert_eq!(stats.get(&graph).nodes, graph.num_nodes());
+        assert_eq!(stats.get(&graph).edge_label_count(0), graph.num_edges());
+        assert!(registry.get_full("k4").unwrap().1.computed());
         let names: Vec<_> = registry.list().into_iter().map(|i| i.name).collect();
         assert_eq!(names, vec!["k4", "path"]);
     }

@@ -985,3 +985,56 @@ fn a_panicking_query_is_contained_and_the_service_keeps_serving() {
     assert_eq!(counter(&service, "service.errors"), 1);
     assert_eq!(counter(&service, "service.panics"), 1);
 }
+
+#[test]
+fn a_least_frequent_label_order_after_load_reads_the_targets_label_counts() {
+    use sge_graph::GraphStats;
+    use sge_ri::{Planner, Strategy};
+    // Ten nodes: label A on six, B on three, C on one, on a directed path
+    // plus the chord 5 -> 8, so A -> B -> C embeds once (5, 8, 9).
+    let path = temp_path("sge-lfl-load.gfd");
+    std::fs::write(
+        &path,
+        "10\nA\nA\nA\nA\nA\nA\nB\nB\nB\nC\n10\n0 1\n1 2\n2 3\n3 4\n4 5\n5 6\n6 7\n7 8\n8 9\n5 8\n",
+    )
+    .unwrap();
+    let service = Service::new(ServiceConfig::default());
+    service.load_target("t", &path, None).unwrap();
+    std::fs::remove_file(&path).ok();
+    let (target, stats, _) = service.registry().get_full("t").unwrap();
+    assert!(!stats.computed(), "a LOAD computes no statistics");
+
+    // Orders that do not rank by label frequency leave them uncomputed.
+    let pattern_text = "3\nA\nB\nC\n2\n0 1\n1 2\n";
+    let spec = |algorithm, strategy| {
+        QuerySpec::new(pattern_text)
+            .with_algorithm(algorithm)
+            .with_strategy(strategy)
+    };
+    for (algorithm, strategy) in [
+        (Algorithm::Ri, Strategy::RiGreedy),
+        (Algorithm::Ri, Strategy::DegreeDescending),
+        (Algorithm::RiDsSiFc, Strategy::LeastFrequentLabelFirst),
+    ] {
+        service.explain("t", &spec(algorithm, strategy)).unwrap();
+        assert!(!stats.computed(), "{algorithm} {strategy}");
+    }
+
+    // A domain-less least-frequent-label order computes them once, and
+    // orders as the statistics of the whole target say.
+    let lfl = Strategy::LeastFrequentLabelFirst;
+    let explained = service.explain("t", &spec(Algorithm::Ri, lfl)).unwrap();
+    assert!(stats.computed());
+    let pattern = service.registry().parse_pattern(pattern_text).unwrap();
+    let expected = Planner::new(lfl).plan_with_stats(
+        &pattern,
+        &target,
+        Some(&GraphStats::of(&target)),
+        Algorithm::Ri,
+    );
+    assert_eq!(explained.engine.plan().order, expected.order);
+    assert_eq!(explained.engine.plan().order.positions, vec![2, 1, 0]);
+    let query = service.run_query("t", &spec(Algorithm::Ri, lfl)).unwrap();
+    assert!(query.cache_hit);
+    assert_eq!(query.outcome.matches, 1);
+}

@@ -186,7 +186,7 @@ impl<'a> Subject<'a> {
         let mut prepared = self.prepared.borrow_mut();
         Arc::clone(prepared.entry(key).or_insert_with(|| {
             let (p, t) = (Arc::clone(&self.pattern), Arc::clone(&self.target));
-            let (stats, sidecar) = (&self.stats, Arc::clone(&self.sidecars[&kernel]));
+            let (stats, sidecar) = (Some(&self.stats), Arc::clone(&self.sidecars[&kernel]));
             let engine =
                 PreparedEngine::prepare_planned_full(p, t, stats, sidecar, algorithm, strategy);
             Arc::new(engine)
@@ -494,7 +494,7 @@ impl<'a> Subject<'a> {
         let reference = self.reference((algorithm, strategy, Kernel::RowsPresent))?;
         let planner = sge::Planner::new(strategy);
         let graphs = (&*self.pattern, &*self.target);
-        let plan = planner.plan_with_stats(graphs.0, graphs.1, &self.stats, algorithm);
+        let plan = planner.plan_with_stats(graphs.0, graphs.1, Some(&self.stats), algorithm);
         let rows = match cell.kernel {
             Kernel::ForcedBitmap => Kernel::RowsPresent,
             _ => Kernel::Capped,
