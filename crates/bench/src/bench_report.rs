@@ -478,12 +478,12 @@ fn dense_core_with_fringe(core: usize, fringe: usize) -> Graph {
 
 /// The prefilter verdict of one instrumented sequential enumeration (4-cycle
 /// pattern) against `target`: rejected candidates and the reject rate
-/// relative to everything the prefilter inspected.  Plain RI is the right
-/// probe: RI-DS domains are already arc-consistent and would exclude the
-/// infeasible candidates before the prefilter ever sees them, reading 0
-/// everywhere.  On targets where no neighborhood earns a row the one-shot
-/// preparation attaches no sidecar and both numbers are zero — that
-/// non-decision is part of the figure.
+/// relative to everything the prefilter inspected.  Plain RI is the only
+/// probe: arc-consistent RI-DS domains imply the prefilter's degree
+/// minimums and signature bits, so a plan with domains runs no prefilter
+/// (it would read 0 everywhere).  On targets where no neighborhood earns a
+/// row the one-shot preparation attaches no sidecar and both numbers are
+/// zero — that non-decision is part of the figure.
 fn prefilter_verdict(target: &Graph) -> (u64, f64) {
     let pattern = generators::directed_cycle(4, 0);
     let mut engine = Engine::prepare(&pattern, target, Algorithm::Ri);

@@ -599,9 +599,9 @@ impl PreparedEngine {
         }
     }
 
-    /// Materializes a borrowing [`Engine`] view (cheap: the domains are
-    /// shared, only the ordering vectors are copied).  The view reports this
-    /// instance's preprocessing cost in its outcomes.
+    /// Materializes a borrowing [`Engine`] view (cheap: the plan, its
+    /// probes and the sidecar are shared, nothing is copied).  The view
+    /// reports this instance's preprocessing cost in its outcomes.
     pub fn engine(&self) -> Engine<'_> {
         Engine {
             ctx: self.parts.context(&self.pattern, &self.target),
@@ -960,7 +960,9 @@ mod tests {
         let engine = Engine::prepare(&pattern, &target, Algorithm::RiDsSiFc);
         let config = RunConfig::default();
         let alone = engine.run_with(&config, &Calls(|_: usize, _: &[NodeId]| {}));
-        assert_eq!((alone.kernels.lists, alone.kernels.merge), (294, 621));
+        // The grid is symmetric, so each undirected pattern edge is one
+        // probe: only the closing position's two parents are merged.
+        assert_eq!((alone.kernels.lists, alone.kernels.merge), (294, 172));
         let inner = std::sync::OnceLock::new();
         let nesting = |_: usize, _: &[NodeId]| {
             inner.get_or_init(|| engine.run(&config));

@@ -141,6 +141,7 @@ impl GraphBuilder {
         in_edges.truncate(kept);
         in_edges.shrink_to_fit();
         transpose(&out_offsets, &out_edges, &in_offsets, &mut in_edges);
+        let symmetric = out_offsets == in_offsets && out_edges == in_edges;
 
         Graph {
             node_labels: self.node_labels,
@@ -149,6 +150,7 @@ impl GraphBuilder {
             in_offsets,
             in_edges,
             num_edges: kept,
+            symmetric,
             name: self.name,
         }
     }

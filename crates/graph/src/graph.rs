@@ -33,6 +33,9 @@ pub struct Graph {
     pub(crate) in_offsets: Vec<u32>,
     pub(crate) in_edges: Vec<EdgeRef>,
     pub(crate) num_edges: usize,
+    /// Whether every edge `(u, v, l)` has its reverse `(v, u, l)`, recorded
+    /// by [`crate::GraphBuilder::build`].
+    pub(crate) symmetric: bool,
     pub(crate) name: String,
 }
 
@@ -122,6 +125,15 @@ impl Graph {
                 .ok()
                 .map(|idx| inn[idx].label)
         }
+    }
+
+    /// Whether every edge `(u, v, l)` has its reverse `(v, u, l)`: how
+    /// undirected graphs are stored ([`crate::GraphBuilder::add_undirected_edge`]).
+    /// Then every node's in-list equals its out-list, so a search may read
+    /// either.  Recorded once when the graph is built.
+    #[inline]
+    pub fn is_symmetric(&self) -> bool {
+        self.symmetric
     }
 
     /// Whether the directed edge `(u, v)` exists.

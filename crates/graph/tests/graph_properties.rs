@@ -196,3 +196,83 @@ fn counting_sort_build_matches_the_reference_build() {
         }
     }
 }
+
+/// Whether every edge of `graph` has its reverse with the same label.
+fn symmetric_by_definition(graph: &sge_graph::Graph) -> bool {
+    graph
+        .edges()
+        .all(|(u, v, l)| graph.edge_label(v, u) == Some(l))
+}
+
+/// `edges` built over `labels`, in order.
+fn build_edges(labels: &[u32], edges: &[(u32, u32, u32)]) -> sge_graph::Graph {
+    build(&RawGraph {
+        labels: labels.to_vec(),
+        edges: edges.to_vec(),
+    })
+}
+
+#[test]
+fn is_symmetric_follows_the_definition() {
+    assert!(GraphBuilder::new().build().is_symmetric());
+    for seed in 600..728u64 {
+        // Directed random graphs: the flag must agree, whatever it reads.
+        let directed = build(&random_raw_graph(seed));
+        assert_eq!(
+            directed.is_symmetric(),
+            symmetric_by_definition(&directed),
+            "seed {seed}"
+        );
+
+        // Undirected edges, self-loops and repeated pairs with other labels.
+        let mut rng = SplitMix64::new(seed);
+        let n = 1 + rng.next_below(30);
+        let labels: Vec<u32> = (0..n).map(|_| rng.next_below(3) as u32).collect();
+        let mut builder = GraphBuilder::new();
+        for &label in &labels {
+            builder.add_node(label);
+        }
+        for _ in 0..rng.next_below(3 * n + 1) {
+            let (u, v) = (rng.next_below(n) as u32, rng.next_below(n) as u32);
+            builder.add_undirected_edge(u, v, rng.next_below(3) as u32);
+        }
+        let graph = builder.build();
+        assert!(graph.is_symmetric(), "seed {seed}");
+        assert!(symmetric_by_definition(&graph), "seed {seed}");
+
+        // Near-symmetric copies: one edge's reverse dropped, relabelled, or
+        // preceded by a parallel edge whose first label wins.
+        let edges: Vec<(u32, u32, u32)> = graph.edges().collect();
+        let pairs: Vec<usize> = (0..edges.len())
+            .filter(|&i| edges[i].0 != edges[i].1)
+            .collect();
+        if pairs.is_empty() {
+            continue;
+        }
+        let (u, v, l) = edges[pairs[rng.next_below(pairs.len())]];
+        let reverse = |&(a, b, _): &(u32, u32, u32)| (a, b) == (v, u);
+        let dropped: Vec<_> = edges.iter().copied().filter(|e| !reverse(e)).collect();
+        let relabelled: Vec<_> = edges
+            .iter()
+            .map(|&e| if reverse(&e) { (v, u, l + 1) } else { e })
+            .collect();
+        let mut first_differs = vec![(v, u, l + 1)];
+        first_differs.extend(&edges);
+        let mut last_differs = edges.clone();
+        last_differs.push((v, u, l + 1));
+        for (name, edges, symmetric) in [
+            ("dropped", dropped, false),
+            ("relabelled", relabelled, false),
+            ("first label differs", first_differs, false),
+            ("a later label differs", last_differs, true),
+        ] {
+            let copy = build_edges(&labels, &edges);
+            assert_eq!(copy.is_symmetric(), symmetric, "{name}, seed {seed}");
+            assert_eq!(
+                symmetric_by_definition(&copy),
+                symmetric,
+                "{name}, seed {seed}"
+            );
+        }
+    }
+}

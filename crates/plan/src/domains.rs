@@ -7,7 +7,9 @@
 //!    `deg⁻(v_t) ≥ deg⁻(v_p)` and `deg⁺(v_t) ≥ deg⁺(v_p)`.
 //! 2. **Arc-consistency sweep** — `v_t` is removed from `D(v_p)` if some edge
 //!    `(v_p, w_p)` (or `(w_p, v_p)`) of the pattern has no compatible supporting
-//!    edge `(v_t, w_t)` with `w_t ∈ D(w_p)` in the target.
+//!    edge `(v_t, w_t)` with `w_t ∈ D(w_p)` in the target.  When pattern and
+//!    target are both symmetric ([`Graph::is_symmetric`]) every in-edge of
+//!    either is also an out-edge, so the sweep checks out-edges only.
 //!
 //! Domains are bitmasks over the target nodes ([`sge_util::Bitset`]), exactly
 //! as in the original implementation, so the forward-checking improvement of
@@ -26,11 +28,22 @@ pub struct Domains {
 
 impl Domains {
     /// Computes domains for `pattern` against `target`: label + degree filter
-    /// followed by one arc-consistency sweep over the pattern edges.
+    /// followed by one arc-consistency sweep over the pattern edges, their
+    /// out-edges only when both graphs are symmetric.
     ///
     /// One pass over the target collects the nodes of each pattern label, so
     /// the degree filter reads only the nodes of its own label.
     pub fn compute(pattern: &Graph, target: &Graph) -> Domains {
+        let mut domains = Self::filtered(pattern, target);
+        // Symmetric on both sides, the in-edge checks repeat the out-edge
+        // checks: the same edges against the same domains.
+        let in_edges = !(pattern.is_symmetric() && target.is_symmetric());
+        domains.arc_consistency_sweep(pattern, target, in_edges);
+        domains
+    }
+
+    /// The label/degree filter alone.
+    fn filtered(pattern: &Graph, target: &Graph) -> Domains {
         let np = pattern.num_nodes();
         let nt = target.num_nodes();
         let mut labels = pattern.node_labels().to_vec();
@@ -59,23 +72,22 @@ impl Domains {
             sets.push(dom);
         }
 
-        let mut domains = Domains {
+        Domains {
             sets,
             target_nodes: nt,
-        };
-        domains.arc_consistency_sweep(pattern, target);
-        domains
+        }
     }
 
     /// One pass of neighborhood (arc) consistency: drop `v_t` from `D(v_p)`
     /// when some pattern edge incident to `v_p` has no supporting target edge
-    /// whose other endpoint lies in the neighbor's domain.
-    fn arc_consistency_sweep(&mut self, pattern: &Graph, target: &Graph) {
+    /// whose other endpoint lies in the neighbor's domain.  Checks pattern
+    /// in-edges only when `in_edges` is set.
+    fn arc_consistency_sweep(&mut self, pattern: &Graph, target: &Graph, in_edges: bool) {
         let np = pattern.num_nodes();
         for vp in 0..np as NodeId {
             let mut to_remove: Vec<usize> = Vec::new();
             for vt in self.sets[vp as usize].iter() {
-                if !self.supported(pattern, target, vp, vt as NodeId) {
+                if !self.supported(pattern, target, vp, vt as NodeId, in_edges) {
                     to_remove.push(vt);
                 }
             }
@@ -85,8 +97,16 @@ impl Domains {
         }
     }
 
-    /// Does `v_t` support every pattern edge incident to `v_p`?
-    fn supported(&self, pattern: &Graph, target: &Graph, vp: NodeId, vt: NodeId) -> bool {
+    /// Does `v_t` support every pattern out-edge of `v_p`, and with
+    /// `in_edges` every in-edge too?
+    fn supported(
+        &self,
+        pattern: &Graph,
+        target: &Graph,
+        vp: NodeId,
+        vt: NodeId,
+        in_edges: bool,
+    ) -> bool {
         for e in pattern.out_edges(vp) {
             let wp = e.node;
             let found = target
@@ -96,6 +116,9 @@ impl Domains {
             if !found {
                 return false;
             }
+        }
+        if !in_edges {
+            return true;
         }
         for e in pattern.in_edges(vp) {
             let wp = e.node;
@@ -193,6 +216,7 @@ impl Domains {
 mod tests {
     use super::*;
     use sge_graph::{generators, GraphBuilder};
+    use sge_util::SplitMix64;
 
     #[test]
     fn label_and_degree_filter() {
@@ -361,6 +385,37 @@ mod tests {
         let domains = Domains::compute(&pattern, &target);
         assert!(domains.any_empty());
         assert_eq!(domains.total_size(), 0);
+    }
+
+    /// A random symmetric graph: up to `2 × nodes` undirected edges
+    /// (self-loops included) with labels below 2, nodes with labels below
+    /// `labels`.
+    fn symmetric_graph(rng: &mut SplitMix64, nodes: usize, labels: usize) -> Graph {
+        let mut b = GraphBuilder::new();
+        for _ in 0..nodes {
+            b.add_node(rng.next_below(labels) as u32);
+        }
+        for _ in 0..rng.next_below(2 * nodes + 1) {
+            let (u, v) = (rng.next_below(nodes), rng.next_below(nodes));
+            b.add_undirected_edge(u as NodeId, v as NodeId, rng.next_below(2) as u32);
+        }
+        b.build()
+    }
+
+    #[test]
+    fn a_symmetric_pair_sweeps_out_edges_to_the_same_domains() {
+        let mut rng = SplitMix64::new(0x5EED_D0E5);
+        for round in 0..300 {
+            let nt = 1 + rng.next_below(40);
+            let labels = 1 + rng.next_below(3);
+            let target = symmetric_graph(&mut rng, nt, labels);
+            let np = 1 + rng.next_below(6);
+            let pattern = symmetric_graph(&mut rng, np, labels);
+            assert!(pattern.is_symmetric() && target.is_symmetric());
+            let mut both = Domains::filtered(&pattern, &target);
+            both.arc_consistency_sweep(&pattern, &target, true);
+            assert_eq!(Domains::compute(&pattern, &target), both, "round {round}");
+        }
     }
 
     #[test]

@@ -22,8 +22,19 @@
 //! to the thief (Section 3 of the paper).  Whoever drives a state reads its
 //! counters ([`WorkerState::kernel_usage`]) when it retires it.
 //!
+//! A context compiles each step's constraints once, at preparation, into
+//! the *probes* its candidate lists intersect: one adjacency list (or
+//! bitmap row) of a constraint parent's image per probe.  On a target that
+//! stores an undirected graph as symmetric directed pairs
+//! ([`Graph::is_symmetric`]) every pattern edge yields an out-constraint
+//! and an in-constraint on the same parent, and the parent's in-list is
+//! its out-list.  There an in-constraint reads the out-list, and twins with
+//! the same parent and label are one probe, so an undirected pattern edge
+//! is intersected once, as RI checks it.  On any other target the probes
+//! are the plan's constraints.  The plan itself keeps every back-edge.
+//!
 //! The memo keeps, per position, the last candidate list the worker
-//! requested and the images of the step's constraint parents it was built
+//! requested and the images of the step's probe parents it was built
 //! from.  A list depends on nothing else but the static plan, so
 //! [`SearchContext::candidates`] rebuilds it only when one of those images
 //! changed: on near-tree patterns a position's constraints usually read an
@@ -34,7 +45,7 @@ use crate::kernels::{self, GallopRoute, KernelUsage};
 use crate::suffix;
 use sge_graph::{AdjacencyBitmaps, BitmapConfig, EdgeRef, Graph, GraphStats, NodeId};
 use sge_plan::ordering::{MatchOrder, PlanStep, PrefilterSpec};
-use sge_plan::{Algorithm, Domains, Planner, QueryPlan, Strategy};
+use sge_plan::{Algorithm, Domains, EdgeConstraint, Planner, QueryPlan, Strategy};
 use std::cell::RefCell;
 use std::sync::Arc;
 
@@ -47,23 +58,57 @@ thread_local! {
 }
 
 /// Read-only description of one enumeration instance: pattern, target and
-/// the [`QueryPlan`] being executed (ordering, domains).
+/// the [`QueryPlan`] being executed (ordering, domains) with its probes.
 ///
-/// Domains are held behind an [`Arc`] inside the plan so that prepared
+/// The plan and its probes are held behind one [`Arc`] so that prepared
 /// instances can be rebuilt against long-lived owned graphs (see
-/// [`PreparedParts`]) without re-running or copying the domain computation.
+/// [`PreparedParts`]) without re-running or copying preprocessing.
 pub struct SearchContext<'a> {
     pattern: &'a Graph,
     target: &'a Graph,
-    plan: QueryPlan,
+    compiled: Arc<Compiled>,
     /// Optional dense-adjacency bitmap sidecar of the target.  Its rows
     /// decide where the bitmap AND runs and its signatures drive the
-    /// candidate prefilter; when absent every step intersects CSR lists and
-    /// no candidates are prefiltered.
+    /// candidate prefilter of plans without domains; when absent every step
+    /// intersects CSR lists and no candidates are prefiltered.
     bitmaps: Option<Arc<AdjacencyBitmaps>>,
+}
+
+/// What a preparation compiles once and every context rebuilt from it
+/// shares: the plan, each step's probes and the suffix start.
+struct Compiled {
+    plan: QueryPlan,
+    /// Per position, the adjacencies its candidate list intersects
+    /// ([`compile_probes`]).
+    probes: Vec<Vec<EdgeConstraint>>,
     /// The first position of the order's independent suffix
-    /// ([`Self::counted_from`]).
+    /// ([`SearchContext::counted_from`]).
     counted_from: usize,
+}
+
+/// The probes of every step of `order` on a target that is `symmetric` or
+/// not: on a symmetric target an in-constraint reads the parent's out-list
+/// (its in-list, entry for entry), and constraints that then coincide, the
+/// twins of one undirected pattern edge, are one probe.  On any other
+/// target the probes are the step's constraints.
+fn compile_probes(order: &MatchOrder, symmetric: bool) -> Vec<Vec<EdgeConstraint>> {
+    let compile = |step: &PlanStep| {
+        let mut probes: Vec<EdgeConstraint> = Vec::with_capacity(step.constraints.len());
+        for &c in &step.constraints {
+            let probe = match symmetric {
+                true => EdgeConstraint {
+                    out_from_parent: true,
+                    ..c
+                },
+                false => c,
+            };
+            if !probes.contains(&probe) {
+                probes.push(probe);
+            }
+        }
+        probes
+    };
+    order.plan.steps.iter().map(compile).collect()
 }
 
 impl<'a> SearchContext<'a> {
@@ -117,11 +162,15 @@ impl<'a> SearchContext<'a> {
     /// identical copies); the ordering and domains reference their node ids
     /// directly.
     pub fn from_plan(pattern: &'a Graph, target: &'a Graph, plan: QueryPlan) -> Self {
+        let compiled = Compiled {
+            probes: compile_probes(&plan.order, target.is_symmetric()),
+            counted_from: suffix::counted_from(&plan.order),
+            plan,
+        };
         SearchContext {
             pattern,
             target,
-            counted_from: suffix::counted_from(&plan.order),
-            plan,
+            compiled: Arc::new(compiled),
             bitmaps: None,
         }
     }
@@ -159,7 +208,7 @@ impl<'a> SearchContext<'a> {
 
     /// The algorithm variant this context was prepared for.
     pub fn algorithm(&self) -> Algorithm {
-        self.plan.algorithm
+        self.plan().algorithm
     }
 
     /// The target graph.
@@ -168,28 +217,38 @@ impl<'a> SearchContext<'a> {
     }
 
     /// The full query plan this context executes.
+    #[inline]
     pub fn plan(&self) -> &QueryPlan {
-        &self.plan
+        &self.compiled.plan
     }
 
     /// The ordering strategy that planned this context.
     pub fn strategy(&self) -> Strategy {
-        self.plan.strategy
+        self.plan().strategy
     }
 
     /// The static node ordering.
     pub fn order(&self) -> &MatchOrder {
-        &self.plan.order
+        &self.plan().order
     }
 
     /// The domains, when the algorithm uses them.
+    #[inline]
     pub fn domains(&self) -> Option<&Domains> {
-        self.plan.domains.as_deref()
+        self.plan().domains.as_deref()
     }
 
     /// Number of positions to fill (= pattern nodes).
     pub fn num_positions(&self) -> usize {
-        self.plan.order.len()
+        self.plan().order.len()
+    }
+
+    /// The probes position `depth`'s candidate list intersects: its
+    /// constraints, read through out-lists with twins merged on a symmetric
+    /// target (see the module doc).
+    #[inline]
+    pub(crate) fn probes(&self, depth: usize) -> &[EdgeConstraint] {
+        &self.compiled.probes[depth]
     }
 
     /// The first position of the order's independent suffix: every position
@@ -199,13 +258,13 @@ impl<'a> SearchContext<'a> {
     /// them.  At most 64 positions long; [`Self::num_positions`] when the
     /// last position does not qualify.
     pub fn counted_from(&self) -> usize {
-        self.counted_from
+        self.compiled.counted_from
     }
 
     /// `true` when preprocessing proved there are no matches; the search can be
     /// skipped entirely.
     pub fn impossible(&self) -> bool {
-        self.plan.impossible || self.pattern.num_nodes() > self.target.num_nodes()
+        self.plan().impossible || self.pattern.num_nodes() > self.target.num_nodes()
     }
 
     /// Creates a fresh per-worker state, with an empty candidate memo.  A
@@ -214,14 +273,12 @@ impl<'a> SearchContext<'a> {
     pub fn new_state(&self) -> WorkerState {
         let mut keys = 0;
         let memo = self
-            .plan
-            .order
-            .plan
-            .steps
+            .compiled
+            .probes
             .iter()
-            .map(|step| {
+            .map(|probes| {
                 let key_at = keys;
-                keys += step.constraints.len();
+                keys += probes.len();
                 MemoEntry {
                     list: Vec::new(),
                     key_at,
@@ -242,9 +299,9 @@ impl<'a> SearchContext<'a> {
     /// partial state (all referenced parents' images must already be assigned).
     ///
     /// * positions with ordered neighbors: the sorted intersection of the
-    ///   adjacency lists of *every* already-mapped pattern neighbor (starting
-    ///   from the smallest list, galloping through the others), filtered
-    ///   through the RI-DS domain bitset,
+    ///   adjacency lists of *every* already-mapped pattern neighbor, one per
+    ///   probe (starting from the smallest list, galloping through the
+    ///   others), filtered through the RI-DS domain bitset,
     /// * parentless positions with domains (RI-DS): the domain members,
     /// * parentless positions without domains (RI): every target node.
     ///
@@ -283,12 +340,12 @@ impl<'a> SearchContext<'a> {
     }
 
     /// Brings `state`'s memo entry for `depth` up to date: keeps it when
-    /// every constraint parent's image equals the key it was built from,
+    /// every probe parent's image equals the key it was built from,
     /// rebuilds it otherwise, counting the kernel work in the state's
     /// counters.  Returns `true` when the entry was kept.
     #[inline]
     pub(crate) fn update_memo(&self, depth: usize, state: &mut WorkerState) -> bool {
-        let step = &self.plan.order.plan.steps[depth];
+        let probes = self.probes(depth);
         let WorkerState {
             mapping,
             kernels,
@@ -297,8 +354,8 @@ impl<'a> SearchContext<'a> {
             ..
         } = state;
         let entry = &mut memo[depth];
-        let key = &mut keys[entry.key_at..entry.key_at + step.constraints.len()];
-        let images = step.constraints.iter().map(|c| mapping[c.parent_pos]);
+        let key = &mut keys[entry.key_at..entry.key_at + probes.len()];
+        let images = probes.iter().map(|c| mapping[c.parent_pos]);
         if entry.built && images.clone().eq(key.iter().copied()) {
             return true;
         }
@@ -318,10 +375,11 @@ impl<'a> SearchContext<'a> {
         local: &mut KernelUsage,
     ) {
         out.clear();
-        let step = &self.plan.order.plan.steps[depth];
-        let vp = self.plan.order.positions[depth];
-        if step.constraints.is_empty() {
-            match &self.plan.domains {
+        let plan = self.plan();
+        let (step, probes) = (&plan.order.plan.steps[depth], self.probes(depth));
+        let vp = plan.order.positions[depth];
+        if probes.is_empty() {
+            match &plan.domains {
                 Some(domains) => {
                     out.extend(domains.set(vp).iter().map(|v| v as NodeId));
                 }
@@ -333,27 +391,32 @@ impl<'a> SearchContext<'a> {
                 local.prefilter_rejected += (before - out.len()) as u64;
             }
         } else {
-            self.intersect_candidates(vp, step, mapping, out, local);
+            self.intersect_candidates(vp, step, probes, mapping, out, local);
         }
     }
 
-    /// The prefilter to apply at a position: present only when a sidecar is
-    /// attached (signatures live there) and the spec can reject anything.
+    /// The prefilter to apply at a position: present only for plans without
+    /// domains, when a sidecar is attached (signatures live there) and the
+    /// spec can reject anything.  Arc-consistent domains already imply the
+    /// spec: a domain member passed the same degree minimums, and it has a
+    /// supporting edge, of the pattern edge's label into a node of the
+    /// neighbor's label, for every pattern edge, which sets every required
+    /// signature bit.
     #[inline]
     fn active_prefilter<'s>(
         &'s self,
         step: &'s PlanStep,
     ) -> Option<(&'s AdjacencyBitmaps, &'s PrefilterSpec)> {
-        let maps = self.bitmaps.as_deref()?;
-        if step.prefilter.is_trivial() {
+        if self.plan().domains.is_some() || step.prefilter.is_trivial() {
             return None;
         }
+        let maps = self.bitmaps.as_deref()?;
         Some((maps, &step.prefilter))
     }
 
-    /// The adjacency list a constraint selects for the current mapping.
+    /// The adjacency list a probe selects for the current mapping.
     #[inline]
-    fn constraint_adjacency(&self, c: &sge_plan::EdgeConstraint, mapping: &[NodeId]) -> &[EdgeRef] {
+    fn constraint_adjacency(&self, c: &EdgeConstraint, mapping: &[NodeId]) -> &[EdgeRef] {
         let image = mapping[c.parent_pos];
         debug_assert_ne!(image, NodeId::MAX, "constraint parent must be assigned");
         if c.out_from_parent {
@@ -363,26 +426,27 @@ impl<'a> SearchContext<'a> {
         }
     }
 
-    /// Multi-parent candidate generation.
+    /// Multi-parent candidate generation over a step's `probes`.
     ///
-    /// The bitmap path ANDs the constraint rows of the target's sidecar
+    /// The bitmap path ANDs the probes' rows of the target's sidecar
     /// word-by-word (plus the domain bitset) and runs exactly when every
-    /// constraint's image has a row; otherwise the CSR path seeds `out` from
-    /// the smallest adjacency list among the constraints (filtered by edge
+    /// probe's image has a row; otherwise the CSR path seeds `out` from
+    /// the smallest adjacency list among the probes (filtered by edge
     /// label, domain / node-label membership and the prefilter), then
     /// intersects with each remaining list through
     /// [`kernels::intersect_gallop`].  Both paths produce byte-identical
     /// candidate sets (the oracle matrix walks both against a scalar
-    /// reference).
+    /// reference that reads the plan's constraints).
     fn intersect_candidates(
         &self,
         vp: NodeId,
         step: &PlanStep,
+        probes: &[EdgeConstraint],
         mapping: &[NodeId],
         out: &mut Vec<NodeId>,
         local: &mut KernelUsage,
     ) {
-        if self.bitmap_candidates(vp, step, mapping, out, local) {
+        if self.bitmap_candidates(vp, step, probes, mapping, out, local) {
             return;
         }
         // Seed from the smallest adjacency list (smallest-degree-first); every
@@ -390,7 +454,7 @@ impl<'a> SearchContext<'a> {
         // through all intersections.
         let mut seed = 0;
         let mut seed_len = usize::MAX;
-        for (i, c) in step.constraints.iter().enumerate() {
+        for (i, c) in probes.iter().enumerate() {
             let len = self.constraint_adjacency(c, mapping).len();
             if len < seed_len {
                 seed_len = len;
@@ -400,7 +464,7 @@ impl<'a> SearchContext<'a> {
         // The seed fill also applies the domain (or node-label) filter and
         // the prefilter, so later intersections gallop over the smallest
         // possible buffer and `is_consistent` need not re-test membership.
-        let c0 = &step.constraints[seed];
+        let c0 = &probes[seed];
         let adj0 = self.constraint_adjacency(c0, mapping);
         let prefilter = self.active_prefilter(step);
         let passes = |v: NodeId, local: &mut KernelUsage| match prefilter {
@@ -411,7 +475,7 @@ impl<'a> SearchContext<'a> {
             }
             None => true,
         };
-        match &self.plan.domains {
+        match &self.plan().domains {
             Some(domains) => {
                 for e in adj0 {
                     if e.label == c0.label && domains.contains(vp, e.node) && passes(e.node, local)
@@ -432,7 +496,7 @@ impl<'a> SearchContext<'a> {
                 }
             }
         }
-        for (i, c) in step.constraints.iter().enumerate() {
+        for (i, c) in probes.iter().enumerate() {
             if i == seed {
                 continue;
             }
@@ -450,13 +514,12 @@ impl<'a> SearchContext<'a> {
         }
     }
 
-    /// The bitmap row a constraint selects for the current mapping, if
-    /// built.
+    /// The bitmap row a probe selects for the current mapping, if built.
     #[inline]
     fn constraint_row<'m>(
         &self,
         maps: &'m AdjacencyBitmaps,
-        c: &sge_plan::EdgeConstraint,
+        c: &EdgeConstraint,
         mapping: &[NodeId],
     ) -> Option<&'m [u64]> {
         let image = mapping[c.parent_pos];
@@ -469,14 +532,15 @@ impl<'a> SearchContext<'a> {
     }
 
     /// Bitmap-kernel candidate generation: word-wise AND of every
-    /// constraint's sidecar row and the domain bitset, then a single pass
-    /// over the set bits (label check when domains are absent, plus the
-    /// prefilter).  Returns `false` — leaving `out` empty — when the sidecar
-    /// or any row is missing, in which case the caller gallops over CSR.
+    /// probe's sidecar row and the domain bitset, then a single pass over
+    /// the set bits (label check and prefilter when domains are absent).
+    /// Returns `false` — leaving `out` empty — when the sidecar or any row
+    /// is missing, in which case the caller gallops over CSR.
     fn bitmap_candidates(
         &self,
         vp: NodeId,
         step: &PlanStep,
+        probes: &[EdgeConstraint],
         mapping: &[NodeId],
         out: &mut Vec<NodeId>,
         local: &mut KernelUsage,
@@ -488,9 +552,9 @@ impl<'a> SearchContext<'a> {
         if words == 0 {
             return false;
         }
-        // Every constraint needs a row; lookups are cheap binary searches,
-        // so verify all of them before touching the scratch buffer.
-        for c in &step.constraints {
+        // Every probe needs a row; lookups are cheap binary searches, so
+        // verify all of them before touching the scratch buffer.
+        for c in probes {
             if self.constraint_row(maps, c, mapping).is_none() {
                 return false;
             }
@@ -500,7 +564,7 @@ impl<'a> SearchContext<'a> {
             scratch.clear();
             scratch.resize(words, 0u64);
             let mut first = true;
-            for c in &step.constraints {
+            for c in probes {
                 let row = self
                     .constraint_row(maps, c, mapping)
                     .expect("row presence checked above");
@@ -512,10 +576,10 @@ impl<'a> SearchContext<'a> {
                 }
                 local.bitmap += 1;
             }
-            if let Some(domains) = &self.plan.domains {
+            if let Some(domains) = self.domains() {
                 kernels::and_rows(&mut scratch, domains.set(vp).words());
             }
-            let check_label = self.plan.domains.is_none();
+            let check_label = self.domains().is_none();
             let label = self.pattern.label(vp);
             let prefilter = self.active_prefilter(step);
             for (w, &word) in scratch.iter().enumerate() {
@@ -549,16 +613,17 @@ impl<'a> SearchContext<'a> {
     /// constrained candidate satisfies them by construction.
     #[inline]
     pub fn is_consistent(&self, depth: usize, vt: NodeId, state: &WorkerState) -> bool {
-        let vp = self.plan.order.positions[depth];
+        let plan = self.plan();
+        let vp = plan.order.positions[depth];
         if state.used[vt as usize] {
             return false;
         }
-        let step = &self.plan.order.plan.steps[depth];
+        let step = &plan.order.plan.steps[depth];
         // Constrained candidates were already pushed through the domain /
         // node-label filter by `candidates`; only parentless positions need
         // the test.
         if step.constraints.is_empty() {
-            match &self.plan.domains {
+            match &plan.domains {
                 Some(domains) => {
                     if !domains.contains(vp, vt) {
                         return false;
@@ -571,7 +636,7 @@ impl<'a> SearchContext<'a> {
                 }
             }
         }
-        if self.plan.check_degrees
+        if plan.check_degrees
             && (self.target.out_degree(vt) < self.pattern.out_degree(vp)
                 || self.target.in_degree(vt) < self.pattern.in_degree(vp))
         {
@@ -587,7 +652,7 @@ impl<'a> SearchContext<'a> {
     pub fn mapping_by_pattern_node(&self, state: &WorkerState) -> Vec<NodeId> {
         let mut out = vec![NodeId::MAX; self.num_positions()];
         for (pos, &vt) in state.mapping.iter().enumerate() {
-            let vp = self.plan.order.positions[pos];
+            let vp = self.plan().order.positions[pos];
             out[vp as usize] = vt;
         }
         out
@@ -617,9 +682,9 @@ fn prefilter_pass(
 /// [`SearchContext`] borrows its pattern and target, which is the right shape
 /// for one-shot enumeration but not for a serving system that keeps prepared
 /// instances alive across queries.  `PreparedParts` captures the executed
-/// [`QueryPlan`] (domains shared, not copied) and the bitmap sidecar, so a
-/// caller that *owns* the graphs can rebuild an equivalent context at any
-/// time without re-running preprocessing:
+/// [`QueryPlan`] with its probes and the bitmap sidecar, each shared, not
+/// copied, so a caller that *owns* the graphs can rebuild an equivalent
+/// context at any time without re-running preprocessing:
 ///
 /// ```
 /// use sge_graph::generators;
@@ -636,35 +701,32 @@ fn prefilter_pass(
 /// ```
 #[derive(Clone)]
 pub struct PreparedParts {
-    plan: QueryPlan,
+    compiled: Arc<Compiled>,
     bitmaps: Option<Arc<AdjacencyBitmaps>>,
-    counted_from: usize,
 }
 
 impl PreparedParts {
-    /// Captures the prepared artifacts of `ctx` (domains and the bitmap
-    /// sidecar are shared via [`Arc`]; the ordering — including its
-    /// [`sge_plan::CandidatePlan`] — is cloned).
+    /// Captures the prepared artifacts of `ctx`: the plan with its probes
+    /// and the bitmap sidecar, both shared via [`Arc`].
     pub fn extract(ctx: &SearchContext<'_>) -> Self {
         PreparedParts {
-            plan: ctx.plan.clone(),
+            compiled: Arc::clone(&ctx.compiled),
             bitmaps: ctx.bitmaps.clone(),
-            counted_from: ctx.counted_from,
         }
     }
 
-    /// Rebuilds a ready-to-search context against `pattern` and `target`.
+    /// Rebuilds a ready-to-search context against `pattern` and `target`,
+    /// copying nothing but two [`Arc`]s.
     ///
     /// The graphs must be the ones this instance was prepared from (or
-    /// structurally identical copies); the ordering and domains reference
-    /// their node ids directly.
+    /// structurally identical copies); the ordering, domains and probes
+    /// reference their node ids directly.
     pub fn context<'a>(&self, pattern: &'a Graph, target: &'a Graph) -> SearchContext<'a> {
         SearchContext {
             pattern,
             target,
-            plan: self.plan.clone(),
+            compiled: Arc::clone(&self.compiled),
             bitmaps: self.bitmaps.clone(),
-            counted_from: self.counted_from,
         }
     }
 
@@ -675,28 +737,28 @@ impl PreparedParts {
 
     /// The algorithm these parts were prepared for.
     pub fn algorithm(&self) -> Algorithm {
-        self.plan.algorithm
+        self.plan().algorithm
     }
 
     /// The ordering strategy that planned these parts.
     pub fn strategy(&self) -> Strategy {
-        self.plan.strategy
+        self.plan().strategy
     }
 
     /// The captured query plan (order, domains).
     pub fn plan(&self) -> &QueryPlan {
-        &self.plan
+        &self.compiled.plan
     }
 
     /// The first position of the plan's independent suffix
     /// ([`SearchContext::counted_from`]).
     pub fn counted_from(&self) -> usize {
-        self.counted_from
+        self.compiled.counted_from
     }
 
     /// `true` when preprocessing already proved there are no matches.
     pub fn impossible(&self) -> bool {
-        self.plan.impossible
+        self.plan().impossible
     }
 }
 
@@ -711,8 +773,8 @@ pub struct WorkerState {
     pub(crate) kernels: KernelUsage,
     /// One entry per position: the last candidate list built for it.
     pub(crate) memo: Vec<MemoEntry>,
-    /// Every entry's key back to back: the images of its step's constraint
-    /// parents, one per constraint, that its list was built from.
+    /// Every entry's key back to back: the images of its step's probe
+    /// parents, one per probe, that its list was built from.
     keys: Vec<NodeId>,
 }
 
@@ -1094,6 +1156,115 @@ mod tests {
         let mut other = ctx.new_state();
         assert_eq!(ctx.candidates(0, &mut other), roots.as_slice());
         assert_eq!(usage(&other), (1, 0));
+    }
+
+    /// Requests every list of the tree below `depth` from both contexts
+    /// in the same order, asserting the lists are equal.
+    fn lockstep(ctxs: [&SearchContext<'_>; 2], depth: usize, states: &mut [WorkerState; 2]) {
+        let list = ctxs[0].candidates(depth, &mut states[0]).to_vec();
+        assert_eq!(
+            ctxs[1].candidates(depth, &mut states[1]),
+            list,
+            "depth {depth}"
+        );
+        for vt in list {
+            if depth + 1 < ctxs[0].num_positions() && ctxs[0].is_consistent(depth, vt, &states[0]) {
+                states.iter_mut().for_each(|s| s.assign(depth, vt));
+                lockstep(ctxs, depth + 1, states);
+                states.iter_mut().for_each(|s| s.unassign(depth));
+            }
+        }
+    }
+
+    #[test]
+    fn a_symmetric_target_reads_each_undirected_edge_once() {
+        // A 4x4 grid with one node of another label joined to the inner
+        // node 5: as an undirected edge, and in a copy as `x -> 5` alone,
+        // which no label-0 list can hold and no degree bound of the
+        // patterns notices.  Every list of a path and a star is built from
+        // one parent, so the symmetric target intersects nothing; the copy
+        // intersects each parent's out-list with its in-list, to the same
+        // lists.
+        let with_spur = |both_ways: bool| {
+            let grid = generators::grid(4, 4);
+            let mut b = GraphBuilder::new();
+            b.add_nodes(grid.num_nodes(), 0);
+            for (u, v, l) in grid.edges() {
+                b.add_edge(u, v, l);
+            }
+            let x = b.add_node(1);
+            b.add_edge(x, 5, 0);
+            if both_ways {
+                b.add_edge(5, x, 0);
+            }
+            b.build()
+        };
+        let (symmetric, copy) = (with_spur(true), with_spur(false));
+        assert!(symmetric.is_symmetric() && !copy.is_symmetric());
+        let mut sb = GraphBuilder::new();
+        sb.add_nodes(4, 0);
+        for leaf in 1..4 {
+            sb.add_undirected_edge(0, leaf, 0);
+        }
+        for pattern in [generators::undirected_path(4, 0), sb.build()] {
+            for algorithm in Algorithm::ALL {
+                let ctxs =
+                    [&symmetric, &copy].map(|t| SearchContext::prepare(&pattern, t, algorithm));
+                assert_eq!(ctxs[0].order(), ctxs[1].order(), "{algorithm}");
+                let mut states = [ctxs[0].new_state(), ctxs[1].new_state()];
+                lockstep([&ctxs[0], &ctxs[1]], 0, &mut states);
+                let [plain, twinned] = states.map(|s| s.kernel_usage());
+                assert_eq!(plain.intersections() + plain.bitmap, 0, "{algorithm}");
+                assert!(twinned.intersections() > 0, "{algorithm}");
+                let lists = |u: KernelUsage| (u.lists, u.reused);
+                assert_eq!(lists(plain), lists(twinned), "{algorithm}");
+            }
+        }
+    }
+
+    #[test]
+    fn domain_members_pass_the_prefilter() {
+        // Arc-consistent domains imply every step's prefilter, so a plan
+        // with domains runs none: on seeded random instances every domain
+        // member passes its position's spec against the target's
+        // signatures.
+        let mut rng = sge_util::SplitMix64::new(0x00F1_17E2);
+        for round in 0..300 {
+            let nt = 2 + rng.next_below(30);
+            let labels = 1 + rng.next_below(3);
+            let mut tb = GraphBuilder::new();
+            for _ in 0..nt {
+                tb.add_node(rng.next_below(labels) as u32);
+            }
+            for _ in 0..rng.next_below(4 * nt) {
+                let (u, v) = (rng.next_below(nt), rng.next_below(nt));
+                tb.add_edge(u as NodeId, v as NodeId, rng.next_below(3) as u32);
+            }
+            let target = tb.build();
+            let mut pb = GraphBuilder::new();
+            let np = 1 + rng.next_below(6);
+            for _ in 0..np {
+                pb.add_node(rng.next_below(labels) as u32);
+            }
+            for _ in 0..rng.next_below(2 * np + 1) {
+                let (u, v) = (rng.next_below(np), rng.next_below(np));
+                pb.add_edge(u as NodeId, v as NodeId, rng.next_below(3) as u32);
+            }
+            let pattern = pb.build();
+            let maps = AdjacencyBitmaps::every_row(&target);
+            for algorithm in [Algorithm::RiDs, Algorithm::RiDsSi, Algorithm::RiDsSiFc] {
+                let plan = Planner::default().plan(&pattern, &target, algorithm);
+                let domains = plan.domains.as_deref().expect("the algorithm has domains");
+                for (step, &vp) in plan.order.plan.steps.iter().zip(&plan.order.positions) {
+                    for vt in domains.set(vp).iter() {
+                        assert!(
+                            prefilter_pass(&maps, &step.prefilter, &target, vt as NodeId),
+                            "round {round}, {algorithm}: {vt} in D({vp})"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

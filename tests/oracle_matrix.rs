@@ -59,14 +59,34 @@ fn run_cells(instance: &Instance, cells: &[(usize, Cell)]) -> Result<usize, Stri
 
 /// The two distinct families a cell runs in, each with a hash that picks
 /// the instance within the family: every cell runs twice per `cargo test`,
-/// and each family sees about a third of the cells.
+/// and each of these families sees about two sevenths of the cells.  The
+/// `Symmetric` family takes a share of its own ([`symmetric_home`]), so the
+/// others kept their cells when it came.
 fn homes(index: usize) -> [(Family, u64); 2] {
+    let homed: Vec<Family> = Family::ALL
+        .into_iter()
+        .filter(|&f| f != Family::Symmetric)
+        .collect();
     let mut rng = SplitMix64::new(index as u64);
-    let n = Family::ALL.len();
+    let n = homed.len();
     let first = rng.next_below(n);
     let second = (first + 1 + rng.next_below(n - 1)) % n;
     let (a, b) = (rng.next_u64(), rng.next_u64());
-    [(Family::ALL[first], a), (Family::ALL[second], b)]
+    [(homed[first], a), (homed[second], b)]
+}
+
+/// The hash that picks a cell's `Symmetric` instance, for one cell in
+/// three.
+fn symmetric_home(index: usize) -> Option<u64> {
+    let mut rng = SplitMix64::new(index as u64 ^ 0x5E77_1C00);
+    (rng.next_below(3) == 0).then(|| rng.next_u64())
+}
+
+/// Every family cell `index` runs in, with the hash that picks its
+/// instance there.
+fn placements(index: usize) -> impl Iterator<Item = (Family, u64)> {
+    let symmetric = symmetric_home(index).map(|hash| (Family::Symmetric, hash));
+    homes(index).into_iter().chain(symmetric)
 }
 
 /// The cells `keep` accepts, with their indices.
@@ -79,14 +99,14 @@ fn select(cells: &[Cell], mut keep: impl FnMut(usize) -> bool) -> Vec<(usize, Ce
         .collect()
 }
 
-/// Runs the cells [`homes`] gives `family` over its pinned instances.
+/// Runs the cells [`placements`] gives `family` over its pinned instances.
 fn run_family(family: Family) {
     let (cells, instances) = (cells::all(), family.pinned());
     let (started, mut ran) = (Instant::now(), 0);
     for (i, instance) in instances.iter().enumerate() {
-        let here = |&(home, hash): &(Family, u64)| (home, hash % instances.len() as u64);
+        let here = |(home, hash): (Family, u64)| (home, hash % instances.len() as u64);
         let share = select(&cells, |index| {
-            homes(index).iter().any(|h| here(h) == (family, i as u64))
+            placements(index).any(|h| here(h) == (family, i as u64))
         });
         match run_cells(instance, &share) {
             Ok(n) => ran += n,
@@ -109,6 +129,27 @@ fn every_cell_runs_in_two_families() {
     }
 }
 
+#[test]
+fn the_symmetric_share_runs_every_axis_value() {
+    let values = |keep: &dyn Fn(usize) -> bool| {
+        let cells = cells::all().into_iter().enumerate();
+        let kept = cells.filter(|&(i, _)| keep(i)).map(|(_, c)| c);
+        kept.flat_map(|c| {
+            [
+                format!("algorithm {:?}", c.algorithm),
+                format!("strategy {:?}", c.strategy),
+                format!("kernel {:?}", c.kernel),
+                format!("sched {:?}", c.sched),
+                format!("delivery {:?}", c.delivery),
+                format!("limit {:?}", c.limit),
+            ]
+        })
+        .collect::<std::collections::BTreeSet<String>>()
+    };
+    let every = values(&|_| true);
+    assert_eq!(values(&|i| symmetric_home(i).is_some()), every);
+}
+
 /// One test per family.
 macro_rules! family_tests {
     ($($name:ident: $family:ident),+ $(,)?) => {
@@ -128,6 +169,7 @@ family_tests! {
     degenerate_instances: Degenerate,
     collection_instances: Collection,
     pendant_leaves: Pendant,
+    symmetric_targets_and_near_symmetric_copies: Symmetric,
     named_instances_and_regressions: Named,
 }
 

@@ -54,19 +54,25 @@ pub enum Family {
     /// counts, with twin leaves, leaves of different hubs sharing
     /// candidates and leaves held by two hubs.
     Pendant,
+    /// Symmetric targets, sparse or above the bitmap bar, with patterns
+    /// walked out of them, so every pattern edge has its twin; in two of
+    /// three instances the target is a copy with the reverse of one edge
+    /// between walked nodes dropped or relabelled.
+    Symmetric,
     /// [`named`] instances.
     Named,
 }
 
 impl Family {
     /// Every family; all but the last generate from a seed.
-    pub const ALL: [Family; 7] = [
+    pub const ALL: [Family; 8] = [
         Family::Sparse,
         Family::Dense,
         Family::RandomPattern,
         Family::Degenerate,
         Family::Collection,
         Family::Pendant,
+        Family::Symmetric,
         Family::Named,
     ];
 
@@ -147,6 +153,29 @@ impl Family {
                 };
                 (pendant_pattern(&mut rng, &target), target)
             }
+            Family::Symmetric => {
+                let (target, k) = match seed % 2 {
+                    0 => {
+                        let (n, p) = (8 + rng.next_below(9), 0.15 + 0.2 * rng.next_f64());
+                        let (labels, edge_labels) = (1 + rng.next_below(3), 1 + rng.next_below(3));
+                        let target = symmetric_graph(&mut rng, n, p, labels, edge_labels, 0.2);
+                        (target, 2 + rng.next_below(4))
+                    }
+                    _ => {
+                        let (n, p) = (16 + rng.next_below(6), 0.5 + 0.15 * rng.next_f64());
+                        let labels = 1 + rng.next_below(2);
+                        let target = symmetric_graph(&mut rng, n, p, labels, 1, 0.1);
+                        (target, 2 + rng.next_below(3))
+                    }
+                };
+                let chosen = walk_nodes(&mut rng, &target, k);
+                let pattern = induced(&target, &chosen);
+                let target = match seed % 3 {
+                    0 => target,
+                    kind => break_one_reverse(&mut rng, &target, &chosen, kind == 1),
+                };
+                (pattern, target)
+            }
             Family::Named => unreachable!("named instances are pinned, not generated"),
         };
         Instance::new(name, seed, pattern, target)
@@ -184,12 +213,73 @@ fn random_graph(
     b.build()
 }
 
+/// Random symmetric graph: `n` nodes with labels below `labels`, each
+/// unordered pair an undirected edge with probability `p` (label below
+/// `edge_labels`), each node self-looped with probability `loops`.
+fn symmetric_graph(
+    rng: &mut SplitMix64,
+    n: usize,
+    p: f64,
+    labels: usize,
+    edge_labels: usize,
+    loops: f64,
+) -> Graph {
+    let mut b = GraphBuilder::new();
+    for _ in 0..n {
+        b.add_node(rng.next_below(labels) as u32);
+    }
+    for u in 0..n as NodeId {
+        for v in u..n as NodeId {
+            if rng.next_bool(if u == v { loops } else { p }) {
+                b.add_undirected_edge(u, v, rng.next_below(edge_labels) as u32);
+            }
+        }
+    }
+    b.build()
+}
+
+/// `target` with the reverse of one edge dropped (`drop`) or relabelled:
+/// an edge between two `chosen` nodes where there is one, else one leaving
+/// a chosen node, else any; `target` itself when it has no edge but
+/// self-loops.
+fn break_one_reverse(rng: &mut SplitMix64, target: &Graph, chosen: &[NodeId], drop: bool) -> Graph {
+    let edges: Vec<(NodeId, NodeId, u32)> = target.edges().filter(|e| e.0 != e.1).collect();
+    let walked = |v: &NodeId| chosen.contains(v);
+    let inner: Vec<_> = edges
+        .iter()
+        .filter(|e| walked(&e.0) && walked(&e.1))
+        .collect();
+    let leaving: Vec<_> = edges.iter().filter(|e| walked(&e.0)).collect();
+    let pools = [inner, leaving, edges.iter().collect()];
+    let Some(pool) = pools.into_iter().find(|pool| !pool.is_empty()) else {
+        return target.clone();
+    };
+    let (u, v, _) = *pool[rng.next_below(pool.len())];
+    let mut b = GraphBuilder::new();
+    for w in target.nodes() {
+        b.add_node(target.label(w));
+    }
+    for (a, c, l) in target.edges() {
+        match ((a, c) == (v, u), drop) {
+            (false, _) => b.add_edge(a, c, l),
+            (true, false) => b.add_edge(a, c, l + 1),
+            (true, true) => {}
+        }
+    }
+    b.build()
+}
+
 /// A connected pattern of up to `k` nodes walked out of `target`, keeping
 /// every edge (self-loops included) among the chosen nodes.
 fn extract_pattern(rng: &mut SplitMix64, target: &Graph, k: usize) -> Graph {
-    let chosen = walk_nodes(rng, target, k);
+    induced(target, &walk_nodes(rng, target, k))
+}
+
+/// The subgraph of `target` induced on `chosen`, self-loops included,
+/// renumbered in that order.
+fn induced(target: &Graph, chosen: &[NodeId]) -> Graph {
     let mut b = GraphBuilder::new();
-    for &v in &chosen {
+    for &v in chosen {
         b.add_node(target.label(v));
     }
     for (i, &u) in chosen.iter().enumerate() {
