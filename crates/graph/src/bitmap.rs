@@ -19,16 +19,24 @@
 //! The sidecar also carries a compact Bloom-style **label signature** per
 //! node and direction (one bit per `label & 63` of each incident neighbor
 //! label and edge label).  Signatures are always built — they cost 16 bytes
-//! per node — and power the candidate prefilter: a candidate whose signature
-//! is missing a required bit cannot possibly satisfy all pattern edges and is
-//! rejected before any intersection kernel runs.
+//! per node, 8 on a symmetric target — and power the candidate prefilter: a
+//! candidate whose signature is missing a required bit cannot possibly
+//! satisfy all pattern edges and is rejected before any intersection kernel
+//! runs.
+//!
+//! On a symmetric target ([`Graph::is_symmetric`]) every in-neighborhood
+//! equals the out-neighborhood of the same node and label, so the sidecar
+//! stores the out side alone and answers in-row and in-signature lookups
+//! from it.
 //!
 //! Total row storage is capped by [`BitmapConfig::max_bytes`]; if a target
 //! would exceed the cap the rows are skipped entirely (`capped() == true`)
-//! and every step intersects CSR lists.  Signatures survive the cap because
-//! they are O(nodes), not O(nodes²).
+//! and every step intersects CSR lists.  The cap counts the rows stored, so
+//! a symmetric target's rows take half the bytes of its two directions.
+//! Signatures survive the cap because they are O(nodes), not O(nodes²).
 
 use crate::graph::{EdgeRef, Graph, Label, NodeId};
+use std::sync::Arc;
 
 const WORD_BITS: usize = 64;
 const BYTES_PER_WORD: usize = 8;
@@ -86,13 +94,15 @@ pub struct AdjacencyBitmaps {
     /// Flat row storage: row `r` occupies `rows[r*wpr .. (r+1)*wpr]`.
     rows: Vec<u64>,
     /// Sorted `(node, label, row_number)` index for out-neighborhood rows.
-    out_index: Vec<(NodeId, Label, u32)>,
-    /// Sorted `(node, label, row_number)` index for in-neighborhood rows.
-    in_index: Vec<(NodeId, Label, u32)>,
+    out_index: Arc<[(NodeId, Label, u32)]>,
+    /// Sorted `(node, label, row_number)` index for in-neighborhood rows:
+    /// `out_index` itself on a symmetric graph.
+    in_index: Arc<[(NodeId, Label, u32)]>,
     /// Per-node out-direction label signature (neighbor labels ∪ edge labels).
-    out_sigs: Vec<u64>,
-    /// Per-node in-direction label signature.
-    in_sigs: Vec<u64>,
+    out_sigs: Arc<[u64]>,
+    /// Per-node in-direction label signature: `out_sigs` itself on a
+    /// symmetric graph.
+    in_sigs: Arc<[u64]>,
     /// Bytes the rows *would* need; equals `rows` bytes unless capped.
     required_row_bytes: usize,
     /// True when `required_row_bytes` exceeded the cap and rows were skipped.
@@ -134,13 +144,20 @@ impl AdjacencyBitmaps {
     fn build_with_floor(graph: &Graph, floor: usize, max_bytes: usize) -> AdjacencyBitmaps {
         let n = graph.num_nodes();
         let words_per_row = n.div_ceil(WORD_BITS);
-
-        let mut out_sigs = vec![0u64; n];
-        let mut in_sigs = vec![0u64; n];
-        for v in graph.nodes() {
-            out_sigs[v as usize] = signature(graph, graph.out_edges(v));
-            in_sigs[v as usize] = signature(graph, graph.in_edges(v));
-        }
+        // On a symmetric target the in side equals the out side: it shares
+        // the out side's signatures and rows.
+        let symmetric = graph.is_symmetric();
+        let sigs = |edges: fn(&Graph, NodeId) -> &[EdgeRef]| -> Arc<[u64]> {
+            graph
+                .nodes()
+                .map(|v| signature(graph, edges(graph, v)))
+                .collect()
+        };
+        let out_sigs = sigs(Graph::out_edges);
+        let in_sigs = match symmetric {
+            true => Arc::clone(&out_sigs),
+            false => sigs(Graph::in_edges),
+        };
 
         // First pass: decide which (node, direction, label) groups earn rows.
         let mut out_specs: Vec<(NodeId, Label)> = Vec::new();
@@ -149,8 +166,10 @@ impl AdjacencyBitmaps {
         for v in graph.nodes() {
             dense_labels(graph.out_edges(v), floor, &mut scratch);
             out_specs.extend(scratch.iter().map(|&l| (v, l)));
-            dense_labels(graph.in_edges(v), floor, &mut scratch);
-            in_specs.extend(scratch.iter().map(|&l| (v, l)));
+            if !symmetric {
+                dense_labels(graph.in_edges(v), floor, &mut scratch);
+                in_specs.extend(scratch.iter().map(|&l| (v, l)));
+            }
         }
 
         let total_rows = out_specs.len() + in_specs.len();
@@ -160,8 +179,8 @@ impl AdjacencyBitmaps {
                 nodes: n,
                 words_per_row,
                 rows: Vec::new(),
-                out_index: Vec::new(),
-                in_index: Vec::new(),
+                out_index: Arc::new([]),
+                in_index: Arc::new([]),
                 out_sigs,
                 in_sigs,
                 required_row_bytes,
@@ -192,6 +211,11 @@ impl AdjacencyBitmaps {
             in_index.push((v, label, next_row));
             next_row += 1;
         }
+        let out_index: Arc<[_]> = out_index.into();
+        let in_index = match symmetric {
+            true => Arc::clone(&out_index),
+            false => in_index.into(),
+        };
 
         AdjacencyBitmaps {
             nodes: n,
@@ -216,9 +240,10 @@ impl AdjacencyBitmaps {
         self.words_per_row
     }
 
-    /// Number of bitmap rows actually stored.
+    /// Number of bitmap rows actually stored: a symmetric graph's in-rows
+    /// are its out-rows.
     pub fn row_count(&self) -> usize {
-        self.out_index.len() + self.in_index.len()
+        self.rows.len().checked_div(self.words_per_row).unwrap_or(0)
     }
 
     /// Bytes of row storage actually allocated (0 when capped).
@@ -244,7 +269,8 @@ impl AdjacencyBitmaps {
     }
 
     /// Bitmap over node ids of `v`'s in-neighbors along `label`-edges, if a
-    /// row was built for that neighborhood.
+    /// row was built for that neighborhood (its out-row on a symmetric
+    /// graph).
     #[inline]
     pub fn in_row(&self, v: NodeId, label: Label) -> Option<&[u64]> {
         self.lookup(&self.in_index, v, label)
@@ -256,7 +282,8 @@ impl AdjacencyBitmaps {
         self.out_sigs[v as usize]
     }
 
-    /// In-direction label signature of `v`.
+    /// In-direction label signature of `v` (its out-signature on a
+    /// symmetric graph).
     #[inline]
     pub fn in_sig(&self, v: NodeId) -> u64 {
         self.in_sigs[v as usize]
@@ -333,7 +360,8 @@ mod tests {
         let g = generators::clique(12, 0);
         let maps = AdjacencyBitmaps::build(&g, &BitmapConfig::default());
         assert!(!maps.capped());
-        assert_eq!(maps.row_count(), 24); // one out + one in row per node
+        // One row per node: the clique is symmetric, so in-rows are out-rows.
+        assert_eq!(maps.row_count(), 12);
         for v in g.nodes() {
             let row = maps.out_row(v, 0).expect("dense out row");
             let expect: Vec<usize> = g.out_edges(v).iter().map(|e| e.node as usize).collect();

@@ -5,7 +5,7 @@
 mod reference;
 
 use reference::ReferenceBuilder;
-use sge_graph::{io, GraphBuilder};
+use sge_graph::{io, label_sig_bit, AdjacencyBitmaps, GraphBuilder};
 use sge_util::SplitMix64;
 use std::collections::{HashMap, HashSet};
 
@@ -212,6 +212,30 @@ fn build_edges(labels: &[u32], edges: &[(u32, u32, u32)]) -> sge_graph::Graph {
     })
 }
 
+/// Node labels and a graph of random undirected edges over them: up to 30
+/// nodes, three node and edge labels, self-loops and repeated pairs.
+fn random_undirected(rng: &mut SplitMix64) -> (Vec<u32>, sge_graph::Graph) {
+    let n = 1 + rng.next_below(30);
+    let labels: Vec<u32> = (0..n).map(|_| rng.next_below(3) as u32).collect();
+    let mut builder = GraphBuilder::new();
+    for &label in &labels {
+        builder.add_node(label);
+    }
+    for _ in 0..rng.next_below(3 * n + 1) {
+        let (u, v) = (rng.next_below(n) as u32, rng.next_below(n) as u32);
+        builder.add_undirected_edge(u, v, rng.next_below(3) as u32);
+    }
+    (labels, builder.build())
+}
+
+/// One of `edges` between two distinct nodes, drawn at random.
+fn random_pair(rng: &mut SplitMix64, edges: &[(u32, u32, u32)]) -> Option<(u32, u32, u32)> {
+    let pairs: Vec<usize> = (0..edges.len())
+        .filter(|&i| edges[i].0 != edges[i].1)
+        .collect();
+    (!pairs.is_empty()).then(|| edges[pairs[rng.next_below(pairs.len())]])
+}
+
 #[test]
 fn is_symmetric_follows_the_definition() {
     assert!(GraphBuilder::new().build().is_symmetric());
@@ -226,30 +250,16 @@ fn is_symmetric_follows_the_definition() {
 
         // Undirected edges, self-loops and repeated pairs with other labels.
         let mut rng = SplitMix64::new(seed);
-        let n = 1 + rng.next_below(30);
-        let labels: Vec<u32> = (0..n).map(|_| rng.next_below(3) as u32).collect();
-        let mut builder = GraphBuilder::new();
-        for &label in &labels {
-            builder.add_node(label);
-        }
-        for _ in 0..rng.next_below(3 * n + 1) {
-            let (u, v) = (rng.next_below(n) as u32, rng.next_below(n) as u32);
-            builder.add_undirected_edge(u, v, rng.next_below(3) as u32);
-        }
-        let graph = builder.build();
+        let (labels, graph) = random_undirected(&mut rng);
         assert!(graph.is_symmetric(), "seed {seed}");
         assert!(symmetric_by_definition(&graph), "seed {seed}");
 
         // Near-symmetric copies: one edge's reverse dropped, relabelled, or
         // preceded by a parallel edge whose first label wins.
         let edges: Vec<(u32, u32, u32)> = graph.edges().collect();
-        let pairs: Vec<usize> = (0..edges.len())
-            .filter(|&i| edges[i].0 != edges[i].1)
-            .collect();
-        if pairs.is_empty() {
+        let Some((u, v, l)) = random_pair(&mut rng, &edges) else {
             continue;
-        }
-        let (u, v, l) = edges[pairs[rng.next_below(pairs.len())]];
+        };
         let reverse = |&(a, b, _): &(u32, u32, u32)| (a, b) == (v, u);
         let dropped: Vec<_> = edges.iter().copied().filter(|e| !reverse(e)).collect();
         let relabelled: Vec<_> = edges
@@ -274,5 +284,80 @@ fn is_symmetric_follows_the_definition() {
                 "{name}, seed {seed}"
             );
         }
+    }
+}
+
+/// The members of a bitmap row.
+fn row_members(row: &[u64]) -> Vec<u32> {
+    (0..row.len() * 64)
+        .filter(|&i| row[i / 64] >> (i % 64) & 1 == 1)
+        .map(|i| i as u32)
+        .collect()
+}
+
+/// Every in-row and in-signature of `maps` against `graph`'s in-edges.
+fn check_in_side(graph: &sge_graph::Graph, maps: &AdjacencyBitmaps, context: &str) {
+    for v in graph.nodes() {
+        let edges = graph.in_edges(v);
+        let signature = edges.iter().fold(0, |sig, e| {
+            sig | label_sig_bit(graph.label(e.node)) | label_sig_bit(e.label)
+        });
+        assert_eq!(maps.in_sig(v), signature, "{context}, node {v}");
+        for label in 0..3 {
+            let members: Vec<u32> = edges
+                .iter()
+                .filter(|e| e.label == label)
+                .map(|e| e.node)
+                .collect();
+            let row = maps.in_row(v, label).map(row_members);
+            let want = (!members.is_empty()).then_some(members);
+            assert_eq!(row, want, "{context}, node {v}, label {label}");
+        }
+    }
+}
+
+/// The `(node, label)` neighborhoods of `graph` that hold an edge, out and
+/// in.
+fn neighborhoods(graph: &sge_graph::Graph) -> (usize, usize) {
+    let out: HashSet<(u32, u32)> = graph.edges().map(|(u, _, l)| (u, l)).collect();
+    let into: HashSet<(u32, u32)> = graph.edges().map(|(_, v, l)| (v, l)).collect();
+    (out.len(), into.len())
+}
+
+#[test]
+fn a_symmetric_sidecar_stores_one_direction() {
+    for seed in 800..928u64 {
+        let mut rng = SplitMix64::new(seed);
+        let (labels, graph) = random_undirected(&mut rng);
+        let maps = AdjacencyBitmaps::every_row(&graph);
+        // Every in-lookup equals its out twin, and only out-rows are stored.
+        for v in graph.nodes() {
+            assert_eq!(maps.in_sig(v), maps.out_sig(v), "seed {seed}");
+            for label in 0..3 {
+                assert_eq!(maps.in_row(v, label), maps.out_row(v, label), "seed {seed}");
+            }
+        }
+        check_in_side(&graph, &maps, &format!("seed {seed}"));
+        let (out, _) = neighborhoods(&graph);
+        assert_eq!(maps.row_count(), out, "seed {seed}");
+        assert_eq!(maps.row_bytes(), out * maps.words_per_row() * 8);
+        assert_eq!(maps.required_row_bytes(), maps.row_bytes());
+
+        // A near-symmetric copy keeps both directions.
+        let edges: Vec<(u32, u32, u32)> = graph.edges().collect();
+        let Some((u, v, _)) = random_pair(&mut rng, &edges) else {
+            continue;
+        };
+        let dropped: Vec<_> = edges
+            .iter()
+            .copied()
+            .filter(|e| (e.0, e.1) != (v, u))
+            .collect();
+        let copy = build_edges(&labels, &dropped);
+        assert!(!copy.is_symmetric(), "seed {seed}");
+        let maps = AdjacencyBitmaps::every_row(&copy);
+        check_in_side(&copy, &maps, &format!("dropped, seed {seed}"));
+        let (out, into) = neighborhoods(&copy);
+        assert_eq!(maps.row_count(), out + into, "seed {seed}");
     }
 }

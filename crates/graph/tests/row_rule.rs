@@ -27,9 +27,11 @@ fn dense_targets_get_a_row_for_every_neighborhood() {
             target.name(),
         );
         assert!(!maps.capped(), "{name}");
-        // The default rows are a subset of the every-row sidecar's.
+        // The default rows are a subset of the every-row sidecar's.  Each
+        // target is symmetric, so one row per node serves both directions.
+        assert!(target.is_symmetric(), "{name}");
         assert_eq!(maps.row_count(), every.row_count(), "{name}");
-        assert_eq!(maps.row_count(), 2 * target.num_nodes(), "{name}");
+        assert_eq!(maps.row_count(), target.num_nodes(), "{name}");
         let one_shot = AdjacencyBitmaps::build_if_any_row(target, &BitmapConfig::default());
         assert!(one_shot.is_some(), "{name}");
     }

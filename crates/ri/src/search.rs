@@ -292,6 +292,7 @@ impl<'a> SearchContext<'a> {
             kernels: KernelUsage::default(),
             memo,
             keys: vec![NodeId::MAX; keys],
+            classes: Vec::new(),
         }
     }
 
@@ -776,6 +777,9 @@ pub struct WorkerState {
     /// Every entry's key back to back: the images of its step's probe
     /// parents, one per probe, that its list was built from.
     keys: Vec<NodeId>,
+    /// The suffix count's class scratch: it grows on the first class walk
+    /// and is empty between counts.
+    pub(crate) classes: Vec<(u64, u64)>,
 }
 
 /// One position's memoized candidate list.

@@ -34,13 +34,21 @@
 //! room for that bound it counts in place and cannot decline.  Every other
 //! count, and every longer suffix, grows a matching of levels into free
 //! candidates, one augmenting path per level, to learn whether the next
-//! level is reached before building its list.  The free candidates then fall
-//! into classes by *signature*, the set of levels whose list holds them;
-//! levels that share a class form a component, components multiply, and
-//! each component is walked level by level, picking a class weighted by
-//! the members it has left.  A walk path stands for at least one
-//! assignment, so the walk never costs more than enumerating would; its
-//! totals are checked before anything is counted.
+//! level is reached before building its list.  Each free candidate's
+//! *signature*, the set of levels whose list holds it, comes from one merge
+//! of the sorted lists, and the candidates fall into classes by signature.
+//! Levels that share a class form a component (a union of signature bits),
+//! and components multiply.  A component of one level `l` holds only its
+//! own free members, so it multiplies every `P_i` past `l` by their number
+//! through one running product: that is what walking it would count, and
+//! it is the shape of the leaves that hang off distinct labels (the leaf
+//! Cartesian product that CFL-Match postpones; Bi et al., SIGMOD 2016).
+//! Only a component of two or more levels is walked, level by level,
+//! picking a class weighted by the members it has left.  A walk path stands
+//! for at least one assignment, so the walk never costs more than
+//! enumerating would; its totals are checked before anything is counted.
+//! The classes live in the worker state's scratch, which grows on the first
+//! class walk and is empty between counts.
 
 use crate::kernels::KernelUsage;
 use crate::search::{MemoEntry, SearchContext, WorkerState};
@@ -115,7 +123,7 @@ impl SearchContext<'_> {
         }
         match n - level {
             k @ 1..=3 => self.count_paths(level, state, room, &mut [0; 4][..=k]),
-            k => self.count_paths(level, state, room, &mut vec![0; k + 1]),
+            k => self.count_paths(level, state, room, &mut [0; MAX_COUNTED + 1][..=k]),
         }
     }
 
@@ -249,8 +257,8 @@ impl SearchContext<'_> {
     }
 
     /// Counts any number of levels: requests each list while a matching
-    /// shows its level is reached, walks the classes of the free candidates
-    /// of the requested lists, then checks every total.
+    /// shows its level is reached, counts the assignments into the free
+    /// candidates of the requested lists, then checks every total.
     fn class_walk(
         &self,
         state: &mut WorkerState,
@@ -263,25 +271,14 @@ impl SearchContext<'_> {
         for i in 0..paths.len() - 1 {
             requests.next(self, state);
             let lists = &state.memo[level..];
-            if !augment(i, lists, &state.used, &mut matched, &mut 0) {
+            if !augment(i, lists, &state.used, &mut matched[..=i], &mut 0) {
                 break;
             }
         }
-        // Each free candidate with its signature, then the classes: one
-        // per signature, with its size.
-        let mut held: Vec<(NodeId, u64)> = (0..requests.len)
-            .flat_map(|i| requests.list(i, state).iter().map(move |&v| (v, 1 << i)))
-            .filter(|&(v, _)| !state.used[v as usize])
-            .collect();
-        held.sort_unstable();
-        let by_node = held.chunk_by(|a, b| a.0 == b.0);
-        let mut signatures: Vec<u64> = by_node.map(|c| c.iter().fold(0, |s, h| s | h.1)).collect();
-        signatures.sort_unstable();
-        let classes: Vec<(u64, u64)> = signatures
-            .chunk_by(|a, b| a == b)
-            .map(|c| (c[0], c.len() as u64))
-            .collect();
-        walk_classes(&classes, requests.len, paths)?;
+        let lists = &state.memo[level..level + requests.len];
+        let counted = count_classes(lists, &state.used, &mut state.classes, paths);
+        state.classes.clear();
+        counted?;
         let mut totals = Totals::default();
         for (i, &p) in paths.iter().enumerate().take(requests.len) {
             totals = totals.add(p, requests.list(i, state).len(), requests.held >> i & 1)?;
@@ -395,14 +392,14 @@ fn memberships(
 }
 
 /// Extends a matching of levels `0..i` into free candidates (`matched[j]`
-/// holds level `j`'s) to level `i` along an augmenting path (Kuhn's
-/// algorithm).  `false` when none exists: then no injective assignment
-/// covers levels `0..=i`.
+/// holds level `j`'s, and `matched` ends at level `i`'s slot) to level `i`
+/// along an augmenting path (Kuhn's algorithm).  `false` when none exists:
+/// then no injective assignment covers levels `0..=i`.
 fn augment(
     i: usize,
     lists: &[MemoEntry],
     used: &[bool],
-    matched: &mut [NodeId; MAX_COUNTED],
+    matched: &mut [NodeId],
     visited: &mut u64,
 ) -> bool {
     *visited |= 1 << i;
@@ -422,78 +419,178 @@ fn augment(
     false
 }
 
+/// Calls `visit` with the signature of each free member of the sorted
+/// `lists`, the set of lists that hold it (bit `i` for `lists[i]`), in node
+/// order: one merge of the lists through a heap of their next free members,
+/// each keyed `node << 6 | list`.
+fn signatures(lists: &[MemoEntry], used: &[bool], mut visit: impl FnMut(u64)) {
+    let mut at = [0usize; MAX_COUNTED];
+    let mut next = |i: usize| {
+        let rest = &lists[i].list[at[i]..];
+        let free = rest.iter().position(|&v| !used[v as usize]);
+        at[i] += free.map_or(rest.len(), |f| f + 1);
+        free.map(|f| u64::from(rest[f]) << 6 | i as u64)
+    };
+    let mut heap = [0u64; MAX_COUNTED];
+    let mut len = 0;
+    for key in (0..lists.len()).filter_map(&mut next) {
+        heap[len] = key;
+        len += 1;
+    }
+    for root in (0..len / 2).rev() {
+        sift_down(&mut heap[..len], root);
+    }
+    let mut signature = 0;
+    while len > 0 {
+        let key = heap[0];
+        signature |= 1 << (key & 63);
+        match next((key & 63) as usize) {
+            Some(following) => heap[0] = following,
+            None => {
+                len -= 1;
+                heap[0] = heap[len];
+            }
+        }
+        sift_down(&mut heap[..len], 0);
+        if len == 0 || heap[0] >> 6 != key >> 6 {
+            visit(signature);
+            signature = 0;
+        }
+    }
+}
+
+/// Restores the min-heap order of `heap` below `at`.
+fn sift_down(heap: &mut [u64], mut at: usize) {
+    loop {
+        let mut least = at;
+        for child in [2 * at + 1, 2 * at + 2] {
+            if heap.get(child).is_some_and(|&key| key < heap[least]) {
+                least = child;
+            }
+        }
+        if least == at {
+            return;
+        }
+        heap.swap(at, least);
+        at = least;
+    }
+}
+
 /// The levels below `i`, as a bit set.
 fn below(i: usize) -> u64 {
     1u64.checked_shl(i as u32).map_or(u64::MAX, |bit| bit - 1)
 }
 
-/// Fills `paths[1..=m]` from the `classes` (signature, free members) of the
-/// first `m` levels' lists; `None` on overflow.
-fn walk_classes(classes: &[(u64, u64)], m: usize, paths: &mut [u64]) -> Option<()> {
-    // Levels that share a class, joined; a level with no free candidate is
-    // a component of its own that no assignment passes.
-    let mut components: Vec<u64> = Vec::new();
-    for &(signature, _) in classes {
+/// Fills `paths[1..=m]` from the free candidates of the `m` requested
+/// `lists`, with `classes` as scratch; `None` on overflow.
+///
+/// A candidate's signature is the set of levels whose list holds it, and
+/// levels joined by shared candidates form a component.  A component of one
+/// level `l` multiplies every `P_i` past `l` by its free members, which is
+/// what walking it would count; every other component is walked over its
+/// classes, one per signature with its members.
+fn count_classes(
+    lists: &[MemoEntry],
+    used: &[bool],
+    classes: &mut Vec<(u64, u64)>,
+    paths: &mut [u64],
+) -> Option<()> {
+    let m = lists.len();
+    // Each level's free candidates that no other level holds, then the
+    // classes of those that several levels hold.
+    let mut alone = [0u64; MAX_COUNTED];
+    signatures(lists, used, |signature| match signature & (signature - 1) {
+        0 => alone[signature.trailing_zeros() as usize] += 1,
+        _ => classes.push((signature, 1)),
+    });
+    classes.sort_unstable();
+    classes.dedup_by(|later, kept| {
+        later.0 == kept.0 && {
+            kept.1 += later.1;
+            true
+        }
+    });
+    // Components of two or more levels: unions of the shared signatures.
+    let mut components = [0u64; MAX_COUNTED / 2];
+    let mut walked = 0;
+    for &(signature, _) in classes.iter() {
         let mut joined = signature;
-        components.retain(|&c| {
-            let apart = c & signature == 0;
-            joined |= if apart { 0 } else { c };
-            apart
-        });
-        components.push(joined);
+        let mut c = 0;
+        while c < walked {
+            if components[c] & signature == 0 {
+                c += 1;
+                continue;
+            }
+            joined |= components[c];
+            walked -= 1;
+            components[c] = components[walked];
+        }
+        components[walked] = joined;
+        walked += 1;
     }
-    let covered = components.iter().fold(0, |all, &c| all | c);
-    let mut empty = below(m) & !covered;
-    while empty != 0 {
-        components.push(empty & empty.wrapping_neg());
-        empty &= empty - 1;
+    let shared = components[..walked].iter().fold(0, |all, &c| all | c);
+    let mut levels = shared;
+    while levels != 0 {
+        let l = levels.trailing_zeros() as usize;
+        if alone[l] > 0 {
+            classes.push((1 << l, alone[l]));
+        }
+        levels &= levels - 1;
     }
     paths[1..=m].fill(1);
-    let mut levels = Vec::with_capacity(m);
-    let mut counts = [0u64; MAX_COUNTED + 1];
-    for component in components {
-        levels.clear();
-        let mut bits = component;
-        while bits != 0 {
-            levels.push(bits.trailing_zeros());
-            bits &= bits - 1;
+    let mut rest = &mut classes[..];
+    for &component in &components[..walked] {
+        // The component's classes first, then the others.
+        let mut own = 0;
+        for c in 0..rest.len() {
+            if rest[c].0 & component != 0 {
+                rest.swap(own, c);
+                own += 1;
+            }
         }
-        let mut own: Vec<(u64, u64)> = classes
-            .iter()
-            .filter(|&&(signature, _)| signature & component != 0)
-            .copied()
-            .collect();
-        counts[..=levels.len()].fill(0);
-        walk(0, 1, &levels, &mut own, &mut counts)?;
+        let (own, others) = std::mem::take(&mut rest).split_at_mut(own);
+        rest = others;
+        let mut counts = [0u64; MAX_COUNTED + 1];
+        walk(0, 1, component, own, &mut counts)?;
         for (i, p) in paths.iter_mut().enumerate().take(m + 1).skip(1) {
-            let t = (component & below(i)).count_ones() as usize;
-            *p = p.checked_mul(counts[t])?;
+            *p = p.checked_mul(counts[(component & below(i)).count_ones() as usize])?;
         }
+    }
+    // One-level components, each a factor from the next level on: its free
+    // members, none for a level whose list holds no free candidate.
+    let mut product = 1u64;
+    for i in 0..m {
+        if shared >> i & 1 == 0 {
+            product = product.checked_mul(alone[i])?;
+        }
+        paths[i + 1] = paths[i + 1].checked_mul(product)?;
     }
     Some(())
 }
 
-/// Adds `weight`, the assignments one path stands for, to `counts[t]`,
-/// then extends the path by each class that holds `levels[t]` and has a
-/// member left, weighted by the members left.
+/// Adds `weight`, the assignments one path through `t` levels stands for,
+/// to `counts[t]`, then extends the path by each class that holds the lowest
+/// of the `levels` left and has a member left, weighted by the members left.
 fn walk(
     t: usize,
     weight: u64,
-    levels: &[u32],
+    levels: u64,
     classes: &mut [(u64, u64)],
     counts: &mut [u64; MAX_COUNTED + 1],
 ) -> Option<()> {
     counts[t] = counts[t].checked_add(weight)?;
-    let Some(&level) = levels.get(t) else {
+    if levels == 0 {
         return Some(());
-    };
+    }
+    let (level, deeper_levels) = (levels.trailing_zeros(), levels & (levels - 1));
     for c in 0..classes.len() {
         let (signature, left) = classes[c];
         if signature >> level & 1 == 0 || left == 0 {
             continue;
         }
+        let weight = weight.checked_mul(left)?;
         classes[c].1 = left - 1;
-        let deeper = walk(t + 1, weight.checked_mul(left)?, levels, classes, counts);
+        let deeper = walk(t + 1, weight, deeper_levels, classes, counts);
         classes[c].1 = left;
         deeper?;
     }
@@ -847,6 +944,38 @@ mod tests {
         // Declining rebuilt the lists but marks them for a rebuild.
         assert_eq!(state.kernel_usage(), before.kernel_usage());
         assert!(state.memo[1..].iter().all(|e| !e.built));
+        assert!(state.classes.is_empty());
+        // 20 leaves of distinct labels with ten candidates each: one-level
+        // components whose running product passes `u64::MAX` at the 20th.
+        let mut b = GraphBuilder::new();
+        let hub = b.add_node(0);
+        let mut t = GraphBuilder::new();
+        let image = t.add_node(0);
+        for label in 1..=20 {
+            let leaf = b.add_node(label);
+            b.add_edge(hub, leaf, 0);
+            for _ in 0..10 {
+                let v = t.add_node(label);
+                t.add_edge(image, v, 0);
+            }
+        }
+        let (pattern, target) = (b.build(), t.build());
+        let ctx = context(&pattern, &target, (0..21).collect(), Algorithm::RiDs, false);
+        let mut state = ctx.new_state();
+        state.assign(0, image);
+        let before = state.clone();
+        assert_eq!(ctx.count_rest(1, &mut state, ROOM), None);
+        assert_eq!(state.kernel_usage(), before.kernel_usage());
+        assert!(state.memo[1..].iter().all(|e| !e.built));
+        assert!(state.classes.is_empty());
+        // One leaf fewer: 10^19 fits.
+        let mut paths = vec![0; 20];
+        let mut short = ctx.new_state();
+        short.assign(0, image);
+        short.assign(1, 1);
+        let count = ctx.count_paths(2, &mut short, ROOM, &mut paths).unwrap();
+        assert_eq!(paths, (0..20).map(|i| 10u64.pow(i)).collect::<Vec<_>>());
+        assert_eq!(count.matches, 10u64.pow(19));
         // A countable suffix that does not fit the caller's room.
         let pattern = generators::star(3, 0, 0);
         let target = generators::clique(6, 0);
@@ -893,6 +1022,124 @@ mod tests {
         let before = last.clone();
         assert_eq!(ctx.count_rest(3, &mut last, short), None);
         assert_eq!(last, before);
+    }
+
+    /// A hub (label 0) with one out-leaf per entry of `leaves`, labelled by
+    /// it, in that order, and a target of three hubs that each point at
+    /// `degree(rng, label)` of a pool of four nodes per leaf label, and at
+    /// enough nodes of no leaf's label that no degree bound rules a hub out.
+    fn labelled_star(
+        rng: &mut SplitMix64,
+        leaves: &[u32],
+        degree: fn(&mut SplitMix64, u32) -> usize,
+    ) -> (Graph, Graph) {
+        let mut b = GraphBuilder::new();
+        let hub = b.add_node(0);
+        for &label in leaves {
+            let leaf = b.add_node(label);
+            b.add_edge(hub, leaf, 0);
+        }
+        let pattern = b.build();
+        let top = leaves.iter().copied().max().unwrap_or(0);
+        let mut b = GraphBuilder::new();
+        let hubs: Vec<NodeId> = (0..3).map(|_| b.add_node(0)).collect();
+        for label in 1..=top {
+            let pool: Vec<NodeId> = (0..4).map(|_| b.add_node(label)).collect();
+            for &hub in &hubs {
+                let (k, start) = (degree(rng, label), rng.next_below(4));
+                for j in 0..k {
+                    b.add_edge(hub, pool[(start + j) % 4], 0);
+                }
+            }
+        }
+        for &hub in &hubs {
+            for _ in leaves {
+                let spare = b.add_node(top + 1);
+                b.add_edge(hub, spare, 0);
+            }
+        }
+        (pattern, b.build())
+    }
+
+    /// One to four neighbors per label.
+    fn one_to_four(rng: &mut SplitMix64, _: u32) -> usize {
+        1 + rng.next_below(4)
+    }
+
+    /// Checks the counts of a [`labelled_star`] from its first two leaves
+    /// and one drawn at random, below every prefix, against a recorded
+    /// walk, by the class walk and by [`SearchContext::count_paths`];
+    /// returns the prefixes checked.
+    fn check_labelled(
+        rng: &mut SplitMix64,
+        leaves: &[u32],
+        degree: fn(&mut SplitMix64, u32) -> usize,
+        algorithm: Algorithm,
+    ) -> usize {
+        let (pattern, target) = labelled_star(rng, leaves, degree);
+        let order = (0..pattern.num_nodes() as NodeId).collect();
+        let ctx = context(&pattern, &target, order, algorithm, rng.next_bool(0.3));
+        assert_eq!(ctx.counted_from(), 1);
+        let deeper = 1 + rng.next_below(ctx.num_positions() - 1);
+        [1, 2, deeper]
+            .into_iter()
+            .map(|from| check_counts(&ctx, from, true) + check_counts(&ctx, from, false))
+            .sum()
+    }
+
+    const ALGORITHMS: [Algorithm; 3] = [Algorithm::Ri, Algorithm::RiDs, Algorithm::RiDsSiFc];
+
+    #[test]
+    fn distinct_labelled_leaves_multiply_one_level_components() {
+        // Every leaf its own label: the lists are disjoint, so each level is
+        // a component of its own, as in the benchmark's long pattern.
+        let mut prefixes = 0;
+        for seed in 0..60u64 {
+            let mut rng = SplitMix64::new(0x1EAF ^ seed);
+            let mut leaves: Vec<u32> = (1..=4 + rng.next_below(6) as u32).collect();
+            rng.shuffle(&mut leaves);
+            let algorithm = ALGORITHMS[seed as usize % 3];
+            prefixes += check_labelled(&mut rng, &leaves, one_to_four, algorithm);
+        }
+        assert!(prefixes > 1_000, "{prefixes} prefixes");
+    }
+
+    #[test]
+    fn twins_form_a_walked_component_beside_one_level_ones() {
+        // Two or three leaves of label 1 share their lists and are walked;
+        // the distinct-labelled leaves around them multiply.
+        let mut prefixes = 0;
+        for seed in 0..60u64 {
+            let mut rng = SplitMix64::new(0x7815 ^ seed);
+            let mut leaves = vec![1; 2 + rng.next_below(2)];
+            leaves.extend(2..4 + rng.next_below(4) as u32);
+            rng.shuffle(&mut leaves);
+            let algorithm = ALGORITHMS[seed as usize % 3];
+            prefixes += check_labelled(&mut rng, &leaves, one_to_four, algorithm);
+        }
+        assert!(prefixes > 1_000, "{prefixes} prefixes");
+    }
+
+    #[test]
+    fn a_level_without_free_candidates_ends_the_product() {
+        // Each target hub has one label-1 neighbor.  The first leaf takes
+        // it, so below that leaf the second label-1 leaf, between leaves of
+        // distinct labels, has no free candidate.
+        let mut prefixes = 0;
+        for seed in 0..60u64 {
+            let mut rng = SplitMix64::new(0xE397 ^ seed);
+            let mut leaves: Vec<u32> = (2..6 + rng.next_below(4) as u32).collect();
+            rng.shuffle(&mut leaves);
+            leaves.insert(1 + rng.next_below(leaves.len() - 1), 1);
+            leaves.insert(0, 1);
+            let degree = |rng: &mut SplitMix64, label| match label {
+                1 => 1,
+                _ => 1 + rng.next_below(4),
+            };
+            let algorithm = ALGORITHMS[seed as usize % 3];
+            prefixes += check_labelled(&mut rng, &leaves, degree, algorithm);
+        }
+        assert!(prefixes > 500, "{prefixes} prefixes");
     }
 
     #[test]

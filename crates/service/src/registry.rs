@@ -337,12 +337,13 @@ mod tests {
         let registry = GraphRegistry::new();
         let info = registry.insert("k12", generators::clique(12, 0));
         // clique(12): every node's 11-neighborhood clears the default
-        // threshold in both directions.
-        assert_eq!(info.bitmap_rows, 24);
+        // threshold; the clique is symmetric, so one row serves both
+        // directions.
+        assert_eq!(info.bitmap_rows, 12);
         assert!(info.bitmap_bytes > 0);
         assert!(!info.bitmap_capped);
         let (_, _, bitmaps) = registry.get_full("k12").unwrap();
-        assert_eq!(bitmaps.row_count(), 24);
+        assert_eq!(bitmaps.row_count(), 12);
 
         // A sparse path earns no rows but the sidecar (and its signatures)
         // still exists.

@@ -676,7 +676,8 @@ fn bitmap_cap_fallback_is_logged_and_counted() {
     let full = service.load_target("k16", &target_path, None).unwrap();
     std::fs::remove_file(&target_path).ok();
     assert!(!full.bitmap_capped);
-    assert_eq!(full.bitmap_rows, 32);
+    // K16 is symmetric: one row per node serves both directions.
+    assert_eq!(full.bitmap_rows, 16);
     let full_run = service.run_query("k16", &spec).unwrap();
     assert_eq!(full_run.outcome.matches, 43_680);
     assert!(full_run.outcome.kernels.bitmap > 0);
