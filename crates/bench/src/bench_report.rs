@@ -39,10 +39,8 @@
 //!   across the scheduler cases of a figure — while steals and the worker
 //!   spread depend on the scheduler.
 //!
-//! `strategy_comparison` enumerates one count-only workload per ordering
-//! strategy next to the probe's state estimate, `adaptive_dispatch` times
-//! routing through the real service against the pinned schedulers it
-//! chooses between, `kernel_comparison` times the three
+//! `adaptive_dispatch` times routing through the real service against the
+//! pinned schedulers it chooses between, `kernel_comparison` times the three
 //! intersection kernels per density tier, and `modular_mix` runs a
 //! triangle-class query mix against a modular clique-community target.
 
@@ -63,7 +61,7 @@ use std::time::Instant;
 pub type FigureFn = fn(&Settings) -> Table;
 
 /// Every figure: the paper's in paper order, then the record's.
-pub const FIGURES: [(&str, FigureFn); 19] = [
+pub const FIGURES: [(&str, FigureFn); 18] = [
     ("table1", experiments::table1),
     ("fig3_work_stealing", fig3_work_stealing),
     ("fig4", experiments::fig4),
@@ -79,7 +77,6 @@ pub const FIGURES: [(&str, FigureFn); 19] = [
     ("table3", experiments::table3),
     ("batch_throughput", batch_throughput),
     ("dense_target", dense_target),
-    ("strategy_comparison", strategy_comparison),
     ("adaptive_dispatch", adaptive_dispatch),
     ("kernel_comparison", kernel_comparison),
     ("modular_mix", modular_mix),
@@ -298,75 +295,6 @@ pub fn dense_target(settings: &Settings) -> Table {
     )
 }
 
-/// Figure `strategy_comparison`: one sequential count-only pass over a mixed
-/// workload (the PPIS32-like collection plus a dense clique instance) per
-/// ordering strategy.  Preparation happens outside the timed region — the
-/// figure isolates how the *match order* shapes the search, exactly what a
-/// strategy trades.
-pub fn strategy_comparison(settings: &Settings) -> Table {
-    let coll = record_collection(settings, 1.0);
-    let dense_pattern = generators::directed_cycle(4, 0);
-    let dense_target = generators::clique(if settings.smoke { 12 } else { 24 }, 0);
-
-    // Measure every strategy first; the RI-greedy baseline for the speedup
-    // column is looked up afterwards so nothing depends on the iteration
-    // order of `Strategy::ALL`.
-    let measured: Vec<(Strategy, f64, f64)> = Strategy::ALL
-        .iter()
-        .map(|&strategy| {
-            let engines: Vec<Engine<'_>> = coll
-                .instances
-                .iter()
-                .map(|i| {
-                    Engine::prepare_planned(
-                        &i.pattern,
-                        coll.target_of(i),
-                        Algorithm::RiDs,
-                        strategy,
-                    )
-                })
-                .collect();
-            let dense =
-                Engine::prepare_planned(&dense_pattern, &dense_target, Algorithm::RiDs, strategy);
-            let est_states_total = engines
-                .iter()
-                .chain(std::iter::once(&dense))
-                .map(|e| e.context().estimate().est_total_states)
-                .sum();
-            let seconds = median_seconds(settings.repeats, || {
-                for engine in &engines {
-                    std::hint::black_box(engine.run(&RunConfig::default()).matches);
-                }
-                std::hint::black_box(dense.run(&RunConfig::default()).matches);
-            });
-            (strategy, seconds, est_states_total)
-        })
-        .collect();
-    let greedy_seconds = measured
-        .iter()
-        .find(|(strategy, _, _)| *strategy == Strategy::RiGreedy)
-        .map(|&(_, seconds, _)| seconds)
-        .expect("Strategy::ALL contains RiGreedy");
-    let mut table = Table::new(
-        "strategy comparison (sequential count-only, median wall seconds)",
-        &[
-            "name",
-            "seconds",
-            "speedup_vs_ri_greedy",
-            "est_states_total",
-        ],
-    );
-    for (strategy, seconds, est_states_total) in measured {
-        table.row(vec![
-            strategy.name().into(),
-            Cell::Seconds(seconds),
-            Cell::Ratio(greedy_seconds / seconds.max(1e-12)),
-            Cell::Ratio(est_states_total),
-        ]);
-    }
-    table
-}
-
 /// Figure `adaptive_dispatch`: routed scheduling through the real service
 /// stack next to the pinned baselines it chooses between.  The ws4
 /// regression BENCH_pr3/pr4 documented (work-stealing at a fraction of
@@ -503,7 +431,7 @@ fn prefilter_verdict(target: &Graph) -> (u64, f64) {
 /// Figure `kernel_comparison`: the two-pointer merge (`scalar`), the CSR
 /// kernel `intersect_gallop` (`vectorized`, the record's name for it) and
 /// the bitmap AND over one identical workload per tier — the tier's
-/// [`kernel_pairs`], seeding the candidate buffer with one node's
+/// `kernel_pairs`, seeding the candidate buffer with one node's
 /// out-neighborhood and intersecting it against the other's — plus the
 /// candidate-prefilter verdict from one instrumented enumeration of the
 /// tier's target.  Every tier's rows come from
@@ -921,7 +849,7 @@ mod tests {
 
     /// Every case and figure-level key of the record before the registry,
     /// which a fresh record must keep so it diffs against the committed ones.
-    const RECORD_KEYS: [&str; 28] = [
+    const RECORD_KEYS: [&str; 25] = [
         "schema",
         "repeats",
         "host_parallelism",
@@ -933,9 +861,6 @@ mod tests {
         "observed_states_total",
         "steals_total",
         "service_queries_per_second",
-        "seconds",
-        "speedup_vs_ri_greedy",
-        "est_states_total",
         "sequential_seconds",
         "ws4_seconds",
         "routed_seconds",
@@ -986,12 +911,6 @@ mod tests {
             .and_then(|digits| digits.parse().ok())
             .expect("modular_mix carries bitmap_ops");
         assert!(bitmap_ops > 0);
-        for strategy in Strategy::ALL {
-            assert!(
-                report.contains(&format!("\"{}\"", strategy.name())),
-                "{strategy}"
-            );
-        }
     }
 
     fn document(figures: &[&str]) -> String {

@@ -15,8 +15,6 @@
 //! * `--time-limit-secs <f64>` per-instance time limit (default 5)
 //! * `--long-threshold <f64>`  short/long split threshold in seconds (default 0.05)
 //! * `--max-instances <n>`     cap instances per collection (default 24)
-//! * `--strategy <s>`          ordering strategy: ri-greedy (default),
-//!   least-frequent-label or degree-descending
 //! * `--repeats <n>`           wall-time samples per timed case (default 5)
 //! * `--smoke`                 tiny preset for CI: the flags above at smoke
 //!   values and the record figures at smoke sizes
@@ -35,7 +33,6 @@ fn usage_error(message: &str) -> ! {
     eprintln!("       bench-report --validate PATH");
     eprintln!("flags: --scale F --seed N --workers LIST --group-sizes LIST");
     eprintln!("       --time-limit-secs F --long-threshold F --max-instances N");
-    eprintln!("       --strategy ri-greedy|least-frequent-label|degree-descending");
     let names: Vec<&str> = FIGURES.iter().map(|(name, _)| *name).collect();
     eprintln!("figures: {}", names.join(" "));
     exit(2);

@@ -1,7 +1,6 @@
 //! Harness settings and the command line that fills them.
 
 use crate::bench_report::{figure, FigureFn, FIGURES};
-use sge::Strategy;
 use sge_util::pool::max_workers;
 use std::time::Duration;
 
@@ -25,9 +24,6 @@ pub struct Settings {
     pub long_threshold_secs: f64,
     /// Optional cap on instances per collection, to bound harness runtime.
     pub max_instances: Option<usize>,
-    /// Ordering strategy every experiment prepares its engines with
-    /// (RI-greedy — the paper's heuristic — by default).
-    pub strategy: Strategy,
     /// Wall-time samples per timed case (the figures report the median).
     pub repeats: usize,
     /// Shrink the record figures' workloads to CI-smoke size.
@@ -44,7 +40,6 @@ impl Default for Settings {
             time_limit: Duration::from_secs(5),
             long_threshold_secs: 0.05,
             max_instances: Some(24),
-            strategy: Strategy::default(),
             repeats: 5,
             smoke: false,
         }
@@ -119,7 +114,6 @@ pub fn parse_args(args: &[String]) -> Result<Invocation, String> {
                     checked(flag, value()?, |x: &f64| x.is_finite() && *x >= 0.0)?
             }
             "--max-instances" => settings.max_instances = Some(checked(flag, value()?, |_| true)?),
-            "--strategy" => settings.strategy = checked(flag, value()?, |_| true)?,
             "--repeats" => settings.repeats = checked(flag, value()?, |&n| n > 0)?,
             "--out" => invocation.out = Some(value()?.to_string()),
             "--validate" => invocation.validate = Some(value()?.to_string()),
@@ -234,7 +228,7 @@ mod tests {
             &["--long-threshold", "-0.5"],
             &["--long-threshold", "nan"],
             &["--max-instances", "-1"],
-            &["--strategy", "random"],
+            &["--strategy", "ri-greedy"],
             &["--repeats", "0"],
             &["table1", "--out", "r.json"],
             &["--validate", "r.json", "--out", "s.json"],

@@ -517,10 +517,10 @@ mod tests {
         let mut unique = names.clone();
         unique.sort_unstable();
         unique.dedup();
-        assert_eq!(unique.len(), 19);
+        assert_eq!(unique.len(), 18);
         // The paper's figures first, in paper order, then the record's.
         assert_eq!(names[..3], ["table1", "fig3_work_stealing", "fig4"]);
         assert_eq!(names[12], "table3");
-        assert_eq!(names[18], "modular_mix");
+        assert_eq!(names[17], "modular_mix");
     }
 }

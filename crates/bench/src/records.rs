@@ -34,8 +34,7 @@ pub fn run_instances(
     let cap = settings.max_instances.unwrap_or(usize::MAX);
     for instance in collection.instances.iter().take(cap) {
         let target = collection.target_of(instance);
-        let engine =
-            Engine::prepare_planned(&instance.pattern, target, algorithm, settings.strategy);
+        let engine = Engine::prepare(&instance.pattern, target, algorithm);
         for (records, &scheduler) in per_scheduler.iter_mut().zip(schedulers) {
             let run = RunConfig::new(scheduler).with_time_limit(settings.time_limit);
             records.push(InstanceRecord {

@@ -57,11 +57,10 @@ mod runner;
 
 pub use route::{RoutingConfig, RoutingDecision};
 
-use sge_graph::{AdjacencyBitmaps, Graph, GraphStats, NodeId};
+use sge_graph::{AdjacencyBitmaps, Graph, NodeId};
 use sge_obs::TraceSink;
 use sge_ri::{
     Algorithm, KernelUsage, MatchVisitor, PlanCost, PreparedParts, QueryPlan, SearchContext,
-    Strategy,
 };
 use sge_stealing::WorkerStats;
 use sge_util::PhaseTimer;
@@ -275,8 +274,6 @@ impl RunConfig {
 pub struct EnumerationOutcome {
     /// Algorithm variant that ran.
     pub algorithm: Algorithm,
-    /// Ordering strategy of the executed plan.
-    pub strategy: Strategy,
     /// Scheduler that ran it.
     pub scheduler: Scheduler,
     /// Workers used (1 for sequential).
@@ -369,19 +366,9 @@ impl<'g> Engine<'g> {
     /// Runs the preprocessing phase of `algorithm` (domain computation,
     /// forward checking, node ordering) once and returns a reusable engine.
     pub fn prepare(pattern: &'g Graph, target: &'g Graph, algorithm: Algorithm) -> Self {
-        Self::prepare_planned(pattern, target, algorithm, Strategy::default())
-    }
-
-    /// [`Engine::prepare`] with the match order planned by `strategy`.
-    pub fn prepare_planned(
-        pattern: &'g Graph,
-        target: &'g Graph,
-        algorithm: Algorithm,
-        strategy: Strategy,
-    ) -> Self {
         let mut timer = PhaseTimer::new();
         let ctx = timer.time("preprocess", || {
-            SearchContext::prepare_planned(pattern, target, algorithm, strategy)
+            SearchContext::prepare(pattern, target, algorithm)
         });
         Engine {
             ctx,
@@ -404,11 +391,6 @@ impl<'g> Engine<'g> {
     /// The algorithm this engine was prepared for.
     pub fn algorithm(&self) -> Algorithm {
         self.ctx.algorithm()
-    }
-
-    /// The ordering strategy of the prepared plan.
-    pub fn strategy(&self) -> Strategy {
-        self.ctx.strategy()
     }
 
     /// The prepared query plan (match order, domains).
@@ -549,31 +531,19 @@ impl PreparedEngine {
         })
     }
 
-    /// [`PreparedEngine::prepare`] planned by `strategy` with precomputed
-    /// target statistics and the target's bitmap sidecar — the entry point
-    /// the serving cache prepares through, so a long-lived registry target
-    /// pays its sidecar build once at registration and its frequency-table
-    /// pass at most once, instead of on every cache miss.  `target_stats`
-    /// is read only by a plan that orders by them
-    /// ([`Strategy::reads_target_stats`]).  With a row-less sidecar every
-    /// step intersects CSR lists.
+    /// [`PreparedEngine::prepare`] with the target's bitmap sidecar — the
+    /// entry point the serving cache prepares through, so a long-lived
+    /// registry target pays its sidecar build once at registration instead
+    /// of on every cache miss.  With a row-less sidecar every step
+    /// intersects CSR lists.
     pub fn prepare_planned_full(
         pattern: Arc<Graph>,
         target: Arc<Graph>,
-        target_stats: Option<&GraphStats>,
         bitmaps: Arc<AdjacencyBitmaps>,
         algorithm: Algorithm,
-        strategy: Strategy,
     ) -> Self {
         Self::timed(pattern, target, |pattern, target| {
-            SearchContext::prepare_planned_full(
-                pattern,
-                target,
-                target_stats,
-                bitmaps,
-                algorithm,
-                strategy,
-            )
+            SearchContext::prepare_planned_full(pattern, target, bitmaps, algorithm)
         })
     }
 
@@ -648,11 +618,6 @@ impl PreparedEngine {
     /// The algorithm this instance was prepared for.
     pub fn algorithm(&self) -> Algorithm {
         self.parts.algorithm()
-    }
-
-    /// The ordering strategy of the prepared plan.
-    pub fn strategy(&self) -> Strategy {
-        self.parts.strategy()
     }
 
     /// The prepared query plan (match order, domains) — what the
@@ -1210,34 +1175,6 @@ mod tests {
     }
 
     #[test]
-    fn strategies_agree_on_results_and_are_reported() {
-        let pattern = generators::undirected_cycle(4, 0);
-        let target = generators::grid(4, 4);
-        for algorithm in Algorithm::ALL {
-            let reference = Engine::prepare(&pattern, &target, algorithm)
-                .run(&RunConfig::default().with_collected_mappings(10_000));
-            assert_eq!(reference.strategy, Strategy::RiGreedy);
-            for strategy in Strategy::ALL {
-                let engine = Engine::prepare_planned(&pattern, &target, algorithm, strategy);
-                assert_eq!(engine.strategy(), strategy);
-                assert_eq!(engine.plan().strategy, strategy);
-                assert_eq!(engine.plan().num_positions(), 4);
-                let outcome = engine.run(&RunConfig::default().with_collected_mappings(10_000));
-                assert_eq!(outcome.strategy, strategy, "{algorithm} {strategy}");
-                assert_eq!(outcome.matches, reference.matches, "{algorithm} {strategy}");
-                assert_eq!(
-                    outcome.mappings, reference.mappings,
-                    "{algorithm} {strategy}"
-                );
-                // Parallel outcomes report the strategy too.
-                let par = engine.run(&RunConfig::new(Scheduler::work_stealing(2)));
-                assert_eq!(par.strategy, strategy);
-                assert_eq!(par.matches, reference.matches);
-            }
-        }
-    }
-
-    #[test]
     fn prepared_engine_exposes_its_plan() {
         let pattern = Arc::new(generators::directed_cycle(3, 0));
         let target = Arc::new(generators::clique(5, 0));
@@ -1245,12 +1182,10 @@ mod tests {
         let prepared = PreparedEngine::prepare_planned_full(
             Arc::clone(&pattern),
             Arc::clone(&target),
-            Some(&GraphStats::of(&target)),
             Arc::new(bitmaps),
             Algorithm::RiDsSiFc,
-            Strategy::LeastFrequentLabelFirst,
         );
-        assert_eq!(prepared.strategy(), Strategy::LeastFrequentLabelFirst);
+        assert_eq!(prepared.algorithm(), Algorithm::RiDsSiFc);
         assert!(prepared.bitmaps().is_some());
         assert_eq!(prepared.plan().num_positions(), 3);
         assert_eq!(prepared.estimate().est_total_states, 85.0);

@@ -180,7 +180,6 @@ impl Engine<'_> {
         };
         EnumerationOutcome {
             algorithm: ctx.algorithm(),
-            strategy: ctx.strategy(),
             scheduler: config.scheduler,
             workers: config.scheduler.workers(),
             matches: run.solutions,

@@ -1,15 +1,11 @@
-//! Graph statistics in the shape of the paper's Table 1, plus the per-label
-//! frequency tables the query planner's ordering strategies consume.
+//! Graph statistics in the shape of the paper's Table 1.
 
-use crate::graph::{Graph, Label};
+use crate::graph::Graph;
 use sge_util::RunningStats;
 
 /// Summary statistics of one graph: node/edge counts, the mean / standard
-/// deviation of the total degree, the number of distinct node labels, and
-/// per-label node/edge frequency tables.  Table 1 of the paper reports the
-/// scalar quantities per collection; the frequency tables tell the
-/// `sge-plan` ordering strategies how selective a label filter is, and how
-/// long the average adjacency list for an edge label is.
+/// deviation of the total degree and the number of distinct node labels.
+/// Table 1 of the paper reports these quantities per collection.
 #[derive(Clone, Debug, PartialEq)]
 pub struct GraphStats {
     /// Number of nodes.
@@ -26,31 +22,6 @@ pub struct GraphStats {
     pub degree_stddev: f64,
     /// Number of distinct node labels.
     pub distinct_labels: usize,
-    /// `(label, count)` per distinct node label, sorted by label.
-    pub node_label_counts: Vec<(Label, usize)>,
-    /// `(label, count)` per distinct edge label, sorted by label.
-    pub edge_label_counts: Vec<(Label, usize)>,
-}
-
-/// Builds a sorted `(label, count)` table from an unsorted label stream.
-fn frequency_table(labels: impl Iterator<Item = Label>) -> Vec<(Label, usize)> {
-    let mut sorted: Vec<Label> = labels.collect();
-    sorted.sort_unstable();
-    let mut table: Vec<(Label, usize)> = Vec::new();
-    for label in sorted {
-        match table.last_mut() {
-            Some((last, count)) if *last == label => *count += 1,
-            _ => table.push((label, 1)),
-        }
-    }
-    table
-}
-
-/// Looks a label up in a sorted `(label, count)` table (0 when absent).
-fn table_count(table: &[(Label, usize)], label: Label) -> usize {
-    table
-        .binary_search_by_key(&label, |&(l, _)| l)
-        .map_or(0, |idx| table[idx].1)
 }
 
 impl GraphStats {
@@ -60,8 +31,9 @@ impl GraphStats {
         for v in graph.nodes() {
             deg.push(graph.degree(v) as f64);
         }
-        let node_label_counts = frequency_table(graph.node_labels().iter().copied());
-        let edge_label_counts = frequency_table(graph.edges().map(|(_, _, l)| l));
+        let mut labels = graph.node_labels().to_vec();
+        labels.sort_unstable();
+        labels.dedup();
         GraphStats {
             nodes: graph.num_nodes(),
             edges: graph.num_edges(),
@@ -69,20 +41,8 @@ impl GraphStats {
             degree_max: deg.max().unwrap_or(0.0) as usize,
             degree_mean: deg.mean(),
             degree_stddev: deg.stddev(),
-            distinct_labels: node_label_counts.len(),
-            node_label_counts,
-            edge_label_counts,
+            distinct_labels: labels.len(),
         }
-    }
-
-    /// Number of nodes carrying `label` (0 when the label is absent).
-    pub fn node_label_count(&self, label: Label) -> usize {
-        table_count(&self.node_label_counts, label)
-    }
-
-    /// Number of directed edges carrying `label` (0 when the label is absent).
-    pub fn edge_label_count(&self, label: Label) -> usize {
-        table_count(&self.edge_label_counts, label)
     }
 }
 
@@ -168,20 +128,6 @@ mod tests {
         assert_eq!(s.degree_min, 1);
         assert!(s.degree_stddev > 0.0);
         assert_eq!(s.distinct_labels, 2);
-    }
-
-    #[test]
-    fn label_frequency_tables() {
-        let g = generators::star(6, 1, 2); // center labeled 1, six leaves labeled 2
-        let s = GraphStats::of(&g);
-        assert_eq!(s.node_label_counts, vec![(1, 1), (2, 6)]);
-        assert_eq!(s.node_label_count(1), 1);
-        assert_eq!(s.node_label_count(2), 6);
-        assert_eq!(s.node_label_count(99), 0);
-        // All star edges carry the default edge label 0.
-        assert_eq!(s.edge_label_count(0), s.edges);
-        assert_eq!(s.edge_label_count(7), 0);
-        assert_eq!(s.edge_label_counts.len(), 1);
     }
 
     #[test]

@@ -2,11 +2,9 @@
 //!
 //! The enumeration performance of the RI family lives or dies on the match
 //! order.  This crate extracts everything that *decides* how a query will be
-//! executed out of the executor (`sge-ri`) into an inspectable, swappable
-//! artifact:
+//! executed out of the executor (`sge-ri`) into an inspectable artifact:
 //!
-//! * [`Planner`] consumes a pattern, a target (plus its
-//!   [`sge_graph::GraphStats`] label-frequency tables) and an [`Algorithm`]
+//! * [`QueryPlan::new`] consumes a pattern, a target and an [`Algorithm`]
 //!   and produces a self-contained [`QueryPlan`];
 //! * [`QueryPlan`] carries the match order ([`MatchOrder`], including the
 //!   [`CandidatePlan`] back-edge metadata driving intersection-based
@@ -14,17 +12,15 @@
 //!   verdict — everything an executor needs.  How large the planned search
 //!   is gets measured on the prepared search (`sge-ri`'s probe), not
 //!   predicted here;
-//! * [`Strategy`] selects one of the pluggable [`OrderingStrategy`]
-//!   implementations: [`strategy::RiGreedy`] (the paper's
-//!   GreatestConstraintFirst heuristic, bit-for-bit identical to the
-//!   pre-planner behavior), [`strategy::LeastFrequentLabelFirst`]
-//!   (seed and extend by the rarest target label, GraphQL/CFL-style) and
-//!   [`strategy::DegreeDescending`] (structure-only degree sort).
+//! * the order is always RI's GreatestConstraintFirst heuristic
+//!   ([`greatest_constraint_first`]), with RI-DS singleton hoisting and,
+//!   under the SI variants, ties broken by domain size: the one order every
+//!   search of the paper uses.
 //!
 //! Any permutation of the pattern nodes yields a *correct* enumeration — the
 //! executor's candidate generation and consistency checks are
-//! order-agnostic — so strategies only trade performance, never results.
-//! That property is what makes the strategy space safely benchmarkable.
+//! order-agnostic — so the order only trades performance, never results
+//! ([`finish_order`] builds the plan of any permutation a test forces).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,7 +29,6 @@ pub mod algorithm;
 pub mod domains;
 pub mod ordering;
 pub mod planner;
-pub mod strategy;
 
 pub use algorithm::Algorithm;
 pub use domains::Domains;
@@ -41,5 +36,4 @@ pub use ordering::{
     finish_order, greatest_constraint_first, CandidatePlan, EdgeConstraint, MatchOrder, PlanStep,
     PrefilterSpec,
 };
-pub use planner::{Planner, QueryPlan};
-pub use strategy::{OrderingStrategy, Strategy};
+pub use planner::QueryPlan;

@@ -155,20 +155,6 @@ pub fn greatest_constraint_first(
     domains: Option<&Domains>,
     domain_size_tie_break: bool,
 ) -> MatchOrder {
-    finish_order(
-        pattern,
-        greedy_positions(pattern, domains, domain_size_tie_break),
-    )
-}
-
-/// The position sequence of [`greatest_constraint_first`] without the
-/// finishing pass — the raw output of the RI greedy heuristic, reused by
-/// [`crate::strategy::RiGreedy`].
-pub fn greedy_positions(
-    pattern: &Graph,
-    domains: Option<&Domains>,
-    domain_size_tie_break: bool,
-) -> Vec<NodeId> {
     let n = pattern.num_nodes();
     let mut in_order = vec![false; n];
     let mut positions: Vec<NodeId> = Vec::with_capacity(n);
@@ -241,7 +227,7 @@ pub fn greedy_positions(
         positions.push(chosen);
     }
 
-    positions
+    finish_order(pattern, positions)
 }
 
 /// Builds the inverse permutation and the back-edge constraints for a given

@@ -1,4 +1,4 @@
-//! Golden tests: `Strategy::RiGreedy` must reproduce the pre-planner
+//! Golden tests: `QueryPlan::new` must reproduce the pre-planner
 //! ordering **bit for bit** — positions and the full back-edge candidate
 //! plan.
 //!
@@ -10,7 +10,7 @@
 //! this order.
 
 use sge_graph::{generators, Graph, GraphBuilder};
-use sge_plan::{Algorithm, Planner, Strategy};
+use sge_plan::{Algorithm, QueryPlan};
 
 type ExpectedStep = (Vec<(usize, bool, u32)>, Option<u32>);
 
@@ -22,7 +22,7 @@ fn assert_plan(
     positions: &[u32],
     steps: &[ExpectedStep],
 ) {
-    let plan = Planner::new(Strategy::RiGreedy).plan(pattern, target, algorithm);
+    let plan = QueryPlan::new(pattern, target, algorithm);
     assert_eq!(
         plan.order.positions, positions,
         "{name} {algorithm}: match order drifted"

@@ -20,11 +20,10 @@
 //! Since the planning extraction, this crate is a **pure executor**: node
 //! ordering and domain computation live in `sge-plan` (re-exported here for
 //! compatibility), and a [`search::SearchContext`] is built from a
-//! `sge_plan::QueryPlan` — either one the caller planned explicitly
-//! (choosing a `sge_plan::Strategy`) or the default RI-greedy plan produced
-//! by [`search::SearchContext::prepare`].  What a plan will cost is
-//! measured on the prepared search itself: [`estimate`] walks seeded random
-//! paths through it (Knuth's estimator).
+//! `sge_plan::QueryPlan` — either one the caller planned (or forced)
+//! itself or the one [`search::SearchContext::prepare`] plans.  What a plan
+//! will cost is measured on the prepared search itself: [`estimate`] walks
+//! seeded random paths through it (Knuth's estimator).
 //!
 //! The crate has no search loop of its own.  [`search::SearchContext`]
 //! exposes candidate generation and consistency checking, and `sge-engine`
@@ -76,7 +75,7 @@ pub use kernels::{
 pub use search::{PreparedParts, SearchContext, WorkerState};
 pub use sge_plan::{
     greatest_constraint_first, Algorithm, CandidatePlan, Domains, EdgeConstraint, MatchOrder,
-    PlanStep, Planner, QueryPlan, Strategy,
+    PlanStep, QueryPlan,
 };
 pub use suffix::SuffixCount;
 pub use visitor::{CollectingVisitor, MatchVisitor};

@@ -9,9 +9,8 @@
 //! A context *executes* a [`QueryPlan`] produced by `sge-plan`: the plan
 //! fixes the match order, the back-edge constraint sets and the domains; the
 //! context adds the target-graph machinery (adjacency intersection,
-//! consistency checks).  [`SearchContext::prepare`] plans with the default
-//! RI-greedy strategy; [`SearchContext::prepare_planned`] accepts any
-//! [`sge_plan::Strategy`].
+//! consistency checks).  [`SearchContext::prepare`] plans and prepares in
+//! one call; [`SearchContext::from_plan`] wraps a plan the caller built.
 //!
 //! A context is read-only prepared data, shared by every worker of every
 //! run: it records nothing.  [`WorkerState`] is the per-worker mutable
@@ -43,9 +42,9 @@
 
 use crate::kernels::{self, GallopRoute, KernelUsage};
 use crate::suffix;
-use sge_graph::{AdjacencyBitmaps, BitmapConfig, EdgeRef, Graph, GraphStats, NodeId};
+use sge_graph::{AdjacencyBitmaps, BitmapConfig, EdgeRef, Graph, NodeId};
 use sge_plan::ordering::{MatchOrder, PlanStep, PrefilterSpec};
-use sge_plan::{Algorithm, Domains, EdgeConstraint, Planner, QueryPlan, Strategy};
+use sge_plan::{Algorithm, Domains, EdgeConstraint, QueryPlan};
 use std::cell::RefCell;
 use std::sync::Arc;
 
@@ -113,30 +112,17 @@ fn compile_probes(order: &MatchOrder, symmetric: bool) -> Vec<Vec<EdgeConstraint
 
 impl<'a> SearchContext<'a> {
     /// Runs the preprocessing phase of `algorithm` (domain computation, forward
-    /// checking, node ordering) and returns a ready-to-search context using
-    /// the default RI-greedy ordering strategy.
+    /// checking, node ordering) and returns a ready-to-search context.
     pub fn prepare(pattern: &'a Graph, target: &'a Graph, algorithm: Algorithm) -> Self {
-        Self::prepare_planned(pattern, target, algorithm, Strategy::default())
-    }
-
-    /// [`Self::prepare`] planned with an explicit ordering `strategy`.
-    pub fn prepare_planned(
-        pattern: &'a Graph,
-        target: &'a Graph,
-        algorithm: Algorithm,
-        strategy: Strategy,
-    ) -> Self {
-        let plan = Planner::new(strategy).plan(pattern, target, algorithm);
+        let plan = QueryPlan::new(pattern, target, algorithm);
         let mut ctx = Self::from_plan(pattern, target, plan);
         ctx.ensure_bitmaps();
         ctx
     }
 
-    /// [`Self::prepare_planned`] with precomputed target statistics and an
-    /// explicitly supplied bitmap sidecar — the serving path, where the
-    /// registry builds the sidecar once per long-lived target and keeps
-    /// [`GraphStats`] for the plans that read them
-    /// ([`Planner::plan_with_stats`] computes them when given `None`).
+    /// [`Self::prepare`] with an explicitly supplied bitmap sidecar — the
+    /// serving path, where the registry builds the sidecar once per
+    /// long-lived target.
     ///
     /// The context attaches `bitmaps` as given, even when it is row-less
     /// (no neighborhood earned a row, or the registry hit its memory cap):
@@ -145,12 +131,10 @@ impl<'a> SearchContext<'a> {
     pub fn prepare_planned_full(
         pattern: &'a Graph,
         target: &'a Graph,
-        target_stats: Option<&GraphStats>,
         bitmaps: Arc<AdjacencyBitmaps>,
         algorithm: Algorithm,
-        strategy: Strategy,
     ) -> Self {
-        let plan = Planner::new(strategy).plan_with_stats(pattern, target, target_stats, algorithm);
+        let plan = QueryPlan::new(pattern, target, algorithm);
         let mut ctx = Self::from_plan(pattern, target, plan);
         ctx.bitmaps = Some(bitmaps);
         ctx
@@ -220,11 +204,6 @@ impl<'a> SearchContext<'a> {
     #[inline]
     pub fn plan(&self) -> &QueryPlan {
         &self.compiled.plan
-    }
-
-    /// The ordering strategy that planned this context.
-    pub fn strategy(&self) -> Strategy {
-        self.plan().strategy
     }
 
     /// The static node ordering.
@@ -741,11 +720,6 @@ impl PreparedParts {
         self.plan().algorithm
     }
 
-    /// The ordering strategy that planned these parts.
-    pub fn strategy(&self) -> Strategy {
-        self.plan().strategy
-    }
-
     /// The captured query plan (order, domains).
     pub fn plan(&self) -> &QueryPlan {
         &self.compiled.plan
@@ -1257,7 +1231,7 @@ mod tests {
             let pattern = pb.build();
             let maps = AdjacencyBitmaps::every_row(&target);
             for algorithm in [Algorithm::RiDs, Algorithm::RiDsSi, Algorithm::RiDsSiFc] {
-                let plan = Planner::default().plan(&pattern, &target, algorithm);
+                let plan = QueryPlan::new(&pattern, &target, algorithm);
                 let domains = plan.domains.as_deref().expect("the algorithm has domains");
                 for (step, &vp) in plan.order.plan.steps.iter().zip(&plan.order.positions) {
                     for vt in domains.set(vp).iter() {
@@ -1272,22 +1246,16 @@ mod tests {
     }
 
     #[test]
-    fn prepared_parts_carry_strategy_and_plan() {
+    fn prepared_parts_carry_the_plan() {
         let pattern = generators::directed_cycle(3, 0);
         let target = generators::clique(4, 0);
-        let ctx = SearchContext::prepare_planned(
-            &pattern,
-            &target,
-            Algorithm::RiDs,
-            Strategy::DegreeDescending,
-        );
-        assert_eq!(ctx.strategy(), Strategy::DegreeDescending);
+        let ctx = SearchContext::prepare(&pattern, &target, Algorithm::RiDs);
         assert_eq!(ctx.plan().num_positions(), 3);
         let parts = PreparedParts::extract(&ctx);
-        assert_eq!(parts.strategy(), Strategy::DegreeDescending);
+        assert_eq!(parts.algorithm(), Algorithm::RiDs);
         assert_eq!(parts.plan().num_positions(), 3);
         let rebuilt = parts.context(&pattern, &target);
         assert_eq!(rebuilt.order().positions, ctx.order().positions);
-        assert_eq!(rebuilt.strategy(), Strategy::DegreeDescending);
+        assert_eq!(rebuilt.algorithm(), Algorithm::RiDs);
     }
 }

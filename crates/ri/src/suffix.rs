@@ -601,7 +601,7 @@ fn walk(
 mod tests {
     use super::*;
     use sge_graph::{generators, AdjacencyBitmaps, BitmapConfig, Graph, GraphBuilder};
-    use sge_plan::{finish_order, Algorithm, Planner, Strategy};
+    use sge_plan::{finish_order, Algorithm, QueryPlan};
     use sge_util::SplitMix64;
     use std::sync::Arc;
 
@@ -808,7 +808,7 @@ mod tests {
         algorithm: Algorithm,
         rows: bool,
     ) -> SearchContext<'a> {
-        let mut plan = Planner::new(Strategy::default()).plan(pattern, target, algorithm);
+        let mut plan = QueryPlan::new(pattern, target, algorithm);
         plan.order = finish_order(pattern, order);
         let mut ctx = SearchContext::from_plan(pattern, target, plan);
         let maps = match rows {

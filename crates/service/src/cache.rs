@@ -1,9 +1,8 @@
 //! The prepared-context cache: a bounded LRU over [`PreparedEngine`]s.
 
-use crate::registry::TargetStats;
 use sge_engine::PreparedEngine;
 use sge_graph::{AdjacencyBitmaps, Graph};
-use sge_ri::{Algorithm, Strategy};
+use sge_ri::Algorithm;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -16,15 +15,12 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// labels + edge list, name stripped), so two syntactically different query
 /// texts describing the same graph share one entry; equality is on the full
 /// canonical form — the reported hash is informational, never trusted for
-/// identity.  The ordering strategy is part of the key: engines prepared
-/// under different strategies produce different plans and must never alias
-/// each other.
+/// identity.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 struct CacheKey {
     pattern: String,
     target: String,
     algorithm: Algorithm,
-    strategy: Strategy,
 }
 
 /// The one preparation of a key: filled by the first caller that reaches
@@ -63,7 +59,7 @@ pub struct CacheStats {
 }
 
 /// A bounded LRU of prepared engines keyed by *(pattern, target name,
-/// algorithm, ordering strategy)*.
+/// algorithm)*.
 ///
 /// Single-flight per key: a miss creates the key's slot under the cache lock
 /// and prepares **outside** it, so a slow domain computation never blocks
@@ -107,33 +103,25 @@ impl PreparedCache {
         text_hash(&Self::canonical_pattern(pattern))
     }
 
-    /// Fetches the prepared engine for `(pattern, target_name, algorithm,
-    /// strategy)`, preparing and inserting it on a miss.  Returns the
-    /// engine, whether the lookup was a hit, and the pattern's
-    /// [`Self::pattern_hash`], taken over the canonical text of the key so
-    /// the pattern is serialized once.
+    /// Fetches the prepared engine for `(pattern, target_name, algorithm)`,
+    /// preparing and inserting it on a miss.  Returns the engine, whether
+    /// the lookup was a hit, and the pattern's [`Self::pattern_hash`], taken
+    /// over the canonical text of the key so the pattern is serialized once.
     ///
-    /// The same pattern prepared under two strategies yields two independent
-    /// entries.  A miss prepares with the bitmap sidecar the registry built
-    /// at registration and, when the plan reads them, the registry's target
-    /// statistics, instead of building a private sidecar or re-deriving the
-    /// frequency tables.
-    #[allow(clippy::too_many_arguments)]
+    /// A miss prepares with the bitmap sidecar the registry built at
+    /// registration instead of building a private one.
     pub fn get_or_prepare(
         &self,
         pattern: &Graph,
         target_name: &str,
         target: &Arc<Graph>,
-        target_stats: &TargetStats,
         bitmaps: &Arc<AdjacencyBitmaps>,
         algorithm: Algorithm,
-        strategy: Strategy,
     ) -> (Arc<PreparedEngine>, bool, u64) {
         let key = CacheKey {
             pattern: Self::canonical_pattern(pattern),
             target: target_name.to_string(),
             algorithm,
-            strategy,
         };
         let pattern_hash = text_hash(&key.pattern);
 
@@ -141,14 +129,11 @@ impl PreparedCache {
         let mut prepared = false;
         let engine = slot.get_or_init(|| {
             prepared = true;
-            let reads_stats = strategy.reads_target_stats(algorithm);
             Arc::new(PreparedEngine::prepare_planned_full(
                 Arc::new(pattern.clone()),
                 Arc::clone(target),
-                reads_stats.then(|| target_stats.get(target)),
                 Arc::clone(bitmaps),
                 algorithm,
-                strategy,
             ))
         });
         let counter = if prepared { &self.misses } else { &self.hits };
@@ -255,24 +240,8 @@ mod tests {
         Arc::new(generators::clique(5, 0))
     }
 
-    /// A registry-style lookup under `strategy`: a fresh sidecar and lazy
-    /// stats for `target`, as the registry keeps them.
-    fn lookup_planned(
-        cache: &PreparedCache,
-        pattern: &Graph,
-        name: &str,
-        target: &Arc<Graph>,
-        algorithm: Algorithm,
-        strategy: Strategy,
-    ) -> (Arc<PreparedEngine>, bool) {
-        let stats = TargetStats::default();
-        let bitmaps = Arc::new(AdjacencyBitmaps::build(target, &BitmapConfig::default()));
-        let (engine, hit, hash) =
-            cache.get_or_prepare(pattern, name, target, &stats, &bitmaps, algorithm, strategy);
-        assert_eq!(hash, PreparedCache::pattern_hash(pattern));
-        (engine, hit)
-    }
-
+    /// A registry-style lookup: a fresh sidecar for `target`, as the
+    /// registry keeps one.
     fn lookup(
         cache: &PreparedCache,
         pattern: &Graph,
@@ -280,7 +249,10 @@ mod tests {
         target: &Arc<Graph>,
         algorithm: Algorithm,
     ) -> (Arc<PreparedEngine>, bool) {
-        lookup_planned(cache, pattern, name, target, algorithm, Strategy::default())
+        let bitmaps = Arc::new(AdjacencyBitmaps::build(target, &BitmapConfig::default()));
+        let (engine, hit, hash) = cache.get_or_prepare(pattern, name, target, &bitmaps, algorithm);
+        assert_eq!(hash, PreparedCache::pattern_hash(pattern));
+        (engine, hit)
     }
 
     #[test]
@@ -309,38 +281,6 @@ mod tests {
         assert!(!hit_other_target);
         assert!(!hit_other_algo);
         assert_eq!(cache.stats().entries, 3);
-    }
-
-    #[test]
-    fn preparation_variant_is_part_of_the_key() {
-        // Two strategies for the same pattern / target / algorithm must
-        // coexist as independent entries — aliasing them would serve a plan
-        // prepared under a different strategy.
-        let cache = PreparedCache::new(8);
-        let target = k5();
-        let pattern = generators::directed_cycle(3, 0);
-        let prepare = |strategy: Strategy| {
-            lookup_planned(&cache, &pattern, "k5", &target, Algorithm::RiDs, strategy)
-        };
-        let (greedy, hit1) = prepare(Strategy::RiGreedy);
-        let (lfl, hit2) = prepare(Strategy::LeastFrequentLabelFirst);
-        assert!(!hit1 && !hit2, "distinct variants must all miss");
-        assert!(!Arc::ptr_eq(&greedy, &lfl));
-        assert_eq!(cache.stats().entries, 2);
-
-        // Each variant is resident and hits independently…
-        let (greedy2, hit) = prepare(Strategy::RiGreedy);
-        assert!(hit);
-        assert!(Arc::ptr_eq(&greedy, &greedy2));
-        let (lfl2, hit) = prepare(Strategy::LeastFrequentLabelFirst);
-        assert!(hit);
-        assert!(Arc::ptr_eq(&lfl, &lfl2));
-        // …carries its own variant…
-        assert_eq!(greedy.strategy(), Strategy::RiGreedy);
-        assert_eq!(lfl.strategy(), Strategy::LeastFrequentLabelFirst);
-        // …and they agree on results.
-        assert_eq!(greedy.run(&Default::default()).matches, 60);
-        assert_eq!(lfl.run(&Default::default()).matches, 60);
     }
 
     #[test]

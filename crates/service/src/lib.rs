@@ -9,7 +9,7 @@
 //!   interning node labels through one shared table so every pattern/target
 //!   pair agrees on the numbering;
 //! * [`PreparedCache`] is a bounded LRU over prepared engines keyed by
-//!   *(pattern, target name, algorithm, ordering strategy)* — a repeated
+//!   *(pattern, target name, algorithm)* — a repeated
 //!   pattern skips the domain computation / forward checking / ordering
 //!   phase entirely;
 //! * [`Service::run_batch`] answers a [`QuerySet`] (many patterns, one
@@ -292,7 +292,7 @@ impl Service {
             let required = self
                 .registry
                 .get_full(name)
-                .map(|(_, _, bitmaps)| bitmaps.required_row_bytes())
+                .map(|(_, bitmaps)| bitmaps.required_row_bytes())
                 .unwrap_or(0);
             self.log_event(
                 &Json::obj(vec![
@@ -518,7 +518,7 @@ impl Service {
     /// other run walks its tree and is priced by `est_total_states`.
     fn plan(&self, target: &str, spec: &QuerySpec, buffered: bool) -> Result<Plan, ServiceError> {
         let started = self.clock.now();
-        let (target_graph, target_stats, target_bitmaps) = self
+        let (target_graph, target_bitmaps) = self
             .registry
             .get_full(target)
             .ok_or_else(|| ServiceError::UnknownTarget(target.to_string()))?;
@@ -527,10 +527,8 @@ impl Service {
             &pattern,
             target,
             &target_graph,
-            &target_stats,
             &target_bitmaps,
             spec.algorithm,
-            spec.strategy,
         );
         let counts = buffered && spec.run.max_matches.is_none() && spec.run.time_limit.is_none();
         let price = match counts {
@@ -583,7 +581,6 @@ impl Service {
                 cache_hit: plan.cache_hit,
                 pattern_hash: plan.pattern_hash,
                 algorithm: plan.engine.algorithm(),
-                strategy: plan.engine.strategy(),
                 scheduler: run.scheduler,
                 routed: plan.routed,
             })?;

@@ -2,15 +2,26 @@
 
 use crate::ServiceError;
 use sge_graph::io::parse_graph_with_interner;
-use sge_graph::{AdjacencyBitmaps, BitmapConfig, Graph, GraphStats};
+use sge_graph::{AdjacencyBitmaps, BitmapConfig, Graph};
 use std::collections::HashMap;
 use std::path::Path;
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 
 // The summary struct itself is wire-plane vocabulary now (LOAD responses
 // are built from it); the registry re-exports it so existing
 // `registry::GraphInfo` paths keep working.
 pub use sge_wire::GraphInfo;
+
+/// One registered target: the graph and the sidecar built for it.
+struct TargetEntry {
+    graph: Arc<Graph>,
+    /// Bitmap adjacency sidecar, built once at registration by the row rule
+    /// and shared by every prepared engine against this target.  When the
+    /// configured byte cap was exceeded the sidecar is *capped*: it carries
+    /// the per-node label signatures (the candidate prefilter keeps working)
+    /// but no rows, so every step intersects CSR lists.
+    bitmaps: Arc<AdjacencyBitmaps>,
+}
 
 /// Loads and owns named target graphs for the lifetime of the process.
 ///
@@ -20,41 +31,6 @@ pub use sge_wire::GraphInfo;
 /// target's — the invariant the RI family's label comparisons rely on.
 /// Graphs inserted programmatically via [`GraphRegistry::insert`] bypass the
 /// interner and must already use consistent integer labels.
-struct TargetEntry {
-    graph: Arc<Graph>,
-    /// Label-frequency statistics, computed by the first plan that reads
-    /// them and kept for the next: recomputing them per preparation would
-    /// put a full O(V + E log E) target pass on the serving hot path.
-    stats: Arc<TargetStats>,
-    /// Bitmap adjacency sidecar, built once at registration by the row rule
-    /// and shared by every prepared engine against this target.  When the
-    /// configured byte cap was exceeded the sidecar is *capped*: it carries
-    /// the per-node label signatures (the candidate prefilter keeps working)
-    /// but no rows, so every step intersects CSR lists.
-    bitmaps: Arc<AdjacencyBitmaps>,
-}
-
-/// A registered target's label-frequency statistics, computed on first
-/// read.  Only a plan that orders by them reads them
-/// ([`sge_ri::Strategy::reads_target_stats`]: a least-frequent-label
-/// order without domains), so a `LOAD` does not sort every edge label.
-#[derive(Debug, Default)]
-pub struct TargetStats(OnceLock<GraphStats>);
-
-impl TargetStats {
-    /// The statistics of `target`, the graph registered beside them,
-    /// computed by the first call.
-    pub fn get(&self, target: &Graph) -> &GraphStats {
-        self.0.get_or_init(|| GraphStats::of(target))
-    }
-
-    /// Whether a plan has read them yet.
-    pub fn computed(&self) -> bool {
-        self.0.get().is_some()
-    }
-}
-
-/// See module docs; holds one [`TargetEntry`] per registered name.
 pub struct GraphRegistry {
     graphs: RwLock<HashMap<String, TargetEntry>>,
     /// The label interner shared by every graph and pattern parsed through
@@ -112,7 +88,6 @@ impl GraphRegistry {
         let bitmaps = Arc::new(AdjacencyBitmaps::build(&graph, config));
         let info = graph_info(name, &graph, &bitmaps);
         let entry = TargetEntry {
-            stats: Arc::default(),
             graph: Arc::new(graph),
             bitmaps,
         };
@@ -125,26 +100,17 @@ impl GraphRegistry {
 
     /// Looks a target up by name.
     pub fn get(&self, name: &str) -> Option<Arc<Graph>> {
-        self.get_full(name).map(|(graph, _, _)| graph)
+        self.get_full(name).map(|(graph, _)| graph)
     }
 
-    /// Looks a target up by name together with its statistics and its bitmap
-    /// adjacency sidecar — everything a cached preparation needs.
-    pub fn get_full(
-        &self,
-        name: &str,
-    ) -> Option<(Arc<Graph>, Arc<TargetStats>, Arc<AdjacencyBitmaps>)> {
+    /// Looks a target up by name together with its bitmap adjacency
+    /// sidecar — everything a cached preparation needs.
+    pub fn get_full(&self, name: &str) -> Option<(Arc<Graph>, Arc<AdjacencyBitmaps>)> {
         self.graphs
             .read()
             .unwrap_or_else(|poisoned| poisoned.into_inner())
             .get(name)
-            .map(|entry| {
-                (
-                    Arc::clone(&entry.graph),
-                    Arc::clone(&entry.stats),
-                    Arc::clone(&entry.bitmaps),
-                )
-            })
+            .map(|entry| (Arc::clone(&entry.graph), Arc::clone(&entry.bitmaps)))
     }
 
     /// Parses a query pattern through the shared label interner.
@@ -230,12 +196,6 @@ mod tests {
         assert_eq!(registry.len(), 2);
         assert_eq!(registry.get("k4").unwrap().num_nodes(), 4);
         assert!(registry.get("missing").is_none());
-        // Stats are computed on first read, once.
-        let (graph, stats, _) = registry.get_full("k4").unwrap();
-        assert!(!stats.computed());
-        assert_eq!(stats.get(&graph).nodes, graph.num_nodes());
-        assert_eq!(stats.get(&graph).edge_label_count(0), graph.num_edges());
-        assert!(registry.get_full("k4").unwrap().1.computed());
         let names: Vec<_> = registry.list().into_iter().map(|i| i.name).collect();
         assert_eq!(names, vec!["k4", "path"]);
     }
@@ -342,7 +302,7 @@ mod tests {
         assert_eq!(info.bitmap_rows, 12);
         assert!(info.bitmap_bytes > 0);
         assert!(!info.bitmap_capped);
-        let (_, _, bitmaps) = registry.get_full("k12").unwrap();
+        let (_, bitmaps) = registry.get_full("k12").unwrap();
         assert_eq!(bitmaps.row_count(), 12);
 
         // A sparse path earns no rows but the sidecar (and its signatures)
@@ -363,7 +323,7 @@ mod tests {
         assert_eq!(info.bitmap_rows, 0);
         assert_eq!(info.bitmap_bytes, 0);
         // Signatures survive the cap: the prefilter still works.
-        let (_, _, bitmaps) = registry.get_full("k12").unwrap();
+        let (_, bitmaps) = registry.get_full("k12").unwrap();
         assert!(bitmaps.capped());
         assert_ne!(bitmaps.out_sig(0), 0);
     }

@@ -22,6 +22,21 @@ fn write_target_file(stem: &str) -> std::path::PathBuf {
     path
 }
 
+/// `reply` with every timing (`*_seconds`, `queries_per_second`) and the
+/// `cache_hit` flag blanked: what two answers to one query share however
+/// warm the cache was.
+fn scrub(reply: &str) -> String {
+    let fields = reply.split(',').map(|field| match field.split_once("\":") {
+        Some((key, value)) if key.contains("_second") || key.ends_with("\"cache_hit") => {
+            let rest =
+                value.trim_start_matches(|c: char| c.is_ascii_alphanumeric() || ".+-".contains(c));
+            format!("{key}\":_{rest}")
+        }
+        _ => field.to_string(),
+    });
+    fields.collect::<Vec<_>>().join(",")
+}
+
 #[test]
 fn load_query_batch_stats_shutdown() {
     let (addr, server) = start_server();
@@ -282,30 +297,46 @@ fn explain_round_trips_with_order_costs_and_strategy() {
     let (addr, server) = start_server();
     let target_path = write_target_file("sge-tcp-explain");
     let triangle = encode_inline_pattern(&write_graph(&generators::directed_cycle(3, 0)));
-    let script = vec![
+    let mut script = vec![
         format!("LOAD k5 {}", target_path.display()),
         format!("EXPLAIN target=k5 pattern={triangle}"),
-        format!("EXPLAIN target=k5 strategy=least-frequent-label pattern={triangle}"),
-        format!("EXPLAIN target=k5 strategy=degree-descending algo=ri pattern={triangle}"),
-        // The default-strategy EXPLAIN warmed the cache for the same query.
-        format!("QUERY target=k5 pattern={triangle}"),
-        "SHUTDOWN".to_string(),
     ];
+    for spelling in ["ri-greedy", "greedy", "RI_GREEDY"] {
+        script.push(format!(
+            "EXPLAIN target=k5 strategy={spelling} pattern={triangle}"
+        ));
+    }
+    script.push(format!("EXPLAIN target=k5 algo=ri pattern={triangle}"));
+    for other in ["least-frequent-label", "degree-descending"] {
+        script.push(format!(
+            "EXPLAIN target=k5 strategy={other} algo=ri pattern={triangle}"
+        ));
+    }
+    // The first EXPLAIN warmed the cache for the same query.
+    script.push(format!("QUERY target=k5 pattern={triangle}"));
+    script.push("SHUTDOWN".to_string());
     let responses = run_script(addr, &script).expect("script round-trip");
     std::fs::remove_file(&target_path).ok();
-    assert_eq!(responses.len(), 6, "{responses:?}");
+    assert_eq!(responses.len(), 10, "{responses:?}");
 
-    // Default EXPLAIN: RI-greedy plan with 3 positions, costs per position.
+    // EXPLAIN: the RI-greedy plan with 3 positions, costs per position.
     assert!(responses[1].starts_with("{\"ok\":true"), "{}", responses[1]);
     assert!(responses[1].contains("\"strategy\":\"ri-greedy\""));
     assert!(responses[1].contains("\"positions\":3"));
     assert!(responses[1].contains("\"order\":["));
     assert!(responses[1].contains("\"impossible\":false"));
     assert!(!responses[1].contains("\"mode\""), "{}", responses[1]);
+    // Naming the one order answers like leaving it out, from the cache.
+    for reply in &responses[2..5] {
+        assert_eq!(scrub(reply), scrub(&responses[1]));
+        assert!(reply.contains("\"cache_hit\":true"), "{reply}");
+    }
+    assert!(responses[5].contains("\"algorithm\":\"RI\""));
+    assert!(responses[5].contains("\"strategy\":\"ri-greedy\""));
     // Every random path through a clique branches alike, so the probe
     // estimate is the tree itself: 5 roots, 4 then 3 candidates below each,
-    // under every strategy and algorithm.
-    for response in &responses[1..4] {
+    // under every algorithm.
+    for response in &responses[1..6] {
         assert!(
             response.contains("\"est_candidates\":[5.0,4.0,3.0]"),
             "{response}"
@@ -327,27 +358,23 @@ fn explain_round_trips_with_order_costs_and_strategy() {
         "{}",
         responses[1]
     );
-    // Strategy selection reaches the plan.
-    assert!(responses[2].contains("\"strategy\":\"least-frequent-label\""));
-    assert!(responses[3].contains("\"strategy\":\"degree-descending\""));
-    assert!(responses[3].contains("\"algorithm\":\"RI\""));
+    // Any other order is an unknown strategy.
+    for reply in &responses[6..8] {
+        assert!(reply.starts_with("{\"ok\":false"), "{reply}");
+        assert!(reply.contains("unknown strategy"), "{reply}");
+    }
     // EXPLAIN prepared through the shared cache, so the QUERY hits.
     assert!(
-        responses[4].contains("\"cache_hit\":true"),
+        responses[8].contains("\"cache_hit\":true"),
         "{}",
-        responses[4]
+        responses[8]
     );
-    assert!(responses[4].contains("\"matches\":60"));
-    assert!(responses[5].contains("\"shutdown\":true"));
+    assert!(responses[8].contains("\"matches\":60"));
+    assert!(responses[8].contains("\"strategy\":\"ri-greedy\""));
+    assert!(responses[9].contains("\"shutdown\":true"));
     server.join().unwrap();
 }
 
-/// Every neighborhood of a dense target earns a bitmap row, so constrained
-/// positions AND rows, and the whole story is visible over the wire: LOAD
-/// reports the sidecar, the kernel per position shows in EXPLAIN / EXPLAIN
-/// ANALYZE, runtime
-/// usage shows in `kernel_usage` and the `engine.kernel.*` counters, and a
-/// byte-capped reload of the same graph degrades to the gallop kernels.
 #[test]
 fn kernel_selection_is_visible_in_load_explain_and_metrics() {
     let (addr, server) = start_server();
@@ -425,45 +452,66 @@ fn strategy_is_selectable_on_query_and_batch() {
     let (addr, server) = start_server();
     let target_path = write_target_file("sge-tcp-strategy");
     let triangle = encode_inline_pattern(&write_graph(&generators::directed_cycle(3, 0)));
-    let script = vec![
+    let spellings = ["ri-greedy", "greedy", "RI_GREEDY"];
+    let mut script = vec![
         format!("LOAD k5 {}", target_path.display()),
-        format!("QUERY target=k5 strategy=least-frequent-label pattern={triangle}"),
-        format!("QUERY target=k5 strategy=ri-greedy pattern={triangle}"),
-        // Same pattern, different strategy: distinct cache entries, both cold.
-        "STATS".to_string(),
-        "BATCH target=k5 n=2".to_string(),
-        format!("strategy=degree-descending pattern={triangle}"),
-        format!("strategy=degree_descending pattern={triangle}"),
-        format!("QUERY target=k5 strategy=bogus pattern={triangle}"),
-        // `mode=` is not a QUERY key: unknown keys are structured errors.
-        format!("QUERY target=k5 mode=intersection pattern={triangle}"),
-        "SHUTDOWN".to_string(),
+        format!("QUERY target=k5 pattern={triangle}"),
     ];
+    for spelling in spellings {
+        script.push(format!(
+            "QUERY target=k5 strategy={spelling} pattern={triangle}"
+        ));
+    }
+    // One entry, prepared once: the key names no order.
+    script.push("STATS".to_string());
+    script.push("BATCH target=k5 n=1".to_string());
+    script.push(format!("pattern={triangle}"));
+    for spelling in spellings {
+        script.push("BATCH target=k5 n=1".to_string());
+        script.push(format!("strategy={spelling} pattern={triangle}"));
+    }
+    for gone in ["least-frequent-label", "degree-descending"] {
+        script.push(format!(
+            "QUERY target=k5 strategy={gone} pattern={triangle}"
+        ));
+        script.push("BATCH target=k5 n=1".to_string());
+        script.push(format!("strategy={gone} pattern={triangle}"));
+    }
+    // `mode=` is not a QUERY key: unknown keys are structured errors.
+    script.push(format!(
+        "QUERY target=k5 mode=intersection pattern={triangle}"
+    ));
+    script.push("SHUTDOWN".to_string());
     let responses = run_script(addr, &script).expect("script round-trip");
     std::fs::remove_file(&target_path).ok();
-    assert_eq!(responses.len(), 8, "{responses:?}");
-    // All strategies agree on the match count and are echoed back.
+    assert_eq!(responses.len(), 16, "{responses:?}");
+
+    // Each spelling answers like the line without the key, from the cache.
     assert!(responses[1].contains("\"matches\":60"));
-    assert!(responses[1].contains("\"strategy\":\"least-frequent-label\""));
-    assert!(responses[2].contains("\"matches\":60"));
-    assert!(responses[2].contains("\"strategy\":\"ri-greedy\""));
-    assert!(responses[3].contains("\"misses\":2"), "{}", responses[3]);
-    // Batched queries carry their strategy too.
-    assert!(responses[4].contains("\"succeeded\":2"));
-    assert!(responses[4].contains("\"total_matches\":120"));
-    assert!(responses[4].contains("\"strategy\":\"degree-descending\""));
-    // An unknown strategy is a structured protocol error.
-    assert!(
-        responses[5].starts_with("{\"ok\":false"),
-        "{}",
-        responses[5]
-    );
-    assert!(responses[5].contains("unknown strategy"));
+    assert!(responses[1].contains("\"cache_hit\":false"));
+    assert!(responses[1].contains("\"strategy\":\"ri-greedy\""));
+    for reply in &responses[2..5] {
+        assert_eq!(scrub(reply), scrub(&responses[1]));
+        assert!(reply.contains("\"cache_hit\":true"), "{reply}");
+    }
+    assert!(responses[5].contains("\"misses\":1"), "{}", responses[5]);
+    assert!(responses[5].contains("\"hits\":3"), "{}", responses[5]);
+    // Batched lines too.
+    assert!(responses[6].contains("\"succeeded\":1"), "{}", responses[6]);
+    assert!(responses[6].contains("\"strategy\":\"ri-greedy\""));
+    for reply in &responses[7..10] {
+        assert_eq!(scrub(reply), scrub(&responses[6]));
+    }
+    // Any other order is an unknown strategy, on a QUERY and a BATCH line.
+    for reply in &responses[10..14] {
+        assert!(reply.starts_with("{\"ok\":false"), "{reply}");
+        assert!(reply.contains("unknown strategy"), "{reply}");
+    }
     assert_eq!(
-        responses[6],
+        responses[14],
         "{\"ok\":false,\"error\":\"protocol error: unknown key 'mode'\"}"
     );
-    assert!(responses[7].contains("\"shutdown\":true"));
+    assert!(responses[15].contains("\"shutdown\":true"));
     server.join().unwrap();
 }
 

@@ -41,7 +41,7 @@ pub struct PollEntry {
     pub fd: RawFd,
     /// Requested events (`POLLIN` / `POLLOUT` bitmask).
     pub events: i16,
-    /// Returned events; filled in by [`poll`].
+    /// Returned events; filled in by [`poll_entries`].
     pub revents: i16,
 }
 

@@ -23,7 +23,7 @@ use sge_engine::{EnumerationOutcome, PreparedEngine, RoutingDecision, RunConfig,
 use sge_graph::io::ParseError;
 use sge_graph::NodeId;
 use sge_obs::SpanRecord;
-use sge_ri::{Algorithm, Strategy};
+use sge_ri::Algorithm;
 use std::fmt;
 use std::sync::Arc;
 
@@ -141,9 +141,6 @@ pub struct QuerySpec {
     pub pattern_text: String,
     /// Algorithm variant to prepare (part of the cache key).
     pub algorithm: Algorithm,
-    /// Ordering strategy to prepare the match order with (part of the cache
-    /// key).
-    pub strategy: Strategy,
     /// Scheduler and limits for this run.
     pub run: RunConfig,
     /// How results leave the service (buffered response vs. row stream).
@@ -162,13 +159,11 @@ pub struct QuerySpec {
 
 impl QuerySpec {
     /// A query with the given pattern text, the paper's strongest variant
-    /// (RI-DS-SI-FC) under the default ordering strategy and an unlimited,
-    /// buffered, routed run.
+    /// (RI-DS-SI-FC) and an unlimited, buffered, routed run.
     pub fn new(pattern_text: impl Into<String>) -> Self {
         QuerySpec {
             pattern_text: pattern_text.into(),
             algorithm: Algorithm::RiDsSiFc,
-            strategy: Strategy::default(),
             run: RunConfig::default(),
             emit: EmitMode::default(),
             chunk: DEFAULT_STREAM_CHUNK,
@@ -179,12 +174,6 @@ impl QuerySpec {
     /// Sets the algorithm.
     pub fn with_algorithm(mut self, algorithm: Algorithm) -> Self {
         self.algorithm = algorithm;
-        self
-    }
-
-    /// Sets the ordering strategy.
-    pub fn with_strategy(mut self, strategy: Strategy) -> Self {
-        self.strategy = strategy;
         self
     }
 
@@ -254,7 +243,7 @@ pub struct ExplainOutcome {
     /// choice, or the pinned one.
     pub effective_scheduler: Scheduler,
     /// The prepared engine; its [`PreparedEngine::plan`] carries the match
-    /// order and strategy, its [`PreparedEngine::estimate`] the tree-size
+    /// order, its [`PreparedEngine::estimate`] the tree-size
     /// estimates.
     pub engine: Arc<PreparedEngine>,
 }
@@ -311,8 +300,6 @@ pub struct StreamHeader {
     pub pattern_hash: u64,
     /// Algorithm variant that will run.
     pub algorithm: Algorithm,
-    /// Ordering strategy of the prepared plan.
-    pub strategy: Strategy,
     /// Scheduler the run executes under (the routed choice when `routed`).
     pub scheduler: Scheduler,
     /// Whether the scheduler was routed rather than caller-pinned.

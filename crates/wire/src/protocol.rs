@@ -5,11 +5,11 @@
 //!
 //! ```text
 //! LOAD <name> <path>
-//! QUERY target=<name> [algo=<a>] [sched=<s>] [strategy=<o>]
+//! QUERY target=<name> [algo=<a>] [sched=<s>] [strategy=ri-greedy]
 //!       [max=<n>] [timeout_ms=<n>] [collect=<n>] [seed=<n>]
 //!       [emit=stream] [chunk=<k>]
 //!       pattern=<inline> | pattern_file=<path>
-//! EXPLAIN target=<name> [algo=<a>] [strategy=<o>]
+//! EXPLAIN target=<name> [algo=<a>] [strategy=ri-greedy]
 //!         pattern=<inline> | pattern_file=<path>
 //! EXPLAIN ANALYZE target=<name> [...QUERY knobs...]
 //!         pattern=<inline> | pattern_file=<path>
@@ -36,13 +36,16 @@
 //!   run by worker 0.
 //!   Responses carry `routed` (whether routing chose) and `EXPLAIN`
 //!   reports the decision under `routing`.
-//! * `strategy` — ordering strategy: `ri-greedy` (default),
-//!   `least-frequent-label` or `degree-descending`.
+//! * `strategy` — the match order, which is always RI's
+//!   GreatestConstraintFirst (`ri-greedy`; `greedy` and `gcf` are accepted,
+//!   in any case, with `_` for `-`).  Any other value is an `unknown
+//!   strategy` error, and every reply names the order as
+//!   `"strategy":"ri-greedy"`.
 //! * `emit` — `buffered` (default, one JSON response) or `stream` (see
 //!   below); `chunk` — rows per streamed frame (default 64, clamped to at
 //!   most 65536).  Not valid on `BATCH` continuation lines.
 //! * `EXPLAIN` plans (through the prepared cache) without running and
-//!   reports the match order, chosen strategy, the per-position
+//!   reports the match order, the per-position
 //!   estimates of a seeded random-path probe of the prepared search and
 //!   `counted_from`, the first position a count-only run counts instead of
 //!   enumerating.
@@ -183,6 +186,21 @@ pub fn encode_inline_pattern(text: &str) -> String {
         .replace(' ', ",")
 }
 
+/// What every reply carries under `"strategy"`: the name of the one match
+/// order the planner builds, RI's GreatestConstraintFirst.
+const STRATEGY: &str = "ri-greedy";
+
+/// Accepts a `strategy=` value that names [`STRATEGY`]: `ri-greedy`,
+/// `greedy` or `gcf`, in any case, with `_` for `-`.
+fn check_strategy(value: &str) -> Result<(), ServiceError> {
+    match value.to_ascii_lowercase().replace('_', "-").as_str() {
+        "ri-greedy" | "greedy" | "gcf" => Ok(()),
+        other => Err(protocol_error(format!(
+            "unknown strategy '{other}' (expected {STRATEGY})"
+        ))),
+    }
+}
+
 struct QueryArgs {
     target: Option<String>,
     spec: Option<QuerySpec>,
@@ -192,7 +210,6 @@ fn parse_query_args(tokens: &[&str]) -> Result<QueryArgs, ServiceError> {
     let mut target = None;
     let mut pattern_text: Option<String> = None;
     let mut algorithm = sge_ri::Algorithm::RiDsSiFc;
-    let mut strategy = sge_ri::Strategy::default();
     let mut run = RunConfig::default();
     let mut emit = EmitMode::default();
     let mut chunk = crate::DEFAULT_STREAM_CHUNK;
@@ -223,9 +240,7 @@ fn parse_query_args(tokens: &[&str]) -> Result<QueryArgs, ServiceError> {
                     pinned = true;
                 }
             }
-            "strategy" => {
-                strategy = value.parse().map_err(protocol_error)?;
-            }
+            "strategy" => check_strategy(value)?,
             "max" => {
                 let n: u64 = value
                     .parse()
@@ -274,7 +289,6 @@ fn parse_query_args(tokens: &[&str]) -> Result<QueryArgs, ServiceError> {
     let spec = pattern_text.map(|pattern_text| QuerySpec {
         pattern_text,
         algorithm,
-        strategy,
         run,
         emit,
         chunk,
@@ -434,7 +448,7 @@ pub fn query_body(query: &QueryOutcome) -> Vec<(&'static str, Json)> {
     let mut pairs = vec![
         ("target", Json::str(query.target.clone())),
         ("algorithm", Json::str(outcome.algorithm.name())),
-        ("strategy", Json::str(outcome.strategy.name())),
+        ("strategy", Json::str(STRATEGY)),
         ("scheduler", Json::str(outcome.scheduler.to_string())),
         ("routed", Json::Bool(query.routed)),
         ("workers", Json::U64(outcome.workers as u64)),
@@ -483,7 +497,7 @@ pub fn stream_header_response(header: &StreamHeader) -> Json {
         ("target", Json::str(header.target.clone())),
         ("chunk", Json::U64(header.chunk as u64)),
         ("algorithm", Json::str(header.algorithm.name())),
-        ("strategy", Json::str(header.strategy.name())),
+        ("strategy", Json::str(STRATEGY)),
         ("scheduler", Json::str(header.scheduler.to_string())),
         ("routed", Json::Bool(header.routed)),
         ("cache_hit", Json::Bool(header.cache_hit)),
@@ -561,8 +575,8 @@ fn plan_arrays(engine: &PreparedEngine) -> [Json; 4] {
     ]
 }
 
-/// Response to a successful `EXPLAIN`: the chosen strategy, the match order
-/// (pattern node per position) and the per-position probe estimates.
+/// Response to a successful `EXPLAIN`: the match order (pattern node per
+/// position) and the per-position probe estimates.
 pub fn explain_response(explain: &ExplainOutcome) -> Json {
     let plan = explain.engine.plan();
     let [order, est_candidates, est_states, kernels] = plan_arrays(&explain.engine);
@@ -570,7 +584,7 @@ pub fn explain_response(explain: &ExplainOutcome) -> Json {
         ("ok", Json::Bool(true)),
         ("target", Json::str(explain.target.clone())),
         ("algorithm", Json::str(plan.algorithm.name())),
-        ("strategy", Json::str(plan.strategy.name())),
+        ("strategy", Json::str(STRATEGY)),
         ("positions", Json::U64(plan.num_positions() as u64)),
         ("order", order),
         ("est_candidates", est_candidates),
@@ -627,7 +641,7 @@ pub fn explain_analyze_response(analyze: &ExplainAnalyzeOutcome) -> Json {
         ("analyze", Json::Bool(true)),
         ("target", Json::str(query.target.clone())),
         ("algorithm", Json::str(plan.algorithm.name())),
-        ("strategy", Json::str(plan.strategy.name())),
+        ("strategy", Json::str(STRATEGY)),
         ("scheduler", Json::str(outcome.scheduler.to_string())),
         ("workers", Json::U64(outcome.workers as u64)),
         ("positions", Json::U64(plan.num_positions() as u64)),
@@ -811,23 +825,44 @@ mod tests {
 
     #[test]
     fn parses_strategy_mode_and_explain() {
-        let line = "QUERY target=k5 strategy=lfl pattern=1;0;0";
-        match parse_command(line).unwrap() {
-            Command::Query { spec, .. } => {
-                assert_eq!(spec.strategy, sge_ri::Strategy::LeastFrequentLabelFirst);
+        // Every spelling of the one order parses like a line without the key.
+        let debug = |line: &str| format!("{:?}", parse_command(line).unwrap());
+        let batch = |line: &str| format!("{:?}", parse_batch_query(line).unwrap());
+        for spelling in ["ri-greedy", "greedy", "RI_GREEDY"] {
+            for verb in ["QUERY", "EXPLAIN"] {
+                assert_eq!(
+                    debug(&format!(
+                        "{verb} target=k5 strategy={spelling} pattern=1;0;0"
+                    )),
+                    debug(&format!("{verb} target=k5 pattern=1;0;0")),
+                    "{verb} {spelling}"
+                );
             }
+            assert_eq!(
+                batch(&format!("strategy={spelling} pattern=1;0;0")),
+                batch("pattern=1;0;0"),
+                "{spelling}"
+            );
+        }
+        match parse_command("EXPLAIN target=k5 strategy=gcf pattern=1;0;0").unwrap() {
+            Command::Explain { target, .. } => assert_eq!(target, "k5"),
             other => panic!("unexpected {other:?}"),
         }
-        match parse_command("EXPLAIN target=k5 strategy=degree-descending pattern=1;0;0").unwrap() {
-            Command::Explain { target, spec } => {
-                assert_eq!(target, "k5");
-                assert_eq!(spec.strategy, sge_ri::Strategy::DegreeDescending);
+        // Any other order is an unknown strategy, whatever its name.
+        for value in ["least-frequent-label", "degree-descending", "wat"] {
+            for line in [
+                format!("QUERY target=k5 strategy={value} pattern=1;0;0"),
+                format!("EXPLAIN target=k5 strategy={value} pattern=1;0;0"),
+            ] {
+                let err = parse_command(&line).expect_err(&line);
+                let rendered = error_response(&err).render();
+                assert!(rendered.contains("unknown strategy"), "{rendered}");
             }
-            other => panic!("unexpected {other:?}"),
+            let err = parse_batch_query(&format!("strategy={value} pattern=1;0;0"));
+            assert!(err.is_err(), "{value}");
         }
         assert!(parse_command("EXPLAIN target=k5").is_err());
         assert!(parse_command("EXPLAIN pattern=1;0;0").is_err());
-        assert!(parse_command("QUERY target=k5 strategy=wat pattern=1;0;0").is_err());
         let err = parse_command("QUERY target=k5 mode=intersection pattern=1;0;0")
             .expect_err("mode= is not a QUERY key");
         assert!(err.to_string().contains("unknown key 'mode'"), "{err}");
@@ -910,7 +945,6 @@ mod tests {
             cache_hit: true,
             pattern_hash: 0xABCD,
             algorithm: Algorithm::RiDsSiFc,
-            strategy: sge_ri::Strategy::RiGreedy,
             scheduler: Scheduler::Sequential,
             routed: false,
         };

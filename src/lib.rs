@@ -17,7 +17,7 @@
 //! | crate | contents |
 //! |-------|----------|
 //! | [`graph`] | labeled directed CSR graphs, builders, text I/O, generators |
-//! | [`plan`] | query planning: ordering strategies, domains, EXPLAIN-able plans |
+//! | [`plan`] | query planning: the GreatestConstraintFirst order, domains, EXPLAIN-able plans |
 //! | [`ri`] | the RI family's search machinery: candidate generation, consistency checks, the candidate memo, the tree-size probe |
 //! | [`vf2`] | a VF2-style baseline, the oracle `tests/oracle_matrix.rs` diffs every configuration against |
 //! | [`stealing`] | the one depth-first loop, generic over the problem: one worker on the calling thread, or private-deque work stealing |
@@ -75,13 +75,13 @@ pub use sge_vf2 as vf2;
 pub use sge_wire as wire;
 
 pub use engine::{Engine, EnumerationOutcome, PreparedEngine, RunConfig, Scheduler};
-pub use sge_plan::{Planner, QueryPlan, Strategy};
+pub use sge_plan::QueryPlan;
 
 /// The most commonly used items in one import.
 pub mod prelude {
     pub use crate::engine::{Engine, EnumerationOutcome, PreparedEngine, RunConfig, Scheduler};
     pub use sge_graph::{Graph, GraphBuilder};
-    pub use sge_plan::{Planner, QueryPlan, Strategy};
+    pub use sge_plan::QueryPlan;
     pub use sge_ri::{Algorithm, MatchVisitor};
     pub use sge_service::{QuerySet, QuerySpec, Service, ServiceConfig};
 }

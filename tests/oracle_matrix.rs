@@ -2,8 +2,8 @@
 //! enumeration stack diffed against the independent VF2 oracle
 //! (`sge::vf2::collect_mappings`, Cordella et al., 2004).
 //!
-//! A cell is (algorithm, strategy, kernel variant, scheduler, delivery,
-//! limit); `cells::all` lists every combination that exists and
+//! A cell is (algorithm, kernel variant, scheduler, delivery, limit);
+//! `cells::all` lists every combination that exists and
 //! `Cell::exists` names the ones that do not.  Each family test runs every
 //! cell at least once over the family's pinned instances, each cell on the
 //! instance a hash of its index picks.  `runner` holds the checks.  A
@@ -119,10 +119,10 @@ fn run_family(family: Family) {
 
 #[test]
 fn every_cell_runs_in_two_families() {
-    // 4 algorithms x 3 strategies x (4 engine kernels x 5 schedulers x 41
-    // engine (delivery, limit) pairs + 2 forced kernels + 2 service kernels
-    // x (5 schedulers x 25 pinned (delivery, limit) pairs + 8 routed)).
-    assert_eq!(cells::all().len(), 12 * (4 * 5 * 41 + 2 + 2 * (5 * 25 + 8)));
+    // 4 algorithms x (4 engine kernels x 5 schedulers x 41 engine
+    // (delivery, limit) pairs + 2 forced kernels + 2 service kernels x (5
+    // schedulers x 25 pinned (delivery, limit) pairs + 8 routed)).
+    assert_eq!(cells::all().len(), 4 * (4 * 5 * 41 + 2 + 2 * (5 * 25 + 8)));
     for index in 0..cells::all().len() {
         let [(a, _), (b, _)] = homes(index);
         assert_ne!(a, b);
@@ -137,7 +137,6 @@ fn the_symmetric_share_runs_every_axis_value() {
         kept.flat_map(|c| {
             [
                 format!("algorithm {:?}", c.algorithm),
-                format!("strategy {:?}", c.strategy),
                 format!("kernel {:?}", c.kernel),
                 format!("sched {:?}", c.sched),
                 format!("delivery {:?}", c.delivery),

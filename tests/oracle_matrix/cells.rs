@@ -22,8 +22,8 @@ axis! {
     /// sidecar decides the kernel: a constrained step ANDs bitmap rows
     /// exactly when the sidecar holds a row for each of its constraints.
     Kernel {
-        /// `Engine::prepare_planned`: the default sidecar only when it holds
-        /// a row, so targets without one run without the prefilter.
+        /// `Engine::prepare`: the default sidecar only when it holds a row,
+        /// so targets without one run without the prefilter.
         OneShot,
         /// `PreparedEngine::prepare_planned_full` with the registry-default
         /// sidecar.
@@ -155,7 +155,6 @@ impl Limit {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Cell {
     pub algorithm: Algorithm,
-    pub strategy: Strategy,
     pub kernel: Kernel,
     pub sched: Sched,
     pub delivery: Delivery,
@@ -209,22 +208,19 @@ impl Cell {
 pub fn all() -> Vec<Cell> {
     let mut cells = Vec::new();
     for algorithm in Algorithm::ALL {
-        for strategy in Strategy::ALL {
-            for &kernel in Kernel::ALL {
-                for &sched in Sched::ALL {
-                    for &delivery in Delivery::ALL {
-                        for &limit in Limit::ALL {
-                            let cell = Cell {
-                                algorithm,
-                                strategy,
-                                kernel,
-                                sched,
-                                delivery,
-                                limit,
-                            };
-                            if cell.exists() {
-                                cells.push(cell);
-                            }
+        for &kernel in Kernel::ALL {
+            for &sched in Sched::ALL {
+                for &delivery in Delivery::ALL {
+                    for &limit in Limit::ALL {
+                        let cell = Cell {
+                            algorithm,
+                            kernel,
+                            sched,
+                            delivery,
+                            limit,
+                        };
+                        if cell.exists() {
+                            cells.push(cell);
                         }
                     }
                 }

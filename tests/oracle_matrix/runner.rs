@@ -4,7 +4,7 @@
 use crate::cells::{Cell, Delivery, Kernel, Limit};
 use crate::instances::Instance;
 use sge::graph::io::write_graph;
-use sge::graph::{AdjacencyBitmaps, BitmapConfig, Graph, GraphBuilder, GraphStats, NodeId};
+use sge::graph::{AdjacencyBitmaps, BitmapConfig, Graph, GraphBuilder, NodeId};
 use sge::obs::TraceSink;
 use sge::prelude::*;
 use sge::ri::{check_kernel_parity, KernelUsage, PlanStep};
@@ -27,7 +27,7 @@ macro_rules! ensure {
 }
 
 type Check<T = ()> = Result<T, String>;
-type PlanKey = (Algorithm, Strategy, Kernel);
+type PlanKey = (Algorithm, Kernel);
 type Rows = Vec<Vec<NodeId>>;
 type Positions = (Vec<u64>, Vec<u64>);
 
@@ -88,7 +88,6 @@ pub struct Subject<'a> {
     pattern: Arc<Graph>,
     target: Arc<Graph>,
     oracle: Rows,
-    stats: GraphStats,
     sidecars: HashMap<Kernel, Arc<AdjacencyBitmaps>>,
     one_shot: RefCell<HashMap<PlanKey, Arc<Engine<'a>>>>,
     prepared: RefCell<HashMap<PlanKey, Arc<PreparedEngine>>>,
@@ -106,7 +105,6 @@ impl<'a> Subject<'a> {
             pattern: Arc::new(pattern.clone()),
             target: Arc::new(target.clone()),
             oracle: sge::vf2::collect_mappings(pattern, target),
-            stats: GraphStats::of(target),
             sidecars: sidecars.map(sidecar).into(),
             one_shot: RefCell::default(),
             prepared: RefCell::default(),
@@ -134,7 +132,7 @@ impl<'a> Subject<'a> {
         if cell.delivery == Delivery::Driver {
             return self.drive_forced(cell);
         }
-        let reference = self.reference((cell.algorithm, cell.strategy, cell.kernel))?;
+        let reference = self.reference((cell.algorithm, cell.kernel))?;
         let mut rng = Rng::new(cell_seed);
         let scheduler = cell.sched.draw(&mut rng);
         let mut config = RunConfig::new(scheduler);
@@ -158,9 +156,9 @@ impl<'a> Subject<'a> {
         sink: Option<Arc<TraceSink>>,
         f: impl FnOnce(&Engine) -> R,
     ) -> R {
-        let (algorithm, strategy, kernel) = key;
+        let (algorithm, kernel) = key;
         let (pattern, target) = (&self.instance.pattern, &self.instance.target);
-        let one_shot = || Engine::prepare_planned(pattern, target, algorithm, strategy);
+        let one_shot = || Engine::prepare(pattern, target, algorithm);
         match (kernel, sink) {
             (Kernel::OneShot, None) => {
                 let mut cache = self.one_shot.borrow_mut();
@@ -182,14 +180,14 @@ impl<'a> Subject<'a> {
     }
 
     fn prepared(&self, key: PlanKey) -> Arc<PreparedEngine> {
-        let (algorithm, strategy, kernel) = key;
+        let (algorithm, kernel) = key;
         let mut prepared = self.prepared.borrow_mut();
         Arc::clone(prepared.entry(key).or_insert_with(|| {
             let (p, t) = (Arc::clone(&self.pattern), Arc::clone(&self.target));
-            let (stats, sidecar) = (Some(&self.stats), Arc::clone(&self.sidecars[&kernel]));
-            let engine =
-                PreparedEngine::prepare_planned_full(p, t, stats, sidecar, algorithm, strategy);
-            Arc::new(engine)
+            let sidecar = Arc::clone(&self.sidecars[&kernel]);
+            Arc::new(PreparedEngine::prepare_planned_full(
+                p, t, sidecar, algorithm,
+            ))
         }))
     }
 
@@ -206,19 +204,19 @@ impl<'a> Subject<'a> {
     /// VF2, the plan's metadata, the kernel the variant must run, the tree
     /// the default sidecar explores, and preprocessing's verdict.
     fn compute_reference(&self, key: PlanKey) -> Check<Reference> {
-        let (algorithm, strategy, kernel) = key;
+        let (algorithm, kernel) = key;
         let (total, nodes) = (self.total(), self.pattern.num_nodes());
         let sink = Arc::new(TraceSink::new(nodes));
         let ran = self.with_engine(key, Some(Arc::clone(&sink)), |engine| {
             let plan = engine.plan();
             let bitmaps = engine.context().bitmaps().map(|b| &**b);
             let expected = self.bitmap_expectation(plan, bitmaps);
-            let metadata = (plan.algorithm, plan.strategy, plan.num_positions());
+            let metadata = (plan.algorithm, plan.num_positions());
             let facts = (expected, bitmaps.is_some(), engine.impossible());
             (engine.run(&RunConfig::default()), metadata, facts)
         });
         let (outcome, metadata, (bitmap, sidecar, impossible)) = ran;
-        same("plan", metadata, (algorithm, strategy, nodes))?;
+        same("plan", metadata, (algorithm, nodes))?;
         same("reference matches", outcome.matches, total)?;
         let stops = (outcome.timed_out, outcome.limit_hit, outcome.cancelled);
         same("reference stops", stops, (false, false, false))?;
@@ -244,7 +242,7 @@ impl<'a> Subject<'a> {
         // Every sidecar carries the same label signatures, so the prefilter
         // and the whole tree are the same under every kernel.
         if kernel != Kernel::Default && sidecar {
-            let default = self.reference((algorithm, strategy, Kernel::Default))?;
+            let default = self.reference((algorithm, Kernel::Default))?;
             let tree = (states, &reference.positions);
             same(
                 "tree under the default sidecar",
@@ -252,10 +250,9 @@ impl<'a> Subject<'a> {
                 (default.states, &default.positions),
             )?;
         }
-        // Domains only prune.  Scoped to ri-greedy: the other strategies may
-        // order RI and RI-DS differently.
-        if algorithm == Algorithm::RiDs && strategy == Strategy::RiGreedy {
-            let ri = self.reference((Algorithm::Ri, strategy, kernel))?.states;
+        // Domains only prune.
+        if algorithm == Algorithm::RiDs {
+            let ri = self.reference((Algorithm::Ri, kernel))?.states;
             ensure!(states <= ri, "RI-DS: {states} states, RI {ri}");
         }
         Ok(reference)
@@ -269,7 +266,7 @@ impl<'a> Subject<'a> {
         // Half the collections stop short of the total.
         let short = 1 + rng.next_below(total as usize + 1) as u64;
         let capacity = if rng.next_bool(0.5) { total + 1 } else { short };
-        let key = (cell.algorithm, cell.strategy, cell.kernel);
+        let key = (cell.algorithm, cell.kernel);
         self.with_engine(key, sink.clone(), |engine| {
             let (mut rows, mut row_cap) = (None, Some(u64::MAX));
             let mut outcome = match cell.delivery {
@@ -356,11 +353,10 @@ impl<'a> Subject<'a> {
         let (service, total) = (self.service(), self.total());
         let target = format!("{:?}", cell.kernel);
         let text = write_graph(&self.pattern);
-        let (algorithm, strategy) = (cell.algorithm, cell.strategy);
+        let algorithm = cell.algorithm;
         let spec = |run| {
             QuerySpec::new(&text)
                 .with_algorithm(algorithm)
-                .with_strategy(strategy)
                 .with_run(run)
         };
         let failed = |e: sge::service::ServiceError| format!("service error: {e}");
@@ -415,8 +411,7 @@ impl<'a> Subject<'a> {
     /// against VF2, then the limit's contract.
     fn verify(&self, cell: Cell, run: &RunConfig, reference: &Reference, seen: &Observed) -> Check {
         let (o, total) = (&seen.outcome, self.total());
-        let ran = (o.algorithm, o.strategy);
-        same("ran", ran, (cell.algorithm, cell.strategy))?;
+        same("ran", o.algorithm, cell.algorithm)?;
         if let Some(scheduler) = seen.pinned {
             same("scheduler", o.scheduler, scheduler)?;
         }
@@ -490,11 +485,10 @@ impl<'a> Subject<'a> {
     /// plan and the kernel's sidecar, count-only and enumerating, and a walk
     /// of the whole tree.
     fn drive_forced(&self, cell: Cell) -> Check {
-        let (algorithm, strategy) = (cell.algorithm, cell.strategy);
-        let reference = self.reference((algorithm, strategy, Kernel::RowsPresent))?;
-        let planner = sge::Planner::new(strategy);
+        let algorithm = cell.algorithm;
+        let reference = self.reference((algorithm, Kernel::RowsPresent))?;
         let graphs = (&*self.pattern, &*self.target);
-        let plan = planner.plan_with_stats(graphs.0, graphs.1, Some(&self.stats), algorithm);
+        let plan = QueryPlan::new(graphs.0, graphs.1, algorithm);
         let rows = match cell.kernel {
             Kernel::ForcedBitmap => Kernel::RowsPresent,
             _ => Kernel::Capped,
