@@ -35,10 +35,16 @@
 //!   left is reported at the last line, before any bad line after it.
 //!
 //! The reader makes one pass over the text and keeps no vector of its
-//! lines.  An edge line is first split at ASCII blanks as it stands; only
-//! when that does not parse (a blank line, Unicode whitespace, a bad field)
-//! is it trimmed and split at Unicode whitespace.  [`GraphBuilder::build`]
-//! then orders the edges with counting sorts.
+//! lines.  One field reader serves every edge field: it reads an optional
+//! `+` and ASCII digits into an overflow-checked `u32`, which is what
+//! `str::parse::<u32>` accepts.  An edge line is first read in place as
+//! bytes: skip ASCII blanks, read two or three fields, each ended by an
+//! ASCII blank, the line break or the end of the text, step over the rest
+//! of the line, check the endpoints.  Only a line that does not read that
+//! way (a blank line, Unicode whitespace, a bad field) is trimmed, split at
+//! Unicode whitespace and its fields handed to the same reader, so every
+//! error keeps its line and message.  [`GraphBuilder::build`] then orders
+//! the edges with counting sorts.
 
 use crate::builder::GraphBuilder;
 use crate::graph::{Graph, Label, NodeId, DEFAULT_EDGE_LABEL};
@@ -109,10 +115,12 @@ pub fn parse_graph(text: &str) -> Result<(Graph, HashMap<String, u32>), ParseErr
 /// The text is read front to back with no vector of its lines: a label
 /// allocates its `String` only the first time the interner sees it, and
 /// capacity is reserved from the counts, never beyond what the remaining
-/// bytes can hold.  The labels are interned once every label line is known
-/// to be there, so a node count above the lines left adds nothing to
-/// `interner`; an error after the labels (in the edge count or an edge)
-/// leaves them in it, and a caller that must not keep them rolls it back.
+/// bytes can hold.  The labels are interned as they are read; a node count
+/// above the lines left takes back the ids this parse added (the ids are
+/// dense, so those at or above the table's starting length), and leaves
+/// `interner` as it was.  An error after the labels (in the edge count or
+/// an edge) leaves them in it, and a caller that must not keep them rolls
+/// it back.
 pub fn parse_graph_with_interner(
     text: &str,
     interner: &mut HashMap<String, u32>,
@@ -132,16 +140,22 @@ pub fn parse_graph_with_interner(
         .parse()
         .map_err(|_| malformed(line_no, format!("invalid node count '{count_text}'")))?;
 
-    // Walk past the labels first: they are interned only once all are there.
-    let label_lines = lines;
+    // A label line takes at least two bytes with its line break.
+    let mut builder =
+        GraphBuilder::with_capacity(node_count.min(lines.rest.len() / 2 + 1), 0).name(name);
+    let known = interner.len();
     for _ in 0..node_count {
-        // Truncation errors point at the last line the input actually has.
-        lines
-            .next()
-            .ok_or_else(|| malformed(lines.last, "unexpected end of file in node labels"))?;
-    }
-    let mut builder = GraphBuilder::with_capacity(node_count, 0).name(name);
-    for (_, label_text) in label_lines.take(node_count) {
+        let Some((_, label_text)) = lines.next() else {
+            // Ids are dense, so this parse added exactly the ids >= known.
+            if interner.len() > known {
+                interner.retain(|_, id| (*id as usize) < known);
+            }
+            // Truncation errors point at the last line the input actually has.
+            return Err(malformed(
+                lines.last,
+                "unexpected end of file in node labels",
+            ));
+        };
         let label = match interner.get(label_text) {
             Some(&label) => label,
             None => {
@@ -170,7 +184,7 @@ pub fn parse_graph_with_interner(
         let (line_no, edge_text) = lines
             .next()
             .ok_or_else(|| malformed(lines.last, "unexpected end of file in edge list"))?;
-        match parse_edge(line_no, edge_text.split_whitespace(), node_count) {
+        match parse_edge(line_no, edge_text, node_count) {
             Ok((tail, head, label)) => builder.add_edge(tail, head, label),
             Err(err) => {
                 // A count above the lines left is reported before any bad
@@ -210,18 +224,33 @@ impl<'t> Lines<'t> {
         }
     }
 
-    /// Reads the next line when [`parse_edge`] accepts it untrimmed and
-    /// split at ASCII blanks, the shape of nearly every edge line.  Reads
-    /// nothing otherwise (a blank line, Unicode whitespace, a bad field),
-    /// and the line then goes the general way.  Both ways agree: a field
-    /// that parses holds no whitespace of either kind.
+    /// Reads the next line in place when it is an edge line whose fields
+    /// are separated by ASCII blanks, the shape of nearly every edge line:
+    /// two or three fields, whatever else the line holds up to its `\n`,
+    /// endpoints below `node_count`.  Reads nothing otherwise (a blank
+    /// line, Unicode whitespace, a bad field), and the line then goes the
+    /// general way.  Both ways agree: a field that [`read_u32`] takes
+    /// whole holds no whitespace of either kind.
     fn next_plain_edge(&mut self, node_count: usize) -> Option<(NodeId, NodeId, Label)> {
-        let (line, rest) = self.rest.split_once('\n').unwrap_or((self.rest, ""));
-        let edge = parse_edge(self.number + 1, line.split_ascii_whitespace(), node_count).ok()?;
-        self.rest = rest;
+        let bytes = self.rest.as_bytes();
+        let (tail, at) = plain_field(bytes, 0)?;
+        let (head, at) = plain_field(bytes, at)?;
+        let at = skip_blanks(bytes, at);
+        let (label, at) = match bytes.get(at) {
+            None | Some(b'\n') => (DEFAULT_EDGE_LABEL, at),
+            Some(_) => plain_field(bytes, at)?,
+        };
+        if tail as usize >= node_count || head as usize >= node_count {
+            return None;
+        }
+        let end = bytes[at..]
+            .iter()
+            .position(|&b| b == b'\n')
+            .map_or(bytes.len(), |i| at + i + 1);
+        self.rest = &self.rest[end..];
         self.number += 1;
         self.last = self.number;
-        Some(edge)
+        Some((tail, head, label))
     }
 }
 
@@ -245,27 +274,25 @@ impl<'t> Iterator for Lines<'t> {
     }
 }
 
-/// Parses one edge line, given as its fields: `<tail> <head> [<edge
-/// label>]`, extra fields ignored, endpoints below `node_count`.
-fn parse_edge<'a>(
+/// Parses one trimmed edge line split at Unicode whitespace: `<tail>
+/// <head> [<edge label>]`, each field read whole by [`read_u32`], extra
+/// fields ignored, endpoints below `node_count`.
+fn parse_edge(
     line_no: usize,
-    mut parts: impl Iterator<Item = &'a str>,
+    line: &str,
     node_count: usize,
 ) -> Result<(NodeId, NodeId, Label), ParseError> {
-    let tail: NodeId = parts
+    let mut parts = line.split_whitespace();
+    let tail = parts
         .next()
-        .ok_or_else(|| malformed(line_no, "missing edge tail"))?
-        .parse()
-        .map_err(|_| malformed(line_no, "invalid edge tail"))?;
-    let head: NodeId = parts
+        .ok_or_else(|| malformed(line_no, "missing edge tail"))?;
+    let tail = field_u32(tail).ok_or_else(|| malformed(line_no, "invalid edge tail"))?;
+    let head = parts
         .next()
-        .ok_or_else(|| malformed(line_no, "missing edge head"))?
-        .parse()
-        .map_err(|_| malformed(line_no, "invalid edge head"))?;
+        .ok_or_else(|| malformed(line_no, "missing edge head"))?;
+    let head = field_u32(head).ok_or_else(|| malformed(line_no, "invalid edge head"))?;
     let label = match parts.next() {
-        Some(text) => text
-            .parse()
-            .map_err(|_| malformed(line_no, "invalid edge label"))?,
+        Some(text) => field_u32(text).ok_or_else(|| malformed(line_no, "invalid edge label"))?,
         None => DEFAULT_EDGE_LABEL,
     };
     if tail as usize >= node_count || head as usize >= node_count {
@@ -275,6 +302,54 @@ fn parse_edge<'a>(
         ));
     }
     Ok((tail, head, label))
+}
+
+/// The index of the first byte at or after `at` that is not an ASCII blank:
+/// ASCII whitespace other than the line break.
+fn skip_blanks(bytes: &[u8], mut at: usize) -> usize {
+    while bytes
+        .get(at)
+        .is_some_and(|&b| b != b'\n' && b.is_ascii_whitespace())
+    {
+        at += 1;
+    }
+    at
+}
+
+/// Reads the field after the ASCII blanks at `at`: a [`read_u32`] field
+/// that an ASCII blank, the line break or the end of the text ends.
+/// Returns its value and the index after it.
+fn plain_field(bytes: &[u8], at: usize) -> Option<(u32, usize)> {
+    let start = skip_blanks(bytes, at);
+    let (value, len) = read_u32(&bytes[start..])?;
+    let end = start + len;
+    match bytes.get(end) {
+        Some(b) if !b.is_ascii_whitespace() => None,
+        _ => Some((value, end)),
+    }
+}
+
+/// Reads the field at the front of `bytes`: an optional `+` and ASCII
+/// digits whose value fits a `u32`, which is what `str::parse::<u32>`
+/// accepts.  Returns the value and the number of bytes read, or `None`
+/// when no digit follows the sign or the value overflows.
+fn read_u32(bytes: &[u8]) -> Option<(u32, usize)> {
+    let start = usize::from(bytes.first() == Some(&b'+'));
+    let mut value = 0u32;
+    let mut end = start;
+    while let Some(&b) = bytes.get(end).filter(|b| b.is_ascii_digit()) {
+        value = value.checked_mul(10)?.checked_add(u32::from(b - b'0'))?;
+        end += 1;
+    }
+    (end > start).then_some((value, end))
+}
+
+/// A whole field as a [`read_u32`] field.
+fn field_u32(field: &str) -> Option<u32> {
+    match read_u32(field.as_bytes()) {
+        Some((value, len)) if len == field.len() => Some(value),
+        _ => None,
+    }
 }
 
 /// Serializes a graph to the text format (labels written as their integer ids).
@@ -403,6 +478,105 @@ mod tests {
     fn error_on_empty_input() {
         assert!(parse_graph("").is_err());
         assert!(parse_graph("   \n  \n").is_err());
+    }
+
+    #[test]
+    fn the_field_reader_accepts_what_str_parse_accepts() {
+        let alphabet = ['0', '1', '9', '+', '-', 'x', '\u{663}'];
+        let mut fields = vec![String::new()];
+        let mut level = fields.clone();
+        for _ in 0..5 {
+            level = level
+                .iter()
+                .flat_map(|s| alphabet.iter().map(move |&c| format!("{s}{c}")))
+                .collect();
+            fields.extend(level.iter().cloned());
+        }
+        assert_eq!(fields.len(), 19_608);
+        for field in &fields {
+            assert_eq!(field_u32(field), field.parse::<u32>().ok(), "{field:?}");
+        }
+        for (field, value) in [
+            ("4294967295", Some(u32::MAX)),
+            ("+4294967295", Some(u32::MAX)),
+            ("00000000004294967295", Some(u32::MAX)),
+            ("4294967296", None),
+            ("42949672950", None),
+        ] {
+            assert_eq!(field_u32(field), value, "{field:?}");
+            assert_eq!(field.parse::<u32>().ok(), value, "{field:?}");
+        }
+    }
+
+    #[test]
+    fn a_line_is_read_in_place_exactly_when_ascii_splitting_takes_it() {
+        const NODES: usize = 8;
+        // What the in-place read must take: the line split at ASCII
+        // blanks, each field through `str::parse`.
+        let split_and_parse = |line: &str| -> Option<(u32, u32, u32)> {
+            let mut parts = line.split_ascii_whitespace();
+            let tail: u32 = parts.next()?.parse().ok()?;
+            let head: u32 = parts.next()?.parse().ok()?;
+            let label = match parts.next() {
+                Some(text) => text.parse().ok()?,
+                None => DEFAULT_EDGE_LABEL,
+            };
+            ((tail as usize) < NODES && (head as usize) < NODES).then_some((tail, head, label))
+        };
+        let fields: &[&str] = &["0", "7", "+1", "003", "9", "x", "1x", "-1", "4294967295"];
+        // Form feed is ASCII whitespace; U+000B and U+00A0 are only Unicode
+        // whitespace, so a line split by them must reach the fallback.
+        let blanks: &[&str] = &[" ", "\t", "\x0c", "\r", "\x0b", "\u{a0}", "  "];
+        let leads = ["", " ", "\x0b", "\t\x0c"];
+        let ends = ["\n", " \r\n", "", "\x0c\n", "\x0b\n"];
+        // Every line of up to three fields, then a few with more.
+        let mut lines = vec![String::new()];
+        let mut level: Vec<String> = fields.iter().map(|f| f.to_string()).collect();
+        for _ in 0..2 {
+            lines.extend(level.iter().cloned());
+            level = level
+                .iter()
+                .flat_map(|line| {
+                    blanks.iter().flat_map(move |blank| {
+                        fields
+                            .iter()
+                            .map(move |field| format!("{line}{blank}{field}"))
+                    })
+                })
+                .collect();
+        }
+        lines.extend(level);
+        lines.extend(
+            [
+                "1 2 3 junk\u{a0}x",
+                "1 2 3\u{a0}4",
+                "1\x0b2",
+                "1\x0c2",
+                "1 2 3 4 5",
+                "1 2 -",
+                "\u{3000}1 2",
+            ]
+            .map(String::from),
+        );
+        let mut taken = 0;
+        for (i, line) in lines.iter().enumerate() {
+            let lead = leads[i % leads.len()];
+            let end = ends[(i / leads.len()) % ends.len()];
+            // A line that ends in a break has another edge line after it.
+            let next = if end.is_empty() { "" } else { "5 6\n" };
+            let text = format!("{lead}{line}{end}{next}");
+            let (first, rest) = text.split_once('\n').unwrap_or((&text, ""));
+            let expected = split_and_parse(first);
+            let mut reader = Lines::new(&text);
+            assert_eq!(reader.next_plain_edge(NODES), expected, "{text:?}");
+            let (rest, number) = match expected {
+                Some(_) => (rest, 1),
+                None => (text.as_str(), 0),
+            };
+            taken += number;
+            assert_eq!((reader.rest, reader.number), (rest, number), "{text:?}");
+        }
+        assert!(taken > 1_000, "only {taken} of {} lines taken", lines.len());
     }
 
     #[test]

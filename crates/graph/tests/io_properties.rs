@@ -8,6 +8,7 @@
 
 mod reference;
 
+use sge_datasets::{generate_target, ppis32_like};
 use sge_graph::io::{parse_graph, parse_graph_with_interner, write_graph, ParseError};
 use sge_graph::GraphBuilder;
 use sge_util::SplitMix64;
@@ -237,8 +238,9 @@ struct MessyText {
 const BLANKS: [&str; 9] = [
     "", "", "", " ", "\t", "  \t ", "\u{a0}", "\u{3000}", "\x0b\x0c",
 ];
-/// Blanks between fields.
-const SEPARATORS: [&str; 7] = [" ", " ", " ", "\t", "    ", "\u{a0}", " \u{3000}\t"];
+/// Blanks between fields; U+000B is Unicode whitespace but not ASCII
+/// whitespace.
+const SEPARATORS: [&str; 8] = [" ", " ", " ", "\t", "    ", "\u{a0}", " \u{3000}\t", "\x0b"];
 /// Node labels: a label is the whole trimmed line, inner blanks included.
 const LABELS: [&str; 8] = ["C", "N", "O", "Ca", "C a", "\u{e9}", "0", "12"];
 /// Tokens no count or edge field accepts.
@@ -300,7 +302,11 @@ impl MessyText {
         for (u, v, label) in edges {
             let mut fields = vec![number(rng, u), number(rng, v)];
             if rng.next_bool(0.7) {
-                fields.push(number(rng, label));
+                fields.push(match rng.next_below(20) {
+                    0 => "+4294967295".to_string(),
+                    1 => "00000000004294967295".to_string(),
+                    _ => number(rng, label),
+                });
             }
             if rng.next_bool(0.05) {
                 // An extra field, ignored whatever it holds.
@@ -451,4 +457,26 @@ fn one_pass_parse_matches_the_reference_parser() {
     }
     // Most generated texts are valid, so the graphs themselves are compared.
     assert!(accepted > 200, "only {accepted} of 300 texts parsed");
+}
+
+#[test]
+fn a_benchmark_sized_target_parses_as_the_reference_parses_it() {
+    // A PPIS32-like target of the size the benchmarks read (another seed):
+    // 5,600 nodes, 32 labels, about ten out-edges a node.
+    let spec = ppis32_like(8.0, 0x5EED);
+    let target = generate_target(&spec.targets[2], 0x5EED, "ppi");
+    assert!(target.num_nodes() > 5_000 && target.num_edges() > 50_000);
+    let text = write_graph(&target);
+    for (ending, text) in [
+        ("\\n", text.clone()),
+        ("\\r\\n", text.replace('\n', "\r\n")),
+    ] {
+        let mut interner = HashMap::new();
+        let mut reference_interner = HashMap::new();
+        let graph = parse_graph_with_interner(&text, &mut interner).expect("the target parses");
+        reference::parse_graph_with_interner(&text, &mut reference_interner)
+            .expect("the reference parses the target")
+            .assert_same(&graph, &format!("the target with {ending} endings"));
+        assert_eq!(interner, reference_interner, "{ending} endings");
+    }
 }

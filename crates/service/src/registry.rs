@@ -282,6 +282,12 @@ mod tests {
             .load_file("crlf", testdata.join("clique5_crlf.gfd"))
             .unwrap();
         assert_eq!(registry.get("plain"), registry.get("crlf"));
+        // U+00A0, U+3000 and U+000B separators, `+` signs, leading zeros
+        // and fourth fields: every edge line takes the Unicode fallback.
+        registry
+            .load_file("unicode", testdata.join("clique5_unicode.gfd"))
+            .unwrap();
+        assert_eq!(registry.get("plain"), registry.get("unicode"));
     }
 
     #[test]
